@@ -8,7 +8,10 @@
 //! step each in rotation, issuing the *next* lane's row load before the
 //! current lane steps, so the fetches overlap — same trajectories, same
 //! RNG streams (asserted before timing), better memory-level
-//! parallelism.
+//! parallelism. Whether that beats the sequential kernel depends on how
+//! many dependent misses one step has: on the compacted E-process step
+//! state it does not (ratios below 1 at widths 4 and 8), which is why the
+//! executor runs trials sequentially.
 //!
 //! The graph is a random 4-regular graph with `n = 1_000_000`: ~1M
 //! vertices of CSR rows (well past L2) walked uniformly at random, the

@@ -9,27 +9,48 @@
 //! simple random walk. We assume there is a rule `A`, which tells the walk
 //! how to choose among unvisited edges."*
 //!
+//! # Step state
+//!
 //! The engine keeps, per vertex, a compacted "live prefix" of the unvisited
 //! incident arcs with positional back-pointers, so that marking an edge
 //! visited (which removes it at *both* endpoints) and choosing uniformly
-//! among unvisited edges are both `O(1)`. Each step is therefore `O(1)`
-//! (plus whatever the rule itself costs), which is what makes the
-//! paper-scale Figure 1 runs (`n` up to 5·10⁵) practical.
+//! among unvisited edges are both `O(1)`. The state is laid out so that a
+//! step's only *dependent* cache miss is the next vertex's rows:
+//!
+//! * `rows[v] = [base, live]`, side by side as `[u32; 2]`: where `v`'s
+//!   arcs start and how many of them are still unvisited (its blue
+//!   degree). A final sentinel row `[2m, 0]` makes the degree
+//!   `rows[v + 1][0] - base`, so one row pair replaces the graph's
+//!   `offsets` array on the hot path.
+//! * `slots: Vec<u32>`: arc ids grouped by source vertex, the first `live`
+//!   of each row unvisited; `pos: Vec<u32>` is its inverse.
+//! * The graph's per-arc `arc_targets`, `arc_edges` and `arc_twins`: a
+//!   blue step unlinks the chosen arc at the slot it was chosen from and
+//!   its twin in the row of the vertex it moves to — no edge-indexed
+//!   lookup.
+//!
+//! Every step ends by loading the first entries of the new vertex's arc
+//! row through [`std::hint::black_box`] (the safe-code prefetch of
+//! [`Graph::prefetch_arcs`]), so those lines are in flight while the next
+//! step's rule draws its choice. The unvisited-edge count is derived as
+//! `m − blue_steps`, not maintained. Each step is `O(1)` (plus whatever the
+//! rule itself costs), which is what makes the paper-scale Figure 1 runs
+//! (`n` up to 5·10⁵) practical.
 
 pub mod rule;
 
 use crate::bitset::BitSet;
 use crate::process::{Step, StepKind, WalkProcess};
-use eproc_graphs::{ArcId, EdgeId, Graph, Vertex};
+use eproc_graphs::{EdgeId, Graph, Vertex};
 use rand::{Rng, RngCore};
 use rule::{EdgeRule, RuleContext, UniformRule};
 
 /// The E-process: a walk preferring unvisited edges, with pluggable rule
 /// `A` for choosing among them.
 ///
-/// See the [module documentation](self) for the definition. With
-/// [`UniformRule`] this is exactly the *greedy random walk* of
-/// Orenshtein–Shinkar (reference \[13\] of the paper) — the alias
+/// See the [module documentation](self) for the definition and the step
+/// state's layout. With [`UniformRule`] this is exactly the *greedy random
+/// walk* of Orenshtein–Shinkar (reference \[13\] of the paper) — the alias
 /// [`GreedyRandomWalk`] is provided for that reading.
 #[derive(Debug, Clone)]
 pub struct EProcess<'g, A> {
@@ -41,14 +62,14 @@ pub struct EProcess<'g, A> {
     blue_steps: u64,
     red_steps: u64,
     visited_edge: BitSet,
-    unvisited_edges: usize,
-    /// Arc ids grouped by source vertex; within each vertex's range the
-    /// first `live[v]` entries are the unvisited (blue) arcs.
-    slots: Vec<ArcId>,
+    /// `rows[v] = [base, live]`: `v`'s arcs occupy `slots[base..]` up to
+    /// the next row's base, and the first `live` of them are unvisited.
+    /// `rows[n] = [2m, 0]` is the end sentinel.
+    rows: Vec<[u32; 2]>,
+    /// Arc ids grouped by source vertex, live prefix first.
+    slots: Vec<u32>,
     /// `pos[a]` = current index of arc `a` inside `slots`.
     pos: Vec<u32>,
-    /// Number of unvisited arcs at each vertex (= blue degree).
-    live: Vec<u32>,
 }
 
 /// The greedy random walk of Orenshtein–Shinkar: the E-process whose rule
@@ -63,10 +84,7 @@ impl<'g, A: EdgeRule> EProcess<'g, A> {
     /// Panics if `start >= g.n()`.
     pub fn new(g: &'g Graph, start: Vertex, rule: A) -> EProcess<'g, A> {
         assert!(start < g.n(), "start vertex {start} out of range");
-        let slots: Vec<ArcId> = (0..2 * g.m()).collect();
-        let pos: Vec<u32> = (0..2 * g.m() as u32).collect();
-        let live: Vec<u32> = g.vertices().map(|v| g.degree(v) as u32).collect();
-        EProcess {
+        let mut walk = EProcess {
             g,
             rule,
             current: start,
@@ -75,11 +93,12 @@ impl<'g, A: EdgeRule> EProcess<'g, A> {
             blue_steps: 0,
             red_steps: 0,
             visited_edge: BitSet::with_len(g.m()),
-            unvisited_edges: g.m(),
-            slots,
-            pos,
-            live,
-        }
+            rows: vec![[0, 0]; g.n() + 1],
+            slots: vec![0; g.total_degree()],
+            pos: vec![0; g.total_degree()],
+        };
+        walk.rearm();
+        walk
     }
 
     /// The start vertex.
@@ -114,9 +133,10 @@ impl<'g, A: EdgeRule> EProcess<'g, A> {
         &self.visited_edge
     }
 
-    /// Number of still-unvisited (blue) edges.
+    /// Number of still-unvisited (blue) edges: every blue step visits
+    /// exactly one new edge, so this is `m − blue_steps`.
     pub fn unvisited_edge_count(&self) -> usize {
-        self.unvisited_edges
+        self.g.m() - self.blue_steps as usize
     }
 
     /// Blue degree of `v`: the number of unvisited edges incident with it.
@@ -125,19 +145,20 @@ impl<'g, A: EdgeRule> EProcess<'g, A> {
     ///
     /// Panics if `v >= g.n()`.
     pub fn blue_degree(&self, v: Vertex) -> usize {
-        self.live[v] as usize
+        assert!(v < self.g.n(), "vertex {v} out of range");
+        self.rows[v][1] as usize
     }
 
     /// `true` if the next transition will be blue (the current vertex has
     /// unvisited incident edges).
     pub fn in_blue_phase(&self) -> bool {
-        self.live[self.current] > 0
+        self.rows[self.current][1] > 0
     }
 
     /// The unvisited arcs at the current vertex (what rule `A` sees).
-    pub fn live_arcs(&self) -> &[ArcId] {
-        let r = self.g.arc_range(self.current);
-        &self.slots[r.start..r.start + self.live[self.current] as usize]
+    pub fn live_arcs(&self) -> &[u32] {
+        let [base, live] = self.rows[self.current];
+        &self.slots[base as usize..(base + live) as usize]
     }
 
     /// Access to the rule, e.g. to inspect adversary state.
@@ -149,7 +170,7 @@ impl<'g, A: EdgeRule> EProcess<'g, A> {
     /// unvisited, counters zeroed, rule state re-armed via
     /// [`EdgeRule::reset`] — reusing the existing allocations. The edge
     /// bitmap is word-packed, so the per-reset cost is `m / 64` word
-    /// writes plus the `O(m)` slot/pos rebuild.
+    /// writes plus the `O(n + m)` row/slot/pos rebuild.
     ///
     /// # Panics
     ///
@@ -162,46 +183,41 @@ impl<'g, A: EdgeRule> EProcess<'g, A> {
         self.blue_steps = 0;
         self.red_steps = 0;
         self.visited_edge.clear();
-        self.unvisited_edges = self.g.m();
         self.rule.reset();
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            *slot = i;
-        }
-        for (i, p) in self.pos.iter_mut().enumerate() {
+        self.rearm();
+    }
+
+    /// Marks every arc live: identity `slots`/`pos`, full-degree rows.
+    fn rearm(&mut self) {
+        // `Graph` guarantees n and 2m fit in u32, so these casts are exact.
+        for (i, (slot, p)) in self.slots.iter_mut().zip(&mut self.pos).enumerate() {
+            *slot = i as u32;
             *p = i as u32;
         }
-        for (v, live) in self.live.iter_mut().enumerate() {
-            *live = self.g.degree(v) as u32;
+        for (v, row) in self.rows.iter_mut().enumerate().take(self.g.n()) {
+            let r = self.g.arc_range(v);
+            *row = [r.start as u32, r.len() as u32];
         }
+        self.rows[self.g.n()] = [self.g.total_degree() as u32, 0];
     }
 
-    /// Marks edge `e` visited, unlinking both of its arcs from the live
-    /// prefixes of their endpoints in `O(1)`.
-    fn mark_visited(&mut self, e: EdgeId) {
-        debug_assert!(!self.visited_edge.get(e));
-        self.visited_edge.set(e);
-        self.unvisited_edges -= 1;
-        let (a0, a1) = self.g.edge_arcs(e);
-        let (u, v) = self.g.endpoints(e);
-        self.unlink(a0, u);
-        self.unlink(a1, v);
-    }
-
-    fn unlink(&mut self, arc: ArcId, src: Vertex) {
-        let p = self.pos[arc] as usize;
-        let live = self.live[src] as usize;
-        let base = self.g.arc_range(src).start;
+    /// Unlinks the live arc at slot index `p` of `v`'s row, swapping it
+    /// with the row's last live arc, in `O(1)`.
+    #[inline]
+    fn unlink_at(&mut self, p: usize, v: Vertex) {
+        let [base, live] = self.rows[v];
+        let last = (base + live - 1) as usize;
         debug_assert!(
-            p >= base && p < base + live,
-            "arc {arc} not in the live prefix of vertex {src}"
+            p >= base as usize && p <= last,
+            "slot {p} not in the live prefix of vertex {v}"
         );
-        let last = base + live - 1;
+        let arc = self.slots[p];
         let moved = self.slots[last];
         self.slots[p] = moved;
         self.slots[last] = arc;
-        self.pos[moved] = p as u32;
-        self.pos[arc] = last as u32;
-        self.live[src] -= 1;
+        self.pos[moved as usize] = p as u32;
+        self.pos[arc as usize] = last as u32;
+        self.rows[v][1] = live - 1;
     }
 }
 
@@ -224,12 +240,12 @@ impl<'g, A: EdgeRule> WalkProcess for EProcess<'g, A> {
 
     fn advance_rng<R: RngCore>(&mut self, rng: &mut R) -> Step {
         let v = self.current;
-        // One offsets fetch serves both the degree and the arc base.
-        let range = self.g.arc_range(v);
-        let (base, degree) = (range.start, range.len());
+        // One row pair serves the arc base, the blue degree and the degree.
+        let [base, live] = self.rows[v];
+        let (base, live) = (base as usize, live as usize);
+        let degree = self.rows[v + 1][0] as usize - base;
         assert!(degree > 0, "E-process stuck at isolated vertex {v}");
-        let live = self.live[v] as usize;
-        let (arc, kind) = if live > 0 {
+        let (p, kind) = if live > 0 {
             let ctx = RuleContext {
                 graph: self.g,
                 vertex: v,
@@ -241,20 +257,34 @@ impl<'g, A: EdgeRule> WalkProcess for EProcess<'g, A> {
                 idx < live,
                 "rule chose index {idx} among {live} unvisited edges"
             );
-            (self.slots[base + idx], StepKind::Blue)
+            (base + idx, StepKind::Blue)
         } else {
-            (self.slots[base + rng.gen_range(0..degree)], StepKind::Red)
+            (base + rng.gen_range(0..degree), StepKind::Red)
         };
+        let arc = self.slots[p] as usize;
         let e = self.g.arc_edge(arc);
         let to = self.g.arc_target(arc);
         if kind == StepKind::Blue {
-            self.mark_visited(e);
+            debug_assert!(!self.visited_edge.get(e));
+            self.visited_edge.set(e);
+            // The chosen arc sits at slot `p` of `v`'s row; its twin leaves
+            // `to`, whose row the next step reads anyway.
+            self.unlink_at(p, v);
+            let twin = self.g.arc_twin(arc);
+            self.unlink_at(self.pos[twin] as usize, to);
             self.blue_steps += 1;
         } else {
             self.red_steps += 1;
         }
         self.current = to;
         self.steps += 1;
+        // Request `to`'s arc row now, so its lines are in flight while the
+        // next step's rule draws.
+        let next = self.rows[to][0] as usize;
+        if let Some(&s) = self.slots.get(next) {
+            std::hint::black_box(s);
+        }
+        self.g.prefetch_arcs(next);
         Step {
             from: v,
             to,

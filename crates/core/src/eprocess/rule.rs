@@ -8,7 +8,7 @@
 //! `table_rules` experiment exercises every implementation here to verify
 //! that.
 
-use eproc_graphs::{ArcId, Graph, Vertex};
+use eproc_graphs::{Graph, Vertex};
 use rand::{Rng, RngCore};
 
 /// What a rule sees when invoked: the current vertex, the unvisited arcs
@@ -19,10 +19,11 @@ pub struct RuleContext<'a> {
     pub graph: &'a Graph,
     /// The currently occupied vertex.
     pub vertex: Vertex,
-    /// The unvisited (blue) arcs at `vertex`; always nonempty when the rule
-    /// is consulted. Order is an implementation detail (the engine compacts
-    /// in place) — rules needing stability should sort by arc id.
-    pub live_arcs: &'a [ArcId],
+    /// The unvisited (blue) arcs at `vertex`, as arc ids; always nonempty
+    /// when the rule is consulted. Order is an implementation detail (the
+    /// engine compacts in place) — rules needing stability should sort by
+    /// arc id.
+    pub live_arcs: &'a [u32],
     /// Steps taken by the process so far.
     pub step: u64,
 }
@@ -226,7 +227,7 @@ impl EdgeRule for GreedyAdversary {
             .enumerate()
             .max_by_key(|&(_, &a)| {
                 (
-                    ctx.graph.degree(ctx.graph.arc_target(a)),
+                    ctx.graph.degree(ctx.graph.arc_target(a as usize)),
                     std::cmp::Reverse(a),
                 )
             })
@@ -272,11 +273,11 @@ impl EdgeRule for WeightedPortRule {
         let total: f64 = ctx
             .live_arcs
             .iter()
-            .map(|&a| self.weights[ctx.graph.arc_edge(a)])
+            .map(|&a| self.weights[ctx.graph.arc_edge(a as usize)])
             .sum();
         let mut target = rng.gen_range(0.0..total);
         for (i, &a) in ctx.live_arcs.iter().enumerate() {
-            target -= self.weights[ctx.graph.arc_edge(a)];
+            target -= self.weights[ctx.graph.arc_edge(a as usize)];
             if target <= 0.0 {
                 return i;
             }
@@ -296,7 +297,7 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    fn ctx_on<'a>(g: &'a Graph, v: Vertex, live: &'a [ArcId]) -> RuleContext<'a> {
+    fn ctx_on<'a>(g: &'a Graph, v: Vertex, live: &'a [u32]) -> RuleContext<'a> {
         RuleContext {
             graph: g,
             vertex: v,
@@ -308,7 +309,7 @@ mod tests {
     #[test]
     fn uniform_rule_in_range_and_varies() {
         let g = generators::complete(6);
-        let live: Vec<ArcId> = g.arc_range(0).collect();
+        let live: Vec<u32> = g.arc_range(0).map(|a| a as u32).collect();
         let mut rule = UniformRule::new();
         let mut rng = SmallRng::seed_from_u64(1);
         let mut seen = std::collections::HashSet::new();
@@ -327,7 +328,7 @@ mod tests {
     #[test]
     fn first_and_last_port_rules() {
         let g = generators::complete(4);
-        let live = [7usize, 2, 5];
+        let live = [7u32, 2, 5];
         let mut rng = SmallRng::seed_from_u64(2);
         assert_eq!(FirstPortRule.choose(&ctx_on(&g, 0, &live), &mut rng), 1);
         assert_eq!(LastPortRule.choose(&ctx_on(&g, 0, &live), &mut rng), 0);
@@ -336,7 +337,7 @@ mod tests {
     #[test]
     fn round_robin_cycles_in_port_order() {
         let g = generators::complete(4);
-        let live = [9usize, 3, 6];
+        let live = [9u32, 3, 6];
         let mut rule = RoundRobinRule::new(g.n());
         let mut rng = SmallRng::seed_from_u64(3);
         // Port order is 3 < 6 < 9 → indices 1, 2, 0, then wraps.
@@ -351,7 +352,7 @@ mod tests {
     #[test]
     fn adversarial_counts_decisions() {
         let g = generators::complete(4);
-        let live = [0usize, 1];
+        let live = [0u32, 1];
         let mut rule = AdversarialRule::new(|_ctx: &RuleContext<'_>| 0);
         let mut rng = SmallRng::seed_from_u64(4);
         for _ in 0..5 {
@@ -366,10 +367,10 @@ mod tests {
         // Star + pendant: center has degree 4; from a leaf the adversary
         // must pick the arc toward the center.
         let g = eproc_graphs::Graph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (3, 4)]).unwrap();
-        let live: Vec<ArcId> = g.arc_range(3).collect(); // vertex 3: edges to 0 and 4
+        let live: Vec<u32> = g.arc_range(3).map(|a| a as u32).collect(); // vertex 3: edges to 0 and 4
         let mut rng = SmallRng::seed_from_u64(5);
         let i = GreedyAdversary.choose(&ctx_on(&g, 3, &live), &mut rng);
-        assert_eq!(g.arc_target(live[i]), 0);
+        assert_eq!(g.arc_target(live[i] as usize), 0);
     }
 
     #[test]
@@ -391,7 +392,7 @@ mod tests {
         // Star center with one heavy edge: the heavy edge is picked with
         // probability 9/12 among three live edges of weight 9, 2, 1.
         let g = generators::star(4);
-        let live: Vec<ArcId> = g.arc_range(0).collect();
+        let live: Vec<u32> = g.arc_range(0).map(|a| a as u32).collect();
         let mut rule = WeightedPortRule::new(vec![9.0, 2.0, 1.0]);
         let mut rng = SmallRng::seed_from_u64(6);
         let trials = 20_000;
@@ -399,7 +400,7 @@ mod tests {
         for _ in 0..trials {
             let i = rule.choose(&ctx_on(&g, 0, &live), &mut rng);
             assert!(i < live.len());
-            if g.arc_edge(live[i]) == 0 {
+            if g.arc_edge(live[i] as usize) == 0 {
                 heavy += 1;
             }
         }

@@ -5,20 +5,26 @@
 //! chain: each step's neighbour-row fetch cannot begin before the previous
 //! step decided where the walk went, so on graphs larger than the cache
 //! the kernel spends most of its time stalled on one outstanding CSR row
-//! load. When several *independent* trials walk the **same** graph — the
-//! executor's resample blocks, where `walks_per_graph` trials share one
-//! freshly sampled graph — that serialization is self-inflicted: the
-//! trials' loads could all be in flight at once.
+//! load. When several *independent* trials walk the **same** graph, their
+//! loads could all be in flight at once.
 //!
 //! [`run_observed_interleaved`] runs `W` such trials as [`Lane`]s of one
 //! lockstep loop. Each round advances every still-running lane by exactly
 //! one step, and before a lane steps, the driver issues the *next* lane's
 //! neighbour-row load via [`eproc_graphs::Graph::prefetch_ports`]
-//! (manual load scheduling — the safe-code prefetch). The memory-level parallelism is
-//! structural: the `W` per-lane dependency chains are independent, so the
-//! CPU keeps up to `W` row fetches in flight where the sequential kernel
-//! keeps one, and the graph streams through cache once per `W` walks
-//! instead of once per walk.
+//! (manual load scheduling — the safe-code prefetch). The memory-level
+//! parallelism is structural: the `W` per-lane dependency chains are
+//! independent, so the CPU can keep up to `W` row fetches in flight where
+//! the sequential kernel keeps one.
+//!
+//! The engine's executor does **not** use this driver. Since the
+//! E-process step state was compacted so that a step's only dependent
+//! miss is the next vertex's rows (see [`crate::eprocess`]), the
+//! sequential kernel already overlaps most of each step's loads, and two
+//! lanes' working sets cost more cache than their overlap saves: the
+//! plain loop is faster. The driver stays as a measured alternative —
+//! the `interleave` bench and the benchmark's two-lane probe time it
+//! against the sequential kernel.
 //!
 //! # Bit-identical to the sequential kernel
 //!
@@ -31,9 +37,7 @@
 //! own state. Per-lane step streams, RNG consumption and observer outputs
 //! are therefore **bit-identical** to running each trial alone through
 //! [`run_observed`](crate::observe::run_observed) with the same seed
-//! (pinned by the `interleave_equivalence` proptests), which is what lets
-//! the executor pick this path freely by cell shape without perturbing
-//! any committed artifact.
+//! (pinned by the `interleave_equivalence` proptests).
 
 use crate::observe::{CompletionToken, ObservedRun, ObserverSet, StopWhen};
 use crate::process::WalkProcess;

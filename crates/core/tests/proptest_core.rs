@@ -4,7 +4,10 @@ use eproc_core::choice::RandomWalkWithChoice;
 use eproc_core::cover::{run_cover, CoverTarget};
 use eproc_core::fair::{LeastUsedFirst, OldestFirst};
 use eproc_core::rotor::RotorRouter;
-use eproc_core::rule::{FirstPortRule, UniformRule};
+use eproc_core::rule::{
+    AdversarialRule, EdgeRule, FirstPortRule, GreedyAdversary, LastPortRule, RoundRobinRule,
+    RuleContext, UniformRule, WeightedPortRule,
+};
 use eproc_core::srw::{LazyRandomWalk, SimpleRandomWalk};
 use eproc_core::vprocess::VProcess;
 use eproc_core::{EProcess, StepKind, WalkProcess};
@@ -39,6 +42,72 @@ fn arb_connected_graph() -> impl Strategy<Value = Graph> {
             }
             Graph::from_edges(n, &edges).expect("valid by construction")
         })
+}
+
+/// Strategy: a connected random multigraph on `3..=14` vertices — a
+/// random spanning tree whose edges appear one to three times each, plus
+/// random extra edges, parallel edges kept.
+fn arb_connected_multigraph() -> impl Strategy<Value = Graph> {
+    (
+        3usize..14,
+        proptest::collection::vec(0usize..1000, 13),
+        proptest::collection::vec((0usize..14, 0usize..14), 0..28),
+        proptest::collection::vec(0u8..3, 13),
+    )
+        .prop_map(|(n, parents, extra, copies)| {
+            let mut edges = Vec::new();
+            for v in 1..n {
+                let p = parents[v - 1] % v;
+                for _ in 0..=copies[v - 1] {
+                    edges.push((p, v));
+                }
+            }
+            for (a, b) in extra {
+                let (u, v) = (a % n, b % n);
+                if u != v {
+                    edges.push((u, v));
+                }
+            }
+            Graph::from_edges(n, &edges).expect("valid by construction")
+        })
+}
+
+/// Walks `walk` until well past its last blue step, checking after every
+/// step that the compacted step state agrees with a recount from the
+/// visited-edge bitmap: each vertex's blue degree, the current vertex's
+/// live arcs as a set, and the unvisited-edge count `m − blue_steps`.
+/// Parallel edges are where a wrong twin pairing would hide: the counts
+/// would still agree, the live arc *set* at the vertex just entered would
+/// not.
+fn check_eprocess_state<A: EdgeRule>(
+    g: &Graph,
+    mut walk: EProcess<'_, A>,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    for _ in 0..4 * g.m() + 16 {
+        walk.advance(&mut rng);
+        let visited = walk.visited_edges();
+        for v in g.vertices() {
+            let expect = g.ports(v).filter(|&(_, _, e)| !visited.get(e)).count();
+            prop_assert_eq!(walk.blue_degree(v), expect);
+        }
+        let mut live: Vec<usize> = walk.live_arcs().iter().map(|&a| a as usize).collect();
+        live.sort_unstable();
+        let unvisited_here: Vec<usize> = g
+            .ports(walk.current())
+            .filter(|&(_, _, e)| !visited.get(e))
+            .map(|(a, _, _)| a)
+            .collect();
+        prop_assert_eq!(live, unvisited_here);
+        let unvisited = (0..g.m()).filter(|&e| !visited.get(e)).count();
+        prop_assert_eq!(walk.unvisited_edge_count(), unvisited);
+        prop_assert_eq!(
+            walk.unvisited_edge_count() as u64,
+            g.m() as u64 - walk.blue_steps()
+        );
+    }
+    Ok(())
 }
 
 /// Every step of every process must move along an actual edge (or hold,
@@ -104,20 +173,21 @@ proptest! {
     }
 
     #[test]
-    fn eprocess_blue_degree_equals_bitmap(g in arb_connected_graph(), seed in 0u64..500) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut walk = EProcess::new(&g, 0, UniformRule::new());
-        for _ in 0..100 {
-            walk.advance(&mut rng);
-            let visited = walk.visited_edges();
-            for v in g.vertices() {
-                let expect = g.ports(v).filter(|&(_, _, e)| !visited.get(e)).count();
-                prop_assert_eq!(walk.blue_degree(v), expect);
-            }
-            if walk.unvisited_edge_count() == 0 {
-                break;
-            }
-        }
+    fn eprocess_blue_degree_equals_bitmap(
+        g in arb_connected_multigraph(),
+        start in 0usize..14,
+        seed in 0u64..500,
+    ) {
+        let s = start % g.n();
+        check_eprocess_state(&g, EProcess::new(&g, s, UniformRule::new()), seed)?;
+        check_eprocess_state(&g, EProcess::new(&g, s, FirstPortRule), seed)?;
+        check_eprocess_state(&g, EProcess::new(&g, s, LastPortRule), seed)?;
+        check_eprocess_state(&g, EProcess::new(&g, s, RoundRobinRule::new(g.n())), seed)?;
+        check_eprocess_state(&g, EProcess::new(&g, s, GreedyAdversary), seed)?;
+        let weights: Vec<f64> = (0..g.m()).map(|e| 1.0 + (e * 7 % 5) as f64).collect();
+        check_eprocess_state(&g, EProcess::new(&g, s, WeightedPortRule::new(weights)), seed)?;
+        let middle = AdversarialRule::new(|ctx: &RuleContext<'_>| ctx.live_arcs.len() / 2);
+        check_eprocess_state(&g, EProcess::new(&g, s, middle), seed)?;
     }
 
     #[test]

@@ -44,8 +44,7 @@
 //! coordinates — all of it bit-identical for any thread count.
 
 use crate::spec::{AnyObserver, ExperimentSpec, MetricSpec, ResamplePlan, SpecError, Target};
-use crate::{with_kernel, with_kernel_lanes};
-use eproc_core::interleave::{run_observed_interleaved, Lane};
+use crate::with_kernel;
 use eproc_core::observe::{run_observed, Metrics, Observer, StopWhen};
 use eproc_graphs::Graph;
 use eproc_stats::{OnlineStats, QuantileSketch, SeedSequence};
@@ -612,14 +611,6 @@ fn run_trial(
         cap,
         &mut rng,
     ));
-    extract_outcome(spec, run.steps, bank)
-}
-
-/// Harvests one trial's [`TrialOutcome`] from its finished observer bank —
-/// the target-extraction half of a trial, shared verbatim by the
-/// sequential ([`run_trial`]) and interleaved ([`run_trials_interleaved`])
-/// paths so both produce identical outcomes from identical walks.
-fn extract_outcome(spec: &ExperimentSpec, steps: u64, bank: &mut ObserverBank<'_>) -> TrialOutcome {
     let (steps_to_target, blue_steps, red_steps) = match (spec.target, bank.observers[0].finish()) {
         (Target::Blanket { .. }, Metrics::Blanket(b)) => (b.steps_to_blanket, 0, 0),
         (target, Metrics::Cover(c)) => {
@@ -642,88 +633,11 @@ fn extract_outcome(spec: &ExperimentSpec, steps: u64, bank: &mut ObserverBank<'_
     }
     TrialOutcome {
         steps_to_target,
-        steps,
+        steps: run.steps,
         blue_steps,
         red_steps,
         metric_values,
     }
-}
-
-/// Most trials one interleaved lane set runs: beyond ~8 independent
-/// pointer-chases the memory system's miss-handling capacity is saturated
-/// and extra lanes only grow the working set.
-pub const MAX_INTERLEAVE: usize = 8;
-
-/// Which step-loop the executor dispatches a group of same-cell trials
-/// through (see [`select_kernel_path`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelPath {
-    /// One trial at a time through [`eproc_core::observe::run_observed`].
-    Sequential,
-    /// `width` trials per lockstep lane set through
-    /// [`eproc_core::interleave::run_observed_interleaved`].
-    Interleaved {
-        /// Concurrent lanes per set (`2..=MAX_INTERLEAVE`).
-        width: usize,
-    },
-}
-
-/// Picks the kernel path for a group of `group_trials` independent trials
-/// sharing one graph. Pure cell-shape policy: two or more trials engage
-/// the interleaved kernel (lane width capped at [`MAX_INTERLEAVE`]);
-/// single-trial groups keep the sequential loop. Because the interleaved
-/// per-trial streams are bit-identical to the sequential kernel's, the
-/// choice is free — it never perturbs artifacts.
-pub fn select_kernel_path(group_trials: usize) -> KernelPath {
-    if group_trials >= 2 {
-        KernelPath::Interleaved {
-            width: group_trials.min(MAX_INTERLEAVE),
-        }
-    } else {
-        KernelPath::Sequential
-    }
-}
-
-/// Runs `seeds.len()` same-cell trials as one interleaved lane set (one
-/// lane per seed, one observer bank per lane) and returns their outcomes
-/// in seed order.
-///
-/// The [`with_kernel_lanes!`] dispatch binds the concrete process type
-/// once for the whole set, so the lockstep loop is exactly as
-/// monomorphized as the sequential kernel. Per-trial RNG streams, step
-/// sequences and observer outputs are bit-identical to calling
-/// [`run_trial`] per seed — pinned by `interleaved_trials_match_sequential`
-/// below and the core `interleave_equivalence` proptests.
-fn run_trials_interleaved(
-    spec: &ExperimentSpec,
-    g: &Graph,
-    process_index: usize,
-    seeds: &[u64],
-    banks: &mut [ObserverBank<'_>],
-) -> Vec<TrialOutcome> {
-    assert!(seeds.len() <= banks.len(), "one bank per lane");
-    let cap = spec.cap.resolve(g);
-    let rngs: Vec<SmallRng> = seeds
-        .iter()
-        .map(|&seed| SmallRng::seed_from_u64(seed))
-        .collect();
-    let kernels: Vec<_> = seeds
-        .iter()
-        .map(|_| spec.processes[process_index].build_kernel(g, spec.start))
-        .collect();
-    let runs = with_kernel_lanes!(kernels, walks => {
-        let mut lanes: Vec<Lane<'_, _, _, SmallRng>> = walks
-            .into_iter()
-            .zip(banks.iter_mut())
-            .zip(rngs)
-            .map(|((walk, bank), rng)| Lane::new(walk, &mut bank.observers, rng))
-            .collect();
-        run_observed_interleaved(&mut lanes, StopWhen::AllSatisfied, cap)
-    });
-    runs.iter()
-        .zip(banks.iter_mut())
-        .map(|(run, bank)| extract_outcome(spec, run.steps, bank))
-        .collect()
 }
 
 /// Runs the experiment on `opts.threads` worker threads.
@@ -930,11 +844,10 @@ pub(crate) struct BlockResult {
 
 /// Runs one *(family, group)* block: obtains the block's graph — the
 /// family's prebuilt graph in shared mode, a freshly sampled group graph
-/// under resampling — runs all of the block's trials on it (dispatching
-/// each process's trial group through [`select_kernel_path`] — the
-/// interleaved lane set when the group has two or more trials) and
-/// streams every trial into per-process [`ProcAgg`]s. Emits
-/// `block_claimed` / `block_completed` when `tel` is live.
+/// under resampling — runs all of the block's trials on it one after
+/// another through [`run_trial`], and streams every trial into
+/// per-process [`ProcAgg`]s. Emits `block_claimed` / `block_completed`
+/// when `tel` is live.
 /// Deterministic: the result is a pure function of `(spec, base_seed,
 /// block)` — worker id and telemetry only label events — which is what
 /// lets sharded runs farm blocks out by residue class and still merge
@@ -984,15 +897,10 @@ pub(crate) fn run_block(
     let rep = (prebuilt.is_none() && group == 0).then(|| (gi, g.n(), g.m()));
     let lo = group * w;
     let hi = ((group + 1) * w).min(trials);
-    let path = select_kernel_path(hi - lo);
-    // One observer bank per lane, built once per block and re-armed
-    // across processes and chunks (`begin` re-arms completely — pinned by
+    // One observer bank, built once per block and re-armed across
+    // processes and trials (`begin` re-arms completely — pinned by
     // `observer_bank_reuse_matches_fresh_observers`).
-    let lanes = match path {
-        KernelPath::Sequential => 1,
-        KernelPath::Interleaved { width } => width,
-    };
-    let mut banks: Vec<ObserverBank<'_>> = (0..lanes).map(|_| ObserverBank::new(spec, g)).collect();
+    let mut bank = ObserverBank::new(spec, g);
     let mut procs: Vec<ProcAgg> = (0..spec.processes.len())
         .map(|pi| ProcAgg::seeded(base_seed, gi, group, pi, n_cols))
         .collect();
@@ -1000,35 +908,12 @@ pub(crate) fn run_block(
     let mut block_trials = 0u64;
     let mut block_steps = 0u64;
     for (pi, agg) in procs.iter_mut().enumerate() {
-        match path {
-            KernelPath::Sequential => {
-                for t in lo..hi {
-                    let seed = trial_seed(base_seed, gi, pi, t);
-                    let outcome = run_trial(spec, g, pi, seed, &mut banks[0]);
-                    block_trials += 1;
-                    block_steps += outcome.steps;
-                    agg.fold(outcome);
-                }
-            }
-            KernelPath::Interleaved { width } => {
-                // Outcomes fold in trial-index order — chunk by chunk,
-                // lane order within a chunk — the exact order the
-                // sequential loop folds them.
-                let mut t = lo;
-                while t < hi {
-                    let chunk = (hi - t).min(width);
-                    let seeds: Vec<u64> = (t..t + chunk)
-                        .map(|t| trial_seed(base_seed, gi, pi, t))
-                        .collect();
-                    for outcome in run_trials_interleaved(spec, g, pi, &seeds, &mut banks[..chunk])
-                    {
-                        block_trials += 1;
-                        block_steps += outcome.steps;
-                        agg.fold(outcome);
-                    }
-                    t += chunk;
-                }
-            }
+        for t in lo..hi {
+            let seed = trial_seed(base_seed, gi, pi, t);
+            let outcome = run_trial(spec, g, pi, seed, &mut bank);
+            block_trials += 1;
+            block_steps += outcome.steps;
+            agg.fold(outcome);
         }
     }
     if let Some(walk) = walk {
@@ -1775,59 +1660,8 @@ mod tests {
     }
 
     #[test]
-    fn kernel_path_selection_by_cell_shape() {
-        assert_eq!(select_kernel_path(0), KernelPath::Sequential);
-        assert_eq!(select_kernel_path(1), KernelPath::Sequential);
-        assert_eq!(select_kernel_path(2), KernelPath::Interleaved { width: 2 });
-        assert_eq!(select_kernel_path(8), KernelPath::Interleaved { width: 8 });
-        assert_eq!(
-            select_kernel_path(100),
-            KernelPath::Interleaved {
-                width: MAX_INTERLEAVE
-            }
-        );
-    }
-
-    #[test]
-    fn interleaved_trials_match_sequential() {
-        // The executor-level pin: run_trials_interleaved over a full
-        // observer bank (target + metrics) must reproduce run_trial's
-        // outcomes exactly, per seed, for every width the selector picks.
-        let spec = ExperimentSpec {
-            graphs: vec![GraphSpec::Regular { n: 60, d: 4 }],
-            processes: vec![
-                ProcessSpec::EProcess {
-                    rule: RuleSpec::Uniform,
-                },
-                ProcessSpec::Srw,
-                ProcessSpec::RotorRouter,
-            ],
-            metrics: vec![MetricSpec::Cover, MetricSpec::Hitting { vertex: None }],
-            trials: 8,
-            ..tiny_spec()
-        };
-        let g = spec.graphs[0].build(11).unwrap();
-        for pi in 0..spec.processes.len() {
-            for width in [2usize, 3, 8] {
-                let seeds: Vec<u64> = (0..width).map(|t| trial_seed(99, 0, pi, t)).collect();
-                let expected: Vec<TrialOutcome> = seeds
-                    .iter()
-                    .map(|&seed| {
-                        let mut bank = ObserverBank::new(&spec, &g);
-                        run_trial(&spec, &g, pi, seed, &mut bank)
-                    })
-                    .collect();
-                let mut banks: Vec<ObserverBank<'_>> =
-                    (0..width).map(|_| ObserverBank::new(&spec, &g)).collect();
-                let got = run_trials_interleaved(&spec, &g, pi, &seeds, &mut banks);
-                assert_eq!(got, expected, "process {pi} width {width}");
-            }
-        }
-    }
-
-    #[test]
     fn resampled_report_is_identical_across_thread_counts() {
-        // The interleaved path engages inside resample blocks; the
+        // Resample blocks sample their graphs inside the pool; the
         // report must stay a pure function of (spec, base_seed).
         let spec = ExperimentSpec {
             graphs: vec![GraphSpec::Regular { n: 24, d: 3 }],

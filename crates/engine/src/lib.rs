@@ -93,10 +93,13 @@
 //! ([`shard::merge_shards`]) recombines the `k` artifacts — parallel
 //! Welford merges in canonical block order, through the executor's own
 //! aggregation code — into a report **byte-identical** to the unsharded
-//! run's. Inside each block, groups of two or more same-cell trials are
-//! dispatched through [`eproc_core::interleave::run_observed_interleaved`]
-//! ([`executor::select_kernel_path`]), which overlaps the independent
-//! trials' CSR row fetches without perturbing any per-trial stream.
+//! run's. Inside each block the trials run one after another through
+//! [`eproc_core::observe::run_observed`]: with the E-process step state
+//! compacted to one dependent miss per step, the sequential loop beats
+//! the lockstep [`eproc_core::interleave::run_observed_interleaved`]
+//! driver — the `interleave` bench (random 4-regular, `n = 10⁶`) times
+//! the driver at 1.00×, 0.92× and 0.80× the sequential kernel's steps/s
+//! at widths 1, 4 and 8 — so the executor does not interleave.
 //!
 //! # Canonical specs and the artifact cache
 //!

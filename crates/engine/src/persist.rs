@@ -527,6 +527,7 @@ pub(crate) mod json {
     /// Parses `text` as one JSON document (trailing whitespace only).
     pub(crate) fn parse(text: &str) -> Result<Value, PersistError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -540,6 +541,7 @@ pub(crate) mod json {
     }
 
     struct Parser<'a> {
+        text: &'a str,
         bytes: &'a [u8],
         pos: usize,
     }
@@ -684,16 +686,22 @@ pub(crate) mod json {
                         self.pos += 1;
                     }
                     Some(_) => {
-                        // Consume one full UTF-8 scalar from the source.
-                        let rest = &self.bytes[self.pos..];
-                        let s =
-                            std::str::from_utf8(rest).map_err(|_| self.fail("invalid UTF-8"))?;
-                        let c = s.chars().next().expect("non-empty by peek");
-                        if (c as u32) < 0x20 {
-                            return Err(self.fail("raw control character in string"));
+                        // A run of plain characters up to the next quote or
+                        // backslash, pushed as one slice. Both delimiters
+                        // (and every control character) are ASCII, and no
+                        // byte of a multi-byte UTF-8 sequence is, so the
+                        // run starts and ends on char boundaries of `text`.
+                        let start = self.pos;
+                        while let Some(b) = self.peek() {
+                            match b {
+                                b'"' | b'\\' => break,
+                                0x00..=0x1f => {
+                                    return Err(self.fail("raw control character in string"))
+                                }
+                                _ => self.pos += 1,
+                            }
                         }
-                        out.push(c);
-                        self.pos += c.len_utf8();
+                        out.push_str(&self.text[start..self.pos]);
                     }
                 }
             }
@@ -715,6 +723,81 @@ pub(crate) mod json {
                 .expect("ASCII digits are UTF-8")
                 .to_string();
             Ok(Value::Num(raw))
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::checkpoint::RunCheckpoint;
+    use crate::executor::RunOptions;
+    use crate::shard::{run_shard, ShardReport, ShardSpec};
+    use crate::spec::{CapSpec, GraphSpec, ProcessSpec};
+
+    /// Header strings mixing 2-, 3- and 4-byte UTF-8 scalars with every
+    /// escape the writer emits.
+    const NAME: &str = "café ∑ 🦀";
+    const DESCRIPTION: &str = "é\u{1}∑\t\"q\"\\ 🦀 end";
+
+    fn unicode_spec() -> ExperimentSpec {
+        ExperimentSpec {
+            name: NAME.into(),
+            description: DESCRIPTION.into(),
+            graphs: vec![GraphSpec::Regular { n: 12, d: 3 }],
+            processes: vec![ProcessSpec::Srw],
+            trials: 2,
+            target: Target::VertexCover,
+            metrics: vec![],
+            start: 0,
+            cap: CapSpec::Auto,
+            resample: Some(ResamplePlan { walks_per_graph: 1 }),
+        }
+    }
+
+    #[test]
+    fn multibyte_header_strings_round_trip_through_both_codecs() {
+        let opts = RunOptions {
+            threads: 1,
+            base_seed: 3,
+        };
+        let shard = run_shard(&unicode_spec(), &opts, ShardSpec { index: 0, count: 1 }).unwrap();
+        let json = shard.to_json();
+        let back = ShardReport::from_json(&json).unwrap();
+        assert_eq!(
+            (back.name.as_str(), back.description.as_str()),
+            (NAME, DESCRIPTION)
+        );
+        assert_eq!(back.to_json(), json);
+
+        let checkpoint = RunCheckpoint {
+            header: shard.header(),
+            rep_dims: shard.rep_dims.clone(),
+            blocks: shard.blocks.clone(),
+        };
+        let json = checkpoint.to_json();
+        let back = RunCheckpoint::from_json(&json).unwrap();
+        assert_eq!(back.header, checkpoint.header);
+        assert_eq!(back.to_json(), json);
+    }
+
+    #[test]
+    fn strings_reject_raw_control_characters_and_bad_escapes() {
+        assert_eq!(
+            json::parse("\"a é\\u00e9\\n∑\"")
+                .unwrap()
+                .as_str("s")
+                .unwrap(),
+            "a éé\n∑"
+        );
+        for bad in [
+            "\"a\u{1}b\"",
+            "\"tab\there\"",
+            "\"x\\q\"",
+            "\"open",
+            "\"\\u12\"",
+        ] {
+            assert!(json::parse(bad).is_err(), "{bad:?}");
         }
     }
 }

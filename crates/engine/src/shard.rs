@@ -175,11 +175,10 @@ pub fn run_shard(
 
 /// Executes shard `shard.index` of `shard.count`: the *(family, group)*
 /// blocks with canonical index `≡ index (mod count)`, on `opts.threads`
-/// worker threads, through the executor's own block runner (including
-/// the interleaved multi-trial kernel). Emits `run_started` (carrying
-/// the shard id), per-block `block_claimed`/`block_completed` and
-/// `run_finished`; no `aggregation_merged` — aggregation happens at
-/// [`merge_shards`] time.
+/// worker threads, through the executor's own block runner. Emits
+/// `run_started` (carrying the shard id), per-block
+/// `block_claimed`/`block_completed` and `run_finished`; no
+/// `aggregation_merged` — aggregation happens at [`merge_shards`] time.
 ///
 /// Each block's accumulators are bit-identical to the ones the unsharded
 /// [`crate::executor::run`] computes for the same `(spec, base_seed)`,

@@ -994,17 +994,18 @@ macro_rules! with_kernel {
 
 /// Matches a `Vec<WalkKernel>` of **identical variant** once and runs
 /// `$body` with `$walks` bound to a `Vec` of the concrete process type —
-/// the interleaved counterpart of [`with_kernel!`]: one group's lanes all
-/// come from the same [`crate::spec::ProcessSpec`], so a single dispatch
-/// on the first kernel monomorphizes the whole lockstep loop
+/// the interleaved counterpart of [`with_kernel!`]: when every lane comes
+/// from the same [`crate::spec::ProcessSpec`], a single dispatch on the
+/// first kernel monomorphizes the whole lockstep loop
 /// ([`eproc_core::interleave::run_observed_interleaved`]) against the
-/// concrete walk type, exactly like the sequential kernel.
+/// concrete walk type, exactly like the sequential kernel. The executor
+/// runs trials sequentially; this is for callers timing or testing the
+/// interleaved driver.
 ///
 /// # Panics
 ///
-/// Panics if the set is empty or mixes kernel variants (the executor
-/// builds every lane of a group from one `ProcessSpec`, so either is a
-/// caller bug).
+/// Panics if the set is empty or mixes kernel variants (build every lane
+/// from one `ProcessSpec`; either is a caller bug).
 #[macro_export]
 macro_rules! with_kernel_lanes {
     (@arm $kernels:ident, $variant:ident, $walks:ident => $body:expr) => {{

@@ -19,8 +19,8 @@ use proptest::prelude::*;
 
 /// A small but varied resampled spec: two graph families, three process
 /// kinds, with the trials/walks_per_graph draw controlling whether
-/// groups are full, ragged (last group short) or single-trial — all the
-/// interleave-width selections the executor can make.
+/// groups are full, ragged (last group short) or single-trial — every
+/// block shape the executor can run.
 fn spec_for(trials: usize, walks_per_graph: usize, both_families: bool) -> ExperimentSpec {
     let mut graphs = vec![GraphSpec::Regular { n: 20, d: 3 }];
     if both_families {

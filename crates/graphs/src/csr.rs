@@ -10,8 +10,11 @@
 //! * An **arc** is one of the two directed copies of an edge, identified by
 //!   an [`ArcId`] in `0..2m`. Arcs are grouped contiguously by source vertex
 //!   (CSR layout), so "the ports of `v`" are the slice
-//!   `arc_range(v)`. The E-process, rotor-router and the locally fair
-//!   explorers all operate on ports/arcs while marking *edges*.
+//!   `arc_range(v)`. The other arc of the same edge is the arc's *twin*
+//!   ([`Graph::arc_twin`]). The E-process, rotor-router and the locally
+//!   fair explorers all operate on ports/arcs while marking *edges*.
+//! * Vertex, edge and arc ids are stored as `u32`, so `n` and `2m` are
+//!   each at most `u32::MAX` ([`GraphError::TooLarge`] otherwise).
 
 use crate::error::GraphError;
 use std::fmt;
@@ -53,11 +56,27 @@ pub struct Graph {
     arc_targets: Vec<u32>,
     /// Edge id of each arc.
     arc_edges: Vec<u32>,
+    /// The opposite arc of the same edge, per arc. Kept beside (not packed
+    /// with) `arc_targets` and `arc_edges`, so kernels that scan a whole
+    /// port row of edge ids stream only the array they read.
+    arc_twins: Vec<u32>,
     /// Endpoints `(u, v)` of each edge, in the order supplied at construction.
     edge_endpoints: Vec<(u32, u32)>,
     /// The two arc ids of each edge: `edge_arcs[e].0` leaves `endpoints.0`,
     /// `edge_arcs[e].1` leaves `endpoints.1`.
     edge_arcs: Vec<(u32, u32)>,
+}
+
+/// Checks that `n` vertices and `arcs` arcs fit the 32-bit index width the
+/// CSR arrays store ids in. The bound is `u32::MAX` for both, so that the
+/// arc count itself — which walk state keeps as the end sentinel of the
+/// last port row — is representable too.
+fn check_index_widths(n: usize, arcs: usize) -> Result<(), GraphError> {
+    let limit = u32::MAX as usize;
+    if n > limit || arcs > limit {
+        return Err(GraphError::TooLarge { n, arcs });
+    }
+    Ok(())
 }
 
 impl Graph {
@@ -68,9 +87,11 @@ impl Graph {
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::VertexOutOfRange`] if an endpoint is `>= n` and
-    /// [`GraphError::SelfLoop`] if `u == v` for some edge.
+    /// Returns [`GraphError::TooLarge`] if `n` or the arc count `2m`
+    /// exceeds `u32::MAX`, [`GraphError::VertexOutOfRange`] if an endpoint
+    /// is `>= n` and [`GraphError::SelfLoop`] if `u == v` for some edge.
     pub fn from_edges(n: usize, edges: &[(Vertex, Vertex)]) -> Result<Graph, GraphError> {
+        check_index_widths(n, edges.len().saturating_mul(2))?;
         for &(u, v) in edges {
             if u >= n {
                 return Err(GraphError::VertexOutOfRange { vertex: u, n });
@@ -99,8 +120,10 @@ impl Graph {
         let mut cursor: Vec<usize> = offsets[..n].to_vec();
         let mut arc_targets = vec![0u32; 2 * m];
         let mut arc_edges = vec![0u32; 2 * m];
+        let mut arc_twins = vec![0u32; 2 * m];
         let mut edge_arcs = vec![(0u32, 0u32); m];
         let mut edge_endpoints = Vec::with_capacity(m);
+        // Every id below is < n or < 2m, both checked to fit in u32 above.
         for (e, &(u, v)) in edges.iter().enumerate() {
             let au = cursor[u];
             cursor[u] += 1;
@@ -110,6 +133,8 @@ impl Graph {
             cursor[v] += 1;
             arc_targets[av] = u as u32;
             arc_edges[av] = e as u32;
+            arc_twins[au] = av as u32;
+            arc_twins[av] = au as u32;
             edge_arcs[e] = (au as u32, av as u32);
             edge_endpoints.push((u as u32, v as u32));
         }
@@ -117,6 +142,7 @@ impl Graph {
             offsets,
             arc_targets,
             arc_edges,
+            arc_twins,
             edge_endpoints,
             edge_arcs,
         })
@@ -174,6 +200,17 @@ impl Graph {
         self.arc_edges[a] as EdgeId
     }
 
+    /// The twin of arc `a`: the other arc of the same edge, leaving
+    /// `arc_target(a)` toward `a`'s source.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a >= 2m`.
+    #[inline]
+    pub fn arc_twin(&self, a: ArcId) -> ArcId {
+        self.arc_twins[a] as ArcId
+    }
+
     /// The two arc ids of edge `e`: the first leaves `endpoints(e).0`, the
     /// second leaves `endpoints(e).1`.
     ///
@@ -229,8 +266,8 @@ impl Graph {
     }
 
     /// Issues an early load of `v`'s CSR port row — the offset word and
-    /// the leading `arc_targets` / `arc_edges` entries — discarding the
-    /// values through [`std::hint::black_box`].
+    /// the leading `arc_targets` / `arc_edges` / `arc_twins` entries —
+    /// discarding the values through [`std::hint::black_box`].
     ///
     /// This is the crate's safe-code stand-in for a prefetch hint
     /// (`#![forbid(unsafe_code)]` rules out the intrinsic): the loads
@@ -244,10 +281,24 @@ impl Graph {
     /// Panics if `v >= n`.
     #[inline]
     pub fn prefetch_ports(&self, v: Vertex) {
-        let lo = self.offsets[v];
-        if let (Some(&t), Some(&e)) = (self.arc_targets.get(lo), self.arc_edges.get(lo)) {
+        self.prefetch_arcs(self.offsets[v]);
+    }
+
+    /// [`prefetch_ports`](Graph::prefetch_ports) for a caller that already
+    /// knows where the row starts: loads the `arc_targets`, `arc_edges`
+    /// and `arc_twins` entries of arc `a` through
+    /// [`std::hint::black_box`], skipping the `offsets` word. An `a` at or
+    /// past `2m` (the start of an empty last row) loads nothing.
+    #[inline]
+    pub fn prefetch_arcs(&self, a: ArcId) {
+        if let (Some(&t), Some(&e), Some(&w)) = (
+            self.arc_targets.get(a),
+            self.arc_edges.get(a),
+            self.arc_twins.get(a),
+        ) {
             std::hint::black_box(t);
             std::hint::black_box(e);
+            std::hint::black_box(w);
         }
     }
 
@@ -394,9 +445,46 @@ mod tests {
             assert_eq!(g.arc_edge(av), e);
             assert_eq!(g.arc_target(au), v);
             assert_eq!(g.arc_target(av), u);
+            assert_eq!(g.arc_twin(au), av);
+            assert_eq!(g.arc_twin(av), au);
             assert!(g.arc_range(u).contains(&au));
             assert!(g.arc_range(v).contains(&av));
         }
+    }
+
+    #[test]
+    fn twins_pair_parallel_edges_arc_by_arc() {
+        // Three parallel edges: each arc's twin is the arc of the *same*
+        // edge, not just any arc between the same endpoints.
+        let g = Graph::from_edges(3, &[(0, 1), (1, 0), (0, 1), (1, 2)]).unwrap();
+        for a in 0..g.total_degree() {
+            let t = g.arc_twin(a);
+            assert_ne!(t, a);
+            assert_eq!(g.arc_twin(t), a);
+            assert_eq!(g.arc_edge(t), g.arc_edge(a));
+            assert!(g.arc_range(g.arc_target(a)).contains(&t));
+        }
+    }
+
+    #[test]
+    fn index_widths_are_checked_at_the_u32_limit() {
+        let max = u32::MAX as usize;
+        assert_eq!(check_index_widths(max, max), Ok(()));
+        assert_eq!(check_index_widths(0, 0), Ok(()));
+        assert_eq!(
+            check_index_widths(max + 1, 8),
+            Err(GraphError::TooLarge {
+                n: max + 1,
+                arcs: 8
+            })
+        );
+        assert_eq!(
+            check_index_widths(4, max + 1),
+            Err(GraphError::TooLarge {
+                n: 4,
+                arcs: max + 1
+            })
+        );
     }
 
     #[test]

@@ -45,6 +45,15 @@ pub enum GraphError {
         /// Human-readable description of the violated precondition.
         reason: String,
     },
+    /// The graph does not fit the 32-bit index width the CSR arrays and
+    /// the walk state store vertex, edge and arc ids in: `n` or the arc
+    /// count `2m` exceeds `u32::MAX`.
+    TooLarge {
+        /// The requested number of vertices.
+        n: usize,
+        /// The requested number of arcs, `2m`.
+        arcs: usize,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -76,6 +85,14 @@ impl fmt::Display for GraphError {
             }
             GraphError::InvalidParameter { reason } => {
                 write!(f, "invalid parameter: {reason}")
+            }
+            GraphError::TooLarge { n, arcs } => {
+                write!(
+                    f,
+                    "graph with {n} vertices and {arcs} arcs exceeds the 32-bit index \
+                     limit of {} for each",
+                    u32::MAX
+                )
             }
         }
     }
@@ -117,6 +134,12 @@ mod tests {
             reason: "p must be prime".into(),
         };
         assert!(e.to_string().contains("p must be prime"));
+        let e = GraphError::TooLarge {
+            n: 10,
+            arcs: 1 << 33,
+        };
+        assert!(e.to_string().contains("8589934592 arcs"));
+        assert!(e.to_string().contains("4294967295"));
     }
 
     #[test]
