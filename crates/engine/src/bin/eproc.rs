@@ -63,8 +63,10 @@
 //! breakdown. `--quiet` silences informational stderr chatter (errors
 //! always print). None of these affect the computed artifacts.
 //!
-//! Crash safety (resampled runs): `--checkpoint PATH` persists completed
-//! blocks atomically every `--checkpoint-every N` completions;
+//! Crash safety (resampled runs): `--checkpoint PATH` atomically
+//! persists the run's folded state once `--checkpoint-every N` more
+//! blocks have completed (one write covers every completion queued by
+//! then);
 //! SIGINT/SIGTERM or `--max-wall SECS` interrupt gracefully (exit code
 //! 75, resumable); `--resume PATH` recomputes only the missing blocks
 //! and produces the byte-identical artifact; `--retry-blocks N` re-runs
@@ -185,12 +187,14 @@ fn usage(err: &str) -> ! {
          \x20              --canonical` shows what keys the cache; `eproc cache\n\
          \x20              ls|gc|path` inspects and prunes the store\n\
          crash safety   (resampled runs) --checkpoint PATH: atomically persist\n\
-         \x20              completed blocks every --checkpoint-every N completions\n\
-         \x20              (default 1); SIGINT/SIGTERM or --max-wall SECS interrupt\n\
-         \x20              gracefully and exit 75 (resumable); --resume PATH runs\n\
-         \x20              only the missing blocks and yields the byte-identical\n\
-         \x20              artifact at any thread count; --retry-blocks N re-runs a\n\
-         \x20              failed block deterministically (same seeds, same bits);\n\
+         \x20              the folded run state once --checkpoint-every N more\n\
+         \x20              blocks completed (default 1; one write covers every\n\
+         \x20              completion queued by then); SIGINT/SIGTERM or\n\
+         \x20              --max-wall SECS interrupt gracefully and exit 75\n\
+         \x20              (resumable); --resume PATH runs only the missing blocks\n\
+         \x20              and yields the byte-identical artifact at any thread\n\
+         \x20              count; --retry-blocks N re-runs a failed block\n\
+         \x20              deterministically (same seeds, same bits);\n\
          \x20              --inject-faults kind@family.group.attempt[,...] (or the\n\
          \x20              EPROC_FAULTS env var) injects panic/graphfail faults for\n\
          \x20              testing the above\n\

@@ -13,14 +13,22 @@
 //!
 //! ```text
 //! <root>/<hh>/<64-hex-digest>.json   the artifact bytes, verbatim
-//! <root>/<hh>/<64-hex-digest>.spec   sidecar: canonical line + key
+//! <root>/<hh>/<64-hex-digest>.spec   sidecar: canonical line + key + hash
 //! ```
 //!
 //! where `<hh>` is the first two hex characters of the digest (a
-//! git-style fan-out, keeping directories small). The `.spec` sidecar
-//! is informational — `eproc cache ls` prints it so a digest can be
-//! traced back to the experiment that produced it; lookups never
-//! parse it.
+//! git-style fan-out, keeping directories small). The `.spec` sidecar's
+//! first line is the canonical spec line — `eproc cache ls` prints it so
+//! a digest can be traced back to the experiment that produced it — and
+//! its last line is `sha256=<hex>`, the artifact's content hash.
+//!
+//! # Integrity
+//!
+//! A lookup serves bytes only if they hash to the sidecar's `sha256`
+//! line. An artifact whose hash is missing or disagrees — a flipped bit
+//! on disk, a truncated copy, an entry written before hashes were
+//! recorded — counts as a miss and is evicted, so the run executes again
+//! and stores a fresh entry instead of serving damaged bytes.
 //!
 //! # Atomicity and safety
 //!
@@ -35,7 +43,7 @@
 //! contract and [`SPEC_DIGEST_VERSION`](crate::digest::SPEC_DIGEST_VERSION)
 //! for how format changes invalidate old entries.
 
-use crate::digest::SpecDigest;
+use crate::digest::{sha256, SpecDigest};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -44,6 +52,14 @@ use std::path::{Path, PathBuf};
 /// given. Setting it turns caching on for every `run`/`compare`/
 /// `scale` invocation in that environment.
 pub const CACHE_ENV: &str = "EPROC_CACHE";
+
+/// Prefix of the sidecar line recording the artifact's SHA-256.
+const HASH_PREFIX: &str = "sha256=";
+
+/// Lowercase hex SHA-256 of an artifact's bytes.
+fn content_hash(artifact: &[u8]) -> String {
+    SpecDigest::from_bytes(sha256(artifact)).hex()
+}
 
 /// One entry of [`CacheStore::entries`].
 #[derive(Debug, Clone)]
@@ -98,32 +114,64 @@ impl CacheStore {
         self.artifact_path(digest).with_extension("spec")
     }
 
-    /// Loads the artifact bytes for `digest`, or `None` on a miss.
+    /// Loads the artifact bytes for `digest`, or `None` on a miss. An
+    /// entry whose bytes do not hash to its sidecar's `sha256` line (or
+    /// whose sidecar has none) is a miss too, and is evicted.
     ///
     /// # Errors
     ///
-    /// Any I/O error other than the file not existing — a present but
+    /// Any I/O error other than a file not existing — a present but
     /// unreadable entry is a real error, not a miss.
     pub fn load(&self, digest: &SpecDigest) -> io::Result<Option<String>> {
-        match fs::read_to_string(self.artifact_path(digest)) {
-            Ok(bytes) => Ok(Some(bytes)),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e),
+        let path = self.artifact_path(digest);
+        let artifact = match fs::read(&path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(e),
+        };
+        let recorded = match fs::read(self.sidecar_path(digest)) {
+            Ok(sidecar) => String::from_utf8_lossy(&sidecar)
+                .lines()
+                .rev()
+                .find_map(|line| line.strip_prefix(HASH_PREFIX))
+                .map(String::from),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
+            Err(e) => return Err(e),
+        };
+        // Hash the raw bytes before decoding: a flip that breaks UTF-8 is
+        // damage like any other, not a read error.
+        if recorded.as_deref() == Some(content_hash(&artifact).as_str()) {
+            if let Ok(text) = String::from_utf8(artifact) {
+                return Ok(Some(text));
+            }
         }
+        // Damaged or unverifiable: evict, best effort, so the caller's
+        // re-run stores a fresh entry.
+        let _ = fs::remove_file(&path);
+        let _ = fs::remove_file(self.sidecar_path(digest));
+        Ok(None)
     }
 
-    /// Stores `artifact` under `digest` with an informational `.spec`
-    /// sidecar, both atomically. Returns the artifact path.
+    /// Stores `artifact` under `digest` with a `.spec` sidecar holding
+    /// `sidecar` followed by the artifact's `sha256=<hex>` line, both
+    /// atomically. Returns the artifact path.
     ///
     /// # Errors
     ///
     /// Any I/O error creating directories or writing either file.
     pub fn store(&self, digest: &SpecDigest, artifact: &str, sidecar: &str) -> io::Result<PathBuf> {
         let path = self.artifact_path(digest);
+        let mut sidecar = sidecar.to_string();
+        if !sidecar.ends_with('\n') {
+            sidecar.push('\n');
+        }
+        sidecar.push_str(HASH_PREFIX);
+        sidecar.push_str(&content_hash(artifact.as_bytes()));
+        sidecar.push('\n');
         // Sidecar first: an artifact without a sidecar lists with an
-        // empty spec line, but a sidecar without an artifact is
-        // invisible (lookups go by artifact).
-        eproc_telemetry::write_atomic(&self.sidecar_path(digest), sidecar)?;
+        // empty spec line (and misses on lookup), but a sidecar without
+        // an artifact is invisible (lookups go by artifact).
+        eproc_telemetry::write_atomic(&self.sidecar_path(digest), &sidecar)?;
         eproc_telemetry::write_atomic(&path, artifact)?;
         Ok(path)
     }
@@ -293,6 +341,37 @@ mod tests {
         let stats = store.gc(4).unwrap();
         assert_eq!((stats.removed, stats.kept), (1, 1));
         assert_eq!(store.entries().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn a_damaged_or_unhashed_artifact_misses_and_is_evicted() {
+        let store = temp_store("integrity");
+        let d = digest_of("--graph cycle:16 --process srw");
+        store
+            .store(&d, "{\"x\": 1}\n", "--graph cycle:16\n")
+            .unwrap();
+        let sidecar = std::fs::read_to_string(store.sidecar_path(&d)).unwrap();
+        assert!(
+            sidecar.starts_with("--graph cycle:16\nsha256="),
+            "{sidecar}"
+        );
+        // One flipped byte, here one that also breaks UTF-8: the lookup
+        // misses and removes the entry.
+        let path = store.artifact_path(&d);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[2] ^= 0x80;
+        std::fs::write(&path, bytes).unwrap();
+        assert_eq!(store.load(&d).unwrap(), None);
+        assert!(!path.exists() && !store.sidecar_path(&d).exists());
+        assert!(store.entries().unwrap().is_empty());
+        // A sidecar without a hash line cannot vouch for its artifact.
+        store.store(&d, "{}", "line").unwrap();
+        std::fs::write(store.sidecar_path(&d), "line\n").unwrap();
+        assert_eq!(store.load(&d).unwrap(), None);
+        assert!(!path.exists());
+        // Re-storing heals the entry.
+        store.store(&d, "{}", "line").unwrap();
+        assert_eq!(store.load(&d).unwrap().as_deref(), Some("{}"));
     }
 
     #[test]

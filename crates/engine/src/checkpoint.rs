@@ -1,28 +1,48 @@
 //! Run checkpoints: the crash-safe persistence behind `--checkpoint` /
-//! `--resume` (checkpoint format `eproc-checkpoint`, version 2 — the
-//! version bump added per-block quantile sketches to the codec).
+//! `--resume` (checkpoint format `eproc-checkpoint`, version 3).
 //!
-//! A checkpoint is a prefix of a run: the canonical run header
-//! identifying the `(spec, base_seed)` run plus every *completed*
-//! *(family, group)* block's streamed accumulators, persisted bit-exactly
-//! through the same `persist` codec shard artifacts use. Because
-//! each block is a pure function of `(spec, base_seed, block)`, a resumed
-//! run recomputes exactly the missing blocks and recombines through the
-//! executor's own aggregation — so the final artifact is **byte-identical
-//! to an uninterrupted run**, at any thread count, no matter where the
+//! A checkpoint is the recoverable runner's aggregation state, not a
+//! list of blocks. It holds:
+//!
+//! - the canonical run header identifying the `(spec, base_seed)` run,
+//!   and each family's representative `(n, m)` seen so far;
+//! - the length of the canonical block prefix already folded;
+//! - every cell's raw accumulator state after that fold — Welford
+//!   moments, quantile sketches with their coin-stream state, and the
+//!   variance-split builders — floats as IEEE-754 bit patterns;
+//! - the completed blocks past the prefix that wait for it, at most the
+//!   claim window of the run that wrote it.
+//!
+//! Its size is therefore `O(cells × columns × sketch + window)`, the same
+//! whether the run has sixty blocks or six million. Resuming rebuilds
+//! the fold from that state and runs only the blocks that are neither
+//! folded nor pending. Each block is a pure function of `(spec,
+//! base_seed, block)` and the fold consumes blocks in canonical order
+//! either way, so the final artifact is **byte-identical to an
+//! uninterrupted run**, at any thread count, no matter where the
 //! original run died.
+//!
+//! Version 2 checkpoints listed every completed block instead; they are
+//! rejected with an error naming the version.
 //!
 //! Checkpoints are written atomically ([`eproc_telemetry::write_atomic`]):
 //! a crash mid-checkpoint leaves the previous complete checkpoint in
-//! place, never a truncated document.
+//! place, never a truncated document. Loading treats the file as
+//! hostile: every count, index and sketch is checked against the header
+//! (see [`RunCheckpoint::from_json`]), so a damaged checkpoint is a
+//! [`CheckpointError`], never a panic or a silently wrong resume.
 
-use crate::executor::BlockAgg;
+use crate::executor::{BlockAgg, CellAcc, CellFolder, CellInputs, FoldState};
 use crate::persist::{
-    json, parse_blocks, parse_rep_dims, write_blocks, write_rep_dims, PersistError, RunHeader,
+    check_proc, json, parse_blocks, parse_cells, parse_rep_dims, write_blocks, write_cells,
+    write_rep_dims, PersistError, RunHeader,
 };
 use std::fmt;
 use std::fmt::Write as _;
 use std::path::Path;
+
+/// The checkpoint format version this build writes and reads.
+const VERSION: u64 = 3;
 
 /// A checkpoint failure: an unreadable or malformed checkpoint file, or
 /// a resume attempt against a spec that does not match the checkpoint's
@@ -54,23 +74,28 @@ impl From<PersistError> for CheckpointError {
     }
 }
 
-/// A persisted prefix of a resampled run: the run's identity plus every
-/// completed block, bit-exact. Produced periodically by
-/// [`crate::recovery::run_recoverable`] and consumed by `--resume`.
+/// A persisted prefix of a resampled run: the run's identity, the folded
+/// cell state and the pending blocks, bit-exact. Produced periodically
+/// by [`crate::recovery::run_recoverable`] and consumed by `--resume`.
 #[derive(Debug, Clone)]
 pub struct RunCheckpoint {
     /// The run this checkpoint belongs to.
     pub(crate) header: RunHeader,
     /// `(family, n, m)` of the group-0 samples completed so far.
     pub(crate) rep_dims: Vec<(usize, usize, usize)>,
-    /// Completed blocks' aggregates, sorted by canonical block index.
-    pub(crate) blocks: Vec<BlockAgg>,
+    /// Length of the canonical block prefix folded into `cells`.
+    pub(crate) folded: usize,
+    /// Every cell's accumulators after folding the prefix, grid order.
+    pub(crate) cells: Vec<CellAcc>,
+    /// Completed blocks past the prefix, ascending.
+    pub(crate) pending: Vec<BlockAgg>,
 }
 
 impl RunCheckpoint {
-    /// How many blocks the checkpoint holds.
+    /// How many blocks the checkpoint holds: the folded prefix plus the
+    /// pending blocks.
     pub fn completed_blocks(&self) -> usize {
-        self.blocks.len()
+        self.folded + self.pending.len()
     }
 
     /// Total canonical block count of the checkpointed run.
@@ -82,36 +107,39 @@ impl RunCheckpoint {
     /// `expected` (the spec + base seed about to be resumed), naming the
     /// first disagreeing field otherwise.
     pub(crate) fn validate_against(&self, expected: &RunHeader) -> Result<(), CheckpointError> {
-        if let Some(field) = self.header.first_mismatch(expected) {
-            return Err(CheckpointError::new(format!(
+        match self.header.first_mismatch(expected) {
+            Some(field) => Err(CheckpointError::new(format!(
                 "checkpoint does not match the spec being resumed: {field} differs \
                  (the checkpoint comes from a different run)"
-            )));
+            ))),
+            None => Ok(()),
         }
-        for b in &self.blocks {
-            if b.block >= self.header.total_blocks() {
-                return Err(CheckpointError::new(format!(
-                    "checkpoint carries block {}, outside the run's {} blocks",
-                    b.block,
-                    self.header.total_blocks()
-                )));
-            }
+    }
+
+    /// The aggregation state to resume from. `inputs` must describe
+    /// this checkpoint's run (see [`RunCheckpoint::validate_against`]).
+    pub(crate) fn restore<'a>(&self, inputs: &'a CellInputs<'a>) -> FoldState<'a> {
+        let mut dims = vec![None; self.header.graphs.len()];
+        for &(gi, n, m) in &self.rep_dims {
+            dims[gi] = Some((n, m));
         }
-        Ok(())
+        let folder = CellFolder::resume(inputs, self.folded, self.cells.clone());
+        let mut state = FoldState::new(folder, dims);
+        state.pending = self.pending.iter().map(|b| (b.block, b.clone())).collect();
+        state
     }
 
     /// Serialises the checkpoint as deterministic strict JSON, floats as
     /// IEEE-754 bit patterns — `from_json(to_json())` is the identity
     /// down to the last bit.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"format\": \"eproc-checkpoint\",");
-        let _ = writeln!(out, "  \"version\": 2,");
-        self.header.write_fields(&mut out);
-        write_rep_dims(&mut out, &self.rep_dims);
-        write_blocks(&mut out, &self.blocks);
-        out
+        checkpoint_json(
+            &self.header,
+            &self.rep_dims,
+            self.folded,
+            &self.cells,
+            &self.pending,
+        )
     }
 
     /// Writes the checkpoint to `path` atomically (temp sibling +
@@ -140,11 +168,18 @@ impl RunCheckpoint {
             .map_err(|e| CheckpointError::new(format!("{}: {e}", path.display())))
     }
 
-    /// Parses a [`RunCheckpoint::to_json`] document, bit-exactly.
+    /// Parses a [`RunCheckpoint::to_json`] document, bit-exactly, and
+    /// checks it is one the engine could have written: the block count
+    /// and cell grid follow from the header, the folded prefix fits the
+    /// run, pending blocks are unique and past the block that would
+    /// extend the prefix (which the writer folds at once), no block or
+    /// cell holds more values than it has trials, and every family whose
+    /// group-0 block is held has its dimensions.
     ///
     /// # Errors
     ///
-    /// [`CheckpointError`] describing the first structural problem.
+    /// [`CheckpointError`] describing the first structural problem,
+    /// including any version other than 3.
     pub fn from_json(text: &str) -> Result<RunCheckpoint, CheckpointError> {
         let value = json::parse(text)?;
         let root = value.as_obj("checkpoint")?;
@@ -155,26 +190,124 @@ impl RunCheckpoint {
             )));
         }
         let version = root.u64_field("version")?;
-        if version != 2 {
+        if version != VERSION {
             return Err(CheckpointError::new(format!(
-                "unsupported checkpoint version {version}"
+                "unsupported checkpoint version {version}: this build reads version {VERSION}, \
+                 which persists the folded run state rather than every block; rerun without \
+                 --resume"
             )));
         }
-        let header = RunHeader::parse(&root)?;
-        let rep_dims = parse_rep_dims(&root)?;
-        let mut blocks = parse_blocks(&root)?;
-        blocks.sort_by_key(|b| b.block);
-        let duplicate = blocks.windows(2).find(|w| w[0].block == w[1].block);
-        if let Some(w) = duplicate {
+        let mut pending = parse_blocks(&root, "pending")?;
+        pending.sort_by_key(|b| b.block);
+        let checkpoint = RunCheckpoint {
+            header: RunHeader::parse(&root)?,
+            rep_dims: parse_rep_dims(&root)?,
+            folded: root.usize_field("folded")?,
+            cells: parse_cells(&root)?,
+            pending,
+        };
+        checkpoint.check()?;
+        Ok(checkpoint)
+    }
+
+    /// The structural checks [`RunCheckpoint::from_json`] documents.
+    fn check(&self) -> Result<(), CheckpointError> {
+        let h = &self.header;
+        let total = h.total_blocks();
+        let n_cols = h.metric_columns.len();
+        if self.folded > total {
+            return Err(CheckpointError::new(format!(
+                "checkpoint folds {} blocks of a {total}-block run",
+                self.folded
+            )));
+        }
+        if h.graphs.len().checked_mul(h.processes.len()) != Some(self.cells.len()) {
+            return Err(CheckpointError::new(format!(
+                "checkpoint carries {} cells for {} families x {} processes",
+                self.cells.len(),
+                h.graphs.len(),
+                h.processes.len()
+            )));
+        }
+        for (ci, cell) in self.cells.iter().enumerate() {
+            check_proc(&cell.totals, h.trials, n_cols)
+                .map_err(|e| CheckpointError::new(format!("cell {ci}: {e}")))?;
+            if cell.metric_splits.len() != n_cols {
+                return Err(CheckpointError::new(format!(
+                    "cell {ci}: {} metric splits for {n_cols} columns",
+                    cell.metric_splits.len()
+                )));
+            }
+            let splits = std::iter::once(&cell.steps_split).chain(&cell.metric_splits);
+            for split in splits {
+                if split.graph_samples > h.group_count
+                    || split.across.count() != split.graph_samples as u64
+                    || split.within_dof > h.trials as u64
+                {
+                    return Err(CheckpointError::new(format!(
+                        "cell {ci}: a variance split counts more samples than the run has"
+                    )));
+                }
+            }
+        }
+        h.check_blocks(&self.pending)?;
+        if let Some(b) = self.pending.iter().find(|b| b.block <= self.folded) {
+            return Err(CheckpointError::new(format!(
+                "pending block {} does not lie past the folded prefix of {} blocks",
+                b.block, self.folded
+            )));
+        }
+        if let Some(w) = self.pending.windows(2).find(|w| w[0].block == w[1].block) {
             return Err(CheckpointError::new(format!(
                 "block {} appears more than once",
                 w[0].block
             )));
         }
-        Ok(RunCheckpoint {
-            header,
-            rep_dims,
-            blocks,
-        })
+        let mut has_dims = vec![false; h.graphs.len()];
+        for &(gi, _, _) in &self.rep_dims {
+            if gi >= has_dims.len() || std::mem::replace(&mut has_dims[gi], true) {
+                return Err(CheckpointError::new(format!(
+                    "checkpoint reports dimensions for family {gi} twice or outside the grid"
+                )));
+            }
+        }
+        // A resumed run does not sample a held group-0 graph again, so
+        // its dimensions must come from the checkpoint.
+        for (gi, has) in has_dims.into_iter().enumerate() {
+            let first = gi * h.group_count;
+            let held = first < self.folded
+                || self
+                    .pending
+                    .binary_search_by_key(&first, |b| b.block)
+                    .is_ok();
+            if held && !has {
+                return Err(CheckpointError::new(format!(
+                    "checkpoint holds family {gi}'s group-0 block but not its dimensions"
+                )));
+            }
+        }
+        Ok(())
     }
+}
+
+/// Renders a version-3 checkpoint document from borrowed run state — the
+/// one writer behind [`RunCheckpoint::to_json`] and the recoverable
+/// runner's periodic checkpoints.
+pub(crate) fn checkpoint_json<'b>(
+    header: &RunHeader,
+    rep_dims: &[(usize, usize, usize)],
+    folded: usize,
+    cells: &[CellAcc],
+    pending: impl IntoIterator<Item = &'b BlockAgg>,
+) -> String {
+    let mut out = String::new();
+    out.push_str("{\n");
+    let _ = writeln!(out, "  \"format\": \"eproc-checkpoint\",");
+    let _ = writeln!(out, "  \"version\": {VERSION},");
+    header.write_fields(&mut out);
+    write_rep_dims(&mut out, rep_dims);
+    let _ = writeln!(out, "  \"folded\": {folded},");
+    write_cells(&mut out, cells);
+    write_blocks(&mut out, "pending", pending);
+    out
 }

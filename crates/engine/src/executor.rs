@@ -38,6 +38,8 @@
 //! workers are back-pressured a bounded window ahead of the fold — so
 //! the run's aggregation state is `O(cells × columns)` independent of
 //! the trial count: the property that unlocks billion-trial runs. The
+//! crash-safe runner ([`crate::recovery`]) schedules its blocks on the
+//! same pool, so its checkpoints persist exactly this state. The
 //! per-block accumulators double as the groups of the pooled /
 //! across-graph / within-graph [`VarianceSplit`]s, and every sketch's
 //! compaction coins derive from [`SeedSequence`] streams keyed by grid
@@ -243,13 +245,14 @@ pub struct VarianceSplit {
 /// one group at a time (canonical group order), so the split needs no
 /// retained group list. The floating-point operation order is exactly
 /// the old collect-then-fold order — `across` pushes and the within-SS
-/// additions happen once per group, in group order.
+/// additions happen once per group, in group order. Checkpoints persist
+/// the fields verbatim (floats as bit patterns).
 #[derive(Debug, Clone, Default)]
-struct SplitAcc {
-    graph_samples: usize,
-    across: OnlineStats,
-    within_ss: f64,
-    within_dof: u64,
+pub(crate) struct SplitAcc {
+    pub(crate) graph_samples: usize,
+    pub(crate) across: OnlineStats,
+    pub(crate) within_ss: f64,
+    pub(crate) within_dof: u64,
 }
 
 impl SplitAcc {
@@ -509,6 +512,21 @@ pub(crate) struct ProcAgg {
 }
 
 impl ProcAgg {
+    /// An empty aggregate whose column-`col` sketch (0 = steps, `i + 1`
+    /// = metric column `i`) draws its coins from `sketch_seed(col)`.
+    fn empty(metric_columns: usize, sketch_seed: impl Fn(usize) -> u64) -> ProcAgg {
+        ProcAgg {
+            completed: 0,
+            steps: OnlineStats::new(),
+            steps_sketch: QuantileSketch::new(sketch_seed(0)),
+            blue_fraction: OnlineStats::new(),
+            metrics: vec![OnlineStats::new(); metric_columns],
+            metric_sketches: (0..metric_columns)
+                .map(|ci| QuantileSketch::new(sketch_seed(ci + 1)))
+                .collect(),
+        }
+    }
+
     /// An empty aggregate for block *(family `gi`, `group`, process
     /// `pi`)*, its sketches seeded from the block's grid coordinate (see
     /// [`block_sketch_seed`]).
@@ -519,15 +537,23 @@ impl ProcAgg {
         pi: usize,
         metric_columns: usize,
     ) -> ProcAgg {
-        ProcAgg {
-            completed: 0,
-            steps: OnlineStats::new(),
-            steps_sketch: QuantileSketch::new(block_sketch_seed(base_seed, gi, group, pi, 0)),
-            blue_fraction: OnlineStats::new(),
-            metrics: vec![OnlineStats::new(); metric_columns],
-            metric_sketches: (0..metric_columns)
-                .map(|ci| QuantileSketch::new(block_sketch_seed(base_seed, gi, group, pi, ci + 1)))
-                .collect(),
+        ProcAgg::empty(metric_columns, |col| {
+            block_sketch_seed(base_seed, gi, group, pi, col)
+        })
+    }
+
+    /// Merges another aggregate into this one: one Welford merge and one
+    /// sketch merge per column.
+    fn merge(&mut self, other: &ProcAgg) {
+        self.completed += other.completed;
+        self.steps.merge(&other.steps);
+        self.steps_sketch.merge(&other.steps_sketch);
+        self.blue_fraction.merge(&other.blue_fraction);
+        for (acc, part) in self.metrics.iter_mut().zip(&other.metrics) {
+            acc.merge(part);
+        }
+        for (sk, part) in self.metric_sketches.iter_mut().zip(&other.metric_sketches) {
+            sk.merge(part);
         }
     }
 
@@ -1007,16 +1033,14 @@ pub(crate) struct CellInputs<'a> {
     pub(crate) resampled: bool,
 }
 
-/// One cell's streaming accumulators inside a [`CellFolder`].
-struct CellAcc {
-    completed: usize,
-    steps: OnlineStats,
-    steps_sketch: QuantileSketch,
-    steps_split: SplitAcc,
-    blue_fraction: OnlineStats,
-    metrics: Vec<OnlineStats>,
-    metric_sketches: Vec<QuantileSketch>,
-    metric_splits: Vec<SplitAcc>,
+/// One cell's streaming accumulators inside a [`CellFolder`] — the raw
+/// state a checkpoint persists for the folded prefix.
+#[derive(Debug, Clone)]
+pub(crate) struct CellAcc {
+    /// Every folded block's aggregate for this cell, merged.
+    pub(crate) totals: ProcAgg,
+    pub(crate) steps_split: SplitAcc,
+    pub(crate) metric_splits: Vec<SplitAcc>,
 }
 
 /// The engine's **single** aggregation tail: folds streamed block
@@ -1042,22 +1066,10 @@ impl<'a> CellFolder<'a> {
         for gi in 0..inputs.graphs.len() {
             for pi in 0..inputs.processes.len() {
                 cells.push(CellAcc {
-                    completed: 0,
-                    steps: OnlineStats::new(),
-                    steps_sketch: QuantileSketch::new(cell_sketch_seed(
-                        inputs.base_seed,
-                        gi,
-                        pi,
-                        0,
-                    )),
+                    totals: ProcAgg::empty(n_cols, |col| {
+                        cell_sketch_seed(inputs.base_seed, gi, pi, col)
+                    }),
                     steps_split: SplitAcc::default(),
-                    blue_fraction: OnlineStats::new(),
-                    metrics: vec![OnlineStats::new(); n_cols],
-                    metric_sketches: (0..n_cols)
-                        .map(|ci| {
-                            QuantileSketch::new(cell_sketch_seed(inputs.base_seed, gi, pi, ci + 1))
-                        })
-                        .collect(),
                     metric_splits: vec![SplitAcc::default(); n_cols],
                 });
             }
@@ -1069,9 +1081,26 @@ impl<'a> CellFolder<'a> {
         }
     }
 
+    /// A folder that has already folded blocks `0..fed` into `cells` —
+    /// the state a checkpoint persisted. The caller has checked that
+    /// `cells` has one accumulator per cell with one entry per metric
+    /// column.
+    pub(crate) fn resume(
+        inputs: &'a CellInputs<'a>,
+        fed: usize,
+        cells: Vec<CellAcc>,
+    ) -> CellFolder<'a> {
+        CellFolder { inputs, cells, fed }
+    }
+
     /// The next canonical block index this folder expects.
     pub(crate) fn fed(&self) -> usize {
         self.fed
+    }
+
+    /// Every cell's accumulators, in grid order.
+    pub(crate) fn cells(&self) -> &[CellAcc] {
+        &self.cells
     }
 
     /// Folds the next block. The per-block accumulators double as the
@@ -1089,20 +1118,7 @@ impl<'a> CellFolder<'a> {
         let n_proc = self.inputs.processes.len();
         for (pi, proc_agg) in agg.procs.iter().enumerate() {
             let cell = &mut self.cells[gi * n_proc + pi];
-            cell.completed += proc_agg.completed;
-            cell.steps.merge(&proc_agg.steps);
-            cell.steps_sketch.merge(&proc_agg.steps_sketch);
-            cell.blue_fraction.merge(&proc_agg.blue_fraction);
-            for (acc, part) in cell.metrics.iter_mut().zip(&proc_agg.metrics) {
-                acc.merge(part);
-            }
-            for (sk, part) in cell
-                .metric_sketches
-                .iter_mut()
-                .zip(&proc_agg.metric_sketches)
-            {
-                sk.merge(part);
-            }
+            cell.totals.merge(proc_agg);
             if self.inputs.resampled {
                 cell.steps_split.feed(&proc_agg.steps);
                 for (split, part) in cell.metric_splits.iter_mut().zip(&proc_agg.metrics) {
@@ -1123,11 +1139,12 @@ impl<'a> CellFolder<'a> {
             let (rep_n, rep_m) = dims[gi];
             for process in inputs.processes {
                 let acc = accs.next().expect("one accumulator per cell");
+                let totals = acc.totals;
                 let metrics = inputs
                     .metric_columns
                     .iter()
-                    .zip(acc.metrics)
-                    .zip(acc.metric_sketches)
+                    .zip(totals.metrics)
+                    .zip(totals.metric_sketches)
                     .zip(acc.metric_splits)
                     .map(|(((name, stats), sketch), split)| MetricSummary {
                         name: name.clone(),
@@ -1143,10 +1160,10 @@ impl<'a> CellFolder<'a> {
                     m: rep_m,
                     process: process.clone(),
                     trials: inputs.trials,
-                    completed: acc.completed,
-                    steps: acc.steps,
-                    steps_sketch: acc.steps_sketch,
-                    blue_fraction: acc.blue_fraction,
+                    completed: totals.completed,
+                    steps: totals.steps,
+                    steps_sketch: totals.steps_sketch,
+                    blue_fraction: totals.blue_fraction,
                     steps_split: inputs.resampled.then(|| acc.steps_split.finish()),
                     metrics,
                 });
@@ -1156,29 +1173,213 @@ impl<'a> CellFolder<'a> {
     }
 }
 
-/// Folds a complete, canonically ordered block slice into grid-ordered
-/// [`CellSummary`]s — the batch convenience over [`CellFolder`] used by
-/// `eproc merge` and the recoverable runner, which retain their blocks
-/// anyway (shard artifacts and checkpoints persist them). `blocks` is
-/// indexed `gi * group_count + group`.
-pub(crate) fn aggregate_cells(
-    inputs: &CellInputs<'_>,
-    dims: &[(usize, usize)],
-    blocks: &[BlockAgg],
-) -> Vec<CellSummary> {
-    let mut folder = CellFolder::new(inputs);
-    for block in blocks {
-        folder.feed(block);
+/// How far past the canonical fold floor a worker may claim: `execute`
+/// and the recoverable runner both bound their out-of-order buffer — and
+/// hence their aggregation state and every checkpoint — to this many
+/// blocks.
+pub(crate) fn claim_window(workers: usize) -> usize {
+    (workers * 2).max(8)
+}
+
+/// The canonical blocks a [`run_pool`] call schedules: `start..end` in
+/// ascending order, minus `skip` (sorted) — the blocks a resumed run
+/// already holds past its folded prefix.
+pub(crate) struct BlockRange<'s> {
+    pub(crate) start: usize,
+    pub(crate) end: usize,
+    pub(crate) skip: &'s [usize],
+}
+
+/// The main thread's side of a block pool: the canonical-prefix fold,
+/// the completed blocks waiting past its floor, and the run's tallies.
+pub(crate) struct FoldState<'a> {
+    pub(crate) folder: CellFolder<'a>,
+    /// Completed blocks past the fold floor, by canonical index.
+    pub(crate) pending: BTreeMap<usize, BlockAgg>,
+    /// Each family's representative `(n, m)`, once its group-0 block ran.
+    pub(crate) dims: Vec<Option<(usize, usize)>>,
+    pub(crate) trials_run: u64,
+    pub(crate) steps_run: u64,
+    /// Nanoseconds spent folding (measured only when telemetry is live).
+    pub(crate) agg_ns: u64,
+}
+
+impl<'a> FoldState<'a> {
+    pub(crate) fn new(folder: CellFolder<'a>, dims: Vec<Option<(usize, usize)>>) -> FoldState<'a> {
+        FoldState {
+            folder,
+            pending: BTreeMap::new(),
+            dims,
+            trials_run: 0,
+            steps_run: 0,
+            agg_ns: 0,
+        }
     }
-    folder.finish(dims)
+
+    /// Blocks done: the folded prefix plus the pending ones.
+    pub(crate) fn completed(&self) -> usize {
+        self.folder.fed() + self.pending.len()
+    }
+
+    /// Takes one completed block and folds every pending block the
+    /// canonical order now allows; returns whether the floor moved.
+    fn accept(&mut self, result: BlockResult, live: bool) -> bool {
+        self.trials_run += result.trials;
+        self.steps_run += result.steps;
+        if let Some((gi, n, m)) = result.rep {
+            self.dims[gi] = Some((n, m));
+        }
+        self.pending.insert(result.agg.block, result.agg);
+        let mut advanced = false;
+        while let Some(agg) = self.pending.remove(&self.folder.fed()) {
+            let fold = live.then(Stopwatch::start);
+            self.folder.feed(&agg);
+            if let Some(fold) = fold {
+                self.agg_ns += fold.elapsed_ns();
+            }
+            advanced = true;
+        }
+        advanced
+    }
+
+    /// Renders the fold once every block is in it.
+    pub(crate) fn finish(self) -> Vec<CellSummary> {
+        let rep_dims: Vec<(usize, usize)> = self
+            .dims
+            .iter()
+            .map(|dim| dim.expect("every family ran its group-0 block"))
+            .collect();
+        self.folder.finish(&rep_dims)
+    }
+}
+
+/// The block pool `execute` and the recoverable runner share: scoped
+/// workers claim the blocks of `range` in canonical order off a shared
+/// atomic, run each through `run(block, worker)`, and stream the results
+/// to this thread, which folds them into `state` the moment the
+/// canonical order allows. A claim more than [`claim_window`] blocks
+/// past the fold floor waits for the floor to move, so `state.pending`
+/// never holds more than the window — never `O(blocks)`, never
+/// `O(trials)`.
+///
+/// Workers stop claiming once `halt()` is true or a block fails; claimed
+/// blocks that already started drain. After each batch of results — every
+/// completion already queued — `after_batch` sees the state; returning
+/// `false` stops the pool the same way. Returns the first block error.
+pub(crate) fn run_pool<R, H, B>(
+    range: BlockRange<'_>,
+    workers: usize,
+    state: &mut FoldState<'_>,
+    live: bool,
+    halt: H,
+    run: R,
+    mut after_batch: B,
+) -> Option<EngineError>
+where
+    R: Fn(usize, usize) -> Result<BlockResult, EngineError> + Sync,
+    H: Fn() -> bool + Sync,
+    B: FnMut(&FoldState<'_>) -> bool,
+{
+    enum WorkerMsg {
+        Done(Box<BlockResult>),
+        Failed(Box<EngineError>),
+    }
+    let next = AtomicUsize::new(range.start);
+    let stop = AtomicBool::new(false);
+    let fed_floor = Mutex::new(state.folder.fed());
+    let may_run = Condvar::new();
+    let window = claim_window(workers);
+    // Setting the latch under the floor lock means a worker between its
+    // window check and its wait cannot miss the wake-up.
+    let stop_pool = || {
+        let _floor = fed_floor.lock().expect("fold floor lock");
+        stop.store(true, Ordering::Relaxed);
+        may_run.notify_all();
+    };
+    let (send, recv) = mpsc::channel::<WorkerMsg>();
+    let mut first_error: Option<EngineError> = None;
+
+    std::thread::scope(|scope| {
+        for worker in 0..workers {
+            let send = send.clone();
+            let (next, stop, fed_floor, may_run) = (&next, &stop, &fed_floor, &may_run);
+            let (halt, run, stop_pool) = (&halt, &run, &stop_pool);
+            scope.spawn(move || loop {
+                if stop.load(Ordering::Relaxed) || halt() {
+                    stop_pool();
+                    break;
+                }
+                let block = next.fetch_add(1, Ordering::Relaxed);
+                if block >= range.end {
+                    break;
+                }
+                if range.skip.binary_search(&block).is_ok() {
+                    continue;
+                }
+                // Back-pressure: claims are handed out in canonical
+                // order, so waiting until the fold floor is within
+                // `window` of this claim cannot deadlock — the floor
+                // block's owner always holds an earlier (unwaited or
+                // already-satisfied) claim.
+                {
+                    let mut fed = fed_floor.lock().expect("fold floor lock");
+                    while block >= *fed + window && !stop.load(Ordering::Relaxed) {
+                        fed = may_run.wait(fed).expect("fold floor lock");
+                    }
+                }
+                if stop.load(Ordering::Relaxed) || halt() {
+                    stop_pool();
+                    break;
+                }
+                let msg = match run(block, worker) {
+                    Ok(result) => WorkerMsg::Done(Box::new(result)),
+                    Err(e) => {
+                        stop_pool();
+                        WorkerMsg::Failed(Box::new(e))
+                    }
+                };
+                let failed = matches!(msg, WorkerMsg::Failed(_));
+                if send.send(msg).is_err() || failed {
+                    break;
+                }
+            });
+        }
+        // The workers hold the only remaining senders: the receive loop
+        // ends exactly when the last worker exits.
+        drop(send);
+        while let Ok(first) = recv.recv() {
+            let mut msg = Some(first);
+            while let Some(m) = msg {
+                match m {
+                    WorkerMsg::Done(result) => {
+                        if state.accept(*result, live) {
+                            *fed_floor.lock().expect("fold floor lock") = state.folder.fed();
+                            may_run.notify_all();
+                        }
+                    }
+                    WorkerMsg::Failed(e) => {
+                        // First failure wins.
+                        first_error.get_or_insert(*e);
+                        stop_pool();
+                    }
+                }
+                msg = recv.try_recv().ok();
+            }
+            if !after_batch(state) {
+                stop_pool();
+            }
+        }
+    });
+    first_error
 }
 
 /// Shared core of [`run`] and [`run_on_graphs`]: validates, runs every
-/// trial on the worker pool and aggregates. `prebuilt` is `Some` in
-/// shared-graph mode; `None` means resample mode, where the reported
-/// `n`/`m` are harvested from each family's group-0 sample. `tel` is the
-/// run's telemetry context; all instrumentation is keyed off `tel.live`
-/// so a [`NullSink`] run takes the exact uninstrumented path.
+/// block on the shared [`run_pool`] and renders the fold. `prebuilt` is
+/// `Some` in shared-graph mode; `None` means resample mode, where the
+/// reported `n`/`m` are harvested from each family's group-0 sample.
+/// `tel` is the run's telemetry context; all instrumentation is keyed
+/// off `tel.live` so a [`NullSink`] run takes the exact uninstrumented
+/// path.
 fn execute(
     spec: &ExperimentSpec,
     opts: &RunOptions,
@@ -1202,7 +1403,7 @@ fn execute(
     // Per-family representative dimensions `(n, m)` for the report: the
     // prebuilt graphs in shared mode, harvested from each family's
     // group-0 sample in resample mode.
-    let mut dims: Vec<Option<(usize, usize)>> = match prebuilt {
+    let dims: Vec<Option<(usize, usize)>> = match prebuilt {
         Some(graphs) => graphs.iter().map(|g| Some((g.n(), g.m()))).collect(),
         None => vec![None; spec.graphs.len()],
     };
@@ -1222,124 +1423,31 @@ fn execute(
         base_seed: opts.base_seed,
         resampled: spec.resample.is_some(),
     };
-    let mut folder = CellFolder::new(&inputs);
-    // Workers claim canonical block indices from the shared atomic and
-    // stream each completed block straight back over a channel; the main
-    // thread folds arrivals into `folder` the moment the canonical order
-    // allows. A bounded claim window back-pressures the pool so the
-    // out-of-order `pending` buffer (and hence total aggregation state)
-    // stays `O(workers)` blocks — never `O(blocks)`, never `O(trials)`.
-    enum WorkerMsg {
-        Done(Box<BlockResult>),
-        Failed(Box<EngineError>),
-    }
-    let next = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let fed_floor = Mutex::new(0usize);
-    let may_run = Condvar::new();
-    let window = (workers * 2).max(8);
-    let (send, recv) = mpsc::channel::<WorkerMsg>();
-
-    let mut pending: BTreeMap<usize, BlockAgg> = BTreeMap::new();
-    let mut first_error: Option<EngineError> = None;
-    let mut total_trials_run = 0u64;
-    let mut total_steps_run = 0u64;
-    let mut agg_ns = 0u64;
-
-    std::thread::scope(|scope| {
-        for worker in 0..workers {
-            let send = send.clone();
-            let next = &next;
-            let stop = &stop;
-            let fed_floor = &fed_floor;
-            let may_run = &may_run;
-            scope.spawn(move || loop {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                let block = next.fetch_add(1, Ordering::Relaxed);
-                if block >= total_blocks {
-                    break;
-                }
-                // Back-pressure: claims are handed out in canonical
-                // order, so waiting until the fold floor is within
-                // `window` of this claim cannot deadlock — the floor
-                // block's owner always holds an earlier (unwaited or
-                // already-satisfied) claim.
-                {
-                    let mut fed = fed_floor.lock().expect("fold floor lock");
-                    while block >= *fed + window && !stop.load(Ordering::Relaxed) {
-                        fed = may_run.wait(fed).expect("fold floor lock");
-                    }
-                }
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                let graph = prebuilt.map(|graphs| &graphs[block / group_count]);
-                let msg = match run_block_isolated(
-                    spec,
-                    opts.base_seed,
-                    block,
-                    worker,
-                    n_cols,
-                    graph,
-                    tel,
-                ) {
-                    Ok(result) => WorkerMsg::Done(Box::new(result)),
-                    Err(e) => WorkerMsg::Failed(Box::new(e)),
-                };
-                let failed = matches!(msg, WorkerMsg::Failed(_));
-                if send.send(msg).is_err() || failed {
-                    break;
-                }
-            });
-        }
-        drop(send);
-        for msg in recv {
-            match msg {
-                WorkerMsg::Done(result) => {
-                    total_trials_run += result.trials;
-                    total_steps_run += result.steps;
-                    if let Some((gi, n, m)) = result.rep {
-                        dims[gi] = Some((n, m));
-                    }
-                    pending.insert(result.agg.block, result.agg);
-                    let mut advanced = false;
-                    while let Some(agg) = pending.remove(&folder.fed()) {
-                        let fold = tel.live.then(Stopwatch::start);
-                        folder.feed(&agg);
-                        if let Some(fold) = fold {
-                            agg_ns += fold.elapsed_ns();
-                        }
-                        advanced = true;
-                    }
-                    if advanced {
-                        *fed_floor.lock().expect("fold floor lock") = folder.fed();
-                        may_run.notify_all();
-                    }
-                }
-                WorkerMsg::Failed(e) => {
-                    // First failure wins; wake waiting workers so the
-                    // pool drains instead of parking on the window.
-                    if first_error.is_none() {
-                        first_error = Some(*e);
-                    }
-                    stop.store(true, Ordering::Relaxed);
-                    may_run.notify_all();
-                }
-            }
-        }
-    });
-    if let Some(e) = first_error {
+    let mut state = FoldState::new(CellFolder::new(&inputs), dims);
+    let range = BlockRange {
+        start: 0,
+        end: total_blocks,
+        skip: &[],
+    };
+    let run = |block: usize, worker: usize| {
+        let graph = prebuilt.map(|graphs| &graphs[block / group_count]);
+        run_block_isolated(spec, opts.base_seed, block, worker, n_cols, graph, tel)
+    };
+    if let Some(e) = run_pool(
+        range,
+        workers,
+        &mut state,
+        tel.live,
+        || false,
+        run,
+        |_| true,
+    ) {
         return Err(e);
     }
-    assert_eq!(folder.fed(), total_blocks, "every block was folded");
+    assert_eq!(state.folder.fed(), total_blocks, "every block was folded");
 
-    let rep_dims: Vec<(usize, usize)> = dims
-        .iter()
-        .map(|dim| dim.expect("every family ran its group-0 block"))
-        .collect();
-    let cells = folder.finish(&rep_dims);
+    let (agg_ns, trials_run, steps_run) = (state.agg_ns, state.trials_run, state.steps_run);
+    let cells = state.finish();
     if tel.live {
         tel.emit(EventKind::AggregationMerged {
             blocks: total_blocks,
@@ -1348,8 +1456,8 @@ fn execute(
         });
         tel.emit(EventKind::RunFinished {
             wall_ns: tel.clock.elapsed_ns(),
-            total_trials: total_trials_run,
-            total_steps: total_steps_run,
+            total_trials: trials_run,
+            total_steps: steps_run,
         });
     }
     Ok(ExperimentReport {

@@ -122,14 +122,17 @@
 //! # Fault tolerance
 //!
 //! [`recovery::run_recoverable`] makes resampled runs crash-safe.
-//! Completed *(family, group)* blocks stream to an atomically-written
-//! checkpoint ([`checkpoint::RunCheckpoint`], format `eproc-checkpoint`
-//! v2, the same bit-exact codec as shard artifacts); SIGINT/SIGTERM
+//! Completed *(family, group)* blocks fold into the run's cell
+//! accumulators as they arrive, and an atomically-written checkpoint
+//! ([`checkpoint::RunCheckpoint`], format `eproc-checkpoint` v3)
+//! persists that folded state plus the few blocks waiting for it, with
+//! the same bit-exact codec as shard artifacts — its size does not grow
+//! with the block count; SIGINT/SIGTERM
 //! (via the `eproc-signal` latch), a caller-owned cancellation flag, or
 //! a `--max-wall` deadline interrupt the run *gracefully* — in-flight
 //! blocks drain, a final checkpoint lands, and the CLI exits with the
 //! distinct "interrupted, resumable" code 75. `--resume` validates the
-//! checkpoint against the spec, recomputes only the missing blocks, and
+//! checkpoint against the spec, runs only the missing blocks, and
 //! produces a report **byte-identical to an uninterrupted run at any
 //! thread count**. Each block runs under `catch_unwind`
 //! ([`executor::BlockError`]): a panicking worker is reported — naming

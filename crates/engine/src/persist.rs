@@ -1,10 +1,11 @@
 //! Shared bit-exact persistence for run artifacts.
 //!
 //! Shard artifacts (`--shard` / `eproc merge`) and run checkpoints
-//! (`--checkpoint` / `--resume`) persist the same two things: the
+//! (`--checkpoint` / `--resume`) persist the same things: the
 //! canonical experiment header that identifies a `(spec, base_seed)`
-//! run, and completed *(family, group)* blocks' streamed [`OnlineStats`]
-//! and [`QuantileSketch`] accumulators. All of it must round-trip
+//! run, and streamed [`OnlineStats`] and [`QuantileSketch`]
+//! accumulators — per completed *(family, group)* block, and in
+//! checkpoints also per folded cell. All of it must round-trip
 //! **bit-exactly** — the `m2` sum of squares is not recoverable from a
 //! rounded variance, the `±∞` sentinels of an empty accumulator have no
 //! decimal form, and a sketch's retained items and coin-stream state
@@ -14,16 +15,19 @@
 //! text (no lossy trip through `f64`).
 //!
 //! This module is that shared substrate: the strict reader
-//! ([`json`]), the accumulator codecs ([`stats_to_json`] /
-//! [`stats_from_json`], [`sketch_to_json`] / [`sketch_from_json`]), the
-//! block-list codec, and [`RunHeader`] — the header both artifact kinds
-//! embed, with field-by-field compatibility checking so "these
-//! artifacts come from different runs" errors name the first
+//! ([`json`]), the accumulator codecs ([`write_stats`] /
+//! [`stats_from_json`], [`write_sketch`] / [`sketch_from_json`]), the
+//! block-list and cell codecs, the load-time checks ([`check_proc`],
+//! [`RunHeader::check_blocks`]) that turn a damaged file into an error
+//! instead of a later panic, and [`RunHeader`] — the header both
+//! artifact kinds embed, with field-by-field compatibility checking so
+//! "these artifacts come from different runs" errors name the first
 //! disagreeing field.
 
-use crate::executor::{BlockAgg, ProcAgg};
+use crate::executor::{BlockAgg, CellAcc, CellInputs, ProcAgg, SplitAcc};
 use crate::report::json_escape;
 use crate::spec::{ExperimentSpec, ResamplePlan, Target};
+use eproc_stats::sketch::DEFAULT_K;
 use eproc_stats::{OnlineStats, QuantileSketch, SketchRaw};
 use std::fmt;
 use std::fmt::Write as _;
@@ -110,6 +114,59 @@ impl RunHeader {
     /// Total canonical block count: `families × groups`.
     pub(crate) fn total_blocks(&self) -> usize {
         self.graphs.len() * self.group_count
+    }
+
+    /// Trials in canonical block `block`: `walks_per_graph`, or fewer in
+    /// a family's ragged last group.
+    pub(crate) fn block_trials(&self, block: usize) -> usize {
+        let first = (block % self.group_count) * self.walks_per_graph;
+        self.walks_per_graph.min(self.trials - first)
+    }
+
+    /// The aggregation context of this run's cells.
+    pub(crate) fn cell_inputs(&self) -> CellInputs<'_> {
+        CellInputs {
+            graphs: &self.graphs,
+            processes: &self.processes,
+            metric_columns: &self.metric_columns,
+            trials: self.trials,
+            group_count: self.group_count,
+            base_seed: self.base_seed,
+            resampled: true,
+        }
+    }
+
+    /// Checks persisted blocks against this run: each lies inside the
+    /// grid, carries one aggregate per process, and passes
+    /// [`check_proc`] at its group's width.
+    pub(crate) fn check_blocks<'b>(
+        &self,
+        blocks: impl IntoIterator<Item = &'b BlockAgg>,
+    ) -> Result<(), PersistError> {
+        for b in blocks {
+            if b.block >= self.total_blocks() {
+                return Err(PersistError::new(format!(
+                    "block {} is outside the run's {} blocks",
+                    b.block,
+                    self.total_blocks()
+                )));
+            }
+            if b.procs.len() != self.processes.len() {
+                return Err(PersistError::new(format!(
+                    "block {} has {} process aggregates for {} processes",
+                    b.block,
+                    b.procs.len(),
+                    self.processes.len()
+                )));
+            }
+            let width = self.block_trials(b.block);
+            for (pi, proc) in b.procs.iter().enumerate() {
+                check_proc(proc, width, self.metric_columns.len()).map_err(|e| {
+                    PersistError::new(format!("block {}, process {pi}: {e}", b.block))
+                })?;
+            }
+        }
+        Ok(())
     }
 
     /// Names the first field on which `self` and `other` disagree, or
@@ -223,7 +280,7 @@ impl RunHeader {
             .iter()
             .map(|v| v.as_str("metric_columns entry"))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(RunHeader {
+        let header = RunHeader {
             name: root.str_field("experiment")?,
             description: root.str_field("description")?,
             target,
@@ -234,25 +291,47 @@ impl RunHeader {
             graphs,
             processes,
             metric_columns,
-        })
+        };
+        let (trials, w) = (header.trials, header.walks_per_graph);
+        if w == 0 || header.group_count != trials.div_ceil(w) {
+            return Err(PersistError::new(format!(
+                "groups {} does not split {trials} trials into groups of {w}",
+                header.group_count
+            )));
+        }
+        if header
+            .graphs
+            .len()
+            .checked_mul(header.group_count)
+            .is_none()
+        {
+            return Err(PersistError::new("the block count overflows usize"));
+        }
+        Ok(header)
     }
 }
 
 // --- accumulator / block codecs -------------------------------------------
 
-/// Renders one accumulator as its bit-exact raw form: `[count, mean_bits,
+/// Most levels a persisted sketch may carry: level `h` items weigh
+/// `2^h`, so a 65th level's weight would not fit the `u64` count.
+const MAX_SKETCH_LEVELS: usize = 64;
+
+/// Appends one accumulator as its bit-exact raw form: `[count, mean_bits,
 /// m2_bits, min_bits, max_bits]` with the floats as decimal `u64` bit
 /// patterns.
-pub(crate) fn stats_to_json(stats: &OnlineStats) -> String {
+pub(crate) fn write_stats(out: &mut String, stats: &OnlineStats) {
     let (count, bits) = stats.to_raw();
-    format!(
+    let _ = write!(
+        out,
         "[{count}, {}, {}, {}, {}]",
         bits[0], bits[1], bits[2], bits[3]
-    )
+    );
 }
 
-/// Parses one [`stats_to_json`] array back into a bit-identical
-/// accumulator.
+/// Parses one [`write_stats`] array back into a bit-identical
+/// accumulator. No accumulator the engine builds holds a NaN (pushing
+/// one panics), so an array that does is rejected.
 pub(crate) fn stats_from_json(v: &json::Value) -> Result<OnlineStats, PersistError> {
     let arr = v.as_arr("stats accumulator")?;
     if arr.len() != 5 {
@@ -265,33 +344,35 @@ pub(crate) fn stats_from_json(v: &json::Value) -> Result<OnlineStats, PersistErr
     for (i, slot) in bits.iter_mut().enumerate() {
         *slot = arr[i + 1].as_u64("stats bit pattern")?;
     }
+    if bits.iter().any(|&b| f64::from_bits(b).is_nan()) {
+        return Err(PersistError::new("stats accumulator holds a NaN"));
+    }
     Ok(OnlineStats::from_raw(count, bits))
 }
 
-/// Renders one quantile sketch as its bit-exact raw form:
+/// Appends one quantile sketch as its bit-exact raw form:
 /// `[k, count, state, [level0_bits...], [level1_bits...], ...]` with the
 /// retained items as decimal `u64` bit patterns in verbatim stored
 /// order — the state that decides every future compaction, so a merged
 /// or resumed run replays the identical coin stream.
-pub(crate) fn sketch_to_json(sketch: &QuantileSketch) -> String {
+pub(crate) fn write_sketch(out: &mut String, sketch: &QuantileSketch) {
     let raw = sketch.to_raw();
-    let mut out = format!("[{}, {}, {}", raw.k, raw.count, raw.state);
+    let _ = write!(out, "[{}, {}, {}", raw.k, raw.count, raw.state);
     for level in &raw.levels {
-        out.push_str(", [");
-        for (i, bits) in level.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
+        out.push_str(", ");
+        write_list(out, level, |out, bits| {
             let _ = write!(out, "{bits}");
-        }
-        out.push(']');
+        });
     }
     out.push(']');
-    out
 }
 
-/// Parses one [`sketch_to_json`] array back into a bit-identical
-/// sketch.
+/// Parses one [`write_sketch`] array back into a bit-identical sketch.
+/// The sketch must be one the engine could have built: capacity at
+/// least 2, at most [`MAX_SKETCH_LEVELS`] levels, no NaN item, and a
+/// `count` equal to its retained items' total weight `Σ_h |level_h|·2^h`
+/// — a sketch whose count disagrees would answer quantiles from ranks
+/// it does not hold.
 pub(crate) fn sketch_from_json(v: &json::Value) -> Result<QuantileSketch, PersistError> {
     let arr = v.as_arr("quantile sketch")?;
     if arr.len() < 3 {
@@ -307,16 +388,29 @@ pub(crate) fn sketch_from_json(v: &json::Value) -> Result<QuantileSketch, Persis
     }
     let count = arr[1].as_u64("sketch count")?;
     let state = arr[2].as_u64("sketch state")?;
-    let levels = arr[3..]
-        .iter()
-        .map(|level| {
-            level
-                .as_arr("sketch level")?
-                .iter()
-                .map(|bits| bits.as_u64("sketch item bit pattern"))
-                .collect::<Result<Vec<_>, _>>()
+    let levels = parse_list(&arr[3..], |level| {
+        parse_list(level.as_arr("sketch level")?, |bits| {
+            bits.as_u64("sketch item bit pattern")
         })
-        .collect::<Result<Vec<_>, PersistError>>()?;
+    })?;
+    if levels.len() > MAX_SKETCH_LEVELS {
+        return Err(PersistError::new(format!(
+            "quantile sketch has {} levels, more than {MAX_SKETCH_LEVELS}",
+            levels.len()
+        )));
+    }
+    let weight = levels.iter().enumerate().try_fold(0u64, |sum, (h, level)| {
+        (level.len() as u64).checked_mul(1 << h)?.checked_add(sum)
+    });
+    if weight != Some(count) {
+        return Err(PersistError::new(format!(
+            "quantile sketch count {count} disagrees with its retained items' weight ({})",
+            weight.map_or("overflows u64".to_string(), |w| w.to_string())
+        )));
+    }
+    if levels.iter().flatten().any(|&b| f64::from_bits(b).is_nan()) {
+        return Err(PersistError::new("quantile sketch holds a NaN item"));
+    }
     Ok(QuantileSketch::from_raw(SketchRaw {
         k,
         count,
@@ -325,115 +419,230 @@ pub(crate) fn sketch_from_json(v: &json::Value) -> Result<QuantileSketch, Persis
     }))
 }
 
-/// Appends the `"rep_dims"` field: `(family, n, m)` triples of group-0
-/// samples, in canonical (sorted) order.
-pub(crate) fn write_rep_dims(out: &mut String, rep_dims: &[(usize, usize, usize)]) {
-    out.push_str("  \"rep_dims\": [");
-    for (i, (gi, n, m)) in rep_dims.iter().enumerate() {
+/// Appends `[item, item, ...]`, rendering each item with `write_item`.
+fn write_list<T>(out: &mut String, items: &[T], write_item: impl Fn(&mut String, &T)) {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        let _ = write!(out, "[{gi}, {n}, {m}]");
+        write_item(out, item);
     }
-    out.push_str("],\n");
+    out.push(']');
+}
+
+/// Parses every element of a JSON array with `parse_item`.
+fn parse_list<T>(
+    items: &[json::Value],
+    parse_item: impl Fn(&json::Value) -> Result<T, PersistError>,
+) -> Result<Vec<T>, PersistError> {
+    items.iter().map(parse_item).collect()
+}
+
+/// Appends one aggregate's fields, without braces — the shape blocks
+/// and checkpoint cells share.
+fn write_proc_fields(out: &mut String, proc: &ProcAgg) {
+    let _ = write!(out, "\"completed\": {}, \"steps\": ", proc.completed);
+    write_stats(out, &proc.steps);
+    out.push_str(", \"steps_sketch\": ");
+    write_sketch(out, &proc.steps_sketch);
+    out.push_str(", \"blue\": ");
+    write_stats(out, &proc.blue_fraction);
+    out.push_str(", \"metrics\": ");
+    write_list(out, &proc.metrics, write_stats);
+    out.push_str(", \"metric_sketches\": ");
+    write_list(out, &proc.metric_sketches, write_sketch);
+}
+
+/// Parses the fields [`write_proc_fields`] wrote, bit-exactly.
+fn parse_proc(proc: &json::Obj<'_>) -> Result<ProcAgg, PersistError> {
+    Ok(ProcAgg {
+        completed: proc.usize_field("completed")?,
+        steps: stats_from_json(proc.field("steps")?)?,
+        steps_sketch: sketch_from_json(proc.field("steps_sketch")?)?,
+        blue_fraction: stats_from_json(proc.field("blue")?)?,
+        metrics: parse_list(proc.arr_field("metrics")?, stats_from_json)?,
+        metric_sketches: parse_list(proc.arr_field("metric_sketches")?, sketch_from_json)?,
+    })
+}
+
+/// Checks an aggregate of at most `limit` trials against the invariants
+/// every aggregate the engine builds keeps: one accumulator and one
+/// sketch per metric column, `completed` equal to the steps count and
+/// each sketch's count equal to its accumulator's, no count above
+/// `limit`, and every sketch at the engine's capacity. What passes can
+/// be merged, folded and rendered without overflow or panic.
+pub(crate) fn check_proc(proc: &ProcAgg, limit: usize, n_cols: usize) -> Result<(), PersistError> {
+    if proc.metrics.len() != n_cols || proc.metric_sketches.len() != n_cols {
+        return Err(PersistError::new(format!(
+            "{} metric accumulators and {} metric sketches for {n_cols} columns",
+            proc.metrics.len(),
+            proc.metric_sketches.len()
+        )));
+    }
+    let steps = proc.steps.count();
+    if proc.completed as u64 != steps || proc.steps_sketch.count() != steps {
+        return Err(PersistError::new(format!(
+            "completed {} disagrees with {steps} steps values and {} sketched",
+            proc.completed,
+            proc.steps_sketch.count()
+        )));
+    }
+    if let Some((stats, sketch)) = proc
+        .metrics
+        .iter()
+        .zip(&proc.metric_sketches)
+        .find(|(stats, sketch)| stats.count() != sketch.count())
+    {
+        return Err(PersistError::new(format!(
+            "a metric column holds {} values but sketches {}",
+            stats.count(),
+            sketch.count()
+        )));
+    }
+    let counts = [steps, proc.blue_fraction.count()]
+        .into_iter()
+        .chain(proc.metrics.iter().map(OnlineStats::count));
+    if let Some(count) = counts.into_iter().find(|&c| c > limit as u64) {
+        return Err(PersistError::new(format!(
+            "{count} values for at most {limit} trials"
+        )));
+    }
+    let mut sketches = std::iter::once(&proc.steps_sketch).chain(&proc.metric_sketches);
+    if let Some(sketch) = sketches.find(|sk| sk.k() != DEFAULT_K) {
+        return Err(PersistError::new(format!(
+            "sketch capacity {} is not the engine's {DEFAULT_K}",
+            sketch.k()
+        )));
+    }
+    Ok(())
+}
+
+/// Appends a variance-split builder as `[graph_samples, across,
+/// within_ss_bits, within_dof]`.
+fn write_split(out: &mut String, split: &SplitAcc) {
+    let _ = write!(out, "[{}, ", split.graph_samples);
+    write_stats(out, &split.across);
+    let _ = write!(
+        out,
+        ", {}, {}]",
+        split.within_ss.to_bits(),
+        split.within_dof
+    );
+}
+
+/// Parses one [`write_split`] array back, bit-exactly.
+fn split_from_json(v: &json::Value) -> Result<SplitAcc, PersistError> {
+    let arr = v.as_arr("variance split")?;
+    if arr.len() != 4 {
+        return Err(PersistError::new(
+            "variance split is not a [samples, across, within_ss, within_dof] array",
+        ));
+    }
+    let within_ss = f64::from_bits(arr[2].as_u64("split within_ss bit pattern")?);
+    if within_ss.is_nan() {
+        return Err(PersistError::new("variance split holds a NaN"));
+    }
+    Ok(SplitAcc {
+        graph_samples: arr[0].as_usize("split graph samples")?,
+        across: stats_from_json(&arr[1])?,
+        within_ss,
+        within_dof: arr[3].as_u64("split within_dof")?,
+    })
+}
+
+/// Appends the `"cells"` field: every cell's folded accumulators plus
+/// its variance-split builders, in grid order.
+pub(crate) fn write_cells(out: &mut String, cells: &[CellAcc]) {
+    out.push_str("  \"cells\": [");
+    for (i, cell) in cells.iter().enumerate() {
+        out.push_str(if i == 0 { "\n    {" } else { ",\n    {" });
+        write_proc_fields(out, &cell.totals);
+        out.push_str(", \"steps_split\": ");
+        write_split(out, &cell.steps_split);
+        out.push_str(", \"metric_splits\": ");
+        write_list(out, &cell.metric_splits, write_split);
+        out.push('}');
+    }
+    out.push_str(if cells.is_empty() { "],\n" } else { "\n  ],\n" });
+}
+
+/// Parses a [`write_cells`] field back, bit-exactly.
+pub(crate) fn parse_cells(root: &json::Obj<'_>) -> Result<Vec<CellAcc>, PersistError> {
+    parse_list(root.arr_field("cells")?, |v| {
+        let cell = v.as_obj("cells entry")?;
+        Ok(CellAcc {
+            totals: parse_proc(&cell)?,
+            steps_split: split_from_json(cell.field("steps_split")?)?,
+            metric_splits: parse_list(cell.arr_field("metric_splits")?, split_from_json)?,
+        })
+    })
+}
+
+/// Appends the `"rep_dims"` field: `(family, n, m)` triples of group-0
+/// samples, in canonical (sorted) order.
+pub(crate) fn write_rep_dims(out: &mut String, rep_dims: &[(usize, usize, usize)]) {
+    out.push_str("  \"rep_dims\": ");
+    write_list(out, rep_dims, |out, (gi, n, m)| {
+        let _ = write!(out, "[{gi}, {n}, {m}]");
+    });
+    out.push_str(",\n");
 }
 
 /// Parses a [`write_rep_dims`] field back.
 pub(crate) fn parse_rep_dims(
     root: &json::Obj<'_>,
 ) -> Result<Vec<(usize, usize, usize)>, PersistError> {
-    root.arr_field("rep_dims")?
-        .iter()
-        .map(|v| {
-            let triple = v.as_arr("rep_dims entry")?;
-            if triple.len() != 3 {
-                return Err(PersistError::new(
-                    "rep_dims entry is not a [gi, n, m] triple",
-                ));
-            }
-            Ok((
-                triple[0].as_usize("rep_dims gi")?,
-                triple[1].as_usize("rep_dims n")?,
-                triple[2].as_usize("rep_dims m")?,
-            ))
-        })
-        .collect()
+    parse_list(root.arr_field("rep_dims")?, |v| {
+        let triple = v.as_arr("rep_dims entry")?;
+        if triple.len() != 3 {
+            return Err(PersistError::new(
+                "rep_dims entry is not a [gi, n, m] triple",
+            ));
+        }
+        Ok((
+            triple[0].as_usize("rep_dims gi")?,
+            triple[1].as_usize("rep_dims n")?,
+            triple[2].as_usize("rep_dims m")?,
+        ))
+    })
 }
 
-/// Appends the `"blocks"` field: every block's per-process streamed
-/// accumulators, bit-exact, closing the JSON document (`]` + `}`).
-pub(crate) fn write_blocks(out: &mut String, blocks: &[BlockAgg]) {
-    out.push_str("  \"blocks\": [");
-    for (i, block) in blocks.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
+/// Appends the `key` field holding `blocks`' per-process streamed
+/// accumulators, bit-exact, and closes the JSON document (`]` + `}`).
+pub(crate) fn write_blocks<'b>(
+    out: &mut String,
+    key: &str,
+    blocks: impl IntoIterator<Item = &'b BlockAgg>,
+) {
+    let _ = write!(out, "  \"{key}\": [");
+    let mut empty = true;
+    for block in blocks {
+        out.push_str(if empty { "\n" } else { ",\n" });
+        empty = false;
         let _ = write!(out, "    {{\"block\": {}, \"procs\": [", block.block);
         for (pi, proc) in block.procs.iter().enumerate() {
-            out.push_str(if pi == 0 { "\n" } else { ",\n" });
-            let _ = write!(
-                out,
-                "      {{\"completed\": {}, \"steps\": {}, \"steps_sketch\": {}, \"blue\": {}, \
-                 \"metrics\": [",
-                proc.completed,
-                stats_to_json(&proc.steps),
-                sketch_to_json(&proc.steps_sketch),
-                stats_to_json(&proc.blue_fraction)
-            );
-            for (ci, acc) in proc.metrics.iter().enumerate() {
-                if ci > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&stats_to_json(acc));
-            }
-            out.push_str("], \"metric_sketches\": [");
-            for (ci, sk) in proc.metric_sketches.iter().enumerate() {
-                if ci > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&sketch_to_json(sk));
-            }
-            out.push_str("]}");
+            out.push_str(if pi == 0 { "\n      {" } else { ",\n      {" });
+            write_proc_fields(out, proc);
+            out.push('}');
         }
         out.push_str("\n    ]}");
     }
-    out.push_str(if blocks.is_empty() { "]\n" } else { "\n  ]\n" });
+    out.push_str(if empty { "]\n" } else { "\n  ]\n" });
     out.push_str("}\n");
 }
 
 /// Parses a [`write_blocks`] field back, bit-exactly.
-pub(crate) fn parse_blocks(root: &json::Obj<'_>) -> Result<Vec<BlockAgg>, PersistError> {
-    root.arr_field("blocks")?
-        .iter()
-        .map(|v| {
-            let obj = v.as_obj("blocks entry")?;
-            let procs = obj
-                .arr_field("procs")?
-                .iter()
-                .map(|p| {
-                    let proc = p.as_obj("procs entry")?;
-                    Ok(ProcAgg {
-                        completed: proc.usize_field("completed")?,
-                        steps: stats_from_json(proc.field("steps")?)?,
-                        steps_sketch: sketch_from_json(proc.field("steps_sketch")?)?,
-                        blue_fraction: stats_from_json(proc.field("blue")?)?,
-                        metrics: proc
-                            .arr_field("metrics")?
-                            .iter()
-                            .map(stats_from_json)
-                            .collect::<Result<Vec<_>, _>>()?,
-                        metric_sketches: proc
-                            .arr_field("metric_sketches")?
-                            .iter()
-                            .map(sketch_from_json)
-                            .collect::<Result<Vec<_>, _>>()?,
-                    })
-                })
-                .collect::<Result<Vec<_>, PersistError>>()?;
-            Ok(BlockAgg {
-                block: obj.usize_field("block")?,
-                procs,
-            })
+pub(crate) fn parse_blocks(root: &json::Obj<'_>, key: &str) -> Result<Vec<BlockAgg>, PersistError> {
+    parse_list(root.arr_field(key)?, |v| {
+        let obj = v.as_obj("blocks entry")?;
+        Ok(BlockAgg {
+            block: obj.usize_field("block")?,
+            procs: parse_list(obj.arr_field("procs")?, |p| {
+                parse_proc(&p.as_obj("procs entry")?)
+            })?,
         })
-        .collect()
+    })
 }
 
 /// A minimal strict-JSON reader for run artifacts: recursive descent,
@@ -524,12 +733,18 @@ pub(crate) mod json {
         }
     }
 
+    /// Deepest array/object nesting a document may have. Artifacts nest
+    /// six levels at most; the cap keeps a hostile document from
+    /// exhausting the stack of this recursive-descent reader.
+    const MAX_DEPTH: usize = 32;
+
     /// Parses `text` as one JSON document (trailing whitespace only).
     pub(crate) fn parse(text: &str) -> Result<Value, PersistError> {
         let mut p = Parser {
             text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -544,6 +759,7 @@ pub(crate) mod json {
         text: &'a str,
         bytes: &'a [u8],
         pos: usize,
+        depth: usize,
     }
 
     impl Parser<'_> {
@@ -581,8 +797,19 @@ pub(crate) mod json {
 
         fn value(&mut self) -> Result<Value, PersistError> {
             match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
+                Some(b'{' | b'[') => {
+                    if self.depth == MAX_DEPTH {
+                        return Err(self.fail("nesting too deep"));
+                    }
+                    self.depth += 1;
+                    let value = if self.peek() == Some(b'{') {
+                        self.object()
+                    } else {
+                        self.array()
+                    };
+                    self.depth -= 1;
+                    value
+                }
                 Some(b'"') => Ok(Value::Str(self.string()?)),
                 Some(b't') => self.literal("true", Value::Bool),
                 Some(b'f') => self.literal("false", Value::Bool),
@@ -731,7 +958,7 @@ pub(crate) mod json {
 mod tests {
     use super::*;
     use crate::checkpoint::RunCheckpoint;
-    use crate::executor::RunOptions;
+    use crate::executor::{CellFolder, RunOptions};
     use crate::shard::{run_shard, ShardReport, ShardSpec};
     use crate::spec::{CapSpec, GraphSpec, ProcessSpec};
 
@@ -746,7 +973,7 @@ mod tests {
             description: DESCRIPTION.into(),
             graphs: vec![GraphSpec::Regular { n: 12, d: 3 }],
             processes: vec![ProcessSpec::Srw],
-            trials: 2,
+            trials: 3,
             target: Target::VertexCover,
             metrics: vec![],
             start: 0,
@@ -770,10 +997,18 @@ mod tests {
         );
         assert_eq!(back.to_json(), json);
 
+        // A checkpoint that has folded block 0 and holds block 2 pending
+        // while block 1 is still running.
+        let header = shard.header();
+        let inputs = header.cell_inputs();
+        let mut folder = CellFolder::new(&inputs);
+        folder.feed(&shard.blocks[0]);
         let checkpoint = RunCheckpoint {
-            header: shard.header(),
+            header: header.clone(),
             rep_dims: shard.rep_dims.clone(),
-            blocks: shard.blocks.clone(),
+            folded: 1,
+            cells: folder.cells().to_vec(),
+            pending: shard.blocks[2..].to_vec(),
         };
         let json = checkpoint.to_json();
         let back = RunCheckpoint::from_json(&json).unwrap();

@@ -4,28 +4,41 @@
 //!
 //! # The cancellation path
 //!
-//! [`run_recoverable`] runs a resampled spec on the same work-stealing
-//! pool as [`crate::executor::run`] — scoped worker threads claiming
-//! *(family, group)* blocks off a shared atomic index — with one
-//! addition: before claiming each block, a worker polls a stop latch.
-//! The latch trips when (a) an armed cancellation flag (SIGINT/SIGTERM
-//! via `eproc-signal`, or any caller-owned [`AtomicBool`]) is set,
-//! (b) the `max_wall` deadline passes, or (c) another worker's block
-//! failed permanently. Tripping is *graceful*: claimed blocks drain to
-//! completion (a block is all-or-nothing — partial blocks are never
-//! persisted), workers then exit, the main thread writes a final
-//! checkpoint, and the caller gets [`RunOutcome::Interrupted`] naming
-//! what stopped the run and how much of it completed.
+//! [`run_recoverable`] runs a resampled spec on the executor's own block
+//! pool — scoped worker threads claiming *(family, group)* blocks in
+//! canonical order off a shared atomic, back-pressured a bounded window
+//! ahead of the fold — with one addition: before claiming each block, a
+//! worker polls a stop latch. The latch trips when (a) an armed
+//! cancellation flag (SIGINT/SIGTERM via `eproc-signal`, or any
+//! caller-owned [`AtomicBool`]) is set, (b) the `max_wall` deadline
+//! passes, or (c) another worker's block failed permanently. Tripping is
+//! *graceful*: blocks already running drain to completion (a block is
+//! all-or-nothing — partial blocks are never persisted), workers then
+//! exit, the main thread writes a final checkpoint, and the caller gets
+//! [`RunOutcome::Interrupted`] naming what stopped the run and how much
+//! of it completed.
 //!
-//! Completed blocks stream back to the main thread over a channel, so
-//! periodic checkpoints ([`CheckpointPlan::every`]) are written off the
-//! workers' critical path, atomically ([`RunCheckpoint::save`]). A
-//! resumed run seeds its block table from the checkpoint, schedules only
-//! the remainder, and aggregates through the executor's own
-//! `aggregate_cells` — identical floating-point operations and sketch
-//! compactions in identical order — so the final report is **byte-identical to an
-//! uninterrupted run at any thread count** (pinned by the `recovery`
-//! proptests and the CI `cmp` smoke).
+//! # Streaming fold and constant-size checkpoints
+//!
+//! Completed blocks stream back to the main thread, which folds each one
+//! into the executor's per-cell accumulators the moment the canonical
+//! order allows — the same fold, in the same order, as
+//! [`crate::executor::run`]. Nothing is kept per block: the run's state
+//! is the folded prefix plus at most a claim window of out-of-order
+//! blocks. A checkpoint ([`RunCheckpoint`], format version 3) persists
+//! exactly that state, so its size is `O(cells × columns × sketch +
+//! window)` however many blocks the run has. Periodic checkpoints
+//! ([`CheckpointPlan::every`]) are written on the main thread, off the
+//! workers' critical path, atomically; before each write the main
+//! thread takes every completion already queued, so one write covers
+//! them all.
+//!
+//! A resumed run rebuilds the fold from the checkpoint and schedules
+//! only the blocks that are neither folded nor pending. Folding
+//! continues with identical floating-point operations and sketch
+//! compactions in identical order, so the final report is
+//! **byte-identical to an uninterrupted run at any thread count**
+//! (pinned by the `recovery` proptests and the CI `cmp` smokes).
 //!
 //! Block failures are isolated by `catch_unwind` (see
 //! [`crate::executor::BlockError`]) and retried deterministically:
@@ -35,11 +48,11 @@
 //! graph-generation failures at exact *(family, group, attempt)*
 //! coordinates to prove all of the above under test.
 
-use crate::checkpoint::{CheckpointError, RunCheckpoint};
-use crate::executor::validate_vertices;
+use crate::checkpoint::{checkpoint_json, CheckpointError, RunCheckpoint};
 use crate::executor::{
-    aggregate_cells, panic_message, run_block, run_block_isolated, BlockAgg, BlockError,
-    BlockResult, CellInputs, EngineError, ExperimentReport, RunOptions, Telemetry,
+    panic_message, run_block, run_block_isolated, run_pool, validate_vertices, BlockError,
+    BlockRange, BlockResult, CellFolder, EngineError, ExperimentReport, FoldState, RunOptions,
+    Telemetry,
 };
 use crate::fault::{FaultKind, FaultPlan};
 use crate::persist::RunHeader;
@@ -48,8 +61,7 @@ use eproc_graphs::GraphError;
 use eproc_telemetry::{EventKind, NullSink, Stopwatch, TelemetrySink};
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// Where and how often to checkpoint a run.
@@ -57,9 +69,13 @@ use std::time::{Duration, Instant};
 pub struct CheckpointPlan {
     /// Checkpoint file path (written atomically on every update).
     pub path: PathBuf,
-    /// Write a checkpoint after every `every` newly completed blocks
-    /// (clamped to at least 1). A final checkpoint is always written on
-    /// interruption or failure regardless of the cadence.
+    /// Write a checkpoint once at least `every` blocks (clamped to at
+    /// least 1) have completed since the last one. Writes coalesce: the
+    /// main thread first takes every completion already queued, so when
+    /// blocks finish faster than checkpoints are written, one write
+    /// covers several blocks and fewer writes happen than `blocks /
+    /// every`. A final checkpoint is always written on interruption or
+    /// failure regardless of the cadence.
     pub every: usize,
 }
 
@@ -70,8 +86,9 @@ pub struct CheckpointPlan {
 pub struct RecoveryOptions<'a> {
     /// Periodic checkpointing, if any.
     pub checkpoint: Option<CheckpointPlan>,
-    /// A previously written checkpoint to resume from: its blocks are
-    /// loaded, validated against the spec, and not re-run.
+    /// A previously written checkpoint to resume from: validated
+    /// against the spec, its folded state is restored and its pending
+    /// blocks are not re-run.
     pub resume: Option<RunCheckpoint>,
     /// Wall-clock budget: the run interrupts itself gracefully once this
     /// much time has passed (checked between blocks).
@@ -217,177 +234,106 @@ pub fn run_recoverable_with_sink(
     let tel = Telemetry::new(sink);
     let header = RunHeader::from_spec(spec, opts.base_seed, plan);
     let total_blocks = header.total_blocks();
-    let group_count = header.group_count;
-    let n_proc = spec.processes.len();
-    let metric_columns = spec.metric_columns();
-    let n_cols = metric_columns.len();
-    let trials = spec.trials;
-    let w = plan.walks_per_graph;
+    let n_cols = header.metric_columns.len();
+    let inputs = header.cell_inputs();
 
-    // Seed the block table from the resume checkpoint, if any.
-    let mut blocks: Vec<Option<BlockAgg>> = vec![None; total_blocks];
-    let mut dims: Vec<Option<(usize, usize)>> = vec![None; spec.graphs.len()];
-    if let Some(resume) = &rec.resume {
-        resume.validate_against(&header)?;
-        for b in &resume.blocks {
-            blocks[b.block] = Some(b.clone());
+    // Rebuild the fold from the resume checkpoint, if any: its prefix is
+    // folded already and its pending blocks wait in the window.
+    let mut state = match &rec.resume {
+        Some(resume) => {
+            resume.validate_against(&header)?;
+            resume.restore(&inputs)
         }
-        for &(gi, n, m) in &resume.rep_dims {
-            if gi >= dims.len() {
-                return Err(CheckpointError::new(format!(
-                    "checkpoint reports dimensions for family {gi}, outside the grid"
-                ))
-                .into());
-            }
-            dims[gi] = Some((n, m));
-        }
-    }
-    let remaining: Vec<usize> = (0..total_blocks).filter(|&b| blocks[b].is_none()).collect();
-    let mut completed = total_blocks - remaining.len();
+        None => FoldState::new(CellFolder::new(&inputs), vec![None; spec.graphs.len()]),
+    };
+    let held: Vec<usize> = state.pending.keys().copied().collect();
+    let range = BlockRange {
+        start: state.folder.fed(),
+        end: total_blocks,
+        skip: &held,
+    };
+    let remaining = total_blocks - state.completed();
+    let workers = opts.threads.min(remaining.max(1));
 
     if tel.live {
-        let remaining_trials: u64 = remaining
-            .iter()
-            .map(|b| {
-                let group = b % group_count;
-                let chunk = ((group + 1) * w).min(trials) - group * w;
-                (chunk * n_proc) as u64
-            })
+        let remaining_trials: u64 = (range.start..range.end)
+            .filter(|b| range.skip.binary_search(b).is_err())
+            .map(|b| (header.block_trials(b) * spec.processes.len()) as u64)
             .sum();
         tel.emit(EventKind::RunStarted {
             name: spec.name.clone(),
             graphs: spec.graphs.len(),
-            processes: n_proc,
-            trials,
-            blocks: remaining.len(),
+            processes: spec.processes.len(),
+            trials: spec.trials,
+            blocks: remaining,
             total_trials: remaining_trials,
-            workers: opts.threads.min(remaining.len().max(1)),
+            workers,
             resampled: true,
             shard: None,
         });
     }
 
     let deadline = rec.max_wall.map(|d| Instant::now() + d);
-    let stop = AtomicBool::new(false);
-    let next = AtomicUsize::new(0);
-    let workers = opts.threads.min(remaining.len().max(1));
-    let checkpoint_every = rec.checkpoint.as_ref().map(|c| c.every.max(1));
-
-    enum WorkerMsg {
-        Done(BlockResult),
-        Failed(EngineError),
-    }
-    let (send, recv) = mpsc::channel::<WorkerMsg>();
-
-    let mut block_error: Option<EngineError> = None;
+    let interrupted = || {
+        rec.cancel.is_some_and(|c| c.load(Ordering::Relaxed))
+            || deadline.is_some_and(|d| Instant::now() >= d)
+    };
+    let run = |block: usize, worker: usize| {
+        run_block_with_retries(
+            spec,
+            opts.base_seed,
+            block,
+            worker,
+            n_cols,
+            &tel,
+            &rec.faults,
+            rec.retry_blocks,
+        )
+    };
+    // Checkpoint once `every` blocks completed since the last write; the
+    // pool hands over every completion already queued first, so one
+    // write covers them all.
     let mut io_error: Option<std::io::Error> = None;
-    let mut trials_run = 0u64;
-    let mut steps_run = 0u64;
-    let mut since_checkpoint = 0usize;
-
-    std::thread::scope(|scope| {
-        for worker in 0..workers {
-            let send = send.clone();
-            let stop = &stop;
-            let next = &next;
-            let remaining = &remaining;
-            let tel = &tel;
-            let faults = &rec.faults;
-            let retry_blocks = rec.retry_blocks;
-            scope.spawn(move || {
-                loop {
-                    // The graceful-interruption poll point: claimed
-                    // blocks always drain, unclaimed work stays undone.
-                    if stop.load(Ordering::Relaxed)
-                        || rec.cancel.is_some_and(|c| c.load(Ordering::Relaxed))
-                        || deadline.is_some_and(|d| Instant::now() >= d)
-                    {
-                        break;
-                    }
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= remaining.len() {
-                        break;
-                    }
-                    let block = remaining[idx];
-                    match run_block_with_retries(
-                        spec,
-                        opts.base_seed,
-                        block,
-                        worker,
-                        n_cols,
-                        tel,
-                        faults,
-                        retry_blocks,
-                    ) {
-                        Ok(result) => {
-                            // Send failure = the receiver is gone, which
-                            // only happens when the run is being torn
-                            // down; just stop.
-                            if send.send(WorkerMsg::Done(result)).is_err() {
-                                break;
-                            }
-                        }
-                        Err(e) => {
-                            // Permanent block failure: trip the latch so
-                            // peers drain, and report the error. The pool
-                            // itself stays healthy — no unwinding.
-                            stop.store(true, Ordering::Relaxed);
-                            let _ = send.send(WorkerMsg::Failed(e));
-                            break;
-                        }
-                    }
-                }
-            });
+    let mut last_written = state.completed();
+    let after_batch = |state: &FoldState<'_>| {
+        let Some(cp) = rec.checkpoint.as_ref() else {
+            return true;
+        };
+        if io_error.is_some() {
+            return false;
         }
-        // The workers hold the only remaining senders: the receive loop
-        // below ends exactly when the last worker exits.
-        drop(send);
-
-        for msg in recv.iter() {
-            match msg {
-                WorkerMsg::Done(result) => {
-                    trials_run += result.trials;
-                    steps_run += result.steps;
-                    if let Some((gi, n, m)) = result.rep {
-                        dims[gi] = Some((n, m));
-                    }
-                    let slot = result.agg.block;
-                    blocks[slot] = Some(result.agg);
-                    completed += 1;
-                    since_checkpoint += 1;
-                    if let (Some(every), Some(cp)) = (checkpoint_every, rec.checkpoint.as_ref()) {
-                        if since_checkpoint >= every && io_error.is_none() {
-                            since_checkpoint = 0;
-                            match write_checkpoint(&header, &dims, &blocks, cp, completed, &tel) {
-                                Ok(()) => {}
-                                Err(e) => {
-                                    // Durability is gone; stop the run
-                                    // rather than pretend it is not.
-                                    io_error = Some(e);
-                                    stop.store(true, Ordering::Relaxed);
-                                }
-                            }
-                        }
-                    }
-                }
-                WorkerMsg::Failed(e) => {
-                    if block_error.is_none() {
-                        block_error = Some(e);
-                    }
-                }
+        if state.completed() - last_written < cp.every.max(1) {
+            return true;
+        }
+        last_written = state.completed();
+        match write_checkpoint(&header, state, cp, &tel) {
+            Ok(()) => true,
+            Err(e) => {
+                // Durability is gone; stop the run rather than pretend
+                // it is not.
+                io_error = Some(e);
+                false
             }
         }
-    });
+    };
+    let block_error = run_pool(
+        range,
+        workers,
+        &mut state,
+        tel.live,
+        interrupted,
+        run,
+        after_batch,
+    );
 
-    // Final checkpoint: on interruption or failure the completed prefix
+    // Final checkpoint: on interruption or failure the completed blocks
     // must be on disk; on completion the report itself is the artifact.
+    let completed = state.completed();
     let all_done = completed == total_blocks;
-    if !all_done {
+    if !all_done && io_error.is_none() {
         if let Some(cp) = rec.checkpoint.as_ref() {
-            if io_error.is_none() {
-                if let Err(e) = write_checkpoint(&header, &dims, &blocks, cp, completed, &tel) {
-                    io_error = Some(e);
-                }
+            if let Err(e) = write_checkpoint(&header, &state, cp, &tel) {
+                io_error = Some(e);
             }
         }
     }
@@ -413,8 +359,8 @@ pub fn run_recoverable_with_sink(
             });
             tel.emit(EventKind::RunFinished {
                 wall_ns: tel.clock.elapsed_ns(),
-                total_trials: trials_run,
-                total_steps: steps_run,
+                total_trials: state.trials_run,
+                total_steps: state.steps_run,
             });
         }
         return Ok(RunOutcome::Interrupted {
@@ -425,33 +371,13 @@ pub fn run_recoverable_with_sink(
         });
     }
 
-    let agg = tel.live.then(Stopwatch::start);
-    let rep_dims: Vec<(usize, usize)> = dims
-        .iter()
-        .map(|dim| dim.expect("every family ran its group-0 block"))
-        .collect();
-    let block_aggs: Vec<BlockAgg> = blocks
-        .into_iter()
-        .map(|b| b.expect("every block completed"))
-        .collect();
-    let cells = aggregate_cells(
-        &CellInputs {
-            graphs: &header.graphs,
-            processes: &header.processes,
-            metric_columns: &metric_columns,
-            trials,
-            group_count,
-            base_seed: opts.base_seed,
-            resampled: true,
-        },
-        &rep_dims,
-        &block_aggs,
-    );
-    if let Some(agg) = agg {
+    let (agg_ns, trials_run, steps_run) = (state.agg_ns, state.trials_run, state.steps_run);
+    let cells = state.finish();
+    if tel.live {
         tel.emit(EventKind::AggregationMerged {
             blocks: total_blocks,
             cells: cells.len(),
-            agg_ns: agg.elapsed_ns(),
+            agg_ns,
         });
         tel.emit(EventKind::RunFinished {
             wall_ns: tel.clock.elapsed_ns(),
@@ -463,41 +389,41 @@ pub fn run_recoverable_with_sink(
         name: spec.name.clone(),
         description: spec.description.clone(),
         target: spec.target,
-        trials,
+        trials: spec.trials,
         base_seed: opts.base_seed,
         resample: spec.resample,
         cells,
     }))
 }
 
-/// Assembles and atomically writes a checkpoint of the completed blocks,
-/// emitting one `checkpoint_written` event when telemetry is live.
+/// Atomically writes a checkpoint of the run's fold state, emitting one
+/// `checkpoint_written` event when telemetry is live.
 fn write_checkpoint(
     header: &RunHeader,
-    dims: &[Option<(usize, usize)>],
-    blocks: &[Option<BlockAgg>],
+    state: &FoldState<'_>,
     cp: &CheckpointPlan,
-    completed: usize,
     tel: &Telemetry<'_>,
 ) -> std::io::Result<()> {
     let clock = tel.live.then(Stopwatch::start);
-    let checkpoint = RunCheckpoint {
-        header: header.clone(),
-        rep_dims: dims
-            .iter()
-            .enumerate()
-            .filter_map(|(gi, d)| d.map(|(n, m)| (gi, n, m)))
-            .collect(),
-        // `blocks` is indexed canonically, so the filtered list is
-        // already in canonical order.
-        blocks: blocks.iter().flatten().cloned().collect(),
-    };
-    let bytes = checkpoint.save(&cp.path)?;
+    let rep_dims: Vec<(usize, usize, usize)> = state
+        .dims
+        .iter()
+        .enumerate()
+        .filter_map(|(gi, d)| d.map(|(n, m)| (gi, n, m)))
+        .collect();
+    let text = checkpoint_json(
+        header,
+        &rep_dims,
+        state.folder.fed(),
+        state.folder.cells(),
+        state.pending.values(),
+    );
+    eproc_telemetry::write_atomic(&cp.path, &text)?;
     if let Some(clock) = clock {
         tel.emit(EventKind::CheckpointWritten {
-            blocks: completed,
+            blocks: state.completed(),
             total: header.total_blocks(),
-            bytes,
+            bytes: text.len() as u64,
             checkpoint_ns: clock.elapsed_ns(),
         });
     }
@@ -595,4 +521,78 @@ fn run_block_attempt(
             source: BlockError::Panic(panic_message(payload)),
         })
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::executor::claim_window;
+    use crate::spec::{CapSpec, GraphSpec, ProcessSpec, ResamplePlan, Target};
+    use eproc_telemetry::Event;
+    use std::sync::Mutex;
+
+    /// Reads every checkpoint back the moment it is written and records
+    /// how many pending blocks it carries.
+    struct PendingProbe {
+        path: PathBuf,
+        pending: Mutex<Vec<usize>>,
+    }
+
+    impl TelemetrySink for PendingProbe {
+        fn emit(&self, event: &Event) {
+            if let EventKind::CheckpointWritten { .. } = event.kind {
+                let ckpt = RunCheckpoint::load(&self.path).expect("checkpoint reads back");
+                self.pending.lock().unwrap().push(ckpt.pending.len());
+            }
+        }
+    }
+
+    #[test]
+    fn checkpoints_never_hold_more_than_a_window_of_pending_blocks() {
+        let threads = 4;
+        for groups in [40, 400] {
+            let spec = ExperimentSpec {
+                name: "window".into(),
+                description: "checkpoint size bound".into(),
+                graphs: vec![
+                    GraphSpec::Regular { n: 16, d: 3 },
+                    GraphSpec::Torus { w: 4, h: 4 },
+                ],
+                processes: vec![ProcessSpec::Srw],
+                trials: groups,
+                target: Target::VertexCover,
+                metrics: vec![],
+                start: 0,
+                cap: CapSpec::Auto,
+                resample: Some(ResamplePlan { walks_per_graph: 1 }),
+            };
+            let path = std::env::temp_dir().join(format!(
+                "eproc-window-{}-{groups}.ckpt.json",
+                std::process::id()
+            ));
+            let probe = PendingProbe {
+                path: path.clone(),
+                pending: Mutex::new(Vec::new()),
+            };
+            let rec = RecoveryOptions {
+                checkpoint: Some(CheckpointPlan { path, every: 1 }),
+                ..RecoveryOptions::default()
+            };
+            let opts = RunOptions {
+                threads,
+                base_seed: 9,
+            };
+            let outcome = run_recoverable_with_sink(&spec, &opts, &rec, &probe).unwrap();
+            assert!(matches!(outcome, RunOutcome::Completed(_)));
+            let _ = std::fs::remove_file(&probe.path);
+            let pending = probe.pending.into_inner().unwrap();
+            assert!(!pending.is_empty(), "{groups} groups: nothing checkpointed");
+            let most = pending.iter().copied().max().unwrap();
+            assert!(
+                most <= claim_window(threads),
+                "{groups} groups: a checkpoint carried {most} pending blocks, over the window of {}",
+                claim_window(threads)
+            );
+        }
+    }
 }

@@ -21,16 +21,16 @@
 //! `±∞` sentinels of an empty accumulator have no decimal form.
 //! [`merge_shards`] then validates the shards form one complete run
 //! (same header, every residue class present, every block accounted
-//! for), reassembles the blocks in canonical order and hands them to the
-//! executor's own `aggregate_cells` — the identical
+//! for), reassembles the blocks in canonical order and folds them through
+//! the executor's own `CellFolder` — the identical
 //! floating-point operations (and sketch compactions) in the identical
 //! order an unsharded run performs — so the merged [`ExperimentReport`]
 //! serialises **byte-identically** to running the whole experiment on
 //! one machine (pinned by the `shard_merge` proptests).
 
 use crate::executor::{
-    aggregate_cells, run_block_isolated, validate_vertices, BlockAgg, CellInputs, EngineError,
-    ExperimentReport, RunOptions, Telemetry,
+    run_block_isolated, validate_vertices, BlockAgg, CellFolder, EngineError, ExperimentReport,
+    RunOptions, Telemetry,
 };
 use crate::persist::{
     json, parse_blocks, parse_rep_dims, write_blocks, write_rep_dims, PersistError, RunHeader,
@@ -40,7 +40,7 @@ use eproc_telemetry::{EventKind, NullSink, ShardId, Stopwatch, TelemetrySink};
 use std::fmt;
 use std::fmt::Write as _;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Which slice of the block space a sharded run executes: shard `index`
 /// of `count` owns the blocks `≡ index (mod count)`.
@@ -189,7 +189,8 @@ pub fn run_shard(
 /// [`EngineError::Spec`] for invalid specs — including any spec
 /// **without** a [`ResamplePlan`]: shared-graph runs have per-trial jobs,
 /// not independent blocks, so there is nothing meaningful to partition.
-/// [`EngineError::Block`] if a graph sample fails inside the pool.
+/// [`EngineError::Block`] if a block fails inside the pool; the failing
+/// worker stops every other worker from claiming further blocks.
 ///
 /// # Panics
 ///
@@ -245,6 +246,10 @@ pub fn run_shard_with_sink(
         });
     }
     let next = AtomicUsize::new(0);
+    // Tripped by the first failing block: every worker checks it before
+    // claiming, so one failure ends the shard instead of letting the
+    // other workers run all of theirs.
+    let stop = AtomicBool::new(false);
     let workers = opts.threads.min(owned.len().max(1));
     struct WorkerOutput {
         blocks: Vec<BlockAgg>,
@@ -257,6 +262,7 @@ pub fn run_shard_with_sink(
         let handles: Vec<_> = (0..workers)
             .map(|worker| {
                 let next = &next;
+                let stop = &stop;
                 let owned = &owned;
                 let tel = &tel;
                 scope.spawn(move || -> WorkerResult {
@@ -265,6 +271,9 @@ pub fn run_shard_with_sink(
                     let mut trials_run = 0u64;
                     let mut steps_run = 0u64;
                     loop {
+                        if stop.load(Ordering::Relaxed) {
+                            break;
+                        }
                         let idx = next.fetch_add(1, Ordering::Relaxed);
                         if idx >= owned.len() {
                             break;
@@ -277,7 +286,8 @@ pub fn run_shard_with_sink(
                             n_cols,
                             None,
                             tel,
-                        )?;
+                        )
+                        .inspect_err(|_| stop.store(true, Ordering::Relaxed))?;
                         trials_run += result.trials;
                         steps_run += result.steps;
                         if let Some(rep) = result.rep {
@@ -357,7 +367,7 @@ pub fn merge_shards(shards: &[ShardReport]) -> Result<ExperimentReport, ShardErr
 /// header (name, target, trials, seed, grids, columns), the residue
 /// classes `0..count` must each appear exactly once, and every canonical
 /// block index must be accounted for. Aggregation then runs through the
-/// executor's own `aggregate_cells`, so the merged cells are the
+/// executor's own `CellFolder`, so the merged cells are the
 /// product of the identical Welford merges and sketch compactions in
 /// the identical order.
 /// Emits one `merge_completed` event when `sink` is enabled.
@@ -404,10 +414,11 @@ pub fn merge_shards_with_sink(
             )));
         }
     }
-    let total_blocks = first.graphs.len() * first.group_count;
+    let total_blocks = first_header.total_blocks();
     let mut blocks: Vec<Option<BlockAgg>> = vec![None; total_blocks];
     let mut dims: Vec<Option<(usize, usize)>> = vec![None; first.graphs.len()];
     for s in shards {
+        first_header.check_blocks(&s.blocks)?;
         for b in &s.blocks {
             if b.block >= total_blocks || b.block % count != s.shard.index {
                 return Err(ShardError::new(format!(
@@ -419,24 +430,6 @@ pub fn merge_shards_with_sink(
                 return Err(ShardError::new(format!(
                     "block {} appears more than once",
                     b.block
-                )));
-            }
-            for proc in &b.procs {
-                if proc.metrics.len() != first.metric_columns.len() {
-                    return Err(ShardError::new(format!(
-                        "block {} has {} metric accumulators for {} columns",
-                        b.block,
-                        proc.metrics.len(),
-                        first.metric_columns.len()
-                    )));
-                }
-            }
-            if b.procs.len() != first.processes.len() {
-                return Err(ShardError::new(format!(
-                    "block {} has {} process aggregates for {} processes",
-                    b.block,
-                    b.procs.len(),
-                    first.processes.len()
                 )));
             }
         }
@@ -474,19 +467,12 @@ pub fn merge_shards_with_sink(
             })
         })
         .collect::<Result<_, _>>()?;
-    let cells = aggregate_cells(
-        &CellInputs {
-            graphs: &first.graphs,
-            processes: &first.processes,
-            metric_columns: &first.metric_columns,
-            trials: first.trials,
-            group_count: first.group_count,
-            base_seed: first.base_seed,
-            resampled: true,
-        },
-        &dims,
-        &blocks,
-    );
+    let inputs = first_header.cell_inputs();
+    let mut folder = CellFolder::new(&inputs);
+    for block in &blocks {
+        folder.feed(block);
+    }
+    let cells = folder.finish(&dims);
     if sink.enabled() {
         sink.emit(&eproc_telemetry::Event {
             t_ns: clock.elapsed_ns(),
@@ -527,7 +513,7 @@ impl ShardReport {
         let _ = writeln!(out, "  \"shard_count\": {},", self.shard.count);
         self.header().write_fields(&mut out);
         write_rep_dims(&mut out, &self.rep_dims);
-        write_blocks(&mut out, &self.blocks);
+        write_blocks(&mut out, "blocks", &self.blocks);
         out
     }
 
@@ -586,7 +572,8 @@ impl ShardReport {
         }
         let header = RunHeader::parse(&root)?;
         let rep_dims = parse_rep_dims(&root)?;
-        let blocks = parse_blocks(&root)?;
+        let blocks = parse_blocks(&root, "blocks")?;
+        header.check_blocks(&blocks)?;
         Ok(ShardReport {
             shard,
             name: header.name,
@@ -739,6 +726,83 @@ mod tests {
         let mut gutted = s1.clone();
         gutted.blocks.pop();
         assert!(merge_shards(&[s0, gutted]).is_err(), "missing block");
+    }
+
+    const SINK_FAULT: &str = "sink fault on the first claimed block";
+
+    /// Panics on the first `block_claimed` — inside that block's
+    /// isolation boundary, so the block fails — and counts every claim.
+    struct FailFirstClaim {
+        claims: AtomicUsize,
+    }
+
+    impl TelemetrySink for FailFirstClaim {
+        fn emit(&self, event: &eproc_telemetry::Event) {
+            if matches!(event.kind, EventKind::BlockClaimed { .. })
+                && self.claims.fetch_add(1, Ordering::Relaxed) == 0
+            {
+                panic!("{SINK_FAULT}");
+            }
+        }
+    }
+
+    /// Keeps the default panic hook away from [`SINK_FAULT`]: with
+    /// `RUST_BACKTRACE` set it would capture a backtrace before the
+    /// failing worker unwinds and trips the latch, letting the other
+    /// worker claim on. Other panics still reach the default hook.
+    fn quiet_sink_faults() {
+        static HOOK: std::sync::Once = std::sync::Once::new();
+        HOOK.call_once(|| {
+            let default = std::panic::take_hook();
+            std::panic::set_hook(Box::new(move |info| {
+                let ours = info
+                    .payload()
+                    .downcast_ref::<String>()
+                    .is_some_and(|m| m == SINK_FAULT);
+                if !ours {
+                    default(info);
+                }
+            }));
+        });
+    }
+
+    #[test]
+    fn a_failed_block_stops_the_other_workers() {
+        // 48 owned blocks, each sampling and covering a 5000-vertex
+        // cubic graph: the surviving worker is still inside its first
+        // block when the failure lands.
+        let spec = ExperimentSpec {
+            graphs: vec![GraphSpec::Regular { n: 5_000, d: 3 }],
+            processes: vec![ProcessSpec::Srw],
+            trials: 48,
+            resample: Some(ResamplePlan { walks_per_graph: 1 }),
+            ..resampled_spec()
+        };
+        quiet_sink_faults();
+        let sink = FailFirstClaim {
+            claims: AtomicUsize::new(0),
+        };
+        let opts = RunOptions {
+            threads: 2,
+            base_seed: 5,
+        };
+        let err =
+            run_shard_with_sink(&spec, &opts, ShardSpec { index: 0, count: 1 }, &sink).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                EngineError::Block {
+                    source: crate::executor::BlockError::Panic(_),
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        let claims = sink.claims.load(Ordering::Relaxed);
+        assert!(
+            claims <= 4,
+            "{claims} blocks claimed after the first one failed"
+        );
     }
 
     #[test]

@@ -223,6 +223,51 @@ fn cache_round_trip_is_byte_exact_across_thread_counts() {
 }
 
 #[test]
+fn a_corrupted_cache_entry_misses_and_the_run_executes_again() {
+    let dir = temp_dir("corrupt");
+    let cache = dir.join("cache");
+    let cache_s = cache.to_str().unwrap();
+    let a1 = dir.join("a1.json");
+    let a2 = dir.join("a2.json");
+    let run = |json: &PathBuf| {
+        eproc(&[
+            "compare",
+            "--graph",
+            "cycle:24",
+            "--process",
+            "srw",
+            "--trials",
+            "2",
+            "--cache",
+            cache_s,
+            "--json",
+            json.to_str().unwrap(),
+        ])
+    };
+    let out = run(&a1);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let short = stdout(&out)
+        .lines()
+        .find_map(|l| l.strip_prefix("cache: stored ").map(String::from))
+        .expect("stored line");
+    let out = eproc(&["cache", "path", &short, "--cache", cache_s]);
+    let entry = PathBuf::from(stdout(&out).trim());
+    let mut bytes = std::fs::read(&entry).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x20;
+    std::fs::write(&entry, &bytes).unwrap();
+    // The damaged bytes are never served: the lookup misses, the run
+    // executes and stores a fresh entry with the clean artifact.
+    let out = run(&a2);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(stderr(&out).contains("cache: miss"), "{}", stderr(&out));
+    assert!(stdout(&out).contains("cache: stored"), "{}", stdout(&out));
+    assert_eq!(std::fs::read(&a1).unwrap(), std::fs::read(&a2).unwrap());
+    assert_eq!(std::fs::read(&entry).unwrap(), std::fs::read(&a1).unwrap());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn cache_serves_resampled_builtins_and_env_var_activates_it() {
     let dir = temp_dir("resampled");
     let cache = dir.join("cache");

@@ -1,0 +1,249 @@
+//! Everything the engine reads back is hostile: a damaged checkpoint or
+//! shard artifact must come back as a typed error — never a panic, never
+//! a resume that panics later while the report renders. Truncations,
+//! byte flips and digit rewrites of a real checkpoint are fuzzed through
+//! `RunCheckpoint::from_json` and `--resume` under `catch_unwind` (the
+//! debug test build, so arithmetic overflow panics too), and crafted
+//! sketches that once slipped through are pinned as regressions.
+
+mod common;
+
+use eproc_engine::checkpoint::RunCheckpoint;
+use eproc_engine::executor::RunOptions;
+use eproc_engine::recovery::{
+    run_recoverable, run_recoverable_with_sink, CheckpointPlan, RecoveryOptions, RunOutcome,
+};
+use eproc_engine::report::{to_json, to_text_table};
+use eproc_engine::shard::{run_shard, ShardReport, ShardSpec};
+use eproc_engine::spec::{
+    CapSpec, ExperimentSpec, GraphSpec, MetricSpec, ProcessSpec, ResamplePlan, RuleSpec, Target,
+};
+use eproc_telemetry::{Event, EventKind, TelemetrySink};
+use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::OnceLock;
+
+const SEED: u64 = 41;
+
+/// Two families, two processes, two metric columns and a ragged last
+/// group: 8 blocks, every accumulator kind in play.
+fn spec() -> ExperimentSpec {
+    ExperimentSpec {
+        name: "hostile".into(),
+        description: "hostile-input test spec".into(),
+        graphs: vec![
+            GraphSpec::Regular { n: 20, d: 3 },
+            GraphSpec::Torus { w: 4, h: 5 },
+        ],
+        processes: vec![
+            ProcessSpec::EProcess {
+                rule: RuleSpec::Uniform,
+            },
+            ProcessSpec::Srw,
+        ],
+        trials: 7,
+        target: Target::VertexCover,
+        metrics: vec![MetricSpec::Cover],
+        start: 0,
+        cap: CapSpec::Auto,
+        resample: Some(ResamplePlan { walks_per_graph: 2 }),
+    }
+}
+
+fn opts(threads: usize) -> RunOptions {
+    RunOptions {
+        threads,
+        base_seed: SEED,
+    }
+}
+
+/// Flips the cancellation flag after the `k`-th completed block.
+struct CancelAfter<'a> {
+    cancel: &'a AtomicBool,
+    completed: AtomicUsize,
+    k: usize,
+}
+
+impl TelemetrySink for CancelAfter<'_> {
+    fn emit(&self, event: &Event) {
+        if matches!(event.kind, EventKind::BlockCompleted { .. })
+            && self.completed.fetch_add(1, Ordering::Relaxed) + 1 >= self.k
+        {
+            self.cancel.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
+/// The text of a real version-3 checkpoint of [`spec`], interrupted
+/// part-way: a folded prefix, cell state, and whatever blocks were
+/// pending when the run stopped.
+fn checkpoint_text() -> &'static str {
+    static TEXT: OnceLock<String> = OnceLock::new();
+    TEXT.get_or_init(|| {
+        let path =
+            std::env::temp_dir().join(format!("eproc-hostile-{}.ckpt.json", std::process::id()));
+        let cancel = AtomicBool::new(false);
+        let sink = CancelAfter {
+            cancel: &cancel,
+            completed: AtomicUsize::new(0),
+            k: 4,
+        };
+        let rec = RecoveryOptions {
+            checkpoint: Some(CheckpointPlan {
+                path: path.clone(),
+                every: 1,
+            }),
+            cancel: Some(&cancel),
+            ..RecoveryOptions::default()
+        };
+        let outcome = run_recoverable_with_sink(&spec(), &opts(1), &rec, &sink).unwrap();
+        assert!(matches!(outcome, RunOutcome::Interrupted { .. }));
+        let text = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        text
+    })
+}
+
+/// The uninterrupted run's artifact.
+fn golden() -> &'static str {
+    static GOLDEN: OnceLock<String> = OnceLock::new();
+    GOLDEN.get_or_init(|| to_json(&eproc_engine::run(&spec(), &opts(2)).unwrap()))
+}
+
+/// Rewrites every `"<key>": [k, count, state, levels...]` sketch in
+/// `text` to `[k, count, state]`: the same count, but no retained items.
+fn strip_sketch_levels(text: &str, key: &str) -> String {
+    let needle = format!("\"{key}\": [");
+    let mut out = String::new();
+    let mut rest = text;
+    while let Some(at) = rest.find(&needle) {
+        let open = at + needle.len() - 1;
+        out.push_str(&rest[..open]);
+        let mut depth = 0usize;
+        let mut close = open;
+        for (i, b) in rest.bytes().enumerate().skip(open) {
+            match b {
+                b'[' => depth += 1,
+                b']' => depth -= 1,
+                _ => {}
+            }
+            if depth == 0 {
+                close = i;
+                break;
+            }
+        }
+        let head: Vec<&str> = rest[open + 1..close].splitn(4, ", ").take(3).collect();
+        out.push_str(&format!("[{}]", head.join(", ")));
+        rest = &rest[close + 1..];
+    }
+    out.push_str(rest);
+    out
+}
+
+#[test]
+fn the_base_checkpoint_is_version_3_and_resumes_to_the_golden_artifact() {
+    let text = checkpoint_text();
+    common::json::validate(text).expect("checkpoint is strict JSON");
+    assert!(text.contains("\"version\": 3"), "{text}");
+    let ckpt = RunCheckpoint::from_json(text).unwrap();
+    assert!(ckpt.completed_blocks() >= 4 && ckpt.completed_blocks() < ckpt.total_blocks());
+    let rec = RecoveryOptions {
+        resume: Some(ckpt),
+        ..RecoveryOptions::default()
+    };
+    match run_recoverable(&spec(), &opts(4), &rec).unwrap() {
+        RunOutcome::Completed(report) => assert_eq!(to_json(&report), golden()),
+        RunOutcome::Interrupted { .. } => unreachable!("nothing interrupts the resume"),
+    }
+}
+
+#[test]
+fn a_version_2_checkpoint_is_rejected_naming_the_version() {
+    let v2 = checkpoint_text().replace("\"version\": 3,", "\"version\": 2,");
+    let err = RunCheckpoint::from_json(&v2).unwrap_err().to_string();
+    assert!(err.contains("version 2"), "{err}");
+}
+
+#[test]
+fn a_checkpoint_sketch_whose_count_exceeds_its_items_is_rejected() {
+    // The crafted file that once loaded, resumed, and then panicked in
+    // `QuantileSketch::quantile` while the report rendered.
+    let text = checkpoint_text();
+    let crafted = strip_sketch_levels(text, "steps_sketch");
+    assert_ne!(crafted, text);
+    let err = RunCheckpoint::from_json(&crafted).unwrap_err().to_string();
+    assert!(err.contains("disagrees"), "{err}");
+}
+
+#[test]
+fn a_shard_sketch_whose_count_exceeds_its_items_is_rejected() {
+    let shard = run_shard(&spec(), &opts(2), ShardSpec { index: 1, count: 2 }).unwrap();
+    let text = shard.to_json();
+    assert!(ShardReport::from_json(&text).is_ok());
+    let crafted = strip_sketch_levels(&text, "steps_sketch");
+    assert!(crafted.contains("\"steps_sketch\": [200, 2, "), "{crafted}");
+    let err = ShardReport::from_json(&crafted).unwrap_err().to_string();
+    assert!(err.contains("disagrees"), "{err}");
+}
+
+/// Applies mutation `kind` at relative position `at` of `bytes`:
+/// truncate there, flip that byte with `mask`, or swap a digit there for
+/// another digit (the mutation most likely to survive parsing).
+fn mutate(bytes: &[u8], kind: usize, at: f64, mask: u8) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    let i = ((at * bytes.len() as f64) as usize).min(bytes.len() - 1);
+    match kind {
+        0 => out.truncate(i),
+        1 => out[i] ^= mask.max(1),
+        _ => {
+            if let Some(j) = (i..out.len()).find(|&j| out[j].is_ascii_digit()) {
+                out[j] = b'0' + (out[j] - b'0' + 1 + mask % 9) % 10;
+            }
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A damaged checkpoint either fails to load with a
+    /// `CheckpointError`, or loads and then resumes to a report (that
+    /// renders) or a `RecoveryError` — never a panic anywhere.
+    #[test]
+    fn damaged_checkpoints_give_typed_errors_never_panics(
+        kind in 0usize..3,
+        at in 0.0f64..1.0,
+        mask in 0u8..255,
+    ) {
+        let damaged = mutate(checkpoint_text().as_bytes(), kind, at, mask);
+        let Ok(text) = std::str::from_utf8(&damaged) else {
+            // `RunCheckpoint::load` reports invalid UTF-8 as a
+            // `CheckpointError` before parsing.
+            return Ok(());
+        };
+        let parsed = catch_unwind(|| RunCheckpoint::from_json(text));
+        prop_assert!(parsed.is_ok(), "from_json panicked");
+        let Ok(ckpt) = parsed.unwrap() else {
+            return Ok(());
+        };
+        let resumed = catch_unwind(AssertUnwindSafe(|| {
+            let rec = RecoveryOptions {
+                resume: Some(ckpt),
+                ..RecoveryOptions::default()
+            };
+            match run_recoverable(&spec(), &opts(2), &rec) {
+                Ok(RunOutcome::Completed(report)) => {
+                    let _ = to_text_table(&report).to_string();
+                    Some(to_json(&report))
+                }
+                Ok(RunOutcome::Interrupted { .. }) | Err(_) => None,
+            }
+        }));
+        prop_assert!(resumed.is_ok(), "resume or render panicked");
+        if let Some(artifact) = resumed.unwrap() {
+            prop_assert!(common::json::validate(&artifact).is_ok());
+        }
+    }
+}
