@@ -40,11 +40,11 @@
 //! graph, and the report splits variance into pooled, across-graph and
 //! within-graph components.
 //!
-//! `--shard I/K` (resampled runs only) executes just the resample blocks
-//! with canonical index `≡ I (mod K)` and writes a shard artifact;
-//! `eproc merge` recombines a complete set of K shard artifacts into the
-//! report the unsharded run would have produced, byte-identical at any
-//! thread count.
+//! `--shard I/K` executes just the (family, group) blocks with canonical
+//! index `≡ I (mod K)` and writes a shard artifact; `eproc merge`
+//! recombines a complete set of K shard artifacts into the report the
+//! unsharded run would have produced, byte-identical at any thread
+//! count.
 //!
 //! Caching: `--cache DIR` (or the `EPROC_CACHE` environment variable)
 //! consults a content-addressed artifact store before executing. The
@@ -63,7 +63,7 @@
 //! breakdown. `--quiet` silences informational stderr chatter (errors
 //! always print). None of these affect the computed artifacts.
 //!
-//! Crash safety (resampled runs): `--checkpoint PATH` atomically
+//! Crash safety: `--checkpoint PATH` atomically
 //! persists the run's folded state once `--checkpoint-every N` more
 //! blocks have completed (one write covers every completion queued by
 //! then);
@@ -80,10 +80,10 @@ use eproc_engine::cli::{
     expect_count, expect_positive_f64, expect_u64, parse_args, Arity, FlagDef, Parsed, UsageError,
 };
 use eproc_engine::digest::{spec_digest, ArtifactKind, SpecDigest};
-use eproc_engine::executor::{run_with_sink, RunOptions};
+use eproc_engine::executor::{run_with_sink, EngineError, RunOptions};
 use eproc_engine::fault::FaultPlan;
 use eproc_engine::recovery::{
-    run_recoverable_with_sink, CheckpointPlan, RecoveryOptions, RunOutcome,
+    run_recoverable_with_sink, CheckpointPlan, RecoveryError, RecoveryOptions, RunOutcome,
 };
 use eproc_engine::report::{scaling_table, to_json_with, to_text_table_with, DEFAULT_QUANTILES};
 use eproc_engine::scaling::analyze;
@@ -174,11 +174,11 @@ fn usage(err: &str) -> ! {
          resampling     --resample [W]: every W consecutive trials (default 1)\n\
          \x20              share one freshly sampled graph; reports pooled,\n\
          \x20              across-graph and within-graph variance components\n\
-         sharding       --shard I/K (resampled runs only): execute only the\n\
-         \x20              (family, group) blocks with index = I (mod K) and write a\n\
-         \x20              shard artifact instead of a report; `eproc merge` then\n\
-         \x20              recombines the K artifacts into a report byte-identical\n\
-         \x20              to the unsharded run's, at any thread count\n\
+         sharding       --shard I/K: execute only the (family, group) blocks\n\
+         \x20              with index = I (mod K) and write a shard artifact\n\
+         \x20              instead of a report; `eproc merge` then recombines the\n\
+         \x20              K artifacts into a report byte-identical to the\n\
+         \x20              unsharded run's, at any thread count\n\
          caching        --cache DIR (or EPROC_CACHE): content-addressed artifact\n\
          \x20              cache keyed by the canonical spec digest (spec + seed +\n\
          \x20              quantiles + artifact kind). The run executes the\n\
@@ -186,10 +186,10 @@ fn usage(err: &str) -> ! {
          \x20              artifact byte-identical and skips execution. `eproc list\n\
          \x20              --canonical` shows what keys the cache; `eproc cache\n\
          \x20              ls|gc|path` inspects and prunes the store\n\
-         crash safety   (resampled runs) --checkpoint PATH: atomically persist\n\
-         \x20              the folded run state once --checkpoint-every N more\n\
-         \x20              blocks completed (default 1; one write covers every\n\
-         \x20              completion queued by then); SIGINT/SIGTERM or\n\
+         crash safety   --checkpoint PATH: atomically persist the folded run\n\
+         \x20              state once --checkpoint-every N more blocks completed\n\
+         \x20              (default 1; one write covers every completion queued\n\
+         \x20              by then); SIGINT/SIGTERM or\n\
          \x20              --max-wall SECS interrupt gracefully and exit 75\n\
          \x20              (resumable); --resume PATH runs only the missing blocks\n\
          \x20              and yields the byte-identical artifact at any thread\n\
@@ -788,7 +788,7 @@ fn execute_inner(mut spec: ExperimentSpec, flags: &CommonFlags, fit_growth_laws:
     let started = Instant::now();
     if let Some(shard) = flags.shard {
         info!(
-            "shard {shard}: executing only the resample blocks with index = {} (mod {})",
+            "shard {shard}: executing only the (family, group) blocks with index = {} (mod {})",
             shard.index, shard.count
         );
         let report = match run_shard_with_sink(&spec, &opts, shard, &tee) {
@@ -1007,7 +1007,12 @@ fn run_crash_safe(
         }
         Err(e) => {
             eprintln!("error: {e}");
-            if let Some(path) = &flags.checkpoint {
+            // A failed block is the one error after which the runner
+            // writes its final checkpoint; spec errors, rejected resume
+            // files and failed writes leave nothing new to resume from.
+            if let (Some(path), RecoveryError::Engine(EngineError::Block { .. })) =
+                (&flags.checkpoint, &e)
+            {
                 info!(
                     "completed blocks were checkpointed to {}; fix the cause and --resume",
                     path.display()

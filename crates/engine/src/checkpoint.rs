@@ -1,11 +1,13 @@
 //! Run checkpoints: the crash-safe persistence behind `--checkpoint` /
-//! `--resume` (checkpoint format `eproc-checkpoint`, version 3).
+//! `--resume` (checkpoint format `eproc-checkpoint`, version 4).
 //!
 //! A checkpoint is the recoverable runner's aggregation state, not a
 //! list of blocks. It holds:
 //!
-//! - the canonical run header identifying the `(spec, base_seed)` run,
-//!   and each family's representative `(n, m)` seen so far;
+//! - the canonical run header identifying the `(spec, base_seed)` run —
+//!   including whether it resampled, so shared-graph and resampled runs
+//!   checkpoint alike — and each family's representative `(n, m)` seen
+//!   so far;
 //! - the length of the canonical block prefix already folded;
 //! - every cell's raw accumulator state after that fold — Welford
 //!   moments, quantile sketches with their coin-stream state, and the
@@ -22,8 +24,10 @@
 //! uninterrupted run**, at any thread count, no matter where the
 //! original run died.
 //!
-//! Version 2 checkpoints listed every completed block instead; they are
-//! rejected with an error naming the version.
+//! Earlier versions are rejected with an error naming the version:
+//! version 2 listed every completed block instead, and version 3 had no
+//! `resampled` header field because only resampled runs could
+//! checkpoint.
 //!
 //! Checkpoints are written atomically ([`eproc_telemetry::write_atomic`]):
 //! a crash mid-checkpoint leaves the previous complete checkpoint in
@@ -32,17 +36,18 @@
 //! (see [`RunCheckpoint::from_json`]), so a damaged checkpoint is a
 //! [`CheckpointError`], never a panic or a silently wrong resume.
 
-use crate::executor::{BlockAgg, CellAcc, CellFolder, CellInputs, FoldState};
+use crate::executor::{BlockAgg, CellAcc, CellFolder, CellInputs, Fold, FoldState, Telemetry};
 use crate::persist::{
     check_proc, json, parse_blocks, parse_cells, parse_rep_dims, write_blocks, write_cells,
     write_rep_dims, PersistError, RunHeader,
 };
+use eproc_telemetry::{EventKind, Stopwatch};
 use std::fmt;
 use std::fmt::Write as _;
 use std::path::Path;
 
 /// The checkpoint format version this build writes and reads.
-const VERSION: u64 = 3;
+const VERSION: u64 = 4;
 
 /// A checkpoint failure: an unreadable or malformed checkpoint file, or
 /// a resume attempt against a spec that does not match the checkpoint's
@@ -74,7 +79,7 @@ impl From<PersistError> for CheckpointError {
     }
 }
 
-/// A persisted prefix of a resampled run: the run's identity, the folded
+/// A persisted prefix of a run: the run's identity, the folded
 /// cell state and the pending blocks, bit-exact. Produced periodically
 /// by [`crate::recovery::run_recoverable`] and consumed by `--resume`.
 #[derive(Debug, Clone)]
@@ -119,12 +124,12 @@ impl RunCheckpoint {
     /// The aggregation state to resume from. `inputs` must describe
     /// this checkpoint's run (see [`RunCheckpoint::validate_against`]).
     pub(crate) fn restore<'a>(&self, inputs: &'a CellInputs<'a>) -> FoldState<'a> {
-        let mut dims = vec![None; self.header.graphs.len()];
-        for &(gi, n, m) in &self.rep_dims {
-            dims[gi] = Some((n, m));
-        }
         let folder = CellFolder::resume(inputs, self.folded, self.cells.clone());
-        let mut state = FoldState::new(folder, dims);
+        let families = self.header.graphs.len();
+        let mut state = FoldState::new(Fold::Cells(folder), self.folded, 1, families);
+        for &(gi, n, m) in &self.rep_dims {
+            state.dims[gi] = Some((n, m));
+        }
         state.pending = self.pending.iter().map(|b| (b.block, b.clone())).collect();
         state
     }
@@ -179,7 +184,7 @@ impl RunCheckpoint {
     /// # Errors
     ///
     /// [`CheckpointError`] describing the first structural problem,
-    /// including any version other than 3.
+    /// including any version other than 4.
     pub fn from_json(text: &str) -> Result<RunCheckpoint, CheckpointError> {
         let value = json::parse(text)?;
         let root = value.as_obj("checkpoint")?;
@@ -192,9 +197,8 @@ impl RunCheckpoint {
         let version = root.u64_field("version")?;
         if version != VERSION {
             return Err(CheckpointError::new(format!(
-                "unsupported checkpoint version {version}: this build reads version {VERSION}, \
-                 which persists the folded run state rather than every block; rerun without \
-                 --resume"
+                "unsupported checkpoint version {version}: this build reads version {VERSION}; \
+                 rerun without --resume"
             )));
         }
         let mut pending = parse_blocks(&root, "pending")?;
@@ -290,9 +294,8 @@ impl RunCheckpoint {
     }
 }
 
-/// Renders a version-3 checkpoint document from borrowed run state — the
-/// one writer behind [`RunCheckpoint::to_json`] and the recoverable
-/// runner's periodic checkpoints.
+/// Renders a checkpoint document from borrowed run state — the one
+/// writer behind [`RunCheckpoint::to_json`] and [`write_checkpoint`].
 pub(crate) fn checkpoint_json<'b>(
     header: &RunHeader,
     rep_dims: &[(usize, usize, usize)],
@@ -310,4 +313,35 @@ pub(crate) fn checkpoint_json<'b>(
     write_cells(&mut out, cells);
     write_blocks(&mut out, "pending", pending);
     out
+}
+
+/// Atomically writes a checkpoint of a report run's fold state to `path`,
+/// emitting one `checkpoint_written` event when telemetry is live.
+pub(crate) fn write_checkpoint(
+    header: &RunHeader,
+    state: &FoldState<'_>,
+    path: &Path,
+    tel: &Telemetry<'_>,
+) -> std::io::Result<()> {
+    let Fold::Cells(folder) = &state.into else {
+        unreachable!("only report runs checkpoint");
+    };
+    let clock = tel.live.then(Stopwatch::start);
+    let text = checkpoint_json(
+        header,
+        &state.rep_dims(),
+        folder.fed(),
+        folder.cells(),
+        state.pending.values(),
+    );
+    eproc_telemetry::write_atomic(path, &text)?;
+    if let Some(clock) = clock {
+        tel.emit(EventKind::CheckpointWritten {
+            blocks: state.completed(),
+            total: header.total_blocks(),
+            bytes: text.len() as u64,
+            checkpoint_ns: clock.elapsed_ns(),
+        });
+    }
+    Ok(())
 }

@@ -1,6 +1,6 @@
 //! Work-stealing parallel execution of [`ExperimentSpec`]s.
 //!
-//! Jobs — one per (graph, process, trial) — are pulled from a shared
+//! Blocks — one per *(family, group)* — are claimed from a shared
 //! atomic index by scoped worker threads, so load-balancing needs no
 //! queues and no extra dependencies. Every trial derives its own RNG
 //! stream from [`SeedSequence`] keyed by the trial's grid coordinates, and
@@ -24,9 +24,20 @@
 //! [`resample_graph_seed`] — blocks partition the samples, so graph
 //! generation parallelises across the pool exactly like the walks. In
 //! shared-graph mode a group is a `SHARED_BLOCK_WALKS`-trial chunk of
-//! the family's prebuilt graph, so both modes run the **same** block
-//! runner and the same aggregation tail — there is exactly one
-//! aggregation path and no per-trial vector anywhere.
+//! the family's graph, built once per run, so both modes run the
+//! **same** block runner and the same aggregation tail — there is
+//! exactly one aggregation path and no per-trial vector anywhere. In
+//! both modes a family's reported `(n, m)` comes from its group-0 block.
+//!
+//! One private driver runs every run. It takes two parameters: which
+//! blocks run (all of them, a shard's residue class `i mod k`, or the
+//! blocks a checkpoint lacks) and where finished blocks go (folded into
+//! the report and optionally checkpointed, or appended in canonical
+//! order to a shard artifact). It schedules them on the engine's one
+//! worker pool. [`run`], [`run_on_graphs`],
+//! [`crate::recovery::run_recoverable`] and [`crate::shard::run_shard`]
+//! are that driver with its parameters set, so sharding, checkpoints,
+//! resume, deadlines and block retries work for every spec.
 //!
 //! Aggregation is **streamed twice over**. Inside a block the claiming
 //! worker folds each trial straight into per-(block, process)
@@ -37,26 +48,31 @@
 //! the per-cell `CellFolder` in canonical *(family, group)* order —
 //! workers are back-pressured a bounded window ahead of the fold — so
 //! the run's aggregation state is `O(cells × columns)` independent of
-//! the trial count: the property that unlocks billion-trial runs. The
-//! crash-safe runner ([`crate::recovery`]) schedules its blocks on the
-//! same pool, so its checkpoints persist exactly this state. The
+//! the trial count: the property that unlocks billion-trial runs.
+//! Checkpoints ([`crate::checkpoint`]) persist exactly this state. The
 //! per-block accumulators double as the groups of the pooled /
 //! across-graph / within-graph [`VarianceSplit`]s, and every sketch's
 //! compaction coins derive from [`SeedSequence`] streams keyed by grid
 //! coordinates — all of it bit-identical for any thread count.
 
+use crate::checkpoint::{write_checkpoint, RunCheckpoint};
+use crate::fault::{FaultKind, FaultPlan};
+use crate::persist::RunHeader;
+use crate::recovery::{RecoveryError, RecoveryOptions, RunOutcome};
+use crate::shard::ShardSpec;
 use crate::spec::{AnyObserver, ExperimentSpec, MetricSpec, ResamplePlan, SpecError, Target};
 use crate::with_kernel;
 use eproc_core::observe::{run_observed, Metrics, Observer, StopWhen};
-use eproc_graphs::Graph;
+use eproc_graphs::{Graph, GraphError};
 use eproc_stats::{OnlineStats, QuantileSketch, SeedSequence};
-use eproc_telemetry::{Event, EventKind, NullSink, Stopwatch, TelemetrySink};
+use eproc_telemetry::{Event, EventKind, NullSink, ShardId, Stopwatch, TelemetrySink};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Condvar, Mutex};
+use std::time::Instant;
 
 /// Seed-stream tag for graph construction.
 const GRAPH_STREAM: u64 = 0;
@@ -120,14 +136,16 @@ pub enum EngineError {
     },
     /// A *(family, group)* block failed inside the worker pool: the
     /// worker that claimed the block could not generate the group's
-    /// graph sample (resample mode), or its trial loop panicked (caught
+    /// graph sample (resample mode, or an injected fault), or its trial
+    /// loop panicked (caught
     /// at the block isolation boundary, leaving the pool unpoisoned).
     /// Carries the full block context so a failure deep in a long sweep
     /// names exactly which work unit died and where.
     Block {
         /// Label of the failing family.
         graph: String,
-        /// Resample group whose block failed.
+        /// Group whose block failed: a resample group, or a shared
+        /// graph's trial chunk.
         group: usize,
         /// Index of the worker that claimed the block.
         worker: usize,
@@ -714,22 +732,7 @@ pub fn run_with_sink(
     opts: &RunOptions,
     sink: &dyn TelemetrySink,
 ) -> Result<ExperimentReport, EngineError> {
-    // Validate before building: an infeasible family is a spec error the
-    // caller should see immediately, not a generator failure. (`execute`
-    // revalidates for direct `run_on_graphs` callers; the checks are
-    // cheap and side-effect free.)
-    spec.validate()?;
-    let tel = Telemetry::new(sink);
-    emit_run_started(spec, opts, &tel);
-    if spec.resample.is_some() {
-        // Resampled runs never touch a shared graph: every sample —
-        // including the group-0 representative the report describes — is
-        // generated inside the worker pool.
-        execute(spec, opts, None, &tel)
-    } else {
-        let graphs = build_graphs_observed(spec, opts.base_seed, &tel)?;
-        execute(spec, opts, Some(&graphs), &tel)
-    }
+    run_report(spec, opts, None, sink)
 }
 
 /// Like [`run`], but on graphs already built with [`build_graphs`] for the
@@ -787,50 +790,41 @@ pub fn run_on_graphs_with_sink(
             "run_on_graphs cannot honour prebuilt graphs under resampling; use run()",
         )));
     }
-    spec.validate()?;
-    let tel = Telemetry::new(sink);
-    emit_run_started(spec, opts, &tel);
-    execute(spec, opts, Some(graphs), &tel)
+    run_report(spec, opts, Some(graphs), sink)
 }
 
-/// Announces the full shape of the work ahead. Emitted by the public
-/// entry points *before* any graph is built, so `run_started` is always
-/// the stream's first event (the shape is a pure function of the
-/// validated spec and options — nothing here runs).
-fn emit_run_started(spec: &ExperimentSpec, opts: &RunOptions, tel: &Telemetry<'_>) {
-    if !tel.live {
-        return;
-    }
-    let total = spec.total_jobs();
-    let total_blocks = spec.graphs.len() * block_group_count(spec);
-    tel.emit(EventKind::RunStarted {
-        name: spec.name.clone(),
-        graphs: spec.graphs.len(),
-        processes: spec.processes.len(),
-        trials: spec.trials,
-        blocks: total_blocks,
-        total_trials: total as u64,
-        workers: opts.threads.min(total_blocks.max(1)),
-        resampled: spec.resample.is_some(),
-        shard: None,
-    });
-}
-
-/// Range checks every start and hitting vertex against every family —
-/// shared by [`execute`] and the sharded runner ([`crate::shard`]), so a
-/// bad spec fails identically whether or not the run is partitioned.
-/// `prebuilt` supplies exact vertex counts in shared-graph mode; under
-/// resampling every sample of a family has the same count, so the checks
-/// need no generated graph.
-pub(crate) fn validate_vertices(
+/// Drives every block into the report, without crash-safety options: the
+/// run neither resumes, checkpoints nor stops early, so it completes or
+/// fails in the engine.
+fn run_report(
     spec: &ExperimentSpec,
-    prebuilt: Option<&[Graph]>,
-) -> Result<(), EngineError> {
-    for (gi, gs) in spec.graphs.iter().enumerate() {
-        let n = match prebuilt {
-            Some(graphs) => graphs[gi].n(),
-            None => gs.vertex_count().map_err(EngineError::Spec)?,
-        };
+    opts: &RunOptions,
+    graphs: Option<&[Graph]>,
+    sink: &dyn TelemetrySink,
+) -> Result<ExperimentReport, EngineError> {
+    let plain = RecoveryOptions::none();
+    match drive(
+        spec,
+        opts,
+        graphs,
+        Blocks::All,
+        Output::Report(&plain),
+        sink,
+    ) {
+        Ok(Driven::Report(RunOutcome::Completed(report))) => Ok(report),
+        Err(RecoveryError::Engine(e)) => Err(e),
+        _ => unreachable!("a run without crash-safety options completes or fails in the engine"),
+    }
+}
+
+/// Range checks every start and hitting vertex against every family.
+/// Every sample of a family has the vertex count its spec promises
+/// ([`crate::spec::GraphSpec::vertex_count`]), so the checks need no
+/// built graph and fail identically in every mode, before any block
+/// runs.
+fn validate_vertices(spec: &ExperimentSpec) -> Result<(), EngineError> {
+    for gs in &spec.graphs {
+        let n = gs.vertex_count()?;
         if spec.start >= n {
             return Err(EngineError::Spec(SpecError::new(format!(
                 "start vertex {} out of range for {} (n = {})",
@@ -855,118 +849,197 @@ pub(crate) fn validate_vertices(
     Ok(())
 }
 
-/// Everything one resample block produced.
-pub(crate) struct BlockResult {
+/// Everything one block produced.
+struct BlockResult {
     /// The block's streamed per-process aggregates.
-    pub(crate) agg: BlockAgg,
+    agg: BlockAgg,
     /// `(family, n, m)` when this was the family's group-0 block — the
-    /// representative dimensions the report describes the family with.
-    pub(crate) rep: Option<(usize, usize, usize)>,
+    /// dimensions the report describes the family with.
+    rep: Option<(usize, usize, usize)>,
     /// Trials the block ran.
-    pub(crate) trials: u64,
+    trials: u64,
     /// Walk steps the block simulated.
-    pub(crate) steps: u64,
+    steps: u64,
 }
 
-/// Runs one *(family, group)* block: obtains the block's graph — the
-/// family's prebuilt graph in shared mode, a freshly sampled group graph
-/// under resampling — runs all of the block's trials on it one after
-/// another through [`run_trial`], and streams every trial into
-/// per-process [`ProcAgg`]s. Emits `block_claimed` / `block_completed`
-/// when `tel` is live.
-/// Deterministic: the result is a pure function of `(spec, base_seed,
-/// block)` — worker id and telemetry only label events — which is what
-/// lets sharded runs farm blocks out by residue class and still merge
-/// byte-identically.
-pub(crate) fn run_block(
-    spec: &ExperimentSpec,
+/// Everything a worker needs to run any block of one driven run.
+struct BlockRunner<'a> {
+    spec: &'a ExperimentSpec,
     base_seed: u64,
-    block: usize,
-    worker: usize,
     n_cols: usize,
-    prebuilt: Option<&Graph>,
-    tel: &Telemetry<'_>,
-) -> Result<BlockResult, EngineError> {
-    let w = block_width(spec);
-    let trials = spec.trials;
-    let groups = block_group_count(spec);
-    let gi = block / groups;
-    let group = block % groups;
-    let live = tel.live;
-    if live {
-        tel.emit(EventKind::BlockClaimed {
-            block,
-            family: spec.graphs[gi].label(),
+    /// Blocks per family.
+    groups: usize,
+    /// Each family's graph in shared-graph mode; `None` under resampling.
+    shared: Option<&'a [Graph]>,
+    tel: &'a Telemetry<'a>,
+    faults: &'a FaultPlan,
+    /// Deterministic re-runs of a failed block before its error stands.
+    retries: usize,
+}
+
+impl BlockRunner<'_> {
+    /// Runs `block` with deterministic retries: attempt `k` derives the
+    /// exact same seeds as attempt 0, so a successful retry contributes
+    /// bit-identical accumulators. Emits one `block_retried` event per
+    /// failed attempt that will be retried.
+    fn run(&self, block: usize, worker: usize) -> Result<BlockResult, EngineError> {
+        let mut attempt = 0;
+        loop {
+            match self.attempt(block, worker, attempt) {
+                Err(e) if attempt < self.retries => {
+                    if self.tel.live {
+                        self.tel.emit(EventKind::BlockRetried {
+                            block,
+                            family: self.spec.graphs[block / self.groups].label(),
+                            group: block % self.groups,
+                            worker,
+                            attempt,
+                            error: e.to_string(),
+                        });
+                    }
+                    attempt += 1;
+                }
+                result => return result,
+            }
+        }
+    }
+
+    /// One attempt at `block` behind a per-block `catch_unwind` isolation
+    /// boundary: a panic anywhere in the block — graph sampling, the walk
+    /// kernel, an observer, an injected fault — is caught and surfaced as
+    /// [`EngineError::Block`] with a [`BlockError::Panic`] source, instead
+    /// of unwinding through the worker and poisoning the pool. A fault
+    /// the [`FaultPlan`] schedules at *(family, group, attempt)* fires
+    /// inside the boundary, so injected panics take the exact path real
+    /// ones do.
+    fn attempt(
+        &self,
+        block: usize,
+        worker: usize,
+        attempt: usize,
+    ) -> Result<BlockResult, EngineError> {
+        let (gi, group) = (block / self.groups, block % self.groups);
+        // AssertUnwindSafe: on Err every captured reference is dropped
+        // without further use — the worker reports the error and stops —
+        // so no closure state is observed in a broken intermediate state.
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            match self.faults.at(gi, group, attempt) {
+                Some(FaultKind::Panic) => {
+                    panic!(
+                        "injected fault: panic at (family {gi}, group {group}, attempt {attempt})"
+                    )
+                }
+                Some(FaultKind::GraphFail) => {
+                    return Err(BlockError::Graph(GraphError::RetriesExhausted {
+                        generator: "fault-injection",
+                        attempts: 1,
+                        what: format!(
+                            "an injected failure at (family {gi}, group {group}, attempt {attempt})"
+                        ),
+                    }))
+                }
+                None => {}
+            }
+            self.block(gi, group, block, worker)
+        }))
+        .unwrap_or_else(|payload| Err(BlockError::Panic(panic_message(payload))))
+        .map_err(|source| EngineError::Block {
+            graph: self.spec.graphs[gi].label(),
             group,
             worker,
-        });
+            source,
+        })
     }
-    let mut owned: Option<Graph> = None;
-    let (g, attempts, gen_ns): (&Graph, u64, u64) = match prebuilt {
-        Some(g) => (g, 0, 0),
-        None => {
-            let seed = resample_graph_seed(base_seed, gi, group);
-            let gen = live.then(Stopwatch::start);
-            let (g, attempts) =
-                spec.graphs[gi]
+
+    /// Runs *(family `gi`, `group`)* — canonical `block` — once: obtains
+    /// the block's graph — the family's shared graph, or a freshly
+    /// sampled group graph under resampling — runs all of the block's
+    /// trials on it one after another through [`run_trial`], and streams
+    /// every trial into per-process [`ProcAgg`]s. Emits `block_claimed` /
+    /// `block_completed` when telemetry is live.
+    /// Deterministic: the result is a pure function of `(spec, base_seed,
+    /// block)` — worker id and telemetry only label events — which is
+    /// what lets sharded and resumed runs reassemble blocks
+    /// byte-identically.
+    fn block(
+        &self,
+        gi: usize,
+        group: usize,
+        block: usize,
+        worker: usize,
+    ) -> Result<BlockResult, BlockError> {
+        let (spec, base_seed, tel) = (self.spec, self.base_seed, self.tel);
+        let w = block_width(spec);
+        let live = tel.live;
+        if live {
+            tel.emit(EventKind::BlockClaimed {
+                block,
+                family: spec.graphs[gi].label(),
+                group,
+                worker,
+            });
+        }
+        let mut owned: Option<Graph> = None;
+        let (g, attempts, gen_ns): (&Graph, u64, u64) = match self.shared {
+            Some(graphs) => (&graphs[gi], 0, 0),
+            None => {
+                let seed = resample_graph_seed(base_seed, gi, group);
+                let gen = live.then(Stopwatch::start);
+                let (g, attempts) = spec.graphs[gi]
                     .build_counted(seed)
-                    .map_err(|source| EngineError::Block {
-                        graph: spec.graphs[gi].label(),
-                        group,
-                        worker,
-                        source: BlockError::Graph(source),
-                    })?;
-            let gen_ns = gen.map_or(0, |gen| gen.elapsed_ns());
-            (owned.insert(g), attempts as u64, gen_ns)
+                    .map_err(BlockError::Graph)?;
+                let gen_ns = gen.map_or(0, |gen| gen.elapsed_ns());
+                (owned.insert(g), attempts as u64, gen_ns)
+            }
+        };
+        let rep = (group == 0).then(|| (gi, g.n(), g.m()));
+        let lo = group * w;
+        let hi = ((group + 1) * w).min(spec.trials);
+        // One observer bank, built once per block and re-armed across
+        // processes and trials (`begin` re-arms completely — pinned by
+        // `observer_bank_reuse_matches_fresh_observers`).
+        let mut bank = ObserverBank::new(spec, g);
+        let mut procs: Vec<ProcAgg> = (0..spec.processes.len())
+            .map(|pi| ProcAgg::seeded(base_seed, gi, group, pi, self.n_cols))
+            .collect();
+        let walk = live.then(Stopwatch::start);
+        let mut block_trials = 0u64;
+        let mut block_steps = 0u64;
+        for (pi, agg) in procs.iter_mut().enumerate() {
+            for t in lo..hi {
+                let seed = trial_seed(base_seed, gi, pi, t);
+                let outcome = run_trial(spec, g, pi, seed, &mut bank);
+                block_trials += 1;
+                block_steps += outcome.steps;
+                agg.fold(outcome);
+            }
         }
-    };
-    let rep = (prebuilt.is_none() && group == 0).then(|| (gi, g.n(), g.m()));
-    let lo = group * w;
-    let hi = ((group + 1) * w).min(trials);
-    // One observer bank, built once per block and re-armed across
-    // processes and trials (`begin` re-arms completely — pinned by
-    // `observer_bank_reuse_matches_fresh_observers`).
-    let mut bank = ObserverBank::new(spec, g);
-    let mut procs: Vec<ProcAgg> = (0..spec.processes.len())
-        .map(|pi| ProcAgg::seeded(base_seed, gi, group, pi, n_cols))
-        .collect();
-    let walk = live.then(Stopwatch::start);
-    let mut block_trials = 0u64;
-    let mut block_steps = 0u64;
-    for (pi, agg) in procs.iter_mut().enumerate() {
-        for t in lo..hi {
-            let seed = trial_seed(base_seed, gi, pi, t);
-            let outcome = run_trial(spec, g, pi, seed, &mut bank);
-            block_trials += 1;
-            block_steps += outcome.steps;
-            agg.fold(outcome);
+        if let Some(walk) = walk {
+            tel.emit(EventKind::BlockCompleted {
+                block,
+                family: spec.graphs[gi].label(),
+                group,
+                process: None,
+                worker,
+                trials: block_trials,
+                steps: block_steps,
+                gen_ns,
+                gen_attempts: attempts,
+                walk_ns: walk.elapsed_ns(),
+            });
         }
-    }
-    if let Some(walk) = walk {
-        tel.emit(EventKind::BlockCompleted {
-            block,
-            family: spec.graphs[gi].label(),
-            group,
-            process: None,
-            worker,
+        Ok(BlockResult {
+            agg: BlockAgg { block, procs },
+            rep,
             trials: block_trials,
             steps: block_steps,
-            gen_ns,
-            gen_attempts: attempts,
-            walk_ns: walk.elapsed_ns(),
-        });
+        })
     }
-    Ok(BlockResult {
-        agg: BlockAgg { block, procs },
-        rep,
-        trials: block_trials,
-        steps: block_steps,
-    })
 }
 
 /// Renders a caught panic payload as text: `&str` and `String` payloads
 /// (everything `panic!` produces) verbatim, anything else a placeholder.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -974,39 +1047,6 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// [`run_block`] behind a per-block `catch_unwind` isolation boundary:
-/// a panic anywhere in the block — graph sampling, the walk kernel, an
-/// observer — is caught and surfaced as [`EngineError::Block`] with a
-/// [`BlockError::Panic`] source, instead of unwinding through the
-/// worker and poisoning the pool. Every in-pool block runner (plain
-/// runs, sharded runs, recoverable runs) goes through this wrapper, so
-/// one bad block is always a reportable, retryable error value.
-pub(crate) fn run_block_isolated(
-    spec: &ExperimentSpec,
-    base_seed: u64,
-    block: usize,
-    worker: usize,
-    n_cols: usize,
-    prebuilt: Option<&Graph>,
-    tel: &Telemetry<'_>,
-) -> Result<BlockResult, EngineError> {
-    // AssertUnwindSafe: on Err every captured reference is dropped
-    // without further use — the worker reports the error and stops — so
-    // no closure state is observed in a broken intermediate state.
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_block(spec, base_seed, block, worker, n_cols, prebuilt, tel)
-    }))
-    .unwrap_or_else(|payload| {
-        let groups = block_group_count(spec);
-        Err(EngineError::Block {
-            graph: spec.graphs[block / groups].label(),
-            group: block % groups,
-            worker,
-            source: BlockError::Panic(panic_message(payload)),
-        })
-    })
 }
 
 /// The spec-shaped context cell aggregation needs — split from
@@ -1173,56 +1213,105 @@ impl<'a> CellFolder<'a> {
     }
 }
 
-/// How far past the canonical fold floor a worker may claim: `execute`
-/// and the recoverable runner both bound their out-of-order buffer — and
-/// hence their aggregation state and every checkpoint — to this many
-/// blocks.
+/// How far past the canonical fold floor a worker may claim, in
+/// scheduled blocks: the pool bounds its out-of-order buffer — and hence
+/// a run's aggregation state and every checkpoint — to this many blocks.
 pub(crate) fn claim_window(workers: usize) -> usize {
     (workers * 2).max(8)
 }
 
-/// The canonical blocks a [`run_pool`] call schedules: `start..end` in
-/// ascending order, minus `skip` (sorted) — the blocks a resumed run
-/// already holds past its folded prefix.
-pub(crate) struct BlockRange<'s> {
-    pub(crate) start: usize,
-    pub(crate) end: usize,
-    pub(crate) skip: &'s [usize],
+/// The canonical blocks a [`run_pool`] call schedules: every `stride`-th
+/// block from `start` below `end`, in ascending order, minus `skip`
+/// (sorted) — the blocks a resumed run already holds past its folded
+/// prefix.
+struct BlockRange {
+    start: usize,
+    stride: usize,
+    end: usize,
+    skip: Vec<usize>,
 }
 
-/// The main thread's side of a block pool: the canonical-prefix fold,
-/// the completed blocks waiting past its floor, and the run's tallies.
+impl BlockRange {
+    /// The scheduled blocks, ascending.
+    fn blocks(&self) -> impl Iterator<Item = usize> + '_ {
+        (self.start..self.end)
+            .step_by(self.stride)
+            .filter(|b| self.skip.binary_search(b).is_err())
+    }
+
+    /// How many blocks are scheduled.
+    fn len(&self) -> usize {
+        self.end.saturating_sub(self.start).div_ceil(self.stride) - self.skip.len()
+    }
+}
+
+/// Where the canonical order delivers a pool's completed blocks.
+pub(crate) enum Fold<'a> {
+    /// Folded into the run's cell accumulators, for a report.
+    Cells(CellFolder<'a>),
+    /// Appended to a shard artifact's block list.
+    Blocks(Vec<BlockAgg>),
+}
+
+/// The main thread's side of a block pool: where blocks land, the
+/// completed blocks waiting for the canonical order to reach them, and
+/// the run's tallies.
 pub(crate) struct FoldState<'a> {
-    pub(crate) folder: CellFolder<'a>,
-    /// Completed blocks past the fold floor, by canonical index.
+    pub(crate) into: Fold<'a>,
+    /// The next canonical block `into` takes; advances by `stride`.
+    pub(crate) next: usize,
+    stride: usize,
+    /// Completed blocks past `next`, by canonical index.
     pub(crate) pending: BTreeMap<usize, BlockAgg>,
     /// Each family's representative `(n, m)`, once its group-0 block ran.
     pub(crate) dims: Vec<Option<(usize, usize)>>,
-    pub(crate) trials_run: u64,
-    pub(crate) steps_run: u64,
+    trials_run: u64,
+    steps_run: u64,
     /// Nanoseconds spent folding (measured only when telemetry is live).
-    pub(crate) agg_ns: u64,
+    agg_ns: u64,
 }
 
 impl<'a> FoldState<'a> {
-    pub(crate) fn new(folder: CellFolder<'a>, dims: Vec<Option<(usize, usize)>>) -> FoldState<'a> {
+    /// An empty state for `families` families whose first block is
+    /// `next`, every `stride`-th after it.
+    pub(crate) fn new(
+        into: Fold<'a>,
+        next: usize,
+        stride: usize,
+        families: usize,
+    ) -> FoldState<'a> {
         FoldState {
-            folder,
+            into,
+            next,
+            stride,
             pending: BTreeMap::new(),
-            dims,
+            dims: vec![None; families],
             trials_run: 0,
             steps_run: 0,
             agg_ns: 0,
         }
     }
 
-    /// Blocks done: the folded prefix plus the pending ones.
+    /// Blocks done: those already taken plus the pending ones.
     pub(crate) fn completed(&self) -> usize {
-        self.folder.fed() + self.pending.len()
+        let taken = match &self.into {
+            Fold::Cells(folder) => folder.fed(),
+            Fold::Blocks(blocks) => blocks.len(),
+        };
+        taken + self.pending.len()
     }
 
-    /// Takes one completed block and folds every pending block the
-    /// canonical order now allows; returns whether the floor moved.
+    /// `(family, n, m)` of every family whose group-0 block ran.
+    pub(crate) fn rep_dims(&self) -> Vec<(usize, usize, usize)> {
+        self.dims
+            .iter()
+            .enumerate()
+            .filter_map(|(gi, d)| d.map(|(n, m)| (gi, n, m)))
+            .collect()
+    }
+
+    /// Takes one completed block and delivers every pending block the
+    /// canonical order now allows; returns whether `next` moved.
     fn accept(&mut self, result: BlockResult, live: bool) -> bool {
         self.trials_run += result.trials;
         self.steps_run += result.steps;
@@ -1231,43 +1320,38 @@ impl<'a> FoldState<'a> {
         }
         self.pending.insert(result.agg.block, result.agg);
         let mut advanced = false;
-        while let Some(agg) = self.pending.remove(&self.folder.fed()) {
-            let fold = live.then(Stopwatch::start);
-            self.folder.feed(&agg);
-            if let Some(fold) = fold {
-                self.agg_ns += fold.elapsed_ns();
+        while let Some(agg) = self.pending.remove(&self.next) {
+            match &mut self.into {
+                Fold::Cells(folder) => {
+                    let fold = live.then(Stopwatch::start);
+                    folder.feed(&agg);
+                    if let Some(fold) = fold {
+                        self.agg_ns += fold.elapsed_ns();
+                    }
+                }
+                Fold::Blocks(blocks) => blocks.push(agg),
             }
+            self.next += self.stride;
             advanced = true;
         }
         advanced
     }
-
-    /// Renders the fold once every block is in it.
-    pub(crate) fn finish(self) -> Vec<CellSummary> {
-        let rep_dims: Vec<(usize, usize)> = self
-            .dims
-            .iter()
-            .map(|dim| dim.expect("every family ran its group-0 block"))
-            .collect();
-        self.folder.finish(&rep_dims)
-    }
 }
 
-/// The block pool `execute` and the recoverable runner share: scoped
-/// workers claim the blocks of `range` in canonical order off a shared
-/// atomic, run each through `run(block, worker)`, and stream the results
-/// to this thread, which folds them into `state` the moment the
-/// canonical order allows. A claim more than [`claim_window`] blocks
-/// past the fold floor waits for the floor to move, so `state.pending`
-/// never holds more than the window — never `O(blocks)`, never
-/// `O(trials)`.
+/// The engine's one worker pool: scoped workers claim the blocks of
+/// `range` in canonical order off a shared atomic, run each through
+/// `run(block, worker)`, and stream the results to this thread, which
+/// delivers them to `state` the moment the canonical order allows. A
+/// claim more than [`claim_window`] scheduled blocks past `state.next`
+/// waits for it to move, so `state.pending` never holds more than the
+/// window — never `O(blocks)`, never `O(trials)`.
 ///
 /// Workers stop claiming once `halt()` is true or a block fails; claimed
 /// blocks that already started drain. After each batch of results — every
 /// completion already queued — `after_batch` sees the state; returning
 /// `false` stops the pool the same way. Returns the first block error.
-pub(crate) fn run_pool<R, H, B>(
-    range: BlockRange<'_>,
+fn run_pool<R, H, B>(
+    range: &BlockRange,
     workers: usize,
     state: &mut FoldState<'_>,
     live: bool,
@@ -1284,11 +1368,13 @@ where
         Done(Box<BlockResult>),
         Failed(Box<EngineError>),
     }
-    let next = AtomicUsize::new(range.start);
+    let next = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
-    let fed_floor = Mutex::new(state.folder.fed());
+    let fed_floor = Mutex::new(state.next);
     let may_run = Condvar::new();
-    let window = claim_window(workers);
+    // The window in canonical block indices: `stride` apart per
+    // scheduled block.
+    let window = claim_window(workers) * range.stride;
     // Setting the latch under the floor lock means a worker between its
     // window check and its wait cannot miss the wake-up.
     let stop_pool = || {
@@ -1309,7 +1395,7 @@ where
                     stop_pool();
                     break;
                 }
-                let block = next.fetch_add(1, Ordering::Relaxed);
+                let block = range.start + next.fetch_add(1, Ordering::Relaxed) * range.stride;
                 if block >= range.end {
                     break;
                 }
@@ -1353,7 +1439,7 @@ where
                 match m {
                     WorkerMsg::Done(result) => {
                         if state.accept(*result, live) {
-                            *fed_floor.lock().expect("fold floor lock") = state.folder.fed();
+                            *fed_floor.lock().expect("fold floor lock") = state.next;
                             may_run.notify_all();
                         }
                     }
@@ -1373,102 +1459,275 @@ where
     first_error
 }
 
-/// Shared core of [`run`] and [`run_on_graphs`]: validates, runs every
-/// block on the shared [`run_pool`] and renders the fold. `prebuilt` is
-/// `Some` in shared-graph mode; `None` means resample mode, where the
-/// reported `n`/`m` are harvested from each family's group-0 sample.
-/// `tel` is the run's telemetry context; all instrumentation is keyed
-/// off `tel.live` so a [`NullSink`] run takes the exact uninstrumented
-/// path.
-fn execute(
+/// Which canonical blocks a [`drive`] call runs.
+#[derive(Clone, Copy)]
+pub(crate) enum Blocks<'c> {
+    /// Every block of the run.
+    All,
+    /// Shard `index` of `count`: the blocks `≡ index (mod count)`.
+    Residue(ShardSpec),
+    /// The blocks a checkpoint neither folded nor holds pending.
+    Missing(&'c RunCheckpoint),
+}
+
+/// Where a [`drive`] call's finished blocks go.
+#[derive(Clone, Copy)]
+pub(crate) enum Output<'r> {
+    /// Folded into the report. The options supply checkpointing,
+    /// interruption, retries and fault injection; their resume
+    /// checkpoint arrives as [`Blocks::Missing`].
+    Report(&'r RecoveryOptions<'r>),
+    /// Appended in canonical order to a shard artifact's block list.
+    Shard,
+}
+
+/// What a [`drive`] call produced.
+pub(crate) enum Driven {
+    /// [`Output::Report`]: the report, or how far an interrupted run got.
+    Report(RunOutcome),
+    /// [`Output::Shard`]: the run's blocks in canonical order, and the
+    /// `(family, n, m)` of the families whose group-0 block ran.
+    Blocks {
+        rep_dims: Vec<(usize, usize, usize)>,
+        blocks: Vec<BlockAgg>,
+    },
+}
+
+/// The engine's one driver. It validates the spec, announces the run,
+/// builds a shared-graph run's family graphs once, schedules `blocks`
+/// on [`run_pool`] and sends the finished blocks to `output`. [`run`],
+/// [`run_on_graphs`], [`crate::recovery::run_recoverable`] and
+/// [`crate::shard::run_shard`] (and their `_with_sink` forms) are this
+/// function with its two parameters set: [`Blocks::All`] or
+/// [`Blocks::Missing`] into [`Output::Report`], [`Blocks::Residue`]
+/// into [`Output::Shard`]. `graphs` supplies a shared-graph run's
+/// prebuilt family graphs ([`run_on_graphs`]); `None` builds them here,
+/// emitting `graph_built`. Every family's `(n, m)` comes from its
+/// group-0 block in both modes.
+///
+/// A report run checkpoints its fold state once `every` blocks completed
+/// since the last write, and once more when it stops short — interrupted
+/// by the cancellation flag or the deadline, or failed — so the
+/// completed blocks are on disk.
+pub(crate) fn drive(
     spec: &ExperimentSpec,
     opts: &RunOptions,
-    prebuilt: Option<&[Graph]>,
-    tel: &Telemetry<'_>,
-) -> Result<ExperimentReport, EngineError> {
+    graphs: Option<&[Graph]>,
+    blocks: Blocks<'_>,
+    output: Output<'_>,
+    sink: &dyn TelemetrySink,
+) -> Result<Driven, RecoveryError> {
     assert!(opts.threads > 0, "need at least one worker thread");
-    assert!(
-        prebuilt.is_some() || spec.resample.is_some(),
-        "shared-graph execution needs prebuilt graphs"
-    );
     spec.validate()?;
-    validate_vertices(spec, prebuilt)?;
-
-    let trials = spec.trials;
-    let metric_columns = spec.metric_columns();
-    let n_cols = metric_columns.len();
-    let group_count = block_group_count(spec);
-    let total_blocks = spec.graphs.len() * group_count;
-    let workers = opts.threads.min(total_blocks.max(1));
-    // Per-family representative dimensions `(n, m)` for the report: the
-    // prebuilt graphs in shared mode, harvested from each family's
-    // group-0 sample in resample mode.
-    let dims: Vec<Option<(usize, usize)>> = match prebuilt {
-        Some(graphs) => graphs.iter().map(|g| Some((g.n(), g.m()))).collect(),
-        None => vec![None; spec.graphs.len()],
+    validate_vertices(spec)?;
+    let header = RunHeader::from_spec(spec, opts.base_seed);
+    let inputs = header.cell_inputs();
+    let total = header.total_blocks();
+    let families = spec.graphs.len();
+    let (start, stride, skip) = match blocks {
+        Blocks::All => (0, 1, Vec::new()),
+        Blocks::Residue(shard) if shard.index < shard.count => {
+            (shard.index, shard.count, Vec::new())
+        }
+        Blocks::Residue(shard) => {
+            let what = format!("shard {shard}: expected <i>/<k> with i < k");
+            return Err(SpecError::new(what).into());
+        }
+        Blocks::Missing(checkpoint) => {
+            checkpoint.validate_against(&header)?;
+            let held = checkpoint.pending.iter().map(|b| b.block).collect();
+            (checkpoint.folded, 1, held)
+        }
     };
-
-    let graph_meta: Vec<(String, String)> = spec
-        .graphs
-        .iter()
-        .map(|gs| (gs.label(), gs.family_label()))
-        .collect();
-    let proc_labels: Vec<String> = spec.processes.iter().map(|ps| ps.label()).collect();
-    let inputs = CellInputs {
-        graphs: &graph_meta,
-        processes: &proc_labels,
-        metric_columns: &metric_columns,
-        trials,
-        group_count,
-        base_seed: opts.base_seed,
-        resampled: spec.resample.is_some(),
-    };
-    let mut state = FoldState::new(CellFolder::new(&inputs), dims);
     let range = BlockRange {
-        start: 0,
-        end: total_blocks,
-        skip: &[],
+        start,
+        stride,
+        end: total,
+        skip,
     };
-    let run = |block: usize, worker: usize| {
-        let graph = prebuilt.map(|graphs| &graphs[block / group_count]);
-        run_block_isolated(spec, opts.base_seed, block, worker, n_cols, graph, tel)
+    let mut state = match (blocks, output) {
+        (Blocks::Missing(checkpoint), _) => checkpoint.restore(&inputs),
+        (_, Output::Report(_)) => {
+            let folder = CellFolder::new(&inputs);
+            FoldState::new(Fold::Cells(folder), start, stride, families)
+        }
+        (_, Output::Shard) => FoldState::new(Fold::Blocks(Vec::new()), start, stride, families),
     };
-    if let Some(e) = run_pool(
-        range,
+    let plain = RecoveryOptions::none();
+    let rec = match output {
+        Output::Report(rec) => rec,
+        Output::Shard => &plain,
+    };
+
+    let scheduled = range.len();
+    let workers = opts.threads.min(scheduled.max(1));
+    let tel = Telemetry::new(sink);
+    if tel.live {
+        let processes = spec.processes.len();
+        tel.emit(EventKind::RunStarted {
+            name: spec.name.clone(),
+            graphs: families,
+            processes,
+            trials: spec.trials,
+            blocks: scheduled,
+            total_trials: range
+                .blocks()
+                .map(|b| (header.block_trials(b) * processes) as u64)
+                .sum(),
+            workers,
+            resampled: header.resampled,
+            shard: match blocks {
+                Blocks::Residue(shard) => Some(ShardId {
+                    index: shard.index,
+                    count: shard.count,
+                }),
+                _ => None,
+            },
+        });
+    }
+    // Resampled runs never touch a shared graph: every sample —
+    // including the group-0 representative the report describes — is
+    // generated inside the worker pool.
+    let built;
+    let shared = match (spec.resample, graphs) {
+        (Some(_), _) => None,
+        (None, Some(graphs)) => Some(graphs),
+        (None, None) => {
+            built = build_graphs_observed(spec, opts.base_seed, &tel)?;
+            Some(built.as_slice())
+        }
+    };
+    let runner = BlockRunner {
+        spec,
+        base_seed: opts.base_seed,
+        n_cols: header.metric_columns.len(),
+        groups: header.group_count,
+        shared,
+        tel: &tel,
+        faults: &rec.faults,
+        retries: rec.retry_blocks,
+    };
+    let deadline = rec.max_wall.map(|d| Instant::now() + d);
+    let cancelled = || rec.cancel.is_some_and(|c| c.load(Ordering::Relaxed));
+    let halt = || cancelled() || deadline.is_some_and(|d| Instant::now() >= d);
+    // The pool hands over every completion already queued before calling
+    // back, so one write covers them all.
+    let checkpoint = rec.checkpoint.as_ref();
+    let mut io_error: Option<std::io::Error> = None;
+    let mut last_written = state.completed();
+    let after_batch = |state: &FoldState<'_>| {
+        let Some(cp) = checkpoint else {
+            return true;
+        };
+        if io_error.is_some() {
+            return false;
+        }
+        if state.completed() - last_written < cp.every.max(1) {
+            return true;
+        }
+        last_written = state.completed();
+        match write_checkpoint(&header, state, &cp.path, &tel) {
+            Ok(()) => true,
+            Err(e) => {
+                // Durability is gone; stop the run rather than pretend
+                // it is not.
+                io_error = Some(e);
+                false
+            }
+        }
+    };
+    let block_error = run_pool(
+        &range,
         workers,
         &mut state,
         tel.live,
-        || false,
-        run,
-        |_| true,
-    ) {
-        return Err(e);
-    }
-    assert_eq!(state.folder.fed(), total_blocks, "every block was folded");
+        halt,
+        |block, worker| runner.run(block, worker),
+        after_batch,
+    );
 
-    let (agg_ns, trials_run, steps_run) = (state.agg_ns, state.trials_run, state.steps_run);
-    let cells = state.finish();
+    // Final checkpoint: on interruption or failure the completed blocks
+    // must be on disk; on completion the report itself is the artifact.
+    let done = state.next >= total;
+    if !done && io_error.is_none() {
+        if let Some(cp) = checkpoint {
+            if let Err(e) = write_checkpoint(&header, &state, &cp.path, &tel) {
+                io_error = Some(e);
+            }
+        }
+    }
+    if let Some(e) = io_error {
+        return Err(RecoveryError::Io(e));
+    }
+    if let Some(e) = block_error {
+        return Err(RecoveryError::Engine(e));
+    }
+
+    let completed = state.completed();
+    let rep_dims = state.rep_dims();
+    let FoldState {
+        into,
+        dims,
+        trials_run,
+        steps_run,
+        agg_ns,
+        ..
+    } = state;
+    let finished = || {
+        if tel.live {
+            tel.emit(EventKind::RunFinished {
+                wall_ns: tel.clock.elapsed_ns(),
+                total_trials: trials_run,
+                total_steps: steps_run,
+            });
+        }
+    };
+    let folder = match into {
+        Fold::Cells(folder) => folder,
+        Fold::Blocks(blocks) => {
+            finished();
+            return Ok(Driven::Blocks { rep_dims, blocks });
+        }
+    };
+    if !done {
+        let reason = if cancelled() { "signal" } else { "deadline" };
+        if tel.live {
+            tel.emit(EventKind::RunInterrupted {
+                reason: reason.to_string(),
+                completed,
+                total,
+            });
+        }
+        finished();
+        return Ok(Driven::Report(RunOutcome::Interrupted {
+            reason: reason.to_string(),
+            completed,
+            total,
+            checkpoint: checkpoint.map(|cp| cp.path.clone()),
+        }));
+    }
+    let dims: Vec<(usize, usize)> = dims
+        .into_iter()
+        .map(|dim| dim.expect("every family ran its group-0 block"))
+        .collect();
+    let cells = folder.finish(&dims);
     if tel.live {
         tel.emit(EventKind::AggregationMerged {
-            blocks: total_blocks,
+            blocks: total,
             cells: cells.len(),
             agg_ns,
         });
-        tel.emit(EventKind::RunFinished {
-            wall_ns: tel.clock.elapsed_ns(),
-            total_trials: trials_run,
-            total_steps: steps_run,
-        });
     }
-    Ok(ExperimentReport {
+    finished();
+    Ok(Driven::Report(RunOutcome::Completed(ExperimentReport {
         name: spec.name.clone(),
         description: spec.description.clone(),
         target: spec.target,
-        trials,
+        trials: spec.trials,
         base_seed: opts.base_seed,
         resample: spec.resample,
         cells,
-    })
+    })))
 }
 
 #[cfg(test)]

@@ -10,10 +10,11 @@
 //! both reproduce the uninterrupted artifact byte-for-byte.
 //!
 //! The plan is armed via `--inject-faults SPEC` or the `EPROC_FAULTS`
-//! environment variable and is **off by default**: an empty plan is
-//! never consulted on the block hot path (one `is_empty` check, the
-//! same discipline as [`eproc_telemetry::NullSink`]), so production
-//! runs pay nothing for the harness's existence.
+//! environment variable and is **off by default**: the executor looks a
+//! block's coordinates up once per block attempt, inside the block's
+//! `catch_unwind` boundary and never per trial or step, and an empty
+//! plan answers without scanning anything, so production runs pay
+//! nothing measurable for the harness's existence.
 
 use crate::spec::SpecError;
 
@@ -42,8 +43,7 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// `true` when no faults are scheduled — the hot path checks this
-    /// one boolean and skips the harness entirely.
+    /// `true` when no faults are scheduled.
     pub fn is_empty(&self) -> bool {
         self.faults.is_empty()
     }

@@ -12,9 +12,11 @@
 //!   rotor-router, RWC(d), locally fair walks), trial counts, a
 //!   [`spec::Target`] (vertex/edge cover or blanket time), and any number
 //!   of extra [`spec::MetricSpec`]s;
-//! * [`executor`] — a work-stealing thread-pool executor (scoped threads
-//!   over a shared atomic job index) with deterministic per-trial seeding
-//!   derived from [`eproc_stats::SeedSequence`], so aggregate results are
+//! * [`executor`] — one driver and one work-stealing worker pool (scoped
+//!   threads claiming *(family, group)* blocks off a shared atomic) behind
+//!   every run — plain, sharded, checkpointed or resumed — with
+//!   deterministic per-trial seeding derived from
+//!   [`eproc_stats::SeedSequence`], so aggregate results are
 //!   **bit-identical regardless of thread count**;
 //! * [`report`] — streaming aggregation into [`eproc_stats::OnlineStats`]
 //!   summaries and mergeable [`eproc_stats::QuantileSketch`]es (p50/p90/p99
@@ -85,8 +87,9 @@
 //!
 //! # Sharded execution
 //!
-//! A resampled run's *(family, group)* blocks are independent, so the
-//! [`shard`] module can partition them across machines: `eproc run …
+//! A run's *(family, group)* blocks are independent — shared-graph and
+//! resampled alike — so the [`shard`] module can partition them across
+//! machines: `eproc run …
 //! --shard i/k` ([`shard::run_shard`]) executes only the blocks whose
 //! canonical index is `≡ i (mod k)` and persists their streamed
 //! accumulators bit-exactly ([`shard::ShardReport`]); `eproc merge`
@@ -121,10 +124,11 @@
 //!
 //! # Fault tolerance
 //!
-//! [`recovery::run_recoverable`] makes resampled runs crash-safe.
+//! [`recovery::run_recoverable`] makes any run crash-safe, on shared
+//! graphs or resampled.
 //! Completed *(family, group)* blocks fold into the run's cell
 //! accumulators as they arrive, and an atomically-written checkpoint
-//! ([`checkpoint::RunCheckpoint`], format `eproc-checkpoint` v3)
+//! ([`checkpoint::RunCheckpoint`], format `eproc-checkpoint` v4)
 //! persists that folded state plus the few blocks waiting for it, with
 //! the same bit-exact codec as shard artifacts — its size does not grow
 //! with the block count; SIGINT/SIGTERM

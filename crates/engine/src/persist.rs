@@ -24,9 +24,12 @@
 //! "these artifacts come from different runs" errors name the first
 //! disagreeing field.
 
-use crate::executor::{BlockAgg, CellAcc, CellInputs, ProcAgg, SplitAcc};
+use crate::executor::{
+    block_group_count, block_width, BlockAgg, CellAcc, CellInputs, ProcAgg, SplitAcc,
+    SHARED_BLOCK_WALKS,
+};
 use crate::report::json_escape;
-use crate::spec::{ExperimentSpec, ResamplePlan, Target};
+use crate::spec::{ExperimentSpec, Target};
 use eproc_stats::sketch::DEFAULT_K;
 use eproc_stats::{OnlineStats, QuantileSketch, SketchRaw};
 use std::fmt;
@@ -73,9 +76,13 @@ pub(crate) struct RunHeader {
     pub(crate) trials: usize,
     /// Base seed the blocks derived their streams from.
     pub(crate) base_seed: u64,
-    /// Trials per resampled graph.
+    /// Whether every group walks its own graph sample (a resampled run)
+    /// or one chunk of the family's shared graph.
+    pub(crate) resampled: bool,
+    /// Trials per block: the resample plan's `walks_per_graph`, or
+    /// [`SHARED_BLOCK_WALKS`] on a shared graph.
     pub(crate) walks_per_graph: usize,
-    /// Resample groups per family.
+    /// Blocks per family.
     pub(crate) group_count: usize,
     /// `(label, family_label)` per graph family, in grid order.
     pub(crate) graphs: Vec<(String, String)>,
@@ -86,21 +93,17 @@ pub(crate) struct RunHeader {
 }
 
 impl RunHeader {
-    /// Builds the header a run of `(spec, base_seed)` under `plan` would
-    /// persist.
-    pub(crate) fn from_spec(
-        spec: &ExperimentSpec,
-        base_seed: u64,
-        plan: ResamplePlan,
-    ) -> RunHeader {
+    /// Builds the header a run of `(spec, base_seed)` would persist.
+    pub(crate) fn from_spec(spec: &ExperimentSpec, base_seed: u64) -> RunHeader {
         RunHeader {
             name: spec.name.clone(),
             description: spec.description.clone(),
             target: spec.target,
             trials: spec.trials,
             base_seed,
-            walks_per_graph: plan.walks_per_graph,
-            group_count: plan.groups(spec.trials),
+            resampled: spec.resample.is_some(),
+            walks_per_graph: block_width(spec),
+            group_count: block_group_count(spec),
             graphs: spec
                 .graphs
                 .iter()
@@ -132,7 +135,7 @@ impl RunHeader {
             trials: self.trials,
             group_count: self.group_count,
             base_seed: self.base_seed,
-            resampled: true,
+            resampled: self.resampled,
         }
     }
 
@@ -187,6 +190,9 @@ impl RunHeader {
         if self.base_seed != other.base_seed {
             return Some("base_seed");
         }
+        if self.resampled != other.resampled {
+            return Some("resampled");
+        }
         if self.walks_per_graph != other.walks_per_graph {
             return Some("walks_per_graph");
         }
@@ -222,6 +228,7 @@ impl RunHeader {
         );
         let _ = writeln!(out, "  \"trials\": {},", self.trials);
         let _ = writeln!(out, "  \"base_seed\": {},", self.base_seed);
+        let _ = writeln!(out, "  \"resampled\": {},", self.resampled);
         let _ = writeln!(out, "  \"walks_per_graph\": {},", self.walks_per_graph);
         let _ = writeln!(out, "  \"groups\": {},", self.group_count);
         out.push_str("  \"graphs\": [");
@@ -286,6 +293,7 @@ impl RunHeader {
             target,
             trials: root.usize_field("trials")?,
             base_seed: root.u64_field("base_seed")?,
+            resampled: root.bool_field("resampled")?,
             walks_per_graph: root.usize_field("walks_per_graph")?,
             group_count: root.usize_field("groups")?,
             graphs,
@@ -297,6 +305,11 @@ impl RunHeader {
             return Err(PersistError::new(format!(
                 "groups {} does not split {trials} trials into groups of {w}",
                 header.group_count
+            )));
+        }
+        if !header.resampled && w != SHARED_BLOCK_WALKS {
+            return Err(PersistError::new(format!(
+                "a shared-graph run's blocks are {SHARED_BLOCK_WALKS} trials wide, not {w}"
             )));
         }
         if header
@@ -652,12 +665,12 @@ pub(crate) mod json {
     use super::PersistError;
 
     /// One parsed JSON value. Numbers stay as their raw source text.
-    /// Run artifacts never carry booleans or nulls, so those parse to
-    /// payload-less variants the accessors simply mistype.
+    /// Run artifacts never carry nulls, so those parse to a payload-less
+    /// variant the accessors simply mistype.
     #[derive(Debug, Clone)]
     pub(crate) enum Value {
         Null,
-        Bool,
+        Bool(bool),
         Num(String),
         Str(String),
         Arr(Vec<Value>),
@@ -726,6 +739,13 @@ pub(crate) mod json {
 
         pub(crate) fn usize_field(&self, key: &str) -> Result<usize, PersistError> {
             self.field(key)?.as_usize(key)
+        }
+
+        pub(crate) fn bool_field(&self, key: &str) -> Result<bool, PersistError> {
+            match self.field(key)? {
+                Value::Bool(b) => Ok(*b),
+                _ => Err(PersistError::new(format!("{key}: expected a boolean"))),
+            }
         }
 
         pub(crate) fn arr_field(&self, key: &str) -> Result<&'a [Value], PersistError> {
@@ -811,8 +831,8 @@ pub(crate) mod json {
                     value
                 }
                 Some(b'"') => Ok(Value::Str(self.string()?)),
-                Some(b't') => self.literal("true", Value::Bool),
-                Some(b'f') => self.literal("false", Value::Bool),
+                Some(b't') => self.literal("true", Value::Bool(true)),
+                Some(b'f') => self.literal("false", Value::Bool(false)),
                 Some(b'n') => self.literal("null", Value::Null),
                 Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
                 _ => Err(self.fail("expected a value")),
@@ -960,7 +980,7 @@ mod tests {
     use crate::checkpoint::RunCheckpoint;
     use crate::executor::{CellFolder, RunOptions};
     use crate::shard::{run_shard, ShardReport, ShardSpec};
-    use crate::spec::{CapSpec, GraphSpec, ProcessSpec};
+    use crate::spec::{CapSpec, GraphSpec, ProcessSpec, ResamplePlan};
 
     /// Header strings mixing 2-, 3- and 4-byte UTF-8 scalars with every
     /// escape the writer emits.

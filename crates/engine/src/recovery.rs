@@ -4,11 +4,11 @@
 //!
 //! # The cancellation path
 //!
-//! [`run_recoverable`] runs a resampled spec on the executor's own block
-//! pool — scoped worker threads claiming *(family, group)* blocks in
-//! canonical order off a shared atomic, back-pressured a bounded window
-//! ahead of the fold — with one addition: before claiming each block, a
-//! worker polls a stop latch. The latch trips when (a) an armed
+//! [`run_recoverable`] runs any spec — shared-graph or resampled — through
+//! the executor's one driver and worker pool: scoped worker threads
+//! claiming *(family, group)* blocks in canonical order off a shared
+//! atomic, back-pressured a bounded window ahead of the fold. Before
+//! claiming each block, a worker polls a stop latch. The latch trips when (a) an armed
 //! cancellation flag (SIGINT/SIGTERM via `eproc-signal`, or any
 //! caller-owned [`AtomicBool`]) is set, (b) the `max_wall` deadline
 //! passes, or (c) another worker's block failed permanently. Tripping is
@@ -25,7 +25,7 @@
 //! order allows — the same fold, in the same order, as
 //! [`crate::executor::run`]. Nothing is kept per block: the run's state
 //! is the folded prefix plus at most a claim window of out-of-order
-//! blocks. A checkpoint ([`RunCheckpoint`], format version 3) persists
+//! blocks. A checkpoint ([`RunCheckpoint`], format version 4) persists
 //! exactly that state, so its size is `O(cells × columns × sketch +
 //! window)` however many blocks the run has. Periodic checkpoints
 //! ([`CheckpointPlan::every`]) are written on the main thread, off the
@@ -48,21 +48,15 @@
 //! graph-generation failures at exact *(family, group, attempt)*
 //! coordinates to prove all of the above under test.
 
-use crate::checkpoint::{checkpoint_json, CheckpointError, RunCheckpoint};
-use crate::executor::{
-    panic_message, run_block, run_block_isolated, run_pool, validate_vertices, BlockError,
-    BlockRange, BlockResult, CellFolder, EngineError, ExperimentReport, FoldState, RunOptions,
-    Telemetry,
-};
-use crate::fault::{FaultKind, FaultPlan};
-use crate::persist::RunHeader;
+use crate::checkpoint::{CheckpointError, RunCheckpoint};
+use crate::executor::{drive, Blocks, Driven, EngineError, ExperimentReport, Output, RunOptions};
+use crate::fault::FaultPlan;
 use crate::spec::{ExperimentSpec, SpecError};
-use eproc_graphs::GraphError;
-use eproc_telemetry::{EventKind, NullSink, Stopwatch, TelemetrySink};
+use eproc_telemetry::{NullSink, TelemetrySink};
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+use std::sync::atomic::AtomicBool;
+use std::time::Duration;
 
 /// Where and how often to checkpoint a run.
 #[derive(Debug, Clone)]
@@ -196,21 +190,20 @@ pub fn run_recoverable(
     run_recoverable_with_sink(spec, opts, rec, &NullSink)
 }
 
-/// Executes a resampled spec crash-safely: periodic atomic checkpoints,
-/// graceful interruption on a cancellation flag or deadline, per-block
-/// panic isolation with deterministic retries, and resumption from a
-/// prior checkpoint. See the module docs for the full semantics.
+/// Executes a spec crash-safely: periodic atomic checkpoints, graceful
+/// interruption on a cancellation flag or deadline, per-block panic
+/// isolation with deterministic retries, and resumption from a prior
+/// checkpoint. Shared-graph and resampled specs alike. See the module
+/// docs for the full semantics.
 ///
 /// # Errors
 ///
-/// [`RecoveryError::Engine`] for invalid specs — including any spec
-/// **without** a resample plan: shared-graph runs have no per-block
-/// streaming to checkpoint (the same restriction as `--shard`) — and
-/// for block failures that survive `retry_blocks` retries.
-/// [`RecoveryError::Checkpoint`] when the resume checkpoint does not
-/// match the spec. [`RecoveryError::Io`] when a checkpoint cannot be
-/// written. On block failure, a final checkpoint of the completed
-/// blocks is still written before the error returns.
+/// [`RecoveryError::Engine`] for invalid specs and for block failures
+/// that survive `retry_blocks` retries. [`RecoveryError::Checkpoint`]
+/// when the resume checkpoint does not match the spec.
+/// [`RecoveryError::Io`] when a checkpoint cannot be written. On block
+/// failure, a final checkpoint of the completed blocks is still written
+/// before the error returns.
 ///
 /// # Panics
 ///
@@ -221,306 +214,11 @@ pub fn run_recoverable_with_sink(
     rec: &RecoveryOptions<'_>,
     sink: &dyn TelemetrySink,
 ) -> Result<RunOutcome, RecoveryError> {
-    assert!(opts.threads > 0, "need at least one worker thread");
-    spec.validate().map_err(EngineError::Spec)?;
-    let Some(plan) = spec.resample else {
-        return Err(RecoveryError::Engine(EngineError::Spec(SpecError::new(
-            "crash-safe execution (--checkpoint / --resume / --max-wall / --retry-blocks) \
-             requires a resampled run (--resample / a `~` family marker): shared-graph runs \
-             have no independent per-block streams to checkpoint",
-        ))));
-    };
-    validate_vertices(spec, None)?;
-    let tel = Telemetry::new(sink);
-    let header = RunHeader::from_spec(spec, opts.base_seed, plan);
-    let total_blocks = header.total_blocks();
-    let n_cols = header.metric_columns.len();
-    let inputs = header.cell_inputs();
-
-    // Rebuild the fold from the resume checkpoint, if any: its prefix is
-    // folded already and its pending blocks wait in the window.
-    let mut state = match &rec.resume {
-        Some(resume) => {
-            resume.validate_against(&header)?;
-            resume.restore(&inputs)
-        }
-        None => FoldState::new(CellFolder::new(&inputs), vec![None; spec.graphs.len()]),
-    };
-    let held: Vec<usize> = state.pending.keys().copied().collect();
-    let range = BlockRange {
-        start: state.folder.fed(),
-        end: total_blocks,
-        skip: &held,
-    };
-    let remaining = total_blocks - state.completed();
-    let workers = opts.threads.min(remaining.max(1));
-
-    if tel.live {
-        let remaining_trials: u64 = (range.start..range.end)
-            .filter(|b| range.skip.binary_search(b).is_err())
-            .map(|b| (header.block_trials(b) * spec.processes.len()) as u64)
-            .sum();
-        tel.emit(EventKind::RunStarted {
-            name: spec.name.clone(),
-            graphs: spec.graphs.len(),
-            processes: spec.processes.len(),
-            trials: spec.trials,
-            blocks: remaining,
-            total_trials: remaining_trials,
-            workers,
-            resampled: true,
-            shard: None,
-        });
+    let blocks = rec.resume.as_ref().map_or(Blocks::All, Blocks::Missing);
+    match drive(spec, opts, None, blocks, Output::Report(rec), sink)? {
+        Driven::Report(outcome) => Ok(outcome),
+        Driven::Blocks { .. } => unreachable!("a report run folds its blocks"),
     }
-
-    let deadline = rec.max_wall.map(|d| Instant::now() + d);
-    let interrupted = || {
-        rec.cancel.is_some_and(|c| c.load(Ordering::Relaxed))
-            || deadline.is_some_and(|d| Instant::now() >= d)
-    };
-    let run = |block: usize, worker: usize| {
-        run_block_with_retries(
-            spec,
-            opts.base_seed,
-            block,
-            worker,
-            n_cols,
-            &tel,
-            &rec.faults,
-            rec.retry_blocks,
-        )
-    };
-    // Checkpoint once `every` blocks completed since the last write; the
-    // pool hands over every completion already queued first, so one
-    // write covers them all.
-    let mut io_error: Option<std::io::Error> = None;
-    let mut last_written = state.completed();
-    let after_batch = |state: &FoldState<'_>| {
-        let Some(cp) = rec.checkpoint.as_ref() else {
-            return true;
-        };
-        if io_error.is_some() {
-            return false;
-        }
-        if state.completed() - last_written < cp.every.max(1) {
-            return true;
-        }
-        last_written = state.completed();
-        match write_checkpoint(&header, state, cp, &tel) {
-            Ok(()) => true,
-            Err(e) => {
-                // Durability is gone; stop the run rather than pretend
-                // it is not.
-                io_error = Some(e);
-                false
-            }
-        }
-    };
-    let block_error = run_pool(
-        range,
-        workers,
-        &mut state,
-        tel.live,
-        interrupted,
-        run,
-        after_batch,
-    );
-
-    // Final checkpoint: on interruption or failure the completed blocks
-    // must be on disk; on completion the report itself is the artifact.
-    let completed = state.completed();
-    let all_done = completed == total_blocks;
-    if !all_done && io_error.is_none() {
-        if let Some(cp) = rec.checkpoint.as_ref() {
-            if let Err(e) = write_checkpoint(&header, &state, cp, &tel) {
-                io_error = Some(e);
-            }
-        }
-    }
-
-    if let Some(e) = io_error {
-        return Err(RecoveryError::Io(e));
-    }
-    if let Some(e) = block_error {
-        return Err(RecoveryError::Engine(e));
-    }
-
-    if !all_done {
-        let reason = if rec.cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
-            "signal"
-        } else {
-            "deadline"
-        };
-        if tel.live {
-            tel.emit(EventKind::RunInterrupted {
-                reason: reason.to_string(),
-                completed,
-                total: total_blocks,
-            });
-            tel.emit(EventKind::RunFinished {
-                wall_ns: tel.clock.elapsed_ns(),
-                total_trials: state.trials_run,
-                total_steps: state.steps_run,
-            });
-        }
-        return Ok(RunOutcome::Interrupted {
-            reason: reason.to_string(),
-            completed,
-            total: total_blocks,
-            checkpoint: rec.checkpoint.as_ref().map(|c| c.path.clone()),
-        });
-    }
-
-    let (agg_ns, trials_run, steps_run) = (state.agg_ns, state.trials_run, state.steps_run);
-    let cells = state.finish();
-    if tel.live {
-        tel.emit(EventKind::AggregationMerged {
-            blocks: total_blocks,
-            cells: cells.len(),
-            agg_ns,
-        });
-        tel.emit(EventKind::RunFinished {
-            wall_ns: tel.clock.elapsed_ns(),
-            total_trials: trials_run,
-            total_steps: steps_run,
-        });
-    }
-    Ok(RunOutcome::Completed(ExperimentReport {
-        name: spec.name.clone(),
-        description: spec.description.clone(),
-        target: spec.target,
-        trials: spec.trials,
-        base_seed: opts.base_seed,
-        resample: spec.resample,
-        cells,
-    }))
-}
-
-/// Atomically writes a checkpoint of the run's fold state, emitting one
-/// `checkpoint_written` event when telemetry is live.
-fn write_checkpoint(
-    header: &RunHeader,
-    state: &FoldState<'_>,
-    cp: &CheckpointPlan,
-    tel: &Telemetry<'_>,
-) -> std::io::Result<()> {
-    let clock = tel.live.then(Stopwatch::start);
-    let rep_dims: Vec<(usize, usize, usize)> = state
-        .dims
-        .iter()
-        .enumerate()
-        .filter_map(|(gi, d)| d.map(|(n, m)| (gi, n, m)))
-        .collect();
-    let text = checkpoint_json(
-        header,
-        &rep_dims,
-        state.folder.fed(),
-        state.folder.cells(),
-        state.pending.values(),
-    );
-    eproc_telemetry::write_atomic(&cp.path, &text)?;
-    if let Some(clock) = clock {
-        tel.emit(EventKind::CheckpointWritten {
-            blocks: state.completed(),
-            total: header.total_blocks(),
-            bytes: text.len() as u64,
-            checkpoint_ns: clock.elapsed_ns(),
-        });
-    }
-    Ok(())
-}
-
-/// Runs one block with fault injection and deterministic retries:
-/// attempt `k` derives the exact same seeds as attempt 0, so a
-/// successful retry contributes bit-identical accumulators. Emits one
-/// `block_retried` event per failed attempt that will be retried.
-#[allow(clippy::too_many_arguments)]
-fn run_block_with_retries(
-    spec: &ExperimentSpec,
-    base_seed: u64,
-    block: usize,
-    worker: usize,
-    n_cols: usize,
-    tel: &Telemetry<'_>,
-    faults: &FaultPlan,
-    retry_blocks: usize,
-) -> Result<BlockResult, EngineError> {
-    let mut attempt = 0;
-    loop {
-        let result =
-            run_block_attempt(spec, base_seed, block, worker, n_cols, tel, faults, attempt);
-        match result {
-            Ok(r) => return Ok(r),
-            Err(e) if attempt < retry_blocks => {
-                if tel.live {
-                    let plan = spec.resample.expect("resample block requires a plan");
-                    let groups = plan.groups(spec.trials);
-                    tel.emit(EventKind::BlockRetried {
-                        block,
-                        family: spec.graphs[block / groups].label(),
-                        group: block % groups,
-                        worker,
-                        attempt,
-                        error: e.to_string(),
-                    });
-                }
-                attempt += 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// One block attempt: the plain isolated runner when no faults are
-/// armed (the zero-cost default), otherwise the same run wrapped so the
-/// scheduled fault fires inside the `catch_unwind` boundary — injected
-/// panics exercise the exact isolation path real panics take.
-#[allow(clippy::too_many_arguments)]
-fn run_block_attempt(
-    spec: &ExperimentSpec,
-    base_seed: u64,
-    block: usize,
-    worker: usize,
-    n_cols: usize,
-    tel: &Telemetry<'_>,
-    faults: &FaultPlan,
-    attempt: usize,
-) -> Result<BlockResult, EngineError> {
-    if faults.is_empty() {
-        return run_block_isolated(spec, base_seed, block, worker, n_cols, None, tel);
-    }
-    let plan = spec.resample.expect("resample block requires a plan");
-    let groups = plan.groups(spec.trials);
-    let gi = block / groups;
-    let group = block % groups;
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        match faults.at(gi, group, attempt) {
-            Some(FaultKind::Panic) => {
-                panic!("injected fault: panic at (family {gi}, group {group}, attempt {attempt})")
-            }
-            Some(FaultKind::GraphFail) => Err(EngineError::Block {
-                graph: spec.graphs[gi].label(),
-                group,
-                worker,
-                source: BlockError::Graph(GraphError::RetriesExhausted {
-                    generator: "fault-injection",
-                    attempts: 1,
-                    what: format!(
-                        "an injected failure at (family {gi}, group {group}, attempt {attempt})"
-                    ),
-                }),
-            }),
-            None => run_block(spec, base_seed, block, worker, n_cols, None, tel),
-        }
-    }))
-    .unwrap_or_else(|payload| {
-        Err(EngineError::Block {
-            graph: spec.graphs[gi].label(),
-            group,
-            worker,
-            source: BlockError::Panic(panic_message(payload)),
-        })
-    })
 }
 
 #[cfg(test)]
@@ -528,7 +226,7 @@ mod tests {
     use super::*;
     use crate::executor::claim_window;
     use crate::spec::{CapSpec, GraphSpec, ProcessSpec, ResamplePlan, Target};
-    use eproc_telemetry::Event;
+    use eproc_telemetry::{Event, EventKind};
     use std::sync::Mutex;
 
     /// Reads every checkpoint back the moment it is written and records

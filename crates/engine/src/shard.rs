@@ -1,24 +1,28 @@
-//! Sharded execution of resampled experiments, and the `eproc merge`
-//! recombination path.
+//! Sharded execution, and the `eproc merge` recombination path.
 //!
-//! A resampled run's *(family, group)* blocks are independent work units:
-//! each one samples its own graph from `(family, group)`-keyed seed
-//! coordinates and streams its trials into per-process Welford
-//! accumulators, with no cross-block state. [`run_shard`] exploits that
-//! to partition a run across machines: shard `i` of `k` executes exactly
-//! the blocks whose canonical index `family * groups + group` is
-//! `≡ i (mod k)` — a deterministic residue-class partition, so the union
-//! of the `k` shards is exactly the unsharded block set, with no
-//! coordination and no overlap.
+//! A run's *(family, group)* blocks are independent work units: each one
+//! runs its trials from `(family, group)`-keyed seed coordinates — on a
+//! freshly sampled graph under resampling, on the family's shared graph
+//! otherwise — and streams them into per-process Welford accumulators,
+//! with no cross-block state. [`run_shard`] exploits that to partition a
+//! run across machines: shard `i` of `k` executes exactly the blocks
+//! whose canonical index `family * groups + group` is `≡ i (mod k)` — a
+//! deterministic residue-class partition, so the union of the `k` shards
+//! is exactly the unsharded block set, with no coordination and no
+//! overlap. A shared-graph shard builds each family's graph once, as an
+//! unsharded run does.
 //!
-//! The shard artifact ([`ShardReport`]) persists each block's streamed
+//! The shard artifact ([`ShardReport`], format `eproc-shard` version 3)
+//! persists each block's streamed
 //! [`OnlineStats`](eproc_stats::OnlineStats) accumulators and
 //! [`QuantileSketch`](eproc_stats::QuantileSketch)es **bit-exactly**
 //! (via the crate-internal `persist` codec): the floats are written as IEEE-754 bit
 //! patterns ([`OnlineStats::to_raw`](eproc_stats::OnlineStats::to_raw)),
 //! because the `m2`
 //! sum of squares is not recoverable from a rounded variance and the
-//! `±∞` sentinels of an empty accumulator have no decimal form.
+//! `±∞` sentinels of an empty accumulator have no decimal form. Its
+//! header records whether the run resampled; version 2 artifacts, which
+//! predate that field, are rejected with an error naming the version.
 //! [`merge_shards`] then validates the shards form one complete run
 //! (same header, every residue class present, every block accounted
 //! for), reassembles the blocks in canonical order and folds them through
@@ -29,18 +33,20 @@
 //! one machine (pinned by the `shard_merge` proptests).
 
 use crate::executor::{
-    run_block_isolated, validate_vertices, BlockAgg, CellFolder, EngineError, ExperimentReport,
-    RunOptions, Telemetry,
+    drive, BlockAgg, Blocks, CellFolder, Driven, EngineError, ExperimentReport, Output, RunOptions,
 };
 use crate::persist::{
     json, parse_blocks, parse_rep_dims, write_blocks, write_rep_dims, PersistError, RunHeader,
 };
+use crate::recovery::RecoveryError;
 use crate::spec::{ExperimentSpec, ResamplePlan, SpecError, Target};
-use eproc_telemetry::{EventKind, NullSink, ShardId, Stopwatch, TelemetrySink};
+use eproc_telemetry::{EventKind, NullSink, Stopwatch, TelemetrySink};
 use std::fmt;
 use std::fmt::Write as _;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+/// The shard artifact format version this build writes and reads.
+const VERSION: u64 = 3;
 
 /// Which slice of the block space a sharded run executes: shard `index`
 /// of `count` owns the blocks `≡ index (mod count)`.
@@ -64,6 +70,11 @@ impl ShardSpec {
             return Err(bad());
         }
         Ok(ShardSpec { index, count })
+    }
+
+    /// Whether canonical block `block` belongs to this shard.
+    fn owns(&self, block: usize) -> bool {
+        block % self.count == self.index
     }
 }
 
@@ -102,7 +113,7 @@ impl From<PersistError> for ShardError {
     }
 }
 
-/// One shard's persisted share of a resampled run: the experiment header
+/// One shard's persisted share of a run: the experiment header
 /// (everything [`merge_shards`] needs to validate compatibility and
 /// aggregate without the original spec) plus the owned blocks' streamed
 /// accumulators, bit-exact.
@@ -120,9 +131,13 @@ pub struct ShardReport {
     pub trials: usize,
     /// Base seed the blocks derived their streams from.
     pub base_seed: u64,
-    /// Trials per resampled graph.
+    /// Whether each group walked its own graph sample (a resampled run)
+    /// or a chunk of the family's shared graph.
+    pub resampled: bool,
+    /// Trials per block: the resample plan's walks per graph, or 64 on a
+    /// shared graph.
     pub walks_per_graph: usize,
-    /// Resample groups per family.
+    /// Blocks per family.
     pub group_count: usize,
     /// `(label, family_label)` per graph family, in grid order.
     pub graphs: Vec<(String, String)>,
@@ -130,14 +145,39 @@ pub struct ShardReport {
     pub processes: Vec<String>,
     /// Flattened metric column names.
     pub metric_columns: Vec<String>,
-    /// `(family, n, m)` of the group-0 samples this shard built — only
-    /// the families whose group-0 block this shard owns.
+    /// `(family, n, m)` of the group-0 blocks this shard ran — only the
+    /// families whose group-0 block this shard owns.
     pub rep_dims: Vec<(usize, usize, usize)>,
     /// The owned blocks' aggregates, sorted by canonical block index.
     pub(crate) blocks: Vec<BlockAgg>,
 }
 
 impl ShardReport {
+    /// Shard `shard`'s artifact for the run `header` describes.
+    fn new(
+        shard: ShardSpec,
+        header: RunHeader,
+        rep_dims: Vec<(usize, usize, usize)>,
+        blocks: Vec<BlockAgg>,
+    ) -> ShardReport {
+        ShardReport {
+            shard,
+            name: header.name,
+            description: header.description,
+            target: header.target,
+            trials: header.trials,
+            base_seed: header.base_seed,
+            resampled: header.resampled,
+            walks_per_graph: header.walks_per_graph,
+            group_count: header.group_count,
+            graphs: header.graphs,
+            processes: header.processes,
+            metric_columns: header.metric_columns,
+            rep_dims,
+            blocks,
+        }
+    }
+
     /// The canonical [`RunHeader`] this artifact embeds — the shared
     /// identity checked at merge and resume time.
     pub(crate) fn header(&self) -> RunHeader {
@@ -147,12 +187,64 @@ impl ShardReport {
             target: self.target,
             trials: self.trials,
             base_seed: self.base_seed,
+            resampled: self.resampled,
             walks_per_graph: self.walks_per_graph,
             group_count: self.group_count,
             graphs: self.graphs.clone(),
             processes: self.processes.clone(),
             metric_columns: self.metric_columns.clone(),
         }
+    }
+
+    /// Checks the artifact is one shard `i/k` of its run could have
+    /// written: `i < k`, every block lies in the grid and in the shard's residue
+    /// class, in ascending order without repeats, and passes
+    /// [`RunHeader::check_blocks`]; each family has at most one
+    /// `rep_dims` entry, and only when the shard owns the family's
+    /// group-0 block — so no shard can rewrite another's family size.
+    fn check(&self) -> Result<(), ShardError> {
+        let shard = self.shard;
+        if shard.count == 0 || shard.index >= shard.count {
+            return Err(ShardError::new(format!(
+                "invalid shard coordinates {}/{}",
+                shard.index, shard.count
+            )));
+        }
+        self.header().check_blocks(&self.blocks)?;
+        if let Some(b) = self.blocks.iter().find(|b| !shard.owns(b.block)) {
+            return Err(ShardError::new(format!(
+                "shard {shard} carries block {}, which is outside its residue class",
+                b.block
+            )));
+        }
+        if let Some(w) = self.blocks.windows(2).find(|w| w[0].block >= w[1].block) {
+            return Err(ShardError::new(format!(
+                "shard {shard} lists block {} after block {}: blocks must ascend without repeats",
+                w[1].block, w[0].block
+            )));
+        }
+        let mut seen = vec![false; self.graphs.len()];
+        for &(gi, _, _) in &self.rep_dims {
+            if gi >= seen.len() {
+                return Err(ShardError::new(format!(
+                    "shard {shard} reports dimensions for family {gi}, outside the grid"
+                )));
+            }
+            let first = gi * self.group_count;
+            if !shard.owns(first) {
+                return Err(ShardError::new(format!(
+                    "shard {shard} reports dimensions for family {gi}, whose group-0 block \
+                     {first} belongs to shard {}",
+                    first % shard.count
+                )));
+            }
+            if std::mem::replace(&mut seen[gi], true) {
+                return Err(ShardError::new(format!(
+                    "shard {shard} reports dimensions for family {gi} twice"
+                )));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -175,10 +267,12 @@ pub fn run_shard(
 
 /// Executes shard `shard.index` of `shard.count`: the *(family, group)*
 /// blocks with canonical index `≡ index (mod count)`, on `opts.threads`
-/// worker threads, through the executor's own block runner. Emits
-/// `run_started` (carrying the shard id), per-block
-/// `block_claimed`/`block_completed` and `run_finished`; no
-/// `aggregation_merged` — aggregation happens at [`merge_shards`] time.
+/// worker threads, through the executor's own driver and block runner —
+/// for shared-graph and resampled specs alike. Emits `run_started`
+/// (carrying the shard id), `graph_built` per family of a shared-graph
+/// run, per-block `block_claimed`/`block_completed` and `run_finished`;
+/// no `aggregation_merged` — aggregation happens at [`merge_shards`]
+/// time.
 ///
 /// Each block's accumulators are bit-identical to the ones the unsharded
 /// [`crate::executor::run`] computes for the same `(spec, base_seed)`,
@@ -186,169 +280,34 @@ pub fn run_shard(
 ///
 /// # Errors
 ///
-/// [`EngineError::Spec`] for invalid specs — including any spec
-/// **without** a [`ResamplePlan`]: shared-graph runs have per-trial jobs,
-/// not independent blocks, so there is nothing meaningful to partition.
-/// [`EngineError::Block`] if a block fails inside the pool; the failing
-/// worker stops every other worker from claiming further blocks.
+/// [`EngineError::Spec`] for invalid specs, [`EngineError::Graph`] when
+/// a shared family graph cannot be built, and [`EngineError::Block`] if
+/// a block fails inside the pool; the failing worker stops every other
+/// worker from claiming further blocks.
 ///
 /// # Panics
 ///
-/// Panics if `opts.threads == 0` or a worker thread panics.
+/// Panics if `opts.threads == 0`.
 pub fn run_shard_with_sink(
     spec: &ExperimentSpec,
     opts: &RunOptions,
     shard: ShardSpec,
     sink: &dyn TelemetrySink,
 ) -> Result<ShardReport, EngineError> {
-    assert!(opts.threads > 0, "need at least one worker thread");
-    spec.validate()?;
-    let Some(plan) = spec.resample else {
-        return Err(EngineError::Spec(SpecError::new(
-            "sharded execution requires a resampled run (--resample / a `~` family marker): \
-             shared-graph runs have no independent blocks to partition",
-        )));
+    let (rep_dims, blocks) = match drive(
+        spec,
+        opts,
+        None,
+        Blocks::Residue(shard),
+        Output::Shard,
+        sink,
+    ) {
+        Ok(Driven::Blocks { rep_dims, blocks }) => (rep_dims, blocks),
+        Err(RecoveryError::Engine(e)) => return Err(e),
+        _ => unreachable!("a shard run appends its blocks or fails in the engine"),
     };
-    validate_vertices(spec, None)?;
-    let tel = Telemetry::new(sink);
-    let trials = spec.trials;
-    let w = plan.walks_per_graph;
-    let group_count = plan.groups(trials);
-    let total_blocks = spec.graphs.len() * group_count;
-    let owned: Vec<usize> = (0..total_blocks)
-        .filter(|b| b % shard.count == shard.index)
-        .collect();
-    let n_proc = spec.processes.len();
-    let metric_columns = spec.metric_columns();
-    let n_cols = metric_columns.len();
-    if tel.live {
-        let owned_trials: u64 = owned
-            .iter()
-            .map(|b| {
-                let group = b % group_count;
-                let chunk = ((group + 1) * w).min(trials) - group * w;
-                (chunk * n_proc) as u64
-            })
-            .sum();
-        tel.emit(EventKind::RunStarted {
-            name: spec.name.clone(),
-            graphs: spec.graphs.len(),
-            processes: n_proc,
-            trials,
-            blocks: owned.len(),
-            total_trials: owned_trials,
-            workers: opts.threads.min(owned.len().max(1)),
-            resampled: true,
-            shard: Some(ShardId {
-                index: shard.index,
-                count: shard.count,
-            }),
-        });
-    }
-    let next = AtomicUsize::new(0);
-    // Tripped by the first failing block: every worker checks it before
-    // claiming, so one failure ends the shard instead of letting the
-    // other workers run all of theirs.
-    let stop = AtomicBool::new(false);
-    let workers = opts.threads.min(owned.len().max(1));
-    struct WorkerOutput {
-        blocks: Vec<BlockAgg>,
-        rep_dims: Vec<(usize, usize, usize)>,
-        trials_run: u64,
-        steps_run: u64,
-    }
-    type WorkerResult = Result<WorkerOutput, EngineError>;
-    let collected: Vec<WorkerResult> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|worker| {
-                let next = &next;
-                let stop = &stop;
-                let owned = &owned;
-                let tel = &tel;
-                scope.spawn(move || -> WorkerResult {
-                    let mut blocks = Vec::new();
-                    let mut rep_dims = Vec::new();
-                    let mut trials_run = 0u64;
-                    let mut steps_run = 0u64;
-                    loop {
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= owned.len() {
-                            break;
-                        }
-                        let result = run_block_isolated(
-                            spec,
-                            opts.base_seed,
-                            owned[idx],
-                            worker,
-                            n_cols,
-                            None,
-                            tel,
-                        )
-                        .inspect_err(|_| stop.store(true, Ordering::Relaxed))?;
-                        trials_run += result.trials;
-                        steps_run += result.steps;
-                        if let Some(rep) = result.rep {
-                            rep_dims.push(rep);
-                        }
-                        blocks.push(result.agg);
-                    }
-                    Ok(WorkerOutput {
-                        blocks,
-                        rep_dims,
-                        trials_run,
-                        steps_run,
-                    })
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    });
-    let mut blocks = Vec::with_capacity(owned.len());
-    let mut rep_dims = Vec::new();
-    let mut trials_run = 0u64;
-    let mut steps_run = 0u64;
-    for worker in collected {
-        let output = worker?;
-        trials_run += output.trials_run;
-        steps_run += output.steps_run;
-        blocks.extend(output.blocks);
-        rep_dims.extend(output.rep_dims);
-    }
-    // Canonical artifact order regardless of which worker claimed what.
-    blocks.sort_by_key(|b| b.block);
-    rep_dims.sort_unstable();
-    if tel.live {
-        tel.emit(EventKind::RunFinished {
-            wall_ns: tel.clock.elapsed_ns(),
-            total_trials: trials_run,
-            total_steps: steps_run,
-        });
-    }
-    Ok(ShardReport {
-        shard,
-        name: spec.name.clone(),
-        description: spec.description.clone(),
-        target: spec.target,
-        trials,
-        base_seed: opts.base_seed,
-        walks_per_graph: w,
-        group_count,
-        graphs: spec
-            .graphs
-            .iter()
-            .map(|gs| (gs.label(), gs.family_label()))
-            .collect(),
-        processes: spec.processes.iter().map(|ps| ps.label()).collect(),
-        metric_columns,
-        rep_dims,
-        blocks,
-    })
+    let header = RunHeader::from_spec(spec, opts.base_seed);
+    Ok(ShardReport::new(shard, header, rep_dims, blocks))
 }
 
 /// [`merge_shards_with_sink`] without telemetry.
@@ -364,11 +323,12 @@ pub fn merge_shards(shards: &[ShardReport]) -> Result<ExperimentReport, ShardErr
 /// [`ExperimentReport`], byte-identical under [`crate::report::to_json`].
 ///
 /// Validation is strict: every shard must carry the same experiment
-/// header (name, target, trials, seed, grids, columns), the residue
-/// classes `0..count` must each appear exactly once, and every canonical
-/// block index must be accounted for. Aggregation then runs through the
-/// executor's own `CellFolder`, so the merged cells are the
-/// product of the identical Welford merges and sketch compactions in
+/// header (name, target, trials, seed, resampling, grids, columns), the
+/// residue classes `0..count` must each appear exactly once, each shard
+/// must pass the load-time checks of [`ShardReport::from_json`], and
+/// every canonical block index must be accounted for. Aggregation then
+/// runs through the executor's own `CellFolder`, so the merged cells are
+/// the product of the identical Welford merges and sketch compactions in
 /// the identical order.
 /// Emits one `merge_completed` event when `sink` is enabled.
 ///
@@ -392,7 +352,7 @@ pub fn merge_shards_with_sink(
         )));
     }
     let first_header = first.header();
-    let mut seen = vec![false; count];
+    let mut by_index: Vec<Option<&ShardReport>> = vec![None; count];
     for s in shards {
         if s.shard.count != count {
             return Err(ShardError::new(format!(
@@ -400,7 +360,8 @@ pub fn merge_shards_with_sink(
                 s.shard.index, s.shard.count, first.shard.index, count
             )));
         }
-        if std::mem::replace(&mut seen[s.shard.index], true) {
+        s.check()?;
+        if by_index[s.shard.index].replace(s).is_some() {
             return Err(ShardError::new(format!(
                 "shard index {} appears more than once",
                 s.shard.index
@@ -414,47 +375,12 @@ pub fn merge_shards_with_sink(
             )));
         }
     }
-    let total_blocks = first_header.total_blocks();
-    let mut blocks: Vec<Option<BlockAgg>> = vec![None; total_blocks];
     let mut dims: Vec<Option<(usize, usize)>> = vec![None; first.graphs.len()];
     for s in shards {
-        first_header.check_blocks(&s.blocks)?;
-        for b in &s.blocks {
-            if b.block >= total_blocks || b.block % count != s.shard.index {
-                return Err(ShardError::new(format!(
-                    "shard {} carries block {}, which is outside its residue class",
-                    s.shard.index, b.block
-                )));
-            }
-            if blocks[b.block].replace(b.clone()).is_some() {
-                return Err(ShardError::new(format!(
-                    "block {} appears more than once",
-                    b.block
-                )));
-            }
-        }
         for &(gi, n, m) in &s.rep_dims {
-            if gi >= dims.len() {
-                return Err(ShardError::new(format!(
-                    "shard {} reports dimensions for family {gi}, outside the grid",
-                    s.shard.index
-                )));
-            }
             dims[gi] = Some((n, m));
         }
     }
-    let blocks: Vec<BlockAgg> = blocks
-        .into_iter()
-        .enumerate()
-        .map(|(i, b)| {
-            b.ok_or_else(|| {
-                ShardError::new(format!(
-                    "block {i} is missing (shard {} is incomplete)",
-                    i % count
-                ))
-            })
-        })
-        .collect::<Result<_, _>>()?;
     let dims: Vec<(usize, usize)> = dims
         .into_iter()
         .enumerate()
@@ -467,10 +393,23 @@ pub fn merge_shards_with_sink(
             })
         })
         .collect::<Result<_, _>>()?;
+    // Each shard's blocks ascend through its residue class without
+    // repeats, so block `b` is the `b / count`-th block of shard
+    // `b % count`, or that shard is missing it.
+    let total_blocks = first_header.total_blocks();
     let inputs = first_header.cell_inputs();
     let mut folder = CellFolder::new(&inputs);
-    for block in &blocks {
-        folder.feed(block);
+    for b in 0..total_blocks {
+        let shard = by_index[b % count].expect("every residue class is present");
+        match shard.blocks.get(b / count) {
+            Some(block) if block.block == b => folder.feed(block),
+            _ => {
+                return Err(ShardError::new(format!(
+                    "block {b} is missing (shard {} is incomplete)",
+                    b % count
+                )))
+            }
+        }
     }
     let cells = folder.finish(&dims);
     if sink.enabled() {
@@ -490,7 +429,7 @@ pub fn merge_shards_with_sink(
         target: first.target,
         trials: first.trials,
         base_seed: first.base_seed,
-        resample: Some(ResamplePlan {
+        resample: first.resampled.then_some(ResamplePlan {
             walks_per_graph: first.walks_per_graph,
         }),
         cells,
@@ -508,7 +447,7 @@ impl ShardReport {
         let mut out = String::new();
         out.push_str("{\n");
         let _ = writeln!(out, "  \"format\": \"eproc-shard\",");
-        let _ = writeln!(out, "  \"version\": 2,");
+        let _ = writeln!(out, "  \"version\": {VERSION},");
         let _ = writeln!(out, "  \"shard_index\": {},", self.shard.index);
         let _ = writeln!(out, "  \"shard_count\": {},", self.shard.count);
         self.header().write_fields(&mut out);
@@ -540,11 +479,18 @@ impl ShardReport {
             .map_err(|e| ShardError::new(format!("{}: {e}", path.display())))
     }
 
-    /// Parses a [`ShardReport::to_json`] artifact, bit-exactly.
+    /// Parses a [`ShardReport::to_json`] artifact, bit-exactly, and
+    /// checks it is one its shard could have written: shard coordinates
+    /// `i < k`, blocks inside the grid and the shard's residue class,
+    /// ascending without repeats,
+    /// with plausible counts and sketches, and representative
+    /// dimensions only for the families whose group-0 block the shard
+    /// owns, at most once each.
     ///
     /// # Errors
     ///
-    /// [`ShardError`] describing the first structural problem.
+    /// [`ShardError`] describing the first structural problem,
+    /// including any version other than 3.
     pub fn from_json(text: &str) -> Result<ShardReport, ShardError> {
         let value = json::parse(text)?;
         let root = value.as_obj("artifact")?;
@@ -555,40 +501,21 @@ impl ShardReport {
             )));
         }
         let version = root.u64_field("version")?;
-        if version != 2 {
+        if version != VERSION {
             return Err(ShardError::new(format!(
-                "unsupported shard artifact version {version}"
+                "unsupported shard artifact version {version}: this build reads version \
+                 {VERSION}; re-run the shards"
             )));
         }
         let shard = ShardSpec {
             index: root.usize_field("shard_index")?,
             count: root.usize_field("shard_count")?,
         };
-        if shard.count == 0 || shard.index >= shard.count {
-            return Err(ShardError::new(format!(
-                "invalid shard coordinates {}/{}",
-                shard.index, shard.count
-            )));
-        }
         let header = RunHeader::parse(&root)?;
         let rep_dims = parse_rep_dims(&root)?;
-        let blocks = parse_blocks(&root, "blocks")?;
-        header.check_blocks(&blocks)?;
-        Ok(ShardReport {
-            shard,
-            name: header.name,
-            description: header.description,
-            target: header.target,
-            trials: header.trials,
-            base_seed: header.base_seed,
-            walks_per_graph: header.walks_per_graph,
-            group_count: header.group_count,
-            graphs: header.graphs,
-            processes: header.processes,
-            metric_columns: header.metric_columns,
-            rep_dims,
-            blocks,
-        })
+        let report = ShardReport::new(shard, header, rep_dims, parse_blocks(&root, "blocks")?);
+        report.check()?;
+        Ok(report)
     }
 }
 
@@ -598,6 +525,7 @@ mod tests {
     use crate::executor::run;
     use crate::report::to_json;
     use crate::spec::{CapSpec, GraphSpec, MetricSpec, ProcessSpec, RuleSpec};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn resampled_spec() -> ExperimentSpec {
         ExperimentSpec {
@@ -638,22 +566,18 @@ mod tests {
     }
 
     #[test]
-    fn sharding_rejects_shared_graph_runs() {
-        let spec = ExperimentSpec {
-            resample: None,
-            graphs: vec![GraphSpec::Regular { n: 16, d: 4 }],
-            ..resampled_spec()
+    fn run_shard_rejects_invalid_coordinates() {
+        let opts = RunOptions {
+            threads: 1,
+            base_seed: 1,
         };
-        let err = run_shard(
-            &spec,
-            &RunOptions {
-                threads: 1,
-                base_seed: 1,
-            },
-            ShardSpec { index: 0, count: 2 },
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("resampled"), "{err}");
+        for (index, count) in [(0, 0), (2, 2), (3, 2)] {
+            let err = run_shard(&resampled_spec(), &opts, ShardSpec { index, count }).unwrap_err();
+            assert!(
+                matches!(err, EngineError::Spec(_)),
+                "{index}/{count}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -811,7 +735,7 @@ mod tests {
         assert!(ShardReport::from_json("{}").is_err());
         assert!(ShardReport::from_json("{\"format\": \"something-else\"}").is_err());
         let err =
-            ShardReport::from_json("{\"format\": \"eproc-shard\", \"version\": 3}").unwrap_err();
+            ShardReport::from_json("{\"format\": \"eproc-shard\", \"version\": 2}").unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
     }
 }

@@ -419,3 +419,45 @@ fn list_canonical_prints_digest_and_normal_form_per_builtin() {
     assert_eq!(digests.len(), other_digests.len());
     assert!(digests.iter().zip(&other_digests).all(|(a, b)| a != b));
 }
+
+#[test]
+fn the_checkpoint_hint_follows_only_a_block_failure() {
+    const HINT: &str = "completed blocks were checkpointed to";
+    let dir = temp_dir("hint");
+    let ck = dir.join("ck.json");
+    let ck_s = ck.to_str().unwrap();
+    let compare = |extra: &[&str]| {
+        let mut args = vec![
+            "compare",
+            "--graph",
+            "regular:~64,3",
+            "--process",
+            "srw",
+            "--resample",
+            "2",
+            "--trials",
+            "4",
+            "--checkpoint",
+            ck_s,
+        ];
+        args.extend_from_slice(extra);
+        eproc(&args)
+    };
+    // A spec error stops the run before any block: nothing was written,
+    // so the CLI must not point at a checkpoint.
+    let out = compare(&["--start", "999"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("start vertex 999"),
+        "{}",
+        stderr(&out)
+    );
+    assert!(!stderr(&out).contains(HINT), "{}", stderr(&out));
+    assert!(!ck.exists());
+    // A failed block is followed by the final checkpoint and the hint.
+    let out = compare(&["--inject-faults", "graphfail@0.1.0"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(stderr(&out).contains(HINT), "{}", stderr(&out));
+    assert!(ck.exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}

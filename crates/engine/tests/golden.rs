@@ -18,8 +18,14 @@
 //! change to sampling/observers requires regenerating the golden with the
 //! command above — do that consciously, in its own commit.
 
-use eproc_engine::executor::{run, RunOptions};
+use eproc_engine::checkpoint::RunCheckpoint;
+use eproc_engine::executor::{run, EngineError, RunOptions};
+use eproc_engine::fault::FaultPlan;
+use eproc_engine::recovery::{
+    run_recoverable, CheckpointPlan, RecoveryError, RecoveryOptions, RunOutcome,
+};
 use eproc_engine::report::to_json;
+use eproc_engine::shard::{merge_shards, run_shard, ShardReport, ShardSpec};
 use eproc_engine::spec::{
     CapSpec, ExperimentSpec, GraphSpec, MetricSpec, ProcessSpec, RuleSpec, Target,
 };
@@ -69,6 +75,55 @@ fn comparison_builtin_artifact_matches_committed_golden() {
         golden,
         "comparison builtin artifact diverged from the committed golden"
     );
+}
+
+/// The shared-graph `comparison` builtin reproduces its golden through a
+/// 2-shard merge and through a fault-interrupted checkpoint resumed at
+/// another thread count — the same blocks, folded in the same order.
+#[test]
+fn comparison_golden_survives_sharding_and_a_fault_interrupted_resume() {
+    let golden = include_str!("golden/comparison_quick.json");
+    let spec = eproc_engine::builtin::spec("comparison", eproc_engine::Scale::Quick)
+        .expect("comparison is a builtin");
+    let opts = |threads| RunOptions {
+        threads,
+        base_seed: 12345,
+    };
+    let shards = [(0, 3), (1, 1)].map(|(index, threads)| {
+        let shard =
+            run_shard(&spec, &opts(threads), ShardSpec { index, count: 2 }).expect("shard runs");
+        ShardReport::from_json(&shard.to_json()).expect("shard artifact round-trips")
+    });
+    let merged = merge_shards(&shards).expect("complete shard set merges");
+    assert_eq!(to_json(&merged), golden, "2-shard merge diverged");
+
+    let path = std::env::temp_dir().join(format!("eproc-golden-{}.ckpt.json", std::process::id()));
+    let faulted = RecoveryOptions {
+        checkpoint: Some(CheckpointPlan {
+            path: path.clone(),
+            every: 1,
+        }),
+        faults: FaultPlan::parse("graphfail@1.0.0").unwrap(),
+        ..RecoveryOptions::default()
+    };
+    let err = run_recoverable(&spec, &opts(3), &faulted).unwrap_err();
+    assert!(
+        matches!(err, RecoveryError::Engine(EngineError::Block { .. })),
+        "{err}"
+    );
+    let checkpoint = RunCheckpoint::load(&path).expect("the failed run checkpointed");
+    let _ = std::fs::remove_file(&path);
+    assert!(checkpoint.completed_blocks() < checkpoint.total_blocks());
+    let resume = RecoveryOptions {
+        resume: Some(checkpoint),
+        ..RecoveryOptions::default()
+    };
+    match run_recoverable(&spec, &opts(1), &resume).expect("resume runs") {
+        RunOutcome::Completed(report) => {
+            assert_eq!(to_json(&report), golden, "resumed run diverged")
+        }
+        RunOutcome::Interrupted { .. } => unreachable!("nothing interrupts the resume"),
+    }
 }
 
 #[test]

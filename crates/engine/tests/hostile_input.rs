@@ -1,10 +1,12 @@
 //! Everything the engine reads back is hostile: a damaged checkpoint or
 //! shard artifact must come back as a typed error — never a panic, never
-//! a resume that panics later while the report renders. Truncations,
-//! byte flips and digit rewrites of a real checkpoint are fuzzed through
-//! `RunCheckpoint::from_json` and `--resume` under `catch_unwind` (the
-//! debug test build, so arithmetic overflow panics too), and crafted
-//! sketches that once slipped through are pinned as regressions.
+//! a resume or merge that panics later while the report renders.
+//! Truncations, byte flips and digit rewrites of a real checkpoint are
+//! fuzzed through `RunCheckpoint::from_json` and `--resume`, and of a
+//! real shard artifact through `ShardReport::from_json` and
+//! `merge_shards`, all under `catch_unwind` (the debug test build, so
+//! arithmetic overflow panics too). Crafted sketches and forged
+//! dimensions that once slipped through are pinned as regressions.
 
 mod common;
 
@@ -14,7 +16,7 @@ use eproc_engine::recovery::{
     run_recoverable, run_recoverable_with_sink, CheckpointPlan, RecoveryOptions, RunOutcome,
 };
 use eproc_engine::report::{to_json, to_text_table};
-use eproc_engine::shard::{run_shard, ShardReport, ShardSpec};
+use eproc_engine::shard::{merge_shards, run_shard, ShardReport, ShardSpec};
 use eproc_engine::spec::{
     CapSpec, ExperimentSpec, GraphSpec, MetricSpec, ProcessSpec, ResamplePlan, RuleSpec, Target,
 };
@@ -75,7 +77,7 @@ impl TelemetrySink for CancelAfter<'_> {
     }
 }
 
-/// The text of a real version-3 checkpoint of [`spec`], interrupted
+/// The text of a real version-4 checkpoint of [`spec`], interrupted
 /// part-way: a folded prefix, cell state, and whatever blocks were
 /// pending when the run stopped.
 fn checkpoint_text() -> &'static str {
@@ -141,11 +143,19 @@ fn strip_sketch_levels(text: &str, key: &str) -> String {
     out
 }
 
+/// Shard `index` of a 2-way split of [`spec`].
+fn shard(index: usize) -> &'static ShardReport {
+    static SHARDS: OnceLock<[ShardReport; 2]> = OnceLock::new();
+    &SHARDS.get_or_init(|| {
+        [0, 1].map(|index| run_shard(&spec(), &opts(2), ShardSpec { index, count: 2 }).unwrap())
+    })[index]
+}
+
 #[test]
-fn the_base_checkpoint_is_version_3_and_resumes_to_the_golden_artifact() {
+fn the_base_checkpoint_is_version_4_and_resumes_to_the_golden_artifact() {
     let text = checkpoint_text();
     common::json::validate(text).expect("checkpoint is strict JSON");
-    assert!(text.contains("\"version\": 3"), "{text}");
+    assert!(text.contains("\"version\": 4"), "{text}");
     let ckpt = RunCheckpoint::from_json(text).unwrap();
     assert!(ckpt.completed_blocks() >= 4 && ckpt.completed_blocks() < ckpt.total_blocks());
     let rec = RecoveryOptions {
@@ -160,9 +170,60 @@ fn the_base_checkpoint_is_version_3_and_resumes_to_the_golden_artifact() {
 
 #[test]
 fn a_version_2_checkpoint_is_rejected_naming_the_version() {
-    let v2 = checkpoint_text().replace("\"version\": 3,", "\"version\": 2,");
+    let v2 = checkpoint_text().replace("\"version\": 4,", "\"version\": 2,");
     let err = RunCheckpoint::from_json(&v2).unwrap_err().to_string();
     assert!(err.contains("version 2"), "{err}");
+}
+
+#[test]
+fn a_version_3_checkpoint_and_a_version_2_shard_are_rejected_naming_the_version() {
+    let v3 = checkpoint_text().replace("\"version\": 4,", "\"version\": 3,");
+    let err = RunCheckpoint::from_json(&v3).unwrap_err().to_string();
+    assert!(err.contains("version 3"), "{err}");
+    let text = shard(1).to_json();
+    assert!(text.contains("\"version\": 3,"), "{text}");
+    let v2 = text.replace("\"version\": 3,", "\"version\": 2,");
+    let err = ShardReport::from_json(&v2).unwrap_err().to_string();
+    assert!(err.contains("version 2"), "{err}");
+}
+
+#[test]
+fn a_shard_cannot_rewrite_another_shards_family_size() {
+    // One family of two groups: shard 0 owns block 0, the family's
+    // group-0 block, and with it the family's (n, m); shard 1 owns block 1.
+    let spec = ExperimentSpec {
+        graphs: vec![GraphSpec::Regular { n: 64, d: 3 }],
+        processes: vec![ProcessSpec::Srw],
+        trials: 4,
+        metrics: vec![],
+        ..spec()
+    };
+    let [s0, s1] = [0, 1].map(|index| {
+        run_shard(&spec, &opts(1), ShardSpec { index, count: 2 })
+            .unwrap()
+            .to_json()
+    });
+    assert!(s0.contains("\"rep_dims\": [[0, 64, 96]],"), "{s0}");
+    assert!(s1.contains("\"rep_dims\": [],"), "{s1}");
+    let forged = s1.replace("\"rep_dims\": [],", "\"rep_dims\": [[0, 999, 999]],");
+    let err = ShardReport::from_json(&forged).unwrap_err().to_string();
+    assert!(
+        err.contains("family 0") && err.contains("belongs to shard 0"),
+        "{err}"
+    );
+    let repeated = s0.replace(
+        "\"rep_dims\": [[0, 64, 96]],",
+        "\"rep_dims\": [[0, 64, 96], [0, 999, 999]],",
+    );
+    let err = ShardReport::from_json(&repeated).unwrap_err().to_string();
+    assert!(err.contains("family 0 twice"), "{err}");
+    // The honest pair still merges to the family's real size.
+    let merged = merge_shards(&[
+        ShardReport::from_json(&s0).unwrap(),
+        ShardReport::from_json(&s1).unwrap(),
+    ])
+    .unwrap();
+    assert_eq!((merged.cells[0].n, merged.cells[0].m), (64, 96));
 }
 
 #[test]
@@ -243,6 +304,41 @@ proptest! {
         }));
         prop_assert!(resumed.is_ok(), "resume or render panicked");
         if let Some(artifact) = resumed.unwrap() {
+            prop_assert!(common::json::validate(&artifact).is_ok());
+        }
+    }
+
+    /// A damaged shard artifact either fails to load with a
+    /// `ShardError`, or loads and then merges with its sibling to a
+    /// report (that renders) or a `ShardError` — never a panic anywhere.
+    #[test]
+    fn damaged_shard_artifacts_give_typed_errors_never_panics(
+        kind in 0usize..3,
+        at in 0.0f64..1.0,
+        mask in 0u8..255,
+    ) {
+        let damaged = mutate(shard(1).to_json().as_bytes(), kind, at, mask);
+        let Ok(text) = std::str::from_utf8(&damaged) else {
+            // `ShardReport::load` reports invalid UTF-8 as a `ShardError`
+            // before parsing.
+            return Ok(());
+        };
+        let parsed = catch_unwind(|| ShardReport::from_json(text));
+        prop_assert!(parsed.is_ok(), "from_json panicked");
+        let Ok(damaged) = parsed.unwrap() else {
+            return Ok(());
+        };
+        let merged = catch_unwind(AssertUnwindSafe(|| {
+            match merge_shards(&[shard(0).clone(), damaged]) {
+                Ok(report) => {
+                    let _ = to_text_table(&report).to_string();
+                    Some(to_json(&report))
+                }
+                Err(_) => None,
+            }
+        }));
+        prop_assert!(merged.is_ok(), "merge or render panicked");
+        if let Some(artifact) = merged.unwrap() {
             prop_assert!(common::json::validate(&artifact).is_ok());
         }
     }

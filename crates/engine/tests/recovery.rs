@@ -47,6 +47,16 @@ fn quiet_injected_panics() {
 /// A small but varied resampled spec: optionally two graph families, a
 /// ragged last group when `trials` is odd — 2 or 4 blocks total.
 fn spec_for(trials: usize, both_families: bool) -> ExperimentSpec {
+    spec_with(
+        trials,
+        both_families,
+        Some(ResamplePlan { walks_per_graph: 2 }),
+    )
+}
+
+/// [`spec_for`] under an explicit resample plan; `None` runs the same
+/// grid on one shared graph per family.
+fn spec_with(trials: usize, both_families: bool, resample: Option<ResamplePlan>) -> ExperimentSpec {
     let mut graphs = vec![GraphSpec::Regular { n: 20, d: 3 }];
     if both_families {
         graphs.push(GraphSpec::Torus { w: 4, h: 5 });
@@ -66,7 +76,7 @@ fn spec_for(trials: usize, both_families: bool) -> ExperimentSpec {
         metrics: vec![MetricSpec::Cover],
         start: 0,
         cap: CapSpec::Auto,
-        resample: Some(ResamplePlan { walks_per_graph: 2 }),
+        resample,
     }
 }
 
@@ -168,18 +178,24 @@ proptest! {
 
     /// The headline contract: kill at any block, resume on a different
     /// thread count, and the artifact matches an uninterrupted run's
-    /// byte-for-byte.
+    /// byte-for-byte — for a shared-graph spec too, whose 64-trial
+    /// blocks the larger trial count splits into 2 to 4 per family.
     #[test]
     fn killed_and_resumed_runs_reproduce_the_artifact(
         seed in 0u64..1_000_000,
         trials in 3usize..8,
         kill_after in 0usize..4,
         threads_draw in 0usize..4,
+        shared in 0usize..2,
     ) {
         // Exercise the {1, 4}-thread grid across both phases.
         let threads_a = if threads_draw % 2 == 0 { 1 } else { 4 };
         let threads_b = if threads_draw / 2 == 0 { 1 } else { 4 };
-        let spec = spec_for(trials, true);
+        let spec = if shared == 1 {
+            spec_with(trials * 30, true, None)
+        } else {
+            spec_for(trials, true)
+        };
         let golden = to_json(&run(&spec, &RunOptions { threads: 2, base_seed: seed }).unwrap());
         let resumed = killed_and_resumed(&spec, seed, kill_after, threads_a, threads_b);
         prop_assert_eq!(&to_json(&resumed), &golden);
@@ -187,14 +203,19 @@ proptest! {
 
     /// Injected faults — a panic and a lost graph, on different blocks —
     /// are retried from the same derived seeds and leave no trace in the
-    /// artifact.
+    /// artifact, on resampled and shared graphs alike.
     #[test]
     fn retried_blocks_contribute_bit_identical_results(
         seed in 0u64..1_000_000,
         trials in 3usize..8,
+        shared in 0usize..2,
     ) {
         quiet_injected_panics();
-        let spec = spec_for(trials, true);
+        let spec = if shared == 1 {
+            spec_with(trials * 30, true, None)
+        } else {
+            spec_for(trials, true)
+        };
         let golden = to_json(&run(&spec, &RunOptions { threads: 2, base_seed: seed }).unwrap());
         let rec = RecoveryOptions {
             retry_blocks: 1,
@@ -331,24 +352,6 @@ fn exhausted_retries_name_the_block_and_keep_the_checkpoint() {
         RunOutcome::Interrupted { .. } => unreachable!("nothing interrupts the resume"),
     }
     let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn shared_graph_runs_are_rejected_with_an_explanation() {
-    let mut spec = spec_for(4, false);
-    spec.resample = None;
-    let err = run_recoverable(
-        &spec,
-        &RunOptions {
-            threads: 1,
-            base_seed: 1,
-        },
-        &RecoveryOptions::default(),
-    )
-    .unwrap_err();
-    let msg = err.to_string();
-    assert!(msg.contains("resampled run"), "{msg}");
-    assert!(msg.contains("checkpoint"), "{msg}");
 }
 
 #[test]

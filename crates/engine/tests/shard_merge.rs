@@ -1,7 +1,8 @@
-//! Property tests for sharded execution: splitting a resampled run into
-//! `k` shards — through the JSON artifact round trip — and merging them
-//! back must reproduce the unsharded report **byte-for-byte**, for any
-//! shard count, any thread counts, and any spec shape.
+//! Property tests for sharded execution: splitting a run — resampled or
+//! on shared graphs — into `k` shards, through the JSON artifact round
+//! trip, and merging them back must reproduce the unsharded report
+//! **byte-for-byte**, for any shard count, any thread counts, and any
+//! spec shape.
 //!
 //! This is the sharding analogue of `determinism.rs`: the contract is
 //! not "statistically equivalent", it is the same artifact, so `cmp`
@@ -17,10 +18,12 @@ use eproc_engine::spec::{
 };
 use proptest::prelude::*;
 
-/// A small but varied resampled spec: two graph families, three process
-/// kinds, with the trials/walks_per_graph draw controlling whether
-/// groups are full, ragged (last group short) or single-trial — every
-/// block shape the executor can run.
+/// A small but varied spec: two graph families, three process kinds,
+/// with the trials/walks_per_graph draw controlling whether groups are
+/// full, ragged (last group short) or single-trial — every block shape
+/// the executor can run. `walks_per_graph == 0` runs one shared graph
+/// per family instead, on `trials × 30` trials, so the family's 64-trial
+/// blocks number 1 to 4 with a ragged last one.
 fn spec_for(trials: usize, walks_per_graph: usize, both_families: bool) -> ExperimentSpec {
     let mut graphs = vec![GraphSpec::Regular { n: 20, d: 3 }];
     if both_families {
@@ -37,12 +40,16 @@ fn spec_for(trials: usize, walks_per_graph: usize, both_families: bool) -> Exper
             ProcessSpec::Srw,
             ProcessSpec::RotorRouter,
         ],
-        trials,
+        trials: if walks_per_graph == 0 {
+            trials * 30
+        } else {
+            trials
+        },
         target: Target::VertexCover,
         metrics: vec![MetricSpec::Cover],
         start: 0,
         cap: CapSpec::Auto,
-        resample: Some(ResamplePlan { walks_per_graph }),
+        resample: (walks_per_graph > 0).then_some(ResamplePlan { walks_per_graph }),
     }
 }
 
@@ -76,7 +83,7 @@ proptest! {
     fn sharded_runs_merge_to_the_unsharded_artifact(
         seed in 0u64..1_000_000,
         trials in 1usize..8,
-        walks_per_graph in 1usize..4,
+        walks_per_graph in 0usize..4,
         family_draw in 0usize..2,
         threads in 1usize..4,
     ) {
@@ -93,7 +100,7 @@ proptest! {
     fn single_shard_split_is_the_identity(
         seed in 0u64..1_000_000,
         trials in 1usize..6,
-        walks_per_graph in 1usize..4,
+        walks_per_graph in 0usize..4,
     ) {
         let spec = spec_for(trials, walks_per_graph, true);
         let full = to_json(&run(&spec, &RunOptions { threads: 2, base_seed: seed }).unwrap());

@@ -75,7 +75,7 @@
 //!
 //! ## Crash safety
 //!
-//! [`engine::run_recoverable`] executes resampled runs with atomic
+//! [`engine::run_recoverable`] executes any run with atomic
 //! checkpointing, graceful SIGINT/SIGTERM interruption (the [`signal`]
 //! latch), deadline budgets and deterministic per-block retries; a
 //! resumed run reproduces the uninterrupted artifact byte-for-byte. On
