@@ -7,13 +7,16 @@
 //! even-degree series flat (`Θ(n)`) and the odd-degree series growing like
 //! `c·n ln n` with `c ≈ 0.93 (d=3)`, `0.41 (d=5)`, `0.38 (d=7)`; the final
 //! block prints our least-squares `c` for comparison.
+//!
+//! Engine wrapper: a resampled spec samples a fresh graph for every one of
+//! a point's 5 walks, as the paper does; this binary adds the growth-model
+//! fits.
 
-use eproc_bench::{parallel_map, rng_for, save_table, Config, Scale};
-use eproc_core::cover::{run_cover, CoverTarget};
-use eproc_core::rule::UniformRule;
-use eproc_core::EProcess;
-use eproc_graphs::generators;
-use eproc_stats::{fit_c_nlogn, fit_proportional, SeedSequence, Summary, TextTable};
+use eproc_bench::{run_engine_spec, save_table, Config, Scale};
+use eproc_engine::spec::{
+    CapSpec, ExperimentSpec, GraphSpec, ProcessSpec, ResamplePlan, RuleSpec, Target,
+};
+use eproc_stats::{fit_c_nlogn, fit_proportional, TextTable};
 
 const DEGREES: [usize; 5] = [3, 4, 5, 6, 7];
 const REPS: usize = 5;
@@ -27,64 +30,32 @@ fn sizes(scale: Scale) -> Vec<usize> {
 
 fn main() {
     let config = Config::from_args();
-    let seeds = SeedSequence::new(config.seed);
     let ns = sizes(config.scale);
-    let threads = std::thread::available_parallelism().map_or(4, |p| p.get());
     println!("Figure 1: normalised vertex cover time CV/n of the E-process");
     println!(
-        "(uniform rule, Steger-Wormald random d-regular graphs, {REPS} runs per point, {threads} threads)\n"
+        "(uniform rule, Steger-Wormald random d-regular graphs, {REPS} runs per point, one graph per run)\n"
     );
-
-    // Every (d, n, rep) cell is an independent simulation: fan out.
-    let cells: Vec<(usize, usize, usize)> = DEGREES
-        .iter()
-        .flat_map(|&d| {
-            ns.iter()
-                .flat_map(move |&n| (0..REPS).map(move |rep| (d, n, rep)))
-        })
-        .collect();
-    let normalised: Vec<f64> = parallel_map(cells.clone(), threads, |(d, n, rep)| {
-        let mut graph_rng = rng_for(seeds.derive(&[d as u64, n as u64, rep as u64]));
-        let g =
-            generators::connected_random_regular(n, d, &mut graph_rng).expect("generator failed");
-        let mut walk_rng = rng_for(seeds.derive(&[d as u64, n as u64, rep as u64, 1]));
-        let mut walk = EProcess::new(&g, 0, UniformRule::new());
-        // Cap far above the expected Θ(n log n): 200·n·ln n.
-        let cap = (200.0 * n as f64 * (n as f64).ln()) as u64;
-        let run = run_cover(&mut walk, CoverTarget::Vertices, cap, &mut walk_rng);
-        let steps = run
-            .steps_to_vertex_cover
-            .expect("E-process must cover a connected graph within the cap");
-        steps as f64 / n as f64
-    });
+    let spec = ExperimentSpec {
+        name: "fig1_cover_regular".into(),
+        description: "Figure 1: E-process vertex cover time on random d-regular graphs".into(),
+        graphs: DEGREES
+            .iter()
+            .flat_map(|&d| ns.iter().map(move |&n| GraphSpec::Regular { n, d }))
+            .collect(),
+        processes: vec![ProcessSpec::EProcess {
+            rule: RuleSpec::Uniform,
+        }],
+        trials: REPS,
+        target: Target::VertexCover,
+        metrics: vec![],
+        start: 0,
+        // Far above the expected Θ(n log n).
+        cap: CapSpec::NLogN(200.0),
+        resample: Some(ResamplePlan { walks_per_graph: 1 }),
+    };
+    let (_, report) = run_engine_spec(&spec, &config);
 
     let mut table = TextTable::new(vec!["d", "n", "CV/n mean", "CV/n sd", "runs"]);
-    // (d, n) -> mean CV for the fits.
-    let mut series: Vec<(usize, Vec<(usize, f64)>)> = Vec::new();
-    for &d in &DEGREES {
-        let mut points = Vec::new();
-        for &n in &ns {
-            let cover_times: Vec<f64> = cells
-                .iter()
-                .zip(&normalised)
-                .filter(|&(&(cd, cn, _), _)| cd == d && cn == n)
-                .map(|(_, &y)| y)
-                .collect();
-            let s = Summary::from_slice(&cover_times);
-            table.push_row(vec![
-                d.to_string(),
-                n.to_string(),
-                format!("{:.3}", s.mean),
-                format!("{:.3}", s.std_dev),
-                REPS.to_string(),
-            ]);
-            points.push((n, s.mean * n as f64));
-        }
-        series.push((d, points));
-    }
-    println!("{table}");
-
-    println!("growth-model fits per degree (paper: even flat, odd c*n*ln(n)):\n");
     let mut fits = TextTable::new(vec![
         "d",
         "c in c*n*ln(n)",
@@ -93,14 +64,24 @@ fn main() {
         "R2(linear)",
         "paper c",
     ]);
-    for (d, points) in &series {
-        let ns_fit: Vec<usize> = points.iter().map(|&(n, _)| n).collect();
-        let ys: Vec<f64> = points.iter().map(|&(_, y)| y).collect();
-        let xs_lin: Vec<f64> = ns_fit.iter().map(|&n| n as f64).collect();
-        let log_fit = fit_c_nlogn(&ns_fit, &ys);
+    // Cells run degree-major, one per (d, n).
+    for (&d, cells) in DEGREES.iter().zip(report.cells.chunks(ns.len())) {
+        let mut ys = Vec::with_capacity(ns.len());
+        for (&n, cell) in ns.iter().zip(cells) {
+            table.push_row(vec![
+                d.to_string(),
+                n.to_string(),
+                format!("{:.3}", cell.steps.mean() / n as f64),
+                format!("{:.3}", cell.steps.std_dev() / n as f64),
+                cell.trials.to_string(),
+            ]);
+            ys.push(cell.steps.mean());
+        }
+        let xs_lin: Vec<f64> = ns.iter().map(|&n| n as f64).collect();
+        let log_fit = fit_c_nlogn(&ns, &ys);
         let lin_fit = fit_proportional(&xs_lin, &ys);
         let paper =
-            eproc_theory::fig1_fitted_constant(*d).map_or("-".to_string(), |c| format!("{c:.2}"));
+            eproc_theory::fig1_fitted_constant(d).map_or("-".to_string(), |c| format!("{c:.2}"));
         fits.push_row(vec![
             d.to_string(),
             format!("{:.3}", log_fit.slope),
@@ -110,8 +91,12 @@ fn main() {
             paper,
         ]);
     }
+    println!("{table}");
+    println!("growth-model fits per degree (paper: even flat, odd c*n*ln(n)):\n");
     println!("{fits}");
     let p1 = save_table("fig1_cover_regular", &table).expect("write csv");
     let p2 = save_table("fig1_fits", &fits).expect("write csv");
     println!("csv: {} and {}", p1.display(), p2.display());
+    let j = eproc_engine::report::save_json(&report, None).expect("write json");
+    println!("json: {}", j.display());
 }

@@ -5,11 +5,13 @@
 //! and compare, and also verify the small cycles are vertex-disjoint whp
 //! (the property used in §4.2).
 
-use eproc_bench::{rng_for, save_table, Config, Scale};
+use eproc_bench::{save_table, Config, Scale};
 use eproc_graphs::generators;
 use eproc_graphs::properties::cycles::count_cycles_up_to;
 use eproc_stats::{SeedSequence, Summary, TextTable};
 use eproc_theory::expected_cycle_count_random_regular;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 const SAMPLES: usize = 5;
 const K_MAX: usize = 7;
@@ -26,7 +28,7 @@ fn main() {
     for &r in &[4usize, 6] {
         let mut counts_by_k: Vec<Vec<f64>> = vec![Vec::new(); K_MAX + 1];
         for sample in 0..SAMPLES {
-            let mut graph_rng = rng_for(seeds.derive(&[r as u64, sample as u64]));
+            let mut graph_rng = SmallRng::seed_from_u64(seeds.derive(&[r as u64, sample as u64]));
             let g = generators::connected_random_regular(n, r, &mut graph_rng).unwrap();
             let counts = count_cycles_up_to(&g, K_MAX);
             for (bucket, &count) in counts_by_k.iter_mut().zip(&counts).skip(3) {

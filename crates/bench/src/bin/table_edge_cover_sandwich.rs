@@ -1,19 +1,48 @@
 //! **T-eq3**: the edge-cover sandwich `m ≤ CE(E) ≤ m + CV(SRW)`
 //! (equation (3) / Observation 12) on even-degree graphs.
+//!
+//! Engine wrapper: one shared-graph spec walks the E-process and the SRW
+//! to edge cover, with the `cover` metric giving the SRW's `CV` from the
+//! same walk; this binary checks the sandwich.
 
-use eproc_bench::{edge_cover_runs, mean_vertex_cover_steps, rng_for, save_table, Config, Scale};
-use eproc_core::rule::UniformRule;
-use eproc_core::srw::SimpleRandomWalk;
-use eproc_core::EProcess;
-use eproc_graphs::{generators, Graph};
-use eproc_stats::{SeedSequence, Summary, TextTable};
-
-const REPS: usize = 5;
+use eproc_bench::{metric_mean, run_engine_spec, save_table, Config, Scale};
+use eproc_engine::spec::{
+    CapSpec, ExperimentSpec, GraphSpec, MetricSpec, ProcessSpec, RuleSpec, Target,
+};
+use eproc_stats::TextTable;
 
 fn main() {
     let config = Config::from_args();
-    let seeds = SeedSequence::new(config.seed);
     println!("Equation (3): m <= CE(E-process) <= m + CV(SRW) on even-degree graphs\n");
+    let (cyc, tor, reg_n) = match config.scale {
+        Scale::Quick => (2_000, 24, 2_000),
+        Scale::Paper => (20_000, 64, 20_000),
+    };
+    let spec = ExperimentSpec {
+        name: "table_edge_cover_sandwich".into(),
+        description: "Equation (3): E-process edge cover against m + CV(SRW)".into(),
+        graphs: vec![
+            GraphSpec::Cycle { n: cyc },
+            GraphSpec::Torus { w: tor, h: tor },
+            GraphSpec::Complete { n: 63 },
+            GraphSpec::Regular { n: reg_n, d: 4 },
+            GraphSpec::Regular { n: reg_n, d: 6 },
+            GraphSpec::Hypercube { dim: 10 },
+        ],
+        processes: vec![
+            ProcessSpec::EProcess {
+                rule: RuleSpec::Uniform,
+            },
+            ProcessSpec::Srw,
+        ],
+        trials: 5,
+        target: Target::EdgeCover,
+        metrics: vec![MetricSpec::Cover],
+        start: 0,
+        cap: CapSpec::Absolute(100_000_000),
+        resample: None,
+    };
+    let (_, report) = run_engine_spec(&spec, &config);
     let mut table = TextTable::new(vec![
         "graph",
         "n",
@@ -23,55 +52,24 @@ fn main() {
         "m + CV(SRW)",
         "CE in sandwich",
     ]);
-
-    let (cyc, tor, reg_n) = match config.scale {
-        Scale::Quick => (2_000, 24, 2_000),
-        Scale::Paper => (20_000, 64, 20_000),
-    };
-    let mut graph_rng = rng_for(seeds.derive(&[0]));
-    let graphs: Vec<(String, Graph)> = vec![
-        (format!("cycle({cyc})"), generators::cycle(cyc)),
-        (format!("torus {tor}x{tor}"), generators::torus2d(tor, tor)),
-        ("complete(63)".into(), generators::complete(63)),
-        (
-            format!("random 4-regular({reg_n})"),
-            generators::connected_random_regular(reg_n, 4, &mut graph_rng).unwrap(),
-        ),
-        (
-            format!("random 6-regular({reg_n})"),
-            generators::connected_random_regular(reg_n, 6, &mut graph_rng).unwrap(),
-        ),
-        ("hypercube(10)".into(), generators::hypercube(10)),
-    ];
-
-    for (name, g) in &graphs {
-        let n = g.n();
-        let m = g.m();
-        let cap = 100_000_000u64;
-        let mut rng = rng_for(seeds.derive(&[1, n as u64, m as u64]));
-        let runs = edge_cover_runs(
-            |_| EProcess::new(g, 0, UniformRule::new()),
-            REPS,
-            cap,
-            &mut rng,
-        );
-        let ce: Vec<u64> = runs.iter().filter_map(|r| r.steps_to_edge_cover).collect();
-        assert_eq!(ce.len(), REPS, "{name}: edge cover must finish");
-        let ce_summary = Summary::from_u64(&ce);
-        let (cv_srw, done) =
-            mean_vertex_cover_steps(|_| SimpleRandomWalk::new(g, 0), REPS, cap, &mut rng);
-        assert_eq!(done, REPS);
-        let lower_ok = ce_summary.mean >= m as f64;
+    // Cell grid order: (graph, process) with processes = [e-process, srw].
+    let cells = report.cells.chunks(spec.processes.len());
+    for (gspec, cells) in spec.graphs.iter().zip(cells) {
+        let name = gspec.label();
+        let m = cells[0].m as f64;
+        let ce = cells[0].steps.mean();
+        let cv_srw = metric_mean(&cells[1], "cover.c_v");
+        let lower_ok = ce >= m;
         // The upper bound holds in expectation; per-run noise allowed.
-        let upper_ok = ce_summary.mean <= m as f64 + cv_srw * 1.5;
-        assert!(lower_ok, "{name}: CE {} below m {m}", ce_summary.mean);
+        let upper_ok = ce <= m + cv_srw * 1.5;
+        assert!(lower_ok, "{name}: CE {ce} below m {m}");
         table.push_row(vec![
-            name.clone(),
-            n.to_string(),
-            m.to_string(),
-            format!("{:.0}", ce_summary.mean),
+            name,
+            cells[0].n.to_string(),
+            cells[0].m.to_string(),
+            format!("{ce:.0}"),
             format!("{cv_srw:.0}"),
-            format!("{:.0}", m as f64 + cv_srw),
+            format!("{:.0}", m + cv_srw),
             if lower_ok && upper_ok {
                 "yes".into()
             } else {
@@ -82,4 +80,6 @@ fn main() {
     println!("{table}");
     let p = save_table("table_edge_cover_sandwich", &table).expect("write csv");
     println!("csv: {}", p.display());
+    let j = eproc_engine::report::save_json(&report, None).expect("write json");
+    println!("json: {}", j.display());
 }

@@ -4,22 +4,53 @@
 //! LPS graphs `X^{5,q}` are 6-regular with girth `Ω(log n)`; Theorem 3
 //! then gives `CE(E) = O(m + m log n / g)` ≈ linear. Random 6-regular
 //! graphs (constant girth, but few short cycles) are shown for contrast.
+//!
+//! Engine wrapper: one shared-graph spec walks each graph to edge cover,
+//! with the `cover` metric giving `CV` from the same walk; this binary
+//! adds the girth, spectral gap and Theorem 3 columns.
 
-use eproc_bench::{edge_cover_runs, mean_vertex_cover_steps, rng_for, save_table, Config, Scale};
-use eproc_core::rule::UniformRule;
-use eproc_core::EProcess;
+use eproc_bench::{metric_mean, run_engine_spec, save_table, Config, Scale};
+use eproc_engine::spec::{
+    CapSpec, ExperimentSpec, GraphSpec, MetricSpec, ProcessSpec, RuleSpec, Target,
+};
 use eproc_graphs::properties::{bipartite, girth};
-use eproc_graphs::{generators, Graph};
 use eproc_spectral::lanczos::lanczos;
-use eproc_stats::{SeedSequence, Summary, TextTable};
+use eproc_stats::TextTable;
 use eproc_theory::theorem3_edge_cover_bound;
-
-const REPS: usize = 3;
 
 fn main() {
     let config = Config::from_args();
-    let seeds = SeedSequence::new(config.seed);
     println!("Theorem 3 on high girth even degree expanders (LPS) vs random regular\n");
+    let lps: Vec<GraphSpec> = match config.scale {
+        Scale::Quick => vec![13, 17],
+        Scale::Paper => vec![13, 17, 29],
+    }
+    .into_iter()
+    .map(|q| GraphSpec::Lps { p: 5, q })
+    .collect();
+    // Contrast: random 6-regular graphs of comparable sizes.
+    let random: Vec<GraphSpec> = lps
+        .iter()
+        .map(|l| GraphSpec::Regular {
+            n: l.vertex_count().expect("valid LPS parameters"),
+            d: 6,
+        })
+        .collect();
+    let spec = ExperimentSpec {
+        name: "table_girth".into(),
+        description: "Theorem 3: E-process edge cover on LPS and random 6-regular graphs".into(),
+        graphs: lps.into_iter().chain(random).collect(),
+        processes: vec![ProcessSpec::EProcess {
+            rule: RuleSpec::Uniform,
+        }],
+        trials: 3,
+        target: Target::EdgeCover,
+        metrics: vec![MetricSpec::Cover],
+        start: 0,
+        cap: CapSpec::NLogN(10_000.0),
+        resample: None,
+    };
+    let (graphs, report) = run_engine_spec(&spec, &config);
     let mut table = TextTable::new(vec![
         "graph",
         "n",
@@ -32,8 +63,7 @@ fn main() {
         "thm3 bound",
         "CE/bound",
     ]);
-
-    let mut measure = |name: String, g: &Graph| {
+    for ((gspec, g), cell) in spec.graphs.iter().zip(&graphs).zip(&report.cells) {
         let n = g.n();
         let m = g.m();
         let girth_val = girth::girth_at_most(g, 24).unwrap_or(25);
@@ -43,27 +73,11 @@ fn main() {
         } else {
             1.0 - res.lambda_max()
         };
-        let cap = (10_000.0 * n as f64 * (n as f64).ln()) as u64;
-        let mut rng = rng_for(seeds.derive(&[3, n as u64, m as u64]));
-        let (cv, d) = mean_vertex_cover_steps(
-            |_| EProcess::new(g, 0, UniformRule::new()),
-            REPS,
-            cap,
-            &mut rng,
-        );
-        assert_eq!(d, REPS);
-        let runs = edge_cover_runs(
-            |_| EProcess::new(g, 0, UniformRule::new()),
-            REPS,
-            cap,
-            &mut rng,
-        );
-        let ce: Vec<u64> = runs.iter().filter_map(|x| x.steps_to_edge_cover).collect();
-        assert_eq!(ce.len(), REPS);
-        let ce_mean = Summary::from_u64(&ce).mean;
+        let cv = metric_mean(cell, "cover.c_v");
+        let ce = cell.steps.mean();
         let bound = theorem3_edge_cover_bound(m, n, girth_val, g.max_degree(), gap);
         table.push_row(vec![
-            name,
+            gspec.label(),
             n.to_string(),
             m.to_string(),
             if girth_val == 25 {
@@ -73,31 +87,15 @@ fn main() {
             },
             format!("{gap:.3}"),
             format!("{:.2}", cv / n as f64),
-            format!("{:.2}", ce_mean / m as f64),
-            format!("{ce_mean:.0}"),
+            format!("{:.2}", ce / m as f64),
+            format!("{ce:.0}"),
             format!("{bound:.0}"),
-            format!("{:.3}", ce_mean / bound),
+            format!("{:.3}", ce / bound),
         ]);
-    };
-
-    let lps_qs: Vec<u64> = match config.scale {
-        Scale::Quick => vec![13, 17],
-        Scale::Paper => vec![13, 17, 29],
-    };
-    for &q in &lps_qs {
-        let g = generators::lps_ramanujan(5, q).unwrap();
-        measure(format!("LPS(5,{q})"), &g);
-    }
-    // Contrast: random 6-regular graphs of comparable sizes.
-    for &q in &lps_qs {
-        let n = generators::lps::LpsParams::new(5, q)
-            .unwrap()
-            .vertex_count();
-        let mut graph_rng = rng_for(seeds.derive(&[6, n as u64]));
-        let g = generators::connected_random_regular(n, 6, &mut graph_rng).unwrap();
-        measure(format!("random 6-regular({n})"), &g);
     }
     println!("{table}");
     let p = save_table("table_girth", &table).expect("write csv");
     println!("csv: {}", p.display());
+    let j = eproc_engine::report::save_json(&report, None).expect("write json");
+    println!("json: {}", j.display());
 }

@@ -4,21 +4,21 @@
 //! `CE = Θ(n log n)` — the sandwich (3) is tight — while the SRW needs
 //! `CE = Θ(n log² n)`; the Orenshtein–Shinkar bound (2) only gives
 //! `O(n log² n)` here. The two normalised columns should be flat.
+//!
+//! Thin engine wrapper: the built-in `hypercube` spec measures both edge
+//! cover times; this binary adds the normalised columns and bound (2).
 
-use eproc_bench::{edge_cover_runs, rng_for, save_table, Config, Scale};
-use eproc_core::rule::UniformRule;
-use eproc_core::srw::SimpleRandomWalk;
-use eproc_core::EProcess;
-use eproc_graphs::generators;
-use eproc_stats::{SeedSequence, Summary, TextTable};
+use eproc_bench::{engine_scale, run_engine_spec, save_table, Config};
+use eproc_engine::builtin;
+use eproc_engine::spec::GraphSpec;
+use eproc_stats::TextTable;
 use eproc_theory::eq2_greedy_edge_cover_bound;
-
-const REPS: usize = 3;
 
 fn main() {
     let config = Config::from_args();
-    let seeds = SeedSequence::new(config.seed);
     println!("Hypercube edge cover: CE(E) = Theta(n log n) vs CE(SRW) = Theta(n log^2 n)\n");
+    let spec = builtin::spec("hypercube", engine_scale(config.scale)).expect("builtin exists");
+    let (_, report) = run_engine_spec(&spec, &config);
     let mut table = TextTable::new(vec![
         "r",
         "n",
@@ -29,50 +29,31 @@ fn main() {
         "CE(SRW)/(n ln^2 n)",
         "eq(2) bound",
     ]);
-
-    let dims: Vec<usize> = match config.scale {
-        Scale::Quick => (6..=11).collect(),
-        Scale::Paper => (6..=14).collect(),
-    };
-    for &r in &dims {
-        let g = generators::hypercube(r);
-        let n = g.n() as f64;
-        let m = g.m();
-        let cap = (10_000.0 * n * n.ln()) as u64;
-        let mut rng = rng_for(seeds.derive(&[r as u64]));
-        let e_runs = edge_cover_runs(
-            |_| EProcess::new(&g, 0, UniformRule::new()),
-            REPS,
-            cap,
-            &mut rng,
-        );
-        let e_ce: Vec<u64> = e_runs
-            .iter()
-            .filter_map(|x| x.steps_to_edge_cover)
-            .collect();
-        let srw_runs = edge_cover_runs(|_| SimpleRandomWalk::new(&g, 0), REPS, cap, &mut rng);
-        let s_ce: Vec<u64> = srw_runs
-            .iter()
-            .filter_map(|x| x.steps_to_edge_cover)
-            .collect();
-        assert_eq!(e_ce.len(), REPS, "H{r}: E-process edge cover must finish");
-        assert_eq!(s_ce.len(), REPS, "H{r}: SRW edge cover must finish");
-        let e_mean = Summary::from_u64(&e_ce).mean;
-        let s_mean = Summary::from_u64(&s_ce).mean;
+    // Cell grid order: (graph, process) with processes = [e-process, srw].
+    let cells = report.cells.chunks(spec.processes.len());
+    for (gspec, cells) in spec.graphs.iter().zip(cells) {
+        let GraphSpec::Hypercube { dim: r } = *gspec else {
+            panic!("hypercube spec contains only hypercubes")
+        };
+        let [e_mean, s_mean] = [0, 1].map(|pi| cells[pi].steps.mean());
+        let (n, m) = (cells[0].n, cells[0].m);
         // λ2(H_r) = 1 - 2/r: eq (2)'s bound with that gap.
-        let eq2 = eq2_greedy_edge_cover_bound(m, g.n(), 2.0 / r as f64);
+        let eq2 = eq2_greedy_edge_cover_bound(m, n, 2.0 / r as f64);
+        let nf = n as f64;
         table.push_row(vec![
             r.to_string(),
-            g.n().to_string(),
+            n.to_string(),
             m.to_string(),
             format!("{e_mean:.0}"),
-            format!("{:.3}", e_mean / (n * n.ln())),
+            format!("{:.3}", e_mean / (nf * nf.ln())),
             format!("{s_mean:.0}"),
-            format!("{:.3}", s_mean / (n * n.ln() * n.ln())),
+            format!("{:.3}", s_mean / (nf * nf.ln() * nf.ln())),
             format!("{eq2:.0}"),
         ]);
     }
     println!("{table}");
     let p = save_table("table_hypercube", &table).expect("write csv");
     println!("csv: {}", p.display());
+    let j = eproc_engine::report::save_json(&report, None).expect("write json");
+    println!("json: {}", j.display());
 }

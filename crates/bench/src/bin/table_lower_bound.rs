@@ -5,26 +5,27 @@
 //! Theorem 5) and in fact `(1−o(1)) n ln n` (Feige). The E-process beats
 //! both on even-degree expanders — the "speed up of Ω(min(log n, ℓ))"
 //! claimed after eq. (1).
+//!
+//! Engine wrapper: the built-in `lowerbound` spec covers the random
+//! 4-regular rows and a shared-graph spec with the same processes covers
+//! the torus and hypercube rows; this binary adds the bounds and checks
+//! Theorem 5 against both the simple and the weighted random walk.
 
-use eproc_bench::{mean_vertex_cover_steps, rng_for, save_table, Config, Scale};
-use eproc_core::rule::UniformRule;
-use eproc_core::srw::SimpleRandomWalk;
-use eproc_core::EProcess;
-use eproc_graphs::generators;
-use eproc_stats::{SeedSequence, TextTable};
+use eproc_bench::{engine_scale, run_engine_spec, save_table, Config, Scale};
+use eproc_engine::builtin;
+use eproc_engine::spec::{CapSpec, ExperimentSpec, GraphSpec};
+use eproc_stats::TextTable;
 use eproc_theory::{feige_lower_bound, radzik_lower_bound};
-
-const REPS: usize = 5;
 
 fn main() {
     let config = Config::from_args();
-    let seeds = SeedSequence::new(config.seed);
     println!("Lower bounds: SRW cover time vs Radzik (n/4)ln(n/2) and Feige n*ln(n);");
     println!("the E-process undercuts both on even-degree expanders.\n");
     let mut table = TextTable::new(vec![
         "graph",
         "n",
         "SRW CV",
+        "weighted SRW CV",
         "Radzik lb",
         "Feige n*ln n",
         "SRW/(n ln n)",
@@ -32,77 +33,54 @@ fn main() {
         "E CV/n",
     ]);
 
-    let sizes: Vec<usize> = match config.scale {
-        Scale::Quick => vec![1_000, 4_000],
-        Scale::Paper => vec![4_000, 16_000, 65_536],
+    let regular = builtin::spec("lowerbound", engine_scale(config.scale)).expect("builtin exists");
+    // Structured graphs for contrast, under the same processes.
+    let (torus_side, dim) = match config.scale {
+        Scale::Quick => (32, 10),
+        Scale::Paper => (64, 13),
     };
-    for &n in &sizes {
-        let mut graph_rng = rng_for(seeds.derive(&[4, n as u64]));
-        let g = generators::connected_random_regular(n, 4, &mut graph_rng).unwrap();
-        let cap = (2_000.0 * n as f64 * (n as f64).ln()) as u64;
-        let mut rng = rng_for(seeds.derive(&[4, n as u64, 1]));
-        let (srw_mean, d1) =
-            mean_vertex_cover_steps(|_| SimpleRandomWalk::new(&g, 0), REPS, cap, &mut rng);
-        let (e_mean, d2) = mean_vertex_cover_steps(
-            |_| EProcess::new(&g, 0, UniformRule::new()),
-            REPS,
-            cap,
-            &mut rng,
-        );
-        assert_eq!((d1, d2), (REPS, REPS));
-        let radzik = radzik_lower_bound(n);
-        let feige = feige_lower_bound(n);
-        assert!(
-            srw_mean > radzik,
-            "Theorem 5 violated: SRW covered {n}-vertex graph in {srw_mean} < {radzik}"
-        );
-        table.push_row(vec![
-            "random 4-regular".into(),
-            n.to_string(),
-            format!("{srw_mean:.0}"),
-            format!("{radzik:.0}"),
-            format!("{feige:.0}"),
-            format!("{:.3}", srw_mean / feige),
-            format!("{e_mean:.0}"),
-            format!("{:.2}", e_mean / n as f64),
-        ]);
-    }
-
-    // Structured graphs for contrast.
-    let torus_side = match config.scale {
-        Scale::Quick => 32,
-        Scale::Paper => 64,
+    let structured = ExperimentSpec {
+        name: "lowerbound_structured".into(),
+        description: "Theorem 5 flavour on a torus and a hypercube".into(),
+        graphs: vec![
+            GraphSpec::Torus {
+                w: torus_side,
+                h: torus_side,
+            },
+            GraphSpec::Hypercube { dim },
+        ],
+        cap: CapSpec::NLogN(20_000.0),
+        ..regular.clone()
     };
-    let torus = generators::torus2d(torus_side, torus_side);
-    let hyper = generators::hypercube(match config.scale {
-        Scale::Quick => 10,
-        Scale::Paper => 13,
-    });
-    for (name, g) in [("torus", &torus), ("hypercube", &hyper)] {
-        let n = g.n();
-        let cap = (20_000.0 * n as f64 * (n as f64).ln()) as u64;
-        let mut rng = rng_for(seeds.derive(&[99, n as u64]));
-        let (srw_mean, d1) =
-            mean_vertex_cover_steps(|_| SimpleRandomWalk::new(g, 0), REPS, cap, &mut rng);
-        let (e_mean, d2) = mean_vertex_cover_steps(
-            |_| EProcess::new(g, 0, UniformRule::new()),
-            REPS,
-            cap,
-            &mut rng,
-        );
-        assert_eq!((d1, d2), (REPS, REPS));
-        let radzik = radzik_lower_bound(n);
-        assert!(srw_mean > radzik, "Theorem 5 violated on {name}");
-        table.push_row(vec![
-            name.into(),
-            n.to_string(),
-            format!("{srw_mean:.0}"),
-            format!("{radzik:.0}"),
-            format!("{:.0}", feige_lower_bound(n)),
-            format!("{:.3}", srw_mean / feige_lower_bound(n)),
-            format!("{e_mean:.0}"),
-            format!("{:.2}", e_mean / n as f64),
-        ]);
+    for spec in [regular, structured] {
+        let (_, report) = run_engine_spec(&spec, &config);
+        // Cell grid order: (graph, process) with processes =
+        // [e-process, srw, weighted srw].
+        let cells = report.cells.chunks(spec.processes.len());
+        for (gspec, cells) in spec.graphs.iter().zip(cells) {
+            let [e_mean, srw_mean, weighted_mean] = [0, 1, 2].map(|pi| cells[pi].steps.mean());
+            let n = cells[0].n;
+            let radzik = radzik_lower_bound(n);
+            let feige = feige_lower_bound(n);
+            for (walk, mean) in [("SRW", srw_mean), ("weighted SRW", weighted_mean)] {
+                assert!(
+                    mean > radzik,
+                    "Theorem 5 violated: {walk} covered {} in {mean} < {radzik}",
+                    gspec.label()
+                );
+            }
+            table.push_row(vec![
+                gspec.label(),
+                n.to_string(),
+                format!("{srw_mean:.0}"),
+                format!("{weighted_mean:.0}"),
+                format!("{radzik:.0}"),
+                format!("{feige:.0}"),
+                format!("{:.3}", srw_mean / feige),
+                format!("{e_mean:.0}"),
+                format!("{:.2}", e_mean / n as f64),
+            ]);
+        }
     }
     println!("{table}");
     let p = save_table("table_lower_bound", &table).expect("write csv");

@@ -4,59 +4,61 @@
 //! `CV(E)/n` should be flat across `n` for `r ∈ {4, 6}` (Corollary 2);
 //! `CE(E)/n` may grow, but slower than any fixed power of `log n`
 //! (Corollary 4: `O(ωn)` for any `ω → ∞`).
+//!
+//! Engine wrapper: one shared-graph spec; the `cover` metric yields `CV`
+//! and `CE` from the same walk.
 
-use eproc_bench::{edge_cover_runs, mean_vertex_cover_steps, rng_for, save_table, Config, Scale};
-use eproc_core::rule::UniformRule;
-use eproc_core::EProcess;
-use eproc_graphs::generators;
-use eproc_stats::{SeedSequence, Summary, TextTable};
-
-const REPS: usize = 5;
+use eproc_bench::{metric_mean, run_engine_spec, save_table, Config, Scale};
+use eproc_engine::spec::{
+    CapSpec, ExperimentSpec, GraphSpec, MetricSpec, ProcessSpec, RuleSpec, Target,
+};
+use eproc_stats::TextTable;
 
 fn main() {
     let config = Config::from_args();
-    let seeds = SeedSequence::new(config.seed);
     println!("Corollary 2/4: CV(E)/n flat and CE(E)/n sub-logarithmic for r = 4, 6\n");
-    let mut table = TextTable::new(vec!["r", "n", "CV/n", "CE/n", "CE/(n ln n)"]);
     let sizes: Vec<usize> = match config.scale {
         Scale::Quick => vec![1_000, 2_000, 4_000, 8_000, 16_000, 32_000],
         Scale::Paper => vec![16_000, 32_000, 64_000, 128_000, 256_000],
     };
-    for &r in &[4usize, 6] {
-        for &n in &sizes {
-            let mut graph_rng = rng_for(seeds.derive(&[r as u64, n as u64]));
-            let g = generators::connected_random_regular(n, r, &mut graph_rng).unwrap();
-            let cap = (1_000.0 * n as f64 * (n as f64).ln()) as u64;
-            let mut rng = rng_for(seeds.derive(&[r as u64, n as u64, 7]));
-            let (cv, d1) = mean_vertex_cover_steps(
-                |_| EProcess::new(&g, 0, UniformRule::new()),
-                REPS,
-                cap,
-                &mut rng,
-            );
-            let ce_runs = edge_cover_runs(
-                |_| EProcess::new(&g, 0, UniformRule::new()),
-                REPS,
-                cap,
-                &mut rng,
-            );
-            let ce: Vec<u64> = ce_runs
-                .iter()
-                .filter_map(|x| x.steps_to_edge_cover)
-                .collect();
-            assert_eq!(d1, REPS);
-            assert_eq!(ce.len(), REPS);
-            let ce_mean = Summary::from_u64(&ce).mean;
-            table.push_row(vec![
-                r.to_string(),
-                n.to_string(),
-                format!("{:.3}", cv / n as f64),
-                format!("{:.3}", ce_mean / n as f64),
-                format!("{:.4}", ce_mean / (n as f64 * (n as f64).ln())),
-            ]);
-        }
+    let spec = ExperimentSpec {
+        name: "table_regular_linear".into(),
+        description: "Corollaries 2 and 4: E-process CV and CE on random even-regular graphs"
+            .into(),
+        graphs: [4usize, 6]
+            .iter()
+            .flat_map(|&d| sizes.iter().map(move |&n| GraphSpec::Regular { n, d }))
+            .collect(),
+        processes: vec![ProcessSpec::EProcess {
+            rule: RuleSpec::Uniform,
+        }],
+        trials: 5,
+        target: Target::EdgeCover,
+        metrics: vec![MetricSpec::Cover],
+        start: 0,
+        cap: CapSpec::NLogN(1_000.0),
+        resample: None,
+    };
+    let (_, report) = run_engine_spec(&spec, &config);
+    let mut table = TextTable::new(vec!["r", "n", "CV/n", "CE/n", "CE/(n ln n)"]);
+    for (gspec, cell) in spec.graphs.iter().zip(&report.cells) {
+        let GraphSpec::Regular { n, d: r } = *gspec else {
+            panic!("the grid contains only regular graphs")
+        };
+        let nf = n as f64;
+        let cv = metric_mean(cell, "cover.c_v");
+        let ce = metric_mean(cell, "cover.c_e");
+        table.push_row(vec![
+            r.to_string(),
+            n.to_string(),
+            format!("{:.3}", cv / nf),
+            format!("{:.3}", ce / nf),
+            format!("{:.4}", ce / (nf * nf.ln())),
+        ]);
     }
     println!("{table}");
     let p = save_table("table_regular_linear", &table).expect("write csv");
     println!("csv: {}", p.display());
+    let j = eproc_engine::report::save_json(&report, None).expect("write json");
+    println!("json: {}", j.display());
 }

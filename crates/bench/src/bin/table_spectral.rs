@@ -6,12 +6,14 @@
 //! against the predictions, and report the gap that enters every cover
 //! bound.
 
-use eproc_bench::{rng_for, save_table, Config, Scale};
+use eproc_bench::{save_table, Config, Scale};
 use eproc_graphs::properties::bipartite;
 use eproc_graphs::{generators, Graph};
 use eproc_spectral::lanczos::lanczos;
 use eproc_stats::{SeedSequence, TextTable};
 use eproc_theory::{friedman_lambda_bound, hypercube_lambda2, ramanujan_lambda_bound};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 fn main() {
     let config = Config::from_args();
@@ -56,7 +58,7 @@ fn main() {
     };
 
     for r in [3usize, 4, 5, 6, 7] {
-        let mut graph_rng = rng_for(seeds.derive(&[r as u64]));
+        let mut graph_rng = SmallRng::seed_from_u64(seeds.derive(&[r as u64]));
         let g = generators::connected_random_regular(reg_n, r, &mut graph_rng).unwrap();
         // Friedman with a finite-size allowance ε.
         row(

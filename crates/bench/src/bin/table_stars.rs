@@ -6,61 +6,68 @@
 //! forcing coupon-collector behaviour (`Θ(n log n)` cover). We track star
 //! formation over full runs for `r ∈ {3, 5, 7}` and contrast with the
 //! even degrees, which strand none.
+//!
+//! Engine wrapper: one shared-graph spec with the `bluecensus` metric on
+//! each vertex-cover walk; this binary reshapes the star counts.
 
-use eproc_bench::{rng_for, save_table, Config, Scale};
-use eproc_core::blue::track_isolated_stars;
-use eproc_core::rule::UniformRule;
-use eproc_core::EProcess;
-use eproc_graphs::generators;
-use eproc_stats::{SeedSequence, Summary, TextTable};
+use eproc_bench::{run_engine_spec, save_table, Config, Scale};
+use eproc_engine::spec::{
+    CapSpec, ExperimentSpec, GraphSpec, MetricSpec, ProcessSpec, RuleSpec, Target,
+};
+use eproc_stats::TextTable;
 use eproc_theory::star_fraction_heuristic_r3;
-
-const REPS: usize = 5;
 
 fn main() {
     let config = Config::from_args();
-    let seeds = SeedSequence::new(config.seed);
     println!("Isolated blue stars (Section 5): fraction of vertices stranded as stars\n");
-    let mut table = TextTable::new(vec!["r", "n", "stars/n", "sd", "CV/(n ln n)", "heuristic"]);
     let sizes: Vec<usize> = match config.scale {
         Scale::Quick => vec![2_000, 8_000],
         Scale::Paper => vec![8_000, 32_000, 128_000],
     };
-    for &r in &[3usize, 4, 5, 6, 7] {
-        for &n in &sizes {
-            let mut graph_rng = rng_for(seeds.derive(&[r as u64, n as u64]));
-            let g = generators::connected_random_regular(n, r, &mut graph_rng).unwrap();
-            let cap = (2_000.0 * n as f64 * (n as f64).ln()) as u64;
-            let mut fractions = Vec::with_capacity(REPS);
-            let mut covers = Vec::with_capacity(REPS);
-            for rep in 0..REPS {
-                let mut rng = rng_for(seeds.derive(&[r as u64, n as u64, rep as u64]));
-                let mut walk = EProcess::new(&g, 0, UniformRule::new());
-                let census = track_isolated_stars(&mut walk, cap, &mut rng);
-                let cv = census.steps_to_vertex_cover.expect("cover must finish");
-                fractions.push(census.ever_star_centers.len() as f64 / n as f64);
-                covers.push(cv as f64);
-            }
-            let f = Summary::from_slice(&fractions);
-            let cv = Summary::from_slice(&covers);
-            let heuristic = if r == 3 {
-                format!("{:.3}", star_fraction_heuristic_r3())
-            } else if r % 2 == 0 {
-                "0 (even)".into()
-            } else {
-                "-".into()
-            };
-            table.push_row(vec![
-                r.to_string(),
-                n.to_string(),
-                format!("{:.4}", f.mean),
-                format!("{:.4}", f.std_dev),
-                format!("{:.3}", cv.mean / (n as f64 * (n as f64).ln())),
-                heuristic,
-            ]);
-        }
+    let spec = ExperimentSpec {
+        name: "table_stars".into(),
+        description: "Section 5 isolated blue star census of the E-process".into(),
+        graphs: [3usize, 4, 5, 6, 7]
+            .iter()
+            .flat_map(|&d| sizes.iter().map(move |&n| GraphSpec::Regular { n, d }))
+            .collect(),
+        processes: vec![ProcessSpec::EProcess {
+            rule: RuleSpec::Uniform,
+        }],
+        trials: 5,
+        target: Target::VertexCover,
+        metrics: vec![MetricSpec::BlueCensus],
+        start: 0,
+        cap: CapSpec::NLogN(2_000.0),
+        resample: None,
+    };
+    let (_, report) = run_engine_spec(&spec, &config);
+    let mut table = TextTable::new(vec!["r", "n", "stars/n", "sd", "CV/(n ln n)", "heuristic"]);
+    for (gspec, cell) in spec.graphs.iter().zip(&report.cells) {
+        let GraphSpec::Regular { n, d: r } = *gspec else {
+            panic!("the grid contains only regular graphs")
+        };
+        let nf = n as f64;
+        let stars = &cell.metrics[0].stats;
+        let heuristic = if r == 3 {
+            format!("{:.3}", star_fraction_heuristic_r3())
+        } else if r % 2 == 0 {
+            "0 (even)".into()
+        } else {
+            "-".into()
+        };
+        table.push_row(vec![
+            r.to_string(),
+            n.to_string(),
+            format!("{:.4}", stars.mean() / nf),
+            format!("{:.4}", stars.std_dev() / nf),
+            format!("{:.3}", cell.steps.mean() / (nf * nf.ln())),
+            heuristic,
+        ]);
     }
     println!("{table}");
     let p = save_table("table_stars", &table).expect("write csv");
     println!("csv: {}", p.display());
+    let j = eproc_engine::report::save_json(&report, None).expect("write json");
+    println!("json: {}", j.display());
 }

@@ -10,9 +10,8 @@
 //! `eproc-engine`; this wrapper only adds the per-graph spectral-gap and
 //! theory-bound columns the engine deliberately does not know about.
 
-use eproc_bench::{engine_scale, save_table, Config};
+use eproc_bench::{engine_scale, run_engine_spec, save_table, Config};
 use eproc_engine::builtin;
-use eproc_engine::executor::{build_graphs, run_on_graphs};
 use eproc_engine::spec::GraphSpec;
 use eproc_graphs::properties::{bipartite, girth};
 use eproc_graphs::Graph;
@@ -42,18 +41,13 @@ fn main() {
     let config = Config::from_args();
     println!("Theorem 1: CV(E) vs n + n*ln(n)/(l*(1-lambda_max)) on even-degree expanders\n");
     let spec = builtin::spec("theorem1", engine_scale(config.scale)).expect("builtin exists");
-    let opts = config.engine_opts();
-    // Build the graphs once: the ensemble and the per-graph enrichment
-    // columns below both use them.
-    let graphs = build_graphs(&spec, opts.base_seed).expect("theorem1 graphs");
-    let report = run_on_graphs(&spec, &opts, &graphs).expect("theorem1 ensemble");
+    let (graphs, report) = run_engine_spec(&spec, &config);
 
     let mut table = TextTable::new(vec![
         "graph", "n", "gap", "l est", "CV mean", "bound", "CV/bound", "CV/n",
     ]);
     for (gi, (gspec, g)) in spec.graphs.iter().zip(&graphs).enumerate() {
         let cell = &report.cells[gi * spec.processes.len()];
-        assert_eq!(cell.completed, cell.trials, "cover runs must finish");
         let gap = effective_gap(g);
         let l = l_estimate(gspec, g);
         let bound = theorem1_vertex_cover_bound(g.n(), l, gap);

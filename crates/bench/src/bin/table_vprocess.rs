@@ -6,21 +6,43 @@
 //! studies both variants experimentally. This table races the E-process
 //! against the V-process and the SRW across degrees, reporting `CV/n`
 //! (flat = linear).
+//!
+//! Engine wrapper: one shared-graph spec races the three processes; this
+//! binary reshapes the cells into the normalised columns.
 
-use eproc_bench::{mean_vertex_cover_steps, rng_for, save_table, Config, Scale};
-use eproc_core::rule::UniformRule;
-use eproc_core::srw::SimpleRandomWalk;
-use eproc_core::vprocess::VProcess;
-use eproc_core::EProcess;
-use eproc_graphs::generators;
-use eproc_stats::{SeedSequence, TextTable};
-
-const REPS: usize = 5;
+use eproc_bench::{run_engine_spec, save_table, Config, Scale};
+use eproc_engine::spec::{CapSpec, ExperimentSpec, GraphSpec, ProcessSpec, RuleSpec, Target};
+use eproc_stats::TextTable;
 
 fn main() {
     let config = Config::from_args();
-    let seeds = SeedSequence::new(config.seed);
     println!("E-process vs V-process vs SRW on random r-regular graphs (CV/n)\n");
+    let sizes: Vec<usize> = match config.scale {
+        Scale::Quick => vec![2_000, 8_000, 32_000],
+        Scale::Paper => vec![8_000, 32_000, 128_000],
+    };
+    let spec = ExperimentSpec {
+        name: "table_vprocess".into(),
+        description: "E-process vs V-process vs SRW vertex cover on random regular graphs".into(),
+        graphs: [3usize, 4, 5, 6]
+            .iter()
+            .flat_map(|&d| sizes.iter().map(move |&n| GraphSpec::Regular { n, d }))
+            .collect(),
+        processes: vec![
+            ProcessSpec::EProcess {
+                rule: RuleSpec::Uniform,
+            },
+            ProcessSpec::VProcess,
+            ProcessSpec::Srw,
+        ],
+        trials: 5,
+        target: Target::VertexCover,
+        metrics: vec![],
+        start: 0,
+        cap: CapSpec::NLogN(5_000.0),
+        resample: None,
+    };
+    let (_, report) = run_engine_spec(&spec, &config);
     let mut table = TextTable::new(vec![
         "r",
         "n",
@@ -30,39 +52,27 @@ fn main() {
         "E CV/(n ln n)",
         "V CV/(n ln n)",
     ]);
-    let sizes: Vec<usize> = match config.scale {
-        Scale::Quick => vec![2_000, 8_000, 32_000],
-        Scale::Paper => vec![8_000, 32_000, 128_000],
-    };
-    for &r in &[3usize, 4, 5, 6] {
-        for &n in &sizes {
-            let mut graph_rng = rng_for(seeds.derive(&[r as u64, n as u64]));
-            let g = generators::connected_random_regular(n, r, &mut graph_rng).unwrap();
-            let nf = n as f64;
-            let cap = (5_000.0 * nf * nf.ln()) as u64;
-            let mut rng = rng_for(seeds.derive(&[r as u64, n as u64, 5]));
-            let (e_cv, d1) = mean_vertex_cover_steps(
-                |_| EProcess::new(&g, 0, UniformRule::new()),
-                REPS,
-                cap,
-                &mut rng,
-            );
-            let (v_cv, d2) = mean_vertex_cover_steps(|_| VProcess::new(&g, 0), REPS, cap, &mut rng);
-            let (s_cv, d3) =
-                mean_vertex_cover_steps(|_| SimpleRandomWalk::new(&g, 0), REPS, cap, &mut rng);
-            assert_eq!((d1, d2, d3), (REPS, REPS, REPS));
-            table.push_row(vec![
-                r.to_string(),
-                n.to_string(),
-                format!("{:.2}", e_cv / nf),
-                format!("{:.2}", v_cv / nf),
-                format!("{:.2}", s_cv / nf),
-                format!("{:.3}", e_cv / (nf * nf.ln())),
-                format!("{:.3}", v_cv / (nf * nf.ln())),
-            ]);
-        }
+    // Cell grid order: (graph, process) with processes = [e, v, srw].
+    let cells = report.cells.chunks(spec.processes.len());
+    for (gspec, cells) in spec.graphs.iter().zip(cells) {
+        let GraphSpec::Regular { n, d: r } = *gspec else {
+            panic!("the grid contains only regular graphs")
+        };
+        let nf = n as f64;
+        let [e_cv, v_cv, s_cv] = [0, 1, 2].map(|pi| cells[pi].steps.mean());
+        table.push_row(vec![
+            r.to_string(),
+            n.to_string(),
+            format!("{:.2}", e_cv / nf),
+            format!("{:.2}", v_cv / nf),
+            format!("{:.2}", s_cv / nf),
+            format!("{:.3}", e_cv / (nf * nf.ln())),
+            format!("{:.3}", v_cv / (nf * nf.ln())),
+        ]);
     }
     println!("{table}");
     let p = save_table("table_vprocess", &table).expect("write csv");
     println!("csv: {}", p.display());
+    let j = eproc_engine::report::save_json(&report, None).expect("write json");
+    println!("json: {}", j.display());
 }

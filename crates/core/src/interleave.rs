@@ -23,8 +23,8 @@
 //! sequential kernel already overlaps most of each step's loads, and two
 //! lanes' working sets cost more cache than their overlap saves: the
 //! plain loop is faster. The driver stays as a measured alternative —
-//! the `interleave` bench and the benchmark's two-lane probe time it
-//! against the sequential kernel.
+//! the benchmark's two-lane probe times it against the sequential
+//! kernel.
 //!
 //! # Bit-identical to the sequential kernel
 //!

@@ -23,7 +23,6 @@
 //!   thin wrappers over it. The driver is a fully **monomorphized
 //!   kernel** — generic over walk ([`WalkProcess::advance_rng`]), RNG and
 //!   observer set ([`observe::ObserverSet`] tuples) — with
-//!   [`observe::run_observed_dyn`] as the dynamic fallback, and
 //!   [`interleave::run_observed_interleaved`] as the lockstep multi-trial
 //!   variant that overlaps independent trials' CSR row fetches on one
 //!   shared graph (bit-identical per-trial streams);
@@ -31,9 +30,7 @@
 //!   and the observers;
 //! * [`blue`] — blue-subgraph analytics: even-degree component census
 //!   (Observation 11) and the isolated-star census behind the paper's §5
-//!   `n/8` prediction for 3-regular graphs;
-//! * [`mt19937`] — the Mersenne Twister used by the paper's own Python
-//!   experiments, validated against the reference test vector.
+//!   `n/8` prediction for 3-regular graphs.
 //!
 //! # Example: Corollary 2 in action
 //!
@@ -61,7 +58,6 @@ pub mod cover;
 pub mod eprocess;
 pub mod fair;
 pub mod interleave;
-pub mod mt19937;
 pub mod observe;
 pub mod process;
 pub mod rotor;

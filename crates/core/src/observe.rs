@@ -60,13 +60,10 @@
 //! true of every observer here, and of anything measuring a
 //! first-occurrence time.)
 //!
-//! [`run_observed_dyn`] preserves the fully dynamic pre-kernel driver —
-//! virtual `advance`, virtual observer fan-out, all-observers
-//! `satisfied()` poll — both as the compatibility entry point for
-//! `Box<dyn WalkProcess>` call sites and as the baseline the
-//! `walk_kernel` benchmark measures the monomorphized kernel against.
-//! Both drivers draw the identical RNG sequence and produce identical
-//! trajectories (pinned by `crates/core/tests/kernel_equivalence.rs`).
+//! The kernel draws the identical RNG sequence and produces the identical
+//! trajectory as the fully dynamic pre-kernel loop — virtual `advance`,
+//! virtual observer fan-out, all-observers `satisfied()` poll — which
+//! `crates/core/tests/kernel_equivalence.rs` keeps as its reference.
 //!
 //! The legacy entry points ([`crate::cover::run_cover`],
 //! [`crate::cover::blanket_time`], [`crate::segments::trace_phases`]) are
@@ -422,13 +419,11 @@ impl<O: Observer> ObserverSet for Vec<O> {
 /// [`Observer::on_step`], the [`CompletionToken`] stop check — inlines
 /// into one flat loop. Pass a `[&mut dyn Observer]` slice (or call a
 /// dyn-typed walk through `&mut`) to fall back to dynamic dispatch where
-/// runtime flexibility is worth the per-step cost; [`run_observed_dyn`]
-/// bundles that fully dynamic shape.
+/// runtime flexibility is worth the per-step cost.
 ///
 /// The walk may have already taken steps; observers are `begin`-armed at
 /// the walk's current position and all counters are relative to this
-/// call. Both this kernel and [`run_observed_dyn`] draw the identical RNG
-/// sequence for the same seed.
+/// call.
 ///
 /// # Panics
 ///
@@ -461,50 +456,6 @@ where
         let step = walk.advance_rng(rng);
         t += 1;
         observers.on_step_all(t, &step, &mut token);
-    }
-    ObservedRun {
-        steps: t,
-        final_vertex: walk.current(),
-    }
-}
-
-/// The fully dynamic driver: virtual `advance`, dyn-observer fan-out and
-/// an all-observers `satisfied()` poll per step — exactly the pre-kernel
-/// hot path.
-///
-/// Kept for two reasons: third-party code holding `Box<dyn WalkProcess>` /
-/// heterogeneous observer lists gets a zero-friction entry point, and the
-/// `walk_kernel` benchmark uses it as the baseline the monomorphized
-/// [`run_observed`] is measured against. Trajectories are identical to
-/// [`run_observed`]'s for the same seed.
-pub fn run_observed_dyn(
-    walk: &mut dyn WalkProcess,
-    observers: &mut [&mut dyn Observer],
-    stop: StopWhen,
-    cap: u64,
-    rng: &mut dyn RngCore,
-) -> ObservedRun {
-    {
-        let g = walk.graph();
-        let start = walk.current();
-        for obs in observers.iter_mut() {
-            obs.begin(g, start);
-        }
-    }
-    let mut t = 0u64;
-    while t < cap {
-        let done = match stop {
-            StopWhen::AllSatisfied => observers.iter().all(|o| o.satisfied()),
-            StopWhen::Cap => false,
-        };
-        if done {
-            break;
-        }
-        let step = walk.advance(rng);
-        t += 1;
-        for obs in observers.iter_mut() {
-            obs.on_step(t, &step);
-        }
     }
     ObservedRun {
         steps: t,
@@ -1068,37 +1019,6 @@ mod tests {
         );
         assert_eq!(walk.steps(), run.steps);
         assert_eq!(cover.cover_metrics().edges_visited, g.m());
-    }
-
-    #[test]
-    fn mono_and_dyn_drivers_agree_step_for_step() {
-        let g = generators::torus2d(5, 5);
-        for seed in 0..4 {
-            let mut rng_a = SmallRng::seed_from_u64(seed);
-            let mut walk_a = EProcess::new(&g, 0, UniformRule::new());
-            let mut cover_a = CoverObserver::new(CoverTarget::Both);
-            let run_a = run_observed(
-                &mut walk_a,
-                &mut (&mut cover_a,),
-                StopWhen::AllSatisfied,
-                1_000_000,
-                &mut rng_a,
-            );
-
-            let mut rng_b = SmallRng::seed_from_u64(seed);
-            let mut walk_b = EProcess::new(&g, 0, UniformRule::new());
-            let mut cover_b = CoverObserver::new(CoverTarget::Both);
-            let run_b = run_observed_dyn(
-                &mut walk_b,
-                &mut [&mut cover_b],
-                StopWhen::AllSatisfied,
-                1_000_000,
-                &mut rng_b,
-            );
-            assert_eq!(run_a, run_b, "seed {seed}");
-            assert_eq!(cover_a.cover_metrics(), cover_b.cover_metrics());
-            assert_eq!(rng_a.next_u64(), rng_b.next_u64());
-        }
     }
 
     #[test]

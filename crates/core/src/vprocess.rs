@@ -11,7 +11,8 @@
 //!
 //! Unlike the E-process there is no parity structure to exploit (a vertex
 //! is consumed on first touch), so no analogue of Observation 10 holds;
-//! the `table_vprocess` experiment compares the two empirically.
+//! the `table_vprocess` binary races the two, and the SRW, through the
+//! engine's `vprocess` and `eprocess` processes.
 
 use crate::process::{Step, StepKind, WalkProcess};
 use eproc_graphs::{Graph, Vertex};

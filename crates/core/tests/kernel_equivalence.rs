@@ -2,17 +2,17 @@
 //! process, observer set and seed, [`run_observed`] driving a concrete
 //! walk with a tuple observer set must produce the **identical `Step`
 //! stream** and the identical [`ObservedRun`] as the fully dynamic
-//! [`run_observed_dyn`] path (virtual `advance`, dyn-observer slice,
-//! all-observers `satisfied()` poll). Seeded cases pin the exact shapes
-//! the engine uses; the proptest sweeps random graphs × processes ×
-//! seeds.
+//! reference loop [`run_observed_dyn`] (virtual `advance`, dyn-observer
+//! slice, all-observers `satisfied()` poll). Seeded cases pin the exact
+//! shapes the engine uses; the proptest sweeps random graphs × processes
+//! × seeds.
 
 use eproc_core::choice::RandomWalkWithChoice;
 use eproc_core::cover::CoverTarget;
 use eproc_core::fair::LeastUsedFirst;
 use eproc_core::observe::{
-    run_observed, run_observed_dyn, BlanketObserver, CoverObserver, HitTarget, HittingObserver,
-    Metrics, ObservedRun, Observer, PhaseObserver, StopWhen,
+    run_observed, BlanketObserver, CoverObserver, HitTarget, HittingObserver, Metrics, ObservedRun,
+    Observer, PhaseObserver, StopWhen,
 };
 use eproc_core::rotor::RotorRouter;
 use eproc_core::rule::UniformRule;
@@ -23,6 +23,45 @@ use eproc_graphs::{generators, Graph};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
+
+/// The reference the kernel is checked against: virtual `advance`,
+/// dyn-observer fan-out and an all-observers `satisfied()` poll per step —
+/// the walk loop as it was before the monomorphized kernel. It checks the
+/// kernel's tuple fan-out and its `CompletionToken` stop.
+fn run_observed_dyn(
+    walk: &mut dyn WalkProcess,
+    observers: &mut [&mut dyn Observer],
+    stop: StopWhen,
+    cap: u64,
+    rng: &mut dyn RngCore,
+) -> ObservedRun {
+    {
+        let g = walk.graph();
+        let start = walk.current();
+        for obs in observers.iter_mut() {
+            obs.begin(g, start);
+        }
+    }
+    let mut t = 0u64;
+    while t < cap {
+        let done = match stop {
+            StopWhen::AllSatisfied => observers.iter().all(|o| o.satisfied()),
+            StopWhen::Cap => false,
+        };
+        if done {
+            break;
+        }
+        let step = walk.advance(rng);
+        t += 1;
+        for obs in observers.iter_mut() {
+            obs.on_step(t, &step);
+        }
+    }
+    ObservedRun {
+        steps: t,
+        final_vertex: walk.current(),
+    }
+}
 
 /// Records the raw step stream; always satisfied so it never extends the
 /// run beyond the real observers' stop condition.

@@ -10,11 +10,11 @@ use eproc_core::rule::{
 };
 use eproc_core::srw::{LazyRandomWalk, SimpleRandomWalk};
 use eproc_core::vprocess::VProcess;
-use eproc_core::{EProcess, StepKind, WalkProcess};
-use eproc_graphs::Graph;
+use eproc_core::{EProcess, Step, StepKind, WalkProcess};
+use eproc_graphs::{Graph, Vertex};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, RngCore, SeedableRng};
 
 /// Strategy: a connected random simple graph on `3..=14` vertices.
 fn arb_connected_graph() -> impl Strategy<Value = Graph> {
@@ -110,6 +110,93 @@ fn check_eprocess_state<A: EdgeRule>(
     Ok(())
 }
 
+/// A plain reference E-process with the uniform rule, kept as the
+/// trajectory oracle for the kernel's step state: a `Vec<bool>` visited
+/// array, and per-vertex live prefixes of `slots` (with `pos` the inverse
+/// permutation) to which a blue step swaps each used arc out of. It draws
+/// `gen_range` over the live prefix on a blue step and over every port on
+/// a red one — the kernel's draws, so the two walk the same trajectory.
+struct ReferenceEProcess<'g> {
+    g: &'g Graph,
+    current: Vertex,
+    visited_edge: Vec<bool>,
+    slots: Vec<usize>,
+    pos: Vec<usize>,
+    live: Vec<usize>,
+}
+
+impl<'g> ReferenceEProcess<'g> {
+    fn new(g: &'g Graph, start: Vertex) -> ReferenceEProcess<'g> {
+        ReferenceEProcess {
+            g,
+            current: start,
+            visited_edge: vec![false; g.m()],
+            slots: (0..2 * g.m()).collect(),
+            pos: (0..2 * g.m()).collect(),
+            live: g.vertices().map(|v| g.degree(v)).collect(),
+        }
+    }
+
+    /// Swaps `arc` to the end of `src`'s live prefix and shrinks it.
+    fn unlink(&mut self, arc: usize, src: Vertex) {
+        let p = self.pos[arc];
+        let last = self.g.arc_range(src).start + self.live[src] - 1;
+        let moved = self.slots[last];
+        self.slots[p] = moved;
+        self.slots[last] = arc;
+        self.pos[moved] = p;
+        self.pos[arc] = last;
+        self.live[src] -= 1;
+    }
+
+    fn step(&mut self, rng: &mut SmallRng) -> Step {
+        let v = self.current;
+        let base = self.g.arc_range(v).start;
+        let (arc, kind) = if self.live[v] > 0 {
+            let idx = rng.gen_range(0..self.live[v]);
+            (self.slots[base + idx], StepKind::Blue)
+        } else {
+            let idx = rng.gen_range(0..self.g.degree(v));
+            (self.slots[base + idx], StepKind::Red)
+        };
+        let e = self.g.arc_edge(arc);
+        let to = self.g.arc_target(arc);
+        if kind == StepKind::Blue {
+            self.visited_edge[e] = true;
+            let (a0, a1) = self.g.edge_arcs(e);
+            let (x, y) = self.g.endpoints(e);
+            self.unlink(a0, x);
+            self.unlink(a1, y);
+        }
+        self.current = to;
+        Step {
+            from: v,
+            to,
+            edge: Some(e),
+            kind,
+        }
+    }
+}
+
+/// Steps the uniform-rule kernel and [`ReferenceEProcess`] side by side
+/// from `start` for `4m + 16` steps on equally seeded RNGs: every step,
+/// the next RNG draw afterwards and the visited edges must agree.
+fn check_reference_trajectory(g: &Graph, start: Vertex, seed: u64) -> Result<(), TestCaseError> {
+    let mut rng_a = SmallRng::seed_from_u64(seed);
+    let mut rng_b = SmallRng::seed_from_u64(seed);
+    let mut reference = ReferenceEProcess::new(g, start);
+    let mut kernel = EProcess::new(g, start, UniformRule::new());
+    for _ in 0..4 * g.m() + 16 {
+        prop_assert_eq!(reference.step(&mut rng_a), kernel.advance_rng(&mut rng_b));
+    }
+    prop_assert_eq!(rng_a.next_u64(), rng_b.next_u64());
+    let visited = kernel.visited_edges();
+    for (e, &seen) in reference.visited_edge.iter().enumerate() {
+        prop_assert_eq!(seen, visited.get(e));
+    }
+    Ok(())
+}
+
 /// Every step of every process must move along an actual edge (or hold,
 /// for the lazy walk), and the harness invariants must hold.
 fn check_step_validity<W: WalkProcess>(g: &Graph, mut walk: W, seed: u64, allow_hold: bool) {
@@ -191,6 +278,17 @@ proptest! {
     }
 
     #[test]
+    fn eprocess_matches_reference_trajectory(
+        g in arb_connected_graph(),
+        multi in arb_connected_multigraph(),
+        start in 0usize..14,
+        seed in 0u64..1000,
+    ) {
+        check_reference_trajectory(&g, start % g.n(), seed)?;
+        check_reference_trajectory(&multi, start % multi.n(), seed)?;
+    }
+
+    #[test]
     fn rotor_trajectory_is_rng_independent(g in arb_connected_graph(), s1 in 0u64..100, s2 in 0u64..100) {
         let mut rng1 = SmallRng::seed_from_u64(s1);
         let mut rng2 = SmallRng::seed_from_u64(s2 ^ 0xdead);
@@ -228,15 +326,5 @@ proptest! {
         let mut luf = LeastUsedFirst::new(&g, 0);
         let run = run_cover(&mut luf, CoverTarget::Edges, cap, &mut rng);
         prop_assert!(run.steps_to_edge_cover.is_some(), "LUF failed to cover edges");
-    }
-
-    #[test]
-    fn mt19937_streams_are_reproducible(seed in 0u32..10_000) {
-        use eproc_core::mt19937::Mt19937;
-        let mut a = Mt19937::new(seed);
-        let mut b = Mt19937::new(seed);
-        for _ in 0..64 {
-            prop_assert_eq!(a.next_int32(), b.next_int32());
-        }
     }
 }

@@ -200,8 +200,7 @@ impl fmt::Display for EngineError {
             } => {
                 write!(
                     f,
-                    "block (family {graph}, resample group {group}) failed on worker {worker}: \
-                     {source}"
+                    "block (family {graph}, group {group}) failed on worker {worker}: {source}"
                 )
             }
         }

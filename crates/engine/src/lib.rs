@@ -3,8 +3,9 @@
 //! The paper's claims — Theorem 1's `Θ(n)` cover time, the §5 star census,
 //! the Theorem 5 lower bound — are statements about **ensembles** of runs
 //! over (graph × process × seed) grids. This crate provides one shared
-//! execution subsystem for all of them, replacing the hand-rolled
-//! sequential trial loops of the `table_*` binaries:
+//! execution subsystem for all of them; every experiment binary in
+//! `eproc-bench` that walks a graph does so through it, except two whose
+//! quantity has no spec (`table_cages`, `table_lemma13`):
 //!
 //! * [`spec`] — declarative experiment descriptions: a [`spec::GraphSpec`]
 //!   grid (random regular, LPS Ramanujan, geometric, hypercube, torus, …),
@@ -100,9 +101,9 @@
 //! [`eproc_core::observe::run_observed`]: with the E-process step state
 //! compacted to one dependent miss per step, the sequential loop beats
 //! the lockstep [`eproc_core::interleave::run_observed_interleaved`]
-//! driver — the `interleave` bench (random 4-regular, `n = 10⁶`) times
-//! the driver at 1.00×, 0.92× and 0.80× the sequential kernel's steps/s
-//! at widths 1, 4 and 8 — so the executor does not interleave.
+//! driver — the benchmark in `perfbench/` times two lanes against one
+//! as `core.eprocess_w2.ns_per_step.n256k` — so the executor does not
+//! interleave.
 //!
 //! # Canonical specs and the artifact cache
 //!
@@ -140,7 +141,7 @@
 //! produces a report **byte-identical to an uninterrupted run at any
 //! thread count**. Each block runs under `catch_unwind`
 //! ([`executor::BlockError`]): a panicking worker is reported — naming
-//! family, resample group and worker — without poisoning the pool, and
+//! family, group and worker — without poisoning the pool, and
 //! `--retry-blocks` re-runs failed blocks from the same derived seeds.
 //! A deterministic [`fault::FaultPlan`] harness (`--inject-faults`,
 //! `EPROC_FAULTS`; off by default at zero cost) drives the proptests

@@ -335,7 +335,7 @@ fn exhausted_retries_name_the_block_and_keep_the_checkpoint() {
     ));
     // The message names the family by label, the group, and the worker.
     assert!(msg.contains("family torus 4x5"), "{msg}");
-    assert!(msg.contains("resample group 1"), "{msg}");
+    assert!(msg.contains(", group 1)"), "{msg}");
     assert!(msg.contains("worker"), "{msg}");
     assert!(msg.contains("injected fault"), "{msg}");
 
@@ -352,6 +352,24 @@ fn exhausted_retries_name_the_block_and_keep_the_checkpoint() {
         RunOutcome::Interrupted { .. } => unreachable!("nothing interrupts the resume"),
     }
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn shared_graph_block_errors_name_the_group_without_resampling() {
+    quiet_injected_panics();
+    // A shared-graph spec never resamples: its group is a trial chunk.
+    let spec = spec_with(4, true, None);
+    let rec = RecoveryOptions {
+        faults: FaultPlan::parse("panic@1.0.0").unwrap(),
+        ..RecoveryOptions::default()
+    };
+    let opts = RunOptions {
+        threads: 2,
+        base_seed: 3,
+    };
+    let msg = run_recoverable(&spec, &opts, &rec).unwrap_err().to_string();
+    assert!(msg.contains("family torus 4x5, group 0)"), "{msg}");
+    assert!(!msg.contains("resample"), "{msg}");
 }
 
 #[test]

@@ -282,7 +282,7 @@ fn geometric_retry_exhaustion_fails_fast_through_engine_error() {
     let msg = err.to_string();
     assert!(msg.contains("worker"), "{msg}");
     assert!(msg.contains("family"), "{msg}");
-    assert!(msg.contains("resample group 0"), "{msg}");
+    assert!(msg.contains(", group 0)"), "{msg}");
 }
 
 #[test]

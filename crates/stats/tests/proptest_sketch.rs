@@ -88,6 +88,7 @@ proptest! {
             .collect();
         let acc = fold_chunks(&data, parts, k, seed);
         prop_assert_eq!(acc.count(), len as u64);
+        prop_assert!(acc.retained() as u64 <= acc.count());
         let lo = data.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = data.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         for q in [0.0, 0.25, 0.5, 0.75, 1.0] {
