@@ -170,9 +170,9 @@ pub struct FirstBluePhase {
 /// # Panics
 ///
 /// Panics if the walk has already taken steps.
-pub fn run_first_blue_phase<A: EdgeRule>(
+pub fn run_first_blue_phase<A: EdgeRule, R: RngCore + ?Sized>(
     walk: &mut EProcess<'_, A>,
-    rng: &mut dyn RngCore,
+    rng: &mut R,
 ) -> FirstBluePhase {
     assert_eq!(walk.steps(), 0, "first blue phase requires a fresh walk");
     let g = walk.graph();
@@ -228,10 +228,10 @@ pub struct StarCensus {
 /// # Panics
 ///
 /// Panics if the walk has already taken steps.
-pub fn track_isolated_stars<A: EdgeRule>(
+pub fn track_isolated_stars<A: EdgeRule, R: RngCore + ?Sized>(
     walk: &mut EProcess<'_, A>,
     max_steps: u64,
-    rng: &mut dyn RngCore,
+    rng: &mut R,
 ) -> StarCensus {
     assert_eq!(walk.steps(), 0, "star tracking requires a fresh walk");
     let g = walk.graph();

@@ -68,11 +68,7 @@ impl<'g> WalkProcess for RandomWalkWithChoice<'g> {
         self.steps
     }
 
-    fn advance(&mut self, mut rng: &mut dyn RngCore) -> Step {
-        self.advance_rng(&mut rng)
-    }
-
-    fn advance_rng<R: RngCore>(&mut self, rng: &mut R) -> Step {
+    fn advance<R: RngCore + ?Sized>(&mut self, rng: &mut R) -> Step {
         let v = self.current;
         let deg = self.g.degree(v);
         assert!(deg > 0, "RWC stuck at isolated vertex {v}");

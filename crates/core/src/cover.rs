@@ -1,14 +1,14 @@
 //! Cover-time measurement for any [`WalkProcess`].
 //!
-//! Since the single-pass refactor these entry points are thin wrappers
-//! over the [`crate::observe`] pipeline: [`run_cover`] attaches a
-//! [`CoverObserver`] and [`blanket_time`] a
-//! [`crate::observe::BlanketObserver`] to the shared
+//! These entry points are thin wrappers over the [`crate::observe`]
+//! pipeline: [`run_cover`] attaches a [`CoverObserver`] and
+//! [`blanket_time`] a [`crate::observe::BlanketObserver`] to the shared
 //! [`run_observed`] driver, so vertex cover time `C_V`, edge cover time
 //! `C_E` and blanket time are all measured uniformly — and composably —
 //! for the E-process, SRW, rotor-router, RWC(d) and the locally fair
 //! explorers. Callers wanting several metrics from one trajectory should
-//! use [`run_observed`] directly.
+//! use [`run_observed`] directly. Ensembles (many trials, every start
+//! vertex for `max_v C_v`) run through the engine's experiment specs.
 
 use crate::observe::{run_observed, BlanketObserver, CoverObserver, StopWhen};
 use crate::process::WalkProcess;
@@ -74,36 +74,19 @@ pub struct CoverRun {
 /// The walk may have already taken steps; counters here are relative to
 /// this call (fresh bitmaps, step counts starting at the walk's current
 /// position, which counts as visited).
-///
-/// Thin wrapper: allocates a fresh [`CoverObserver`] and delegates to
-/// [`run_cover_with`]. Repeated-measurement loops should hold one
-/// observer and call [`run_cover_with`] to reuse its bitmaps.
-pub fn run_cover<W: WalkProcess + ?Sized>(
+pub fn run_cover<W: WalkProcess, R: RngCore + ?Sized>(
     walk: &mut W,
     target: CoverTarget,
     max_steps: u64,
-    rng: &mut dyn RngCore,
+    rng: &mut R,
 ) -> CoverRun {
     let mut observer = CoverObserver::new(target);
-    run_cover_with(walk, &mut observer, max_steps, rng)
-}
-
-/// Like [`run_cover`], but reusing `observer`'s scratch bitmaps (they are
-/// re-armed, not reallocated). The observer's target decides the stop
-/// condition.
-pub fn run_cover_with<W: WalkProcess + ?Sized>(
-    walk: &mut W,
-    observer: &mut CoverObserver,
-    max_steps: u64,
-    mut rng: &mut dyn RngCore,
-) -> CoverRun {
-    let mut walk = walk;
     let run = run_observed(
-        &mut walk,
-        &mut (&mut *observer,),
+        walk,
+        &mut (&mut observer,),
         StopWhen::AllSatisfied,
         max_steps,
-        &mut rng,
+        rng,
     );
     let m = observer.cover_metrics();
     CoverRun {
@@ -138,104 +121,16 @@ pub fn default_step_cap(g: &Graph) -> u64 {
 /// Runs `walk` to vertex cover with the [`default_step_cap`]; `None` if the
 /// cap was hit (disconnected graph, or a deterministic walk trapped in a
 /// cycle).
-pub fn run_to_vertex_cover<W: WalkProcess + ?Sized>(
+pub fn run_to_vertex_cover<W: WalkProcess, R: RngCore + ?Sized>(
     walk: &mut W,
     g: &Graph,
-    rng: &mut dyn RngCore,
+    rng: &mut R,
 ) -> Option<VertexCover> {
     let run = run_cover(walk, CoverTarget::Vertices, default_step_cap(g), rng);
     run.steps_to_vertex_cover.map(|steps| VertexCover {
         steps,
         last_vertex: run.final_vertex,
     })
-}
-
-/// Runs `walk` to edge cover with the [`default_step_cap`]; returns the
-/// step count, or `None` if the cap was hit.
-pub fn run_to_edge_cover<W: WalkProcess + ?Sized>(
-    walk: &mut W,
-    g: &Graph,
-    rng: &mut dyn RngCore,
-) -> Option<u64> {
-    run_cover(walk, CoverTarget::Edges, default_step_cap(g), rng).steps_to_edge_cover
-}
-
-/// Repeats a cover measurement: `make_walk(run_index)` builds a fresh
-/// process for each run; returns the vector of cover step counts (runs
-/// that hit `max_steps` are dropped — the caller can compare lengths).
-pub fn repeat_cover<'g, W, F>(
-    mut make_walk: F,
-    target: CoverTarget,
-    runs: usize,
-    max_steps: u64,
-    rng: &mut dyn RngCore,
-) -> Vec<u64>
-where
-    W: WalkProcess + 'g,
-    F: FnMut(usize) -> W,
-{
-    let mut out = Vec::with_capacity(runs);
-    // One observer for the whole ensemble: the per-trial bitmaps are
-    // re-armed, not reallocated.
-    let mut observer = CoverObserver::new(target);
-    for i in 0..runs {
-        let mut walk = make_walk(i);
-        let run = run_cover_with(&mut walk, &mut observer, max_steps, rng);
-        let steps = match target {
-            CoverTarget::Vertices => run.steps_to_vertex_cover,
-            CoverTarget::Edges => run.steps_to_edge_cover,
-            CoverTarget::Both => run
-                .steps_to_vertex_cover
-                .and(run.steps_to_edge_cover)
-                .map(|_| run.steps),
-        };
-        if let Some(s) = steps {
-            out.push(s);
-        }
-    }
-    out
-}
-
-/// Estimates the paper's cover time `C_V(Y, G) = max_v C_v`: mean steps
-/// to vertex cover from *every* start vertex (`runs_per_start` repetitions
-/// each), returning `(worst_start, worst_mean)`.
-///
-/// `O(n · runs · CV)` — intended for small graphs where the max-over-starts
-/// definition is checked against single-start measurements.
-///
-/// # Panics
-///
-/// Panics if the graph is empty or some run fails to cover within
-/// `max_steps` (choose the cap generously).
-pub fn worst_start_cover<'g, W, F>(
-    g: &Graph,
-    mut make_walk: F,
-    runs_per_start: usize,
-    max_steps: u64,
-    rng: &mut dyn RngCore,
-) -> (Vertex, f64)
-where
-    W: WalkProcess + 'g,
-    F: FnMut(Vertex, usize) -> W,
-{
-    assert!(g.n() > 0, "empty graph has no cover time");
-    let mut worst = (0, f64::NEG_INFINITY);
-    let mut observer = CoverObserver::new(CoverTarget::Vertices);
-    for start in g.vertices() {
-        let mut total = 0u64;
-        for rep in 0..runs_per_start {
-            let mut walk = make_walk(start, rep);
-            let run = run_cover_with(&mut walk, &mut observer, max_steps, rng);
-            total += run
-                .steps_to_vertex_cover
-                .expect("run must cover within max_steps; raise the cap");
-        }
-        let mean = total as f64 / runs_per_start as f64;
-        if mean > worst.1 {
-            worst = (start, mean);
-        }
-    }
-    worst
 }
 
 /// Measures the blanket time `τ_bl(δ)`: the first step `t` at which every
@@ -250,20 +145,19 @@ where
 /// # Errors
 ///
 /// Returns [`CoverError::InvalidDelta`] if `delta` is not in `(0, 1)`.
-pub fn blanket_time<W: WalkProcess + ?Sized>(
+pub fn blanket_time<W: WalkProcess, R: RngCore + ?Sized>(
     walk: &mut W,
     delta: f64,
     max_steps: u64,
-    mut rng: &mut dyn RngCore,
+    rng: &mut R,
 ) -> Result<Option<u64>, CoverError> {
     let mut observer = BlanketObserver::new(delta)?;
-    let mut walk = walk;
     run_observed(
-        &mut walk,
+        walk,
         &mut (&mut observer,),
         StopWhen::AllSatisfied,
         max_steps,
-        &mut rng,
+        rng,
     );
     Ok(observer.steps_to_blanket())
 }
@@ -294,7 +188,8 @@ mod tests {
         let g = generators::cycle(15);
         let mut rng = SmallRng::seed_from_u64(2);
         let mut w = EProcess::new(&g, 0, UniformRule::new());
-        assert_eq!(run_to_edge_cover(&mut w, &g, &mut rng), Some(15));
+        let run = run_cover(&mut w, CoverTarget::Edges, default_step_cap(&g), &mut rng);
+        assert_eq!(run.steps_to_edge_cover, Some(15));
     }
 
     #[test]
@@ -305,7 +200,8 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         for start in [0, 7] {
             let mut w = EProcess::new(&g, start, UniformRule::new());
-            let ce = run_to_edge_cover(&mut w, &g, &mut rng).unwrap();
+            let run = run_cover(&mut w, CoverTarget::Edges, default_step_cap(&g), &mut rng);
+            let ce = run.steps_to_edge_cover.unwrap();
             assert!(ce >= g.m() as u64);
         }
     }
@@ -358,20 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn repeat_cover_collects_runs() {
-        let g = generators::cycle(10);
-        let mut rng = SmallRng::seed_from_u64(8);
-        let runs = repeat_cover(
-            |_| EProcess::new(&g, 0, UniformRule::new()),
-            CoverTarget::Vertices,
-            5,
-            100_000,
-            &mut rng,
-        );
-        assert_eq!(runs, vec![9, 9, 9, 9, 9]);
-    }
-
-    #[test]
     fn blanket_time_on_complete_graph() {
         let g = generators::complete(8);
         let mut rng = SmallRng::seed_from_u64(9);
@@ -396,61 +278,6 @@ mod tests {
         }
         let msg = CoverError::InvalidDelta(1.5).to_string();
         assert!(msg.contains("delta") && msg.contains("1.5"));
-    }
-
-    #[test]
-    fn worst_start_on_path_is_an_endpoint_region() {
-        // For the SRW on a path, covering from an endpoint requires one
-        // full crossing (≈ n²) while the middle needs ≈ (9/8)·(n/?)… —
-        // empirically the *middle* is worst (both halves must be swept).
-        // We only assert the definitional property: the reported worst
-        // mean dominates every sampled single-start mean.
-        let g = generators::path(9);
-        let mut rng = SmallRng::seed_from_u64(11);
-        let (_, worst_mean) = worst_start_cover(
-            &g,
-            |start, _| SimpleRandomWalk::new(&g, start),
-            20,
-            10_000_000,
-            &mut rng,
-        );
-        for probe in [0, 4, 8] {
-            let (mean, done) = {
-                let mut total = 0u64;
-                let mut finished = 0;
-                for _ in 0..20 {
-                    let mut w = SimpleRandomWalk::new(&g, probe);
-                    let run = run_cover(&mut w, CoverTarget::Vertices, 10_000_000, &mut rng);
-                    if let Some(s) = run.steps_to_vertex_cover {
-                        total += s;
-                        finished += 1;
-                    }
-                }
-                (total as f64 / finished as f64, finished)
-            };
-            assert_eq!(done, 20);
-            // Generous sampling slack: the max over starts cannot be far
-            // below any single start's mean.
-            assert!(
-                worst_mean * 1.5 >= mean,
-                "worst {worst_mean} vs probe {probe}: {mean}"
-            );
-        }
-    }
-
-    #[test]
-    fn worst_start_eprocess_on_cycle_is_uniform() {
-        // On a cycle every start is equivalent: worst mean equals n - 1.
-        let g = generators::cycle(12);
-        let mut rng = SmallRng::seed_from_u64(12);
-        let (_, worst_mean) = worst_start_cover(
-            &g,
-            |start, _| EProcess::new(&g, start, UniformRule::new()),
-            3,
-            1_000_000,
-            &mut rng,
-        );
-        assert_eq!(worst_mean, 11.0);
     }
 
     #[test]

@@ -234,11 +234,7 @@ impl<'g, A: EdgeRule> WalkProcess for EProcess<'g, A> {
         self.steps
     }
 
-    fn advance(&mut self, mut rng: &mut dyn RngCore) -> Step {
-        self.advance_rng(&mut rng)
-    }
-
-    fn advance_rng<R: RngCore>(&mut self, rng: &mut R) -> Step {
+    fn advance<R: RngCore + ?Sized>(&mut self, rng: &mut R) -> Step {
         let v = self.current;
         // One row pair serves the arc base, the blue degree and the degree.
         let [base, live] = self.rows[v];
@@ -252,7 +248,7 @@ impl<'g, A: EdgeRule> WalkProcess for EProcess<'g, A> {
                 live_arcs: &self.slots[base..base + live],
                 step: self.steps,
             };
-            let idx = self.rule.choose_rng(&ctx, rng);
+            let idx = self.rule.choose(&ctx, rng);
             assert!(
                 idx < live,
                 "rule chose index {idx} among {live} unvisited edges"

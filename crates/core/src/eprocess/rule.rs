@@ -34,32 +34,15 @@ pub struct RuleContext<'a> {
 /// panics if the index is out of range — a rule bug, not a recoverable
 /// condition.
 pub trait EdgeRule {
-    /// Chooses the index of the arc to traverse.
-    fn choose(&mut self, ctx: &RuleContext<'_>, rng: &mut dyn RngCore) -> usize;
-
-    /// Monomorphized variant of [`choose`](EdgeRule::choose): identical
-    /// decision and identical RNG draw sequence, but statically dispatched
-    /// on the RNG type so randomized rules inline into the
-    /// [`advance_rng`](crate::process::WalkProcess::advance_rng) kernel.
-    ///
-    /// The default forwards to the dyn method (correct for any rule);
-    /// the randomized in-crate rules override it.
-    fn choose_rng<R: RngCore>(&mut self, ctx: &RuleContext<'_>, rng: &mut R) -> usize
-    where
-        Self: Sized,
-    {
-        self.choose(ctx, rng)
-    }
+    /// Chooses the index of the arc to traverse. Generic over the RNG so
+    /// randomized rules inline into the
+    /// [`advance`](crate::process::WalkProcess::advance) kernel.
+    fn choose<R: RngCore + ?Sized>(&mut self, ctx: &RuleContext<'_>, rng: &mut R) -> usize;
 
     /// Resets per-run rule state (decision counters, rotor positions, …)
     /// so a process [`reset`](crate::EProcess::reset) behaves like a
     /// freshly constructed one. Default: no-op, for stateless rules.
     fn reset(&mut self) {}
-
-    /// Human-readable name used in experiment tables.
-    fn name(&self) -> &'static str {
-        "custom"
-    }
 }
 
 /// Chooses uniformly at random — the paper's "simplest case", and exactly
@@ -76,17 +59,9 @@ impl UniformRule {
 }
 
 impl EdgeRule for UniformRule {
-    fn choose(&mut self, ctx: &RuleContext<'_>, mut rng: &mut dyn RngCore) -> usize {
-        self.choose_rng(ctx, &mut rng)
-    }
-
     #[inline]
-    fn choose_rng<R: RngCore>(&mut self, ctx: &RuleContext<'_>, rng: &mut R) -> usize {
+    fn choose<R: RngCore + ?Sized>(&mut self, ctx: &RuleContext<'_>, rng: &mut R) -> usize {
         rng.gen_range(0..ctx.live_arcs.len())
-    }
-
-    fn name(&self) -> &'static str {
-        "uniform"
     }
 }
 
@@ -96,17 +71,13 @@ impl EdgeRule for UniformRule {
 pub struct FirstPortRule;
 
 impl EdgeRule for FirstPortRule {
-    fn choose(&mut self, ctx: &RuleContext<'_>, _rng: &mut dyn RngCore) -> usize {
+    fn choose<R: RngCore + ?Sized>(&mut self, ctx: &RuleContext<'_>, _rng: &mut R) -> usize {
         ctx.live_arcs
             .iter()
             .enumerate()
             .min_by_key(|&(_, &a)| a)
             .map(|(i, _)| i)
             .expect("live_arcs is nonempty")
-    }
-
-    fn name(&self) -> &'static str {
-        "first-port"
     }
 }
 
@@ -115,17 +86,13 @@ impl EdgeRule for FirstPortRule {
 pub struct LastPortRule;
 
 impl EdgeRule for LastPortRule {
-    fn choose(&mut self, ctx: &RuleContext<'_>, _rng: &mut dyn RngCore) -> usize {
+    fn choose<R: RngCore + ?Sized>(&mut self, ctx: &RuleContext<'_>, _rng: &mut R) -> usize {
         ctx.live_arcs
             .iter()
             .enumerate()
             .max_by_key(|&(_, &a)| a)
             .map(|(i, _)| i)
             .expect("live_arcs is nonempty")
-    }
-
-    fn name(&self) -> &'static str {
-        "last-port"
     }
 }
 
@@ -149,7 +116,7 @@ impl EdgeRule for RoundRobinRule {
         self.next.iter_mut().for_each(|c| *c = 0);
     }
 
-    fn choose(&mut self, ctx: &RuleContext<'_>, _rng: &mut dyn RngCore) -> usize {
+    fn choose<R: RngCore + ?Sized>(&mut self, ctx: &RuleContext<'_>, _rng: &mut R) -> usize {
         let counter = &mut self.next[ctx.vertex];
         let k = (*counter as usize) % ctx.live_arcs.len();
         *counter += 1;
@@ -158,10 +125,6 @@ impl EdgeRule for RoundRobinRule {
         let mut order: Vec<usize> = (0..ctx.live_arcs.len()).collect();
         order.sort_by_key(|&i| ctx.live_arcs[i]);
         order[k]
-    }
-
-    fn name(&self) -> &'static str {
-        "round-robin"
     }
 }
 
@@ -199,13 +162,9 @@ impl<F: FnMut(&RuleContext<'_>) -> usize> EdgeRule for AdversarialRule<F> {
         self.decisions = 0;
     }
 
-    fn choose(&mut self, ctx: &RuleContext<'_>, _rng: &mut dyn RngCore) -> usize {
+    fn choose<R: RngCore + ?Sized>(&mut self, ctx: &RuleContext<'_>, _rng: &mut R) -> usize {
         self.decisions += 1;
         (self.strategy)(ctx)
-    }
-
-    fn name(&self) -> &'static str {
-        "adversarial"
     }
 }
 
@@ -217,7 +176,7 @@ impl<F: FnMut(&RuleContext<'_>) -> usize> EdgeRule for AdversarialRule<F> {
 pub struct GreedyAdversary;
 
 impl EdgeRule for GreedyAdversary {
-    fn choose(&mut self, ctx: &RuleContext<'_>, _rng: &mut dyn RngCore) -> usize {
+    fn choose<R: RngCore + ?Sized>(&mut self, ctx: &RuleContext<'_>, _rng: &mut R) -> usize {
         // The blue degree of the target is not directly visible, so use the
         // next best thing the adversary can compute on-line: prefer the
         // target with the largest port count minus distance-1 heuristic,
@@ -233,10 +192,6 @@ impl EdgeRule for GreedyAdversary {
             })
             .map(|(i, _)| i)
             .expect("live_arcs is nonempty")
-    }
-
-    fn name(&self) -> &'static str {
-        "greedy-adversary"
     }
 }
 
@@ -265,11 +220,7 @@ impl WeightedPortRule {
 }
 
 impl EdgeRule for WeightedPortRule {
-    fn choose(&mut self, ctx: &RuleContext<'_>, mut rng: &mut dyn RngCore) -> usize {
-        self.choose_rng(ctx, &mut rng)
-    }
-
-    fn choose_rng<R: RngCore>(&mut self, ctx: &RuleContext<'_>, rng: &mut R) -> usize {
+    fn choose<R: RngCore + ?Sized>(&mut self, ctx: &RuleContext<'_>, rng: &mut R) -> usize {
         let total: f64 = ctx
             .live_arcs
             .iter()
@@ -283,10 +234,6 @@ impl EdgeRule for WeightedPortRule {
             }
         }
         ctx.live_arcs.len() - 1 // numerical slack: last index
-    }
-
-    fn name(&self) -> &'static str {
-        "weighted"
     }
 }
 
@@ -371,20 +318,6 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(5);
         let i = GreedyAdversary.choose(&ctx_on(&g, 3, &live), &mut rng);
         assert_eq!(g.arc_target(live[i] as usize), 0);
-    }
-
-    #[test]
-    fn rule_names() {
-        assert_eq!(UniformRule::new().name(), "uniform");
-        assert_eq!(FirstPortRule.name(), "first-port");
-        assert_eq!(LastPortRule.name(), "last-port");
-        assert_eq!(RoundRobinRule::new(1).name(), "round-robin");
-        assert_eq!(GreedyAdversary.name(), "greedy-adversary");
-        assert_eq!(
-            AdversarialRule::new(|_: &RuleContext<'_>| 0).name(),
-            "adversarial"
-        );
-        assert_eq!(WeightedPortRule::new(vec![1.0]).name(), "weighted");
     }
 
     #[test]

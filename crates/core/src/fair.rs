@@ -97,11 +97,7 @@ impl<'g> WalkProcess for OldestFirst<'g> {
         self.state.steps
     }
 
-    fn advance(&mut self, mut rng: &mut dyn RngCore) -> Step {
-        self.advance_rng(&mut rng)
-    }
-
-    fn advance_rng<R: RngCore>(&mut self, _rng: &mut R) -> Step {
+    fn advance<R: RngCore + ?Sized>(&mut self, _rng: &mut R) -> Step {
         let v = self.state.current;
         let range = self.state.g.arc_range(v);
         assert!(!range.is_empty(), "explorer stuck at isolated vertex {v}");
@@ -155,11 +151,7 @@ impl<'g> WalkProcess for LeastUsedFirst<'g> {
         self.state.steps
     }
 
-    fn advance(&mut self, mut rng: &mut dyn RngCore) -> Step {
-        self.advance_rng(&mut rng)
-    }
-
-    fn advance_rng<R: RngCore>(&mut self, _rng: &mut R) -> Step {
+    fn advance<R: RngCore + ?Sized>(&mut self, _rng: &mut R) -> Step {
         let v = self.state.current;
         let range = self.state.g.arc_range(v);
         assert!(!range.is_empty(), "explorer stuck at isolated vertex {v}");

@@ -32,10 +32,10 @@
 //! lanes, never *what* it computes: each lane owns its walk, its RNG and
 //! its observer set, and takes the exact per-step sequence of
 //! [`run_observed`](crate::observe::run_observed) — satisfaction check,
-//! [`WalkProcess::advance_rng`],
-//! step counter, [`ObserverSet::on_step_all`] — against exclusively its
-//! own state. Per-lane step streams, RNG consumption and observer outputs
-//! are therefore **bit-identical** to running each trial alone through
+//! [`WalkProcess::advance`], step counter, [`ObserverSet::on_step_all`] —
+//! against exclusively its own state. Per-lane step streams, RNG
+//! consumption and observer outputs are therefore **bit-identical** to
+//! running each trial alone through
 //! [`run_observed`](crate::observe::run_observed) with the same seed
 //! (pinned by the `interleave_equivalence` proptests).
 
@@ -148,7 +148,7 @@ where
                 peek.walk.graph().prefetch_ports(peek.walk.current());
             }
             let lane = &mut lanes[li];
-            let step = lane.walk.advance_rng(&mut lane.rng);
+            let step = lane.walk.advance(&mut lane.rng);
             lane.t += 1;
             lane.observers.on_step_all(lane.t, &step, &mut lane.token);
             idx += 1;

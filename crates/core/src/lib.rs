@@ -21,7 +21,7 @@
 //!   driver [`observe::run_observed`], so one trajectory yields every
 //!   requested metric; the [`cover`] and [`segments`] entry points are
 //!   thin wrappers over it. The driver is a fully **monomorphized
-//!   kernel** — generic over walk ([`WalkProcess::advance_rng`]), RNG and
+//!   kernel** — generic over walk ([`WalkProcess::advance`]), RNG and
 //!   observer set ([`observe::ObserverSet`] tuples) — with
 //!   [`interleave::run_observed_interleaved`] as the lockstep multi-trial
 //!   variant that overlaps independent trials' CSR row fetches on one

@@ -14,7 +14,7 @@
 //!
 //! [`run_observed`] is generic over the walk, the RNG **and** the observer
 //! set, so a call with concrete types compiles to one flat loop: the
-//! walk's [`WalkProcess::advance_rng`] and every observer's
+//! walk's [`WalkProcess::advance`] and every observer's
 //! [`Observer::on_step`] inline with no per-step virtual dispatch.
 //! Observer sets are expressed through the [`ObserverSet`] trait, which is
 //! implemented for
@@ -61,13 +61,13 @@
 //! first-occurrence time.)
 //!
 //! The kernel draws the identical RNG sequence and produces the identical
-//! trajectory as the fully dynamic pre-kernel loop — virtual `advance`,
-//! virtual observer fan-out, all-observers `satisfied()` poll — which
-//! `crates/core/tests/kernel_equivalence.rs` keeps as its reference.
+//! trajectory as a plain reference loop — a `&mut dyn RngCore`, virtual
+//! observer fan-out, an all-observers `satisfied()` poll — which
+//! `crates/core/tests/kernel_equivalence.rs` keeps.
 //!
-//! The legacy entry points ([`crate::cover::run_cover`],
-//! [`crate::cover::blanket_time`], [`crate::segments::trace_phases`]) are
-//! kept as thin wrappers over this pipeline.
+//! The entry points [`crate::cover::run_cover`],
+//! [`crate::cover::blanket_time`] and [`crate::segments::trace_phases`]
+//! are thin wrappers over this pipeline.
 //!
 //! Observers are **reusable**: [`Observer::begin`] re-arms an observer for
 //! a fresh trajectory, resizing (not reallocating) its scratch buffers —
@@ -175,24 +175,6 @@ pub trait Observer {
 }
 
 impl<O: Observer + ?Sized> Observer for &mut O {
-    fn begin(&mut self, g: &Graph, start: Vertex) {
-        (**self).begin(g, start)
-    }
-
-    fn on_step(&mut self, t: u64, step: &Step) {
-        (**self).on_step(t, step)
-    }
-
-    fn satisfied(&self) -> bool {
-        (**self).satisfied()
-    }
-
-    fn finish(&mut self) -> Metrics {
-        (**self).finish()
-    }
-}
-
-impl<O: Observer + ?Sized> Observer for Box<O> {
     fn begin(&mut self, g: &Graph, start: Vertex) {
         (**self).begin(g, start)
     }
@@ -415,11 +397,11 @@ impl<O: Observer> ObserverSet for Vec<O> {
 ///
 /// Generic over the walk, the observer set and the RNG: with concrete
 /// types (`EProcess<UniformRule>`, a tuple of observers, `SmallRng`) the
-/// whole per-step body — [`WalkProcess::advance_rng`], each
+/// whole per-step body — [`WalkProcess::advance`], each
 /// [`Observer::on_step`], the [`CompletionToken`] stop check — inlines
-/// into one flat loop. Pass a `[&mut dyn Observer]` slice (or call a
-/// dyn-typed walk through `&mut`) to fall back to dynamic dispatch where
-/// runtime flexibility is worth the per-step cost.
+/// into one flat loop. Pass a `[&mut dyn Observer]` slice to fall back
+/// to dynamic observer dispatch where runtime flexibility is worth the
+/// per-step cost.
 ///
 /// The walk may have already taken steps; observers are `begin`-armed at
 /// the walk's current position and all counters are relative to this
@@ -439,7 +421,7 @@ pub fn run_observed<W, O, R>(
 where
     W: WalkProcess,
     O: ObserverSet + ?Sized,
-    R: RngCore,
+    R: RngCore + ?Sized,
 {
     let mut token = CompletionToken::arm(observers.count());
     {
@@ -453,7 +435,7 @@ where
         if check_satisfied && token.all_satisfied() {
             break;
         }
-        let step = walk.advance_rng(rng);
+        let step = walk.advance(rng);
         t += 1;
         observers.on_step_all(t, &step, &mut token);
     }

@@ -37,20 +37,14 @@ pub struct Step {
 /// Implementations borrow the graph; all mutable exploration state lives in
 /// the process value, so many processes can run on one graph concurrently.
 ///
-/// # The two step entry points
-///
-/// [`advance`](WalkProcess::advance) is the object-safe method (`&mut dyn
-/// RngCore`), usable through `Box<dyn WalkProcess>`.
-/// [`advance_rng`](WalkProcess::advance_rng) is the monomorphized fast
-/// path: generic over the RNG, so a kernel holding a concrete process and
-/// a concrete RNG compiles to one flat, fully inlined loop with no
-/// per-step virtual dispatch. The default implementation forwards to
-/// `advance`, so third-party processes keep working unchanged; every
-/// process in this crate overrides it with the real step body (and
-/// implements `advance` as the thin dyn adapter). Both entry points draw
-/// the **identical RNG sequence** — the sampling helpers in `rand` are
-/// shared generic code — so seeded trajectories are the same whichever
-/// path ran them.
+/// [`advance`](WalkProcess::advance) is generic over the RNG, so a driver
+/// holding a concrete process and a concrete RNG — as the engine runs
+/// [`run_observed`](crate::observe::run_observed) with `SmallRng` —
+/// compiles to one flat, fully inlined loop with no per-step virtual
+/// dispatch. `R` may be unsized, so a `&mut dyn RngCore` works too and
+/// draws the same sequence. The method being generic, the trait is not
+/// object-safe: code choosing a process at run time matches on an enum
+/// of concrete processes once, as the engine's `WalkKernel` does.
 pub trait WalkProcess {
     /// The graph being explored.
     fn graph(&self) -> &Graph;
@@ -67,60 +61,7 @@ pub trait WalkProcess {
     ///
     /// Implementations panic if the current vertex has degree 0 (the walk
     /// is stuck; the paper's graphs are connected so this cannot occur).
-    fn advance(&mut self, rng: &mut dyn RngCore) -> Step;
-
-    /// Monomorphized variant of [`advance`](WalkProcess::advance): same
-    /// transition, same RNG draw sequence, but statically dispatched on
-    /// the RNG type so the whole step inlines into the caller's loop.
-    ///
-    /// The default forwards to the dyn method (correct for any
-    /// implementation, at dyn cost); in-crate processes override it.
-    ///
-    /// # Panics
-    ///
-    /// As [`advance`](WalkProcess::advance).
-    fn advance_rng<R: RngCore>(&mut self, rng: &mut R) -> Step
-    where
-        Self: Sized,
-    {
-        self.advance(rng)
-    }
-}
-
-impl<W: WalkProcess + ?Sized> WalkProcess for &mut W {
-    fn graph(&self) -> &Graph {
-        (**self).graph()
-    }
-
-    fn current(&self) -> Vertex {
-        (**self).current()
-    }
-
-    fn steps(&self) -> u64 {
-        (**self).steps()
-    }
-
-    fn advance(&mut self, rng: &mut dyn RngCore) -> Step {
-        (**self).advance(rng)
-    }
-}
-
-impl<W: WalkProcess + ?Sized> WalkProcess for Box<W> {
-    fn graph(&self) -> &Graph {
-        (**self).graph()
-    }
-
-    fn current(&self) -> Vertex {
-        (**self).current()
-    }
-
-    fn steps(&self) -> u64 {
-        (**self).steps()
-    }
-
-    fn advance(&mut self, rng: &mut dyn RngCore) -> Step {
-        (**self).advance(rng)
-    }
+    fn advance<R: RngCore + ?Sized>(&mut self, rng: &mut R) -> Step;
 }
 
 #[cfg(test)]

@@ -57,11 +57,7 @@ impl<'g> WalkProcess for RotorRouter<'g> {
         self.steps
     }
 
-    fn advance(&mut self, mut rng: &mut dyn RngCore) -> Step {
-        self.advance_rng(&mut rng)
-    }
-
-    fn advance_rng<R: RngCore>(&mut self, _rng: &mut R) -> Step {
+    fn advance<R: RngCore + ?Sized>(&mut self, _rng: &mut R) -> Step {
         let v = self.current;
         let d = self.g.degree(v);
         assert!(d > 0, "rotor-router stuck at isolated vertex {v}");

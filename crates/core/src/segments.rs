@@ -7,7 +7,7 @@
 //! phase counts, lengths, and the Observation-10 closure property. The
 //! segmentation itself is performed by
 //! [`crate::observe::PhaseObserver`] on the shared single-pass driver;
-//! [`trace_phases`] is the thin compatibility wrapper.
+//! [`trace_phases`] is a thin wrapper over it.
 
 use crate::eprocess::rule::EdgeRule;
 use crate::eprocess::EProcess;
@@ -106,10 +106,10 @@ impl PhaseTrace {
 /// # Panics
 ///
 /// Panics if the walk has already taken steps.
-pub fn trace_phases<A: EdgeRule>(
+pub fn trace_phases<A: EdgeRule, R: RngCore + ?Sized>(
     walk: &mut EProcess<'_, A>,
     max_steps: u64,
-    mut rng: &mut dyn RngCore,
+    rng: &mut R,
 ) -> PhaseTrace {
     assert_eq!(walk.steps(), 0, "phase tracing requires a fresh walk");
     let mut observer = PhaseObserver::new();
@@ -118,7 +118,7 @@ pub fn trace_phases<A: EdgeRule>(
         &mut (&mut observer,),
         StopWhen::AllSatisfied,
         max_steps,
-        &mut rng,
+        rng,
     );
     observer.trace()
 }

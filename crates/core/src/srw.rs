@@ -41,11 +41,7 @@ impl<'g> WalkProcess for SimpleRandomWalk<'g> {
         self.steps
     }
 
-    fn advance(&mut self, mut rng: &mut dyn RngCore) -> Step {
-        self.advance_rng(&mut rng)
-    }
-
-    fn advance_rng<R: RngCore>(&mut self, rng: &mut R) -> Step {
+    fn advance<R: RngCore + ?Sized>(&mut self, rng: &mut R) -> Step {
         let v = self.current;
         let d = self.g.degree(v);
         assert!(d > 0, "random walk stuck at isolated vertex {v}");
@@ -101,11 +97,7 @@ impl<'g> WalkProcess for LazyRandomWalk<'g> {
         self.steps
     }
 
-    fn advance(&mut self, mut rng: &mut dyn RngCore) -> Step {
-        self.advance_rng(&mut rng)
-    }
-
-    fn advance_rng<R: RngCore>(&mut self, rng: &mut R) -> Step {
+    fn advance<R: RngCore + ?Sized>(&mut self, rng: &mut R) -> Step {
         let v = self.current;
         self.steps += 1;
         if rng.gen_bool(0.5) {
@@ -188,11 +180,7 @@ impl<'g> WalkProcess for WeightedRandomWalk<'g> {
         self.steps
     }
 
-    fn advance(&mut self, mut rng: &mut dyn RngCore) -> Step {
-        self.advance_rng(&mut rng)
-    }
-
-    fn advance_rng<R: RngCore>(&mut self, rng: &mut R) -> Step {
+    fn advance<R: RngCore + ?Sized>(&mut self, rng: &mut R) -> Step {
         let v = self.current;
         let range = self.g.arc_range(v);
         assert!(

@@ -77,11 +77,7 @@ impl<'g> WalkProcess for VProcess<'g> {
         self.steps
     }
 
-    fn advance(&mut self, mut rng: &mut dyn RngCore) -> Step {
-        self.advance_rng(&mut rng)
-    }
-
-    fn advance_rng<R: RngCore>(&mut self, rng: &mut R) -> Step {
+    fn advance<R: RngCore + ?Sized>(&mut self, rng: &mut R) -> Step {
         let v = self.current;
         let d = self.g.degree(v);
         assert!(d > 0, "V-process stuck at isolated vertex {v}");

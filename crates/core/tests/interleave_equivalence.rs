@@ -7,60 +7,17 @@
 //! kind × every width the executor uses; the proptest sweeps random
 //! graphs × processes × widths × seeds.
 
-use eproc_core::choice::RandomWalkWithChoice;
+mod common;
+
+use common::{StepRecorder, TestWalk};
 use eproc_core::cover::CoverTarget;
-use eproc_core::fair::LeastUsedFirst;
 use eproc_core::interleave::{run_observed_interleaved, Lane};
 use eproc_core::observe::{run_observed, CoverObserver, Metrics, ObservedRun, Observer, StopWhen};
-use eproc_core::rotor::RotorRouter;
-use eproc_core::rule::UniformRule;
-use eproc_core::srw::{LazyRandomWalk, SimpleRandomWalk};
-use eproc_core::vprocess::VProcess;
-use eproc_core::{EProcess, Step, WalkProcess};
+use eproc_core::{Step, WalkProcess};
 use eproc_graphs::{generators, Graph};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
-
-/// Records the raw step stream; always satisfied so it never extends the
-/// run beyond the real observers' stop condition.
-#[derive(Debug, Default)]
-struct StepRecorder {
-    steps: Vec<Step>,
-}
-
-impl Observer for StepRecorder {
-    fn begin(&mut self, _g: &Graph, _start: usize) {
-        self.steps.clear();
-    }
-
-    fn on_step(&mut self, _t: u64, step: &Step) {
-        self.steps.push(*step);
-    }
-
-    fn satisfied(&self) -> bool {
-        true
-    }
-
-    fn finish(&mut self) -> Metrics {
-        Metrics::Hitting(eproc_core::observe::HittingMetrics {
-            target: 0,
-            steps_to_hit: None,
-        })
-    }
-}
-
-fn build_walk<'g>(g: &'g Graph, which: usize) -> Box<dyn WalkProcess + 'g> {
-    match which % 7 {
-        0 => Box::new(EProcess::new(g, 0, UniformRule::new())),
-        1 => Box::new(SimpleRandomWalk::new(g, 0)),
-        2 => Box::new(LazyRandomWalk::new(g, 0)),
-        3 => Box::new(RotorRouter::new(g, 0)),
-        4 => Box::new(RandomWalkWithChoice::new(g, 0, 2)),
-        5 => Box::new(LeastUsedFirst::new(g, 0)),
-        _ => Box::new(VProcess::new(g, 0)),
-    }
-}
 
 /// The seed lane `i` of a width-`w` set runs on — distinct per lane so
 /// the test exercises lanes that finish at different times.
@@ -91,7 +48,7 @@ fn assert_interleave_equivalence(
     let solo: Vec<SoloResult> = (0..w)
         .map(|i| {
             let mut rng = SmallRng::seed_from_u64(lane_seed(base_seed, i));
-            let mut walk = build_walk(g, which);
+            let mut walk = TestWalk::build(g, which);
             let mut cover = CoverObserver::new(CoverTarget::Both);
             let mut rec = StepRecorder::default();
             let run = run_observed(&mut walk, &mut (&mut cover, &mut rec), stop, cap, &mut rng);
@@ -119,7 +76,7 @@ fn assert_interleave_equivalence(
         .enumerate()
         .map(|(i, bank)| {
             Lane::new(
-                build_walk(g, which),
+                TestWalk::build(g, which),
                 bank,
                 SmallRng::seed_from_u64(lane_seed(base_seed, i)),
             )

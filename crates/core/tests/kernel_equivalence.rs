@@ -1,35 +1,32 @@
 //! The monomorphized kernel must be a pure optimisation: for any graph,
-//! process, observer set and seed, [`run_observed`] driving a concrete
-//! walk with a tuple observer set must produce the **identical `Step`
-//! stream** and the identical [`ObservedRun`] as the fully dynamic
-//! reference loop [`run_observed_dyn`] (virtual `advance`, dyn-observer
+//! process, observer set and seed, [`run_observed`] driving a walk with a
+//! tuple observer set and a concrete RNG must produce the **identical
+//! `Step` stream** and the identical [`ObservedRun`] as the plain
+//! reference loop `run_observed_dyn` (`&mut dyn RngCore`, dyn-observer
 //! slice, all-observers `satisfied()` poll). Seeded cases pin the exact
 //! shapes the engine uses; the proptest sweeps random graphs × processes
 //! × seeds.
 
-use eproc_core::choice::RandomWalkWithChoice;
+mod common;
+
+use common::{StepRecorder, TestWalk};
 use eproc_core::cover::CoverTarget;
-use eproc_core::fair::LeastUsedFirst;
 use eproc_core::observe::{
-    run_observed, BlanketObserver, CoverObserver, HitTarget, HittingObserver, Metrics, ObservedRun,
+    run_observed, BlanketObserver, CoverObserver, HitTarget, HittingObserver, ObservedRun,
     Observer, PhaseObserver, StopWhen,
 };
-use eproc_core::rotor::RotorRouter;
 use eproc_core::rule::UniformRule;
-use eproc_core::srw::{LazyRandomWalk, SimpleRandomWalk};
-use eproc_core::vprocess::VProcess;
-use eproc_core::{EProcess, Step, StepKind, WalkProcess};
+use eproc_core::{EProcess, StepKind, WalkProcess};
 use eproc_graphs::{generators, Graph};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 
-/// The reference the kernel is checked against: virtual `advance`,
-/// dyn-observer fan-out and an all-observers `satisfied()` poll per step —
-/// the walk loop as it was before the monomorphized kernel. It checks the
-/// kernel's tuple fan-out and its `CompletionToken` stop.
-fn run_observed_dyn(
-    walk: &mut dyn WalkProcess,
+/// The reference the kernel is checked against: a `&mut dyn RngCore`,
+/// dyn-observer fan-out and an all-observers `satisfied()` poll per step.
+/// It checks the kernel's tuple fan-out and its `CompletionToken` stop.
+fn run_observed_dyn<W: WalkProcess>(
+    walk: &mut W,
     observers: &mut [&mut dyn Observer],
     stop: StopWhen,
     cap: u64,
@@ -63,56 +60,13 @@ fn run_observed_dyn(
     }
 }
 
-/// Records the raw step stream; always satisfied so it never extends the
-/// run beyond the real observers' stop condition.
-#[derive(Debug, Default)]
-struct StepRecorder {
-    steps: Vec<Step>,
-}
-
-impl Observer for StepRecorder {
-    fn begin(&mut self, _g: &Graph, _start: usize) {
-        self.steps.clear();
-    }
-
-    fn on_step(&mut self, _t: u64, step: &Step) {
-        self.steps.push(*step);
-    }
-
-    fn satisfied(&self) -> bool {
-        true
-    }
-
-    fn finish(&mut self) -> Metrics {
-        // A recorder has no metric of its own; report a trivially empty
-        // hitting measurement.
-        Metrics::Hitting(eproc_core::observe::HittingMetrics {
-            target: 0,
-            steps_to_hit: None,
-        })
-    }
-}
-
-fn build_walk<'g>(g: &'g Graph, which: usize) -> Box<dyn WalkProcess + 'g> {
-    match which % 7 {
-        0 => Box::new(EProcess::new(g, 0, UniformRule::new())),
-        1 => Box::new(SimpleRandomWalk::new(g, 0)),
-        2 => Box::new(LazyRandomWalk::new(g, 0)),
-        3 => Box::new(RotorRouter::new(g, 0)),
-        4 => Box::new(RandomWalkWithChoice::new(g, 0, 2)),
-        5 => Box::new(LeastUsedFirst::new(g, 0)),
-        _ => Box::new(VProcess::new(g, 0)),
-    }
-}
-
 /// Runs the same (graph, process, seed, stop, cap) through the
 /// monomorphized tuple kernel and the dyn path; asserts identical step
 /// streams, runs, metrics and RNG consumption.
 fn assert_kernel_equivalence(g: &Graph, which: usize, seed: u64, stop: StopWhen, cap: u64) {
-    // Monomorphized: concrete-ish walk (Box<dyn> here, but stepped through
-    // the generic driver), tuple observer set, concrete RNG.
+    // Monomorphized: tuple observer set, concrete RNG.
     let mut rng_a = SmallRng::seed_from_u64(seed);
-    let mut walk_a = build_walk(g, which);
+    let mut walk_a = TestWalk::build(g, which);
     let mut cover_a = CoverObserver::new(CoverTarget::Both);
     let mut hit_a = HittingObserver::new(HitTarget::LastVertex);
     let mut rec_a = StepRecorder::default();
@@ -124,14 +78,14 @@ fn assert_kernel_equivalence(g: &Graph, which: usize, seed: u64, stop: StopWhen,
         &mut rng_a,
     );
 
-    // Fully dynamic baseline.
+    // Dynamic baseline.
     let mut rng_b = SmallRng::seed_from_u64(seed);
-    let mut walk_b = build_walk(g, which);
+    let mut walk_b = TestWalk::build(g, which);
     let mut cover_b = CoverObserver::new(CoverTarget::Both);
     let mut hit_b = HittingObserver::new(HitTarget::LastVertex);
     let mut rec_b = StepRecorder::default();
     let run_b = run_observed_dyn(
-        &mut *walk_b,
+        &mut walk_b,
         &mut [&mut cover_b, &mut hit_b, &mut rec_b],
         stop,
         cap,
@@ -174,7 +128,7 @@ fn seeded_equivalence_under_truncation() {
 
 #[test]
 fn fully_monomorphized_eprocess_matches_dyn_trajectory() {
-    // The sharpest form: concrete EProcess value (no Box at all) against
+    // The sharpest form: the concrete EProcess the engine runs, against
     // the dyn driver, with the full five-observer tuple.
     let mut graph_rng = SmallRng::seed_from_u64(2);
     let g = generators::connected_random_regular(60, 3, &mut graph_rng).unwrap();

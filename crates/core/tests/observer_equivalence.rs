@@ -3,6 +3,9 @@
 //! wrappers now, so we pin their outputs against verbatim copies of the
 //! pre-refactor loops on identical seeded trajectories.
 
+mod common;
+
+use common::TestWalk;
 use eproc_core::cover::{blanket_time, run_cover, CoverRun, CoverTarget};
 use eproc_core::rule::UniformRule;
 use eproc_core::segments::{trace_phases, Phase, PhaseTrace};
@@ -14,7 +17,7 @@ use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 
 /// Verbatim copy of the pre-refactor `run_cover` loop.
-fn legacy_run_cover<W: WalkProcess + ?Sized>(
+fn legacy_run_cover<W: WalkProcess>(
     walk: &mut W,
     target: CoverTarget,
     max_steps: u64,
@@ -75,7 +78,7 @@ fn legacy_run_cover<W: WalkProcess + ?Sized>(
 }
 
 /// Verbatim copy of the pre-refactor `blanket_time` loop.
-fn legacy_blanket_time<W: WalkProcess + ?Sized>(
+fn legacy_blanket_time<W: WalkProcess>(
     walk: &mut W,
     delta: f64,
     max_steps: u64,
@@ -144,21 +147,15 @@ fn legacy_trace_phases(
 }
 
 fn assert_cover_equivalence(g: &Graph, seed: u64, target: CoverTarget, cap: u64) {
-    for eprocess in [true, false] {
-        fn build(g: &Graph, eprocess: bool) -> Box<dyn WalkProcess + '_> {
-            if eprocess {
-                Box::new(EProcess::new(g, 0, UniformRule::new()))
-            } else {
-                Box::new(SimpleRandomWalk::new(g, 0))
-            }
-        }
+    // Process kinds 0 and 1: the E-process and the SRW.
+    for which in [0, 1] {
         let mut rng_a = SmallRng::seed_from_u64(seed);
-        let mut walk_a = build(g, eprocess);
-        let legacy = legacy_run_cover(&mut *walk_a, target, cap, &mut rng_a);
+        let mut walk_a = TestWalk::build(g, which);
+        let legacy = legacy_run_cover(&mut walk_a, target, cap, &mut rng_a);
         let mut rng_b = SmallRng::seed_from_u64(seed);
-        let mut walk_b = build(g, eprocess);
-        let observed = run_cover(&mut *walk_b, target, cap, &mut rng_b);
-        assert_eq!(legacy, observed, "cover mismatch (eprocess={eprocess})");
+        let mut walk_b = TestWalk::build(g, which);
+        let observed = run_cover(&mut walk_b, target, cap, &mut rng_b);
+        assert_eq!(legacy, observed, "cover mismatch (process {which})");
         // Step-for-step: both walks consumed the same RNG stream.
         assert_eq!(rng_a.next_u64(), rng_b.next_u64());
         assert_eq!(walk_a.steps(), walk_b.steps());

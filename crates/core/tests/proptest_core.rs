@@ -187,7 +187,7 @@ fn check_reference_trajectory(g: &Graph, start: Vertex, seed: u64) -> Result<(),
     let mut reference = ReferenceEProcess::new(g, start);
     let mut kernel = EProcess::new(g, start, UniformRule::new());
     for _ in 0..4 * g.m() + 16 {
-        prop_assert_eq!(reference.step(&mut rng_a), kernel.advance_rng(&mut rng_b));
+        prop_assert_eq!(reference.step(&mut rng_a), kernel.advance(&mut rng_b));
     }
     prop_assert_eq!(rng_a.next_u64(), rng_b.next_u64());
     let visited = kernel.visited_edges();

@@ -28,10 +28,10 @@ use crate::executor::{
     block_group_count, block_width, BlockAgg, CellAcc, CellInputs, ProcAgg, SplitAcc,
     SHARED_BLOCK_WALKS,
 };
-use crate::report::json_escape;
 use crate::spec::{ExperimentSpec, Target};
 use eproc_stats::sketch::DEFAULT_K;
 use eproc_stats::{OnlineStats, QuantileSketch, SketchRaw};
+use eproc_telemetry::json_escape;
 use std::fmt;
 use std::fmt::Write as _;
 

@@ -7,6 +7,7 @@
 use crate::executor::{ExperimentReport, VarianceSplit};
 use crate::scaling::ScalingReport;
 use eproc_stats::{OnlineStats, QuantileSketch, TextTable};
+use eproc_telemetry::{json_escape, json_num};
 use std::path::{Path, PathBuf};
 
 /// The quantiles reported when the user does not pass `--quantiles`:
@@ -156,30 +157,6 @@ pub fn to_text_table_with(report: &ExperimentReport, quantiles: &[f64]) -> TextT
         table.push_row(row);
     }
     table
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".into()
-    }
 }
 
 /// One `variance_components` entry: the column's pooled variance next to

@@ -20,10 +20,10 @@ use eproc_core::rule::{
 };
 use eproc_core::srw::{LazyRandomWalk, SimpleRandomWalk, WeightedRandomWalk};
 use eproc_core::vprocess::VProcess;
-use eproc_core::{EProcess, Step, WalkProcess};
+use eproc_core::{EProcess, Step};
 use eproc_graphs::{generators, Graph, GraphError, Vertex};
 use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 use std::fmt;
 
 /// Sweep scale used by the built-in specs: `quick` finishes in seconds,
@@ -544,32 +544,76 @@ impl GraphSpec {
     /// # Errors
     ///
     /// [`SpecError`] for LPS parameters outside the construction's domain
-    /// (the count comes from the group order, which needs valid `p, q`).
+    /// (the count comes from the group order, which needs valid `p, q`),
+    /// and for a count that overflows `usize`.
     pub fn vertex_count(&self) -> Result<usize, SpecError> {
-        match *self {
-            GraphSpec::Regular { n, .. } => Ok(n),
-            GraphSpec::Lps { p, q } => generators::LpsParams::new(p, q)
-                .map(|params| params.vertex_count())
-                .map_err(|e| SpecError::new(format!("graph spec \"{}\": {e}", self.to_cli()))),
-            GraphSpec::Geometric { n, .. } => Ok(n),
-            GraphSpec::Hypercube { dim } => Ok(1usize << dim),
-            GraphSpec::Torus { w, h } => Ok(w * h),
-            GraphSpec::Cycle { n } => Ok(n),
-            GraphSpec::Complete { n } => Ok(n),
-            GraphSpec::Lollipop { clique, path } => Ok(clique + path),
-            GraphSpec::Petersen => Ok(10),
+        let n = match *self {
+            GraphSpec::Regular { n, .. }
+            | GraphSpec::Geometric { n, .. }
+            | GraphSpec::Cycle { n }
+            | GraphSpec::Complete { n } => Some(n),
+            GraphSpec::Lps { p, q } => {
+                return generators::LpsParams::new(p, q)
+                    .map(|params| params.vertex_count())
+                    .map_err(|e| SpecError::new(format!("graph spec \"{}\": {e}", self.to_cli())))
+            }
+            GraphSpec::Hypercube { dim } => u32::try_from(dim)
+                .ok()
+                .and_then(|dim| 1usize.checked_shl(dim)),
+            GraphSpec::Torus { w, h } => w.checked_mul(h),
+            GraphSpec::Lollipop { clique, path } => clique.checked_add(path),
+            GraphSpec::Petersen => Some(10),
             // Saturating: `len = 0` is invalid (caught by `validate`),
             // but this method must not underflow when probed directly.
-            GraphSpec::FigureEight { len } => Ok((2 * len).saturating_sub(1)),
+            GraphSpec::FigureEight { len } => len.checked_mul(2).map(|n| n.saturating_sub(1)),
+        };
+        n.ok_or_else(|| {
+            SpecError::new(format!(
+                "graph spec \"{}\": vertex count overflows",
+                self.to_cli()
+            ))
+        })
+    }
+
+    /// Rejects a family whose vertex count `n` or arc count `2m` exceeds
+    /// `u32::MAX`, the CSR index width ([`GraphError::TooLarge`]), before
+    /// anything is allocated. Counts that overflow saturate. A geometric
+    /// sample's edges are unknown until drawn; being connected, it has at
+    /// least `2(n - 1)` arcs, and that bound is what is checked. Invalid
+    /// LPS parameters are left to the generator to name.
+    fn check_size(&self) -> Result<(), GraphError> {
+        let n = self.vertex_count().unwrap_or(usize::MAX);
+        let arcs = match *self {
+            GraphSpec::Regular { d, .. } => n.saturating_mul(d),
+            GraphSpec::Lps { p, q } => match generators::LpsParams::new(p, q) {
+                Ok(params) => n.saturating_mul(params.degree()),
+                Err(_) => return Ok(()),
+            },
+            GraphSpec::Geometric { .. } => n.saturating_sub(1).saturating_mul(2),
+            GraphSpec::Hypercube { dim } => n.saturating_mul(dim),
+            GraphSpec::Torus { .. } => n.saturating_mul(4),
+            GraphSpec::Cycle { .. } => n.saturating_mul(2),
+            GraphSpec::Complete { .. } => n.saturating_mul(n.saturating_sub(1)),
+            GraphSpec::Lollipop { clique, path } => clique
+                .saturating_mul(clique.saturating_sub(1))
+                .saturating_add(path.saturating_mul(2)),
+            GraphSpec::Petersen => 30,
+            GraphSpec::FigureEight { len } => len.saturating_mul(4),
+        };
+        let limit = u32::MAX as usize;
+        if n > limit || arcs > limit {
+            return Err(GraphError::TooLarge { n, arcs });
         }
+        Ok(())
     }
 
     /// Checks family feasibility without generating anything, so an
     /// impossible spec (`regular:0,4`, `regular:10,0`, a non-positive
-    /// geometric radius factor, …) fails **once at validation time** with
-    /// a [`SpecError`] naming the family, instead of surfacing as a
-    /// per-trial generator failure — or a panic — deep inside the
-    /// executor.
+    /// geometric radius factor, a graph too large for the 32-bit CSR
+    /// index width, …) fails **once at validation time** with a
+    /// [`SpecError`] naming the family, instead of surfacing as a
+    /// per-trial generator failure — or a panic, or an allocation abort —
+    /// deep inside the executor.
     pub fn validate(&self) -> Result<(), SpecError> {
         let fail = |reason: String| -> Result<(), SpecError> {
             Err(SpecError::new(format!(
@@ -590,8 +634,8 @@ impl GraphSpec {
                 if d >= n {
                     return fail(format!("degree {d} >= n = {n}: simple graph impossible"));
                 }
-                if (n * d) % 2 != 0 {
-                    return fail(format!("n * d = {} is odd: no such graph", n * d));
+                if n % 2 == 1 && d % 2 == 1 {
+                    return fail(format!("n * d = {n} * {d} is odd: no such graph"));
                 }
             }
             GraphSpec::Geometric { n, radius_factor } => {
@@ -639,7 +683,7 @@ impl GraphSpec {
             // duplicate nontrivial number theory.
             GraphSpec::Lps { .. } | GraphSpec::Petersen => {}
         }
-        Ok(())
+        self.check_size().or_else(|e| fail(e.to_string()))
     }
 
     /// Builds the graph deterministically from `seed`. Randomized families
@@ -648,6 +692,8 @@ impl GraphSpec {
     /// function of `(self, seed)` and a family that cannot produce a
     /// connected sample (e.g. a tiny geometric radius factor) fails fast
     /// with [`GraphError::RetriesExhausted`] instead of looping forever.
+    /// A family too large for the 32-bit CSR index width fails with
+    /// [`GraphError::TooLarge`] before anything is allocated.
     pub fn build(&self, seed: u64) -> Result<Graph, GraphError> {
         self.build_counted(seed).map(|(g, _)| g)
     }
@@ -662,6 +708,7 @@ impl GraphSpec {
     ///
     /// As [`GraphSpec::build`].
     pub fn build_counted(&self, seed: u64) -> Result<(Graph, usize), GraphError> {
+        self.check_size()?;
         let mut rng = SmallRng::seed_from_u64(seed);
         match *self {
             GraphSpec::Regular { n, d } => {
@@ -850,6 +897,11 @@ impl ProcessSpec {
                     args.parse()
                         .map_err(|_| SpecError::new(format!("process spec {s:?}: bad d")))?
                 };
+                if d == 0 {
+                    return Err(SpecError::new(format!(
+                        "process spec {s:?}: rwc needs d >= 1 choices"
+                    )));
+                }
                 Ok(ProcessSpec::Rwc { d })
             }
             "oldest" | "oldest-first" => no_args(ProcessSpec::OldestFirst),
@@ -859,13 +911,6 @@ impl ProcessSpec {
                 "unknown process {other:?} (eprocess[:rule]|srw|lazy|weighted|rotor|rwc:d|oldest|leastused|vprocess)"
             ))),
         }
-    }
-
-    /// Instantiates the process on `g` at `start` behind a trait object
-    /// (dyn-dispatched stepping — the compatibility shape). The executor's
-    /// hot path uses [`ProcessSpec::build_kernel`] instead.
-    pub fn build<'g>(&self, g: &'g Graph, start: Vertex) -> Box<dyn WalkProcess + 'g> {
-        Box::new(self.build_kernel(g, start))
     }
 
     /// Instantiates the process on `g` at `start` as a [`WalkKernel`]
@@ -929,10 +974,10 @@ pub type SpitefulRule = AdversarialRule<fn(&RuleContext<'_>) -> usize>;
 /// This is the "process half" of the executor's (process × metric-set)
 /// dispatch: a trial matches on the kernel **once**, and each arm runs
 /// [`eproc_core::observe::run_observed`] with the concrete process type,
-/// so the per-step loop is fully monomorphized — no `Box<dyn WalkProcess>`
-/// and no per-step virtual `advance`. The enum also implements
-/// [`WalkProcess`] itself (one predictable match per call) for callers
-/// that don't need the flat loop.
+/// so the per-step loop is fully monomorphized, with no per-step
+/// dispatch. Reach the concrete process through
+/// [`with_kernel!`](crate::with_kernel) (one trial) or
+/// [`with_kernel_lanes!`](crate::with_kernel_lanes) (lockstep lanes).
 #[derive(Debug)]
 pub enum WalkKernel<'g> {
     /// E-process, uniform rule.
@@ -1068,49 +1113,6 @@ macro_rules! with_kernel_lanes {
     }};
 }
 
-macro_rules! kernel_delegate {
-    ($self:expr, $walk:ident => $body:expr) => {
-        match $self {
-            WalkKernel::EProcessUniform($walk) => $body,
-            WalkKernel::EProcessFirstPort($walk) => $body,
-            WalkKernel::EProcessLastPort($walk) => $body,
-            WalkKernel::EProcessRoundRobin($walk) => $body,
-            WalkKernel::EProcessGreedyAdversary($walk) => $body,
-            WalkKernel::EProcessSpiteful($walk) => $body,
-            WalkKernel::Srw($walk) => $body,
-            WalkKernel::LazySrw($walk) => $body,
-            WalkKernel::WeightedSrw($walk) => $body,
-            WalkKernel::RotorRouter($walk) => $body,
-            WalkKernel::Rwc($walk) => $body,
-            WalkKernel::OldestFirst($walk) => $body,
-            WalkKernel::LeastUsedFirst($walk) => $body,
-            WalkKernel::VProcess($walk) => $body,
-        }
-    };
-}
-
-impl WalkProcess for WalkKernel<'_> {
-    fn graph(&self) -> &Graph {
-        kernel_delegate!(self, w => w.graph())
-    }
-
-    fn current(&self) -> Vertex {
-        kernel_delegate!(self, w => w.current())
-    }
-
-    fn steps(&self) -> u64 {
-        kernel_delegate!(self, w => w.steps())
-    }
-
-    fn advance(&mut self, mut rng: &mut dyn RngCore) -> Step {
-        self.advance_rng(&mut rng)
-    }
-
-    fn advance_rng<R: RngCore>(&mut self, rng: &mut R) -> Step {
-        kernel_delegate!(self, w => w.advance_rng(rng))
-    }
-}
-
 /// What each trial waits for.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Target {
@@ -1208,7 +1210,7 @@ impl Target {
 /// through the homogeneous-slice [`ObserverSet`](eproc_core::observe::ObserverSet)
 /// implementation: per step, each observer costs one predictable `match`
 /// with the measurement body inlined, instead of a virtual call through
-/// `Box<dyn Observer>`.
+/// `&mut dyn Observer`.
 #[derive(Debug)]
 pub enum AnyObserver<'g> {
     /// Vertex/edge cover observer.
@@ -1576,6 +1578,9 @@ impl ExperimentSpec {
         for gs in &self.graphs {
             gs.validate()?;
         }
+        if self.processes.contains(&ProcessSpec::Rwc { d: 0 }) {
+            return Err(SpecError::new("process rwc:0: rwc needs d >= 1 choices"));
+        }
         if let Some(plan) = self.resample {
             if plan.walks_per_graph == 0 {
                 return Err(SpecError::new(
@@ -1850,6 +1855,7 @@ impl ExperimentSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eproc_core::WalkProcess;
     use eproc_graphs::properties::connectivity;
 
     #[test]
@@ -1978,6 +1984,68 @@ mod tests {
         assert!(GraphSpec::Torus { w: 1, h: 5 }.validate().is_err());
         assert!(GraphSpec::Hypercube { dim: 0 }.validate().is_err());
         assert!(GraphSpec::Petersen.validate().is_ok());
+    }
+
+    #[test]
+    fn oversized_families_fail_validation() {
+        for s in [
+            "regular:2000000000,4",
+            "regular:18446744073709551614,3",
+            "lps:5,65521",
+            "geometric:4294967296",
+            "hypercube:40",
+            "torus:4294967296,4294967297",
+            "cycle:4294967296",
+            "complete:100000",
+            "lollipop:3,18446744073709551615",
+            "figure8:9223372036854775809",
+        ] {
+            let err = GraphSpec::parse(s).unwrap().validate().unwrap_err();
+            assert!(err.to_string().contains("32-bit index limit"), "{s}: {err}");
+        }
+        // K_65536 has 65536 * 65535 arcs, just inside the limit.
+        assert!(GraphSpec::Complete { n: 65536 }.validate().is_ok());
+        assert!(GraphSpec::Complete { n: 65537 }.validate().is_err());
+        for s in [
+            "torus:4294967296,4294967297",
+            "lollipop:3,18446744073709551615",
+            "figure8:9223372036854775809",
+        ] {
+            let err = GraphSpec::parse(s).unwrap().vertex_count().unwrap_err();
+            assert!(err.to_string().contains("overflows"), "{s}: {err}");
+        }
+    }
+
+    #[test]
+    fn oversized_families_fail_to_build_before_allocating() {
+        for s in ["hypercube:40", "torus:4294967296,4294967297"] {
+            let err = GraphSpec::parse(s).unwrap().build_counted(1).unwrap_err();
+            assert!(matches!(err, GraphError::TooLarge { .. }), "{s}: {err}");
+        }
+    }
+
+    #[test]
+    fn rwc_needs_at_least_one_choice() {
+        let err = ProcessSpec::parse("rwc:0").unwrap_err();
+        assert!(err.to_string().contains("d >= 1"), "{err}");
+        assert_eq!(
+            ProcessSpec::parse("rwc:1").unwrap(),
+            ProcessSpec::Rwc { d: 1 }
+        );
+        let spec = ExperimentSpec {
+            name: "t".into(),
+            description: String::new(),
+            graphs: vec![GraphSpec::Cycle { n: 8 }],
+            processes: vec![ProcessSpec::Srw, ProcessSpec::Rwc { d: 0 }],
+            trials: 2,
+            target: Target::VertexCover,
+            metrics: vec![],
+            start: 0,
+            cap: CapSpec::Auto,
+            resample: None,
+        };
+        let err = spec.validate().unwrap_err();
+        assert!(err.to_string().contains("d >= 1"), "{err}");
     }
 
     #[test]
@@ -2126,12 +2194,13 @@ mod tests {
             ProcessSpec::VProcess,
         ];
         for spec in &specs {
-            let mut walk = spec.build(&g, 0);
-            for _ in 0..50 {
-                let step = walk.advance(&mut rng);
-                assert!(step.to < g.n(), "{} stepped out of range", spec.label());
-            }
-            assert_eq!(walk.steps(), 50);
+            with_kernel!(spec.build_kernel(&g, 0), walk => {
+                for _ in 0..50 {
+                    let step = walk.advance(&mut rng);
+                    assert!(step.to < g.n(), "{} stepped out of range", spec.label());
+                }
+                assert_eq!(walk.steps(), 50);
+            });
         }
     }
 

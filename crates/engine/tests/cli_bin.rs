@@ -66,6 +66,29 @@ fn usage_errors_exit_2_and_help_exits_0() {
 }
 
 #[test]
+fn hostile_sizes_and_rwc_zero_fail_with_typed_errors() {
+    // A graph too large for the 32-bit CSR ids is a spec error (exit 1),
+    // caught before anything is allocated; `rwc:0` is a malformed process
+    // spec (exit 2). Neither may panic.
+    for (graph, process, code, needle) in [
+        ("hypercube:40", "srw", 1, "32-bit index limit"),
+        (
+            "torus:4294967296,4294967297",
+            "srw",
+            1,
+            "32-bit index limit",
+        ),
+        ("cycle:10", "rwc:0", 2, "rwc needs d >= 1"),
+    ] {
+        let out = eproc(&["compare", "--graph", graph, "--process", process]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(code), "{graph} {process}: {err}");
+        assert!(err.contains(needle), "{graph} {process}: {err}");
+        assert!(!err.contains("panicked"), "{graph} {process}: {err}");
+    }
+}
+
+#[test]
 fn foreign_flags_are_rejected_by_name_per_subcommand() {
     // Each case: a flag that exists in the table but does not belong to
     // the subcommand. The error must name both.

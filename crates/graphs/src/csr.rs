@@ -29,8 +29,8 @@ pub type ArcId = usize;
 
 /// A finite undirected multigraph in CSR form with stable edge and arc ids.
 ///
-/// Construction is via [`Graph::from_edges`], [`crate::GraphBuilder`], or one
-/// of the [`crate::generators`]. The representation is immutable after
+/// Construction is via [`Graph::from_edges`], which every one of the
+/// [`crate::generators`] calls. The representation is immutable after
 /// construction: walk processes keep their own mutable bookkeeping (visited
 /// bitmaps, rotor positions, ...) *outside* the graph, so a single graph can
 /// back many concurrent simulations.

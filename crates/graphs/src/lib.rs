@@ -6,8 +6,8 @@
 //! * [`Graph`] — a compact CSR (compressed sparse row) representation of an
 //!   undirected multigraph with stable *edge* and *arc* identifiers. The two
 //!   directed copies of an undirected edge are its arcs; the E-process marks
-//!   edges visited while walking arcs, so both views are first-class.
-//! * [`builder::GraphBuilder`] — incremental construction with validation.
+//!   edges visited while walking arcs, so both views are first-class;
+//!   [`Graph::from_edges`] is its one validating constructor.
 //! * [`generators`] — the graph families used by the paper's analysis and
 //!   experiments: random regular graphs (configuration/pairing model and the
 //!   Steger–Wormald algorithm used by the paper's own simulations), LPS
@@ -37,7 +37,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod builder;
 pub mod csr;
 pub mod error;
 pub mod generators;
@@ -47,6 +46,5 @@ pub mod properties;
 pub mod subgraph;
 pub mod traversal;
 
-pub use builder::GraphBuilder;
 pub use csr::{ArcId, EdgeId, Graph, Vertex};
 pub use error::GraphError;

@@ -3,7 +3,7 @@
 use std::fmt::Write as _;
 
 /// Escapes a string for embedding in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -23,7 +23,7 @@ pub(crate) fn json_escape(s: &str) -> String {
 
 /// Renders a float as a strict-JSON number, degrading non-finite values
 /// (which JSON cannot represent) to `null`.
-pub(crate) fn json_num(x: f64) -> String {
+pub fn json_num(x: f64) -> String {
     if x.is_finite() {
         format!("{x}")
     } else {

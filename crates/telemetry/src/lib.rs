@@ -33,6 +33,8 @@
 //! * [`write_atomic`] — the crash-safe write-temp-then-rename helper
 //!   every persisted artifact in the workspace goes through, so an
 //!   interrupted process never leaves a truncated file behind.
+//! * [`json_escape`] / [`json_num`] — the string and number encoders
+//!   every hand-written JSON emitter in the workspace shares.
 //!
 //! The crate is intentionally dependency-free (std only) and knows
 //! nothing about graphs or walks: events carry plain labels and
@@ -53,7 +55,7 @@ mod summary;
 mod timer;
 
 pub use counters::{Counters, CountersSnapshot};
-pub use event::{Event, EventKind, ShardId};
+pub use event::{json_escape, json_num, Event, EventKind, ShardId};
 pub use fsio::write_atomic;
 pub use jsonl::JsonlSink;
 pub use progress::ProgressSink;

@@ -3,7 +3,7 @@
 
 use eproc::core::cover::run_to_vertex_cover;
 use eproc::core::rule::UniformRule;
-use eproc::core::{EProcess, WalkProcess};
+use eproc::core::EProcess;
 use eproc::graphs::generators;
 use eproc::graphs::properties::girth;
 use eproc::spectral::lanczos::lanczos;
@@ -73,26 +73,6 @@ fn measurement_to_fit_pipeline() {
     }
     assert_eq!(table.len(), 3);
     assert!(table.to_string().contains("CV"));
-}
-
-/// The WalkProcess trait is object-safe: processes can be driven through
-/// `dyn` (the comparison binary relies on uniform treatment).
-#[test]
-fn walk_process_is_object_safe() {
-    let g = generators::torus2d(4, 4);
-    let mut rng = SmallRng::seed_from_u64(2);
-    let mut walks: Vec<Box<dyn WalkProcess>> = vec![
-        Box::new(EProcess::new(&g, 0, UniformRule::new())),
-        Box::new(eproc::core::srw::SimpleRandomWalk::new(&g, 0)),
-        Box::new(eproc::core::rotor::RotorRouter::new(&g, 0)),
-    ];
-    for w in &mut walks {
-        for _ in 0..50 {
-            let s = w.advance(&mut rng);
-            assert!(s.to < g.n());
-        }
-        assert_eq!(w.steps(), 50);
-    }
 }
 
 /// Facade re-exports resolve and agree with the underlying crates.
