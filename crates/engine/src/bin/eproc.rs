@@ -77,7 +77,8 @@ use eproc_engine::builtin;
 use eproc_engine::cache::{CacheStore, CACHE_ENV};
 use eproc_engine::checkpoint::RunCheckpoint;
 use eproc_engine::cli::{
-    expect_count, expect_positive_f64, expect_u64, parse_args, Arity, FlagDef, Parsed, UsageError,
+    expect_count, expect_positive_f64, expect_seconds, expect_u64, parse_args, Arity, FlagDef,
+    Parsed, UsageError,
 };
 use eproc_engine::digest::{spec_digest, ArtifactKind, SpecDigest};
 use eproc_engine::executor::{run_with_sink, EngineError, RunOptions};
@@ -456,7 +457,7 @@ struct CommonFlags {
     checkpoint: Option<PathBuf>,
     checkpoint_every: Option<usize>,
     resume: Option<PathBuf>,
-    max_wall: Option<f64>,
+    max_wall: Option<Duration>,
     retry_blocks: Option<usize>,
     inject_faults: Option<String>,
     quantiles: Option<Vec<f64>>,
@@ -513,7 +514,7 @@ impl CommonFlags {
                 }
                 "--resume" => flags.resume = Some(PathBuf::from(v())),
                 "--max-wall" => {
-                    flags.max_wall = Some(ok_or_usage(expect_positive_f64("--max-wall", v())));
+                    flags.max_wall = Some(ok_or_usage(expect_seconds("--max-wall", v())));
                 }
                 "--retry-blocks" => {
                     flags.retry_blocks =
@@ -689,6 +690,12 @@ fn execute_inner(mut spec: ExperimentSpec, flags: &CommonFlags, fit_growth_laws:
                  unsharded runs)",
             );
         }
+    }
+    // The announcement below counts the jobs, so an invalid grid fails
+    // before it, as the run itself would.
+    if let Err(e) = spec.validate() {
+        eprintln!("error: {}", EngineError::Spec(e));
+        exit(1);
     }
     let mut opts = RunOptions::auto();
     if let Some(threads) = flags.threads {
@@ -971,7 +978,7 @@ fn run_crash_safe(
     let rec = RecoveryOptions {
         checkpoint,
         resume,
-        max_wall: flags.max_wall.map(Duration::from_secs_f64),
+        max_wall: flags.max_wall,
         retry_blocks: flags.retry_blocks.unwrap_or(0),
         faults,
         cancel,

@@ -125,8 +125,8 @@ impl RunCheckpoint {
     /// this checkpoint's run (see [`RunCheckpoint::validate_against`]).
     pub(crate) fn restore<'a>(&self, inputs: &'a CellInputs<'a>) -> FoldState<'a> {
         let folder = CellFolder::resume(inputs, self.folded, self.cells.clone());
-        let families = self.header.graphs.len();
-        let mut state = FoldState::new(Fold::Cells(folder), self.folded, 1, families);
+        let (families, processes) = (self.header.graphs.len(), self.header.processes.len());
+        let mut state = FoldState::new(Fold::Cells(folder), self.folded, 1, families, processes);
         for &(gi, n, m) in &self.rep_dims {
             state.dims[gi] = Some((n, m));
         }

@@ -23,6 +23,7 @@
 //! the same phrasing.
 
 use std::fmt;
+use std::time::Duration;
 
 /// How many value tokens a flag consumes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -201,6 +202,18 @@ pub fn expect_positive_f64(flag: &str, raw: &str) -> Result<f64, UsageError> {
     }
 }
 
+/// Parses a positive number of seconds that a [`Duration`] can hold.
+pub fn expect_seconds(flag: &str, raw: &str) -> Result<Duration, UsageError> {
+    let secs = expect_positive_f64(flag, raw)?;
+    Duration::try_from_secs_f64(secs).map_err(|_| {
+        UsageError::expects(
+            flag,
+            "a positive number of seconds no larger than 1.8e19",
+            Some(raw),
+        )
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,5 +344,16 @@ mod tests {
         assert_eq!(expect_u64("--seed", "7").unwrap(), 7);
         assert_eq!(expect_count("--threads", "4").unwrap(), 4);
         assert_eq!(expect_positive_f64("--max-wall", "1.5").unwrap(), 1.5);
+        assert_eq!(
+            expect_seconds("--max-wall", "1e300")
+                .unwrap_err()
+                .to_string(),
+            "flag `--max-wall` expects a positive number of seconds no larger than 1.8e19, \
+             got \"1e300\""
+        );
+        assert_eq!(
+            expect_seconds("--max-wall", "0.25").unwrap(),
+            Duration::from_millis(250)
+        );
     }
 }

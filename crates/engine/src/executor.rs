@@ -1,8 +1,8 @@
 //! Work-stealing parallel execution of [`ExperimentSpec`]s.
 //!
-//! Blocks — one per *(family, group)* — are claimed from a shared
-//! atomic index by scoped worker threads, so load-balancing needs no
-//! queues and no extra dependencies. Every trial derives its own RNG
+//! Tasks — pieces of the *(family, group)* blocks — are claimed from a
+//! shared atomic index by scoped worker threads, so load-balancing needs
+//! no queues and no extra dependencies. Every trial derives its own RNG
 //! stream from [`SeedSequence`] keyed by the trial's grid coordinates, and
 //! aggregation folds trials in coordinate order, which makes the
 //! aggregate report **bit-identical for any thread count**.
@@ -14,20 +14,30 @@
 //! (process × metric-set) enum pair [`crate::spec::WalkKernel`] ×
 //! [`AnyObserver`], so the per-step loop is monomorphized — no boxed
 //! walk, no dyn-observer fan-out. Workers keep their observer set
-//! between consecutive trials on the same graph, so the word-packed
+//! between consecutive trials of a task, so the word-packed
 //! [`eproc_core::bitset::BitSet`] scratch bitmaps are re-armed (`m / 64`
 //! word writes) rather than reallocated.
 //!
-//! The work unit is always one *(family, group)* block. Under a
-//! [`ResamplePlan`] a group is `walks_per_graph` consecutive trials and
-//! the worker claiming the block samples the group's graph from its
-//! [`resample_graph_seed`] — blocks partition the samples, so graph
-//! generation parallelises across the pool exactly like the walks. In
-//! shared-graph mode a group is a `SHARED_BLOCK_WALKS`-trial chunk of
-//! the family's graph, built once per run, so both modes run the
-//! **same** block runner and the same aggregation tail — there is
-//! exactly one aggregation path and no per-trial vector anywhere. In
-//! both modes a family's reported `(n, m)` comes from its group-0 block.
+//! The unit of folding, checkpointing and sharding is one *(family,
+//! group)* block. Under a [`ResamplePlan`] a group is `walks_per_graph`
+//! consecutive trials and the worker claiming the block samples the
+//! group's graph from its [`resample_graph_seed`] — blocks partition the
+//! samples, so graph generation parallelises across the pool exactly
+//! like the walks. In shared-graph mode a group is a
+//! `SHARED_BLOCK_WALKS`-trial chunk of the family's graph, built once
+//! per run, so both modes run the **same** block runner and the same
+//! aggregation tail — there is exactly one aggregation path and no
+//! per-trial vector anywhere. In both modes a family's reported `(n, m)`
+//! comes from its group-0 block.
+//!
+//! The unit the pool *claims* is a task: a block's range of processes.
+//! A shared-graph block splits into one task per process, so one family
+//! whose processes are slow no longer holds a single worker while the
+//! others idle. A resampled block stays one task covering every process,
+//! because its graph is generated inside it. Each process's trials fold,
+//! in order, into that process's `ProcAgg` whichever task runs them,
+//! and the main thread holds a block's aggregates until its last task
+//! lands, so splitting a block cannot change a byte.
 //!
 //! One private driver runs every run. It takes two parameters: which
 //! blocks run (all of them, a shard's residue class `i mod k`, or the
@@ -39,14 +49,15 @@
 //! are that driver with its parameters set, so sharding, checkpoints,
 //! resume, deadlines and block retries work for every spec.
 //!
-//! Aggregation is **streamed twice over**. Inside a block the claiming
+//! Aggregation is **streamed twice over**. Inside a task the claiming
 //! worker folds each trial straight into per-(block, process)
 //! [`OnlineStats`] + [`QuantileSketch`] accumulators and drops the
 //! trial, so a block contributes `O(processes × columns)` memory no
 //! matter how many trials it runs or how large its graph is. Completed
-//! blocks stream back to the main thread over a channel and fold into
-//! the per-cell `CellFolder` in canonical *(family, group)* order —
-//! workers are back-pressured a bounded window ahead of the fold — so
+//! tasks stream back to the main thread over a channel; once a block's
+//! last task lands, the block folds into the per-cell `CellFolder` in
+//! canonical *(family, group)* order — workers are back-pressured a
+//! bounded window of blocks ahead of the fold — so
 //! the run's aggregation state is `O(cells × columns)` independent of
 //! the trial count: the property that unlocks billion-trial runs.
 //! Checkpoints ([`crate::checkpoint`]) persist exactly this state. The
@@ -70,6 +81,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Condvar, Mutex};
 use std::time::Instant;
@@ -135,19 +147,19 @@ pub enum EngineError {
         source: eproc_graphs::GraphError,
     },
     /// A *(family, group)* block failed inside the worker pool: the
-    /// worker that claimed the block could not generate the group's
-    /// graph sample (resample mode, or an injected fault), or its trial
-    /// loop panicked (caught
-    /// at the block isolation boundary, leaving the pool unpoisoned).
-    /// Carries the full block context so a failure deep in a long sweep
-    /// names exactly which work unit died and where.
+    /// worker that claimed one of its tasks could not generate the
+    /// group's graph sample (resample mode, or an injected fault), or its
+    /// trial loop panicked (caught at the task isolation boundary,
+    /// leaving the pool unpoisoned). Carries the full block context so a
+    /// failure deep in a long sweep names exactly which work unit died
+    /// and where.
     Block {
         /// Label of the failing family.
         graph: String,
         /// Group whose block failed: a resample group, or a shared
         /// graph's trial chunk.
         group: usize,
-        /// Index of the worker that claimed the block.
+        /// Index of the worker that claimed the failing task.
         worker: usize,
         /// What killed the block.
         source: BlockError,
@@ -155,10 +167,10 @@ pub enum EngineError {
 }
 
 /// What killed a single block: the group's graph sample could not be
-/// generated (resample mode), or the block's trial loop panicked. Panics are
-/// caught per block (`catch_unwind` in the worker loop), so one bad
-/// block surfaces as an error value instead of tearing down the pool —
-/// and `--retry-blocks` can deterministically re-run it.
+/// generated (resample mode), or one of the block's task loops panicked.
+/// Panics are caught per task (`catch_unwind` in the worker loop), so
+/// one bad block surfaces as an error value instead of tearing down the
+/// pool — and `--retry-blocks` can deterministically re-run the task.
 #[derive(Debug)]
 pub enum BlockError {
     /// Graph generation for the block's group failed.
@@ -506,8 +518,8 @@ fn build_graphs_observed(
 
 /// Streamed aggregates of one process's trials within one *(family,
 /// group)* block — the executor's unit of aggregation in **both**
-/// modes. Folding happens inside the worker that ran the block, so no
-/// per-trial vector outlives the block. `pub(crate)` because shard
+/// modes. Folding happens inside the worker that ran the process's
+/// task, so no per-trial vector outlives the task. `pub(crate)` because shard
 /// artifacts ([`crate::shard`]) and checkpoints persist these
 /// accumulators (moments *and* sketches) verbatim.
 #[derive(Debug, Clone)]
@@ -610,9 +622,8 @@ pub(crate) struct BlockAgg {
 
 /// A worker's reusable observer set for one graph: slot 0 is the target
 /// observer, slots 1.. are the metric observers, all stored as
-/// [`AnyObserver`] enum variants (static dispatch, no boxing). Re-armed
-/// (`begin`) for every trial; rebuilt only when the worker moves to a
-/// different graph.
+/// [`AnyObserver`] enum variants (static dispatch, no boxing). Built
+/// once per task and re-armed (`begin`) for every trial of it.
 struct ObserverBank<'g> {
     /// `[target, metric_0, metric_1, …]` — a homogeneous `Vec` so the
     /// whole bank feeds `run_observed` through the slice `ObserverSet`.
@@ -848,20 +859,33 @@ fn validate_vertices(spec: &ExperimentSpec) -> Result<(), EngineError> {
     Ok(())
 }
 
-/// Everything one block produced.
-struct BlockResult {
-    /// The block's streamed per-process aggregates.
-    agg: BlockAgg,
-    /// `(family, n, m)` when this was the family's group-0 block — the
-    /// dimensions the report describes the family with.
+/// One unit of pool work: the processes `procs` of canonical block
+/// `block`. A shared-graph block splits into one task per process; a
+/// resampled block is one task covering every process, because its
+/// graph is generated inside it.
+struct Task {
+    block: usize,
+    procs: Range<usize>,
+}
+
+/// Everything one task produced.
+struct TaskResult {
+    /// The task's block.
+    block: usize,
+    /// The first process the task ran; `procs` continues from it.
+    first: usize,
+    /// The streamed aggregates of the task's processes, in grid order.
+    procs: Vec<ProcAgg>,
+    /// `(family, n, m)` when this was a task of the family's group-0
+    /// block — the dimensions the report describes the family with.
     rep: Option<(usize, usize, usize)>,
-    /// Trials the block ran.
+    /// Trials the task ran.
     trials: u64,
-    /// Walk steps the block simulated.
+    /// Walk steps the task simulated.
     steps: u64,
 }
 
-/// Everything a worker needs to run any block of one driven run.
+/// Everything a worker needs to run any task of one driven run.
 struct BlockRunner<'a> {
     spec: &'a ExperimentSpec,
     base_seed: u64,
@@ -872,25 +896,25 @@ struct BlockRunner<'a> {
     shared: Option<&'a [Graph]>,
     tel: &'a Telemetry<'a>,
     faults: &'a FaultPlan,
-    /// Deterministic re-runs of a failed block before its error stands.
+    /// Deterministic re-runs of a failed task before its error stands.
     retries: usize,
 }
 
 impl BlockRunner<'_> {
-    /// Runs `block` with deterministic retries: attempt `k` derives the
+    /// Runs `task` with deterministic retries: attempt `k` derives the
     /// exact same seeds as attempt 0, so a successful retry contributes
     /// bit-identical accumulators. Emits one `block_retried` event per
     /// failed attempt that will be retried.
-    fn run(&self, block: usize, worker: usize) -> Result<BlockResult, EngineError> {
+    fn run(&self, task: &Task, worker: usize) -> Result<TaskResult, EngineError> {
         let mut attempt = 0;
         loop {
-            match self.attempt(block, worker, attempt) {
+            match self.attempt(task, worker, attempt) {
                 Err(e) if attempt < self.retries => {
                     if self.tel.live {
                         self.tel.emit(EventKind::BlockRetried {
-                            block,
-                            family: self.spec.graphs[block / self.groups].label(),
-                            group: block % self.groups,
+                            block: task.block,
+                            family: self.spec.graphs[task.block / self.groups].label(),
+                            group: task.block % self.groups,
                             worker,
                             attempt,
                             error: e.to_string(),
@@ -903,26 +927,28 @@ impl BlockRunner<'_> {
         }
     }
 
-    /// One attempt at `block` behind a per-block `catch_unwind` isolation
-    /// boundary: a panic anywhere in the block — graph sampling, the walk
+    /// One attempt at `task` behind a per-task `catch_unwind` isolation
+    /// boundary: a panic anywhere in the task — graph sampling, the walk
     /// kernel, an observer, an injected fault — is caught and surfaced as
     /// [`EngineError::Block`] with a [`BlockError::Panic`] source, instead
     /// of unwinding through the worker and poisoning the pool. A fault
     /// the [`FaultPlan`] schedules at *(family, group, attempt)* fires
-    /// inside the boundary, so injected panics take the exact path real
-    /// ones do.
+    /// inside the boundary of the block's first task only, so injected
+    /// panics take the exact path real ones do and each fault fails one
+    /// attempt.
     fn attempt(
         &self,
-        block: usize,
+        task: &Task,
         worker: usize,
         attempt: usize,
-    ) -> Result<BlockResult, EngineError> {
-        let (gi, group) = (block / self.groups, block % self.groups);
+    ) -> Result<TaskResult, EngineError> {
+        let (gi, group) = (task.block / self.groups, task.block % self.groups);
         // AssertUnwindSafe: on Err every captured reference is dropped
         // without further use — the worker reports the error and stops —
         // so no closure state is observed in a broken intermediate state.
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            match self.faults.at(gi, group, attempt) {
+            let fault = self.faults.at(gi, group, attempt);
+            match fault.filter(|_| task.procs.start == 0) {
                 Some(FaultKind::Panic) => {
                     panic!(
                         "injected fault: panic at (family {gi}, group {group}, attempt {attempt})"
@@ -939,7 +965,7 @@ impl BlockRunner<'_> {
                 }
                 None => {}
             }
-            self.block(gi, group, block, worker)
+            self.task(gi, group, task, worker)
         }))
         .unwrap_or_else(|payload| Err(BlockError::Panic(panic_message(payload))))
         .map_err(|source| EngineError::Block {
@@ -950,29 +976,30 @@ impl BlockRunner<'_> {
         })
     }
 
-    /// Runs *(family `gi`, `group`)* — canonical `block` — once: obtains
-    /// the block's graph — the family's shared graph, or a freshly
-    /// sampled group graph under resampling — runs all of the block's
-    /// trials on it one after another through [`run_trial`], and streams
-    /// every trial into per-process [`ProcAgg`]s. Emits `block_claimed` /
-    /// `block_completed` when telemetry is live.
-    /// Deterministic: the result is a pure function of `(spec, base_seed,
-    /// block)` — worker id and telemetry only label events — which is
-    /// what lets sharded and resumed runs reassemble blocks
-    /// byte-identically.
-    fn block(
+    /// Runs `task` of block *(family `gi`, `group`)* once: obtains the
+    /// block's graph — the family's shared graph, or a freshly sampled
+    /// group graph under resampling — runs the group's trials of each of
+    /// the task's processes on it one after another through
+    /// [`run_trial`], and streams every trial into that process's
+    /// [`ProcAgg`]. Emits `block_claimed` / `block_completed` when
+    /// telemetry is live; on a shared graph `block_completed` names the
+    /// task's process. Deterministic: the result is a pure function of
+    /// `(spec, base_seed, task)` — worker id and telemetry only label
+    /// events — which is what lets sharded and resumed runs reassemble
+    /// blocks byte-identically.
+    fn task(
         &self,
         gi: usize,
         group: usize,
-        block: usize,
+        task: &Task,
         worker: usize,
-    ) -> Result<BlockResult, BlockError> {
+    ) -> Result<TaskResult, BlockError> {
         let (spec, base_seed, tel) = (self.spec, self.base_seed, self.tel);
         let w = block_width(spec);
         let live = tel.live;
         if live {
             tel.emit(EventKind::BlockClaimed {
-                block,
+                block: task.block,
                 family: spec.graphs[gi].label(),
                 group,
                 worker,
@@ -994,44 +1021,51 @@ impl BlockRunner<'_> {
         let rep = (group == 0).then(|| (gi, g.n(), g.m()));
         let lo = group * w;
         let hi = ((group + 1) * w).min(spec.trials);
-        // One observer bank, built once per block and re-armed across
+        // One observer bank, built once per task and re-armed across
         // processes and trials (`begin` re-arms completely — pinned by
         // `observer_bank_reuse_matches_fresh_observers`).
         let mut bank = ObserverBank::new(spec, g);
-        let mut procs: Vec<ProcAgg> = (0..spec.processes.len())
-            .map(|pi| ProcAgg::seeded(base_seed, gi, group, pi, self.n_cols))
-            .collect();
         let walk = live.then(Stopwatch::start);
-        let mut block_trials = 0u64;
-        let mut block_steps = 0u64;
-        for (pi, agg) in procs.iter_mut().enumerate() {
-            for t in lo..hi {
-                let seed = trial_seed(base_seed, gi, pi, t);
-                let outcome = run_trial(spec, g, pi, seed, &mut bank);
-                block_trials += 1;
-                block_steps += outcome.steps;
-                agg.fold(outcome);
-            }
-        }
+        let mut trials = 0u64;
+        let mut steps = 0u64;
+        let procs = task
+            .procs
+            .clone()
+            .map(|pi| {
+                let mut agg = ProcAgg::seeded(base_seed, gi, group, pi, self.n_cols);
+                for t in lo..hi {
+                    let seed = trial_seed(base_seed, gi, pi, t);
+                    let outcome = run_trial(spec, g, pi, seed, &mut bank);
+                    trials += 1;
+                    steps += outcome.steps;
+                    agg.fold(outcome);
+                }
+                agg
+            })
+            .collect();
         if let Some(walk) = walk {
             tel.emit(EventKind::BlockCompleted {
-                block,
+                block: task.block,
                 family: spec.graphs[gi].label(),
                 group,
-                process: None,
+                process: self
+                    .shared
+                    .map(|_| spec.processes[task.procs.start].label()),
                 worker,
-                trials: block_trials,
-                steps: block_steps,
+                trials,
+                steps,
                 gen_ns,
                 gen_attempts: attempts,
                 walk_ns: walk.elapsed_ns(),
             });
         }
-        Ok(BlockResult {
-            agg: BlockAgg { block, procs },
+        Ok(TaskResult {
+            block: task.block,
+            first: task.procs.start,
+            procs,
             rep,
-            trials: block_trials,
-            steps: block_steps,
+            trials,
+            steps,
         })
     }
 }
@@ -1219,18 +1253,24 @@ pub(crate) fn claim_window(workers: usize) -> usize {
     (workers * 2).max(8)
 }
 
-/// The canonical blocks a [`run_pool`] call schedules: every `stride`-th
+/// The canonical work a [`run_pool`] call schedules: every `stride`-th
 /// block from `start` below `end`, in ascending order, minus `skip`
 /// (sorted) — the blocks a resumed run already holds past its folded
-/// prefix.
-struct BlockRange {
+/// prefix — each cut into tasks.
+struct Schedule {
     start: usize,
     stride: usize,
     end: usize,
     skip: Vec<usize>,
+    /// Processes per block.
+    processes: usize,
+    /// Whether each process of a block is a task of its own (shared
+    /// graphs) rather than one task running them all (resampled graphs,
+    /// generated inside the task).
+    split: bool,
 }
 
-impl BlockRange {
+impl Schedule {
     /// The scheduled blocks, ascending.
     fn blocks(&self) -> impl Iterator<Item = usize> + '_ {
         (self.start..self.end)
@@ -1242,6 +1282,33 @@ impl BlockRange {
     fn len(&self) -> usize {
         self.end.saturating_sub(self.start).div_ceil(self.stride) - self.skip.len()
     }
+
+    /// Tasks per block.
+    fn tasks_per_block(&self) -> usize {
+        if self.split {
+            self.processes
+        } else {
+            1
+        }
+    }
+
+    /// How many tasks are scheduled.
+    fn tasks(&self) -> usize {
+        self.len() * self.tasks_per_block()
+    }
+
+    /// The `i`-th task in canonical *(block, process)* order, counting
+    /// the tasks of skipped blocks too; `None` once `i` runs past `end`.
+    fn task(&self, i: usize) -> Option<Task> {
+        let per_block = self.tasks_per_block();
+        let block = self.start + i / per_block * self.stride;
+        let procs = if self.split {
+            i % per_block..i % per_block + 1
+        } else {
+            0..self.processes
+        };
+        (block < self.end).then_some(Task { block, procs })
+    }
 }
 
 /// Where the canonical order delivers a pool's completed blocks.
@@ -1252,14 +1319,27 @@ pub(crate) enum Fold<'a> {
     Blocks(Vec<BlockAgg>),
 }
 
+/// A block some of whose tasks have landed.
+struct PartialBlock {
+    /// One slot per process, filled as the block's tasks land.
+    procs: Vec<Option<ProcAgg>>,
+    /// `(family, n, m)` when this is a group-0 block.
+    rep: Option<(usize, usize, usize)>,
+}
+
 /// The main thread's side of a block pool: where blocks land, the
-/// completed blocks waiting for the canonical order to reach them, and
-/// the run's tallies.
+/// blocks whose tasks are still landing, the completed blocks waiting
+/// for the canonical order to reach them, and the run's tallies.
 pub(crate) struct FoldState<'a> {
     pub(crate) into: Fold<'a>,
     /// The next canonical block `into` takes; advances by `stride`.
     pub(crate) next: usize,
     stride: usize,
+    /// Processes per block: a block is complete once each has landed.
+    processes: usize,
+    /// Blocks with some but not all tasks landed, by canonical index.
+    /// Never checkpointed: a block cut off part-way reruns on resume.
+    partial: BTreeMap<usize, PartialBlock>,
     /// Completed blocks past `next`, by canonical index.
     pub(crate) pending: BTreeMap<usize, BlockAgg>,
     /// Each family's representative `(n, m)`, once its group-0 block ran.
@@ -1271,18 +1351,21 @@ pub(crate) struct FoldState<'a> {
 }
 
 impl<'a> FoldState<'a> {
-    /// An empty state for `families` families whose first block is
-    /// `next`, every `stride`-th after it.
+    /// An empty state for `families` families of `processes`-process
+    /// blocks whose first block is `next`, every `stride`-th after it.
     pub(crate) fn new(
         into: Fold<'a>,
         next: usize,
         stride: usize,
         families: usize,
+        processes: usize,
     ) -> FoldState<'a> {
         FoldState {
             into,
             next,
             stride,
+            processes,
+            partial: BTreeMap::new(),
             pending: BTreeMap::new(),
             dims: vec![None; families],
             trials_run: 0,
@@ -1309,15 +1392,40 @@ impl<'a> FoldState<'a> {
             .collect()
     }
 
-    /// Takes one completed block and delivers every pending block the
-    /// canonical order now allows; returns whether `next` moved.
-    fn accept(&mut self, result: BlockResult, live: bool) -> bool {
-        self.trials_run += result.trials;
-        self.steps_run += result.steps;
-        if let Some((gi, n, m)) = result.rep {
+    /// Takes one completed task. Once its block's last task has landed,
+    /// the block joins the pending blocks and every pending block the
+    /// canonical order now allows is delivered; returns whether `next`
+    /// moved.
+    fn accept(&mut self, task: TaskResult, live: bool) -> bool {
+        self.trials_run += task.trials;
+        self.steps_run += task.steps;
+        let processes = self.processes;
+        let part = self
+            .partial
+            .entry(task.block)
+            .or_insert_with(|| PartialBlock {
+                procs: vec![None; processes],
+                rep: None,
+            });
+        for (slot, agg) in part.procs[task.first..].iter_mut().zip(task.procs) {
+            *slot = Some(agg);
+        }
+        part.rep = part.rep.or(task.rep);
+        if part.procs.iter().any(Option::is_none) {
+            return false;
+        }
+        let part = self.partial.remove(&task.block).expect("the block is held");
+        if let Some((gi, n, m)) = part.rep {
             self.dims[gi] = Some((n, m));
         }
-        self.pending.insert(result.agg.block, result.agg);
+        let procs = part.procs.into_iter().flatten().collect();
+        self.pending.insert(
+            task.block,
+            BlockAgg {
+                block: task.block,
+                procs,
+            },
+        );
         let mut advanced = false;
         while let Some(agg) = self.pending.remove(&self.next) {
             match &mut self.into {
@@ -1337,20 +1445,22 @@ impl<'a> FoldState<'a> {
     }
 }
 
-/// The engine's one worker pool: scoped workers claim the blocks of
-/// `range` in canonical order off a shared atomic, run each through
-/// `run(block, worker)`, and stream the results to this thread, which
-/// delivers them to `state` the moment the canonical order allows. A
-/// claim more than [`claim_window`] scheduled blocks past `state.next`
-/// waits for it to move, so `state.pending` never holds more than the
-/// window — never `O(blocks)`, never `O(trials)`.
+/// The engine's one worker pool: scoped workers claim the tasks of
+/// `schedule` in canonical *(block, process)* order off one shared
+/// atomic, run each through `run(task, worker)`, and stream the results
+/// to this thread, which assembles each block from its tasks and
+/// delivers it to `state` the moment the canonical order allows. A claim
+/// whose block lies more than [`claim_window`] scheduled blocks past
+/// `state.next` waits for it to move, so neither the pending nor the
+/// partly landed blocks ever exceed the window — never `O(blocks)`,
+/// never `O(trials)`.
 ///
-/// Workers stop claiming once `halt()` is true or a block fails; claimed
-/// blocks that already started drain. After each batch of results — every
+/// Workers stop claiming once `halt()` is true or a task fails; claimed
+/// tasks that already started drain. After each batch of results — every
 /// completion already queued — `after_batch` sees the state; returning
 /// `false` stops the pool the same way. Returns the first block error.
 fn run_pool<R, H, B>(
-    range: &BlockRange,
+    schedule: &Schedule,
     workers: usize,
     state: &mut FoldState<'_>,
     live: bool,
@@ -1359,12 +1469,12 @@ fn run_pool<R, H, B>(
     mut after_batch: B,
 ) -> Option<EngineError>
 where
-    R: Fn(usize, usize) -> Result<BlockResult, EngineError> + Sync,
+    R: Fn(&Task, usize) -> Result<TaskResult, EngineError> + Sync,
     H: Fn() -> bool + Sync,
     B: FnMut(&FoldState<'_>) -> bool,
 {
     enum WorkerMsg {
-        Done(Box<BlockResult>),
+        Done(Box<TaskResult>),
         Failed(Box<EngineError>),
     }
     let next = AtomicUsize::new(0);
@@ -1373,7 +1483,7 @@ where
     let may_run = Condvar::new();
     // The window in canonical block indices: `stride` apart per
     // scheduled block.
-    let window = claim_window(workers) * range.stride;
+    let window = claim_window(workers) * schedule.stride;
     // Setting the latch under the floor lock means a worker between its
     // window check and its wait cannot miss the wake-up.
     let stop_pool = || {
@@ -1394,21 +1504,20 @@ where
                     stop_pool();
                     break;
                 }
-                let block = range.start + next.fetch_add(1, Ordering::Relaxed) * range.stride;
-                if block >= range.end {
+                let Some(task) = schedule.task(next.fetch_add(1, Ordering::Relaxed)) else {
                     break;
-                }
-                if range.skip.binary_search(&block).is_ok() {
+                };
+                if schedule.skip.binary_search(&task.block).is_ok() {
                     continue;
                 }
-                // Back-pressure: claims are handed out in canonical
+                // Back-pressure: tasks are handed out in canonical
                 // order, so waiting until the fold floor is within
-                // `window` of this claim cannot deadlock — the floor
-                // block's owner always holds an earlier (unwaited or
-                // already-satisfied) claim.
+                // `window` of this task's block cannot deadlock — every
+                // task of the floor block holds an earlier claim, and a
+                // claim on the floor block never waits.
                 {
                     let mut fed = fed_floor.lock().expect("fold floor lock");
-                    while block >= *fed + window && !stop.load(Ordering::Relaxed) {
+                    while task.block >= *fed + window && !stop.load(Ordering::Relaxed) {
                         fed = may_run.wait(fed).expect("fold floor lock");
                     }
                 }
@@ -1416,7 +1525,7 @@ where
                     stop_pool();
                     break;
                 }
-                let msg = match run(block, worker) {
+                let msg = match run(&task, worker) {
                     Ok(result) => WorkerMsg::Done(Box::new(result)),
                     Err(e) => {
                         stop_pool();
@@ -1493,8 +1602,10 @@ pub(crate) enum Driven {
 }
 
 /// The engine's one driver. It validates the spec, announces the run,
-/// builds a shared-graph run's family graphs once, schedules `blocks`
-/// on [`run_pool`] and sends the finished blocks to `output`. [`run`],
+/// builds a shared-graph run's family graphs once, schedules the tasks
+/// of `blocks` on [`run_pool`] — one per process on shared graphs, one
+/// per block under resampling, with at most one worker per task — and
+/// sends the finished blocks to `output`. [`run`],
 /// [`run_on_graphs`], [`crate::recovery::run_recoverable`] and
 /// [`crate::shard::run_shard`] (and their `_with_sink` forms) are this
 /// function with its two parameters set: [`Blocks::All`] or
@@ -1507,7 +1618,8 @@ pub(crate) enum Driven {
 /// A report run checkpoints its fold state once `every` blocks completed
 /// since the last write, and once more when it stops short — interrupted
 /// by the cancellation flag or the deadline, or failed — so the
-/// completed blocks are on disk.
+/// completed blocks are on disk. A checkpoint holds whole blocks only;
+/// a deadline too far off to represent counts as none.
 pub(crate) fn drive(
     spec: &ExperimentSpec,
     opts: &RunOptions,
@@ -1538,19 +1650,25 @@ pub(crate) fn drive(
             (checkpoint.folded, 1, held)
         }
     };
-    let range = BlockRange {
+    let processes = spec.processes.len();
+    let schedule = Schedule {
         start,
         stride,
         end: total,
         skip,
+        processes,
+        split: spec.resample.is_none(),
     };
     let mut state = match (blocks, output) {
         (Blocks::Missing(checkpoint), _) => checkpoint.restore(&inputs),
         (_, Output::Report(_)) => {
             let folder = CellFolder::new(&inputs);
-            FoldState::new(Fold::Cells(folder), start, stride, families)
+            FoldState::new(Fold::Cells(folder), start, stride, families, processes)
         }
-        (_, Output::Shard) => FoldState::new(Fold::Blocks(Vec::new()), start, stride, families),
+        (_, Output::Shard) => {
+            let into = Fold::Blocks(Vec::new());
+            FoldState::new(into, start, stride, families, processes)
+        }
     };
     let plain = RecoveryOptions::none();
     let rec = match output {
@@ -1558,18 +1676,17 @@ pub(crate) fn drive(
         Output::Shard => &plain,
     };
 
-    let scheduled = range.len();
+    let scheduled = schedule.tasks();
     let workers = opts.threads.min(scheduled.max(1));
     let tel = Telemetry::new(sink);
     if tel.live {
-        let processes = spec.processes.len();
         tel.emit(EventKind::RunStarted {
             name: spec.name.clone(),
             graphs: families,
             processes,
             trials: spec.trials,
             blocks: scheduled,
-            total_trials: range
+            total_trials: schedule
                 .blocks()
                 .map(|b| (header.block_trials(b) * processes) as u64)
                 .sum(),
@@ -1606,7 +1723,8 @@ pub(crate) fn drive(
         faults: &rec.faults,
         retries: rec.retry_blocks,
     };
-    let deadline = rec.max_wall.map(|d| Instant::now() + d);
+    // A deadline too far off to represent is no deadline.
+    let deadline = rec.max_wall.and_then(|d| Instant::now().checked_add(d));
     let cancelled = || rec.cancel.is_some_and(|c| c.load(Ordering::Relaxed));
     let halt = || cancelled() || deadline.is_some_and(|d| Instant::now() >= d);
     // The pool hands over every completion already queued before calling
@@ -1636,12 +1754,12 @@ pub(crate) fn drive(
         }
     };
     let block_error = run_pool(
-        &range,
+        &schedule,
         workers,
         &mut state,
         tel.live,
         halt,
-        |block, worker| runner.run(block, worker),
+        |task, worker| runner.run(task, worker),
         after_batch,
     );
 
@@ -2063,6 +2181,37 @@ mod tests {
             // stream — is thread-count invariant, not just the answers.
             assert_eq!(ca.steps_sketch.to_raw(), cb.steps_sketch.to_raw());
         }
+    }
+
+    #[test]
+    fn tasks_are_handed_out_in_block_process_order() {
+        let schedule = |split| Schedule {
+            start: 1,
+            stride: 2,
+            end: 6,
+            skip: vec![3],
+            processes: 3,
+            split,
+        };
+        let shared = schedule(true);
+        assert_eq!(shared.tasks(), 6);
+        let order: Vec<(usize, Range<usize>)> = (0..)
+            .map_while(|i| shared.task(i))
+            .map(|t| (t.block, t.procs))
+            .collect();
+        // Block 3's tasks are counted; the pool skips them on claim.
+        let expected: Vec<(usize, Range<usize>)> = [1, 3, 5]
+            .into_iter()
+            .flat_map(|b| (0..3).map(move |p| (b, p..p + 1)))
+            .collect();
+        assert_eq!(order, expected);
+        let resampled = schedule(false);
+        assert_eq!(resampled.tasks(), 2);
+        assert_eq!(
+            resampled.task(1).map(|t| (t.block, t.procs)),
+            Some((3, 0..3))
+        );
+        assert!(resampled.task(3).is_none());
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!
 //! The plan is armed via `--inject-faults SPEC` or the `EPROC_FAULTS`
 //! environment variable and is **off by default**: the executor looks a
-//! block's coordinates up once per block attempt, inside the block's
-//! `catch_unwind` boundary and never per trial or step, and an empty
+//! block's coordinates up once per attempt of the block's first task,
+//! inside that task's `catch_unwind` boundary and never per trial or
+//! step, so a fault fails exactly one attempt, and an empty
 //! plan answers without scanning anything, so production runs pay
 //! nothing measurable for the harness's existence.
 

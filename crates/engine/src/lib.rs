@@ -14,7 +14,8 @@
 //!   [`spec::Target`] (vertex/edge cover or blanket time), and any number
 //!   of extra [`spec::MetricSpec`]s;
 //! * [`executor`] — one driver and one work-stealing worker pool (scoped
-//!   threads claiming *(family, group)* blocks off a shared atomic) behind
+//!   threads claiming tasks — a *(family, group)* block's processes —
+//!   off a shared atomic) behind
 //!   every run — plain, sharded, checkpointed or resumed — with
 //!   deterministic per-trial seeding derived from
 //!   [`eproc_stats::SeedSequence`], so aggregate results are

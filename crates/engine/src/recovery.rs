@@ -6,14 +6,16 @@
 //!
 //! [`run_recoverable`] runs any spec — shared-graph or resampled — through
 //! the executor's one driver and worker pool: scoped worker threads
-//! claiming *(family, group)* blocks in canonical order off a shared
-//! atomic, back-pressured a bounded window ahead of the fold. Before
-//! claiming each block, a worker polls a stop latch. The latch trips when (a) an armed
+//! claiming tasks (a *(family, group)* block's processes) in canonical
+//! order off a shared atomic, back-pressured a bounded window of blocks
+//! ahead of the fold. Before claiming each task, a worker polls a stop
+//! latch. The latch trips when (a) an armed
 //! cancellation flag (SIGINT/SIGTERM via `eproc-signal`, or any
 //! caller-owned [`AtomicBool`]) is set, (b) the `max_wall` deadline
-//! passes, or (c) another worker's block failed permanently. Tripping is
-//! *graceful*: blocks already running drain to completion (a block is
-//! all-or-nothing — partial blocks are never persisted), workers then
+//! passes, or (c) another worker's task failed permanently. Tripping is
+//! *graceful*: tasks already running drain to completion (a block is
+//! all-or-nothing — a block whose tasks did not all run is never
+//! persisted, and reruns on resume), workers then
 //! exit, the main thread writes a final checkpoint, and the caller gets
 //! [`RunOutcome::Interrupted`] naming what stopped the run and how much
 //! of it completed.
@@ -40,7 +42,7 @@
 //! **byte-identical to an uninterrupted run at any thread count**
 //! (pinned by the `recovery` proptests and the CI `cmp` smokes).
 //!
-//! Block failures are isolated by `catch_unwind` (see
+//! Failures are isolated per task by `catch_unwind` (see
 //! [`crate::executor::BlockError`]) and retried deterministically:
 //! attempt `k` re-runs the same [`eproc_stats::SeedSequence`]-derived
 //! seeds, so a retry that succeeds contributes bit-identical
@@ -85,14 +87,15 @@ pub struct RecoveryOptions<'a> {
     /// blocks are not re-run.
     pub resume: Option<RunCheckpoint>,
     /// Wall-clock budget: the run interrupts itself gracefully once this
-    /// much time has passed (checked between blocks).
+    /// much time has passed (checked between tasks). A budget past what
+    /// the clock can represent is no budget.
     pub max_wall: Option<Duration>,
-    /// How many times a failed block is deterministically re-run before
+    /// How many times a failed task is deterministically re-run before
     /// its error becomes the run's error. `0` = fail on first error.
     pub retry_blocks: usize,
     /// Deterministic fault injection (testing); empty = disabled.
     pub faults: FaultPlan,
-    /// External cancellation flag, polled between blocks — wire
+    /// External cancellation flag, polled between tasks — wire
     /// `eproc_signal::install()` here for SIGINT/SIGTERM handling.
     pub cancel: Option<&'a AtomicBool>,
 }
@@ -224,8 +227,8 @@ pub fn run_recoverable_with_sink(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::claim_window;
-    use crate::spec::{CapSpec, GraphSpec, ProcessSpec, ResamplePlan, Target};
+    use crate::executor::{claim_window, SHARED_BLOCK_WALKS};
+    use crate::spec::{CapSpec, GraphSpec, ProcessSpec, ResamplePlan, RuleSpec, Target};
     use eproc_telemetry::{Event, EventKind};
     use std::sync::Mutex;
 
@@ -245,52 +248,85 @@ mod tests {
         }
     }
 
+    /// Runs `spec` on `threads` workers, checkpointing after every
+    /// block, and returns the most pending blocks any checkpoint held.
+    fn most_pending(spec: &ExperimentSpec, threads: usize, tag: &str) -> usize {
+        let path = std::env::temp_dir().join(format!(
+            "eproc-window-{}-{tag}.ckpt.json",
+            std::process::id()
+        ));
+        let probe = PendingProbe {
+            path: path.clone(),
+            pending: Mutex::new(Vec::new()),
+        };
+        let rec = RecoveryOptions {
+            checkpoint: Some(CheckpointPlan { path, every: 1 }),
+            ..RecoveryOptions::default()
+        };
+        let opts = RunOptions {
+            threads,
+            base_seed: 9,
+        };
+        let outcome = run_recoverable_with_sink(spec, &opts, &rec, &probe).unwrap();
+        assert!(matches!(outcome, RunOutcome::Completed(_)));
+        let _ = std::fs::remove_file(&probe.path);
+        let pending = probe.pending.into_inner().unwrap();
+        assert!(!pending.is_empty(), "{tag}: nothing checkpointed");
+        pending.into_iter().max().unwrap()
+    }
+
+    fn window_spec(trials: usize, resample: Option<ResamplePlan>) -> ExperimentSpec {
+        ExperimentSpec {
+            name: "window".into(),
+            description: "checkpoint size bound".into(),
+            graphs: vec![
+                GraphSpec::Regular { n: 16, d: 3 },
+                GraphSpec::Torus { w: 4, h: 4 },
+            ],
+            processes: vec![ProcessSpec::Srw],
+            trials,
+            target: Target::VertexCover,
+            metrics: vec![],
+            start: 0,
+            cap: CapSpec::Auto,
+            resample,
+        }
+    }
+
     #[test]
     fn checkpoints_never_hold_more_than_a_window_of_pending_blocks() {
         let threads = 4;
         for groups in [40, 400] {
-            let spec = ExperimentSpec {
-                name: "window".into(),
-                description: "checkpoint size bound".into(),
-                graphs: vec![
-                    GraphSpec::Regular { n: 16, d: 3 },
-                    GraphSpec::Torus { w: 4, h: 4 },
-                ],
-                processes: vec![ProcessSpec::Srw],
-                trials: groups,
-                target: Target::VertexCover,
-                metrics: vec![],
-                start: 0,
-                cap: CapSpec::Auto,
-                resample: Some(ResamplePlan { walks_per_graph: 1 }),
-            };
-            let path = std::env::temp_dir().join(format!(
-                "eproc-window-{}-{groups}.ckpt.json",
-                std::process::id()
-            ));
-            let probe = PendingProbe {
-                path: path.clone(),
-                pending: Mutex::new(Vec::new()),
-            };
-            let rec = RecoveryOptions {
-                checkpoint: Some(CheckpointPlan { path, every: 1 }),
-                ..RecoveryOptions::default()
-            };
-            let opts = RunOptions {
-                threads,
-                base_seed: 9,
-            };
-            let outcome = run_recoverable_with_sink(&spec, &opts, &rec, &probe).unwrap();
-            assert!(matches!(outcome, RunOutcome::Completed(_)));
-            let _ = std::fs::remove_file(&probe.path);
-            let pending = probe.pending.into_inner().unwrap();
-            assert!(!pending.is_empty(), "{groups} groups: nothing checkpointed");
-            let most = pending.iter().copied().max().unwrap();
+            let spec = window_spec(groups, Some(ResamplePlan { walks_per_graph: 1 }));
+            let most = most_pending(&spec, threads, &format!("resampled-{groups}"));
             assert!(
                 most <= claim_window(threads),
                 "{groups} groups: a checkpoint carried {most} pending blocks, over the window of {}",
                 claim_window(threads)
             );
         }
+    }
+
+    #[test]
+    fn shared_graph_checkpoints_never_hold_more_than_a_window_of_pending_blocks() {
+        // 40 shared-graph blocks per family, each split into one task per
+        // process: tasks land out of order, but only whole blocks are
+        // checkpointed, and never more than the window of them.
+        let threads = 4;
+        let spec = ExperimentSpec {
+            processes: vec![
+                ProcessSpec::Srw,
+                ProcessSpec::EProcess {
+                    rule: RuleSpec::Uniform,
+                },
+            ],
+            ..window_spec(40 * SHARED_BLOCK_WALKS, None)
+        };
+        let most = most_pending(&spec, threads, "shared");
+        assert!(
+            most <= claim_window(threads),
+            "a checkpoint carried {most} pending blocks, over the window of {}",
+            claim_window(threads)
+        );
     }
 }

@@ -1552,7 +1552,9 @@ pub struct ExperimentSpec {
 }
 
 impl ExperimentSpec {
-    /// Total number of trials the executor will run.
+    /// Total number of trials the executor will run. Validation rejects
+    /// a spec whose product overflows `usize`, so on a valid spec this
+    /// cannot wrap.
     pub fn total_jobs(&self) -> usize {
         self.graphs.len() * self.processes.len() * self.trials
     }
@@ -1574,6 +1576,19 @@ impl ExperimentSpec {
         }
         if self.trials == 0 {
             return Err(SpecError::new("spec has zero trials"));
+        }
+        let jobs = self
+            .graphs
+            .len()
+            .checked_mul(self.processes.len())
+            .and_then(|cells| cells.checked_mul(self.trials));
+        if jobs.is_none() {
+            return Err(SpecError::new(format!(
+                "{} graphs x {} processes x {} trials overflows the job count",
+                self.graphs.len(),
+                self.processes.len(),
+                self.trials
+            )));
         }
         for gs in &self.graphs {
             gs.validate()?;
@@ -2211,6 +2226,36 @@ mod tests {
         assert_eq!(cap, (2.0 * 100.0 * 100.0f64.ln()).ceil() as u64);
         assert_eq!(CapSpec::Absolute(42).resolve(&g), 42);
         assert!(CapSpec::Auto.resolve(&g) >= 4 * 100 * 100 * 100);
+    }
+
+    #[test]
+    fn a_job_count_that_overflows_usize_is_rejected() {
+        let spec = ExperimentSpec {
+            name: "t".into(),
+            description: String::new(),
+            graphs: vec![GraphSpec::Cycle { n: 10 }],
+            processes: vec![
+                ProcessSpec::Srw,
+                ProcessSpec::EProcess {
+                    rule: RuleSpec::Uniform,
+                },
+            ],
+            trials: usize::MAX,
+            target: Target::VertexCover,
+            metrics: vec![],
+            start: 0,
+            cap: CapSpec::Auto,
+            resample: None,
+        };
+        let err = spec.validate().unwrap_err().to_string();
+        assert!(err.contains("overflows the job count"), "{err}");
+        // One cell of usize::MAX trials still counts.
+        let spec = ExperimentSpec {
+            processes: vec![ProcessSpec::Srw],
+            ..spec
+        };
+        assert!(spec.validate().is_ok());
+        assert_eq!(spec.total_jobs(), usize::MAX);
     }
 
     #[test]

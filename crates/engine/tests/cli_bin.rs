@@ -484,3 +484,53 @@ fn the_checkpoint_hint_follows_only_a_block_failure() {
     assert!(ck.exists());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_max_wall_too_large_for_a_duration_is_a_usage_error() {
+    let dir = temp_dir("max_wall");
+    let json = dir.join("o.json");
+    let compare = |secs: &str| {
+        eproc(&[
+            "compare",
+            "--graph",
+            "cycle:10",
+            "--process",
+            "srw",
+            "--max-wall",
+            secs,
+            "--json",
+            json.to_str().unwrap(),
+        ])
+    };
+    // Past what a `Duration` holds: a usage error naming the flag.
+    let out = compare("1e300");
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("flag `--max-wall` expects"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(!json.exists());
+    // A `Duration`, but past what the clock can represent: no deadline.
+    let out = compare("1e19");
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(json.exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_job_count_that_overflows_is_a_spec_error() {
+    let out = eproc(&[
+        "compare",
+        "--graph",
+        "cycle:10",
+        "--process",
+        "srw,eprocess",
+        "--trials",
+        "18446744073709551615",
+    ]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("overflows the job count"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    // Nothing announces a wrapped job count first.
+    assert!(!err.contains(" jobs ("), "{err}");
+}

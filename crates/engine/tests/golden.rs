@@ -129,7 +129,7 @@ fn comparison_golden_survives_sharding_and_a_fault_interrupted_resume() {
 #[test]
 fn multi_metric_artifact_matches_committed_golden() {
     let golden = include_str!("golden/multi_metric.json");
-    for threads in [1, 4] {
+    for threads in [1, 2, 3, 4] {
         let report = run(
             &golden_spec(),
             &RunOptions {

@@ -399,3 +399,21 @@ fn max_wall_deadline_interrupts_gracefully() {
         RunOutcome::Completed(_) => panic!("a zero deadline cannot complete"),
     }
 }
+
+#[test]
+fn a_deadline_past_what_the_clock_represents_is_no_deadline() {
+    let spec = spec_for(4, true);
+    let opts = RunOptions {
+        threads: 2,
+        base_seed: 5,
+    };
+    let clean = to_json(&run(&spec, &opts).unwrap());
+    let rec = RecoveryOptions {
+        max_wall: Some(std::time::Duration::MAX),
+        ..RecoveryOptions::default()
+    };
+    match run_recoverable(&spec, &opts, &rec).expect("a far deadline is not an error") {
+        RunOutcome::Completed(report) => assert_eq!(to_json(&report), clean),
+        RunOutcome::Interrupted { reason, .. } => panic!("interrupted ({reason})"),
+    }
+}

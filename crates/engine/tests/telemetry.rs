@@ -12,6 +12,7 @@ use eproc_engine::spec::{
     CapSpec, ExperimentSpec, GraphSpec, ProcessSpec, ResamplePlan, RuleSpec, Target,
 };
 use eproc_telemetry::{Event, EventKind, JsonlSink, SummarySink, Tee, TelemetrySink};
+use std::collections::BTreeSet;
 use std::sync::Mutex;
 
 /// An in-memory sink recording every event, for structural assertions.
@@ -127,8 +128,9 @@ fn event_stream_is_schema_complete_and_counts_conserve() {
         let t_last = events.last().unwrap().t_ns;
         assert!(events.iter().all(|e| e.t_ns >= t_first && e.t_ns <= t_last));
 
-        // The announced block count matches what actually completed, and
-        // the per-block trial/step tallies sum to the run totals.
+        // The announced work-unit (task) count matches what actually
+        // completed, and the per-task trial/step tallies sum to the run
+        // totals.
         let EventKind::RunStarted {
             blocks,
             total_trials,
@@ -140,9 +142,12 @@ fn event_stream_is_schema_complete_and_counts_conserve() {
         };
         assert_eq!(*resampled, resample.is_some());
         assert_eq!(count("block_completed"), *blocks);
+        let labels: Vec<String> = spec.processes.iter().map(|p| p.label()).collect();
+        let mut tasks_seen = BTreeSet::new();
         let (mut trials_sum, mut steps_sum) = (0u64, 0u64);
         for e in &events {
             if let EventKind::BlockCompleted {
+                block,
                 trials,
                 steps,
                 process,
@@ -153,17 +158,24 @@ fn event_stream_is_schema_complete_and_counts_conserve() {
             {
                 trials_sum += trials;
                 steps_sum += steps;
-                // Blocks span every process in both modes.
-                assert!(process.is_none());
                 if resample.is_some() {
-                    // Resample blocks generate their own graph.
+                    // A resample block is one task spanning every
+                    // process, and it generates its own graph.
+                    assert!(process.is_none());
                     assert!(*gen_attempts >= 1);
                 } else {
-                    // Shared-mode blocks run on a prebuilt graph: this
-                    // spec's trial count fits one group, so each family
-                    // is a single block covering all (trial × process)
-                    // walks.
-                    assert_eq!(*trials, (spec.trials * spec.processes.len()) as u64);
+                    // A shared-mode block is one task per process, on a
+                    // prebuilt graph: this spec's trial count fits one
+                    // group, so each task walks the block's whole width.
+                    let process = process
+                        .as_ref()
+                        .expect("shared-mode tasks name their process");
+                    assert!(labels.contains(process), "unknown process {process}");
+                    assert!(
+                        tasks_seen.insert((*block, process.clone())),
+                        "(block {block}, {process}) completed twice"
+                    );
+                    assert_eq!(*trials, spec.trials as u64);
                     assert_eq!(*gen_ns, 0);
                     assert_eq!(*gen_attempts, 0);
                 }
@@ -181,7 +193,7 @@ fn event_stream_is_schema_complete_and_counts_conserve() {
         assert_eq!(trials_sum, *finished_trials);
         assert_eq!(steps_sum, *total_steps);
 
-        // Both modes announce every block claim through the one streamed
+        // Both modes announce every task claim through the one streamed
         // path; shared mode still builds its graphs up front, resample
         // mode builds them inside blocks.
         assert_eq!(count("block_claimed"), *blocks);
@@ -206,6 +218,56 @@ fn event_stream_is_schema_complete_and_counts_conserve() {
             "event step total {steps_sum} != report step total {report_steps}"
         );
     }
+}
+
+#[test]
+fn a_shared_block_runs_one_task_per_process_on_every_worker() {
+    let spec = ExperimentSpec {
+        graphs: vec![GraphSpec::Torus { w: 5, h: 5 }],
+        processes: vec![
+            ProcessSpec::EProcess {
+                rule: RuleSpec::Uniform,
+            },
+            ProcessSpec::Srw,
+            ProcessSpec::RotorRouter,
+            ProcessSpec::Rwc { d: 2 },
+            ProcessSpec::OldestFirst,
+            ProcessSpec::LeastUsedFirst,
+        ],
+        ..spec(None)
+    };
+    let opts = RunOptions {
+        threads: 4,
+        base_seed: 6,
+    };
+    let collector = Collector::default();
+    let observed = to_json(&run_with_sink(&spec, &opts, &collector).unwrap());
+    let events = collector.take();
+    let EventKind::RunStarted {
+        workers, blocks, ..
+    } = &events[0].kind
+    else {
+        panic!("first event must be run_started");
+    };
+    // One family's single block, cut into one task per process.
+    assert_eq!((*workers, *blocks), (4, 6));
+    let mut tasks: Vec<(usize, String)> = events
+        .iter()
+        .filter_map(|e| match &e.kind {
+            EventKind::BlockCompleted { block, process, .. } => Some((
+                *block,
+                process.clone().expect("shared tasks name their process"),
+            )),
+            _ => None,
+        })
+        .collect();
+    tasks.sort();
+    let mut expected: Vec<(usize, String)> =
+        spec.processes.iter().map(|p| (0, p.label())).collect();
+    expected.sort();
+    assert_eq!(tasks, expected);
+    let serial = RunOptions { threads: 1, ..opts };
+    assert_eq!(observed, to_json(&run(&spec, &serial).unwrap()));
 }
 
 #[test]

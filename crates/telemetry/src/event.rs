@@ -69,7 +69,9 @@ pub enum EventKind {
         processes: usize,
         /// Trials per cell.
         trials: usize,
-        /// Work units the pool will claim (see [`EventKind::BlockCompleted`]).
+        /// Work units (tasks) the pool will claim: one per block under
+        /// resampling, one per (block, process) on shared graphs (see
+        /// [`EventKind::BlockCompleted`]).
         blocks: usize,
         /// Total trials across the whole grid.
         total_trials: u64,
@@ -96,43 +98,49 @@ pub enum EventKind {
         /// deterministic constructions).
         gen_attempts: u64,
     },
-    /// A worker claimed a block and is about to generate/walk it.
+    /// A worker claimed a task — a piece of a block — and is about to
+    /// generate/walk it. One per task; the tasks of one shared-graph
+    /// block share its `block` index and may run at the same time.
     BlockClaimed {
-        /// Canonical block index.
+        /// Canonical block index of the task's block.
         block: usize,
         /// Graph family label.
         family: String,
-        /// Resample group within the family.
+        /// Group within the family: a resample group, or a shared
+        /// graph's trial chunk.
         group: usize,
         /// Claiming worker id.
         worker: usize,
     },
-    /// A worker finished a block: the per-unit-of-work record. Under
-    /// resampling one block is one *(family, group)* unit (all processes
-    /// × the group's trials on one freshly generated graph); in
-    /// shared-graph mode one block is one trial and `process` names it.
+    /// A worker finished a task: the per-unit-of-work record, one per
+    /// task. Under resampling a task is a whole *(family, group)* block
+    /// (every process × the group's trials on one freshly generated
+    /// graph) and `process` is `None`. On shared graphs a block is a
+    /// chunk of up to 64 trials of one family, it splits into one task
+    /// per process, and `process` names the task's process.
     BlockCompleted {
-        /// Canonical block index.
+        /// Canonical block index of the task's block.
         block: usize,
         /// Graph family label.
         family: String,
-        /// Resample group (resample mode) or trial index (shared mode).
+        /// Group within the family: a resample group, or a shared
+        /// graph's trial chunk.
         group: usize,
-        /// Process label for shared-mode single-trial blocks; `None` for
-        /// resample blocks, which span every process.
+        /// Process label of a shared-mode task; `None` for resample
+        /// tasks, which span every process.
         process: Option<String>,
         /// Completing worker id.
         worker: usize,
-        /// Trials run in this block.
+        /// Trials run in this task.
         trials: u64,
-        /// Walk steps simulated in this block (all trials).
+        /// Walk steps simulated in this task (all trials).
         steps: u64,
-        /// Nanoseconds spent generating the block's graph (`0` in shared
+        /// Nanoseconds spent generating the task's graph (`0` in shared
         /// mode, where graphs are prebuilt).
         gen_ns: u64,
         /// Generator attempts consumed (`0` in shared mode).
         gen_attempts: u64,
-        /// Nanoseconds spent walking (all the block's trials).
+        /// Nanoseconds spent walking (all the task's trials).
         walk_ns: u64,
     },
     /// The main thread merged every block into the report cells.
@@ -177,16 +185,17 @@ pub enum EventKind {
         /// Nanoseconds spent serialising and writing.
         checkpoint_ns: u64,
     },
-    /// A block attempt failed (panic or graph-generation error) and the
+    /// A task attempt failed (panic or graph-generation error) and the
     /// executor is deterministically re-running it (`--retry-blocks`).
     BlockRetried {
-        /// Canonical block index.
+        /// Canonical block index of the task's block.
         block: usize,
         /// Graph family label.
         family: String,
-        /// Resample group within the family.
+        /// Group within the family: a resample group, or a shared
+        /// graph's trial chunk.
         group: usize,
-        /// Worker id re-running the block.
+        /// Worker id re-running the task.
         worker: usize,
         /// The attempt that failed (0-based; the retry is `attempt + 1`).
         attempt: usize,

@@ -166,7 +166,7 @@ impl TelemetrySink for SummarySink {
 pub struct WorkerSummary {
     /// Worker id (the executor's spawn index).
     pub worker: usize,
-    /// Blocks this worker completed.
+    /// Work units (`block_completed` tasks) this worker completed.
     pub blocks: u64,
     /// Trials this worker ran.
     pub trials: u64,
@@ -216,7 +216,7 @@ pub struct TelemetrySummary {
     /// Cumulative nanoseconds serialising and writing run checkpoints
     /// (`--checkpoint`; 0 for uncheckpointed runs).
     pub checkpoint_ns: u64,
-    /// Block attempts that failed and were deterministically re-run
+    /// Task attempts that failed and were deterministically re-run
     /// (`--retry-blocks`).
     pub blocks_retried: u64,
     /// Per-worker breakdown, sorted by worker id.
