@@ -117,25 +117,15 @@ fn usage(err: &str) -> ! {
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
 
-/// Directory where experiment CSVs are written:
-/// `<workspace>/target/experiments/`.
-pub fn output_dir() -> PathBuf {
-    let mut dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    dir.pop(); // crates/
-    dir.pop(); // workspace root
-    dir.push("target");
-    dir.push("experiments");
-    dir
-}
-
-/// Writes `table` as `<name>.csv` under [`output_dir`], creating it if
-/// needed. Returns the path.
+/// Writes `table` as `<name>.csv` in the engine's
+/// [`default_artifact_dir`](eproc_engine::report::default_artifact_dir),
+/// next to the JSON artifacts, creating it if needed. Returns the path.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors.
 pub fn save_table(name: &str, table: &TextTable) -> std::io::Result<PathBuf> {
-    let dir = output_dir();
+    let dir = eproc_engine::report::default_artifact_dir();
     std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{name}.csv"));
     std::fs::write(&path, table.to_csv())?;
@@ -241,8 +231,8 @@ mod tests {
 
     #[test]
     fn output_dir_is_under_target() {
-        let dir = output_dir();
-        assert!(dir.ends_with("target/experiments"));
+        let path = save_table("unit_test_output_dir", &TextTable::new(vec!["a"])).unwrap();
+        assert!(path.parent().unwrap().ends_with("target/experiments"));
     }
 
     #[test]

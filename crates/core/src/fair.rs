@@ -101,9 +101,19 @@ impl<'g> WalkProcess for OldestFirst<'g> {
         let v = self.state.current;
         let range = self.state.g.arc_range(v);
         assert!(!range.is_empty(), "explorer stuck at isolated vertex {v}");
-        let arc = range
-            .min_by_key(|&a| (self.state.last_used[self.state.g.arc_edge(a)], a))
-            .expect("nonempty range");
+        // The lowest port among the smallest keys, by a plain loop: a
+        // `min_by_key` fold is a generic instance of its own, inlined or
+        // not depending on how a build splits codegen units, and out of
+        // line it made this walk about a fifth slower.
+        let s = &self.state;
+        let key = |a: usize| s.last_used[s.g.arc_edge(a)];
+        let (mut arc, mut best) = (range.start, key(range.start));
+        for a in range.start + 1..range.end {
+            let k = key(a);
+            if k < best {
+                (arc, best) = (a, k);
+            }
+        }
         self.state.step_along(arc)
     }
 }
@@ -155,12 +165,20 @@ impl<'g> WalkProcess for LeastUsedFirst<'g> {
         let v = self.state.current;
         let range = self.state.g.arc_range(v);
         assert!(!range.is_empty(), "explorer stuck at isolated vertex {v}");
-        let arc = range
-            .min_by_key(|&a| {
-                let e = self.state.g.arc_edge(a);
-                (self.state.use_count[e], self.state.last_used[e], a)
-            })
-            .expect("nonempty range");
+        // The lowest port among the smallest keys, by a plain loop (see
+        // `OldestFirst::advance`).
+        let s = &self.state;
+        let key = |a: usize| {
+            let e = s.g.arc_edge(a);
+            (s.use_count[e], s.last_used[e])
+        };
+        let (mut arc, mut best) = (range.start, key(range.start));
+        for a in range.start + 1..range.end {
+            let k = key(a);
+            if k < best {
+                (arc, best) = (a, k);
+            }
+        }
         self.state.step_along(arc)
     }
 }

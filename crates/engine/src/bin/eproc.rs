@@ -8,7 +8,7 @@
 //!                  [--quantiles Q[,Q...]] [--cache DIR]
 //!                  [--checkpoint PATH [--checkpoint-every N]] [--resume PATH]
 //!                  [--max-wall SECS] [--retry-blocks N] [--inject-faults SPEC]
-//! eproc merge <shard.json> [<shard.json> ...] [--json PATH] [--csv PATH]
+//! eproc merge <checkpoint.json> [<checkpoint.json> ...] [--json PATH] [--csv PATH]
 //! eproc list [--canonical]
 //! eproc compare --graph G [--graph G ...] --process P[,P...]
 //!               [--trials N] [--target T] [--metrics M[,M...]]
@@ -41,10 +41,11 @@
 //! within-graph components.
 //!
 //! `--shard I/K` executes just the (family, group) blocks with canonical
-//! index `≡ I (mod K)` and writes a shard artifact; `eproc merge`
-//! recombines a complete set of K shard artifacts into the report the
-//! unsharded run would have produced, byte-identical at any thread
-//! count.
+//! index `≡ I (mod K)` and writes them as a checkpoint, the same format
+//! `--checkpoint` writes; `eproc merge` folds checkpoints that together
+//! hold every block exactly once into the report the unsharded run would
+//! have produced, byte-identical at any thread count, and `--resume`
+//! completes a shard's checkpoint into that report too.
 //!
 //! Caching: `--cache DIR` (or the `EPROC_CACHE` environment variable)
 //! consults a content-addressed artifact store before executing. The
@@ -86,9 +87,11 @@ use eproc_engine::fault::FaultPlan;
 use eproc_engine::recovery::{
     run_recoverable_with_sink, CheckpointPlan, RecoveryError, RecoveryOptions, RunOutcome,
 };
-use eproc_engine::report::{scaling_table, to_json_with, to_text_table_with, DEFAULT_QUANTILES};
+use eproc_engine::report::{
+    default_artifact_path, scaling_table, to_json_with, to_text_table_with, DEFAULT_QUANTILES,
+};
 use eproc_engine::scaling::analyze;
-use eproc_engine::shard::{merge_shards_with_sink, run_shard_with_sink, ShardReport, ShardSpec};
+use eproc_engine::shard::{merge_shards_with_sink, run_shard_with_sink, ShardSpec};
 use eproc_engine::spec::{
     CapSpec, ExperimentSpec, GraphSpec, MetricSpec, ProcessSpec, ResamplePlan, Scale, SweepRange,
     Target,
@@ -139,8 +142,8 @@ fn usage(err: &str) -> ! {
          \x20                  [--cache DIR]\n\
          \x20                  [--checkpoint PATH [--checkpoint-every N]] [--resume PATH]\n\
          \x20                  [--max-wall SECS] [--retry-blocks N] [--inject-faults SPEC]\n\
-         \x20 eproc merge <shard.json> [<shard.json> ...] [--json PATH] [--csv PATH]\n\
-         \x20               [--telemetry PATH] [--quiet] [--quantiles Q[,Q...]]\n\
+         \x20 eproc merge <checkpoint.json> [<checkpoint.json> ...] [--json PATH]\n\
+         \x20               [--csv PATH] [--telemetry PATH] [--quiet] [--quantiles Q[,Q...]]\n\
          \x20 eproc list [--canonical] [--scale quick|paper] [--seed N]\n\
          \x20               [--quantiles Q[,Q...]]\n\
          \x20 eproc compare --graph G [--graph G ...] --process P[,P...]\n\
@@ -176,10 +179,11 @@ fn usage(err: &str) -> ! {
          \x20              share one freshly sampled graph; reports pooled,\n\
          \x20              across-graph and within-graph variance components\n\
          sharding       --shard I/K: execute only the (family, group) blocks\n\
-         \x20              with index = I (mod K) and write a shard artifact\n\
-         \x20              instead of a report; `eproc merge` then recombines the\n\
-         \x20              K artifacts into a report byte-identical to the\n\
-         \x20              unsharded run's, at any thread count\n\
+         \x20              with index = I (mod K) and write them as a checkpoint\n\
+         \x20              instead of a report; `eproc merge` then folds\n\
+         \x20              checkpoints holding every block exactly once into a\n\
+         \x20              report byte-identical to the unsharded run's, at any\n\
+         \x20              thread count (--resume also completes one)\n\
          caching        --cache DIR (or EPROC_CACHE): content-addressed artifact\n\
          \x20              cache keyed by the canonical spec digest (spec + seed +\n\
          \x20              quantiles + artifact kind). The run executes the\n\
@@ -798,18 +802,20 @@ fn execute_inner(mut spec: ExperimentSpec, flags: &CommonFlags, fit_growth_laws:
             "shard {shard}: executing only the (family, group) blocks with index = {} (mod {})",
             shard.index, shard.count
         );
-        let report = match run_shard_with_sink(&spec, &opts, shard, &tee) {
-            Ok(r) => r,
+        let checkpoint = match run_shard_with_sink(&spec, &opts, shard, &tee) {
+            Ok(c) => c,
             Err(e) => {
                 eprintln!("error: {e}");
                 exit(1);
             }
         };
-        let path = flags
-            .json
-            .clone()
-            .unwrap_or_else(|| default_shard_path(&report));
-        if let Err(e) = report.save(&path) {
+        let path = flags.json.clone().unwrap_or_else(|| {
+            default_artifact_path(&format!(
+                "{}.shard{}of{}",
+                spec.name, shard.index, shard.count
+            ))
+        });
+        if let Err(e) = checkpoint.save(&path) {
             eprintln!("error writing shard artifact {}: {e}", path.display());
             exit(1);
         }
@@ -1030,12 +1036,6 @@ fn run_crash_safe(
     }
 }
 
-/// Where `save_json` would put the artifact for `name` — used as the
-/// telemetry sidecar anchor when an interrupted run never writes one.
-fn default_artifact_path(name: &str) -> PathBuf {
-    eproc_engine::report::default_artifact_dir().join(format!("eproc_{name}.json"))
-}
-
 /// The `<artifact>.telemetry.json` sidecar path. A plain
 /// `Path::with_extension("telemetry.json")` clobbers everything after
 /// the last dot of the file name — `run-2.5x` would become
@@ -1081,15 +1081,6 @@ fn write_telemetry_artifacts(
             }
         }
     }
-}
-
-/// Default artifact path for a shard run, parallel to `save_json`'s
-/// `target/experiments/eproc_<name>.json` convention.
-fn default_shard_path(report: &ShardReport) -> PathBuf {
-    PathBuf::from(format!(
-        "target/experiments/eproc_{}.shard{}of{}.json",
-        report.name, report.shard.index, report.shard.count
-    ))
 }
 
 fn cmd_run(args: impl Iterator<Item = String>) {
@@ -1312,21 +1303,22 @@ fn cmd_scale(args: impl Iterator<Item = String>) {
     execute_inner(spec, &flags, true);
 }
 
-/// `eproc merge <shard.json> ...` — recombine a complete shard set into
-/// the unsharded run's report, byte-identical to running unsharded.
-/// Run-shaped flags are foreign here and rejected by the flag table
-/// (run parameters are fixed by the shards themselves).
+/// `eproc merge <checkpoint.json> ...` — fold checkpoints that together
+/// hold every block of one run exactly once (the shards of a `--shard`
+/// split, say) into the run's report, byte-identical to running
+/// unsharded. Run-shaped flags are foreign here and rejected by the flag
+/// table (run parameters are fixed by the checkpoints themselves).
 fn cmd_merge(args: impl Iterator<Item = String>) {
     let parsed = parse_or_usage("merge", MERGE_ACCEPTS, &[], args);
     let flags = CommonFlags::from_parsed(&parsed);
     let paths: Vec<PathBuf> = parsed.positionals.iter().map(PathBuf::from).collect();
     if paths.is_empty() {
-        usage("merge needs at least one shard artifact path");
+        usage("merge needs at least one checkpoint path");
     }
-    let shards: Vec<ShardReport> = paths
+    let shards: Vec<RunCheckpoint> = paths
         .iter()
         .map(|p| {
-            ShardReport::load(p).unwrap_or_else(|e| {
+            RunCheckpoint::load(p).unwrap_or_else(|e| {
                 eprintln!("error: {e}");
                 exit(1);
             })
@@ -1347,7 +1339,7 @@ fn cmd_merge(args: impl Iterator<Item = String>) {
         sinks.push(s);
     }
     let tee = Tee::new(sinks);
-    info!("merging {} shard artifact(s)", shards.len());
+    info!("merging {} checkpoint(s)", shards.len());
     let report = match merge_shards_with_sink(&shards, &tee) {
         Ok(r) => r,
         Err(e) => {

@@ -1,57 +1,70 @@
-//! Run checkpoints: the crash-safe persistence behind `--checkpoint` /
-//! `--resume` (checkpoint format `eproc-checkpoint`, version 4).
+//! Run checkpoints: the engine's one persisted partial run (format
+//! `eproc-checkpoint`, version 5), behind `--checkpoint` / `--resume`
+//! and `--shard` / `eproc merge` alike.
 //!
-//! A checkpoint is the recoverable runner's aggregation state, not a
-//! list of blocks. It holds:
+//! A checkpoint is a driven run's aggregation state, not a list of
+//! blocks. It holds:
 //!
 //! - the canonical run header identifying the `(spec, base_seed)` run —
-//!   including whether it resampled, so shared-graph and resampled runs
-//!   checkpoint alike — and each family's representative `(n, m)` seen
-//!   so far;
+//!   including its start vertex, its step cap and whether it resampled —
+//!   and the representative `(n, m)` of each family whose group-0 block
+//!   it holds;
 //! - the length of the canonical block prefix already folded;
 //! - every cell's raw accumulator state after that fold — Welford
 //!   moments, quantile sketches with their coin-stream state, and the
 //!   variance-split builders — floats as IEEE-754 bit patterns;
-//! - the completed blocks past the prefix that wait for it, at most the
-//!   claim window of the run that wrote it.
+//! - the completed blocks past the prefix that wait for it.
 //!
-//! Its size is therefore `O(cells × columns × sketch + window)`, the same
-//! whether the run has sixty blocks or six million. Resuming rebuilds
-//! the fold from that state and runs only the blocks that are neither
-//! folded nor pending. Each block is a pure function of `(spec,
+//! An interrupted run holds at most its claim window of pending blocks,
+//! so its checkpoint's size is `O(cells × columns × sketch + window)`
+//! whether the run has sixty blocks or six million. A shard run
+//! ([`crate::shard`]) folds from block 0 as well: shard `0/k` folds
+//! block 0 and holds its other blocks pending, and every other shard
+//! folds nothing and holds all of its blocks pending. Resuming rebuilds
+//! the fold from the checkpoint and runs only the blocks that are
+//! neither folded nor pending, so a shard's checkpoint resumes into the
+//! whole run; `eproc merge` folds checkpoints that together hold every
+//! block exactly once. Each block is a pure function of `(spec,
 //! base_seed, block)` and the fold consumes blocks in canonical order
 //! either way, so the final artifact is **byte-identical to an
-//! uninterrupted run**, at any thread count, no matter where the
-//! original run died.
+//! uninterrupted run**, at any thread count, however the run was split
+//! and wherever it died.
 //!
 //! Earlier versions are rejected with an error naming the version:
-//! version 2 listed every completed block instead, and version 3 had no
+//! version 2 listed every completed block instead, version 3 had no
 //! `resampled` header field because only resampled runs could
-//! checkpoint.
+//! checkpoint, and version 4 recorded neither the start vertex nor the
+//! step cap, so resuming under another `--start` or `--cap` mixed two
+//! experiments. Files of the retired shard-artifact format are rejected
+//! naming that format.
 //!
 //! Checkpoints are written atomically ([`eproc_telemetry::write_atomic`]):
 //! a crash mid-checkpoint leaves the previous complete checkpoint in
 //! place, never a truncated document. Loading treats the file as
 //! hostile: every count, index and sketch is checked against the header
 //! (see [`RunCheckpoint::from_json`]), so a damaged checkpoint is a
-//! [`CheckpointError`], never a panic or a silently wrong resume.
+//! [`CheckpointError`], never a panic or a silently wrong resume or
+//! merge.
 
-use crate::executor::{BlockAgg, CellAcc, CellFolder, CellInputs, Fold, FoldState, Telemetry};
-use crate::persist::{
-    check_proc, json, parse_blocks, parse_cells, parse_rep_dims, write_blocks, write_cells,
-    write_rep_dims, PersistError, RunHeader,
+use crate::executor::{
+    BlockAgg, CellAcc, CellFolder, CellInputs, ExperimentReport, FoldState, Telemetry,
 };
+use crate::persist::{
+    check_proc, json, parse_blocks, parse_cells, parse_rep_dims, same_cell_bits, write_blocks,
+    write_cells, write_rep_dims, PersistError, RunHeader,
+};
+use crate::spec::ResamplePlan;
 use eproc_telemetry::{EventKind, Stopwatch};
 use std::fmt;
 use std::fmt::Write as _;
 use std::path::Path;
 
 /// The checkpoint format version this build writes and reads.
-const VERSION: u64 = 4;
+const VERSION: u64 = 5;
 
-/// A checkpoint failure: an unreadable or malformed checkpoint file, or
-/// a resume attempt against a spec that does not match the checkpoint's
-/// run.
+/// A checkpoint failure: an unreadable or malformed checkpoint file, a
+/// resume attempt against a spec that does not match the checkpoint's
+/// run, or a set of checkpoints that does not merge into one run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointError {
     message: String,
@@ -79,14 +92,16 @@ impl From<PersistError> for CheckpointError {
     }
 }
 
-/// A persisted prefix of a run: the run's identity, the folded
-/// cell state and the pending blocks, bit-exact. Produced periodically
-/// by [`crate::recovery::run_recoverable`] and consumed by `--resume`.
+/// A persisted partial run: the run's identity, the folded cell state
+/// and the pending blocks, bit-exact. Written periodically by
+/// [`crate::recovery::run_recoverable`] and returned by
+/// [`crate::shard::run_shard`]; read by `--resume` and
+/// [`crate::shard::merge_shards`].
 #[derive(Debug, Clone)]
 pub struct RunCheckpoint {
     /// The run this checkpoint belongs to.
     pub(crate) header: RunHeader,
-    /// `(family, n, m)` of the group-0 samples completed so far.
+    /// `(family, n, m)` of every family whose group-0 block it holds.
     pub(crate) rep_dims: Vec<(usize, usize, usize)>,
     /// Length of the canonical block prefix folded into `cells`.
     pub(crate) folded: usize,
@@ -126,12 +141,47 @@ impl RunCheckpoint {
     pub(crate) fn restore<'a>(&self, inputs: &'a CellInputs<'a>) -> FoldState<'a> {
         let folder = CellFolder::resume(inputs, self.folded, self.cells.clone());
         let (families, processes) = (self.header.graphs.len(), self.header.processes.len());
-        let mut state = FoldState::new(Fold::Cells(folder), self.folded, 1, families, processes);
+        let mut state = FoldState::new(folder, families, processes);
         for &(gi, n, m) in &self.rep_dims {
             state.dims[gi] = Some((n, m));
         }
         state.pending = self.pending.iter().map(|b| (b.block, b.clone())).collect();
         state
+    }
+
+    /// The report of a run whose every block this checkpoint has folded:
+    /// the engine's one report tail, behind plain runs, resumed runs and
+    /// merges alike.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every block is folded — which, on a checkpoint that
+    /// passes the load-time checks, also gives every family its
+    /// dimensions.
+    pub(crate) fn into_report(self) -> ExperimentReport {
+        let h = &self.header;
+        assert_eq!(self.folded, h.total_blocks(), "a report folds every block");
+        let mut dims = vec![None; h.graphs.len()];
+        for (gi, n, m) in self.rep_dims {
+            dims[gi] = Some((n, m));
+        }
+        let dims: Vec<(usize, usize)> = dims
+            .into_iter()
+            .map(|dim| dim.expect("every family ran its group-0 block"))
+            .collect();
+        let inputs = h.cell_inputs();
+        let cells = CellFolder::resume(&inputs, self.folded, self.cells).finish(&dims);
+        ExperimentReport {
+            name: h.name.clone(),
+            description: h.description.clone(),
+            target: h.target,
+            trials: h.trials,
+            base_seed: h.base_seed,
+            resample: h.resampled.then_some(ResamplePlan {
+                walks_per_graph: h.walks_per_graph,
+            }),
+            cells,
+        }
     }
 
     /// Serialises the checkpoint as deterministic strict JSON, floats as
@@ -175,24 +225,38 @@ impl RunCheckpoint {
 
     /// Parses a [`RunCheckpoint::to_json`] document, bit-exactly, and
     /// checks it is one the engine could have written: the block count
-    /// and cell grid follow from the header, the folded prefix fits the
-    /// run, pending blocks are unique and past the block that would
-    /// extend the prefix (which the writer folds at once), no block or
-    /// cell holds more values than it has trials, and every family whose
-    /// group-0 block is held has its dimensions.
+    /// and cell grid follow from the header; the folded prefix fits the
+    /// run; each cell holds no more than its family's folded blocks ran —
+    /// no more values than their trials, no more graph samples than
+    /// their groups — and a family with no folded block has the empty
+    /// cell a fresh fold starts from; pending blocks are unique, past the
+    /// block that would extend the prefix (which the writer folds at
+    /// once), and hold no more values than their trials; and a family
+    /// has its dimensions exactly when its group-0 block is held, at most
+    /// once — so a resume never samples that block again and no file can
+    /// rewrite another's family size.
     ///
     /// # Errors
     ///
     /// [`CheckpointError`] describing the first structural problem,
-    /// including any version other than 4.
+    /// including any version other than 5 and the retired shard-artifact
+    /// format.
     pub fn from_json(text: &str) -> Result<RunCheckpoint, CheckpointError> {
         let value = json::parse(text)?;
         let root = value.as_obj("checkpoint")?;
-        let format = root.str_field("format")?;
-        if format != "eproc-checkpoint" {
-            return Err(CheckpointError::new(format!(
-                "not a run checkpoint (format {format:?})"
-            )));
+        match root.str_field("format")?.as_str() {
+            "eproc-checkpoint" => {}
+            "eproc-shard" => {
+                return Err(CheckpointError::new(
+                    "an eproc-shard artifact: this build reads shard runs as eproc-checkpoint \
+                     files; re-run the shard",
+                ))
+            }
+            format => {
+                return Err(CheckpointError::new(format!(
+                    "not a run checkpoint (format {format:?})"
+                )))
+            }
         }
         let version = root.u64_field("version")?;
         if version != VERSION {
@@ -214,8 +278,10 @@ impl RunCheckpoint {
         Ok(checkpoint)
     }
 
-    /// The structural checks [`RunCheckpoint::from_json`] documents.
-    fn check(&self) -> Result<(), CheckpointError> {
+    /// The checks [`RunCheckpoint::from_json`] documents. `from_json`
+    /// runs them on every file it reads; `eproc merge` runs them on every
+    /// input, in-memory ones too.
+    pub(crate) fn check(&self) -> Result<(), CheckpointError> {
         let h = &self.header;
         let total = h.total_blocks();
         let n_cols = h.metric_columns.len();
@@ -233,8 +299,16 @@ impl RunCheckpoint {
                 h.processes.len()
             )));
         }
+        let inputs = h.cell_inputs();
         for (ci, cell) in self.cells.iter().enumerate() {
-            check_proc(&cell.totals, h.trials, n_cols)
+            let (gi, pi) = (ci / h.processes.len(), ci % h.processes.len());
+            // The family's folded groups, and the trials they ran.
+            let groups = self
+                .folded
+                .saturating_sub(gi * h.group_count)
+                .min(h.group_count);
+            let trials = groups.saturating_mul(h.walks_per_graph).min(h.trials);
+            check_proc(&cell.totals, trials, n_cols)
                 .map_err(|e| CheckpointError::new(format!("cell {ci}: {e}")))?;
             if cell.metric_splits.len() != n_cols {
                 return Err(CheckpointError::new(format!(
@@ -244,14 +318,20 @@ impl RunCheckpoint {
             }
             let splits = std::iter::once(&cell.steps_split).chain(&cell.metric_splits);
             for split in splits {
-                if split.graph_samples > h.group_count
+                if split.graph_samples > groups
                     || split.across.count() != split.graph_samples as u64
-                    || split.within_dof > h.trials as u64
+                    || split.within_dof > trials as u64
                 {
                     return Err(CheckpointError::new(format!(
-                        "cell {ci}: a variance split counts more samples than the run has"
+                        "cell {ci}: a variance split counts more samples than family {gi}'s \
+                         {groups} folded blocks hold"
                     )));
                 }
+            }
+            if groups == 0 && !same_cell_bits(cell, &CellAcc::empty(&inputs, gi, pi)) {
+                return Err(CheckpointError::new(format!(
+                    "cell {ci}: family {gi} has no folded block, but its cell is not empty"
+                )));
             }
         }
         h.check_blocks(&self.pending)?;
@@ -275,8 +355,6 @@ impl RunCheckpoint {
                 )));
             }
         }
-        // A resumed run does not sample a held group-0 graph again, so
-        // its dimensions must come from the checkpoint.
         for (gi, has) in has_dims.into_iter().enumerate() {
             let first = gi * h.group_count;
             let held = first < self.folded
@@ -287,6 +365,12 @@ impl RunCheckpoint {
             if held && !has {
                 return Err(CheckpointError::new(format!(
                     "checkpoint holds family {gi}'s group-0 block but not its dimensions"
+                )));
+            }
+            if has && !held {
+                return Err(CheckpointError::new(format!(
+                    "checkpoint reports dimensions for family {gi}, whose group-0 block \
+                     {first} it does not hold"
                 )));
             }
         }
@@ -315,7 +399,7 @@ pub(crate) fn checkpoint_json<'b>(
     out
 }
 
-/// Atomically writes a checkpoint of a report run's fold state to `path`,
+/// Atomically writes a checkpoint of a run's fold state to `path`,
 /// emitting one `checkpoint_written` event when telemetry is live.
 pub(crate) fn write_checkpoint(
     header: &RunHeader,
@@ -323,15 +407,12 @@ pub(crate) fn write_checkpoint(
     path: &Path,
     tel: &Telemetry<'_>,
 ) -> std::io::Result<()> {
-    let Fold::Cells(folder) = &state.into else {
-        unreachable!("only report runs checkpoint");
-    };
     let clock = tel.live.then(Stopwatch::start);
     let text = checkpoint_json(
         header,
         &state.rep_dims(),
-        folder.fed(),
-        folder.cells(),
+        state.folder.fed(),
+        state.folder.cells(),
         state.pending.values(),
     );
     eproc_telemetry::write_atomic(path, &text)?;

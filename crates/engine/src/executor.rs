@@ -39,15 +39,16 @@
 //! and the main thread holds a block's aggregates until its last task
 //! lands, so splitting a block cannot change a byte.
 //!
-//! One private driver runs every run. It takes two parameters: which
-//! blocks run (all of them, a shard's residue class `i mod k`, or the
-//! blocks a checkpoint lacks) and where finished blocks go (folded into
-//! the report and optionally checkpointed, or appended in canonical
-//! order to a shard artifact). It schedules them on the engine's one
-//! worker pool. [`run`], [`run_on_graphs`],
-//! [`crate::recovery::run_recoverable`] and [`crate::shard::run_shard`]
-//! are that driver with its parameters set, so sharding, checkpoints,
-//! resume, deadlines and block retries work for every spec.
+//! One private driver runs every run. It takes which blocks run (all of
+//! them, a shard's residue class `i mod k`, or the blocks a checkpoint
+//! lacks), schedules them on the engine's one worker pool, folds them in
+//! canonical order, and returns the final fold state as a
+//! [`RunCheckpoint`]. A complete one becomes the report; a shard's is
+//! its artifact; an interrupted run's is what `--resume` reads. [`run`],
+//! [`run_on_graphs`], [`crate::recovery::run_recoverable`] and
+//! [`crate::shard::run_shard`] are that driver with its parameters set,
+//! so sharding, checkpoints, resume, deadlines and block retries work
+//! for every spec.
 //!
 //! Aggregation is **streamed twice over**. Inside a task the claiming
 //! worker folds each trial straight into per-(block, process)
@@ -69,7 +70,7 @@
 use crate::checkpoint::{write_checkpoint, RunCheckpoint};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::persist::RunHeader;
-use crate::recovery::{RecoveryError, RecoveryOptions, RunOutcome};
+use crate::recovery::{RecoveryError, RecoveryOptions};
 use crate::shard::ShardSpec;
 use crate::spec::{AnyObserver, ExperimentSpec, MetricSpec, ResamplePlan, SpecError, Target};
 use crate::with_kernel;
@@ -519,9 +520,9 @@ fn build_graphs_observed(
 /// Streamed aggregates of one process's trials within one *(family,
 /// group)* block — the executor's unit of aggregation in **both**
 /// modes. Folding happens inside the worker that ran the process's
-/// task, so no per-trial vector outlives the task. `pub(crate)` because shard
-/// artifacts ([`crate::shard`]) and checkpoints persist these
-/// accumulators (moments *and* sketches) verbatim.
+/// task, so no per-trial vector outlives the task. `pub(crate)` because
+/// checkpoints persist these accumulators (moments *and* sketches)
+/// verbatim.
 #[derive(Debug, Clone)]
 pub(crate) struct ProcAgg {
     /// Trials that reached the target within the cap.
@@ -742,7 +743,7 @@ pub fn run_with_sink(
     opts: &RunOptions,
     sink: &dyn TelemetrySink,
 ) -> Result<ExperimentReport, EngineError> {
-    run_report(spec, opts, None, sink)
+    drive_plain(spec, opts, None, Blocks::All, sink).map(RunCheckpoint::into_report)
 }
 
 /// Like [`run`], but on graphs already built with [`build_graphs`] for the
@@ -800,30 +801,25 @@ pub fn run_on_graphs_with_sink(
             "run_on_graphs cannot honour prebuilt graphs under resampling; use run()",
         )));
     }
-    run_report(spec, opts, Some(graphs), sink)
+    drive_plain(spec, opts, Some(graphs), Blocks::All, sink).map(RunCheckpoint::into_report)
 }
 
-/// Drives every block into the report, without crash-safety options: the
-/// run neither resumes, checkpoints nor stops early, so it completes or
-/// fails in the engine.
-fn run_report(
+/// Drives `blocks` without crash-safety options: the run neither
+/// resumes, checkpoints nor stops early, so every scheduled block lands
+/// or the run fails in the engine.
+pub(crate) fn drive_plain(
     spec: &ExperimentSpec,
     opts: &RunOptions,
     graphs: Option<&[Graph]>,
+    blocks: Blocks<'_>,
     sink: &dyn TelemetrySink,
-) -> Result<ExperimentReport, EngineError> {
-    let plain = RecoveryOptions::none();
-    match drive(
-        spec,
-        opts,
-        graphs,
-        Blocks::All,
-        Output::Report(&plain),
-        sink,
-    ) {
-        Ok(Driven::Report(RunOutcome::Completed(report))) => Ok(report),
+) -> Result<RunCheckpoint, EngineError> {
+    match drive(spec, opts, graphs, blocks, &RecoveryOptions::none(), sink) {
+        Ok(driven) => Ok(driven.state),
         Err(RecoveryError::Engine(e)) => Err(e),
-        _ => unreachable!("a run without crash-safety options completes or fails in the engine"),
+        Err(e) => unreachable!(
+            "a run that neither resumes nor checkpoints failed outside the engine: {e}"
+        ),
     }
 }
 
@@ -1083,8 +1079,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// The spec-shaped context cell aggregation needs — split from
-/// [`ExperimentSpec`] so `eproc merge` can aggregate from shard headers
-/// alone, through the **same** code path (and hence the same
+/// [`ExperimentSpec`] so `eproc merge` can aggregate from checkpoint
+/// headers alone, through the **same** code path (and hence the same
 /// floating-point operation order) as an unsharded run.
 pub(crate) struct CellInputs<'a> {
     /// `(label, family_label)` per graph family, in grid order.
@@ -1116,6 +1112,21 @@ pub(crate) struct CellAcc {
     pub(crate) metric_splits: Vec<SplitAcc>,
 }
 
+impl CellAcc {
+    /// Cell `(gi, pi)` before any block folds into it, its sketch coin
+    /// streams seeded from the cell's grid coordinate.
+    pub(crate) fn empty(inputs: &CellInputs<'_>, gi: usize, pi: usize) -> CellAcc {
+        let n_cols = inputs.metric_columns.len();
+        CellAcc {
+            totals: ProcAgg::empty(n_cols, |col| {
+                cell_sketch_seed(inputs.base_seed, gi, pi, col)
+            }),
+            steps_split: SplitAcc::default(),
+            metric_splits: vec![SplitAcc::default(); n_cols],
+        }
+    }
+}
+
 /// The engine's **single** aggregation tail: folds streamed block
 /// aggregates into grid-ordered cell accumulators, one block at a time,
 /// strictly in canonical *(family, group)* order. Both execution modes,
@@ -1134,17 +1145,10 @@ impl<'a> CellFolder<'a> {
     /// Empty accumulators for every `(family, process)` cell, sketch
     /// coin streams seeded from the cell's grid coordinate.
     pub(crate) fn new(inputs: &'a CellInputs<'a>) -> CellFolder<'a> {
-        let n_cols = inputs.metric_columns.len();
         let mut cells = Vec::with_capacity(inputs.graphs.len() * inputs.processes.len());
         for gi in 0..inputs.graphs.len() {
             for pi in 0..inputs.processes.len() {
-                cells.push(CellAcc {
-                    totals: ProcAgg::empty(n_cols, |col| {
-                        cell_sketch_seed(inputs.base_seed, gi, pi, col)
-                    }),
-                    steps_split: SplitAcc::default(),
-                    metric_splits: vec![SplitAcc::default(); n_cols],
-                });
+                cells.push(CellAcc::empty(inputs, gi, pi));
             }
         }
         CellFolder {
@@ -1174,6 +1178,11 @@ impl<'a> CellFolder<'a> {
     /// Every cell's accumulators, in grid order.
     pub(crate) fn cells(&self) -> &[CellAcc] {
         &self.cells
+    }
+
+    /// Every cell's accumulators, in grid order, by value.
+    pub(crate) fn into_cells(self) -> Vec<CellAcc> {
+        self.cells
     }
 
     /// Folds the next block. The per-block accumulators double as the
@@ -1311,14 +1320,6 @@ impl Schedule {
     }
 }
 
-/// Where the canonical order delivers a pool's completed blocks.
-pub(crate) enum Fold<'a> {
-    /// Folded into the run's cell accumulators, for a report.
-    Cells(CellFolder<'a>),
-    /// Appended to a shard artifact's block list.
-    Blocks(Vec<BlockAgg>),
-}
-
 /// A block some of whose tasks have landed.
 struct PartialBlock {
     /// One slot per process, filled as the block's tasks land.
@@ -1327,20 +1328,18 @@ struct PartialBlock {
     rep: Option<(usize, usize, usize)>,
 }
 
-/// The main thread's side of a block pool: where blocks land, the
-/// blocks whose tasks are still landing, the completed blocks waiting
-/// for the canonical order to reach them, and the run's tallies.
+/// The main thread's side of a block pool: the cell fold, the blocks
+/// whose tasks are still landing, the completed blocks waiting for the
+/// canonical order to reach them, and the run's tallies.
 pub(crate) struct FoldState<'a> {
-    pub(crate) into: Fold<'a>,
-    /// The next canonical block `into` takes; advances by `stride`.
-    pub(crate) next: usize,
-    stride: usize,
+    /// Folds blocks `0, 1, 2, …` in canonical order.
+    pub(crate) folder: CellFolder<'a>,
     /// Processes per block: a block is complete once each has landed.
     processes: usize,
     /// Blocks with some but not all tasks landed, by canonical index.
     /// Never checkpointed: a block cut off part-way reruns on resume.
     partial: BTreeMap<usize, PartialBlock>,
-    /// Completed blocks past `next`, by canonical index.
+    /// Completed blocks past the fold, by canonical index.
     pub(crate) pending: BTreeMap<usize, BlockAgg>,
     /// Each family's representative `(n, m)`, once its group-0 block ran.
     pub(crate) dims: Vec<Option<(usize, usize)>>,
@@ -1351,19 +1350,11 @@ pub(crate) struct FoldState<'a> {
 }
 
 impl<'a> FoldState<'a> {
-    /// An empty state for `families` families of `processes`-process
-    /// blocks whose first block is `next`, every `stride`-th after it.
-    pub(crate) fn new(
-        into: Fold<'a>,
-        next: usize,
-        stride: usize,
-        families: usize,
-        processes: usize,
-    ) -> FoldState<'a> {
+    /// The state of `families` families of `processes`-process blocks
+    /// whose fold starts at `folder`.
+    pub(crate) fn new(folder: CellFolder<'a>, families: usize, processes: usize) -> FoldState<'a> {
         FoldState {
-            into,
-            next,
-            stride,
+            folder,
             processes,
             partial: BTreeMap::new(),
             pending: BTreeMap::new(),
@@ -1374,13 +1365,9 @@ impl<'a> FoldState<'a> {
         }
     }
 
-    /// Blocks done: those already taken plus the pending ones.
+    /// Blocks done: those folded plus the pending ones.
     pub(crate) fn completed(&self) -> usize {
-        let taken = match &self.into {
-            Fold::Cells(folder) => folder.fed(),
-            Fold::Blocks(blocks) => blocks.len(),
-        };
-        taken + self.pending.len()
+        self.folder.fed() + self.pending.len()
     }
 
     /// `(family, n, m)` of every family whose group-0 block ran.
@@ -1394,7 +1381,7 @@ impl<'a> FoldState<'a> {
 
     /// Takes one completed task. Once its block's last task has landed,
     /// the block joins the pending blocks and every pending block the
-    /// canonical order now allows is delivered; returns whether `next`
+    /// canonical order now allows is folded; returns whether the fold
     /// moved.
     fn accept(&mut self, task: TaskResult, live: bool) -> bool {
         self.trials_run += task.trials;
@@ -1426,34 +1413,29 @@ impl<'a> FoldState<'a> {
                 procs,
             },
         );
-        let mut advanced = false;
-        while let Some(agg) = self.pending.remove(&self.next) {
-            match &mut self.into {
-                Fold::Cells(folder) => {
-                    let fold = live.then(Stopwatch::start);
-                    folder.feed(&agg);
-                    if let Some(fold) = fold {
-                        self.agg_ns += fold.elapsed_ns();
-                    }
-                }
-                Fold::Blocks(blocks) => blocks.push(agg),
+        let before = self.folder.fed();
+        while let Some(agg) = self.pending.remove(&self.folder.fed()) {
+            let fold = live.then(Stopwatch::start);
+            self.folder.feed(&agg);
+            if let Some(fold) = fold {
+                self.agg_ns += fold.elapsed_ns();
             }
-            self.next += self.stride;
-            advanced = true;
         }
-        advanced
+        self.folder.fed() > before
     }
 }
 
 /// The engine's one worker pool: scoped workers claim the tasks of
 /// `schedule` in canonical *(block, process)* order off one shared
 /// atomic, run each through `run(task, worker)`, and stream the results
-/// to this thread, which assembles each block from its tasks and
-/// delivers it to `state` the moment the canonical order allows. A claim
-/// whose block lies more than [`claim_window`] scheduled blocks past
-/// `state.next` waits for it to move, so neither the pending nor the
-/// partly landed blocks ever exceed the window — never `O(blocks)`,
-/// never `O(trials)`.
+/// to this thread, which assembles each block from its tasks and folds
+/// it into `state` the moment the canonical order allows. On an
+/// unsharded schedule a claim whose block lies [`claim_window`] or more
+/// blocks past the fold waits for the fold to move, so neither the
+/// pending nor the partly landed blocks ever exceed the window — never
+/// `O(blocks)`, never `O(trials)`. A shard's fold cannot pass its first
+/// missing block, and the shard holds every block it runs until it is
+/// written anyway, so a strided schedule claims without a window.
 ///
 /// Workers stop claiming once `halt()` is true or a task fails; claimed
 /// tasks that already started drain. After each batch of results — every
@@ -1479,11 +1461,13 @@ where
     }
     let next = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
-    let fed_floor = Mutex::new(state.next);
+    let fed_floor = Mutex::new(state.folder.fed());
     let may_run = Condvar::new();
-    // The window in canonical block indices: `stride` apart per
-    // scheduled block.
-    let window = claim_window(workers) * schedule.stride;
+    let window = if schedule.stride == 1 {
+        claim_window(workers)
+    } else {
+        usize::MAX
+    };
     // Setting the latch under the floor lock means a worker between its
     // window check and its wait cannot miss the wake-up.
     let stop_pool = || {
@@ -1517,7 +1501,8 @@ where
                 // claim on the floor block never waits.
                 {
                     let mut fed = fed_floor.lock().expect("fold floor lock");
-                    while task.block >= *fed + window && !stop.load(Ordering::Relaxed) {
+                    while task.block >= fed.saturating_add(window) && !stop.load(Ordering::Relaxed)
+                    {
                         fed = may_run.wait(fed).expect("fold floor lock");
                     }
                 }
@@ -1547,7 +1532,7 @@ where
                 match m {
                     WorkerMsg::Done(result) => {
                         if state.accept(*result, live) {
-                            *fed_floor.lock().expect("fold floor lock") = state.next;
+                            *fed_floor.lock().expect("fold floor lock") = state.folder.fed();
                             may_run.notify_all();
                         }
                     }
@@ -1578,54 +1563,45 @@ pub(crate) enum Blocks<'c> {
     Missing(&'c RunCheckpoint),
 }
 
-/// Where a [`drive`] call's finished blocks go.
-#[derive(Clone, Copy)]
-pub(crate) enum Output<'r> {
-    /// Folded into the report. The options supply checkpointing,
-    /// interruption, retries and fault injection; their resume
-    /// checkpoint arrives as [`Blocks::Missing`].
-    Report(&'r RecoveryOptions<'r>),
-    /// Appended in canonical order to a shard artifact's block list.
-    Shard,
-}
-
-/// What a [`drive`] call produced.
-pub(crate) enum Driven {
-    /// [`Output::Report`]: the report, or how far an interrupted run got.
-    Report(RunOutcome),
-    /// [`Output::Shard`]: the run's blocks in canonical order, and the
-    /// `(family, n, m)` of the families whose group-0 block ran.
-    Blocks {
-        rep_dims: Vec<(usize, usize, usize)>,
-        blocks: Vec<BlockAgg>,
-    },
+/// How a [`drive`] call ended.
+pub(crate) struct Driven {
+    /// The run's final fold state: every block folded, a shard's share
+    /// of them, or as far as an interrupted run got.
+    pub(crate) state: RunCheckpoint,
+    /// What stopped the run before every scheduled block landed:
+    /// `"signal"` (the cancellation flag) or `"deadline"` (`max_wall`).
+    pub(crate) interrupted: Option<&'static str>,
 }
 
 /// The engine's one driver. It validates the spec, announces the run,
 /// builds a shared-graph run's family graphs once, schedules the tasks
 /// of `blocks` on [`run_pool`] — one per process on shared graphs, one
 /// per block under resampling, with at most one worker per task — and
-/// sends the finished blocks to `output`. [`run`],
+/// folds the finished blocks in canonical order, from block 0 or from
+/// where a resumed checkpoint stopped. It returns the final fold state
+/// as a [`RunCheckpoint`]: complete for a run, a shard's share of the
+/// blocks for [`Blocks::Residue`] (block 0 folded by shard `0/k`, the
+/// rest pending), or as far as an interrupted run got. [`run`],
 /// [`run_on_graphs`], [`crate::recovery::run_recoverable`] and
 /// [`crate::shard::run_shard`] (and their `_with_sink` forms) are this
-/// function with its two parameters set: [`Blocks::All`] or
-/// [`Blocks::Missing`] into [`Output::Report`], [`Blocks::Residue`]
-/// into [`Output::Shard`]. `graphs` supplies a shared-graph run's
-/// prebuilt family graphs ([`run_on_graphs`]); `None` builds them here,
-/// emitting `graph_built`. Every family's `(n, m)` comes from its
+/// function with its parameters set. `graphs` supplies a shared-graph
+/// run's prebuilt family graphs ([`run_on_graphs`]); `None` builds them
+/// here, emitting `graph_built`. Every family's `(n, m)` comes from its
 /// group-0 block in both modes.
 ///
-/// A report run checkpoints its fold state once `every` blocks completed
-/// since the last write, and once more when it stops short — interrupted
-/// by the cancellation flag or the deadline, or failed — so the
-/// completed blocks are on disk. A checkpoint holds whole blocks only;
-/// a deadline too far off to represent counts as none.
+/// `rec` supplies checkpointing, interruption, retries and fault
+/// injection; its resume checkpoint arrives as [`Blocks::Missing`]. A
+/// run checkpoints its fold state once `every` blocks completed since
+/// the last write, and once more when it stops short — interrupted by
+/// the cancellation flag or the deadline, or failed — so the completed
+/// blocks are on disk. A checkpoint holds whole blocks only; a deadline
+/// too far off to represent counts as none.
 pub(crate) fn drive(
     spec: &ExperimentSpec,
     opts: &RunOptions,
     graphs: Option<&[Graph]>,
     blocks: Blocks<'_>,
-    output: Output<'_>,
+    rec: &RecoveryOptions<'_>,
     sink: &dyn TelemetrySink,
 ) -> Result<Driven, RecoveryError> {
     assert!(opts.threads > 0, "need at least one worker thread");
@@ -1635,6 +1611,7 @@ pub(crate) fn drive(
     let inputs = header.cell_inputs();
     let total = header.total_blocks();
     let families = spec.graphs.len();
+    let processes = spec.processes.len();
     let (start, stride, skip) = match blocks {
         Blocks::All => (0, 1, Vec::new()),
         Blocks::Residue(shard) if shard.index < shard.count => {
@@ -1650,7 +1627,6 @@ pub(crate) fn drive(
             (checkpoint.folded, 1, held)
         }
     };
-    let processes = spec.processes.len();
     let schedule = Schedule {
         start,
         stride,
@@ -1659,22 +1635,12 @@ pub(crate) fn drive(
         processes,
         split: spec.resample.is_none(),
     };
-    let mut state = match (blocks, output) {
-        (Blocks::Missing(checkpoint), _) => checkpoint.restore(&inputs),
-        (_, Output::Report(_)) => {
-            let folder = CellFolder::new(&inputs);
-            FoldState::new(Fold::Cells(folder), start, stride, families, processes)
-        }
-        (_, Output::Shard) => {
-            let into = Fold::Blocks(Vec::new());
-            FoldState::new(into, start, stride, families, processes)
-        }
+    let mut state = match blocks {
+        Blocks::Missing(checkpoint) => checkpoint.restore(&inputs),
+        _ => FoldState::new(CellFolder::new(&inputs), families, processes),
     };
-    let plain = RecoveryOptions::none();
-    let rec = match output {
-        Output::Report(rec) => rec,
-        Output::Shard => &plain,
-    };
+    // What the state holds once every scheduled block has landed.
+    let scheduled_total = state.completed() + schedule.len();
 
     let scheduled = schedule.tasks();
     let workers = opts.threads.min(scheduled.max(1));
@@ -1764,9 +1730,10 @@ pub(crate) fn drive(
     );
 
     // Final checkpoint: on interruption or failure the completed blocks
-    // must be on disk; on completion the report itself is the artifact.
-    let done = state.next >= total;
-    if !done && io_error.is_none() {
+    // must be on disk; once every scheduled block has landed, the state
+    // this returns is the artifact.
+    let landed = state.completed() == scheduled_total;
+    if !landed && io_error.is_none() {
         if let Some(cp) = checkpoint {
             if let Err(e) = write_checkpoint(&header, &state, &cp.path, &tel) {
                 io_error = Some(e);
@@ -1780,71 +1747,43 @@ pub(crate) fn drive(
         return Err(RecoveryError::Engine(e));
     }
 
-    let completed = state.completed();
-    let rep_dims = state.rep_dims();
-    let FoldState {
-        into,
-        dims,
-        trials_run,
-        steps_run,
-        agg_ns,
-        ..
-    } = state;
-    let finished = || {
-        if tel.live {
-            tel.emit(EventKind::RunFinished {
-                wall_ns: tel.clock.elapsed_ns(),
-                total_trials: trials_run,
-                total_steps: steps_run,
-            });
-        }
-    };
-    let folder = match into {
-        Fold::Cells(folder) => folder,
-        Fold::Blocks(blocks) => {
-            finished();
-            return Ok(Driven::Blocks { rep_dims, blocks });
-        }
-    };
-    if !done {
-        let reason = if cancelled() { "signal" } else { "deadline" };
-        if tel.live {
+    let interrupted = (!landed).then(|| if cancelled() { "signal" } else { "deadline" });
+    if tel.live {
+        if let Some(reason) = interrupted {
             tel.emit(EventKind::RunInterrupted {
                 reason: reason.to_string(),
-                completed,
+                completed: state.completed(),
                 total,
             });
+        } else if state.folder.fed() == total {
+            tel.emit(EventKind::AggregationMerged {
+                blocks: total,
+                cells: state.folder.cells().len(),
+                agg_ns: state.agg_ns,
+            });
         }
-        finished();
-        return Ok(Driven::Report(RunOutcome::Interrupted {
-            reason: reason.to_string(),
-            completed,
-            total,
-            checkpoint: checkpoint.map(|cp| cp.path.clone()),
-        }));
-    }
-    let dims: Vec<(usize, usize)> = dims
-        .into_iter()
-        .map(|dim| dim.expect("every family ran its group-0 block"))
-        .collect();
-    let cells = folder.finish(&dims);
-    if tel.live {
-        tel.emit(EventKind::AggregationMerged {
-            blocks: total,
-            cells: cells.len(),
-            agg_ns,
+        tel.emit(EventKind::RunFinished {
+            wall_ns: tel.clock.elapsed_ns(),
+            total_trials: state.trials_run,
+            total_steps: state.steps_run,
         });
     }
-    finished();
-    Ok(Driven::Report(RunOutcome::Completed(ExperimentReport {
-        name: spec.name.clone(),
-        description: spec.description.clone(),
-        target: spec.target,
-        trials: spec.trials,
-        base_seed: opts.base_seed,
-        resample: spec.resample,
-        cells,
-    })))
+    let rep_dims = state.rep_dims();
+    let FoldState {
+        folder, pending, ..
+    } = state;
+    let (folded, cells) = (folder.fed(), folder.into_cells());
+    let pending = pending.into_values().collect();
+    Ok(Driven {
+        state: RunCheckpoint {
+            header,
+            rep_dims,
+            folded,
+            cells,
+            pending,
+        },
+        interrupted,
+    })
 }
 
 #[cfg(test)]

@@ -91,14 +91,15 @@
 //!
 //! A run's *(family, group)* blocks are independent — shared-graph and
 //! resampled alike — so the [`shard`] module can partition them across
-//! machines: `eproc run …
-//! --shard i/k` ([`shard::run_shard`]) executes only the blocks whose
-//! canonical index is `≡ i (mod k)` and persists their streamed
-//! accumulators bit-exactly ([`shard::ShardReport`]); `eproc merge`
-//! ([`shard::merge_shards`]) recombines the `k` artifacts — parallel
-//! Welford merges in canonical block order, through the executor's own
-//! aggregation code — into a report **byte-identical** to the unsharded
-//! run's. Inside each block the trials run one after another through
+//! machines: `eproc run … --shard i/k` ([`shard::run_shard`]) executes
+//! only the blocks whose canonical index is `≡ i (mod k)` and writes
+//! its final fold state as a [`checkpoint::RunCheckpoint`] — the same
+//! bit-exact format `--checkpoint` writes; `eproc merge`
+//! ([`shard::merge_shards`]) folds checkpoints that hold every block
+//! exactly once — parallel Welford merges in canonical block order,
+//! through the executor's own aggregation code — into a report
+//! **byte-identical** to the unsharded run's. Inside each block the
+//! trials run one after another through
 //! [`eproc_core::observe::run_observed`]: with the E-process step state
 //! compacted to one dependent miss per step, the sequential loop beats
 //! the lockstep [`eproc_core::interleave::run_observed_interleaved`]
@@ -130,17 +131,17 @@
 //! graphs or resampled.
 //! Completed *(family, group)* blocks fold into the run's cell
 //! accumulators as they arrive, and an atomically-written checkpoint
-//! ([`checkpoint::RunCheckpoint`], format `eproc-checkpoint` v4)
-//! persists that folded state plus the few blocks waiting for it, with
-//! the same bit-exact codec as shard artifacts — its size does not grow
-//! with the block count; SIGINT/SIGTERM
+//! ([`checkpoint::RunCheckpoint`], format `eproc-checkpoint` v5, the
+//! engine's one persisted partial run) holds that folded state plus the
+//! few blocks waiting for it — its size does not grow with the block
+//! count; SIGINT/SIGTERM
 //! (via the `eproc-signal` latch), a caller-owned cancellation flag, or
 //! a `--max-wall` deadline interrupt the run *gracefully* — in-flight
 //! blocks drain, a final checkpoint lands, and the CLI exits with the
 //! distinct "interrupted, resumable" code 75. `--resume` validates the
-//! checkpoint against the spec, runs only the missing blocks, and
-//! produces a report **byte-identical to an uninterrupted run at any
-//! thread count**. Each block runs under `catch_unwind`
+//! checkpoint — a shard's included — against the spec, runs only the
+//! missing blocks, and produces a report **byte-identical to an
+//! uninterrupted run at any thread count**. Each block runs under `catch_unwind`
 //! ([`executor::BlockError`]): a panicking worker is reported — naming
 //! family, group and worker — without poisoning the pool, and
 //! `--retry-blocks` re-runs failed blocks from the same derived seeds.
@@ -205,7 +206,7 @@ pub use recovery::{
     RunOutcome,
 };
 pub use scaling::{analyze, ScalingError, ScalingReport, SeriesFit};
-pub use shard::{merge_shards, run_shard, run_shard_with_sink, ShardReport, ShardSpec};
+pub use shard::{merge_shards, run_shard, run_shard_with_sink, ShardSpec};
 pub use spec::{
     CapSpec, ExperimentSpec, GraphSpec, MetricSpec, ProcessSpec, ResamplePlan, RuleSpec, Scale,
     SweepRange, SweepStep, Target,

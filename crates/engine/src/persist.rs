@@ -1,11 +1,11 @@
-//! Shared bit-exact persistence for run artifacts.
+//! Bit-exact persistence for run checkpoints.
 //!
-//! Shard artifacts (`--shard` / `eproc merge`) and run checkpoints
-//! (`--checkpoint` / `--resume`) persist the same things: the
-//! canonical experiment header that identifies a `(spec, base_seed)`
-//! run, and streamed [`OnlineStats`] and [`QuantileSketch`]
-//! accumulators — per completed *(family, group)* block, and in
-//! checkpoints also per folded cell. All of it must round-trip
+//! Every partial run the engine persists — a `--checkpoint` written
+//! mid-run, or the blocks a `--shard` run executed — is one
+//! [`crate::checkpoint::RunCheckpoint`]: the canonical experiment header
+//! that identifies a `(spec, base_seed)` run, the folded cells'
+//! [`OnlineStats`] and [`QuantileSketch`] accumulators, and the
+//! completed blocks past the folded prefix. All of it must round-trip
 //! **bit-exactly** — the `m2` sum of squares is not recoverable from a
 //! rounded variance, the `±∞` sentinels of an empty accumulator have no
 //! decimal form, and a sketch's retained items and coin-stream state
@@ -14,14 +14,14 @@
 //! and read back through a strict JSON parser that keeps numbers as raw
 //! text (no lossy trip through `f64`).
 //!
-//! This module is that shared substrate: the strict reader
-//! ([`json`]), the accumulator codecs ([`write_stats`] /
-//! [`stats_from_json`], [`write_sketch`] / [`sketch_from_json`]), the
-//! block-list and cell codecs, the load-time checks ([`check_proc`],
+//! This module is that substrate: the strict reader ([`json`]), the
+//! accumulator codecs ([`write_stats`] / [`stats_from_json`],
+//! [`write_sketch`] / [`sketch_from_json`]), the block-list and cell
+//! codecs, the load-time checks ([`check_proc`],
 //! [`RunHeader::check_blocks`]) that turn a damaged file into an error
-//! instead of a later panic, and [`RunHeader`] — the header both
-//! artifact kinds embed, with field-by-field compatibility checking so
-//! "these artifacts come from different runs" errors name the first
+//! instead of a later panic, and [`RunHeader`] — the header a
+//! checkpoint embeds, with field-by-field compatibility checking so
+//! "these files come from different runs" errors name the first
 //! disagreeing field.
 
 use crate::executor::{
@@ -36,9 +36,8 @@ use std::fmt;
 use std::fmt::Write as _;
 
 /// A persistence-layer failure: malformed JSON, a missing or mistyped
-/// field, or a value outside its domain. Artifact-level wrappers
-/// ([`crate::shard::ShardError`], [`crate::checkpoint::CheckpointError`])
-/// convert from this via `From`.
+/// field, or a value outside its domain.
+/// [`crate::checkpoint::CheckpointError`] converts from this via `From`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct PersistError {
     message: String,
@@ -60,10 +59,10 @@ impl fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
-/// The canonical experiment header embedded in every persisted run
-/// artifact: everything needed to (a) check that two artifacts describe
-/// the same `(spec, base_seed)` run and (b) aggregate blocks without the
-/// original spec in hand.
+/// The canonical experiment header embedded in every checkpoint:
+/// everything needed to (a) check that two checkpoints, or a checkpoint
+/// and a spec, describe the same `(spec, base_seed)` run and (b)
+/// aggregate blocks without the original spec in hand.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct RunHeader {
     /// Spec name.
@@ -74,6 +73,10 @@ pub(crate) struct RunHeader {
     pub(crate) target: Target,
     /// Trials per cell.
     pub(crate) trials: usize,
+    /// Start vertex of every trial.
+    pub(crate) start: usize,
+    /// Per-trial step cap, in its CLI form (`auto`, `abs:N`, ...).
+    pub(crate) cap: String,
     /// Base seed the blocks derived their streams from.
     pub(crate) base_seed: u64,
     /// Whether every group walks its own graph sample (a resampled run)
@@ -100,6 +103,8 @@ impl RunHeader {
             description: spec.description.clone(),
             target: spec.target,
             trials: spec.trials,
+            start: spec.start,
+            cap: spec.cap.to_cli(),
             base_seed,
             resampled: spec.resample.is_some(),
             walks_per_graph: block_width(spec),
@@ -187,6 +192,12 @@ impl RunHeader {
         if self.trials != other.trials {
             return Some("trials");
         }
+        if self.start != other.start {
+            return Some("start");
+        }
+        if self.cap != other.cap {
+            return Some("cap");
+        }
         if self.base_seed != other.base_seed {
             return Some("base_seed");
         }
@@ -212,8 +223,7 @@ impl RunHeader {
     }
 
     /// Appends the header's JSON fields (two-space indent, trailing
-    /// commas) in the canonical artifact order — the exact bytes the
-    /// pre-refactor shard writer emitted.
+    /// commas) in the canonical checkpoint order.
     pub(crate) fn write_fields(&self, out: &mut String) {
         let _ = writeln!(out, "  \"experiment\": \"{}\",", json_escape(&self.name));
         let _ = writeln!(
@@ -227,6 +237,8 @@ impl RunHeader {
             json_escape(&self.target.to_cli())
         );
         let _ = writeln!(out, "  \"trials\": {},", self.trials);
+        let _ = writeln!(out, "  \"start\": {},", self.start);
+        let _ = writeln!(out, "  \"cap\": \"{}\",", json_escape(&self.cap));
         let _ = writeln!(out, "  \"base_seed\": {},", self.base_seed);
         let _ = writeln!(out, "  \"resampled\": {},", self.resampled);
         let _ = writeln!(out, "  \"walks_per_graph\": {},", self.walks_per_graph);
@@ -292,6 +304,8 @@ impl RunHeader {
             description: root.str_field("description")?,
             target,
             trials: root.usize_field("trials")?,
+            start: root.usize_field("start")?,
+            cap: root.str_field("cap")?,
             base_seed: root.u64_field("base_seed")?,
             resampled: root.bool_field("resampled")?,
             walks_per_graph: root.usize_field("walks_per_graph")?,
@@ -301,6 +315,9 @@ impl RunHeader {
             metric_columns,
         };
         let (trials, w) = (header.trials, header.walks_per_graph);
+        if trials == 0 {
+            return Err(PersistError::new("a run has at least one trial"));
+        }
         if w == 0 || header.group_count != trials.div_ceil(w) {
             return Err(PersistError::new(format!(
                 "groups {} does not split {trials} trials into groups of {w}",
@@ -578,6 +595,16 @@ pub(crate) fn write_cells(out: &mut String, cells: &[CellAcc]) {
         out.push('}');
     }
     out.push_str(if cells.is_empty() { "],\n" } else { "\n  ],\n" });
+}
+
+/// Whether two cells hold the same accumulator state, bit for bit.
+pub(crate) fn same_cell_bits(a: &CellAcc, b: &CellAcc) -> bool {
+    let render = |cell: &CellAcc| {
+        let mut out = String::new();
+        write_cells(&mut out, std::slice::from_ref(cell));
+        out
+    };
+    render(a) == render(b)
 }
 
 /// Parses a [`write_cells`] field back, bit-exactly.
@@ -978,8 +1005,8 @@ pub(crate) mod json {
 mod tests {
     use super::*;
     use crate::checkpoint::RunCheckpoint;
-    use crate::executor::{CellFolder, RunOptions};
-    use crate::shard::{run_shard, ShardReport, ShardSpec};
+    use crate::executor::RunOptions;
+    use crate::shard::{run_shard, ShardSpec};
     use crate::spec::{CapSpec, GraphSpec, ProcessSpec, ResamplePlan};
 
     /// Header strings mixing 2-, 3- and 4-byte UTF-8 scalars with every
@@ -1002,38 +1029,29 @@ mod tests {
         }
     }
 
+    /// Both shapes a checkpoint takes round-trip: shard `1/2`'s, which
+    /// folds nothing, and shard `0/2`'s, which has folded block 0 and
+    /// holds block 2 pending — as a run interrupted while block 1 was
+    /// still running would.
     #[test]
     fn multibyte_header_strings_round_trip_through_both_codecs() {
         let opts = RunOptions {
             threads: 1,
             base_seed: 3,
         };
-        let shard = run_shard(&unicode_spec(), &opts, ShardSpec { index: 0, count: 1 }).unwrap();
-        let json = shard.to_json();
-        let back = ShardReport::from_json(&json).unwrap();
-        assert_eq!(
-            (back.name.as_str(), back.description.as_str()),
-            (NAME, DESCRIPTION)
-        );
-        assert_eq!(back.to_json(), json);
-
-        // A checkpoint that has folded block 0 and holds block 2 pending
-        // while block 1 is still running.
-        let header = shard.header();
-        let inputs = header.cell_inputs();
-        let mut folder = CellFolder::new(&inputs);
-        folder.feed(&shard.blocks[0]);
-        let checkpoint = RunCheckpoint {
-            header: header.clone(),
-            rep_dims: shard.rep_dims.clone(),
-            folded: 1,
-            cells: folder.cells().to_vec(),
-            pending: shard.blocks[2..].to_vec(),
-        };
-        let json = checkpoint.to_json();
-        let back = RunCheckpoint::from_json(&json).unwrap();
-        assert_eq!(back.header, checkpoint.header);
-        assert_eq!(back.to_json(), json);
+        for index in [1, 0] {
+            let checkpoint =
+                run_shard(&unicode_spec(), &opts, ShardSpec { index, count: 2 }).unwrap();
+            assert_eq!(checkpoint.folded, 1 - index);
+            let json = checkpoint.to_json();
+            let back = RunCheckpoint::from_json(&json).unwrap();
+            assert_eq!(
+                (back.header.name.as_str(), back.header.description.as_str()),
+                (NAME, DESCRIPTION)
+            );
+            assert_eq!(back.header, checkpoint.header);
+            assert_eq!(back.to_json(), json);
+        }
     }
 
     #[test]

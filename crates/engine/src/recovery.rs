@@ -27,16 +27,18 @@
 //! order allows — the same fold, in the same order, as
 //! [`crate::executor::run`]. Nothing is kept per block: the run's state
 //! is the folded prefix plus at most a claim window of out-of-order
-//! blocks. A checkpoint ([`RunCheckpoint`], format version 4) persists
-//! exactly that state, so its size is `O(cells × columns × sketch +
-//! window)` however many blocks the run has. Periodic checkpoints
+//! blocks. A checkpoint ([`RunCheckpoint`], format version 5, the same
+//! file a `--shard` run writes) persists exactly that state, so its size
+//! is `O(cells × columns × sketch + window)` however many blocks the run
+//! has. Periodic checkpoints
 //! ([`CheckpointPlan::every`]) are written on the main thread, off the
 //! workers' critical path, atomically; before each write the main
 //! thread takes every completion already queued, so one write covers
 //! them all.
 //!
-//! A resumed run rebuilds the fold from the checkpoint and schedules
-//! only the blocks that are neither folded nor pending. Folding
+//! A resumed run — from an interrupted run's checkpoint or from a
+//! shard's — rebuilds the fold from the checkpoint and schedules only
+//! the blocks that are neither folded nor pending. Folding
 //! continues with identical floating-point operations and sketch
 //! compactions in identical order, so the final report is
 //! **byte-identical to an uninterrupted run at any thread count**
@@ -51,7 +53,7 @@
 //! coordinates to prove all of the above under test.
 
 use crate::checkpoint::{CheckpointError, RunCheckpoint};
-use crate::executor::{drive, Blocks, Driven, EngineError, ExperimentReport, Output, RunOptions};
+use crate::executor::{drive, Blocks, EngineError, ExperimentReport, RunOptions};
 use crate::fault::FaultPlan;
 use crate::spec::{ExperimentSpec, SpecError};
 use eproc_telemetry::{NullSink, TelemetrySink};
@@ -218,10 +220,17 @@ pub fn run_recoverable_with_sink(
     sink: &dyn TelemetrySink,
 ) -> Result<RunOutcome, RecoveryError> {
     let blocks = rec.resume.as_ref().map_or(Blocks::All, Blocks::Missing);
-    match drive(spec, opts, None, blocks, Output::Report(rec), sink)? {
-        Driven::Report(outcome) => Ok(outcome),
-        Driven::Blocks { .. } => unreachable!("a report run folds its blocks"),
-    }
+    let driven = drive(spec, opts, None, blocks, rec, sink)?;
+    let state = driven.state;
+    Ok(match driven.interrupted {
+        None => RunOutcome::Completed(state.into_report()),
+        Some(reason) => RunOutcome::Interrupted {
+            reason: reason.to_string(),
+            completed: state.completed_blocks(),
+            total: state.total_blocks(),
+            checkpoint: rec.checkpoint.as_ref().map(|cp| cp.path.clone()),
+        },
+    })
 }
 
 #[cfg(test)]

@@ -485,8 +485,15 @@ pub fn default_artifact_dir() -> PathBuf {
     dir
 }
 
+/// Where an artifact named `stem` lands when no path is given:
+/// `eproc_<stem>.json` in [`default_artifact_dir`]. Reports use the
+/// experiment name as the stem, shard checkpoints `<name>.shard<i>of<k>`.
+pub fn default_artifact_path(stem: &str) -> PathBuf {
+    default_artifact_dir().join(format!("eproc_{stem}.json"))
+}
+
 /// Writes the JSON artifact to `path` (or
-/// `target/experiments/eproc_<name>.json` when `None`), creating parent
+/// [`default_artifact_path`]`(name)` when `None`), creating parent
 /// directories. The write is atomic (temp sibling + rename,
 /// [`eproc_telemetry::write_atomic`]): a crash mid-write never leaves a
 /// truncated artifact. Returns the path written.
@@ -495,42 +502,8 @@ pub fn default_artifact_dir() -> PathBuf {
 ///
 /// Propagates filesystem errors.
 pub fn save_json(report: &ExperimentReport, path: Option<&Path>) -> std::io::Result<PathBuf> {
-    save_json_with(report, None, &DEFAULT_QUANTILES, path)
-}
-
-/// Like [`save_json`], but writes the artifact with its `growth_laws`
-/// section (see [`to_json_with_scaling`]).
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn save_json_with_scaling(
-    report: &ExperimentReport,
-    scaling: &ScalingReport,
-    path: Option<&Path>,
-) -> std::io::Result<PathBuf> {
-    save_json_with(report, Some(scaling), &DEFAULT_QUANTILES, path)
-}
-
-/// The fully general artifact writer behind [`save_json`] and
-/// [`save_json_with_scaling`]: explicit quantile list (the CLI's
-/// `--quantiles`) and optional `growth_laws` section (see
-/// [`to_json_with`]).
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn save_json_with(
-    report: &ExperimentReport,
-    scaling: Option<&ScalingReport>,
-    quantiles: &[f64],
-    path: Option<&Path>,
-) -> std::io::Result<PathBuf> {
-    let path = match path {
-        Some(p) => p.to_path_buf(),
-        None => default_artifact_dir().join(format!("eproc_{}.json", report.name)),
-    };
-    eproc_telemetry::write_atomic(&path, &to_json_with(report, scaling, quantiles))?;
+    let path = path.map_or_else(|| default_artifact_path(&report.name), Path::to_path_buf);
+    eproc_telemetry::write_atomic(&path, &to_json(report))?;
     Ok(path)
 }
 

@@ -25,7 +25,7 @@ use eproc_engine::recovery::{
     run_recoverable, CheckpointPlan, RecoveryError, RecoveryOptions, RunOutcome,
 };
 use eproc_engine::report::to_json;
-use eproc_engine::shard::{merge_shards, run_shard, ShardReport, ShardSpec};
+use eproc_engine::shard::{merge_shards, run_shard, ShardSpec};
 use eproc_engine::spec::{
     CapSpec, ExperimentSpec, GraphSpec, MetricSpec, ProcessSpec, RuleSpec, Target,
 };
@@ -92,7 +92,7 @@ fn comparison_golden_survives_sharding_and_a_fault_interrupted_resume() {
     let shards = [(0, 3), (1, 1)].map(|(index, threads)| {
         let shard =
             run_shard(&spec, &opts(threads), ShardSpec { index, count: 2 }).expect("shard runs");
-        ShardReport::from_json(&shard.to_json()).expect("shard artifact round-trips")
+        RunCheckpoint::from_json(&shard.to_json()).expect("shard checkpoint round-trips")
     });
     let merged = merge_shards(&shards).expect("complete shard set merges");
     assert_eq!(to_json(&merged), golden, "2-shard merge diverged");

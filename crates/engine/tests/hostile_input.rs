@@ -1,12 +1,14 @@
-//! Everything the engine reads back is hostile: a damaged checkpoint or
-//! shard artifact must come back as a typed error — never a panic, never
-//! a resume or merge that panics later while the report renders.
-//! Truncations, byte flips and digit rewrites of a real checkpoint are
-//! fuzzed through `RunCheckpoint::from_json` and `--resume`, and of a
-//! real shard artifact through `ShardReport::from_json` and
+//! Everything the engine reads back is hostile: a damaged checkpoint —
+//! written mid-run or by a shard — must come back as a typed error:
+//! never a panic, never a resume or merge that panics later while the
+//! report renders, never a silently wrong report. Truncations, byte
+//! flips and digit rewrites of a real mid-run checkpoint are fuzzed
+//! through `RunCheckpoint::from_json` and `--resume`, and of a real
+//! shard's checkpoint through `RunCheckpoint::from_json` and
 //! `merge_shards`, all under `catch_unwind` (the debug test build, so
-//! arithmetic overflow panics too). Crafted sketches and forged
-//! dimensions that once slipped through are pinned as regressions.
+//! arithmetic overflow panics too). Crafted sketches, forged dimensions
+//! and an edited-down folded prefix that once slipped through are pinned
+//! as regressions.
 
 mod common;
 
@@ -16,7 +18,7 @@ use eproc_engine::recovery::{
     run_recoverable, run_recoverable_with_sink, CheckpointPlan, RecoveryOptions, RunOutcome,
 };
 use eproc_engine::report::{to_json, to_text_table};
-use eproc_engine::shard::{merge_shards, run_shard, ShardReport, ShardSpec};
+use eproc_engine::shard::{merge_shards, run_shard, ShardSpec};
 use eproc_engine::spec::{
     CapSpec, ExperimentSpec, GraphSpec, MetricSpec, ProcessSpec, ResamplePlan, RuleSpec, Target,
 };
@@ -77,7 +79,7 @@ impl TelemetrySink for CancelAfter<'_> {
     }
 }
 
-/// The text of a real version-4 checkpoint of [`spec`], interrupted
+/// The text of a real version-5 checkpoint of [`spec`], interrupted
 /// part-way: a folded prefix, cell state, and whatever blocks were
 /// pending when the run stopped.
 fn checkpoint_text() -> &'static str {
@@ -144,18 +146,18 @@ fn strip_sketch_levels(text: &str, key: &str) -> String {
 }
 
 /// Shard `index` of a 2-way split of [`spec`].
-fn shard(index: usize) -> &'static ShardReport {
-    static SHARDS: OnceLock<[ShardReport; 2]> = OnceLock::new();
+fn shard(index: usize) -> &'static RunCheckpoint {
+    static SHARDS: OnceLock<[RunCheckpoint; 2]> = OnceLock::new();
     &SHARDS.get_or_init(|| {
         [0, 1].map(|index| run_shard(&spec(), &opts(2), ShardSpec { index, count: 2 }).unwrap())
     })[index]
 }
 
 #[test]
-fn the_base_checkpoint_is_version_4_and_resumes_to_the_golden_artifact() {
+fn the_base_checkpoint_is_version_5_and_resumes_to_the_golden_artifact() {
     let text = checkpoint_text();
     common::json::validate(text).expect("checkpoint is strict JSON");
-    assert!(text.contains("\"version\": 4"), "{text}");
+    assert!(text.contains("\"version\": 5"), "{text}");
     let ckpt = RunCheckpoint::from_json(text).unwrap();
     assert!(ckpt.completed_blocks() >= 4 && ckpt.completed_blocks() < ckpt.total_blocks());
     let rec = RecoveryOptions {
@@ -170,21 +172,71 @@ fn the_base_checkpoint_is_version_4_and_resumes_to_the_golden_artifact() {
 
 #[test]
 fn a_version_2_checkpoint_is_rejected_naming_the_version() {
-    let v2 = checkpoint_text().replace("\"version\": 4,", "\"version\": 2,");
+    let v2 = checkpoint_text().replace("\"version\": 5,", "\"version\": 2,");
     let err = RunCheckpoint::from_json(&v2).unwrap_err().to_string();
     assert!(err.contains("version 2"), "{err}");
 }
 
 #[test]
-fn a_version_3_checkpoint_and_a_version_2_shard_are_rejected_naming_the_version() {
-    let v3 = checkpoint_text().replace("\"version\": 4,", "\"version\": 3,");
+fn a_version_3_checkpoint_and_an_eproc_shard_artifact_are_rejected_by_name() {
+    let v3 = checkpoint_text().replace("\"version\": 5,", "\"version\": 3,");
     let err = RunCheckpoint::from_json(&v3).unwrap_err().to_string();
     assert!(err.contains("version 3"), "{err}");
+    // The retired shard format: its header fields, under its own name.
     let text = shard(1).to_json();
-    assert!(text.contains("\"version\": 3,"), "{text}");
-    let v2 = text.replace("\"version\": 3,", "\"version\": 2,");
-    let err = ShardReport::from_json(&v2).unwrap_err().to_string();
-    assert!(err.contains("version 2"), "{err}");
+    let old_shard = text
+        .replace("\"eproc-checkpoint\"", "\"eproc-shard\"")
+        .replace("\"version\": 5,", "\"version\": 3,");
+    let err = RunCheckpoint::from_json(&old_shard)
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("eproc-shard"), "{err}");
+}
+
+/// Version 4 recorded neither the start vertex nor the step cap, so a
+/// resume could not tell a run under another `--start` or `--cap` from
+/// its own.
+#[test]
+fn a_version_4_checkpoint_is_rejected_naming_the_version() {
+    let v4 = checkpoint_text().replace("\"version\": 5,", "\"version\": 4,");
+    let err = RunCheckpoint::from_json(&v4).unwrap_err().to_string();
+    assert!(err.contains("version 4"), "{err}");
+}
+
+/// A checkpoint whose folded prefix was edited down would resume those
+/// blocks a second time on top of cells that already hold them, and
+/// report more completed trials than trials.
+#[test]
+fn a_checkpoint_whose_folded_prefix_was_edited_down_is_rejected() {
+    let text = checkpoint_text();
+    let at = text.find("\"folded\": ").unwrap() + "\"folded\": ".len();
+    let digits = text[at..].find(',').unwrap();
+    let folded: usize = text[at..at + digits].parse().unwrap();
+    assert!(folded >= 2, "{folded} blocks folded");
+    for edited in [folded - 1, 0] {
+        let forged = format!("{}{edited}{}", &text[..at], &text[at + digits..]);
+        let err = RunCheckpoint::from_json(&forged).unwrap_err().to_string();
+        assert!(err.contains("cell 0"), "folded {edited}: {err}");
+    }
+}
+
+/// A family the prefix has not reached must hold the empty cell a fresh
+/// fold starts from, down to its sketches' coin streams: a resume folds
+/// on top of it, so a forged coin state would silently move every
+/// quantile of the resumed report.
+#[test]
+fn an_unfolded_familys_cell_must_be_the_empty_cell() {
+    let text = checkpoint_text();
+    // Family 1's first cell: the third line of the cell list.
+    let cells = text.find("\"cells\": [").unwrap();
+    let line = cells + text[cells..].match_indices("\n    {").nth(2).unwrap().0;
+    let key = "\"steps_sketch\": [200, 0, ";
+    let at = line + text[line..].find(key).unwrap() + key.len();
+    let digits = text[at..].find(',').unwrap();
+    let state: u64 = text[at..at + digits].parse().unwrap();
+    let forged = format!("{}{}{}", &text[..at], state ^ 1, &text[at + digits..]);
+    let err = RunCheckpoint::from_json(&forged).unwrap_err().to_string();
+    assert!(err.contains("cell 2") && err.contains("not empty"), "{err}");
 }
 
 #[test]
@@ -206,21 +258,21 @@ fn a_shard_cannot_rewrite_another_shards_family_size() {
     assert!(s0.contains("\"rep_dims\": [[0, 64, 96]],"), "{s0}");
     assert!(s1.contains("\"rep_dims\": [],"), "{s1}");
     let forged = s1.replace("\"rep_dims\": [],", "\"rep_dims\": [[0, 999, 999]],");
-    let err = ShardReport::from_json(&forged).unwrap_err().to_string();
+    let err = RunCheckpoint::from_json(&forged).unwrap_err().to_string();
     assert!(
-        err.contains("family 0") && err.contains("belongs to shard 0"),
+        err.contains("family 0") && err.contains("does not hold"),
         "{err}"
     );
     let repeated = s0.replace(
         "\"rep_dims\": [[0, 64, 96]],",
         "\"rep_dims\": [[0, 64, 96], [0, 999, 999]],",
     );
-    let err = ShardReport::from_json(&repeated).unwrap_err().to_string();
+    let err = RunCheckpoint::from_json(&repeated).unwrap_err().to_string();
     assert!(err.contains("family 0 twice"), "{err}");
     // The honest pair still merges to the family's real size.
     let merged = merge_shards(&[
-        ShardReport::from_json(&s0).unwrap(),
-        ShardReport::from_json(&s1).unwrap(),
+        RunCheckpoint::from_json(&s0).unwrap(),
+        RunCheckpoint::from_json(&s1).unwrap(),
     ])
     .unwrap();
     assert_eq!((merged.cells[0].n, merged.cells[0].m), (64, 96));
@@ -241,10 +293,10 @@ fn a_checkpoint_sketch_whose_count_exceeds_its_items_is_rejected() {
 fn a_shard_sketch_whose_count_exceeds_its_items_is_rejected() {
     let shard = run_shard(&spec(), &opts(2), ShardSpec { index: 1, count: 2 }).unwrap();
     let text = shard.to_json();
-    assert!(ShardReport::from_json(&text).is_ok());
+    assert!(RunCheckpoint::from_json(&text).is_ok());
     let crafted = strip_sketch_levels(&text, "steps_sketch");
     assert!(crafted.contains("\"steps_sketch\": [200, 2, "), "{crafted}");
-    let err = ShardReport::from_json(&crafted).unwrap_err().to_string();
+    let err = RunCheckpoint::from_json(&crafted).unwrap_err().to_string();
     assert!(err.contains("disagrees"), "{err}");
 }
 
@@ -308,9 +360,10 @@ proptest! {
         }
     }
 
-    /// A damaged shard artifact either fails to load with a
-    /// `ShardError`, or loads and then merges with its sibling to a
-    /// report (that renders) or a `ShardError` — never a panic anywhere.
+    /// A damaged shard checkpoint either fails to load with a
+    /// `CheckpointError`, or loads and then merges with its sibling to a
+    /// report (that renders) or a `CheckpointError` — never a panic
+    /// anywhere.
     #[test]
     fn damaged_shard_artifacts_give_typed_errors_never_panics(
         kind in 0usize..3,
@@ -319,11 +372,11 @@ proptest! {
     ) {
         let damaged = mutate(shard(1).to_json().as_bytes(), kind, at, mask);
         let Ok(text) = std::str::from_utf8(&damaged) else {
-            // `ShardReport::load` reports invalid UTF-8 as a `ShardError`
-            // before parsing.
+            // `RunCheckpoint::load` reports invalid UTF-8 as a
+            // `CheckpointError` before parsing.
             return Ok(());
         };
-        let parsed = catch_unwind(|| ShardReport::from_json(text));
+        let parsed = catch_unwind(|| RunCheckpoint::from_json(text));
         prop_assert!(parsed.is_ok(), "from_json panicked");
         let Ok(damaged) = parsed.unwrap() else {
             return Ok(());

@@ -256,10 +256,10 @@ fn custom_quantile_render_survives_kill_and_resume() {
     );
 }
 
-#[test]
-fn resume_rejects_a_checkpoint_from_a_different_run() {
-    let spec = spec_for(4, true);
-    let path = temp_checkpoint("mismatch");
+/// The checkpoint of `spec` at seed 7, interrupted after its first
+/// block.
+fn interrupted_checkpoint(spec: &ExperimentSpec, tag: &str) -> RunCheckpoint {
+    let path = temp_checkpoint(tag);
     let cancel = AtomicBool::new(false);
     let sink = CancelAfter {
         cancel: &cancel,
@@ -279,30 +279,68 @@ fn resume_rejects_a_checkpoint_from_a_different_run() {
         base_seed: 7,
     };
     // threads=1 with k=1: the run reliably interrupts before finishing.
-    let outcome = run_recoverable_with_sink(&spec, &opts, &rec, &sink).expect("first phase runs");
+    let outcome = run_recoverable_with_sink(spec, &opts, &rec, &sink).expect("first phase runs");
     assert!(matches!(outcome, RunOutcome::Interrupted { .. }));
     let ckpt = RunCheckpoint::load(&path).expect("checkpoint written");
+    let _ = std::fs::remove_file(&path);
+    ckpt
+}
 
-    // Same spec, different seed: a different run.
+/// Resumes `ckpt` as a run of `(spec, base_seed)`, which must reject it
+/// as a checkpoint of another run; returns the error message.
+fn rejected_resume(spec: &ExperimentSpec, base_seed: u64, ckpt: RunCheckpoint) -> String {
     let rec = RecoveryOptions {
         resume: Some(ckpt),
         ..RecoveryOptions::default()
     };
-    let wrong_seed = RunOptions {
+    let opts = RunOptions {
         threads: 1,
-        base_seed: 8,
+        base_seed,
     };
-    let err = run_recoverable(&spec, &wrong_seed, &rec).unwrap_err();
-    let msg = err.to_string();
+    let err = run_recoverable(spec, &opts, &rec).unwrap_err();
     assert!(
         matches!(err, RecoveryError::Checkpoint(_)),
         "wrong error kind: {err:?}"
     );
-    assert!(
-        msg.contains("base_seed") && msg.contains("different run"),
-        "{msg}"
-    );
-    let _ = std::fs::remove_file(&path);
+    let msg = err.to_string();
+    assert!(msg.contains("different run"), "{msg}");
+    msg
+}
+
+#[test]
+fn resume_rejects_a_checkpoint_from_a_different_run() {
+    let spec = spec_for(4, true);
+    // Same spec, different seed: a different run.
+    let msg = rejected_resume(&spec, 8, interrupted_checkpoint(&spec, "mismatch"));
+    assert!(msg.contains("base_seed"), "{msg}");
+}
+
+/// Every trial walks from the start vertex, so a resume under another
+/// `--start` would fold two experiments into one report.
+#[test]
+fn resume_rejects_a_checkpoint_written_with_another_start() {
+    let spec = spec_for(4, true);
+    let ckpt = interrupted_checkpoint(&spec, "start");
+    let moved = ExperimentSpec { start: 5, ..spec };
+    let msg = rejected_resume(&moved, 7, ckpt);
+    assert!(msg.contains("start differs"), "{msg}");
+}
+
+/// The cap decides which trials complete, so a resume under another
+/// `--cap` would fold two experiments into one report.
+#[test]
+fn resume_rejects_a_checkpoint_written_with_another_cap() {
+    let spec = ExperimentSpec {
+        cap: CapSpec::Absolute(30),
+        ..spec_for(4, true)
+    };
+    let ckpt = interrupted_checkpoint(&spec, "cap");
+    let uncapped = ExperimentSpec {
+        cap: CapSpec::Auto,
+        ..spec
+    };
+    let msg = rejected_resume(&uncapped, 7, ckpt);
+    assert!(msg.contains("cap differs"), "{msg}");
 }
 
 #[test]

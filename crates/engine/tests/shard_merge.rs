@@ -6,13 +6,17 @@
 //!
 //! This is the sharding analogue of `determinism.rs`: the contract is
 //! not "statistically equivalent", it is the same artifact, so `cmp`
-//! would pass on the files.
+//! would pass on the files. A shard's artifact is a checkpoint, so the
+//! same holds for any disjoint cover of the blocks and for resuming a
+//! shard's checkpoint.
 
 mod common;
 
+use eproc_engine::checkpoint::RunCheckpoint;
 use eproc_engine::executor::{run, RunOptions};
+use eproc_engine::recovery::{run_recoverable, RecoveryOptions, RunOutcome};
 use eproc_engine::report::{to_json, to_json_with};
-use eproc_engine::shard::{merge_shards, run_shard, ShardReport, ShardSpec};
+use eproc_engine::shard::{merge_shards, run_shard, ShardSpec};
 use eproc_engine::spec::{
     CapSpec, ExperimentSpec, GraphSpec, MetricSpec, ProcessSpec, ResamplePlan, RuleSpec, Target,
 };
@@ -57,7 +61,7 @@ fn spec_for(trials: usize, walks_per_graph: usize, both_families: bool) -> Exper
 /// round-trips each artifact through its JSON form, merges, and returns
 /// the merged report's JSON.
 fn sharded_json(spec: &ExperimentSpec, base_seed: u64, k: usize) -> String {
-    let shards: Vec<ShardReport> = (0..k)
+    let shards: Vec<RunCheckpoint> = (0..k)
         .map(|i| {
             let opts = RunOptions {
                 threads: (i % 3) + 1,
@@ -66,8 +70,8 @@ fn sharded_json(spec: &ExperimentSpec, base_seed: u64, k: usize) -> String {
             let shard = run_shard(spec, &opts, ShardSpec { index: i, count: k })
                 .expect("shard run succeeds");
             let artifact = shard.to_json();
-            common::json::validate(&artifact).expect("shard artifact is strict JSON");
-            ShardReport::from_json(&artifact).expect("shard artifact round-trips")
+            common::json::validate(&artifact).expect("shard checkpoint is strict JSON");
+            RunCheckpoint::from_json(&artifact).expect("shard checkpoint round-trips")
         })
         .collect();
     to_json(&merge_shards(&shards).expect("complete shard set merges"))
@@ -126,7 +130,7 @@ fn custom_quantile_render_is_byte_identical_after_merge() {
     )
     .unwrap();
     let k = 3;
-    let shards: Vec<ShardReport> = (0..k)
+    let shards: Vec<RunCheckpoint> = (0..k)
         .map(|i| {
             let opts = RunOptions {
                 threads: (i % 3) + 1,
@@ -134,7 +138,7 @@ fn custom_quantile_render_is_byte_identical_after_merge() {
             };
             let shard = run_shard(&spec, &opts, ShardSpec { index: i, count: k })
                 .expect("shard run succeeds");
-            ShardReport::from_json(&shard.to_json()).expect("shard artifact round-trips")
+            RunCheckpoint::from_json(&shard.to_json()).expect("shard checkpoint round-trips")
         })
         .collect();
     let merged = merge_shards(&shards).expect("complete shard set merges");
@@ -143,4 +147,129 @@ fn custom_quantile_render_is_byte_identical_after_merge() {
         to_json_with(&merged, None, &quantiles),
         to_json_with(&full, None, &quantiles)
     );
+}
+
+/// Runs shard `index` of `count` of `spec` at `threads` threads.
+fn shard_of(
+    spec: &ExperimentSpec,
+    base_seed: u64,
+    index: usize,
+    count: usize,
+    threads: usize,
+) -> RunCheckpoint {
+    let opts = RunOptions { threads, base_seed };
+    run_shard(spec, &opts, ShardSpec { index, count }).expect("shard run succeeds")
+}
+
+/// The unsharded artifact of `spec`.
+fn full_json(spec: &ExperimentSpec, base_seed: u64) -> String {
+    to_json(
+        &run(
+            spec,
+            &RunOptions {
+                threads: 2,
+                base_seed,
+            },
+        )
+        .unwrap(),
+    )
+}
+
+/// A shard cannot fold past its first missing block, so its workers
+/// must not wait for the fold: 200 blocks per shard, far more than the
+/// claim window of 4 workers, still run to completion and merge.
+#[test]
+fn shards_with_more_blocks_than_the_claim_window_merge() {
+    let spec = ExperimentSpec {
+        graphs: vec![GraphSpec::Regular { n: 16, d: 3 }],
+        processes: vec![ProcessSpec::Srw],
+        trials: 400,
+        metrics: vec![],
+        resample: Some(ResamplePlan { walks_per_graph: 1 }),
+        ..spec_for(1, 1, false)
+    };
+    let seed = 17;
+    let shards = [0, 1].map(|index| shard_of(&spec, seed, index, 2, 4));
+    assert_eq!(shards[1].completed_blocks(), 200);
+    assert_eq!(
+        to_json(&merge_shards(&shards).unwrap()),
+        full_json(&spec, seed)
+    );
+}
+
+/// Any disjoint cover of the blocks merges, not only the `k` residue
+/// classes of one split: `0/2` + `1/4` + `3/4`, on resampled and on
+/// shared graphs.
+#[test]
+fn an_uneven_disjoint_cover_merges_to_the_unsharded_artifact() {
+    let seed = 23;
+    for walks_per_graph in [2, 0] {
+        let spec = spec_for(5, walks_per_graph, true);
+        let cover = [(0, 2), (1, 4), (3, 4)].map(|(i, k)| shard_of(&spec, seed, i, k, 2));
+        assert_eq!(cover.iter().map(|s| s.completed_blocks()).sum::<usize>(), 6);
+        assert_eq!(
+            to_json(&merge_shards(&cover).unwrap()),
+            full_json(&spec, seed),
+            "walks_per_graph {walks_per_graph}"
+        );
+    }
+}
+
+/// A block two inputs hold, or none does, is an error naming it.
+#[test]
+fn merging_an_overlap_or_a_gap_names_the_block() {
+    let spec = spec_for(5, 2, true);
+    let seed = 29;
+    let [even, odd, three, one] =
+        [(0, 2), (1, 2), (3, 4), (1, 4)].map(|(i, k)| shard_of(&spec, seed, i, k, 1));
+    let err = merge_shards(&[even.clone(), odd, three]).unwrap_err();
+    assert!(err.to_string().contains("block 3 is held twice"), "{err}");
+    let err = merge_shards(&[even, one]).unwrap_err();
+    assert!(err.to_string().contains("block 3 is missing"), "{err}");
+}
+
+/// A shard's checkpoint is a `--resume` file: resuming it runs the
+/// blocks the shard lacks, and the report is the unsharded run's.
+#[test]
+fn a_shards_checkpoint_resumes_to_the_unsharded_artifact() {
+    let seed = 31;
+    for walks_per_graph in [2, 0] {
+        let spec = spec_for(5, walks_per_graph, true);
+        for index in [1, 0] {
+            let rec = RecoveryOptions {
+                resume: Some(shard_of(&spec, seed, index, 2, 2)),
+                ..RecoveryOptions::default()
+            };
+            let opts = RunOptions {
+                threads: 3,
+                base_seed: seed,
+            };
+            let RunOutcome::Completed(report) = run_recoverable(&spec, &opts, &rec).unwrap() else {
+                unreachable!("nothing interrupts the resume");
+            };
+            assert_eq!(
+                to_json(&report),
+                full_json(&spec, seed),
+                "shard {index}/2, walks_per_graph {walks_per_graph}"
+            );
+        }
+    }
+}
+
+/// The cap decides which trials complete: shards run under different
+/// caps are two experiments and do not merge.
+#[test]
+fn shards_written_with_different_caps_do_not_merge() {
+    let spec = spec_for(5, 2, true);
+    let capped = ExperimentSpec {
+        cap: CapSpec::Absolute(1_000),
+        ..spec.clone()
+    };
+    let seed = 37;
+    let shards = [
+        shard_of(&spec, seed, 0, 2, 1),
+        shard_of(&capped, seed, 1, 2, 1),
+    ];
+    let err = merge_shards(&shards).unwrap_err();
+    assert!(err.to_string().contains("on cap"), "{err}");
 }
