@@ -10,6 +10,7 @@ use eproc_engine::spec::{
     CapSpec, ExperimentSpec, GraphSpec, MetricSpec, ProcessSpec, RuleSpec, Target,
 };
 use eproc_stats::TextTable;
+use eproc_theory::eq3_edge_cover_sandwich;
 
 fn main() {
     let config = Config::from_args();
@@ -56,9 +57,9 @@ fn main() {
     let cells = report.cells.chunks(spec.processes.len());
     for (gspec, cells) in spec.graphs.iter().zip(cells) {
         let name = gspec.label();
-        let m = cells[0].m as f64;
         let ce = cells[0].steps.mean();
         let cv_srw = metric_mean(&cells[1], "cover.c_v");
+        let (m, upper) = eq3_edge_cover_sandwich(cells[0].m, cv_srw);
         let lower_ok = ce >= m;
         // The upper bound holds in expectation; per-run noise allowed.
         let upper_ok = ce <= m + cv_srw * 1.5;
@@ -69,7 +70,7 @@ fn main() {
             cells[0].m.to_string(),
             format!("{ce:.0}"),
             format!("{cv_srw:.0}"),
-            format!("{:.0}", m + cv_srw),
+            format!("{upper:.0}"),
             if lower_ok && upper_ok {
                 "yes".into()
             } else {

@@ -3,9 +3,10 @@
 //! Every binary in `src/bin/` regenerates one figure or table of the
 //! reproduction. All but two walk their graphs through the engine: each
 //! builds or names an [`eproc_engine::ExperimentSpec`], runs it with
-//! [`run_engine_spec`] (or [`run_engine_table`] when the engine's own
-//! table is the whole output), and adds only its theory, spectral and
-//! presentation columns. `table_cages` and `table_lemma13` keep one
+//! [`run_engine_spec`], and adds only its theory, spectral and
+//! presentation columns. Where the engine's own table is the whole
+//! output there is no binary: `eproc run <builtin> --csv P` prints and
+//! saves it. `table_cages` and `table_lemma13` keep one
 //! serial loop of their own — projective-plane incidence graphs have no
 //! `GraphSpec`, and Lemma 13's survival probability is not a per-trial
 //! metric the engine aggregates. They share:
@@ -14,8 +15,8 @@
 //!   parsing;
 //! * [`save_table`] — writes the CSV next to the printed table under
 //!   `target/experiments/`;
-//! * [`run_engine_spec`], [`run_engine_table`] and [`metric_mean`] — the
-//!   engine entry points and the cell accessor the tables read.
+//! * [`run_engine_spec`] and [`metric_mean`] — the engine entry point and
+//!   the cell accessor the tables read.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -201,28 +202,6 @@ pub fn metric_mean(cell: &CellSummary, name: &str) -> f64 {
         cell.process
     );
     metric.stats.mean()
-}
-
-/// Runs the named built-in engine spec and emits the standard artifacts:
-/// prints the aggregate table, writes `<csv_name>.csv` next to the other
-/// experiment tables, and writes the engine's JSON artifact.
-///
-/// This is the whole body of the `table_*` binaries whose output is the
-/// engine's own table.
-///
-/// # Panics
-///
-/// Panics if the spec name is unknown, or as [`run_engine_spec`].
-pub fn run_engine_table(name: &str, config: &Config, csv_name: &str) {
-    let spec = eproc_engine::builtin::spec(name, engine_scale(config.scale))
-        .unwrap_or_else(|| panic!("unknown builtin spec {name:?}"));
-    let (_, report) = run_engine_spec(&spec, config);
-    let table = eproc_engine::report::to_text_table(&report);
-    println!("{table}");
-    let p = save_table(csv_name, &table).expect("write csv");
-    println!("csv: {}", p.display());
-    let j = eproc_engine::report::save_json(&report, None).expect("write json");
-    println!("json: {}", j.display());
 }
 
 #[cfg(test)]

@@ -121,16 +121,6 @@ impl BitSet {
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.len).map(move |i| self.get(i))
     }
-
-    /// Indices of the `true` bits, in increasing order.
-    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(move |(wi, &w)| {
-            let base = wi * WORD_BITS;
-            (0..WORD_BITS)
-                .filter(move |b| w >> b & 1 == 1)
-                .map(move |b| base + b)
-        })
-    }
 }
 
 impl fmt::Debug for BitSet {
@@ -180,7 +170,6 @@ mod tests {
             assert!(s.get(i));
         }
         assert_eq!(s.count_ones(), 5);
-        assert_eq!(s.iter_ones().collect::<Vec<_>>(), vec![0, 63, 64, 65, 129]);
     }
 
     #[test]
@@ -216,7 +205,6 @@ mod tests {
         let s: BitSet = bits.iter().copied().collect();
         assert_eq!(s.len(), 5);
         assert_eq!(s.iter().collect::<Vec<_>>(), bits);
-        assert_eq!(s.iter_ones().collect::<Vec<_>>(), vec![0, 2, 3]);
     }
 
     #[test]

@@ -127,8 +127,7 @@ impl<'g, A: EdgeRule> EProcess<'g, A> {
     }
 
     /// The per-edge visited bitmap (red edges are `true`), word-packed so
-    /// that per-trial resets touch `m / 64` words. The [`crate::blue`]
-    /// analytics consume it directly.
+    /// that per-trial resets touch `m / 64` words.
     pub fn visited_edges(&self) -> &BitSet {
         &self.visited_edge
     }

@@ -4,9 +4,8 @@
 //! unvisited edges incident with the current vertex … However we do not
 //! exclude arbitrary choices of rule `A`. For example, the rule could be
 //! deterministic, or decided on-line by an adversary, or could vary from
-//! vertex to vertex."* Theorem 1 is independent of the rule; the
-//! `table_rules` experiment exercises every implementation here to verify
-//! that.
+//! vertex to vertex."* Theorem 1 is independent of the rule; the engine's
+//! `rules` experiment exercises every implementation here to verify that.
 
 use eproc_graphs::{Graph, Vertex};
 use rand::{Rng, RngCore};
@@ -170,8 +169,8 @@ impl<F: FnMut(&RuleContext<'_>) -> usize> EdgeRule for AdversarialRule<F> {
 
 /// An adversary that always steers toward the neighbour of **highest
 /// remaining blue degree** — a natural attempt to keep the walk inside
-/// already-explored territory and delay discovery. Used by `table_rules`
-/// as a concrete malicious strategy.
+/// already-explored territory and delay discovery. The `rules`
+/// experiment runs it as a concrete malicious strategy.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GreedyAdversary;
 

@@ -27,10 +27,7 @@
 //!   variant that overlaps independent trials' CSR row fetches on one
 //!   shared graph (bit-identical per-trial streams);
 //! * [`bitset`] — the word-packed visited bitmap shared by the E-process
-//!   and the observers;
-//! * [`blue`] — blue-subgraph analytics: even-degree component census
-//!   (Observation 11) and the isolated-star census behind the paper's §5
-//!   `n/8` prediction for 3-regular graphs.
+//!   and the observers.
 //!
 //! # Example: Corollary 2 in action
 //!
@@ -52,7 +49,6 @@
 #![warn(missing_docs)]
 
 pub mod bitset;
-pub mod blue;
 pub mod choice;
 pub mod cover;
 pub mod eprocess;

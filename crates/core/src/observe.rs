@@ -109,8 +109,7 @@ pub struct BlanketMetrics {
     pub steps_to_blanket: Option<u64>,
 }
 
-/// What a [`BlueCensusObserver`] measures (cf.
-/// [`crate::blue::track_isolated_stars`]).
+/// What a [`BlueCensusObserver`] measures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlueCensusMetrics {
     /// Vertices that at some point became isolated blue star centers,
@@ -266,11 +265,6 @@ impl CompletionToken {
     #[inline]
     pub fn all_satisfied(&self) -> bool {
         self.pending == 0
-    }
-
-    /// Number of observers still unresolved.
-    pub fn unsatisfied(&self) -> usize {
-        self.pending.count_ones() as usize
     }
 }
 
@@ -735,8 +729,7 @@ impl Observer for PhaseObserver {
 /// `{a, b}` can only complete stars centred at unvisited blue-neighbours
 /// of `a` or `b`, an `O(Δ²)` check per step.
 ///
-/// Satisfied at vertex cover, matching the legacy
-/// [`crate::blue::track_isolated_stars`] run length.
+/// Satisfied at vertex cover.
 #[derive(Debug, Clone)]
 pub struct BlueCensusObserver<'g> {
     g: &'g Graph,
@@ -917,13 +910,141 @@ impl Observer for HittingObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blue::track_isolated_stars;
-    use crate::eprocess::rule::UniformRule;
+    use crate::eprocess::rule::{EdgeRule, UniformRule};
     use crate::eprocess::EProcess;
+    use crate::process::StepKind;
     use crate::srw::SimpleRandomWalk;
     use eproc_graphs::generators;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    /// Outcome of [`track_isolated_stars`].
+    struct StarCensus {
+        ever_star_centers: Vec<Vertex>,
+        steps_to_vertex_cover: Option<u64>,
+        steps: u64,
+    }
+
+    /// The census oracle: runs a fresh E-process to vertex cover and reads
+    /// the blue subgraph from the walk's own state, recording every vertex
+    /// that at any point becomes the center of an isolated blue star.
+    /// Consuming a blue edge `{a, b}` can only complete stars centred at
+    /// unvisited blue-neighbours of `a` or `b`.
+    fn track_isolated_stars<A: EdgeRule>(
+        walk: &mut EProcess<'_, A>,
+        max_steps: u64,
+        rng: &mut SmallRng,
+    ) -> StarCensus {
+        assert_eq!(walk.steps(), 0, "star tracking requires a fresh walk");
+        let n = walk.graph().n();
+        let mut vertex_visited = vec![false; n];
+        vertex_visited[walk.current()] = true;
+        let mut remaining = n - 1;
+        let mut is_star = vec![false; n];
+        let mut ever: Vec<Vertex> = Vec::new();
+        let mut t = 0u64;
+        let mut steps_to_vertex_cover = if remaining == 0 { Some(0) } else { None };
+        while remaining > 0 && t < max_steps {
+            let step = walk.advance(rng);
+            t += 1;
+            if !vertex_visited[step.to] {
+                vertex_visited[step.to] = true;
+                remaining -= 1;
+                if remaining == 0 {
+                    steps_to_vertex_cover = Some(t);
+                }
+            }
+            if step.kind != StepKind::Blue {
+                continue;
+            }
+            let g = walk.graph();
+            let (a, b) = g.endpoints(step.edge.expect("blue steps traverse an edge"));
+            for end in [a, b] {
+                for (_, cand, e) in g.ports(end) {
+                    if walk.edge_visited(e) || vertex_visited[cand] || is_star[cand] {
+                        continue;
+                    }
+                    if is_isolated_star_at(walk, cand) {
+                        is_star[cand] = true;
+                        ever.push(cand);
+                    }
+                }
+            }
+        }
+        ever.sort_unstable();
+        StarCensus {
+            ever_star_centers: ever,
+            steps_to_vertex_cover,
+            steps: t,
+        }
+    }
+
+    /// `true` if the blue component around the unvisited vertex `v` is
+    /// exactly its star: every blue edge of every neighbour leads back to
+    /// `v`.
+    fn is_isolated_star_at<A: EdgeRule>(walk: &EProcess<'_, A>, v: Vertex) -> bool {
+        let g = walk.graph();
+        for (_, w, e) in g.ports(v) {
+            if walk.edge_visited(e) {
+                return false;
+            }
+            let w_blue_to_v = g
+                .ports(w)
+                .filter(|&(_, t, f)| !walk.edge_visited(f) && t == v)
+                .count();
+            if walk.blue_degree(w) != w_blue_to_v {
+                return false;
+            }
+        }
+        true
+    }
+
+    #[test]
+    fn three_regular_run_strands_about_n_over_8_stars() {
+        // §5: over a full E-process run on a random 3-regular graph,
+        // roughly n/8 vertices become isolated blue stars.
+        let mut seed_rng = SmallRng::seed_from_u64(77);
+        let n = 600;
+        let g = generators::connected_random_regular(n, 3, &mut seed_rng).unwrap();
+        let mut total = 0usize;
+        let reps = 5;
+        for seed in 0..reps {
+            let mut rng = SmallRng::seed_from_u64(1000 + seed);
+            let mut walk = EProcess::new(&g, 0, UniformRule::new());
+            let census = track_isolated_stars(&mut walk, 10_000_000, &mut rng);
+            assert!(census.steps_to_vertex_cover.is_some());
+            total += census.ever_star_centers.len();
+        }
+        let mean = total as f64 / reps as f64;
+        // §5's (1/2)³ = n/8 heuristic ignores that the embedded red walk
+        // often visits a would-be center before its third neighbour turns
+        // away; the measured fraction is a constant a few times smaller.
+        // Assert a positive constant fraction bounded by the heuristic.
+        let frac = mean / n as f64;
+        assert!(
+            (0.02..=0.125 * 1.2).contains(&frac),
+            "star fraction {frac} outside the expected constant band (mean {mean})"
+        );
+    }
+
+    #[test]
+    fn even_degree_run_strands_no_stars() {
+        // On even-degree graphs blue phases return to their start and
+        // consume whole components; stranded full-degree stars require the
+        // component to be exactly the star, which the parity structure
+        // makes impossible to reach without visiting the center first.
+        let mut seed_rng = SmallRng::seed_from_u64(42);
+        let g = generators::connected_random_regular(300, 4, &mut seed_rng).unwrap();
+        let mut rng = SmallRng::seed_from_u64(43);
+        let mut walk = EProcess::new(&g, 0, UniformRule::new());
+        let census = track_isolated_stars(&mut walk, 10_000_000, &mut rng);
+        assert!(census.steps_to_vertex_cover.is_some());
+        assert!(
+            census.ever_star_centers.is_empty(),
+            "unexpected stars on 4-regular: {:?}",
+            census.ever_star_centers
+        );
+    }
 
     #[test]
     fn one_walk_feeds_many_observers() {
@@ -1006,12 +1127,12 @@ mod tests {
     #[test]
     fn completion_token_latches_and_counts() {
         let mut token = CompletionToken::arm(3);
-        assert_eq!(token.unsatisfied(), 3);
+        assert_eq!(token.pending.count_ones(), 3);
         assert!(token.is_pending(1));
         token.complete(1);
         assert!(!token.is_pending(1));
         token.complete(1); // idempotent
-        assert_eq!(token.unsatisfied(), 2);
+        assert_eq!(token.pending.count_ones(), 2);
         token.complete(0);
         token.complete(2);
         assert!(token.all_satisfied());
@@ -1036,14 +1157,14 @@ mod tests {
     #[test]
     fn census_observer_matches_walk_introspection() {
         // The observer reconstructs the blue subgraph from the step stream
-        // alone; it must agree with the legacy routine that reads the
-        // E-process internals, on the same trajectory (same seed).
+        // alone; it must agree with the oracle that reads the E-process
+        // internals, on the same trajectory (same seed).
         let mut seed_rng = SmallRng::seed_from_u64(7);
         let g = generators::connected_random_regular(300, 3, &mut seed_rng).unwrap();
         for seed in 0..3 {
             let mut rng_a = SmallRng::seed_from_u64(100 + seed);
             let mut walk_a = EProcess::new(&g, 0, UniformRule::new());
-            let legacy = track_isolated_stars(&mut walk_a, 10_000_000, &mut rng_a);
+            let oracle = track_isolated_stars(&mut walk_a, 10_000_000, &mut rng_a);
 
             let mut rng_b = SmallRng::seed_from_u64(100 + seed);
             let mut walk_b = EProcess::new(&g, 0, UniformRule::new());
@@ -1058,9 +1179,9 @@ mod tests {
             let Metrics::BlueCensus(m) = census.finish() else {
                 unreachable!()
             };
-            assert_eq!(m.ever_star_centers, legacy.ever_star_centers);
-            assert_eq!(m.steps_to_vertex_cover, legacy.steps_to_vertex_cover);
-            assert_eq!(run.steps, legacy.steps);
+            assert_eq!(m.ever_star_centers, oracle.ever_star_centers);
+            assert_eq!(m.steps_to_vertex_cover, oracle.steps_to_vertex_cover);
+            assert_eq!(run.steps, oracle.steps);
         }
     }
 

@@ -33,15 +33,6 @@ impl<'g> RotorRouter<'g> {
             rotor: vec![0; g.n()],
         }
     }
-
-    /// Current rotor position (next port index) of `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v >= g.n()`.
-    pub fn rotor_position(&self, v: Vertex) -> usize {
-        self.rotor[v] as usize
-    }
 }
 
 impl<'g> WalkProcess for RotorRouter<'g> {

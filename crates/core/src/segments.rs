@@ -47,14 +47,6 @@ impl PhaseTrace {
             .count()
     }
 
-    /// Number of red phases.
-    pub fn red_phase_count(&self) -> usize {
-        self.phases
-            .iter()
-            .filter(|p| p.kind == StepKind::Red)
-            .count()
-    }
-
     /// Length of the first blue phase (0 if none — cannot happen on a
     /// graph with edges, since all edges start unvisited).
     pub fn first_blue_length(&self) -> u64 {
@@ -62,15 +54,6 @@ impl PhaseTrace {
             .iter()
             .find(|p| p.kind == StepKind::Blue)
             .map_or(0, |p| p.length)
-    }
-
-    /// Lengths of all blue phases.
-    pub fn blue_lengths(&self) -> Vec<u64> {
-        self.phases
-            .iter()
-            .filter(|p| p.kind == StepKind::Blue)
-            .map(|p| p.length)
-            .collect()
     }
 
     /// Total blue steps (`t_B` of Observation 12).

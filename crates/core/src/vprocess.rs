@@ -49,15 +49,6 @@ impl<'g> VProcess<'g> {
         }
     }
 
-    /// `true` if `v` has been visited.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v >= g.n()`.
-    pub fn vertex_visited(&self, v: Vertex) -> bool {
-        self.visited[v]
-    }
-
     /// Number of vertices not yet visited.
     pub fn unvisited_vertex_count(&self) -> usize {
         self.unvisited
@@ -151,12 +142,12 @@ mod tests {
         let g = generators::torus2d(4, 4);
         let mut rng = SmallRng::seed_from_u64(3);
         let mut w = VProcess::new(&g, 5);
-        assert!(w.vertex_visited(5));
+        assert!(w.visited[5]);
         assert_eq!(w.unvisited_vertex_count(), 15);
         for _ in 0..500 {
             w.advance(&mut rng);
         }
-        let count = (0..g.n()).filter(|&v| !w.vertex_visited(v)).count();
+        let count = w.visited.iter().filter(|&&seen| !seen).count();
         assert_eq!(count, w.unvisited_vertex_count());
         assert_eq!(count, 0, "500 steps cover a 16-vertex torus");
     }

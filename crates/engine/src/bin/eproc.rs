@@ -82,7 +82,7 @@ use eproc_engine::cli::{
     Parsed, UsageError,
 };
 use eproc_engine::digest::{spec_digest, ArtifactKind, SpecDigest};
-use eproc_engine::executor::{run_with_sink, EngineError, RunOptions};
+use eproc_engine::executor::{run_with_sink, EngineError, ExperimentReport, RunOptions};
 use eproc_engine::fault::FaultPlan;
 use eproc_engine::recovery::{
     run_recoverable_with_sink, CheckpointPlan, RecoveryError, RecoveryOptions, RunOutcome,
@@ -96,6 +96,7 @@ use eproc_engine::spec::{
     CapSpec, ExperimentSpec, GraphSpec, MetricSpec, ProcessSpec, ResamplePlan, Scale, SweepRange,
     Target,
 };
+use eproc_stats::TextTable;
 use eproc_telemetry::{JsonlSink, ProgressSink, SummarySink, Tee, TelemetrySink};
 use std::path::{Path, PathBuf};
 use std::process::exit;
@@ -841,14 +842,7 @@ fn execute_inner(mut spec: ExperimentSpec, flags: &CommonFlags, fit_growth_laws:
     // printed and the artifact still written — without the growth_laws
     // section — and the CLI exits nonzero at the end.
     let scaling = fit_growth_laws.then(|| analyze(&report));
-    println!(
-        "{}: {} ({})\n",
-        report.name,
-        report.description,
-        report.target.label()
-    );
-    let table = to_text_table_with(&report, flags.report_quantiles());
-    println!("{table}");
+    let table = print_report_table(&report, flags);
     match &scaling {
         Some(Ok(scaling)) => {
             println!("growth laws (lowest residual score wins):\n");
@@ -879,24 +873,7 @@ fn execute_inner(mut spec: ExperimentSpec, flags: &CommonFlags, fit_growth_laws:
         Some(Ok(s)) => to_json_with(&report, Some(s), flags.report_quantiles()),
         _ => to_json_with(&report, None, flags.report_quantiles()),
     };
-    let artifact = flags
-        .json
-        .clone()
-        .unwrap_or_else(|| default_artifact_path(&report.name));
-    if let Err(e) = eproc_telemetry::write_atomic(&artifact, &artifact_text) {
-        eprintln!("error writing json artifact: {e}");
-        exit(1);
-    }
-    println!("json: {}", artifact.display());
-    if let Some(csv) = &flags.csv {
-        match eproc_telemetry::write_atomic(csv, &table.to_csv()) {
-            Ok(()) => println!("csv: {}", csv.display()),
-            Err(e) => {
-                eprintln!("error writing csv artifact: {e}");
-                exit(1);
-            }
-        }
-    }
+    let artifact = save_report_artifacts(&report.name, &artifact_text, &table, flags);
     if let Some((store, digest)) = &cache_armed {
         if matches!(scaling, Some(Err(_))) {
             // A degenerate fit exits 1 below; serving its artifact from
@@ -1347,22 +1324,40 @@ fn cmd_merge(args: impl Iterator<Item = String>) {
             exit(1);
         }
     };
+    let table = print_report_table(&report, &flags);
+    let artifact_text = to_json_with(&report, None, flags.report_quantiles());
+    let artifact = save_report_artifacts(&report.name, &artifact_text, &table, &flags);
+    write_telemetry_artifacts(jsonl.as_ref(), summary.as_ref(), &artifact);
+}
+
+/// Prints a finished report's header line and aggregate table (at the
+/// `--quantiles` selection) and returns the table for `--csv`.
+fn print_report_table(report: &ExperimentReport, flags: &CommonFlags) -> TextTable {
     println!(
         "{}: {} ({})\n",
         report.name,
         report.description,
         report.target.label()
     );
-    let table = to_text_table_with(&report, flags.report_quantiles());
+    let table = to_text_table_with(report, flags.report_quantiles());
     println!("{table}");
+    table
+}
+
+/// Writes a finished report's JSON artifact (`--json`, or the default
+/// path for `name`) and, with `--csv`, its table as CSV; prints each
+/// path and returns the JSON one. A write failure exits 1.
+fn save_report_artifacts(
+    name: &str,
+    artifact_text: &str,
+    table: &TextTable,
+    flags: &CommonFlags,
+) -> PathBuf {
     let artifact = flags
         .json
         .clone()
-        .unwrap_or_else(|| default_artifact_path(&report.name));
-    if let Err(e) = eproc_telemetry::write_atomic(
-        &artifact,
-        &to_json_with(&report, None, flags.report_quantiles()),
-    ) {
+        .unwrap_or_else(|| default_artifact_path(name));
+    if let Err(e) = eproc_telemetry::write_atomic(&artifact, artifact_text) {
         eprintln!("error writing json artifact: {e}");
         exit(1);
     }
@@ -1376,7 +1371,7 @@ fn cmd_merge(args: impl Iterator<Item = String>) {
             }
         }
     }
-    write_telemetry_artifacts(jsonl.as_ref(), summary.as_ref(), &artifact);
+    artifact
 }
 
 /// `eproc cache ls|gc|path` — inspect and prune the artifact store.

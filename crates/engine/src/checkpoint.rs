@@ -1,5 +1,5 @@
 //! Run checkpoints: the engine's one persisted partial run (format
-//! `eproc-checkpoint`, version 5), behind `--checkpoint` / `--resume`
+//! `eproc-checkpoint`, version 6), behind `--checkpoint` / `--resume`
 //! and `--shard` / `eproc merge` alike.
 //!
 //! A checkpoint is a driven run's aggregation state, not a list of
@@ -33,10 +33,11 @@
 //! Earlier versions are rejected with an error naming the version:
 //! version 2 listed every completed block instead, version 3 had no
 //! `resampled` header field because only resampled runs could
-//! checkpoint, and version 4 recorded neither the start vertex nor the
+//! checkpoint, version 4 recorded neither the start vertex nor the
 //! step cap, so resuming under another `--start` or `--cap` mixed two
-//! experiments. Files of the retired shard-artifact format are rejected
-//! naming that format.
+//! experiments, and version 5 persisted variance splits whose
+//! across-graph minimum and maximum started at 0 instead of `±∞`. Files
+//! of the retired shard-artifact format are rejected naming that format.
 //!
 //! Checkpoints are written atomically ([`eproc_telemetry::write_atomic`]):
 //! a crash mid-checkpoint leaves the previous complete checkpoint in
@@ -60,7 +61,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 /// The checkpoint format version this build writes and reads.
-const VERSION: u64 = 5;
+const VERSION: u64 = 6;
 
 /// A checkpoint failure: an unreadable or malformed checkpoint file, a
 /// resume attempt against a spec that does not match the checkpoint's
@@ -239,7 +240,7 @@ impl RunCheckpoint {
     /// # Errors
     ///
     /// [`CheckpointError`] describing the first structural problem,
-    /// including any version other than 5 and the retired shard-artifact
+    /// including any version other than 6 and the retired shard-artifact
     /// format.
     pub fn from_json(text: &str) -> Result<RunCheckpoint, CheckpointError> {
         let value = json::parse(text)?;

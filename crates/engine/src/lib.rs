@@ -26,8 +26,9 @@
 //!   table, CSV and JSON emitters, including dynamic per-metric columns;
 //! * [`builtin`] — named specs reproducing the paper's headline tables
 //!   (`comparison`, `theorem1`, `rules`, `phases`, …), consumed by both
-//!   the `eproc` CLI binary and the thin `table_*` wrappers in
-//!   `eproc-bench`.
+//!   the `eproc` CLI binary (`eproc run <name> --csv P` prints and saves
+//!   a builtin's table) and the `table_*` binaries in `eproc-bench` that
+//!   add their own columns to it.
 //!
 //! # Metrics & observers
 //!
@@ -131,7 +132,7 @@
 //! graphs or resampled.
 //! Completed *(family, group)* blocks fold into the run's cell
 //! accumulators as they arrive, and an atomically-written checkpoint
-//! ([`checkpoint::RunCheckpoint`], format `eproc-checkpoint` v5, the
+//! ([`checkpoint::RunCheckpoint`], format `eproc-checkpoint` v6, the
 //! engine's one persisted partial run) holds that folded state plus the
 //! few blocks waiting for it — its size does not grow with the block
 //! count; SIGINT/SIGTERM

@@ -27,7 +27,7 @@
 //! order allows — the same fold, in the same order, as
 //! [`crate::executor::run`]. Nothing is kept per block: the run's state
 //! is the folded prefix plus at most a claim window of out-of-order
-//! blocks. A checkpoint ([`RunCheckpoint`], format version 5, the same
+//! blocks. A checkpoint ([`RunCheckpoint`], format version 6, the same
 //! file a `--shard` run writes) persists exactly that state, so its size
 //! is `O(cells × columns × sketch + window)` however many blocks the run
 //! has. Periodic checkpoints

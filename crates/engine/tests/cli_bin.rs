@@ -1,8 +1,12 @@
 //! End-to-end tests of the `eproc` binary: exit-code contract, per-
-//! subcommand flag rejection, the artifact cache round trip, and the
-//! cache/list subcommands. Everything runs the real binary via
+//! subcommand flag rejection, the `--csv` table, the artifact cache round
+//! trip, and the cache/list subcommands. Everything runs the real binary via
 //! `CARGO_BIN_EXE_eproc`, so these pin exactly what scripts and CI see.
 
+use eproc_engine::builtin;
+use eproc_engine::executor::{run, RunOptions};
+use eproc_engine::report::{to_json, to_text_table};
+use eproc_engine::spec::Scale;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -533,4 +537,52 @@ fn a_job_count_that_overflows_is_a_spec_error() {
     assert!(!err.contains("panicked"), "{err}");
     // Nothing announces a wrapped job count first.
     assert!(!err.contains(" jobs ("), "{err}");
+}
+
+#[test]
+fn csv_is_the_report_table_for_runs_and_merges() {
+    // `--csv` writes the engine's own table: for a run it matches the
+    // report rendered in-process, and a merge of the run's shards writes
+    // the same bytes.
+    let dir = temp_dir("csv");
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let run_rules = |extra: &[&str]| {
+        let mut args = vec!["run", "rules", "--scale", "quick", "--threads", "2"];
+        args.extend_from_slice(extra);
+        let out = eproc(&args);
+        assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+        out
+    };
+    let (csv, json) = (path("rules.csv"), path("rules.json"));
+    let out = run_rules(&["--csv", &csv, "--json", &json]);
+    assert!(stdout(&out).contains(&format!("csv: {csv}")));
+
+    let spec = builtin::spec("rules", Scale::Quick).unwrap();
+    let opts = RunOptions {
+        threads: 2,
+        base_seed: RunOptions::auto().base_seed,
+    };
+    let report = run(&spec, &opts).unwrap();
+    let read = |path: &str| std::fs::read_to_string(path).unwrap();
+    assert_eq!(read(&csv), to_text_table(&report).to_csv());
+    assert_eq!(read(&json), to_json(&report));
+
+    let (s0, s1) = (path("s0.json"), path("s1.json"));
+    run_rules(&["--shard", "0/2", "--json", &s0]);
+    run_rules(&["--shard", "1/2", "--json", &s1]);
+    let (merged_csv, merged_json) = (path("merged.csv"), path("merged.json"));
+    let merge = [
+        "merge",
+        &s0,
+        &s1,
+        "--csv",
+        &merged_csv,
+        "--json",
+        &merged_json,
+    ];
+    let out = eproc(&merge);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert_eq!(read(&merged_csv), read(&csv));
+    assert_eq!(read(&merged_json), read(&json));
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -79,7 +79,7 @@ impl TelemetrySink for CancelAfter<'_> {
     }
 }
 
-/// The text of a real version-5 checkpoint of [`spec`], interrupted
+/// The text of a real version-6 checkpoint of [`spec`], interrupted
 /// part-way: a folded prefix, cell state, and whatever blocks were
 /// pending when the run stopped.
 fn checkpoint_text() -> &'static str {
@@ -154,10 +154,10 @@ fn shard(index: usize) -> &'static RunCheckpoint {
 }
 
 #[test]
-fn the_base_checkpoint_is_version_5_and_resumes_to_the_golden_artifact() {
+fn the_base_checkpoint_is_version_6_and_resumes_to_the_golden_artifact() {
     let text = checkpoint_text();
     common::json::validate(text).expect("checkpoint is strict JSON");
-    assert!(text.contains("\"version\": 5"), "{text}");
+    assert!(text.contains("\"version\": 6"), "{text}");
     let ckpt = RunCheckpoint::from_json(text).unwrap();
     assert!(ckpt.completed_blocks() >= 4 && ckpt.completed_blocks() < ckpt.total_blocks());
     let rec = RecoveryOptions {
@@ -172,21 +172,21 @@ fn the_base_checkpoint_is_version_5_and_resumes_to_the_golden_artifact() {
 
 #[test]
 fn a_version_2_checkpoint_is_rejected_naming_the_version() {
-    let v2 = checkpoint_text().replace("\"version\": 5,", "\"version\": 2,");
+    let v2 = checkpoint_text().replace("\"version\": 6,", "\"version\": 2,");
     let err = RunCheckpoint::from_json(&v2).unwrap_err().to_string();
     assert!(err.contains("version 2"), "{err}");
 }
 
 #[test]
 fn a_version_3_checkpoint_and_an_eproc_shard_artifact_are_rejected_by_name() {
-    let v3 = checkpoint_text().replace("\"version\": 5,", "\"version\": 3,");
+    let v3 = checkpoint_text().replace("\"version\": 6,", "\"version\": 3,");
     let err = RunCheckpoint::from_json(&v3).unwrap_err().to_string();
     assert!(err.contains("version 3"), "{err}");
     // The retired shard format: its header fields, under its own name.
     let text = shard(1).to_json();
     let old_shard = text
         .replace("\"eproc-checkpoint\"", "\"eproc-shard\"")
-        .replace("\"version\": 5,", "\"version\": 3,");
+        .replace("\"version\": 6,", "\"version\": 3,");
     let err = RunCheckpoint::from_json(&old_shard)
         .unwrap_err()
         .to_string();
@@ -198,9 +198,19 @@ fn a_version_3_checkpoint_and_an_eproc_shard_artifact_are_rejected_by_name() {
 /// its own.
 #[test]
 fn a_version_4_checkpoint_is_rejected_naming_the_version() {
-    let v4 = checkpoint_text().replace("\"version\": 5,", "\"version\": 4,");
+    let v4 = checkpoint_text().replace("\"version\": 6,", "\"version\": 4,");
     let err = RunCheckpoint::from_json(&v4).unwrap_err().to_string();
     assert!(err.contains("version 4"), "{err}");
+}
+
+/// Version 5 started every variance split's across-graph minimum and
+/// maximum at 0 instead of `±∞`, so its persisted splits fold to a wrong
+/// `across.min()`.
+#[test]
+fn a_version_5_checkpoint_is_rejected_naming_the_version() {
+    let v5 = checkpoint_text().replace("\"version\": 6,", "\"version\": 5,");
+    let err = RunCheckpoint::from_json(&v5).unwrap_err().to_string();
+    assert!(err.contains("version 5"), "{err}");
 }
 
 /// A checkpoint whose folded prefix was edited down would resume those

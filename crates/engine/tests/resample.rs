@@ -132,6 +132,49 @@ fn variance_split_is_coherent() {
     assert!(json.contains("\"within_graph_variance\""));
 }
 
+/// `across` summarises per-graph means, so its extremes are per-graph
+/// means too: with one walk per graph they are the extreme trials, and
+/// with more they lie between them. (An `across` that started from a
+/// zeroed accumulator reported a minimum of 0.)
+#[test]
+fn across_graph_extremes_are_per_graph_means() {
+    for walks_per_graph in [1, 2] {
+        let spec = ExperimentSpec {
+            name: "across-extremes".into(),
+            description: "SRW on resampled cubic graphs".into(),
+            graphs: vec![GraphSpec::Regular { n: 64, d: 3 }],
+            processes: vec![ProcessSpec::Srw],
+            trials: 6,
+            target: Target::VertexCover,
+            metrics: vec![],
+            start: 0,
+            cap: CapSpec::Auto,
+            resample: Some(ResamplePlan { walks_per_graph }),
+        };
+        let report = run(
+            &spec,
+            &RunOptions {
+                threads: 2,
+                base_seed: 5,
+            },
+        )
+        .unwrap();
+        let cell = &report.cells[0];
+        let across = &cell.steps_split.as_ref().unwrap().across;
+        let (lo, hi) = (cell.steps.min().unwrap(), cell.steps.max().unwrap());
+        if walks_per_graph == 1 {
+            assert_eq!(across.min(), Some(lo));
+            assert_eq!(across.max(), Some(hi));
+        } else {
+            let (min, max) = (across.min().unwrap(), across.max().unwrap());
+            assert!(
+                lo <= min && min <= max && max <= hi,
+                "{min}..{max} outside {lo}..{hi}"
+            );
+        }
+    }
+}
+
 #[test]
 fn per_trial_resampling_has_no_within_component() {
     let report = run(

@@ -234,25 +234,6 @@ impl Graph {
         (u as Vertex, v as Vertex)
     }
 
-    /// The endpoint of `e` that is not `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e >= m` or `v` is not an endpoint of `e` (debug builds).
-    #[inline]
-    pub fn other_endpoint(&self, e: EdgeId, v: Vertex) -> Vertex {
-        let (a, b) = self.endpoints(e);
-        debug_assert!(
-            v == a || v == b,
-            "vertex {v} is not an endpoint of edge {e}"
-        );
-        if v == a {
-            b
-        } else {
-            a
-        }
-    }
-
     /// Iterator over the neighbors of `v`, with multiplicity for parallel
     /// edges, in port order.
     ///
@@ -353,20 +334,6 @@ impl Graph {
             (v, u)
         };
         self.neighbors(small).any(|w| w == other)
-    }
-
-    /// Number of parallel edges between `u` and `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u >= n` or `v >= n`.
-    pub fn edge_multiplicity(&self, u: Vertex, v: Vertex) -> usize {
-        let (small, other) = if self.degree(u) <= self.degree(v) {
-            (u, v)
-        } else {
-            (v, u)
-        };
-        self.neighbors(small).filter(|&w| w == other).count()
     }
 
     /// `true` if the graph contains at least one pair of parallel edges.
@@ -497,7 +464,6 @@ mod tests {
                 seen[a] = true;
                 assert_eq!(g.arc_target(a), target);
                 assert_eq!(g.arc_edge(a), e);
-                assert_eq!(g.other_endpoint(e, v), target);
             }
         }
         assert!(seen.iter().all(|&s| s));
@@ -520,7 +486,6 @@ mod tests {
         let g = Graph::from_edges(2, &[(0, 1), (0, 1)]).unwrap();
         assert_eq!(g.m(), 2);
         assert_eq!(g.degree(0), 2);
-        assert_eq!(g.edge_multiplicity(0, 1), 2);
         assert!(g.has_parallel_edges());
     }
 

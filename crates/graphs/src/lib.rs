@@ -16,9 +16,8 @@
 //!   zoo of deterministic families for tests and baselines.
 //! * [`properties`] — structural predicates and measurements: connectivity,
 //!   bipartiteness, girth, diameter, Eulerian circuits and cycle
-//!   decompositions, cycle counting, subgraph density (property **P2** of the
-//!   paper), and `ℓ`-goodness (minimal even-degree subgraphs through a
-//!   vertex, Definition in §1 of the paper).
+//!   decompositions, cycle counting, and `ℓ`-goodness (minimal even-degree
+//!   subgraphs through a vertex, Definition in §1 of the paper).
 //!
 //! # Example
 //!
@@ -40,10 +39,7 @@
 pub mod csr;
 pub mod error;
 pub mod generators;
-pub mod io;
-pub mod ops;
 pub mod properties;
-pub mod subgraph;
 pub mod traversal;
 
 pub use csr::{ArcId, EdgeId, Graph, Vertex};

@@ -1,6 +1,6 @@
-//! Connectivity and connected components.
+//! Connectivity.
 
-use crate::csr::{Graph, Vertex};
+use crate::csr::Graph;
 use crate::traversal;
 
 /// `true` if the graph is connected (the empty graph and a single vertex
@@ -10,47 +10,6 @@ pub fn is_connected(g: &Graph) -> bool {
         return true;
     }
     traversal::bfs_order(g, 0).len() == g.n()
-}
-
-/// Component label for every vertex (labels are `0..component_count`,
-/// assigned in order of the smallest vertex in each component).
-pub fn components(g: &Graph) -> Vec<usize> {
-    let mut label = vec![usize::MAX; g.n()];
-    let mut next = 0usize;
-    for start in g.vertices() {
-        if label[start] != usize::MAX {
-            continue;
-        }
-        for v in traversal::bfs_order(g, start) {
-            label[v] = next;
-        }
-        next += 1;
-    }
-    label
-}
-
-/// Number of connected components.
-pub fn component_count(g: &Graph) -> usize {
-    if g.n() == 0 {
-        return 0;
-    }
-    components(g).iter().copied().max().unwrap_or(0) + 1
-}
-
-/// Vertices of the largest connected component (ties broken by smallest
-/// label); empty for the empty graph.
-pub fn largest_component(g: &Graph) -> Vec<Vertex> {
-    if g.n() == 0 {
-        return Vec::new();
-    }
-    let labels = components(g);
-    let count = labels.iter().copied().max().unwrap_or(0) + 1;
-    let mut sizes = vec![0usize; count];
-    for &l in &labels {
-        sizes[l] += 1;
-    }
-    let best = (0..count).max_by_key(|&l| sizes[l]).unwrap_or(0);
-    g.vertices().filter(|&v| labels[v] == best).collect()
 }
 
 #[cfg(test)]
@@ -76,21 +35,12 @@ mod tests {
     #[test]
     fn components_of_disjoint_triangles() {
         let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]).unwrap();
-        let labels = components(&g);
-        assert_eq!(labels, vec![0, 0, 0, 1, 1, 1]);
-        assert_eq!(component_count(&g), 2);
         assert!(!is_connected(&g));
-    }
-
-    #[test]
-    fn largest_component_identified() {
-        let g = Graph::from_edges(7, &[(0, 1), (2, 3), (3, 4), (4, 2), (5, 6)]).unwrap();
-        assert_eq!(largest_component(&g), vec![2, 3, 4]);
     }
 
     #[test]
     fn isolated_vertices_are_components() {
         let g = Graph::from_edges(4, &[(0, 1)]).unwrap();
-        assert_eq!(component_count(&g), 3);
+        assert!(!is_connected(&g));
     }
 }

@@ -7,40 +7,10 @@ pub fn is_regular(g: &Graph, r: usize) -> bool {
     g.vertices().all(|v| g.degree(v) == r)
 }
 
-/// `true` if the graph is `r`-regular for some `r` (returns that `r`).
-pub fn regularity(g: &Graph) -> Option<usize> {
-    if g.n() == 0 {
-        return Some(0);
-    }
-    let r = g.degree(0);
-    if is_regular(g, r) {
-        Some(r)
-    } else {
-        None
-    }
-}
-
 /// `true` if every vertex has even degree — the paper's standing
 /// assumption ("we will henceforth always assume this is the case").
 pub fn is_even_degree(g: &Graph) -> bool {
     g.vertices().all(|v| g.degree(v).is_multiple_of(2))
-}
-
-/// Histogram of degrees: `hist[d]` = number of vertices with degree `d`.
-pub fn degree_histogram(g: &Graph) -> Vec<usize> {
-    let mut hist = vec![0usize; g.max_degree() + 1];
-    for v in g.vertices() {
-        hist[g.degree(v)] += 1;
-    }
-    hist
-}
-
-/// Mean degree `2m/n` (0 for the empty graph).
-pub fn mean_degree(g: &Graph) -> f64 {
-    if g.n() == 0 {
-        return 0.0;
-    }
-    g.total_degree() as f64 / g.n() as f64
 }
 
 #[cfg(test)]
@@ -54,14 +24,13 @@ mod tests {
         assert!(is_regular(&generators::cycle(6), 2));
         assert!(is_regular(&generators::hypercube(3), 3));
         assert!(is_regular(&generators::torus2d(4, 5), 4));
-        assert_eq!(regularity(&generators::petersen()), Some(3));
+        assert!(is_regular(&generators::petersen(), 3));
     }
 
     #[test]
     fn irregular_graph() {
         let g = generators::star(4);
-        assert!(!is_regular(&g, 1));
-        assert_eq!(regularity(&g), None);
+        assert!((0..=g.max_degree()).all(|r| !is_regular(&g, r)));
     }
 
     #[test]
@@ -74,17 +43,9 @@ mod tests {
     }
 
     #[test]
-    fn histogram_and_mean() {
-        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]).unwrap();
-        assert_eq!(degree_histogram(&g), vec![0, 1, 2, 1]);
-        assert!((mean_degree(&g) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_graph_conventions() {
         let g = Graph::from_edges(0, &[]).unwrap();
-        assert_eq!(regularity(&g), Some(0));
+        assert!(is_regular(&g, 0));
         assert!(is_even_degree(&g));
-        assert_eq!(mean_degree(&g), 0.0);
     }
 }

@@ -34,25 +34,6 @@ pub fn diameter_exact(g: &Graph) -> Option<u32> {
     Some(best)
 }
 
-/// Double-sweep lower bound on the diameter: BFS from `start`, then BFS
-/// from the farthest vertex found. Exact on trees; a lower bound in
-/// general. `None` if disconnected.
-pub fn diameter_double_sweep(g: &Graph, start: Vertex) -> Option<u32> {
-    let d1 = traversal::bfs_distances(g, start);
-    let mut far = start;
-    let mut best = 0;
-    for (v, &d) in d1.iter().enumerate() {
-        if d == UNREACHED {
-            return None;
-        }
-        if d > best {
-            best = d;
-            far = v;
-        }
-    }
-    eccentricity(g, far)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,20 +67,5 @@ mod tests {
         let g = crate::Graph::from_edges(3, &[(0, 1)]).unwrap();
         assert_eq!(diameter_exact(&g), None);
         assert_eq!(eccentricity(&g, 0), None);
-        assert_eq!(diameter_double_sweep(&g, 0), None);
-    }
-
-    #[test]
-    fn double_sweep_exact_on_tree() {
-        let g = generators::binary_tree(4);
-        assert_eq!(diameter_double_sweep(&g, 0), diameter_exact(&g));
-    }
-
-    #[test]
-    fn double_sweep_is_lower_bound() {
-        let g = generators::torus2d(5, 7);
-        let ds = diameter_double_sweep(&g, 0).unwrap();
-        let ex = diameter_exact(&g).unwrap();
-        assert!(ds <= ex);
     }
 }

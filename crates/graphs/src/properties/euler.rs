@@ -181,8 +181,12 @@ mod tests {
     }
 
     fn arc_source(g: &Graph, a: ArcId) -> Vertex {
-        let e = g.arc_edge(a);
-        g.other_endpoint(e, g.arc_target(a))
+        let (u, v) = g.endpoints(g.arc_edge(a));
+        if g.arc_target(a) == u {
+            v
+        } else {
+            u
+        }
     }
 
     #[test]

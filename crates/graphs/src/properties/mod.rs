@@ -1,7 +1,7 @@
 //! Structural graph properties used by the paper's analysis.
 //!
-//! * [`connectivity`] — connectedness and components (every theorem assumes
-//!   a connected graph).
+//! * [`connectivity`] — connectedness (every theorem assumes a connected
+//!   graph).
 //! * [`degrees`] — even-degree and regularity checks (the paper's standing
 //!   assumption is "connected even degree graphs of constant maximum
 //!   degree").
@@ -12,7 +12,6 @@
 //! * [`euler`] — Eulerian circuits and cycle decompositions of even-degree
 //!   (sub)graphs (the structure behind Observations 10 and 11).
 //! * [`cycles`] — exact short-cycle counts `N_k` (Corollary 4's proof).
-//! * [`density`] — subgraph edge-density checks, property **P2** of §4.
 //! * [`lgood`] — `ℓ`-goodness: minimal even-degree subgraphs through a
 //!   vertex (the paper's local expansion property).
 
@@ -20,7 +19,6 @@ pub mod bipartite;
 pub mod connectivity;
 pub mod cycles;
 pub mod degrees;
-pub mod density;
 pub mod diameter;
 pub mod euler;
 pub mod girth;

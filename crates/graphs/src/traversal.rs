@@ -1,4 +1,4 @@
-//! Breadth-first and depth-first traversal primitives.
+//! Breadth-first traversal primitives.
 //!
 //! These are deliberately small and allocation-explicit: the property
 //! algorithms (connectivity, girth, diameter, ℓ-goodness) each drive their
@@ -80,85 +80,6 @@ pub fn bfs_order(g: &Graph, start: Vertex) -> Vec<Vertex> {
     order
 }
 
-/// Vertices visited by an iterative DFS from `start`, in preorder.
-///
-/// # Panics
-///
-/// Panics if `start >= g.n()`.
-pub fn dfs_preorder(g: &Graph, start: Vertex) -> Vec<Vertex> {
-    let mut seen = vec![false; g.n()];
-    let mut order = Vec::new();
-    let mut stack = vec![start];
-    while let Some(u) = stack.pop() {
-        if seen[u] {
-            continue;
-        }
-        seen[u] = true;
-        order.push(u);
-        // Push in reverse port order so the lowest port is explored first.
-        let range = g.arc_range(u);
-        for a in range.rev() {
-            let w = g.arc_target(a);
-            if !seen[w] {
-                stack.push(w);
-            }
-        }
-    }
-    order
-}
-
-/// A BFS tree: `parent_arc[v]` is the arc used to first reach `v`
-/// (`None` for the root and unreached vertices), plus distances.
-#[derive(Debug, Clone)]
-pub struct BfsTree {
-    /// Distance from the root, [`UNREACHED`] where not reached.
-    pub dist: Vec<u32>,
-    /// The arc along which each vertex was discovered.
-    pub parent_arc: Vec<Option<usize>>,
-}
-
-/// Computes the full BFS tree rooted at `start`.
-///
-/// # Panics
-///
-/// Panics if `start >= g.n()`.
-pub fn bfs_tree(g: &Graph, start: Vertex) -> BfsTree {
-    let mut dist = vec![UNREACHED; g.n()];
-    let mut parent_arc = vec![None; g.n()];
-    dist[start] = 0;
-    let mut queue = std::collections::VecDeque::new();
-    queue.push_back(start);
-    while let Some(u) = queue.pop_front() {
-        for (a, w, _) in g.ports(u) {
-            if dist[w] == UNREACHED {
-                dist[w] = dist[u] + 1;
-                parent_arc[w] = Some(a);
-                queue.push_back(w);
-            }
-        }
-    }
-    BfsTree { dist, parent_arc }
-}
-
-/// Reconstructs the vertex path from the BFS root to `v` (inclusive), or
-/// `None` if `v` was not reached.
-pub fn path_from_root(g: &Graph, tree: &BfsTree, v: Vertex) -> Option<Vec<Vertex>> {
-    if tree.dist[v] == UNREACHED {
-        return None;
-    }
-    let mut path = vec![v];
-    let mut cur = v;
-    while let Some(a) = tree.parent_arc[cur] {
-        // The parent is the source of arc `a`; recover it from the edge.
-        let e = g.arc_edge(a);
-        let parent = g.other_endpoint(e, cur);
-        path.push(parent);
-        cur = parent;
-    }
-    path.reverse();
-    Some(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,44 +119,5 @@ mod tests {
         let g = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
         assert_eq!(bfs_order(&g, 0), vec![0, 1]);
         assert_eq!(bfs_order(&g, 3), vec![3, 2]);
-    }
-
-    #[test]
-    fn dfs_preorder_visits_component_once() {
-        let g = two_triangles_bridge();
-        let order = dfs_preorder(&g, 0);
-        assert_eq!(order.len(), 6);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn dfs_lowest_port_first() {
-        // Star with center 0; ports in edge order 1, 2, 3.
-        let g = Graph::from_edges(4, &[(0, 1), (0, 2), (0, 3)]).unwrap();
-        assert_eq!(dfs_preorder(&g, 0), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn bfs_tree_paths() {
-        let g = two_triangles_bridge();
-        let tree = bfs_tree(&g, 0);
-        assert_eq!(tree.dist[5], 3);
-        let p = path_from_root(&g, &tree, 5).unwrap();
-        assert_eq!(p.first(), Some(&0));
-        assert_eq!(p.last(), Some(&5));
-        assert_eq!(p.len() as u32, tree.dist[5] + 1);
-        // Consecutive path vertices are adjacent.
-        for w in p.windows(2) {
-            assert!(g.has_edge(w[0], w[1]));
-        }
-    }
-
-    #[test]
-    fn path_from_root_unreachable_is_none() {
-        let g = Graph::from_edges(3, &[(0, 1)]).unwrap();
-        let tree = bfs_tree(&g, 0);
-        assert!(path_from_root(&g, &tree, 2).is_none());
     }
 }

@@ -33,7 +33,6 @@ pub mod mixing;
 pub mod power;
 pub mod resistance;
 pub mod transition;
-pub mod trees;
 
 pub use power::{spectral_gap, SpectralEstimates};
 pub use transition::stationary_distribution;

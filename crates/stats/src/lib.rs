@@ -1,6 +1,6 @@
 //! Statistics utilities for the `eproc` experiment harness.
 //!
-//! * [`summary`] — descriptive statistics with confidence intervals;
+//! * [`summary`] — descriptive statistics and order-statistic quantiles;
 //! * [`online`] — Welford streaming accumulator;
 //! * [`regression`] — least-squares fits, in particular `y = c · n ln n`
 //!   (the model the paper fits to Figure 1's odd-degree series);
@@ -17,7 +17,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod histogram;
 pub mod online;
 pub mod regression;
 pub mod scaling;
@@ -26,7 +25,6 @@ pub mod sketch;
 pub mod summary;
 pub mod table;
 
-pub use histogram::Histogram;
 pub use online::OnlineStats;
 pub use regression::{
     fit_c_nlogn, fit_linear, fit_proportional, try_fit_c_nlogn, try_fit_linear,

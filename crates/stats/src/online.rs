@@ -14,13 +14,21 @@
 /// assert_eq!(acc.count(), 3);
 /// assert!((acc.mean() - 4.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
     m2: f64,
     min: f64,
     max: f64,
+}
+
+impl Default for OnlineStats {
+    /// The empty accumulator of [`OnlineStats::new`], with its `±∞`
+    /// min/max sentinels, so a defaulted field folds like a fresh one.
+    fn default() -> OnlineStats {
+        OnlineStats::new()
+    }
 }
 
 impl OnlineStats {
@@ -172,6 +180,15 @@ mod tests {
         assert_eq!(acc.variance(), 0.0);
         assert_eq!(acc.min(), None);
         assert_eq!(acc.max(), None);
+    }
+
+    #[test]
+    fn default_is_new() {
+        assert_eq!(OnlineStats::default(), OnlineStats::new());
+        let mut acc = OnlineStats::default();
+        acc.push(5.0);
+        assert_eq!(acc.min(), Some(5.0));
+        assert_eq!(acc.max(), Some(5.0));
     }
 
     #[test]

@@ -72,20 +72,6 @@ impl Summary {
         let floats: Vec<f64> = data.iter().map(|&x| x as f64).collect();
         Summary::from_slice(&floats)
     }
-
-    /// Standard error of the mean.
-    pub fn std_error(&self) -> f64 {
-        if self.n == 0 {
-            return 0.0;
-        }
-        self.std_dev / (self.n as f64).sqrt()
-    }
-
-    /// Normal-approximation 95% confidence interval for the mean.
-    pub fn ci95(&self) -> (f64, f64) {
-        let half = 1.96 * self.std_error();
-        (self.mean - half, self.mean + half)
-    }
 }
 
 /// Linear interpolation of order statistics over an already-sorted
@@ -164,22 +150,12 @@ mod tests {
         let s = Summary::from_slice(&[7.0]);
         assert_eq!(s.variance, 0.0);
         assert_eq!(s.median, 7.0);
-        assert_eq!(s.ci95(), (7.0, 7.0));
     }
 
     #[test]
     fn from_u64_converts() {
         let s = Summary::from_u64(&[10, 20, 30]);
         assert!((s.mean - 20.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ci_shrinks_with_n() {
-        let small = Summary::from_slice(&[1.0, 2.0, 3.0]);
-        let data: Vec<f64> = (0..300).map(|i| (i % 3) as f64 + 1.0).collect();
-        let large = Summary::from_slice(&data);
-        let w = |s: &Summary| s.ci95().1 - s.ci95().0;
-        assert!(w(&large) < w(&small));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Cover-time and hitting-time bounds (Theorems 1, 3, 5; Lemmas 6–8, 13,
-//! 14; equations (1)–(4)).
+//! Cover-time and hitting-time bounds (Theorems 1, 3, 5; Lemmas 6, 7, 13,
+//! 15; Corollary 9; equations (2) and (3)).
 //!
 //! All bounds are stated by the paper up to multiplicative constants; the
 //! functions here return the *expression inside the O(·)/Ω(·)* so callers
@@ -18,18 +18,6 @@ pub fn theorem1_vertex_cover_bound(n: usize, l: f64, gap: f64) -> f64 {
     assert!(gap > 0.0, "eigenvalue gap must be positive");
     let nf = n as f64;
     nf + nf * nf.ln() / (l * gap)
-}
-
-/// Equation (1): for expanders (constant gap) Theorem 1 reads
-/// `O(n + n log n / ℓ)`.
-///
-/// # Panics
-///
-/// Panics if `l == 0`.
-pub fn eq1_expander_vertex_cover_bound(n: usize, l: f64) -> f64 {
-    assert!(l > 0.0, "l must be positive");
-    let nf = n as f64;
-    nf + nf * nf.ln() / l
 }
 
 /// Theorem 3: edge cover time of any E-process on a connected even-degree
@@ -149,13 +137,6 @@ pub fn lemma13_min_t(d_s: usize, m: usize, gap: f64) -> f64 {
     7.0 * m as f64 / (d_s as f64 * gap)
 }
 
-/// Lemma 14: the number of connected edge-induced subgraphs with `s`
-/// vertices rooted at a fixed vertex is at most `2^{sΔ}` (as `log2`, to
-/// avoid overflow: returns `s·Δ`).
-pub fn lemma14_log2_subgraph_count(s: usize, max_degree: usize) -> f64 {
-    (s * max_degree) as f64
-}
-
 /// The Kahn–Kim–Lovász–Vu bound used in Theorem 5's proof:
 /// `C_V(W, G) ≥ (max_A K_A log |A|) / 2` where `K_A` is the minimum
 /// commute time within `A`.
@@ -208,9 +189,12 @@ mod tests {
 
     #[test]
     fn theorem1_matches_eq1_for_unit_gap() {
-        let b1 = theorem1_vertex_cover_bound(1000, 5.0, 1.0);
-        let b2 = eq1_expander_vertex_cover_bound(1000, 5.0);
-        assert!((b1 - b2).abs() < 1e-9);
+        // Equation (1): for expanders (constant gap) Theorem 1 reads
+        // `O(n + n log n / ℓ)`.
+        let n = 1000;
+        let b1 = theorem1_vertex_cover_bound(n, 5.0, 1.0);
+        let eq1 = n as f64 + n as f64 * (n as f64).ln() / 5.0;
+        assert!((b1 - eq1).abs() < 1e-9);
     }
 
     #[test]
@@ -285,11 +269,6 @@ mod tests {
         assert!(p2 < p1);
         assert!(p1 < 1.0);
         assert!((lemma13_unvisited_tail(0.0, d_s, m, gap) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lemma14_log_count() {
-        assert_eq!(lemma14_log2_subgraph_count(5, 4), 20.0);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --release --example odd_degree_mystery`
 
-use eproc::core::blue::track_isolated_stars;
+use eproc::core::observe::{run_observed, BlueCensusObserver, Metrics, Observer, StopWhen};
 use eproc::core::rule::UniformRule;
 use eproc::core::segments::trace_phases;
 use eproc::core::EProcess;
@@ -41,7 +41,17 @@ fn main() {
 
         let mut star_rng = SmallRng::seed_from_u64(200 + r as u64);
         let mut walk = EProcess::new(g, 0, UniformRule::new());
-        let census = track_isolated_stars(&mut walk, u64::MAX >> 1, &mut star_rng);
+        let mut observer = BlueCensusObserver::new(g);
+        run_observed(
+            &mut walk,
+            &mut (&mut observer,),
+            StopWhen::AllSatisfied,
+            u64::MAX >> 1,
+            &mut star_rng,
+        );
+        let Metrics::BlueCensus(census) = observer.finish() else {
+            unreachable!("a census observer reports a census")
+        };
         let cv = census.steps_to_vertex_cover.expect("connected");
         println!(
             "  stranded stars   : {} ({:.4} n; paper's heuristic for r=3: {:.3} n)",
