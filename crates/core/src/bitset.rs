@@ -36,16 +36,6 @@ impl BitSet {
         }
     }
 
-    /// Number of bits.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` if the bitset holds no bits.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Re-arms the bitset to `len` bits, all `false`, reusing the existing
     /// allocation whenever it is large enough — the per-trial reset cost
     /// is `len / 64` word writes.
@@ -113,13 +103,8 @@ impl BitSet {
     }
 
     /// Number of `true` bits.
-    pub fn count_ones(&self) -> usize {
+    fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Iterates over all bits in index order.
-    pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
-        (0..self.len).map(move |i| self.get(i))
     }
 }
 
@@ -132,44 +117,25 @@ impl fmt::Debug for BitSet {
     }
 }
 
-impl FromIterator<bool> for BitSet {
-    fn from_iter<I: IntoIterator<Item = bool>>(iter: I) -> BitSet {
-        let mut set = BitSet::new();
-        for (i, bit) in iter.into_iter().enumerate() {
-            set.clear_and_resize_keeping(i + 1);
-            if bit {
-                set.set(i);
-            }
-        }
-        set
-    }
-}
-
-impl BitSet {
-    /// Grows to `len` bits preserving existing bits (internal helper for
-    /// [`FromIterator`]).
-    fn clear_and_resize_keeping(&mut self, len: usize) {
-        self.words.resize(len.div_ceil(WORD_BITS), 0);
-        self.len = len;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The indices of the set bits, read one by one through `get`.
+    fn ones(s: &BitSet) -> Vec<usize> {
+        (0..s.len).filter(|&i| s.get(i)).collect()
+    }
+
     #[test]
     fn starts_all_false_and_sets_stick() {
         let mut s = BitSet::with_len(130);
-        assert_eq!(s.len(), 130);
-        assert!(!s.is_empty());
-        assert_eq!(s.count_ones(), 0);
+        assert_eq!(ones(&s), Vec::<usize>::new());
         for i in [0, 63, 64, 65, 129] {
             assert!(!s.get(i));
             s.set(i);
             assert!(s.get(i));
         }
-        assert_eq!(s.count_ones(), 5);
+        assert_eq!(ones(&s), [0, 63, 64, 65, 129]);
     }
 
     #[test]
@@ -178,7 +144,7 @@ mod tests {
         assert!(s.test_and_set(69));
         assert!(!s.test_and_set(69));
         assert!(s.get(69));
-        assert_eq!(s.count_ones(), 1);
+        assert_eq!(ones(&s), [69]);
     }
 
     #[test]
@@ -188,23 +154,16 @@ mod tests {
             s.set(i);
         }
         s.clear_and_resize(64);
-        assert_eq!(s.len(), 64);
-        assert_eq!(s.count_ones(), 0);
+        assert_eq!(s.len, 64);
+        assert_eq!(ones(&s), Vec::<usize>::new());
         s.set(63);
         // Growing back must not resurrect old bits beyond the old length.
         s.clear_and_resize(100);
-        assert_eq!(s.count_ones(), 0);
-        assert!(!s.get(64));
+        assert_eq!(ones(&s), Vec::<usize>::new());
+        s.set(99);
+        assert_eq!(ones(&s), [99]);
         s.clear_and_resize(0);
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn from_iter_and_iter_round_trip() {
-        let bits = [true, false, true, true, false];
-        let s: BitSet = bits.iter().copied().collect();
-        assert_eq!(s.len(), 5);
-        assert_eq!(s.iter().collect::<Vec<_>>(), bits);
+        assert_eq!(ones(&s), Vec::<usize>::new());
     }
 
     #[test]
@@ -212,8 +171,10 @@ mod tests {
         let mut s = BitSet::with_len(10);
         s.set(3);
         s.clear();
-        assert_eq!(s.len(), 10);
-        assert_eq!(s.count_ones(), 0);
+        assert_eq!(s.len, 10);
+        assert_eq!(ones(&s), Vec::<usize>::new());
+        s.set(9);
+        assert!(s.get(9));
     }
 
     #[test]
@@ -228,6 +189,6 @@ mod tests {
         let mut s = BitSet::with_len(9);
         s.set(2);
         let d = format!("{s:?}");
-        assert!(d.contains("len") && d.contains("ones"));
+        assert!(d.contains("len: 9") && d.contains("ones: 1"));
     }
 }

@@ -1,9 +1,9 @@
-//! Shared fixtures of the equivalence tests: one enum over the seven
+//! Shared fixtures of the equivalence tests: one enum over the eight
 //! process kinds they sweep, and an observer recording the raw step
 //! stream.
 
 use eproc_core::choice::RandomWalkWithChoice;
-use eproc_core::fair::LeastUsedFirst;
+use eproc_core::fair::{LeastUsedFirst, OldestFirst};
 use eproc_core::observe::{HittingMetrics, Metrics, Observer};
 use eproc_core::rotor::RotorRouter;
 use eproc_core::rule::UniformRule;
@@ -13,7 +13,7 @@ use eproc_core::{EProcess, Step, WalkProcess};
 use eproc_graphs::{Graph, Vertex};
 use rand::RngCore;
 
-/// The process kinds the equivalence tests sweep, by index `0..7`.
+/// The process kinds the equivalence tests sweep, by index `0..8`.
 pub enum TestWalk<'g> {
     EProcess(EProcess<'g, UniformRule>),
     Srw(SimpleRandomWalk<'g>),
@@ -22,19 +22,21 @@ pub enum TestWalk<'g> {
     Rwc(RandomWalkWithChoice<'g>),
     LeastUsed(LeastUsedFirst<'g>),
     VProcess(VProcess<'g>),
+    Oldest(OldestFirst<'g>),
 }
 
 impl<'g> TestWalk<'g> {
-    /// Process kind `which % 7`, started at vertex 0.
+    /// Process kind `which % 8`, started at vertex 0.
     pub fn build(g: &'g Graph, which: usize) -> TestWalk<'g> {
-        match which % 7 {
+        match which % 8 {
             0 => TestWalk::EProcess(EProcess::new(g, 0, UniformRule::new())),
             1 => TestWalk::Srw(SimpleRandomWalk::new(g, 0)),
             2 => TestWalk::Lazy(LazyRandomWalk::new(g, 0)),
             3 => TestWalk::Rotor(RotorRouter::new(g, 0)),
             4 => TestWalk::Rwc(RandomWalkWithChoice::new(g, 0, 2)),
             5 => TestWalk::LeastUsed(LeastUsedFirst::new(g, 0)),
-            _ => TestWalk::VProcess(VProcess::new(g, 0)),
+            6 => TestWalk::VProcess(VProcess::new(g, 0)),
+            _ => TestWalk::Oldest(OldestFirst::new(g, 0)),
         }
     }
 }
@@ -49,6 +51,7 @@ macro_rules! each_walk {
             TestWalk::Rwc($w) => $body,
             TestWalk::LeastUsed($w) => $body,
             TestWalk::VProcess($w) => $body,
+            TestWalk::Oldest($w) => $body,
         }
     };
 }

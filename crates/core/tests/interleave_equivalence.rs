@@ -120,7 +120,7 @@ fn assert_interleave_equivalence(
 fn seeded_equivalence_all_processes_times_all_widths() {
     let mut graph_rng = SmallRng::seed_from_u64(1);
     let g = generators::connected_random_regular(60, 4, &mut graph_rng).unwrap();
-    for which in 0..7 {
+    for which in 0..8 {
         for w in [1usize, 2, 4, 8] {
             assert_interleave_equivalence(&g, which, w, 11, StopWhen::AllSatisfied, 10_000_000);
         }
@@ -131,7 +131,7 @@ fn seeded_equivalence_all_processes_times_all_widths() {
 fn seeded_equivalence_under_truncation() {
     let g = generators::torus2d(6, 6);
     for cap in [0u64, 1, 17, 500] {
-        for which in 0..7 {
+        for which in 0..8 {
             assert_interleave_equivalence(&g, which, 4, 9, StopWhen::Cap, cap);
         }
     }
@@ -146,7 +146,7 @@ proptest! {
     #[test]
     fn interleaved_lanes_match_sequential_kernel(
         shape in 0usize..4,
-        which in 0usize..7,
+        which in 0usize..8,
         width in 0usize..4,
         graph_seed in 0u64..300,
         run_seed in 0u64..300,

@@ -109,7 +109,7 @@ fn assert_kernel_equivalence(g: &Graph, which: usize, seed: u64, stop: StopWhen,
 fn seeded_equivalence_across_all_processes() {
     let mut graph_rng = SmallRng::seed_from_u64(1);
     let g = generators::connected_random_regular(80, 4, &mut graph_rng).unwrap();
-    for which in 0..7 {
+    for which in 0..8 {
         for seed in [3u64, 4, 5] {
             assert_kernel_equivalence(&g, which, seed, StopWhen::AllSatisfied, 10_000_000);
         }
@@ -120,7 +120,7 @@ fn seeded_equivalence_across_all_processes() {
 fn seeded_equivalence_under_truncation() {
     let g = generators::torus2d(6, 6);
     for cap in [0u64, 1, 17, 500] {
-        for which in 0..7 {
+        for which in 0..8 {
             assert_kernel_equivalence(&g, which, 9, StopWhen::Cap, cap);
         }
     }
@@ -195,7 +195,7 @@ proptest! {
     #[test]
     fn kernel_matches_dyn_path(
         shape in 0usize..4,
-        which in 0usize..7,
+        which in 0usize..8,
         graph_seed in 0u64..300,
         run_seed in 0u64..300,
     ) {

@@ -197,6 +197,108 @@ fn check_reference_trajectory(g: &Graph, start: Vertex, seed: u64) -> Result<(),
     Ok(())
 }
 
+/// The locally fair walks as first written, kept as the trajectory oracle
+/// of [`OldestFirst`] and [`LeastUsedFirst`]'s arc rings: every step scans
+/// all of the current vertex's arcs for the smallest key, the lowest port
+/// winning a tie, reading per-edge times of last use and use counts.
+struct ReferenceFair<'g> {
+    g: &'g Graph,
+    current: Vertex,
+    steps: u64,
+    last_used: Vec<u64>, // per edge; 0 = never, else step index + 1
+    use_count: Vec<u64>, // per edge
+}
+
+impl<'g> ReferenceFair<'g> {
+    fn new(g: &'g Graph, start: Vertex) -> ReferenceFair<'g> {
+        ReferenceFair {
+            g,
+            current: start,
+            steps: 0,
+            last_used: vec![0; g.m()],
+            use_count: vec![0; g.m()],
+        }
+    }
+
+    fn step_along(&mut self, arc: usize) -> Step {
+        let v = self.current;
+        let e = self.g.arc_edge(arc);
+        let to = self.g.arc_target(arc);
+        let kind = if self.use_count[e] == 0 {
+            StepKind::Blue
+        } else {
+            StepKind::Red
+        };
+        self.use_count[e] += 1;
+        self.last_used[e] = self.steps + 1;
+        self.current = to;
+        self.steps += 1;
+        Step {
+            from: v,
+            to,
+            edge: Some(e),
+            kind,
+        }
+    }
+
+    /// Oldest-First: the incident edge least recently used.
+    fn oldest_first(&mut self) -> Step {
+        let range = self.g.arc_range(self.current);
+        let key = |a: usize| self.last_used[self.g.arc_edge(a)];
+        let (mut arc, mut best) = (range.start, key(range.start));
+        for a in range.start + 1..range.end {
+            let k = key(a);
+            if k < best {
+                (arc, best) = (a, k);
+            }
+        }
+        self.step_along(arc)
+    }
+
+    /// Least-Used-First: the incident edge with the fewest traversals, the
+    /// least recently used among those.
+    fn least_used_first(&mut self) -> Step {
+        let range = self.g.arc_range(self.current);
+        let key = |a: usize| {
+            let e = self.g.arc_edge(a);
+            (self.use_count[e], self.last_used[e])
+        };
+        let (mut arc, mut best) = (range.start, key(range.start));
+        for a in range.start + 1..range.end {
+            let k = key(a);
+            if k < best {
+                (arc, best) = (a, k);
+            }
+        }
+        self.step_along(arc)
+    }
+}
+
+/// Steps both locally fair walks beside [`ReferenceFair`] from `start` for
+/// `20m + 16` steps, so that use counts climb through many values: every
+/// step and position must agree, and so must Least-Used-First's use counts
+/// at the end.
+fn check_fair_trajectories(g: &Graph, start: Vertex) -> Result<(), TestCaseError> {
+    let steps = 20 * g.m() + 16;
+    let mut rng = SmallRng::seed_from_u64(0);
+    let mut reference = ReferenceFair::new(g, start);
+    let mut walk = OldestFirst::new(g, start);
+    for _ in 0..steps {
+        prop_assert_eq!(walk.advance(&mut rng), reference.oldest_first());
+        prop_assert_eq!(walk.current(), reference.current);
+    }
+    let mut reference = ReferenceFair::new(g, start);
+    let mut walk = LeastUsedFirst::new(g, start);
+    for _ in 0..steps {
+        prop_assert_eq!(walk.advance(&mut rng), reference.least_used_first());
+        prop_assert_eq!(walk.current(), reference.current);
+    }
+    for (e, &uses) in reference.use_count.iter().enumerate() {
+        prop_assert_eq!(walk.use_count(e), uses);
+    }
+    Ok(())
+}
+
 /// Every step of every process must move along an actual edge (or hold,
 /// for the lazy walk), and the harness invariants must hold.
 fn check_step_validity<W: WalkProcess>(g: &Graph, mut walk: W, seed: u64, allow_hold: bool) {
@@ -326,5 +428,19 @@ proptest! {
         let mut luf = LeastUsedFirst::new(&g, 0);
         let run = run_cover(&mut luf, CoverTarget::Edges, cap, &mut rng);
         prop_assert!(run.steps_to_edge_cover.is_some(), "LUF failed to cover edges");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn fair_walks_match_reference_scans(
+        g in arb_connected_graph(),
+        multi in arb_connected_multigraph(),
+        start in 0usize..14,
+    ) {
+        check_fair_trajectories(&g, start % g.n())?;
+        check_fair_trajectories(&multi, start % multi.n())?;
     }
 }

@@ -57,8 +57,8 @@ pub struct Graph {
     /// Edge id of each arc.
     arc_edges: Vec<u32>,
     /// The opposite arc of the same edge, per arc. Kept beside (not packed
-    /// with) `arc_targets` and `arc_edges`, so kernels that scan a whole
-    /// port row of edge ids stream only the array they read.
+    /// with) `arc_targets` and `arc_edges`, so the V-process, which scans
+    /// a whole port row of targets every step, streams only that array.
     arc_twins: Vec<u32>,
     /// Endpoints `(u, v)` of each edge, in the order supplied at construction.
     edge_endpoints: Vec<(u32, u32)>,

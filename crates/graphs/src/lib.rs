@@ -15,9 +15,9 @@
 //!   the title), hypercubes, toroidal grids, random geometric graphs, and a
 //!   zoo of deterministic families for tests and baselines.
 //! * [`properties`] — structural predicates and measurements: connectivity,
-//!   bipartiteness, girth, diameter, Eulerian circuits and cycle
-//!   decompositions, cycle counting, and `ℓ`-goodness (minimal even-degree
-//!   subgraphs through a vertex, Definition in §1 of the paper).
+//!   degrees, bipartiteness, girth, diameter, cycle counting, and
+//!   `ℓ`-goodness (minimal even-degree subgraphs through a vertex,
+//!   Definition in §1 of the paper).
 //!
 //! # Example
 //!

@@ -9,8 +9,6 @@
 //!   §2.1 of the paper).
 //! * [`girth`] — girth and bounded-girth detection (Theorem 3).
 //! * [`diameter`] — eccentricities and diameter (rotor-router comparison).
-//! * [`euler`] — Eulerian circuits and cycle decompositions of even-degree
-//!   (sub)graphs (the structure behind Observations 10 and 11).
 //! * [`cycles`] — exact short-cycle counts `N_k` (Corollary 4's proof).
 //! * [`lgood`] — `ℓ`-goodness: minimal even-degree subgraphs through a
 //!   vertex (the paper's local expansion property).
@@ -20,6 +18,5 @@ pub mod connectivity;
 pub mod cycles;
 pub mod degrees;
 pub mod diameter;
-pub mod euler;
 pub mod girth;
 pub mod lgood;

@@ -1,6 +1,6 @@
 //! Property tests for the graph substrate.
 
-use eproc_graphs::properties::{bipartite, connectivity, cycles, degrees, euler, girth};
+use eproc_graphs::properties::{bipartite, connectivity, cycles, degrees, girth};
 use eproc_graphs::{generators, Graph};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -84,28 +84,6 @@ proptest! {
         let counts = cycles::count_cycles_up_to(&g, g.n().max(3));
         let smallest = counts.iter().enumerate().find(|&(_, &c)| c > 0).map(|(k, _)| k);
         prop_assert_eq!(girth::girth(&g), smallest);
-    }
-
-    #[test]
-    fn eulerian_iff_even_and_one_edge_component(g in arb_graph()) {
-        let circuit = euler::eulerian_circuit(&g);
-        if let Some(c) = &circuit {
-            prop_assert_eq!(c.len(), g.m());
-        }
-        let even = degrees::is_even_degree(&g);
-        if !even && g.m() > 0 {
-            prop_assert!(circuit.is_none());
-        }
-    }
-
-    #[test]
-    fn cycle_decomposition_covers_even_graphs(g in arb_graph()) {
-        if !degrees::is_even_degree(&g) {
-            return Ok(());
-        }
-        let cycles = euler::cycle_decomposition_full(&g).expect("even graph decomposes");
-        let covered: usize = cycles.iter().map(|c| c.len()).sum();
-        prop_assert_eq!(covered, g.m());
     }
 
     #[test]
