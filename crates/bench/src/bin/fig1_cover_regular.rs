@@ -12,9 +12,9 @@
 //! a point's 5 walks, as the paper does; this binary adds the growth-model
 //! fits.
 
-use eproc_bench::{run_engine_spec, save_table, Config, Scale};
+use eproc_bench::{run_engine_spec, save_artifacts, Config};
 use eproc_engine::spec::{
-    CapSpec, ExperimentSpec, GraphSpec, ProcessSpec, ResamplePlan, RuleSpec, Target,
+    CapSpec, ExperimentSpec, GraphSpec, ProcessSpec, ResamplePlan, RuleSpec, Scale, Target,
 };
 use eproc_stats::{fit_c_nlogn, fit_proportional, TextTable};
 
@@ -94,9 +94,8 @@ fn main() {
     println!("{table}");
     println!("growth-model fits per degree (paper: even flat, odd c*n*ln(n)):\n");
     println!("{fits}");
-    let p1 = save_table("fig1_cover_regular", &table).expect("write csv");
-    let p2 = save_table("fig1_fits", &fits).expect("write csv");
-    println!("csv: {} and {}", p1.display(), p2.display());
-    let j = eproc_engine::report::save_json(&report, None).expect("write json");
-    println!("json: {}", j.display());
+    save_artifacts(
+        &[("fig1_cover_regular", &table), ("fig1_fits", &fits)],
+        Some(&report),
+    );
 }

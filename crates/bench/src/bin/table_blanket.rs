@@ -9,14 +9,14 @@
 //! `CV` and `CE` — one ensemble, one pass per trial, three columns. This
 //! binary only reshapes the engine cells into the paper's presentation.
 
-use eproc_bench::{engine_scale, metric_mean, run_engine_spec, save_table, Config};
+use eproc_bench::{metric_mean, run_engine_spec, save_artifacts, Config};
 use eproc_engine::builtin;
 use eproc_stats::TextTable;
 
 fn main() {
     let config = Config::from_args();
     println!("Equation (4): blanket time t_bl(1/2) = O(CV(SRW)) and CE(E) = O(m + CV(SRW))\n");
-    let spec = builtin::spec("blanket", engine_scale(config.scale)).expect("builtin exists");
+    let spec = builtin::spec("blanket", config.scale).expect("builtin exists");
     let (graphs, report) = run_engine_spec(&spec, &config);
     let mut table = TextTable::new(vec![
         "graph",
@@ -48,8 +48,5 @@ fn main() {
         ]);
     }
     println!("{table}");
-    let p = save_table("table_blanket", &table).expect("write csv");
-    println!("csv: {}", p.display());
-    let j = eproc_engine::report::save_json(&report, None).expect("write json");
-    println!("json: {}", j.display());
+    save_artifacts(&[("table_blanket", &table)], Some(&report));
 }

@@ -10,7 +10,7 @@
 //! projective-plane incidence graphs have no `GraphSpec`, and one table
 //! does not justify a graph family on the CLI.
 
-use eproc_bench::{save_table, Config};
+use eproc_bench::{save_artifacts, Config};
 use eproc_core::cover::{run_cover, CoverTarget};
 use eproc_core::rule::UniformRule;
 use eproc_core::EProcess;
@@ -62,6 +62,5 @@ fn main() {
     println!("{table}");
     println!("note: even q (degree odd) excluded — the theorems need even degree;");
     println!("q = 3, 5, 7, 11, 13 give degrees 4, 6, 8, 12, 14.");
-    let p = save_table("table_cages", &table).expect("write csv");
-    println!("csv: {}", p.display());
+    save_artifacts(&[("table_cages", &table)], None);
 }

@@ -5,7 +5,8 @@
 //! and compare, and also verify the small cycles are vertex-disjoint whp
 //! (the property used in §4.2).
 
-use eproc_bench::{save_table, Config, Scale};
+use eproc_bench::{save_artifacts, Config};
+use eproc_engine::Scale;
 use eproc_graphs::generators;
 use eproc_graphs::properties::cycles::count_cycles_up_to;
 use eproc_stats::{SeedSequence, Summary, TextTable};
@@ -48,6 +49,5 @@ fn main() {
         }
     }
     println!("{table}");
-    let p = save_table("table_cycles", &table).expect("write csv");
-    println!("csv: {}", p.display());
+    save_artifacts(&[("table_cycles", &table)], None);
 }

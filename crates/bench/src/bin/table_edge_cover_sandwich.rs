@@ -5,9 +5,9 @@
 //! to edge cover, with the `cover` metric giving the SRW's `CV` from the
 //! same walk; this binary checks the sandwich.
 
-use eproc_bench::{metric_mean, run_engine_spec, save_table, Config, Scale};
+use eproc_bench::{metric_mean, run_engine_spec, save_artifacts, Config};
 use eproc_engine::spec::{
-    CapSpec, ExperimentSpec, GraphSpec, MetricSpec, ProcessSpec, RuleSpec, Target,
+    CapSpec, ExperimentSpec, GraphSpec, MetricSpec, ProcessSpec, RuleSpec, Scale, Target,
 };
 use eproc_stats::TextTable;
 use eproc_theory::eq3_edge_cover_sandwich;
@@ -79,8 +79,5 @@ fn main() {
         ]);
     }
     println!("{table}");
-    let p = save_table("table_edge_cover_sandwich", &table).expect("write csv");
-    println!("csv: {}", p.display());
-    let j = eproc_engine::report::save_json(&report, None).expect("write json");
-    println!("json: {}", j.display());
+    save_artifacts(&[("table_edge_cover_sandwich", &table)], Some(&report));
 }

@@ -9,9 +9,9 @@
 //! with the `cover` metric giving `CV` from the same walk; this binary
 //! adds the girth, spectral gap and Theorem 3 columns.
 
-use eproc_bench::{metric_mean, run_engine_spec, save_table, Config, Scale};
+use eproc_bench::{metric_mean, run_engine_spec, save_artifacts, Config};
 use eproc_engine::spec::{
-    CapSpec, ExperimentSpec, GraphSpec, MetricSpec, ProcessSpec, RuleSpec, Target,
+    CapSpec, ExperimentSpec, GraphSpec, MetricSpec, ProcessSpec, RuleSpec, Scale, Target,
 };
 use eproc_graphs::properties::{bipartite, girth};
 use eproc_spectral::lanczos::lanczos;
@@ -94,8 +94,5 @@ fn main() {
         ]);
     }
     println!("{table}");
-    let p = save_table("table_girth", &table).expect("write csv");
-    println!("csv: {}", p.display());
-    let j = eproc_engine::report::save_json(&report, None).expect("write json");
-    println!("json: {}", j.display());
+    save_artifacts(&[("table_girth", &table)], Some(&report));
 }

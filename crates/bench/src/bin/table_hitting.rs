@@ -10,7 +10,7 @@
 //! on the same graphs the exact columns are computed on — the engine owns
 //! the walking; this binary adds the linear solves and bounds.
 
-use eproc_bench::{engine_scale, metric_mean, run_engine_spec, save_table, Config};
+use eproc_bench::{metric_mean, run_engine_spec, save_artifacts, Config};
 use eproc_engine::builtin;
 use eproc_spectral::dense::SymMatrix;
 use eproc_spectral::hitting::{hitting_from_stationary, set_hitting_from_stationary};
@@ -21,7 +21,7 @@ use eproc_theory::{corollary9_set_hitting_bound, lemma6_hitting_bound};
 fn main() {
     let config = Config::from_args();
     println!("Lemma 6 / Corollary 9: worst-vertex stationary hitting times vs bounds\n");
-    let spec = builtin::spec("hitting", engine_scale(config.scale)).expect("builtin exists");
+    let spec = builtin::spec("hitting", config.scale).expect("builtin exists");
     let (graphs, report) = run_engine_spec(&spec, &config);
     let mut table = TextTable::new(vec![
         "graph",
@@ -72,8 +72,5 @@ fn main() {
         ]);
     }
     println!("{table}");
-    let p = save_table("table_hitting", &table).expect("write csv");
-    println!("csv: {}", p.display());
-    let j = eproc_engine::report::save_json(&report, None).expect("write json");
-    println!("json: {}", j.display());
+    save_artifacts(&[("table_hitting", &table)], Some(&report));
 }

@@ -8,7 +8,7 @@
 //! Thin engine wrapper: the built-in `hypercube` spec measures both edge
 //! cover times; this binary adds the normalised columns and bound (2).
 
-use eproc_bench::{engine_scale, run_engine_spec, save_table, Config};
+use eproc_bench::{run_engine_spec, save_artifacts, Config};
 use eproc_engine::builtin;
 use eproc_engine::spec::GraphSpec;
 use eproc_stats::TextTable;
@@ -17,7 +17,7 @@ use eproc_theory::eq2_greedy_edge_cover_bound;
 fn main() {
     let config = Config::from_args();
     println!("Hypercube edge cover: CE(E) = Theta(n log n) vs CE(SRW) = Theta(n log^2 n)\n");
-    let spec = builtin::spec("hypercube", engine_scale(config.scale)).expect("builtin exists");
+    let spec = builtin::spec("hypercube", config.scale).expect("builtin exists");
     let (_, report) = run_engine_spec(&spec, &config);
     let mut table = TextTable::new(vec![
         "r",
@@ -52,8 +52,5 @@ fn main() {
         ]);
     }
     println!("{table}");
-    let p = save_table("table_hypercube", &table).expect("write csv");
-    println!("csv: {}", p.display());
-    let j = eproc_engine::report::save_json(&report, None).expect("write json");
-    println!("json: {}", j.display());
+    save_artifacts(&[("table_hypercube", &table)], Some(&report));
 }

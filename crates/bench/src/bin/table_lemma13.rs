@@ -9,9 +9,10 @@
 //! This binary walks its graph itself rather than through the engine:
 //! `P(S unvisited at t)` is not a per-trial metric the engine aggregates.
 
-use eproc_bench::{save_table, Config, Scale};
+use eproc_bench::{save_artifacts, Config};
 use eproc_core::srw::SimpleRandomWalk;
 use eproc_core::WalkProcess;
+use eproc_engine::Scale;
 use eproc_graphs::{generators, Graph, Vertex};
 use eproc_spectral::lanczos::lanczos;
 use eproc_stats::{SeedSequence, TextTable};
@@ -99,6 +100,5 @@ fn main() {
         }
     }
     println!("{table}");
-    let p = save_table("table_lemma13", &table).expect("write csv");
-    println!("csv: {}", p.display());
+    save_artifacts(&[("table_lemma13", &table)], None);
 }

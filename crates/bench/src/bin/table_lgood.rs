@@ -11,7 +11,7 @@
 //! binary adds the exact small-graph oracle and the per-graph greedy /
 //! (P2) bound columns.
 
-use eproc_bench::{engine_scale, run_engine_spec, save_table, Config};
+use eproc_bench::{run_engine_spec, save_artifacts, Config};
 use eproc_engine::builtin;
 use eproc_engine::spec::GraphSpec;
 use eproc_graphs::generators;
@@ -42,7 +42,7 @@ fn main() {
     }
     println!("{exact_table}");
 
-    let spec = builtin::spec("lgood", engine_scale(config.scale)).expect("builtin exists");
+    let spec = builtin::spec("lgood", config.scale).expect("builtin exists");
     let (graphs, report) = run_engine_spec(&spec, &config);
     let mut ub_table = TextTable::new(vec![
         "graph",
@@ -80,9 +80,11 @@ fn main() {
         ]);
     }
     println!("{ub_table}");
-    let p1 = save_table("table_lgood_exact", &exact_table).expect("write csv");
-    let p2 = save_table("table_lgood_bounds", &ub_table).expect("write csv");
-    println!("csv: {} and {}", p1.display(), p2.display());
-    let j = eproc_engine::report::save_json(&report, None).expect("write json");
-    println!("json: {}", j.display());
+    save_artifacts(
+        &[
+            ("table_lgood_exact", &exact_table),
+            ("table_lgood_bounds", &ub_table),
+        ],
+        Some(&report),
+    );
 }

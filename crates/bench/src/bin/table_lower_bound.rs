@@ -11,9 +11,9 @@
 //! the torus and hypercube rows; this binary adds the bounds and checks
 //! Theorem 5 against both the simple and the weighted random walk.
 
-use eproc_bench::{engine_scale, run_engine_spec, save_table, Config, Scale};
+use eproc_bench::{run_engine_spec, save_artifacts, Config};
 use eproc_engine::builtin;
-use eproc_engine::spec::{CapSpec, ExperimentSpec, GraphSpec};
+use eproc_engine::spec::{CapSpec, ExperimentSpec, GraphSpec, Scale};
 use eproc_stats::TextTable;
 use eproc_theory::{feige_lower_bound, radzik_lower_bound};
 
@@ -33,7 +33,7 @@ fn main() {
         "E CV/n",
     ]);
 
-    let regular = builtin::spec("lowerbound", engine_scale(config.scale)).expect("builtin exists");
+    let regular = builtin::spec("lowerbound", config.scale).expect("builtin exists");
     // Structured graphs for contrast, under the same processes.
     let (torus_side, dim) = match config.scale {
         Scale::Quick => (32, 10),
@@ -83,6 +83,5 @@ fn main() {
         }
     }
     println!("{table}");
-    let p = save_table("table_lower_bound", &table).expect("write csv");
-    println!("csv: {}", p.display());
+    save_artifacts(&[("table_lower_bound", &table)], None);
 }

@@ -6,7 +6,7 @@
 //! graphs and report the measured worst TV at `T`, plus the honest
 //! `ε = 1/4` mixing time for scale.
 
-use eproc_bench::{save_table, Config};
+use eproc_bench::{save_artifacts, Config};
 use eproc_graphs::{generators, Graph};
 use eproc_spectral::dense::SymMatrix;
 use eproc_spectral::mixing::{mixing_time, worst_tv_at};
@@ -57,6 +57,5 @@ fn main() {
         ]);
     }
     println!("{table}");
-    let p = save_table("table_mixing", &table).expect("write csv");
-    println!("csv: {}", p.display());
+    save_artifacts(&[("table_mixing", &table)], None);
 }

@@ -12,7 +12,7 @@
 //! phase and blue-census observers on one walk per trial; this binary
 //! reshapes the metric columns into the paper's presentation.
 
-use eproc_bench::{engine_scale, metric_mean, run_engine_spec, save_table, Config};
+use eproc_bench::{metric_mean, run_engine_spec, save_artifacts, Config};
 use eproc_engine::builtin;
 use eproc_engine::spec::GraphSpec;
 use eproc_stats::TextTable;
@@ -20,7 +20,7 @@ use eproc_stats::TextTable;
 fn main() {
     let config = Config::from_args();
     println!("Blue/red phase structure of the E-process on random r-regular graphs\n");
-    let spec = builtin::spec("phases", engine_scale(config.scale)).expect("builtin exists");
+    let spec = builtin::spec("phases", config.scale).expect("builtin exists");
     let (graphs, report) = run_engine_spec(&spec, &config);
     let mut table = TextTable::new(vec![
         "r",
@@ -64,8 +64,5 @@ fn main() {
         ]);
     }
     println!("{table}");
-    let p = save_table("table_phases", &table).expect("write csv");
-    println!("csv: {}", p.display());
-    let j = eproc_engine::report::save_json(&report, None).expect("write json");
-    println!("json: {}", j.display());
+    save_artifacts(&[("table_phases", &table)], Some(&report));
 }

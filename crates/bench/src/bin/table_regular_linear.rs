@@ -8,9 +8,9 @@
 //! Engine wrapper: one shared-graph spec; the `cover` metric yields `CV`
 //! and `CE` from the same walk.
 
-use eproc_bench::{metric_mean, run_engine_spec, save_table, Config, Scale};
+use eproc_bench::{metric_mean, run_engine_spec, save_artifacts, Config};
 use eproc_engine::spec::{
-    CapSpec, ExperimentSpec, GraphSpec, MetricSpec, ProcessSpec, RuleSpec, Target,
+    CapSpec, ExperimentSpec, GraphSpec, MetricSpec, ProcessSpec, RuleSpec, Scale, Target,
 };
 use eproc_stats::TextTable;
 
@@ -57,8 +57,5 @@ fn main() {
         ]);
     }
     println!("{table}");
-    let p = save_table("table_regular_linear", &table).expect("write csv");
-    println!("csv: {}", p.display());
-    let j = eproc_engine::report::save_json(&report, None).expect("write json");
-    println!("json: {}", j.display());
+    save_artifacts(&[("table_regular_linear", &table)], Some(&report));
 }

@@ -6,7 +6,8 @@
 //! against the predictions, and report the gap that enters every cover
 //! bound.
 
-use eproc_bench::{save_table, Config, Scale};
+use eproc_bench::{save_artifacts, Config};
+use eproc_engine::Scale;
 use eproc_graphs::properties::bipartite;
 use eproc_graphs::{generators, Graph};
 use eproc_spectral::lanczos::lanczos;
@@ -83,6 +84,5 @@ fn main() {
     row("torus 32x32".into(), &t, Some(torus_l2 + 1e-9));
 
     println!("{table}");
-    let p = save_table("table_spectral", &table).expect("write csv");
-    println!("csv: {}", p.display());
+    save_artifacts(&[("table_spectral", &table)], None);
 }

@@ -10,9 +10,9 @@
 //! Engine wrapper: one shared-graph spec with the `bluecensus` metric on
 //! each vertex-cover walk; this binary reshapes the star counts.
 
-use eproc_bench::{run_engine_spec, save_table, Config, Scale};
+use eproc_bench::{run_engine_spec, save_artifacts, Config};
 use eproc_engine::spec::{
-    CapSpec, ExperimentSpec, GraphSpec, MetricSpec, ProcessSpec, RuleSpec, Target,
+    CapSpec, ExperimentSpec, GraphSpec, MetricSpec, ProcessSpec, RuleSpec, Scale, Target,
 };
 use eproc_stats::TextTable;
 use eproc_theory::star_fraction_heuristic_r3;
@@ -66,8 +66,5 @@ fn main() {
         ]);
     }
     println!("{table}");
-    let p = save_table("table_stars", &table).expect("write csv");
-    println!("csv: {}", p.display());
-    let j = eproc_engine::report::save_json(&report, None).expect("write json");
-    println!("json: {}", j.display());
+    save_artifacts(&[("table_stars", &table)], Some(&report));
 }

@@ -10,7 +10,7 @@
 //! `eproc-engine`; this wrapper only adds the per-graph spectral-gap and
 //! theory-bound columns the engine deliberately does not know about.
 
-use eproc_bench::{engine_scale, run_engine_spec, save_table, Config};
+use eproc_bench::{run_engine_spec, save_artifacts, Config};
 use eproc_engine::builtin;
 use eproc_engine::spec::GraphSpec;
 use eproc_graphs::properties::{bipartite, girth};
@@ -40,7 +40,7 @@ fn l_estimate(spec: &GraphSpec, g: &Graph) -> f64 {
 fn main() {
     let config = Config::from_args();
     println!("Theorem 1: CV(E) vs n + n*ln(n)/(l*(1-lambda_max)) on even-degree expanders\n");
-    let spec = builtin::spec("theorem1", engine_scale(config.scale)).expect("builtin exists");
+    let spec = builtin::spec("theorem1", config.scale).expect("builtin exists");
     let (graphs, report) = run_engine_spec(&spec, &config);
 
     let mut table = TextTable::new(vec![
@@ -64,6 +64,5 @@ fn main() {
         ]);
     }
     println!("{table}");
-    let p = save_table("table_theorem1", &table).expect("write csv");
-    println!("csv: {}", p.display());
+    save_artifacts(&[("table_theorem1", &table)], None);
 }

@@ -10,8 +10,10 @@
 //! Engine wrapper: one shared-graph spec races the three processes; this
 //! binary reshapes the cells into the normalised columns.
 
-use eproc_bench::{run_engine_spec, save_table, Config, Scale};
-use eproc_engine::spec::{CapSpec, ExperimentSpec, GraphSpec, ProcessSpec, RuleSpec, Target};
+use eproc_bench::{run_engine_spec, save_artifacts, Config};
+use eproc_engine::spec::{
+    CapSpec, ExperimentSpec, GraphSpec, ProcessSpec, RuleSpec, Scale, Target,
+};
 use eproc_stats::TextTable;
 
 fn main() {
@@ -71,8 +73,5 @@ fn main() {
         ]);
     }
     println!("{table}");
-    let p = save_table("table_vprocess", &table).expect("write csv");
-    println!("csv: {}", p.display());
-    let j = eproc_engine::report::save_json(&report, None).expect("write json");
-    println!("json: {}", j.display());
+    save_artifacts(&[("table_vprocess", &table)], Some(&report));
 }

@@ -14,9 +14,8 @@
 //! cover time) is saved as a standard JSON artifact, bit-identical for
 //! any thread count.
 
-use eproc_bench::{engine_scale, save_table, Config};
+use eproc_bench::{save_artifacts, Config};
 use eproc_engine::executor::{build_graphs, run_on_graphs, CellSummary, ExperimentReport};
-use eproc_engine::report::save_json;
 use eproc_engine::spec::ExperimentSpec;
 use eproc_engine::RunOptions;
 use eproc_stats::{OnlineStats, QuantileSketch, SeedSequence, TextTable};
@@ -25,8 +24,7 @@ fn main() {
     let config = Config::from_args();
     let seeds = SeedSequence::new(config.seed);
     println!("Start-vertex sensitivity: CV = max_v C_v vs fixed-start means\n");
-    let base = eproc_engine::builtin::spec("worststart", engine_scale(config.scale))
-        .expect("builtin exists");
+    let base = eproc_engine::builtin::spec("worststart", config.scale).expect("builtin exists");
     let mut table = TextTable::new(vec![
         "graph",
         "process",
@@ -118,8 +116,6 @@ fn main() {
     println!("(quadratic per crossing). From the clique (start 0) its blue sweep");
     println!("consumes the path in one pass. Even-degree structure is what makes the");
     println!("E-process start-insensitive.");
-    let p = save_table("table_worst_start", &table).expect("write csv");
-    println!("csv: {}", p.display());
     // Composed report: each cell's distribution is over start vertices
     // (one entry per start = that start's mean cover time), so the
     // artifact's own description spells out what `trials` means at each
@@ -137,6 +133,5 @@ fn main() {
         resample: None,
         cells: composed_cells,
     };
-    let j = save_json(&report, None).expect("write json");
-    println!("json: {}", j.display());
+    save_artifacts(&[("table_worst_start", &table)], Some(&report));
 }

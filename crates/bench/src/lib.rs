@@ -12,31 +12,37 @@
 //! metric the engine aggregates. They share:
 //!
 //! * [`Config`] — `--scale quick|paper`, `--seed N`, `--threads N`
-//!   parsing;
-//! * [`save_table`] — writes the CSV next to the printed table under
-//!   `target/experiments/`;
+//!   parsing, through the `eproc` CLI's flag-table parser;
+//! * [`save_artifacts`] — writes each table's CSV and the report's JSON
+//!   under `target/experiments/` and prints their paths;
 //! * [`run_engine_spec`] and [`metric_mean`] — the engine entry point and
 //!   the cell accessor the tables read.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use eproc_engine::cli::{expect_count, expect_u64, parse_args, Arity, FlagDef};
 use eproc_engine::executor::{CellSummary, ExperimentReport};
-use eproc_engine::ExperimentSpec;
+use eproc_engine::{ExperimentSpec, Scale};
 use eproc_graphs::Graph;
 use eproc_stats::TextTable;
 use std::path::PathBuf;
 
-/// Experiment scale: `quick` finishes in seconds-to-minutes and already
-/// shows the paper's qualitative shape; `paper` pushes `n` toward the
-/// paper's 5·10⁵.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scale {
-    /// Laptop-quick sweep.
-    Quick,
-    /// Paper-scale sweep (minutes).
-    Paper,
-}
+/// The flags every experiment binary takes.
+const FLAGS: &[FlagDef] = &[
+    FlagDef {
+        name: "--scale",
+        arity: Arity::Value("quick|paper"),
+    },
+    FlagDef {
+        name: "--seed",
+        arity: Arity::Value("an unsigned integer"),
+    },
+    FlagDef {
+        name: "--threads",
+        arity: Arity::Value("an integer of at least 1"),
+    },
+];
 
 /// Parsed command-line configuration shared by all experiment binaries.
 #[derive(Debug, Clone, Copy)]
@@ -53,47 +59,40 @@ pub struct Config {
 
 impl Config {
     /// Parses `--scale quick|paper`, `--seed N` and `--threads N` from
-    /// `std::env::args`. Unknown arguments abort with a usage message.
+    /// `std::env::args` with [`eproc_engine::cli::parse_args`]. Malformed
+    /// arguments exit 2 with a usage message; `--help` exits 0.
     pub fn from_args() -> Config {
-        let mut scale = Scale::Quick;
-        let mut seed = 12345u64;
-        let mut threads = None;
-        let mut args = std::env::args().skip(1);
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
+        let names: Vec<&str> = FLAGS.iter().map(|f| f.name).collect();
+        let parsed = parse_args("experiment", FLAGS, &names, std::env::args().skip(1))
+            .unwrap_or_else(|e| usage(&e.to_string()));
+        if parsed.help {
+            usage("");
+        }
+        if let Some(tok) = parsed.positionals.first() {
+            usage(&format!("unknown argument {tok:?}"));
+        }
+        let mut config = Config {
+            scale: Scale::Quick,
+            seed: 12345,
+            threads: None,
+        };
+        for (name, value) in &parsed.flags {
+            let v = value.as_deref().expect("every flag takes a value");
+            match *name {
                 "--scale" => {
-                    let v = args.next().unwrap_or_default();
-                    scale = match v.as_str() {
-                        "quick" => Scale::Quick,
-                        "paper" => Scale::Paper,
-                        other => usage(&format!("unknown scale {other:?}")),
-                    };
+                    config.scale = Scale::parse(v).unwrap_or_else(|e| usage(&e.to_string()));
                 }
                 "--seed" => {
-                    let v = args.next().unwrap_or_default();
-                    seed = v
-                        .parse()
-                        .unwrap_or_else(|_| usage(&format!("bad seed {v:?}")));
+                    config.seed = expect_u64(name, v).unwrap_or_else(|e| usage(&e.to_string()));
                 }
                 "--threads" => {
-                    let v = args.next().unwrap_or_default();
-                    let t: usize = v
-                        .parse()
-                        .unwrap_or_else(|_| usage(&format!("bad thread count {v:?}")));
-                    if t == 0 {
-                        usage("--threads must be at least 1");
-                    }
-                    threads = Some(t);
+                    let threads = expect_count(name, v).unwrap_or_else(|e| usage(&e.to_string()));
+                    config.threads = Some(threads);
                 }
-                "--help" | "-h" => usage(""),
-                other => usage(&format!("unknown argument {other:?}")),
+                _ => unreachable!("parse_args yields only the flags in FLAGS"),
             }
         }
-        Config {
-            scale,
-            seed,
-            threads,
-        }
+        config
     }
 
     /// Engine [`RunOptions`](eproc_engine::RunOptions) for this config:
@@ -121,11 +120,7 @@ fn usage(err: &str) -> ! {
 /// Writes `table` as `<name>.csv` in the engine's
 /// [`default_artifact_dir`](eproc_engine::report::default_artifact_dir),
 /// next to the JSON artifacts, creating it if needed. Returns the path.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn save_table(name: &str, table: &TextTable) -> std::io::Result<PathBuf> {
+fn save_table(name: &str, table: &TextTable) -> std::io::Result<PathBuf> {
     let dir = eproc_engine::report::default_artifact_dir();
     std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{name}.csv"));
@@ -133,11 +128,26 @@ pub fn save_table(name: &str, table: &TextTable) -> std::io::Result<PathBuf> {
     Ok(path)
 }
 
-/// Maps this crate's [`Scale`] onto the engine's.
-pub fn engine_scale(scale: Scale) -> eproc_engine::Scale {
-    match scale {
-        Scale::Quick => eproc_engine::Scale::Quick,
-        Scale::Paper => eproc_engine::Scale::Paper,
+/// The ending every experiment binary shares, after it has printed its
+/// tables: saves each `(name, table)` as `<name>.csv` and prints the
+/// paths on one `csv:` line, then saves `report` (if any) as the JSON
+/// artifact and prints its path.
+///
+/// # Panics
+///
+/// Panics if an artifact cannot be written.
+pub fn save_artifacts(tables: &[(&str, &TextTable)], report: Option<&ExperimentReport>) {
+    let paths: Vec<String> = tables
+        .iter()
+        .map(|(name, table)| {
+            let path = save_table(name, table).expect("write csv");
+            path.display().to_string()
+        })
+        .collect();
+    println!("csv: {}", paths.join(" and "));
+    if let Some(report) = report {
+        let path = eproc_engine::report::save_json(report, None).expect("write json");
+        println!("json: {}", path.display());
     }
 }
 

@@ -194,48 +194,6 @@ impl EdgeRule for GreedyAdversary {
     }
 }
 
-/// A randomized rule with per-edge weights: among the unvisited arcs it
-/// picks edge `e` with probability proportional to `weights[e]` ("could
-/// vary from vertex to vertex" — here, from edge to edge).
-#[derive(Debug, Clone)]
-pub struct WeightedPortRule {
-    weights: Vec<f64>,
-}
-
-impl WeightedPortRule {
-    /// Creates the rule from per-edge weights (`weights.len() == m`, all
-    /// positive and finite).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any weight is not finite and positive.
-    pub fn new(weights: Vec<f64>) -> WeightedPortRule {
-        assert!(
-            weights.iter().all(|&w| w.is_finite() && w > 0.0),
-            "edge weights must be positive and finite"
-        );
-        WeightedPortRule { weights }
-    }
-}
-
-impl EdgeRule for WeightedPortRule {
-    fn choose<R: RngCore + ?Sized>(&mut self, ctx: &RuleContext<'_>, rng: &mut R) -> usize {
-        let total: f64 = ctx
-            .live_arcs
-            .iter()
-            .map(|&a| self.weights[ctx.graph.arc_edge(a as usize)])
-            .sum();
-        let mut target = rng.gen_range(0.0..total);
-        for (i, &a) in ctx.live_arcs.iter().enumerate() {
-            target -= self.weights[ctx.graph.arc_edge(a as usize)];
-            if target <= 0.0 {
-                return i;
-            }
-        }
-        ctx.live_arcs.len() - 1 // numerical slack: last index
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,32 +275,5 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(5);
         let i = GreedyAdversary.choose(&ctx_on(&g, 3, &live), &mut rng);
         assert_eq!(g.arc_target(live[i] as usize), 0);
-    }
-
-    #[test]
-    fn weighted_rule_biases_choice() {
-        // Star center with one heavy edge: the heavy edge is picked with
-        // probability 9/12 among three live edges of weight 9, 2, 1.
-        let g = generators::star(4);
-        let live: Vec<u32> = g.arc_range(0).map(|a| a as u32).collect();
-        let mut rule = WeightedPortRule::new(vec![9.0, 2.0, 1.0]);
-        let mut rng = SmallRng::seed_from_u64(6);
-        let trials = 20_000;
-        let mut heavy = 0u64;
-        for _ in 0..trials {
-            let i = rule.choose(&ctx_on(&g, 0, &live), &mut rng);
-            assert!(i < live.len());
-            if g.arc_edge(live[i] as usize) == 0 {
-                heavy += 1;
-            }
-        }
-        let f = heavy as f64 / trials as f64;
-        assert!((f - 0.75).abs() < 0.02, "heavy edge frequency {f}");
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn weighted_rule_rejects_bad_weights() {
-        let _ = WeightedPortRule::new(vec![1.0, -2.0]);
     }
 }

@@ -6,7 +6,7 @@ use eproc_core::fair::{LeastUsedFirst, OldestFirst};
 use eproc_core::rotor::RotorRouter;
 use eproc_core::rule::{
     AdversarialRule, EdgeRule, FirstPortRule, GreedyAdversary, LastPortRule, RoundRobinRule,
-    RuleContext, UniformRule, WeightedPortRule,
+    RuleContext, UniformRule,
 };
 use eproc_core::srw::{LazyRandomWalk, SimpleRandomWalk};
 use eproc_core::vprocess::VProcess;
@@ -373,8 +373,6 @@ proptest! {
         check_eprocess_state(&g, EProcess::new(&g, s, LastPortRule), seed)?;
         check_eprocess_state(&g, EProcess::new(&g, s, RoundRobinRule::new(g.n())), seed)?;
         check_eprocess_state(&g, EProcess::new(&g, s, GreedyAdversary), seed)?;
-        let weights: Vec<f64> = (0..g.m()).map(|e| 1.0 + (e * 7 % 5) as f64).collect();
-        check_eprocess_state(&g, EProcess::new(&g, s, WeightedPortRule::new(weights)), seed)?;
         let middle = AdversarialRule::new(|ctx: &RuleContext<'_>| ctx.live_arcs.len() / 2);
         check_eprocess_state(&g, EProcess::new(&g, s, middle), seed)?;
     }

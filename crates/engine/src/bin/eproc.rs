@@ -71,18 +71,17 @@
 //! SIGINT/SIGTERM or `--max-wall SECS` interrupt gracefully (exit code
 //! 75, resumable); `--resume PATH` recomputes only the missing blocks
 //! and produces the byte-identical artifact; `--retry-blocks N` re-runs
-//! failed blocks deterministically; `--inject-faults SPEC` (or
-//! `EPROC_FAULTS`) arms the deterministic fault harness for testing.
+//! failed blocks deterministically; `--inject-faults SPEC` arms the
+//! deterministic fault harness for testing.
 
 use eproc_engine::builtin;
 use eproc_engine::cache::{CacheStore, CACHE_ENV};
 use eproc_engine::checkpoint::RunCheckpoint;
 use eproc_engine::cli::{
-    expect_count, expect_positive_f64, expect_seconds, expect_u64, parse_args, Arity, FlagDef,
-    Parsed, UsageError,
+    expect_count, expect_seconds, expect_u64, parse_args, Arity, FlagDef, Parsed, UsageError,
 };
 use eproc_engine::digest::{spec_digest, ArtifactKind, SpecDigest};
-use eproc_engine::executor::{run_with_sink, EngineError, ExperimentReport, RunOptions};
+use eproc_engine::executor::{EngineError, ExperimentReport, RunOptions};
 use eproc_engine::fault::FaultPlan;
 use eproc_engine::recovery::{
     run_recoverable_with_sink, CheckpointPlan, RecoveryError, RecoveryOptions, RunOutcome,
@@ -93,8 +92,7 @@ use eproc_engine::report::{
 use eproc_engine::scaling::analyze;
 use eproc_engine::shard::{merge_shards_with_sink, run_shard_with_sink, ShardSpec};
 use eproc_engine::spec::{
-    CapSpec, ExperimentSpec, GraphSpec, MetricSpec, ProcessSpec, ResamplePlan, Scale, SweepRange,
-    Target,
+    CapSpec, ExperimentSpec, GraphSpec, MetricSpec, ProcessSpec, ResamplePlan, Scale, Target,
 };
 use eproc_stats::TextTable;
 use eproc_telemetry::{JsonlSink, ProgressSink, SummarySink, Tee, TelemetrySink};
@@ -128,6 +126,17 @@ macro_rules! info {
     };
 }
 
+/// Prints a line to stdout and drops a failed write. A closed stdout
+/// (`eproc … | head -1`) must not abort a run before it stores its cache
+/// entry and telemetry sidecar, so no printed line can fail a run;
+/// artifact writes keep their own error handling.
+macro_rules! out {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = writeln!(std::io::stdout(), $($arg)*);
+    }};
+}
+
 fn usage(err: &str) -> ! {
     if !err.is_empty() {
         eprintln!("error: {err}\n");
@@ -151,7 +160,7 @@ fn usage(err: &str) -> ! {
          \x20               [--trials N] [--target T] [--metrics M[,M...]]\n\
          \x20               [--start V] [--cap C] [--resample [W]]\n\
          \x20               [--seed N] [--threads N] [--json PATH] [--cache DIR]\n\
-         \x20 eproc scale <spec> | --graph G --process P[,P...] [--sweep n=RANGE]\n\
+         \x20 eproc scale <spec> | --graph G --process P[,P...]\n\
          \x20               [--trials N] [--target T] [--metrics M[,M...]]\n\
          \x20               [--start V] [--cap C] [--resample [W]]\n\
          \x20               [--scale quick|paper] [--seed N] [--threads N] [--json PATH]\n\
@@ -169,13 +178,12 @@ fn usage(err: &str) -> ! {
          target syntax  vertex | edge | both | blanket:<delta>\n\
          metric syntax  cover | blanket[:delta] | phases | bluecensus | hitting[:v]\n\
          \x20              (all measured from the same walk: one pass per trial)\n\
-         cap syntax     --cap auto | nlogn:<factor> | abs:<steps> (--cap-nlogn F is\n\
-         \x20              shorthand for --cap nlogn:F)\n\
+         cap syntax     --cap auto | nlogn:<factor> | abs:<steps>\n\
          quantiles      --quantiles Q[,Q...]: quantile columns/keys rendered from\n\
          \x20              the streamed sketches (default p50,p90,p99; accepts 0.9\n\
          \x20              or p90 forms; applies to run, compare, scale and merge)\n\
-         sweep syntax   [n=]<start>..<end>[,x<factor>|,+<stride>] (default x2);\n\
-         \x20              sizes accept k/m suffixes: --sweep n=1k..256k,x2\n\
+         sweep syntax   <start>..<end>[,x<factor>|,+<stride>] (default x2);\n\
+         \x20              sizes accept k/m suffixes: regular:~{{1k..256k,x2}},4\n\
          resampling     --resample [W]: every W consecutive trials (default 1)\n\
          \x20              share one freshly sampled graph; reports pooled,\n\
          \x20              across-graph and within-graph variance components\n\
@@ -201,9 +209,8 @@ fn usage(err: &str) -> ! {
          \x20              and yields the byte-identical artifact at any thread\n\
          \x20              count; --retry-blocks N re-runs a failed block\n\
          \x20              deterministically (same seeds, same bits);\n\
-         \x20              --inject-faults kind@family.group.attempt[,...] (or the\n\
-         \x20              EPROC_FAULTS env var) injects panic/graphfail faults for\n\
-         \x20              testing the above\n\
+         \x20              --inject-faults kind@family.group.attempt[,...] injects\n\
+         \x20              panic/graphfail faults for testing the above\n\
          telemetry      --progress: live status line on stderr (blocks, trial and\n\
          \x20              step throughput, ETA); --telemetry PATH: structured JSONL\n\
          \x20              event log; either flag also writes a\n\
@@ -230,147 +237,110 @@ fn usage(err: &str) -> ! {
 const FLAGS: &[FlagDef] = &[
     FlagDef {
         name: "--scale",
-        aliases: &[],
         arity: Arity::Value("quick|paper"),
     },
     FlagDef {
         name: "--seed",
-        aliases: &[],
         arity: Arity::Value("an unsigned integer"),
     },
     FlagDef {
         name: "--threads",
-        aliases: &[],
         arity: Arity::Value("an integer of at least 1"),
     },
     FlagDef {
         name: "--trials",
-        aliases: &[],
         arity: Arity::Value("an integer of at least 1"),
     },
     FlagDef {
         name: "--metrics",
-        aliases: &[],
         arity: Arity::Value("a metric list"),
     },
     FlagDef {
         name: "--resample",
-        aliases: &[],
         arity: Arity::OptionalInt,
     },
     FlagDef {
         name: "--shard",
-        aliases: &[],
         arity: Arity::Value("<i>/<k>, e.g. 0/4"),
     },
     FlagDef {
         name: "--json",
-        aliases: &[],
         arity: Arity::Value("a path"),
     },
     FlagDef {
         name: "--csv",
-        aliases: &[],
         arity: Arity::Value("a path"),
     },
     FlagDef {
         name: "--progress",
-        aliases: &[],
         arity: Arity::Switch,
     },
     FlagDef {
         name: "--telemetry",
-        aliases: &[],
         arity: Arity::Value("a path"),
     },
     FlagDef {
         name: "--checkpoint",
-        aliases: &[],
         arity: Arity::Value("a path"),
     },
     FlagDef {
         name: "--checkpoint-every",
-        aliases: &[],
         arity: Arity::Value("an integer of at least 1"),
     },
     FlagDef {
         name: "--resume",
-        aliases: &[],
         arity: Arity::Value("a path"),
     },
     FlagDef {
         name: "--max-wall",
-        aliases: &[],
         arity: Arity::Value("a positive number of seconds"),
     },
     FlagDef {
         name: "--retry-blocks",
-        aliases: &[],
         arity: Arity::Value("an unsigned integer"),
     },
     FlagDef {
         name: "--inject-faults",
-        aliases: &[],
         arity: Arity::Value("a fault spec (kind@family.group.attempt[,...])"),
     },
     FlagDef {
         name: "--quantiles",
-        aliases: &[],
         arity: Arity::Value("a quantile list, e.g. 0.5,0.9,0.99 or p50,p90,p99"),
     },
     FlagDef {
         name: "--quiet",
-        aliases: &[],
         arity: Arity::Switch,
     },
     FlagDef {
         name: "--graph",
-        aliases: &[],
         arity: Arity::Value("a graph spec"),
     },
     FlagDef {
         name: "--process",
-        aliases: &["--processes"],
         arity: Arity::Value("a process list"),
     },
     FlagDef {
-        name: "--sweep",
-        aliases: &[],
-        arity: Arity::Value("a range, e.g. n=1k..256k,x2"),
-    },
-    FlagDef {
         name: "--target",
-        aliases: &[],
         arity: Arity::Value("a target"),
     },
     FlagDef {
         name: "--start",
-        aliases: &[],
         arity: Arity::Value("a vertex index"),
     },
     FlagDef {
         name: "--cap",
-        aliases: &[],
         arity: Arity::Value("auto|nlogn:<factor>|abs:<steps>"),
     },
     FlagDef {
-        name: "--cap-nlogn",
-        aliases: &[],
-        arity: Arity::Value("a positive factor"),
-    },
-    FlagDef {
         name: "--cache",
-        aliases: &[],
         arity: Arity::Value("a directory"),
     },
     FlagDef {
         name: "--canonical",
-        aliases: &[],
         arity: Arity::Switch,
     },
     FlagDef {
         name: "--max-bytes",
-        aliases: &[],
         arity: Arity::Value("a byte budget"),
     },
 ];
@@ -399,23 +369,14 @@ const EXEC_ACCEPTS: &[&str] = &[
 ];
 
 const RUN_EXTRA: &[&str] = &["--scale"];
-const COMPARE_EXTRA: &[&str] = &[
-    "--graph",
-    "--process",
-    "--target",
-    "--start",
-    "--cap",
-    "--cap-nlogn",
-];
+const COMPARE_EXTRA: &[&str] = &["--graph", "--process", "--target", "--start", "--cap"];
 const SCALE_EXTRA: &[&str] = &[
     "--scale",
     "--graph",
     "--process",
-    "--sweep",
     "--target",
     "--start",
     "--cap",
-    "--cap-nlogn",
 ];
 const MERGE_ACCEPTS: &[&str] = &["--json", "--csv", "--telemetry", "--quiet", "--quantiles"];
 const LIST_ACCEPTS: &[&str] = &["--canonical", "--scale", "--seed", "--quantiles", "--quiet"];
@@ -472,7 +433,7 @@ struct CommonFlags {
 impl CommonFlags {
     /// Interprets every common flag occurrence in `parsed`, in
     /// command-line order (later occurrences win). Subcommand-specific
-    /// flags (`--graph`, `--sweep`, …) are left for [`AdhocSpec`].
+    /// flags (`--graph`, `--process`, …) are left for [`AdhocSpec`].
     fn from_parsed(parsed: &Parsed) -> CommonFlags {
         let mut flags = CommonFlags::default();
         for (name, value) in &parsed.flags {
@@ -535,17 +496,14 @@ impl CommonFlags {
         flags
     }
 
-    /// Whether any crash-safety flag routes this run through
-    /// [`run_recoverable_with_sink`] instead of the plain executor. The
-    /// `EPROC_FAULTS` environment variable counts: it arms the fault
-    /// harness without touching the command line.
-    fn wants_recovery(&self) -> bool {
+    /// Whether any crash-safety flag is present: they shape a run that
+    /// produces a report, so a `--shard` run rejects them.
+    fn names_recovery_flags(&self) -> bool {
         self.checkpoint.is_some()
             || self.resume.is_some()
             || self.max_wall.is_some()
             || self.retry_blocks.is_some()
             || self.inject_faults.is_some()
-            || std::env::var_os("EPROC_FAULTS").is_some()
     }
 
     /// The quantile columns/keys to render: `--quantiles` if given,
@@ -608,9 +566,9 @@ fn cmd_list(args: impl Iterator<Item = String>) {
                 flags.report_quantiles(),
                 ArtifactKind::Ensemble,
             );
-            println!("{name}");
-            println!("  digest: {digest}");
-            println!("  spec:   {}", canonical.to_cli());
+            out!("{name}");
+            out!("  digest: {digest}");
+            out!("  spec:   {}", canonical.to_cli());
         }
         info!(
             "digests key the artifact cache for `run`/`compare` at seed {seed} with the \
@@ -637,8 +595,8 @@ fn cmd_list(args: impl Iterator<Item = String>) {
             s.description.clone(),
         ]);
     }
-    println!("{table}");
-    println!("run one with: eproc run <spec> [--scale quick|paper] [--threads N]");
+    out!("{table}");
+    out!("run one with: eproc run <spec> [--scale quick|paper] [--threads N]");
 }
 
 /// The artifact cache a run should consult, if any: `--cache DIR`
@@ -688,7 +646,7 @@ fn execute_inner(mut spec: ExperimentSpec, flags: &CommonFlags, fit_growth_laws:
         if flags.csv.is_some() {
             usage("--shard writes a shard artifact, not a report: merge the shards, then --csv");
         }
-        if flags.wants_recovery() {
+        if flags.names_recovery_flags() {
             usage(
                 "--shard is already restartable per shard: re-run the missing shard instead \
                  (--checkpoint/--resume/--max-wall/--retry-blocks/--inject-faults apply to \
@@ -740,8 +698,8 @@ fn execute_inner(mut spec: ExperimentSpec, flags: &CommonFlags, fit_growth_laws:
                             eprintln!("error writing json artifact {}: {e}", path.display());
                             exit(1);
                         }
-                        println!("cache: hit {}", digest.short());
-                        println!("json: {}", path.display());
+                        out!("cache: hit {}", digest.short());
+                        out!("json: {}", path.display());
                         return;
                     }
                     Ok(None) => {
@@ -820,22 +778,12 @@ fn execute_inner(mut spec: ExperimentSpec, flags: &CommonFlags, fit_growth_laws:
             eprintln!("error writing shard artifact {}: {e}", path.display());
             exit(1);
         }
-        println!("shard artifact: {}", path.display());
+        out!("shard artifact: {}", path.display());
         write_telemetry_artifacts(jsonl.as_ref(), summary.as_ref(), &path);
         info!("wall time: {:.2}s", started.elapsed().as_secs_f64());
         return;
     }
-    let report = if flags.wants_recovery() {
-        run_crash_safe(&spec, &opts, flags, &tee, jsonl.as_ref(), summary.as_ref())
-    } else {
-        match run_with_sink(&spec, &opts, &tee) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: {e}");
-                exit(1);
-            }
-        }
-    };
+    let report = run_crash_safe(&spec, &opts, flags, &tee, jsonl.as_ref(), summary.as_ref());
     let elapsed = started.elapsed();
     // A degenerate sweep must not discard the (possibly expensive)
     // ensemble it just measured: on a fit error the table is still
@@ -845,11 +793,11 @@ fn execute_inner(mut spec: ExperimentSpec, flags: &CommonFlags, fit_growth_laws:
     let table = print_report_table(&report, flags);
     match &scaling {
         Some(Ok(scaling)) => {
-            println!("growth laws (lowest residual score wins):\n");
-            println!("{}", scaling_table(scaling));
+            out!("growth laws (lowest residual score wins):\n");
+            out!("{}", scaling_table(scaling));
             for series in &scaling.series {
                 let fit = series.selection.preferred_fit();
-                println!(
+                out!(
                     "{} / {} / {}: prefers {} (R^2 = {:.5})",
                     series.family,
                     series.process,
@@ -858,7 +806,7 @@ fn execute_inner(mut spec: ExperimentSpec, flags: &CommonFlags, fit_growth_laws:
                     fit.fit.r_squared
                 );
             }
-            println!();
+            out!();
         }
         Some(Err(e)) => {
             eprintln!("error: {e}");
@@ -898,7 +846,7 @@ fn execute_inner(mut spec: ExperimentSpec, flags: &CommonFlags, fit_growth_laws:
                     .join(",")
             );
             match store.store(digest, &artifact_text, &sidecar) {
-                Ok(_) => println!("cache: stored {}", digest.short()),
+                Ok(_) => out!("cache: stored {}", digest.short()),
                 // The run itself succeeded and its artifact is on disk;
                 // a cache store failure is a warning, not a run failure.
                 Err(e) => eprintln!(
@@ -915,14 +863,14 @@ fn execute_inner(mut spec: ExperimentSpec, flags: &CommonFlags, fit_growth_laws:
     }
 }
 
-/// The crash-safe execution path: engaged whenever any of
-/// `--checkpoint`, `--resume`, `--max-wall`, `--retry-blocks` or
-/// `--inject-faults` (or the `EPROC_FAULTS` environment variable) is
-/// present. Installs the SIGINT/SIGTERM latch when interruption can be
-/// made graceful (a checkpoint or wall budget is configured), runs
-/// through [`run_recoverable_with_sink`], and on interruption writes the
-/// telemetry artifacts and exits with code 75 (`EX_TEMPFAIL`) so callers
-/// can distinguish "resume me" from failure.
+/// Runs every report-producing execution through
+/// [`run_recoverable_with_sink`], shaped by `--checkpoint`, `--resume`,
+/// `--max-wall`, `--retry-blocks` and `--inject-faults`; with none of
+/// them it is the plain executor's run. Installs the SIGINT/SIGTERM
+/// latch when interruption can be made graceful (a checkpoint or wall
+/// budget is configured), and on interruption writes the telemetry
+/// artifacts and exits with code 75 (`EX_TEMPFAIL`) so callers can
+/// distinguish "resume me" from failure.
 fn run_crash_safe(
     spec: &ExperimentSpec,
     opts: &RunOptions,
@@ -931,12 +879,10 @@ fn run_crash_safe(
     jsonl: Option<&JsonlSink>,
     summary: Option<&SummarySink>,
 ) -> eproc_engine::ExperimentReport {
-    // The command-line fault spec wins over the environment variable.
     let faults = match &flags.inject_faults {
-        Some(spec) => FaultPlan::parse(spec),
-        None => FaultPlan::from_env(),
-    }
-    .unwrap_or_else(|e| usage(&e.to_string()));
+        Some(spec) => FaultPlan::parse(spec).unwrap_or_else(|e| usage(&e.to_string())),
+        None => FaultPlan::none(),
+    };
     let resume = flags.resume.as_deref().map(|path| {
         let ckpt = RunCheckpoint::load(path).unwrap_or_else(|e| {
             eprintln!("error: {e}");
@@ -1038,7 +984,7 @@ fn write_telemetry_artifacts(
 ) {
     if let Some(jsonl) = jsonl {
         match jsonl.finish() {
-            Ok(()) => println!("telemetry: {}", jsonl.path().display()),
+            Ok(()) => out!("telemetry: {}", jsonl.path().display()),
             Err(e) => {
                 eprintln!(
                     "error writing telemetry log {}: {e}",
@@ -1051,7 +997,7 @@ fn write_telemetry_artifacts(
     if let Some(summary) = summary {
         let sidecar = telemetry_sidecar_path(artifact);
         match summary.summary().save(&sidecar) {
-            Ok(()) => println!("telemetry sidecar: {}", sidecar.display()),
+            Ok(()) => out!("telemetry sidecar: {}", sidecar.display()),
             Err(e) => {
                 eprintln!("error writing telemetry sidecar {}: {e}", sidecar.display());
                 exit(1);
@@ -1089,9 +1035,6 @@ struct AdhocSpec {
     cap: Option<CapSpec>,
     start: Option<usize>,
     marked_resample: bool,
-    /// `--sweep` range (accepted by `scale` only).
-    sweep: Option<SweepRange>,
-    saw_inline_sweep: bool,
 }
 
 impl AdhocSpec {
@@ -1107,10 +1050,9 @@ impl AdhocSpec {
                 "--graph" => {
                     for part in v().split(';') {
                         if sweeps {
-                            let (expanded, marked, range) = GraphSpec::parse_with_sweep(part)
+                            let (expanded, marked, _) = GraphSpec::parse_with_sweep(part)
                                 .unwrap_or_else(|e| usage(&e.to_string()));
                             spec.marked_resample |= marked;
-                            spec.saw_inline_sweep |= range.is_some();
                             spec.graphs.extend(expanded);
                         } else {
                             let (graph, marked) = GraphSpec::parse_with_resample(part)
@@ -1127,13 +1069,6 @@ impl AdhocSpec {
                         );
                     }
                 }
-                "--sweep" => {
-                    spec.sweep = Some(
-                        SweepRange::parse(v())
-                            .and_then(|r| r.normalize())
-                            .unwrap_or_else(|e| usage(&e.to_string())),
-                    );
-                }
                 "--target" => {
                     spec.target =
                         Some(Target::parse(v()).unwrap_or_else(|e| usage(&e.to_string())));
@@ -1143,12 +1078,6 @@ impl AdhocSpec {
                 }
                 "--cap" => {
                     spec.cap = Some(CapSpec::parse(v()).unwrap_or_else(|e| usage(&e.to_string())));
-                }
-                "--cap-nlogn" => {
-                    spec.cap = Some(CapSpec::NLogN(ok_or_usage(expect_positive_f64(
-                        "--cap-nlogn",
-                        v(),
-                    ))));
                 }
                 _ => {}
             }
@@ -1202,15 +1131,15 @@ fn cmd_compare(args: impl Iterator<Item = String>) {
 fn cmd_scale(args: impl Iterator<Item = String>) {
     let parsed = parse_or_usage("scale", EXEC_ACCEPTS, SCALE_EXTRA, args);
     let flags = CommonFlags::from_parsed(&parsed);
-    let mut adhoc = AdhocSpec::from_parsed(&parsed, true);
+    let adhoc = AdhocSpec::from_parsed(&parsed, true);
     let name = match parsed.positionals.as_slice() {
         [] => None,
         [name] => Some(name.clone()),
         _ => usage("scale takes at most one spec name"),
     };
     if let Some(name) = name {
-        if !adhoc.graphs.is_empty() || adhoc.sweep.is_some() {
-            usage("scale takes either a spec name or --graph/--sweep flags, not both");
+        if !adhoc.graphs.is_empty() {
+            usage("scale takes either a spec name or --graph flags, not both");
         }
         // A named spec already fixes its grid; honouring only some of
         // these flags would silently run a different experiment than the
@@ -1238,26 +1167,7 @@ fn cmd_scale(args: impl Iterator<Item = String>) {
     if adhoc.processes.is_empty() {
         usage("scale needs at least one --process");
     }
-    let mut graphs = adhoc.graphs;
-    if let Some(range) = adhoc.sweep {
-        if adhoc.saw_inline_sweep {
-            usage("use either an inline {range} in --graph or --sweep, not both");
-        }
-        // Each --graph becomes a size template: re-instantiate it at
-        // every sweep point.
-        let templates = std::mem::take(&mut graphs);
-        let points = range.points().unwrap_or_else(|e| usage(&e.to_string()));
-        for template in &templates {
-            for &n in &points {
-                graphs.push(
-                    template
-                        .with_primary_size(n)
-                        .unwrap_or_else(|e| usage(&e.to_string())),
-                );
-            }
-        }
-        adhoc.sweep = None;
-    }
+    let graphs = adhoc.graphs;
     // `--resample [W]` wins; otherwise randomized sweeps default to a
     // fresh graph per trial so each size estimates the ensemble law, and
     // purely deterministic sweeps stay in shared mode.
@@ -1333,14 +1243,14 @@ fn cmd_merge(args: impl Iterator<Item = String>) {
 /// Prints a finished report's header line and aggregate table (at the
 /// `--quantiles` selection) and returns the table for `--csv`.
 fn print_report_table(report: &ExperimentReport, flags: &CommonFlags) -> TextTable {
-    println!(
+    out!(
         "{}: {} ({})\n",
         report.name,
         report.description,
         report.target.label()
     );
     let table = to_text_table_with(report, flags.report_quantiles());
-    println!("{table}");
+    out!("{table}");
     table
 }
 
@@ -1361,10 +1271,10 @@ fn save_report_artifacts(
         eprintln!("error writing json artifact: {e}");
         exit(1);
     }
-    println!("json: {}", artifact.display());
+    out!("json: {}", artifact.display());
     if let Some(csv) = &flags.csv {
         match eproc_telemetry::write_atomic(csv, &table.to_csv()) {
-            Ok(()) => println!("csv: {}", csv.display()),
+            Ok(()) => out!("csv: {}", csv.display()),
             Err(e) => {
                 eprintln!("error writing csv artifact: {e}");
                 exit(1);
@@ -1404,8 +1314,8 @@ fn cmd_cache(args: impl Iterator<Item = String>) {
                     entry.spec_line.clone(),
                 ]);
             }
-            println!("{table}");
-            println!(
+            out!("{table}");
+            out!(
                 "{} entr{} ({} bytes) in {}",
                 entries.len(),
                 if entries.len() == 1 { "y" } else { "ies" },
@@ -1425,7 +1335,7 @@ fn cmd_cache(args: impl Iterator<Item = String>) {
                 eprintln!("error pruning cache at {}: {e}", store.root().display());
                 exit(1);
             });
-            println!(
+            out!(
                 "removed {} entr{} ({} bytes), kept {}",
                 stats.removed,
                 if stats.removed == 1 { "y" } else { "ies" },
@@ -1434,7 +1344,7 @@ fn cmd_cache(args: impl Iterator<Item = String>) {
             );
         }
         "path" => match rest {
-            [] => println!("{}", store.root().display()),
+            [] => out!("{}", store.root().display()),
             [prefix] => {
                 let matches = store.resolve_prefix(prefix).unwrap_or_else(|e| {
                     eprintln!("error reading cache at {}: {e}", store.root().display());
@@ -1445,7 +1355,7 @@ fn cmd_cache(args: impl Iterator<Item = String>) {
                         eprintln!("error: no cache entry matches {prefix:?}");
                         exit(1);
                     }
-                    [path] => println!("{}", path.display()),
+                    [path] => out!("{}", path.display()),
                     many => {
                         eprintln!(
                             "error: {prefix:?} is ambiguous ({} entries match)",

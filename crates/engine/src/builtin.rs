@@ -142,7 +142,7 @@ pub fn theorem1(scale: Scale) -> ExperimentSpec {
 }
 
 /// **T-rules** — rule independence: the E-process under every rule `A`
-/// (uniform, first/last port, round-robin, two adversaries) covers in
+/// (uniform, first/last port, round-robin, a greedy adversary) covers in
 /// `Θ(n)` on even-degree expanders.
 pub fn rules(scale: Scale) -> ExperimentSpec {
     let reg_n = match scale {

@@ -7,8 +7,7 @@
 //! all three with one table-driven parser:
 //!
 //! - every flag the CLI knows is declared **once** in a [`FlagDef`]
-//!   table (name, aliases, arity, and the phrase used in error
-//!   messages);
+//!   table (name, arity, and the phrase used in error messages);
 //! - each subcommand passes the subset of flag names it honours, and
 //!   every other *known* flag is rejected by name ("flag `--shard`
 //!   does not apply to `merge`") instead of falling through scattered
@@ -20,7 +19,8 @@
 //! collects positionals in order. Typed interpretation (integers,
 //! spec grammars, paths) happens in the caller via the `expect_*`
 //! helpers below, so every subcommand reports malformed values with
-//! the same phrasing.
+//! the same phrasing. The `eproc-bench` experiment binaries parse their
+//! `--scale`, `--seed` and `--threads` flags with it too.
 
 use std::fmt;
 use std::time::Duration;
@@ -42,19 +42,10 @@ pub enum Arity {
 /// One flag the CLI knows, declared once for every subcommand.
 #[derive(Debug, Clone, Copy)]
 pub struct FlagDef {
-    /// Canonical spelling (`--process`); [`Parsed`] reports this name
-    /// even when an alias was typed.
+    /// The flag's spelling (`--process`).
     pub name: &'static str,
-    /// Accepted alternative spellings (`--processes`).
-    pub aliases: &'static [&'static str],
     /// Value shape.
     pub arity: Arity,
-}
-
-impl FlagDef {
-    fn matches(&self, token: &str) -> bool {
-        self.name == token || self.aliases.contains(&token)
-    }
 }
 
 /// A usage error: malformed flags or values. The CLI maps every one of
@@ -90,12 +81,12 @@ impl fmt::Display for UsageError {
 
 impl std::error::Error for UsageError {}
 
-/// The lexical result of [`parse_args`]: flags (canonical name + raw
-/// value) in command-line order, positionals in order, and whether
-/// `--help`/`-h` appeared anywhere.
+/// The lexical result of [`parse_args`]: flags (name + raw value) in
+/// command-line order, positionals in order, and whether `--help`/`-h`
+/// appeared anywhere.
 #[derive(Debug, Default, Clone)]
 pub struct Parsed {
-    /// Flag occurrences in order, keyed by canonical name.
+    /// Flag occurrences in order, keyed by name.
     pub flags: Vec<(&'static str, Option<String>)>,
     /// Non-flag tokens in order.
     pub positionals: Vec<String>,
@@ -120,7 +111,7 @@ impl Parsed {
 }
 
 /// Parses `args` for subcommand `cmd` against the full flag `table`,
-/// honouring only the canonical names in `accepts`.
+/// honouring only the names in `accepts`.
 ///
 /// Rejections, in order of specificity: a known-but-foreign flag
 /// ("does not apply to"), an unknown `-`-prefixed token, and a missing
@@ -140,7 +131,7 @@ pub fn parse_args(
             parsed.help = true;
             continue;
         }
-        let def = table.iter().find(|d| d.matches(&token));
+        let def = table.iter().find(|d| d.name == token);
         match def {
             Some(def) => {
                 if !accepts.contains(&def.name) {
@@ -153,7 +144,7 @@ pub fn parse_args(
                     Arity::Switch => None,
                     Arity::Value(what) => {
                         let next_is_flag = args.peek().is_some_and(|t| {
-                            t == "-h" || t == "--help" || table.iter().any(|d| d.matches(t))
+                            t == "-h" || t == "--help" || table.iter().any(|d| d.name == t)
                         });
                         match args.next() {
                             Some(v) if !next_is_flag && !v.is_empty() => Some(v),
@@ -221,27 +212,22 @@ mod tests {
     const TABLE: &[FlagDef] = &[
         FlagDef {
             name: "--json",
-            aliases: &[],
             arity: Arity::Value("a path"),
         },
         FlagDef {
             name: "--process",
-            aliases: &["--processes"],
             arity: Arity::Value("a process list"),
         },
         FlagDef {
             name: "--progress",
-            aliases: &[],
             arity: Arity::Switch,
         },
         FlagDef {
             name: "--resample",
-            aliases: &[],
             arity: Arity::OptionalInt,
         },
         FlagDef {
             name: "--shard",
-            aliases: &[],
             arity: Arity::Value("<i>/<k>, e.g. 0/4"),
         },
     ];
@@ -267,21 +253,9 @@ mod tests {
     }
 
     #[test]
-    fn aliases_report_the_canonical_name() {
-        let p = parse_args("compare", TABLE, &["--process"], argv("--processes srw")).unwrap();
-        assert_eq!(p.value_of("--process"), Some("srw"));
-    }
-
-    #[test]
     fn foreign_known_flags_are_rejected_by_name() {
         let err = parse_args("merge", TABLE, &["--json"], argv("--shard 0/2")).unwrap_err();
         assert_eq!(err.to_string(), "flag `--shard` does not apply to `merge`");
-        // The alias spelling is reported under the canonical name too.
-        let err = parse_args("merge", TABLE, &["--json"], argv("--processes srw")).unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "flag `--process` does not apply to `merge`"
-        );
     }
 
     #[test]

@@ -9,13 +9,12 @@
 //! recovery proptests assert that *kill → resume* and *panic → retry*
 //! both reproduce the uninterrupted artifact byte-for-byte.
 //!
-//! The plan is armed via `--inject-faults SPEC` or the `EPROC_FAULTS`
-//! environment variable and is **off by default**: the executor looks a
-//! block's coordinates up once per attempt of the block's first task,
-//! inside that task's `catch_unwind` boundary and never per trial or
-//! step, so a fault fails exactly one attempt, and an empty
-//! plan answers without scanning anything, so production runs pay
-//! nothing measurable for the harness's existence.
+//! The plan is armed via `--inject-faults SPEC` and is **off by
+//! default**: the executor looks a block's coordinates up once per
+//! attempt of the block's first task, inside that task's `catch_unwind`
+//! boundary and never per trial or step, so a fault fails exactly one
+//! attempt, and an empty plan answers without scanning anything, so
+//! production runs pay nothing measurable for the harness's existence.
 
 use crate::spec::SpecError;
 
@@ -49,7 +48,7 @@ impl FaultPlan {
         self.faults.is_empty()
     }
 
-    /// Parses the CLI/env syntax: a comma-separated list of
+    /// Parses the CLI syntax: a comma-separated list of
     /// `kind@family.group.attempt` entries, e.g.
     /// `panic@0.1.0,graphfail@1.0.1` (panic family 0 group 1 on its
     /// first execution; fail family 1 group 0's graph on its first
@@ -81,19 +80,6 @@ impl FaultPlan {
             faults.push((key, kind));
         }
         Ok(FaultPlan { faults })
-    }
-
-    /// Builds the plan from the `EPROC_FAULTS` environment variable; an
-    /// unset variable yields the disabled plan.
-    ///
-    /// # Errors
-    ///
-    /// [`SpecError`] if the variable is set but malformed.
-    pub fn from_env() -> Result<FaultPlan, SpecError> {
-        match std::env::var("EPROC_FAULTS") {
-            Ok(spec) => FaultPlan::parse(&spec),
-            Err(_) => Ok(FaultPlan::none()),
-        }
     }
 
     /// The fault scheduled at *(family, group, attempt)*, if any.

@@ -59,8 +59,8 @@
 //! The paper's headline claim is a *growth rate* — `Θ(m)` cover time on
 //! even-degree high-girth expanders versus `Θ(n log n)` for the SRW. The
 //! [`scaling`] module turns a size-sweep report (one cell per size,
-//! expanded from the `{start..end,step}` sweep grammar or the CLI's
-//! `--sweep n=…` flag) into per-(process × series) growth-law fits:
+//! expanded from the `{start..end,step}` sweep grammar) into
+//! per-(process × series) growth-law fits:
 //! [`eproc_stats::scaling`] fits `c·m`, `a+b·m` and `c·n ln n` and
 //! selects by residual score, and [`report::scaling_table`] /
 //! [`report::to_json_with_scaling`] render the verdict. Sweep cells run
@@ -123,8 +123,9 @@
 //! module keys a content-addressed artifact store by that digest; the
 //! CLI's `--cache DIR` / `EPROC_CACHE` serves cache hits byte-identical
 //! to the run that populated them. The [`cli`] module is the shared
-//! flag-table parser behind both the `eproc` binary's subcommands and
-//! the canonical spec-line grammar.
+//! flag-table parser behind the `eproc` binary's subcommands, the
+//! canonical spec-line grammar and the `eproc-bench` experiment
+//! binaries' flags.
 //!
 //! # Fault tolerance
 //!
@@ -146,9 +147,9 @@
 //! ([`executor::BlockError`]): a panicking worker is reported — naming
 //! family, group and worker — without poisoning the pool, and
 //! `--retry-blocks` re-runs failed blocks from the same derived seeds.
-//! A deterministic [`fault::FaultPlan`] harness (`--inject-faults`,
-//! `EPROC_FAULTS`; off by default at zero cost) drives the proptests
-//! that pin all of these guarantees.
+//! A deterministic [`fault::FaultPlan`] harness (`--inject-faults`; off
+//! by default at zero cost) drives the proptests that pin all of these
+//! guarantees.
 //!
 //! # Example
 //!

@@ -14,10 +14,7 @@ use eproc_core::observe::{
     Observer, PhaseObserver,
 };
 use eproc_core::rotor::RotorRouter;
-use eproc_core::rule::{
-    AdversarialRule, FirstPortRule, GreedyAdversary, LastPortRule, RoundRobinRule, RuleContext,
-    UniformRule,
-};
+use eproc_core::rule::{FirstPortRule, GreedyAdversary, LastPortRule, RoundRobinRule, UniformRule};
 use eproc_core::srw::{LazyRandomWalk, SimpleRandomWalk, WeightedRandomWalk};
 use eproc_core::vprocess::VProcess;
 use eproc_core::{EProcess, Step};
@@ -89,8 +86,7 @@ pub enum SweepStep {
 
 /// A size sweep: `start..end` advanced by [`SweepStep`] — the sweep
 /// dimension of the `eproc scale` subsystem. Appears inline in the graph
-/// grammar (`regular:~{1k..256k,x2},4`) or as the CLI flag
-/// `--sweep n=1000..256000,x2`.
+/// grammar (`regular:~{1k..256k,x2},4`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepRange {
     /// First size (inclusive).
@@ -119,18 +115,17 @@ fn parse_sweep_size(tok: &str) -> Result<usize, SpecError> {
 }
 
 impl SweepRange {
-    /// Parses `[n=]<start>..<end>[,x<factor>|,+<stride>]`; the step
+    /// Parses `<start>..<end>[,x<factor>|,+<stride>]`; the step
     /// defaults to `x2`. Sizes accept `k`/`m` suffixes (`1k..256k,x2`).
     /// Empty, descending, overflowing and over-long ranges are rejected
     /// here, so a bad sweep spec fails before anything runs.
     pub fn parse(s: &str) -> Result<SweepRange, SpecError> {
-        let body = s.strip_prefix("n=").unwrap_or(s);
-        if body.is_empty() {
+        if s.is_empty() {
             return Err(SpecError::new("sweep range: empty"));
         }
-        let (range, step_tok) = match body.split_once(',') {
+        let (range, step_tok) = match s.split_once(',') {
             Some((r, st)) => (r, Some(st)),
-            None => (body, None),
+            None => (s, None),
         };
         let (a, b) = range.split_once("..").ok_or_else(|| {
             SpecError::new(format!(
@@ -209,26 +204,6 @@ impl SweepRange {
             }
         }
         Ok(points)
-    }
-
-    /// The normal form of this range: the same points with `end`
-    /// clamped to the last reachable size, so ranges that expand
-    /// identically render identically (`10..70,x2` and `10..40,x2`
-    /// both normalize to `10..40,x2`). Part of the spec
-    /// canonicalization contract: sweeps expand to concrete sizes
-    /// before an [`ExperimentSpec`] exists, and this is the unique
-    /// spelling of the range that produced them.
-    ///
-    /// # Errors
-    ///
-    /// [`SpecError`] whenever [`SweepRange::points`] fails.
-    pub fn normalize(&self) -> Result<SweepRange, SpecError> {
-        let points = self.points()?;
-        Ok(SweepRange {
-            start: self.start,
-            end: *points.last().expect("points() yields at least `start`"),
-            step: self.step,
-        })
     }
 }
 
@@ -503,31 +478,6 @@ impl GraphSpec {
         Ok((specs, resample, Some(range)))
     }
 
-    /// Re-instantiates the family at vertex count `n` — how the CLI's
-    /// `--sweep n=<range>` flag turns one `--graph` template into a sweep
-    /// grid. Only families whose leading parameter is a vertex count can
-    /// be swept this way.
-    ///
-    /// # Errors
-    ///
-    /// [`SpecError`] for families without a primary size (hypercube,
-    /// torus, LPS, lollipop, petersen, figure-eight).
-    pub fn with_primary_size(&self, n: usize) -> Result<GraphSpec, SpecError> {
-        match *self {
-            GraphSpec::Regular { d, .. } => Ok(GraphSpec::Regular { n, d }),
-            GraphSpec::Geometric { radius_factor, .. } => {
-                Ok(GraphSpec::Geometric { n, radius_factor })
-            }
-            GraphSpec::Cycle { .. } => Ok(GraphSpec::Cycle { n }),
-            GraphSpec::Complete { .. } => Ok(GraphSpec::Complete { n }),
-            _ => Err(SpecError::new(format!(
-                "graph spec \"{}\": family has no primary vertex count to sweep \
-                 (sweepable: regular, geometric, cycle, complete)",
-                self.to_cli()
-            ))),
-        }
-    }
-
     /// `true` for families whose samples genuinely depend on the seed —
     /// the families for which per-trial resampling changes the ensemble.
     pub fn is_randomized(&self) -> bool {
@@ -745,8 +695,6 @@ pub enum RuleSpec {
     RoundRobin,
     /// Adversary steering toward high-degree neighbours.
     GreedyAdversary,
-    /// Adversary always picking the live arc with the largest id.
-    Spiteful,
 }
 
 impl RuleSpec {
@@ -758,7 +706,6 @@ impl RuleSpec {
             RuleSpec::LastPort => "last-port",
             RuleSpec::RoundRobin => "round-robin",
             RuleSpec::GreedyAdversary => "greedy-adversary",
-            RuleSpec::Spiteful => "spiteful-adversary",
         }
     }
 
@@ -770,31 +717,20 @@ impl RuleSpec {
             "lastport" => Ok(RuleSpec::LastPort),
             "roundrobin" => Ok(RuleSpec::RoundRobin),
             "greedyadversary" | "greedy" => Ok(RuleSpec::GreedyAdversary),
-            "spitefuladversary" | "spiteful" => Ok(RuleSpec::Spiteful),
             other => Err(SpecError::new(format!("unknown rule {other:?}"))),
         }
     }
 
     /// All rules, for grid construction.
-    pub fn all() -> [RuleSpec; 6] {
+    pub fn all() -> [RuleSpec; 5] {
         [
             RuleSpec::Uniform,
             RuleSpec::FirstPort,
             RuleSpec::LastPort,
             RuleSpec::RoundRobin,
             RuleSpec::GreedyAdversary,
-            RuleSpec::Spiteful,
         ]
     }
-}
-
-fn spiteful_choice(ctx: &RuleContext<'_>) -> usize {
-    ctx.live_arcs
-        .iter()
-        .enumerate()
-        .max_by_key(|&(_, &a)| a)
-        .map(|(i, _)| i)
-        .expect("live_arcs is nonempty")
 }
 
 /// One walk process in the experiment grid.
@@ -941,11 +877,6 @@ impl ProcessSpec {
                 RuleSpec::GreedyAdversary => {
                     WalkKernel::EProcessGreedyAdversary(EProcess::new(g, start, GreedyAdversary))
                 }
-                RuleSpec::Spiteful => {
-                    let rule: AdversarialRule<fn(&RuleContext<'_>) -> usize> =
-                        AdversarialRule::new(spiteful_choice);
-                    WalkKernel::EProcessSpiteful(EProcess::new(g, start, rule))
-                }
             },
             ProcessSpec::Srw => WalkKernel::Srw(SimpleRandomWalk::new(g, start)),
             ProcessSpec::LazySrw => WalkKernel::LazySrw(LazyRandomWalk::new(g, start)),
@@ -965,9 +896,6 @@ impl ProcessSpec {
         }
     }
 }
-
-/// The function-pointer adversary used by [`RuleSpec::Spiteful`].
-pub type SpitefulRule = AdversarialRule<fn(&RuleContext<'_>) -> usize>;
 
 /// One concrete walk process per built-in [`ProcessSpec`] variant.
 ///
@@ -990,8 +918,6 @@ pub enum WalkKernel<'g> {
     EProcessRoundRobin(EProcess<'g, RoundRobinRule>),
     /// E-process, greedy adversary.
     EProcessGreedyAdversary(EProcess<'g, GreedyAdversary>),
-    /// E-process, spiteful adversary.
-    EProcessSpiteful(EProcess<'g, SpitefulRule>),
     /// Simple random walk.
     Srw(SimpleRandomWalk<'g>),
     /// Lazy random walk.
@@ -1024,7 +950,6 @@ macro_rules! with_kernel {
             $crate::spec::WalkKernel::EProcessLastPort(mut $walk) => $body,
             $crate::spec::WalkKernel::EProcessRoundRobin(mut $walk) => $body,
             $crate::spec::WalkKernel::EProcessGreedyAdversary(mut $walk) => $body,
-            $crate::spec::WalkKernel::EProcessSpiteful(mut $walk) => $body,
             $crate::spec::WalkKernel::Srw(mut $walk) => $body,
             $crate::spec::WalkKernel::LazySrw(mut $walk) => $body,
             $crate::spec::WalkKernel::WeightedSrw(mut $walk) => $body,
@@ -1081,9 +1006,6 @@ macro_rules! with_kernel_lanes {
             }
             Some($crate::spec::WalkKernel::EProcessGreedyAdversary(_)) => {
                 $crate::with_kernel_lanes!(@arm kernels, EProcessGreedyAdversary, $walks => $body)
-            }
-            Some($crate::spec::WalkKernel::EProcessSpiteful(_)) => {
-                $crate::with_kernel_lanes!(@arm kernels, EProcessSpiteful, $walks => $body)
             }
             Some($crate::spec::WalkKernel::Srw(_)) => {
                 $crate::with_kernel_lanes!(@arm kernels, Srw, $walks => $body)
@@ -1677,10 +1599,9 @@ impl ExperimentSpec {
     /// sorted, defaults materialized, `name`/`description` derived from
     /// content — see [`ExperimentSpec::canonicalize`]).
     ///
-    /// Accepted flags: `--graph` (repeatable; `;`-packed), `--process`/
-    /// `--processes` (repeatable; `,`-packed), `--metrics` (repeatable;
-    /// `,`-packed), `--trials`, `--target`, `--start`, `--cap`,
-    /// `--resample <W>`. Omitted fields take the `compare` defaults
+    /// Accepted flags: `--graph` (repeatable; `;`-packed), `--process`
+    /// (repeatable; `,`-packed), `--metrics` (repeatable; `,`-packed),
+    /// `--trials`, `--target`, `--start`, `--cap`, `--resample <W>`. Omitted fields take the `compare` defaults
     /// (5 trials, `vertex` target, start 0, `auto` cap, no resampling).
     /// Resample `~` markers and sweep ranges are rejected: a canonical
     /// line carries explicit `--resample` and concrete sizes.
@@ -1694,42 +1615,34 @@ impl ExperimentSpec {
         const TABLE: &[FlagDef] = &[
             FlagDef {
                 name: "--graph",
-                aliases: &[],
                 arity: Arity::Value("a graph spec"),
             },
             FlagDef {
                 name: "--process",
-                aliases: &["--processes"],
                 arity: Arity::Value("a process list"),
             },
             FlagDef {
                 name: "--trials",
-                aliases: &[],
                 arity: Arity::Value("a trial count"),
             },
             FlagDef {
                 name: "--target",
-                aliases: &[],
                 arity: Arity::Value("a target"),
             },
             FlagDef {
                 name: "--metrics",
-                aliases: &[],
                 arity: Arity::Value("a metric list"),
             },
             FlagDef {
                 name: "--start",
-                aliases: &[],
                 arity: Arity::Value("a start vertex"),
             },
             FlagDef {
                 name: "--cap",
-                aliases: &[],
                 arity: Arity::Value("auto|nlogn:<factor>|abs:<steps>"),
             },
             FlagDef {
                 name: "--resample",
-                aliases: &[],
                 arity: Arity::Value("a walks-per-graph count"),
             },
         ];
@@ -2106,7 +2019,6 @@ mod tests {
         for s in [
             "eprocess",
             "eprocess:first-port",
-            "eprocess:spiteful",
             "srw",
             "lazy",
             "weighted",
@@ -2195,9 +2107,6 @@ mod tests {
             },
             ProcessSpec::EProcess {
                 rule: RuleSpec::GreedyAdversary,
-            },
-            ProcessSpec::EProcess {
-                rule: RuleSpec::Spiteful,
             },
             ProcessSpec::Srw,
             ProcessSpec::LazySrw,
@@ -2382,8 +2291,8 @@ mod tests {
         );
         assert_eq!(r.points().unwrap().len(), 9); // 1k, 2k, …, 256k
         assert_eq!(r.points().unwrap()[8], 256_000);
-        // `n=` prefix (the --sweep flag form) and suffix-free sizes.
-        assert_eq!(SweepRange::parse("n=1000..256000,x2").unwrap(), r);
+        // Suffix-free sizes.
+        assert_eq!(SweepRange::parse("1000..256000,x2").unwrap(), r);
         // Default step is x2.
         assert_eq!(
             SweepRange::parse("100..400").unwrap().points().unwrap(),
@@ -2418,7 +2327,6 @@ mod tests {
     fn sweep_range_rejects_degenerate_input() {
         for bad in [
             "",                               // empty
-            "n=",                             // empty after prefix
             "100",                            // no `..`
             "200..100",                       // descending
             "0..100",                         // zero start
@@ -2478,35 +2386,5 @@ mod tests {
         assert!(GraphSpec::parse_with_sweep("regular:{1..2},{3..4}").is_err()); // two ranges
         assert!(GraphSpec::parse_with_sweep("regular:{},4").is_err()); // empty
         assert!(GraphSpec::parse_with_sweep("regular:{1k..2k,x2}").is_err()); // missing d
-    }
-
-    #[test]
-    fn with_primary_size_resizes_sweepable_families() {
-        assert_eq!(
-            GraphSpec::Regular { n: 10, d: 4 }
-                .with_primary_size(64)
-                .unwrap(),
-            GraphSpec::Regular { n: 64, d: 4 }
-        );
-        assert_eq!(
-            GraphSpec::Geometric {
-                n: 10,
-                radius_factor: 1.5
-            }
-            .with_primary_size(64)
-            .unwrap(),
-            GraphSpec::Geometric {
-                n: 64,
-                radius_factor: 1.5
-            }
-        );
-        assert_eq!(
-            GraphSpec::Cycle { n: 3 }.with_primary_size(9).unwrap(),
-            GraphSpec::Cycle { n: 9 }
-        );
-        assert!(GraphSpec::Petersen.with_primary_size(10).is_err());
-        assert!(GraphSpec::Torus { w: 3, h: 3 }
-            .with_primary_size(10)
-            .is_err());
     }
 }

@@ -50,7 +50,7 @@ fn arb_graph_spec() -> impl Strategy<Value = GraphSpec> {
 }
 
 fn arb_process_spec() -> impl Strategy<Value = ProcessSpec> {
-    (0usize..14, 1usize..8).prop_map(|(variant, d)| match variant {
+    (0usize..13, 1usize..8).prop_map(|(variant, d)| match variant {
         0 => ProcessSpec::EProcess {
             rule: RuleSpec::Uniform,
         },
@@ -66,16 +66,13 @@ fn arb_process_spec() -> impl Strategy<Value = ProcessSpec> {
         4 => ProcessSpec::EProcess {
             rule: RuleSpec::GreedyAdversary,
         },
-        5 => ProcessSpec::EProcess {
-            rule: RuleSpec::Spiteful,
-        },
-        6 => ProcessSpec::Srw,
-        7 => ProcessSpec::LazySrw,
-        8 => ProcessSpec::WeightedSrw,
-        9 => ProcessSpec::RotorRouter,
-        10 => ProcessSpec::Rwc { d },
-        11 => ProcessSpec::OldestFirst,
-        12 => ProcessSpec::LeastUsedFirst,
+        5 => ProcessSpec::Srw,
+        6 => ProcessSpec::LazySrw,
+        7 => ProcessSpec::WeightedSrw,
+        8 => ProcessSpec::RotorRouter,
+        9 => ProcessSpec::Rwc { d },
+        10 => ProcessSpec::OldestFirst,
+        11 => ProcessSpec::LeastUsedFirst,
         _ => ProcessSpec::VProcess,
     })
 }

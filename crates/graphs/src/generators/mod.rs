@@ -1,10 +1,10 @@
 //! Graph generators.
 //!
 //! Deterministic families live in this module; randomized generators are in
-//! the submodules [`regular`] (configuration model, Steger–Wormald),
+//! the submodules [`regular`] (Steger–Wormald, fixed degree sequences),
 //! [`lps`] (Lubotzky–Phillips–Sarnak Ramanujan graphs, reference \[11\] of the
 //! paper), [`geometric`] (random geometric graphs as used by
-//! Avin–Krishnamachari) and [`random`] (Erdős–Rényi).
+//! Avin–Krishnamachari) and [`random`] (Erdős–Rényi `G(n, m)`).
 //!
 //! All randomized generators take an explicit `&mut impl Rng` so experiments
 //! are reproducible from a seed.
@@ -26,10 +26,10 @@ pub use geometric::{
 };
 pub use incidence::projective_plane_incidence;
 pub use lps::{lps_ramanujan, LpsParams};
-pub use random::{erdos_renyi_gnm, erdos_renyi_gnp};
+pub use random::erdos_renyi_gnm;
 pub use regular::{
-    connected_random_regular, connected_random_regular_counted, pairing_model_multigraph,
-    random_regular_pairing, random_with_degree_sequence, steger_wormald, steger_wormald_counted,
+    connected_random_regular, connected_random_regular_counted, random_with_degree_sequence,
+    steger_wormald, steger_wormald_counted,
 };
 
 use crate::csr::{Graph, Vertex};
@@ -134,66 +134,6 @@ pub fn torus2d(w: usize, h: usize) -> Graph {
         }
     }
     Graph::from_edges(w * h, &edges).expect("torus edges are valid")
-}
-
-/// The open `w x h` grid (no wraparound).
-///
-/// # Panics
-///
-/// Panics if `w == 0` or `h == 0`.
-pub fn grid2d(w: usize, h: usize) -> Graph {
-    assert!(w >= 1 && h >= 1, "grid2d requires w, h >= 1");
-    let idx = |x: usize, y: usize| -> Vertex { y * w + x };
-    let mut edges = Vec::new();
-    for y in 0..h {
-        for x in 0..w {
-            if x + 1 < w {
-                edges.push((idx(x, y), idx(x + 1, y)));
-            }
-            if y + 1 < h {
-                edges.push((idx(x, y), idx(x, y + 1)));
-            }
-        }
-    }
-    Graph::from_edges(w * h, &edges).expect("grid edges are valid")
-}
-
-/// The circulant graph `C_n(S)`: vertex `i` is adjacent to `i ± s (mod n)`
-/// for each `s` in `offsets`. Even-degree (degree `2|S|`) when no offset
-/// equals `n/2`.
-///
-/// # Panics
-///
-/// Panics if an offset is `0` or `>= n`, or duplicates modulo negation.
-pub fn circulant(n: usize, offsets: &[usize]) -> Graph {
-    let mut seen = std::collections::HashSet::new();
-    for &s in offsets {
-        assert!(
-            s != 0 && s < n,
-            "offset {s} out of range for circulant on {n} vertices"
-        );
-        let canon = s.min(n - s);
-        assert!(
-            seen.insert(canon),
-            "offsets {s} and {} coincide modulo negation",
-            n - s
-        );
-    }
-    let mut edges = Vec::new();
-    for i in 0..n {
-        for &s in offsets {
-            let j = (i + s) % n;
-            // Emit each edge once. For s == n/2, i and j pair up two ways.
-            if 2 * s == n {
-                if i < j {
-                    edges.push((i, j));
-                }
-            } else {
-                edges.push((i, j));
-            }
-        }
-    }
-    Graph::from_edges(n, &edges).expect("circulant edges are valid")
 }
 
 /// The lollipop graph: a clique on `clique` vertices with a path of
@@ -382,34 +322,6 @@ mod tests {
         let g = torus2d(2, 4);
         assert!(g.has_parallel_edges());
         assert!(degrees::is_regular(&g, 4));
-    }
-
-    #[test]
-    fn grid_corner_degree() {
-        let g = grid2d(3, 3);
-        assert_eq!(g.degree(0), 2);
-        assert_eq!(g.degree(4), 4);
-        assert_eq!(g.m(), 12);
-    }
-
-    #[test]
-    fn circulant_even_degree() {
-        let g = circulant(10, &[1, 2]);
-        assert!(degrees::is_regular(&g, 4));
-        assert!(connectivity::is_connected(&g));
-    }
-
-    #[test]
-    fn circulant_with_antipodal_offset() {
-        let g = circulant(6, &[1, 3]);
-        // Offset 3 on 6 vertices contributes degree 1, offsets 1 degree 2.
-        assert!(degrees::is_regular(&g, 3));
-    }
-
-    #[test]
-    #[should_panic(expected = "coincide")]
-    fn circulant_duplicate_offsets_panic() {
-        let _ = circulant(10, &[3, 7]);
     }
 
     #[test]

@@ -1,61 +1,9 @@
-//! Erdős–Rényi random graphs `G(n, p)` and `G(n, m)`.
+//! Erdős–Rényi random graphs `G(n, m)`.
 
 use crate::csr::Graph;
 use crate::error::GraphError;
 use rand::Rng;
 use std::collections::HashSet;
-
-/// `G(n, p)`: each of the `n(n-1)/2` pairs is an edge independently with
-/// probability `p`.
-///
-/// Uses geometric skipping, so the cost is `O(n + m)` rather than `O(n²)`
-/// for sparse graphs.
-///
-/// # Errors
-///
-/// [`GraphError::InvalidParameter`] if `p` is not in `[0, 1]`.
-pub fn erdos_renyi_gnp<R: Rng + ?Sized>(
-    n: usize,
-    p: f64,
-    rng: &mut R,
-) -> Result<Graph, GraphError> {
-    if !(0.0..=1.0).contains(&p) || p.is_nan() {
-        return Err(GraphError::InvalidParameter {
-            reason: format!("p must be in [0,1], got {p}"),
-        });
-    }
-    let mut edges = Vec::new();
-    if p >= 1.0 {
-        for u in 0..n {
-            for v in (u + 1)..n {
-                edges.push((u, v));
-            }
-        }
-        return Graph::from_edges(n, &edges);
-    }
-    if p > 0.0 && n >= 2 {
-        // Enumerate pairs (u, v), u < v, as a single index and skip
-        // geometrically: next index jump ~ 1 + floor(ln(U) / ln(1-p)).
-        let total = n * (n - 1) / 2;
-        let log1p = (1.0 - p).ln();
-        let mut idx = 0usize;
-        loop {
-            let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-            let skip = (u.ln() / log1p).floor() as usize;
-            idx = match idx.checked_add(skip) {
-                Some(i) => i,
-                None => break,
-            };
-            if idx >= total {
-                break;
-            }
-            let (a, b) = unrank_pair(idx, n);
-            edges.push((a, b));
-            idx += 1;
-        }
-    }
-    Graph::from_edges(n, &edges)
-}
 
 /// `G(n, m)`: a uniformly random simple graph with exactly `m` edges.
 ///
@@ -135,34 +83,6 @@ mod tests {
         assert_eq!(unrank_pair(3, 5), (0, 4));
         assert_eq!(unrank_pair(4, 5), (1, 2));
         assert_eq!(unrank_pair(9, 5), (3, 4));
-    }
-
-    #[test]
-    fn gnp_extremes() {
-        let mut rng = SmallRng::seed_from_u64(1);
-        assert_eq!(erdos_renyi_gnp(10, 0.0, &mut rng).unwrap().m(), 0);
-        assert_eq!(erdos_renyi_gnp(10, 1.0, &mut rng).unwrap().m(), 45);
-        assert!(erdos_renyi_gnp(10, 1.5, &mut rng).is_err());
-        assert!(erdos_renyi_gnp(10, f64::NAN, &mut rng).is_err());
-    }
-
-    #[test]
-    fn gnp_expected_edge_count() {
-        let mut rng = SmallRng::seed_from_u64(2);
-        let n = 300;
-        let p = 0.05;
-        let trials = 20;
-        let mut total = 0usize;
-        for _ in 0..trials {
-            total += erdos_renyi_gnp(n, p, &mut rng).unwrap().m();
-        }
-        let mean = total as f64 / trials as f64;
-        let expected = p * (n * (n - 1) / 2) as f64;
-        // Generous 10% tolerance; variance is tiny at this size.
-        assert!(
-            (mean - expected).abs() < 0.1 * expected,
-            "mean {mean} vs expected {expected}"
-        );
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! The paper's experiments (§5, Figure 1) were generated "using the random
 //! regular graph generator from the NetworkX package … This package
-//! implements the Steger/Wormald approach" (\[15\]). We implement both the
-//! classic configuration (pairing) model and the Steger–Wormald algorithm;
-//! the latter is what the Figure 1 harness uses.
+//! implements the Steger/Wormald approach" (\[15\]). [`steger_wormald`] is
+//! that algorithm and the only random regular generator here;
+//! [`random_with_degree_sequence`] (configuration model with whole-pairing
+//! rejection) draws simple graphs with an arbitrary degree sequence.
 
 use super::MAX_RESTARTS;
 use crate::csr::{Graph, Vertex};
@@ -13,24 +14,18 @@ use crate::properties::connectivity;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-fn check_degree_sequence(n: usize, degrees: &[usize], simple: bool) -> Result<(), GraphError> {
-    if degrees.len() != n {
-        return Err(GraphError::InfeasibleDegrees {
-            reason: format!("{} degrees supplied for {} vertices", degrees.len(), n),
-        });
-    }
+fn check_degree_sequence(degrees: &[usize]) -> Result<(), GraphError> {
+    let n = degrees.len();
     let total: usize = degrees.iter().sum();
     if !total.is_multiple_of(2) {
         return Err(GraphError::InfeasibleDegrees {
             reason: format!("degree sum {total} is odd"),
         });
     }
-    if simple {
-        if let Some((v, &d)) = degrees.iter().enumerate().find(|&(_, &d)| d >= n) {
-            return Err(GraphError::InfeasibleDegrees {
-                reason: format!("vertex {v} has degree {d} >= n = {n} (simple graph impossible)"),
-            });
-        }
+    if let Some((v, &d)) = degrees.iter().enumerate().find(|&(_, &d)| d >= n) {
+        return Err(GraphError::InfeasibleDegrees {
+            reason: format!("vertex {v} has degree {d} >= n = {n} (simple graph impossible)"),
+        });
     }
     Ok(())
 }
@@ -53,62 +48,6 @@ fn pair_stubs<R: Rng + ?Sized>(degrees: &[usize], rng: &mut R) -> Option<Vec<(Ve
     Some(edges)
 }
 
-/// The configuration (pairing) model *without* simplicity rejection:
-/// returns a multigraph that may contain parallel edges (self-loop pairings
-/// are re-drawn). Useful when the analysis is done directly on the
-/// configuration model, as in Section 4 of the paper.
-///
-/// # Errors
-///
-/// [`GraphError::InfeasibleDegrees`] for an odd degree sum,
-/// [`GraphError::RetriesExhausted`] if every pairing drew a self-loop
-/// (practically impossible for reasonable parameters).
-pub fn pairing_model_multigraph<R: Rng + ?Sized>(
-    n: usize,
-    r: usize,
-    rng: &mut R,
-) -> Result<Graph, GraphError> {
-    let degrees = vec![r; n];
-    check_degree_sequence(n, &degrees, false)?;
-    for _ in 0..MAX_RESTARTS {
-        if let Some(edges) = pair_stubs(&degrees, rng) {
-            return Graph::from_edges(n, &edges);
-        }
-    }
-    Err(GraphError::RetriesExhausted {
-        generator: "pairing_model_multigraph",
-        attempts: MAX_RESTARTS,
-        what: format!("an {r}-regular multigraph on {n} vertices"),
-    })
-}
-
-/// Uniform random `r`-regular *simple* graph via the configuration model
-/// with whole-pairing rejection.
-///
-/// The acceptance probability is `≈ exp(-(r²-1)/4)`, so this is only
-/// sensible for small `r` (the rejection method is exactly uniform over
-/// simple `r`-regular graphs). For larger `r` use [`steger_wormald`].
-///
-/// # Errors
-///
-/// [`GraphError::InfeasibleDegrees`] if `n·r` is odd or `r >= n`;
-/// [`GraphError::RetriesExhausted`] if no simple pairing was found.
-pub fn random_regular_pairing<R: Rng + ?Sized>(
-    n: usize,
-    r: usize,
-    rng: &mut R,
-) -> Result<Graph, GraphError> {
-    let degrees = vec![r; n];
-    random_with_degree_sequence(&degrees, rng).map_err(|e| match e {
-        GraphError::RetriesExhausted { attempts, .. } => GraphError::RetriesExhausted {
-            generator: "random_regular_pairing",
-            attempts,
-            what: format!("an {r}-regular simple graph on {n} vertices"),
-        },
-        other => other,
-    })
-}
-
 /// Uniform random simple graph with the given degree sequence
 /// (configuration model + whole-pairing rejection).
 ///
@@ -121,7 +60,7 @@ pub fn random_with_degree_sequence<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<Graph, GraphError> {
     let n = degrees.len();
-    check_degree_sequence(n, degrees, true)?;
+    check_degree_sequence(degrees)?;
     for _ in 0..MAX_RESTARTS {
         let Some(edges) = pair_stubs(degrees, rng) else {
             continue;
@@ -181,7 +120,7 @@ pub fn steger_wormald_counted<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<(Graph, usize), GraphError> {
     let degrees = vec![r; n];
-    check_degree_sequence(n, &degrees, true)?;
+    check_degree_sequence(&degrees)?;
     if r == 0 {
         return Graph::from_edges(n, &[]).map(|g| (g, 1));
     }
@@ -299,26 +238,14 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn pairing_multigraph_is_regular() {
-        let mut rng = SmallRng::seed_from_u64(1);
-        let g = pairing_model_multigraph(50, 4, &mut rng).unwrap();
-        assert_eq!(g.n(), 50);
-        assert!(degrees::is_regular(&g, 4));
-    }
-
-    #[test]
-    fn pairing_simple_graph() {
-        let mut rng = SmallRng::seed_from_u64(2);
-        let g = random_regular_pairing(40, 3, &mut rng).unwrap();
-        assert!(degrees::is_regular(&g, 3));
-        assert!(!g.has_parallel_edges());
-    }
-
-    #[test]
     fn odd_degree_sum_rejected() {
         let mut rng = SmallRng::seed_from_u64(3);
         assert!(matches!(
-            random_regular_pairing(5, 3, &mut rng),
+            random_with_degree_sequence(&[3; 5], &mut rng),
+            Err(GraphError::InfeasibleDegrees { .. })
+        ));
+        assert!(matches!(
+            steger_wormald(5, 3, &mut rng),
             Err(GraphError::InfeasibleDegrees { .. })
         ));
     }
@@ -327,7 +254,11 @@ mod tests {
     fn degree_too_large_rejected() {
         let mut rng = SmallRng::seed_from_u64(4);
         assert!(matches!(
-            random_regular_pairing(4, 4, &mut rng),
+            random_with_degree_sequence(&[4; 4], &mut rng),
+            Err(GraphError::InfeasibleDegrees { .. })
+        ));
+        assert!(matches!(
+            steger_wormald(4, 4, &mut rng),
             Err(GraphError::InfeasibleDegrees { .. })
         ));
     }

@@ -9,8 +9,8 @@
 //!   edges visited while walking arcs, so both views are first-class;
 //!   [`Graph::from_edges`] is its one validating constructor.
 //! * [`generators`] — the graph families used by the paper's analysis and
-//!   experiments: random regular graphs (configuration/pairing model and the
-//!   Steger–Wormald algorithm used by the paper's own simulations), LPS
+//!   experiments: random regular graphs (the Steger–Wormald algorithm used
+//!   by the paper's own simulations), LPS
 //!   Ramanujan graphs (the canonical *high girth even degree expanders* of
 //!   the title), hypercubes, toroidal grids, random geometric graphs, and a
 //!   zoo of deterministic families for tests and baselines.

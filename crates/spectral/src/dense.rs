@@ -1,7 +1,7 @@
 //! Dense linear algebra: symmetric eigensolver and linear solver.
 //!
-//! These are the exact oracles against which the scalable sparse methods
-//! ([`crate::power`], [`crate::lanczos`]) are cross-validated in tests.
+//! These are the exact oracles against which the scalable sparse method
+//! ([`crate::lanczos`]) is cross-validated in tests.
 
 use eproc_graphs::Graph;
 

@@ -10,10 +10,8 @@
 //!   bipartite graphs);
 //! * [`dense`] — dense symmetric matrices, cyclic Jacobi eigensolver and a
 //!   Gaussian-elimination linear solver: exact oracles for small graphs;
-//! * [`power`] — deflated power iteration for `λ_2`, `λ_n`, `λ_max` on
-//!   large sparse graphs;
 //! * [`lanczos`] — Lanczos tridiagonalisation with full reorthogonalisation
-//!   as a cross-check / faster alternative on large graphs;
+//!   for `λ_2`, `λ_n`, `λ_max` on large sparse graphs;
 //! * [`hitting`] — exact hitting times `E_u(H_v)`, commute times,
 //!   stationary hitting times `E_π(H_v)` and the return-time identity
 //!   `E_v T_v^+ = 1/π_v` (used by Theorem 5's proof);
@@ -30,9 +28,7 @@ pub mod dense;
 pub mod hitting;
 pub mod lanczos;
 pub mod mixing;
-pub mod power;
 pub mod resistance;
 pub mod transition;
 
-pub use power::{spectral_gap, SpectralEstimates};
 pub use transition::stationary_distribution;

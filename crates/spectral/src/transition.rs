@@ -54,8 +54,8 @@ pub fn apply_transition(g: &Graph, x: &[f64], lazy: bool) -> Vec<f64> {
 /// variant `(I + S)/2`): `out[v] = Σ_{u ~ v} x[u] / √(d(u) d(v))`.
 ///
 /// `S` is similar to `P` (`S = D^{1/2} P D^{-1/2}`), so it has the same
-/// eigenvalues; being symmetric it is what the power/Lanczos methods
-/// iterate on.
+/// eigenvalues; being symmetric it is what the Lanczos method iterates
+/// on.
 ///
 /// # Panics
 ///

@@ -7,7 +7,6 @@ use eproc_spectral::conductance::{cheeger_slack, conductance_exact};
 use eproc_spectral::dense::SymMatrix;
 use eproc_spectral::hitting::{commute_time, expected_return_time, hitting_times_to};
 use eproc_spectral::lanczos::lanczos;
-use eproc_spectral::power::{spectral_gap, PowerOptions};
 use eproc_spectral::resistance::{effective_resistance, foster_sum};
 use eproc_spectral::transition::{apply_transition, stationary_distribution};
 use proptest::prelude::*;
@@ -65,16 +64,6 @@ proptest! {
         } else {
             prop_assert!(lambda_n > -1.0 + 1e-8);
         }
-    }
-
-    #[test]
-    fn power_iteration_matches_jacobi(g in arb_connected_graph()) {
-        let exact = SymMatrix::from_graph(&g, false).eigenvalues();
-        let est = spectral_gap(&g, PowerOptions::default());
-        prop_assert!((est.lambda_2 - exact[1]).abs() < 1e-5,
-            "lambda2 {} vs {}", est.lambda_2, exact[1]);
-        prop_assert!((est.lambda_n - exact[g.n() - 1]).abs() < 1e-5,
-            "lambdan {} vs {}", est.lambda_n, exact[g.n() - 1]);
     }
 
     #[test]
