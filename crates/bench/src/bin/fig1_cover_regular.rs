@@ -12,7 +12,7 @@
 //! a point's 5 walks, as the paper does; this binary adds the growth-model
 //! fits.
 
-use eproc_bench::{run_engine_spec, save_artifacts, Config};
+use eproc_bench::{out, run_engine_spec, save_artifacts, Config};
 use eproc_engine::spec::{
     CapSpec, ExperimentSpec, GraphSpec, ProcessSpec, ResamplePlan, RuleSpec, Scale, Target,
 };
@@ -31,8 +31,8 @@ fn sizes(scale: Scale) -> Vec<usize> {
 fn main() {
     let config = Config::from_args();
     let ns = sizes(config.scale);
-    println!("Figure 1: normalised vertex cover time CV/n of the E-process");
-    println!(
+    out!("Figure 1: normalised vertex cover time CV/n of the E-process");
+    out!(
         "(uniform rule, Steger-Wormald random d-regular graphs, {REPS} runs per point, one graph per run)\n"
     );
     let spec = ExperimentSpec {
@@ -91,9 +91,9 @@ fn main() {
             paper,
         ]);
     }
-    println!("{table}");
-    println!("growth-model fits per degree (paper: even flat, odd c*n*ln(n)):\n");
-    println!("{fits}");
+    out!("{table}");
+    out!("growth-model fits per degree (paper: even flat, odd c*n*ln(n)):\n");
+    out!("{fits}");
     save_artifacts(
         &[("fig1_cover_regular", &table), ("fig1_fits", &fits)],
         Some(&report),

@@ -9,13 +9,13 @@
 //! `CV` and `CE` — one ensemble, one pass per trial, three columns. This
 //! binary only reshapes the engine cells into the paper's presentation.
 
-use eproc_bench::{metric_mean, run_engine_spec, save_artifacts, Config};
+use eproc_bench::{metric_mean, out, run_engine_spec, save_artifacts, Config};
 use eproc_engine::builtin;
 use eproc_stats::TextTable;
 
 fn main() {
     let config = Config::from_args();
-    println!("Equation (4): blanket time t_bl(1/2) = O(CV(SRW)) and CE(E) = O(m + CV(SRW))\n");
+    out!("Equation (4): blanket time t_bl(1/2) = O(CV(SRW)) and CE(E) = O(m + CV(SRW))\n");
     let spec = builtin::spec("blanket", config.scale).expect("builtin exists");
     let (graphs, report) = run_engine_spec(&spec, &config);
     let mut table = TextTable::new(vec![
@@ -47,6 +47,6 @@ fn main() {
             format!("{:.3}", (ce - m) / cv),
         ]);
     }
-    println!("{table}");
+    out!("{table}");
     save_artifacts(&[("table_blanket", &table)], Some(&report));
 }

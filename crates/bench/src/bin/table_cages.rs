@@ -10,7 +10,7 @@
 //! projective-plane incidence graphs have no `GraphSpec`, and one table
 //! does not justify a graph family on the CLI.
 
-use eproc_bench::{save_artifacts, Config};
+use eproc_bench::{out, save_artifacts, Config};
 use eproc_core::cover::{run_cover, CoverTarget};
 use eproc_core::rule::UniformRule;
 use eproc_core::EProcess;
@@ -26,7 +26,7 @@ const REPS: usize = 5;
 fn main() {
     let config = Config::from_args();
     let seeds = SeedSequence::new(config.seed);
-    println!("Projective-plane incidence graphs: even degree, girth 6, explored linearly\n");
+    out!("Projective-plane incidence graphs: even degree, girth 6, explored linearly\n");
     let mut table = TextTable::new(vec![
         "q", "n", "m", "degree", "girth", "lazy gap", "CV/n", "CE/m",
     ]);
@@ -59,8 +59,8 @@ fn main() {
             format!("{:.2}", ce / g.m() as f64),
         ]);
     }
-    println!("{table}");
-    println!("note: even q (degree odd) excluded — the theorems need even degree;");
-    println!("q = 3, 5, 7, 11, 13 give degrees 4, 6, 8, 12, 14.");
+    out!("{table}");
+    out!("note: even q (degree odd) excluded — the theorems need even degree;");
+    out!("q = 3, 5, 7, 11, 13 give degrees 4, 6, 8, 12, 14.");
     save_artifacts(&[("table_cages", &table)], None);
 }

@@ -5,7 +5,7 @@
 //! and compare, and also verify the small cycles are vertex-disjoint whp
 //! (the property used in §4.2).
 
-use eproc_bench::{save_artifacts, Config};
+use eproc_bench::{out, save_artifacts, Config};
 use eproc_engine::Scale;
 use eproc_graphs::generators;
 use eproc_graphs::properties::cycles::count_cycles_up_to;
@@ -20,7 +20,7 @@ const K_MAX: usize = 7;
 fn main() {
     let config = Config::from_args();
     let seeds = SeedSequence::new(config.seed);
-    println!("Short cycle counts N_k in random r-regular graphs vs E N_k = (r-1)^k/(2k)\n");
+    out!("Short cycle counts N_k in random r-regular graphs vs E N_k = (r-1)^k/(2k)\n");
     let mut table = TextTable::new(vec!["r", "n", "k", "mean N_k", "sd", "E N_k"]);
     let n = match config.scale {
         Scale::Quick => 20_000,
@@ -48,6 +48,6 @@ fn main() {
             ]);
         }
     }
-    println!("{table}");
+    out!("{table}");
     save_artifacts(&[("table_cycles", &table)], None);
 }

@@ -5,7 +5,7 @@
 //! to edge cover, with the `cover` metric giving the SRW's `CV` from the
 //! same walk; this binary checks the sandwich.
 
-use eproc_bench::{metric_mean, run_engine_spec, save_artifacts, Config};
+use eproc_bench::{metric_mean, out, run_engine_spec, save_artifacts, Config};
 use eproc_engine::spec::{
     CapSpec, ExperimentSpec, GraphSpec, MetricSpec, ProcessSpec, RuleSpec, Scale, Target,
 };
@@ -14,7 +14,7 @@ use eproc_theory::eq3_edge_cover_sandwich;
 
 fn main() {
     let config = Config::from_args();
-    println!("Equation (3): m <= CE(E-process) <= m + CV(SRW) on even-degree graphs\n");
+    out!("Equation (3): m <= CE(E-process) <= m + CV(SRW) on even-degree graphs\n");
     let (cyc, tor, reg_n) = match config.scale {
         Scale::Quick => (2_000, 24, 2_000),
         Scale::Paper => (20_000, 64, 20_000),
@@ -78,6 +78,6 @@ fn main() {
             },
         ]);
     }
-    println!("{table}");
+    out!("{table}");
     save_artifacts(&[("table_edge_cover_sandwich", &table)], Some(&report));
 }

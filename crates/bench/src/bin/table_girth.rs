@@ -9,7 +9,7 @@
 //! with the `cover` metric giving `CV` from the same walk; this binary
 //! adds the girth, spectral gap and Theorem 3 columns.
 
-use eproc_bench::{metric_mean, run_engine_spec, save_artifacts, Config};
+use eproc_bench::{metric_mean, out, run_engine_spec, save_artifacts, Config};
 use eproc_engine::spec::{
     CapSpec, ExperimentSpec, GraphSpec, MetricSpec, ProcessSpec, RuleSpec, Scale, Target,
 };
@@ -20,7 +20,7 @@ use eproc_theory::theorem3_edge_cover_bound;
 
 fn main() {
     let config = Config::from_args();
-    println!("Theorem 3 on high girth even degree expanders (LPS) vs random regular\n");
+    out!("Theorem 3 on high girth even degree expanders (LPS) vs random regular\n");
     let lps: Vec<GraphSpec> = match config.scale {
         Scale::Quick => vec![13, 17],
         Scale::Paper => vec![13, 17, 29],
@@ -93,6 +93,6 @@ fn main() {
             format!("{:.3}", ce / bound),
         ]);
     }
-    println!("{table}");
+    out!("{table}");
     save_artifacts(&[("table_girth", &table)], Some(&report));
 }

@@ -10,7 +10,7 @@
 //! on the same graphs the exact columns are computed on — the engine owns
 //! the walking; this binary adds the linear solves and bounds.
 
-use eproc_bench::{metric_mean, run_engine_spec, save_artifacts, Config};
+use eproc_bench::{metric_mean, out, run_engine_spec, save_artifacts, Config};
 use eproc_engine::builtin;
 use eproc_spectral::dense::SymMatrix;
 use eproc_spectral::hitting::{hitting_from_stationary, set_hitting_from_stationary};
@@ -20,7 +20,7 @@ use eproc_theory::{corollary9_set_hitting_bound, lemma6_hitting_bound};
 
 fn main() {
     let config = Config::from_args();
-    println!("Lemma 6 / Corollary 9: worst-vertex stationary hitting times vs bounds\n");
+    out!("Lemma 6 / Corollary 9: worst-vertex stationary hitting times vs bounds\n");
     let spec = builtin::spec("hitting", config.scale).expect("builtin exists");
     let (graphs, report) = run_engine_spec(&spec, &config);
     let mut table = TextTable::new(vec![
@@ -71,6 +71,6 @@ fn main() {
             format!("{measured:.1}"),
         ]);
     }
-    println!("{table}");
+    out!("{table}");
     save_artifacts(&[("table_hitting", &table)], Some(&report));
 }

@@ -8,7 +8,7 @@
 //! Thin engine wrapper: the built-in `hypercube` spec measures both edge
 //! cover times; this binary adds the normalised columns and bound (2).
 
-use eproc_bench::{run_engine_spec, save_artifacts, Config};
+use eproc_bench::{out, run_engine_spec, save_artifacts, Config};
 use eproc_engine::builtin;
 use eproc_engine::spec::GraphSpec;
 use eproc_stats::TextTable;
@@ -16,7 +16,7 @@ use eproc_theory::eq2_greedy_edge_cover_bound;
 
 fn main() {
     let config = Config::from_args();
-    println!("Hypercube edge cover: CE(E) = Theta(n log n) vs CE(SRW) = Theta(n log^2 n)\n");
+    out!("Hypercube edge cover: CE(E) = Theta(n log n) vs CE(SRW) = Theta(n log^2 n)\n");
     let spec = builtin::spec("hypercube", config.scale).expect("builtin exists");
     let (_, report) = run_engine_spec(&spec, &config);
     let mut table = TextTable::new(vec![
@@ -51,6 +51,6 @@ fn main() {
             format!("{eq2:.0}"),
         ]);
     }
-    println!("{table}");
+    out!("{table}");
     save_artifacts(&[("table_hypercube", &table)], Some(&report));
 }

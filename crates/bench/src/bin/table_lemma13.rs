@@ -9,7 +9,7 @@
 //! This binary walks its graph itself rather than through the engine:
 //! `P(S unvisited at t)` is not a per-trial metric the engine aggregates.
 
-use eproc_bench::{save_artifacts, Config};
+use eproc_bench::{out, save_artifacts, Config};
 use eproc_core::srw::SimpleRandomWalk;
 use eproc_core::WalkProcess;
 use eproc_engine::Scale;
@@ -50,7 +50,7 @@ fn main() {
     let mut graph_rng = SmallRng::seed_from_u64(seeds.derive(&[0]));
     let g = generators::connected_random_regular(n, 4, &mut graph_rng).unwrap();
     let gap = 1.0 - lanczos(&g, 120).lambda_max();
-    println!(
+    out!(
         "Lemma 13 tail on a random 4-regular graph (n = {n}, gap = {gap:.3}, {runs} runs/point)\n"
     );
     let mut table = TextTable::new(vec![
@@ -99,6 +99,6 @@ fn main() {
             ]);
         }
     }
-    println!("{table}");
+    out!("{table}");
     save_artifacts(&[("table_lemma13", &table)], None);
 }

@@ -11,7 +11,7 @@
 //! binary adds the exact small-graph oracle and the per-graph greedy /
 //! (P2) bound columns.
 
-use eproc_bench::{run_engine_spec, save_artifacts, Config};
+use eproc_bench::{out, run_engine_spec, save_artifacts, Config};
 use eproc_engine::builtin;
 use eproc_engine::spec::GraphSpec;
 use eproc_graphs::generators;
@@ -21,7 +21,7 @@ use eproc_theory::p2_l_good_bound;
 
 fn main() {
     let config = Config::from_args();
-    println!("l-goodness: exact small-graph values and greedy upper bounds\n");
+    out!("l-goodness: exact small-graph values and greedy upper bounds\n");
 
     let mut exact_table = TextTable::new(vec!["graph", "n", "m", "exact l"]);
     let named = vec![
@@ -40,7 +40,7 @@ fn main() {
             l.to_string(),
         ]);
     }
-    println!("{exact_table}");
+    out!("{exact_table}");
 
     let spec = builtin::spec("lgood", config.scale).expect("builtin exists");
     let (graphs, report) = run_engine_spec(&spec, &config);
@@ -79,7 +79,7 @@ fn main() {
             format!("{:.2}", cv / n as f64),
         ]);
     }
-    println!("{ub_table}");
+    out!("{ub_table}");
     save_artifacts(
         &[
             ("table_lgood_exact", &exact_table),

@@ -11,7 +11,7 @@
 //! the torus and hypercube rows; this binary adds the bounds and checks
 //! Theorem 5 against both the simple and the weighted random walk.
 
-use eproc_bench::{run_engine_spec, save_artifacts, Config};
+use eproc_bench::{out, run_engine_spec, save_artifacts, Config};
 use eproc_engine::builtin;
 use eproc_engine::spec::{CapSpec, ExperimentSpec, GraphSpec, Scale};
 use eproc_stats::TextTable;
@@ -19,8 +19,8 @@ use eproc_theory::{feige_lower_bound, radzik_lower_bound};
 
 fn main() {
     let config = Config::from_args();
-    println!("Lower bounds: SRW cover time vs Radzik (n/4)ln(n/2) and Feige n*ln(n);");
-    println!("the E-process undercuts both on even-degree expanders.\n");
+    out!("Lower bounds: SRW cover time vs Radzik (n/4)ln(n/2) and Feige n*ln(n);");
+    out!("the E-process undercuts both on even-degree expanders.\n");
     let mut table = TextTable::new(vec![
         "graph",
         "n",
@@ -82,6 +82,6 @@ fn main() {
             ]);
         }
     }
-    println!("{table}");
+    out!("{table}");
     save_artifacts(&[("table_lower_bound", &table)], None);
 }

@@ -6,7 +6,7 @@
 //! graphs and report the measured worst TV at `T`, plus the honest
 //! `ε = 1/4` mixing time for scale.
 
-use eproc_bench::{save_artifacts, Config};
+use eproc_bench::{out, save_artifacts, Config};
 use eproc_graphs::{generators, Graph};
 use eproc_spectral::dense::SymMatrix;
 use eproc_spectral::mixing::{mixing_time, worst_tv_at};
@@ -15,7 +15,7 @@ use eproc_theory::lemma7_mixing_time;
 
 fn main() {
     let _config = Config::from_args();
-    println!("Lemma 7: T = 6 ln n / gap (lazy walk) vs measured TV mixing\n");
+    out!("Lemma 7: T = 6 ln n / gap (lazy walk) vs measured TV mixing\n");
     let mut table = TextTable::new(vec![
         "graph",
         "n",
@@ -56,6 +56,6 @@ fn main() {
             tmix,
         ]);
     }
-    println!("{table}");
+    out!("{table}");
     save_artifacts(&[("table_mixing", &table)], None);
 }

@@ -12,14 +12,14 @@
 //! phase and blue-census observers on one walk per trial; this binary
 //! reshapes the metric columns into the paper's presentation.
 
-use eproc_bench::{metric_mean, run_engine_spec, save_artifacts, Config};
+use eproc_bench::{metric_mean, out, run_engine_spec, save_artifacts, Config};
 use eproc_engine::builtin;
 use eproc_engine::spec::GraphSpec;
 use eproc_stats::TextTable;
 
 fn main() {
     let config = Config::from_args();
-    println!("Blue/red phase structure of the E-process on random r-regular graphs\n");
+    out!("Blue/red phase structure of the E-process on random r-regular graphs\n");
     let spec = builtin::spec("phases", config.scale).expect("builtin exists");
     let (graphs, report) = run_engine_spec(&spec, &config);
     let mut table = TextTable::new(vec![
@@ -63,6 +63,6 @@ fn main() {
             },
         ]);
     }
-    println!("{table}");
+    out!("{table}");
     save_artifacts(&[("table_phases", &table)], Some(&report));
 }

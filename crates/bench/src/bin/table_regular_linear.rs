@@ -8,7 +8,7 @@
 //! Engine wrapper: one shared-graph spec; the `cover` metric yields `CV`
 //! and `CE` from the same walk.
 
-use eproc_bench::{metric_mean, run_engine_spec, save_artifacts, Config};
+use eproc_bench::{metric_mean, out, run_engine_spec, save_artifacts, Config};
 use eproc_engine::spec::{
     CapSpec, ExperimentSpec, GraphSpec, MetricSpec, ProcessSpec, RuleSpec, Scale, Target,
 };
@@ -16,7 +16,7 @@ use eproc_stats::TextTable;
 
 fn main() {
     let config = Config::from_args();
-    println!("Corollary 2/4: CV(E)/n flat and CE(E)/n sub-logarithmic for r = 4, 6\n");
+    out!("Corollary 2/4: CV(E)/n flat and CE(E)/n sub-logarithmic for r = 4, 6\n");
     let sizes: Vec<usize> = match config.scale {
         Scale::Quick => vec![1_000, 2_000, 4_000, 8_000, 16_000, 32_000],
         Scale::Paper => vec![16_000, 32_000, 64_000, 128_000, 256_000],
@@ -56,6 +56,6 @@ fn main() {
             format!("{:.4}", ce / (nf * nf.ln())),
         ]);
     }
-    println!("{table}");
+    out!("{table}");
     save_artifacts(&[("table_regular_linear", &table)], Some(&report));
 }

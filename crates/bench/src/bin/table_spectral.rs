@@ -6,7 +6,7 @@
 //! against the predictions, and report the gap that enters every cover
 //! bound.
 
-use eproc_bench::{save_artifacts, Config};
+use eproc_bench::{out, save_artifacts, Config};
 use eproc_engine::Scale;
 use eproc_graphs::properties::bipartite;
 use eproc_graphs::{generators, Graph};
@@ -19,7 +19,7 @@ use rand::SeedableRng;
 fn main() {
     let config = Config::from_args();
     let seeds = SeedSequence::new(config.seed);
-    println!("Spectra: measured lambda_2 vs Friedman/Ramanujan predictions\n");
+    out!("Spectra: measured lambda_2 vs Friedman/Ramanujan predictions\n");
     let mut table = TextTable::new(vec![
         "graph",
         "n",
@@ -83,6 +83,6 @@ fn main() {
     let torus_l2 = ((2.0 * std::f64::consts::PI / 32.0).cos() + 1.0) / 2.0;
     row("torus 32x32".into(), &t, Some(torus_l2 + 1e-9));
 
-    println!("{table}");
+    out!("{table}");
     save_artifacts(&[("table_spectral", &table)], None);
 }

@@ -10,7 +10,7 @@
 //! Engine wrapper: one shared-graph spec with the `bluecensus` metric on
 //! each vertex-cover walk; this binary reshapes the star counts.
 
-use eproc_bench::{run_engine_spec, save_artifacts, Config};
+use eproc_bench::{out, run_engine_spec, save_artifacts, Config};
 use eproc_engine::spec::{
     CapSpec, ExperimentSpec, GraphSpec, MetricSpec, ProcessSpec, RuleSpec, Scale, Target,
 };
@@ -19,7 +19,7 @@ use eproc_theory::star_fraction_heuristic_r3;
 
 fn main() {
     let config = Config::from_args();
-    println!("Isolated blue stars (Section 5): fraction of vertices stranded as stars\n");
+    out!("Isolated blue stars (Section 5): fraction of vertices stranded as stars\n");
     let sizes: Vec<usize> = match config.scale {
         Scale::Quick => vec![2_000, 8_000],
         Scale::Paper => vec![8_000, 32_000, 128_000],
@@ -65,6 +65,6 @@ fn main() {
             heuristic,
         ]);
     }
-    println!("{table}");
+    out!("{table}");
     save_artifacts(&[("table_stars", &table)], Some(&report));
 }

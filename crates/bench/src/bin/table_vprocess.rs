@@ -10,7 +10,7 @@
 //! Engine wrapper: one shared-graph spec races the three processes; this
 //! binary reshapes the cells into the normalised columns.
 
-use eproc_bench::{run_engine_spec, save_artifacts, Config};
+use eproc_bench::{out, run_engine_spec, save_artifacts, Config};
 use eproc_engine::spec::{
     CapSpec, ExperimentSpec, GraphSpec, ProcessSpec, RuleSpec, Scale, Target,
 };
@@ -18,7 +18,7 @@ use eproc_stats::TextTable;
 
 fn main() {
     let config = Config::from_args();
-    println!("E-process vs V-process vs SRW on random r-regular graphs (CV/n)\n");
+    out!("E-process vs V-process vs SRW on random r-regular graphs (CV/n)\n");
     let sizes: Vec<usize> = match config.scale {
         Scale::Quick => vec![2_000, 8_000, 32_000],
         Scale::Paper => vec![8_000, 32_000, 128_000],
@@ -72,6 +72,6 @@ fn main() {
             format!("{:.3}", v_cv / (nf * nf.ln())),
         ]);
     }
-    println!("{table}");
+    out!("{table}");
     save_artifacts(&[("table_vprocess", &table)], Some(&report));
 }

@@ -14,7 +14,7 @@
 //! cover time) is saved as a standard JSON artifact, bit-identical for
 //! any thread count.
 
-use eproc_bench::{save_artifacts, Config};
+use eproc_bench::{out, save_artifacts, Config};
 use eproc_engine::executor::{build_graphs, run_on_graphs, CellSummary, ExperimentReport};
 use eproc_engine::spec::ExperimentSpec;
 use eproc_engine::RunOptions;
@@ -23,7 +23,7 @@ use eproc_stats::{OnlineStats, QuantileSketch, SeedSequence, TextTable};
 fn main() {
     let config = Config::from_args();
     let seeds = SeedSequence::new(config.seed);
-    println!("Start-vertex sensitivity: CV = max_v C_v vs fixed-start means\n");
+    out!("Start-vertex sensitivity: CV = max_v C_v vs fixed-start means\n");
     let base = eproc_engine::builtin::spec("worststart", config.scale).expect("builtin exists");
     let mut table = TextTable::new(vec![
         "graph",
@@ -107,15 +107,15 @@ fn main() {
             });
         }
     }
-    println!("{table}");
-    println!("note: on expanders and tori the start barely matters for either process");
-    println!("(ratios 1.0-1.3). The lollipop flips the intuition: the E-process is the");
-    println!("start-sensitive one — the lollipop has odd degrees, so Observation 10");
-    println!("does not apply, and a mid-path start leaves stranded blue edges on both");
-    println!("sides that the embedded random walk must re-reach across the path");
-    println!("(quadratic per crossing). From the clique (start 0) its blue sweep");
-    println!("consumes the path in one pass. Even-degree structure is what makes the");
-    println!("E-process start-insensitive.");
+    out!("{table}");
+    out!("note: on expanders and tori the start barely matters for either process");
+    out!("(ratios 1.0-1.3). The lollipop flips the intuition: the E-process is the");
+    out!("start-sensitive one — the lollipop has odd degrees, so Observation 10");
+    out!("does not apply, and a mid-path start leaves stranded blue edges on both");
+    out!("sides that the embedded random walk must re-reach across the path");
+    out!("(quadratic per crossing). From the clique (start 0) its blue sweep");
+    out!("consumes the path in one pass. Even-degree structure is what makes the");
+    out!("E-process start-insensitive.");
     // Composed report: each cell's distribution is over start vertices
     // (one entry per start = that start's mean cover time), so the
     // artifact's own description spells out what `trials` means at each

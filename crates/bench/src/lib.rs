@@ -28,6 +28,19 @@ use eproc_graphs::Graph;
 use eproc_stats::TextTable;
 use std::path::PathBuf;
 
+/// Prints a line to stdout and drops a failed write, like the `eproc`
+/// CLI's macro of the same name. A closed stdout (`table_mixing … | head
+/// -1`) must not abort a binary before it saves its CSV and JSON
+/// artifacts, so no printed line can fail a run; the artifact writes keep
+/// their own `expect`.
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = writeln!(std::io::stdout(), $($arg)*);
+    }};
+}
+
 /// The flags every experiment binary takes.
 const FLAGS: &[FlagDef] = &[
     FlagDef {
@@ -144,10 +157,10 @@ pub fn save_artifacts(tables: &[(&str, &TextTable)], report: Option<&ExperimentR
             path.display().to_string()
         })
         .collect();
-    println!("csv: {}", paths.join(" and "));
+    out!("csv: {}", paths.join(" and "));
     if let Some(report) = report {
         let path = eproc_engine::report::save_json(report, None).expect("write json");
-        println!("json: {}", path.display());
+        out!("json: {}", path.display());
     }
 }
 

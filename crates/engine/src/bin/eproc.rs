@@ -1050,7 +1050,7 @@ impl AdhocSpec {
                 "--graph" => {
                     for part in v().split(';') {
                         if sweeps {
-                            let (expanded, marked, _) = GraphSpec::parse_with_sweep(part)
+                            let (expanded, marked) = GraphSpec::parse_with_sweep(part)
                                 .unwrap_or_else(|e| usage(&e.to_string()));
                             spec.marked_resample |= marked;
                             spec.graphs.extend(expanded);

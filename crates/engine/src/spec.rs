@@ -449,14 +449,12 @@ impl GraphSpec {
     /// be an inline `{range}` sweep (see [`SweepRange::parse`]):
     /// `regular:~{1k..256k,x2},4` expands to one family per size, all
     /// sharing the remaining arguments and the resample marker. Returns
-    /// the expanded grid, whether the `~` marker was present, and the
-    /// sweep range (`None` when the spec had no `{range}`).
-    pub fn parse_with_sweep(
-        s: &str,
-    ) -> Result<(Vec<GraphSpec>, bool, Option<SweepRange>), SpecError> {
+    /// the expanded grid (one family when the spec has no `{range}`) and
+    /// whether the `~` marker was present.
+    pub fn parse_with_sweep(s: &str) -> Result<(Vec<GraphSpec>, bool), SpecError> {
         let Some(open) = s.find('{') else {
             let (spec, resample) = GraphSpec::parse_with_resample(s)?;
-            return Ok((vec![spec], resample, None));
+            return Ok((vec![spec], resample));
         };
         let close = s
             .find('}')
@@ -475,7 +473,7 @@ impl GraphSpec {
             resample = marked;
             specs.push(spec);
         }
-        Ok((specs, resample, Some(range)))
+        Ok((specs, resample))
     }
 
     /// `true` for families whose samples genuinely depend on the seed —
@@ -2351,13 +2349,8 @@ mod tests {
 
     #[test]
     fn graph_spec_sweep_expansion() {
-        let (specs, resample, range) =
-            GraphSpec::parse_with_sweep("regular:~{500..4k,x2},4").unwrap();
+        let (specs, resample) = GraphSpec::parse_with_sweep("regular:~{500..4k,x2},4").unwrap();
         assert!(resample);
-        assert_eq!(
-            range.unwrap().points().unwrap(),
-            vec![500, 1000, 2000, 4000]
-        );
         assert_eq!(
             specs,
             vec![
@@ -2368,13 +2361,12 @@ mod tests {
             ]
         );
         // Sweep-free specs pass through unchanged.
-        let (specs, resample, range) = GraphSpec::parse_with_sweep("torus:8,8").unwrap();
+        let (specs, resample) = GraphSpec::parse_with_sweep("torus:8,8").unwrap();
         assert_eq!(specs, vec![GraphSpec::Torus { w: 8, h: 8 }]);
         assert!(!resample);
-        assert!(range.is_none());
         // Sweeping a non-size argument still parses per instantiation
         // (hypercube dim sweep) — the grammar is positional.
-        let (specs, _, _) = GraphSpec::parse_with_sweep("hypercube:{3..5,+1}").unwrap();
+        let (specs, _) = GraphSpec::parse_with_sweep("hypercube:{3..5,+1}").unwrap();
         assert_eq!(specs.len(), 3);
         assert_eq!(specs[2], GraphSpec::Hypercube { dim: 5 });
     }

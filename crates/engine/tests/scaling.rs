@@ -27,9 +27,12 @@ use common::json;
 ///   --json golden/scaling_small.json
 /// ```
 fn golden_spec() -> ExperimentSpec {
-    let (graphs, resample, range) = GraphSpec::parse_with_sweep("regular:~{64..256,x2},4").unwrap();
+    let (graphs, resample) = GraphSpec::parse_with_sweep("regular:~{64..256,x2},4").unwrap();
     assert!(resample);
-    assert_eq!(range.unwrap().points().unwrap(), vec![64, 128, 256]);
+    assert_eq!(
+        graphs,
+        [64, 128, 256].map(|n| GraphSpec::Regular { n, d: 4 })
+    );
     ExperimentSpec {
         name: "scale".into(),
         description: "ad-hoc size sweep built from CLI flags".into(),
@@ -151,8 +154,8 @@ fn multi_family_sweeps_fit_one_law_per_family() {
     // A sweep over two families must yield separate series per family —
     // never one mixed curve. The 4-regular family and the cycle family
     // share the same sizes here; mixing them would fit garbage silently.
-    let (mut graphs, _, _) = GraphSpec::parse_with_sweep("regular:~{64..256,x2},4").unwrap();
-    let (cycles, _, _) = GraphSpec::parse_with_sweep("cycle:{64..256,x2}").unwrap();
+    let (mut graphs, _) = GraphSpec::parse_with_sweep("regular:~{64..256,x2},4").unwrap();
+    let (cycles, _) = GraphSpec::parse_with_sweep("cycle:{64..256,x2}").unwrap();
     graphs.extend(cycles);
     let spec = ExperimentSpec {
         graphs,

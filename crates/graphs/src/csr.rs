@@ -30,10 +30,14 @@ pub type ArcId = usize;
 /// A finite undirected multigraph in CSR form with stable edge and arc ids.
 ///
 /// Construction is via [`Graph::from_edges`], which every one of the
-/// [`crate::generators`] calls. The representation is immutable after
-/// construction: walk processes keep their own mutable bookkeeping (visited
-/// bitmaps, rotor positions, ...) *outside* the graph, so a single graph can
-/// back many concurrent simulations.
+/// [`crate::generators`] calls except the random regular one,
+/// [`steger_wormald`](crate::generators::steger_wormald): that pairs its
+/// stubs straight into the arrays `from_edges` would build for its edge
+/// list and hands them to the crate-private `Graph::from_regular_arcs`.
+/// The representation is immutable after construction: walk processes
+/// keep their own mutable bookkeeping (visited bitmaps, rotor positions,
+/// ...) *outside* the graph, so a single graph can back many concurrent
+/// simulations.
 ///
 /// # Example
 ///
@@ -71,7 +75,7 @@ pub struct Graph {
 /// CSR arrays store ids in. The bound is `u32::MAX` for both, so that the
 /// arc count itself — which walk state keeps as the end sentinel of the
 /// last port row — is representable too.
-fn check_index_widths(n: usize, arcs: usize) -> Result<(), GraphError> {
+pub(crate) fn check_index_widths(n: usize, arcs: usize) -> Result<(), GraphError> {
     let limit = u32::MAX as usize;
     if n > limit || arcs > limit {
         return Err(GraphError::TooLarge { n, arcs });
@@ -146,6 +150,35 @@ impl Graph {
             edge_endpoints,
             edge_arcs,
         })
+    }
+
+    /// Assembles an `r`-regular graph on `n` vertices from arrays already
+    /// in [`from_edges`](Graph::from_edges)'s layout for its edge list
+    /// `edge_endpoints`: vertex `v`'s ports are arcs `v·r..(v+1)·r`, in
+    /// the id order of their edges. The caller has checked the index
+    /// widths.
+    pub(crate) fn from_regular_arcs(
+        n: usize,
+        r: usize,
+        arc_targets: Vec<u32>,
+        arc_edges: Vec<u32>,
+        arc_twins: Vec<u32>,
+        edge_endpoints: Vec<(u32, u32)>,
+        edge_arcs: Vec<(u32, u32)>,
+    ) -> Graph {
+        debug_assert_eq!(arc_targets.len(), n * r);
+        debug_assert_eq!(arc_edges.len(), n * r);
+        debug_assert_eq!(arc_twins.len(), n * r);
+        debug_assert_eq!(2 * edge_endpoints.len(), n * r);
+        debug_assert_eq!(edge_arcs.len(), edge_endpoints.len());
+        Graph {
+            offsets: (0..=n).map(|v| v * r).collect(),
+            arc_targets,
+            arc_edges,
+            arc_twins,
+            edge_endpoints,
+            edge_arcs,
+        }
     }
 
     /// Number of vertices.

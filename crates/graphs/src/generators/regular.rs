@@ -8,7 +8,7 @@
 //! rejection) draws simple graphs with an arbitrary degree sequence.
 
 use super::MAX_RESTARTS;
-use crate::csr::{Graph, Vertex};
+use crate::csr::{check_index_widths, Graph, Vertex};
 use crate::error::GraphError;
 use crate::properties::connectivity;
 use rand::seq::SliceRandom;
@@ -16,18 +16,41 @@ use rand::Rng;
 
 fn check_degree_sequence(degrees: &[usize]) -> Result<(), GraphError> {
     let n = degrees.len();
-    let total: usize = degrees.iter().sum();
+    let too_large = degrees.iter().enumerate().find(|&(_, &d)| d >= n);
+    check_degrees(
+        n,
+        degrees.iter().try_fold(0usize, |s, &d| s.checked_add(d)),
+        too_large.map(|(v, &d)| (v, d)),
+    )
+}
+
+/// The checks every degree-sequence generator makes before it allocates:
+/// the degree sum `total` (`None` if it overflows `usize`) is even, no
+/// vertex's degree reaches `n` (`too_large` names the first that does),
+/// and `n` and the arc count `total` fit the CSR's 32-bit index width —
+/// [`GraphError::TooLarge`] is what [`Graph::from_edges`] would return.
+fn check_degrees(
+    n: usize,
+    total: Option<usize>,
+    too_large: Option<(Vertex, usize)>,
+) -> Result<(), GraphError> {
+    let Some(total) = total else {
+        return Err(GraphError::TooLarge {
+            n,
+            arcs: usize::MAX,
+        });
+    };
     if !total.is_multiple_of(2) {
         return Err(GraphError::InfeasibleDegrees {
             reason: format!("degree sum {total} is odd"),
         });
     }
-    if let Some((v, &d)) = degrees.iter().enumerate().find(|&(_, &d)| d >= n) {
+    if let Some((v, d)) = too_large {
         return Err(GraphError::InfeasibleDegrees {
             reason: format!("vertex {v} has degree {d} >= n = {n} (simple graph impossible)"),
         });
     }
-    Ok(())
+    check_index_widths(n, total)
 }
 
 /// One pass of the configuration model: pair up stubs uniformly at random.
@@ -54,6 +77,8 @@ fn pair_stubs<R: Rng + ?Sized>(degrees: &[usize], rng: &mut R) -> Option<Vec<(Ve
 /// # Errors
 ///
 /// [`GraphError::InfeasibleDegrees`] on an odd sum or a degree `>= n`;
+/// [`GraphError::TooLarge`], before anything is allocated, if `n` or the
+/// degree sum exceeds `u32::MAX`;
 /// [`GraphError::RetriesExhausted`] after too many non-simple pairings.
 pub fn random_with_degree_sequence<R: Rng + ?Sized>(
     degrees: &[usize],
@@ -85,6 +110,10 @@ pub fn random_with_degree_sequence<R: Rng + ?Sized>(
     })
 }
 
+/// An adjacency slot [`steger_wormald_counted`] has not filled yet. No
+/// vertex has this id, since `n <= u32::MAX` keeps every id below it.
+const UNFILLED: u32 = u32::MAX;
+
 /// Random `r`-regular simple graph via the Steger–Wormald algorithm \[15\]
 /// — the generator behind the paper's Figure 1 (via NetworkX).
 ///
@@ -97,6 +126,8 @@ pub fn random_with_degree_sequence<R: Rng + ?Sized>(
 /// # Errors
 ///
 /// [`GraphError::InfeasibleDegrees`] if `n·r` is odd or `r >= n`;
+/// [`GraphError::TooLarge`], before anything is allocated, if `n` or the
+/// arc count `n·r` exceeds `u32::MAX`;
 /// [`GraphError::RetriesExhausted`] after the internal restart budget.
 pub fn steger_wormald<R: Rng + ?Sized>(
     n: usize,
@@ -119,24 +150,37 @@ pub fn steger_wormald_counted<R: Rng + ?Sized>(
     r: usize,
     rng: &mut R,
 ) -> Result<(Graph, usize), GraphError> {
-    let degrees = vec![r; n];
-    check_degree_sequence(&degrees)?;
-    if r == 0 {
-        return Graph::from_edges(n, &[]).map(|g| (g, 1));
-    }
+    check_degrees(n, n.checked_mul(r), (r >= n && n > 0).then_some((0, r)))?;
+    // Every id below is < n or < n·r, both checked to fit in u32 above.
+    let arcs = n * r;
+    // One flat adjacency of n·r slots: row `v` is `arc_targets[v·r..(v+1)·r]`,
+    // whose first `fill[v]` slots hold `v`'s neighbours in the order their
+    // edges were accepted, the rest `UNFILLED`. That is already the CSR:
+    // `from_edges` numbers the edges in list order (here, acceptance order,
+    // each stored as `(min, max)`) and gives edge `e` the next free arc in
+    // each endpoint's row, and in an `r`-regular graph row `v` starts at
+    // `offsets[v] = v·r`. So the slot an accepted edge takes in each row
+    // is the arc `from_edges` would give it; recording the edge id, the
+    // twins and the edge's arcs on acceptance leaves no second pass. The
+    // suitability probe scans one row (unfilled slots never match), so
+    // the accept/reject decisions, and hence the RNG draw sequence and
+    // the output graph, are those of the hash-set formulation.
+    let mut fill: Vec<u32> = Vec::with_capacity(n);
+    let mut stubs: Vec<u32> = Vec::with_capacity(arcs);
+    let mut arc_targets: Vec<u32> = Vec::with_capacity(arcs);
+    let mut arc_edges = vec![0u32; arcs];
+    let mut arc_twins = vec![0u32; arcs];
+    let mut edge_endpoints: Vec<(u32, u32)> = Vec::with_capacity(arcs / 2);
+    let mut edge_arcs: Vec<(u32, u32)> = Vec::with_capacity(arcs / 2);
     'restart: for attempt in 1..=MAX_RESTARTS {
-        let mut stubs: Vec<Vertex> = Vec::with_capacity(n * r);
-        for v in 0..n {
-            stubs.extend(std::iter::repeat_n(v, r));
-        }
-        let mut edges: Vec<(Vertex, Vertex)> = Vec::with_capacity(n * r / 2);
-        // Adjacency as per-vertex neighbour lists: each holds at most `r`
-        // entries, so the suitability probe is a short linear scan —
-        // several times faster than hashing an edge key, and the
-        // generator's cost is pure adjacency probes. The accept/reject
-        // decisions (and hence the RNG draw sequence and the output
-        // graph) are identical to the hash-set formulation.
-        let mut adj: Vec<Vec<Vertex>> = vec![Vec::new(); n];
+        fill.clear();
+        fill.resize(n, 0);
+        arc_targets.clear();
+        arc_targets.resize(arcs, UNFILLED);
+        stubs.clear();
+        stubs.extend((0..n as u32).flat_map(|v| std::iter::repeat_n(v, r)));
+        edge_endpoints.clear();
+        edge_arcs.clear();
         while !stubs.is_empty() {
             // If only unsuitable pairs remain we must restart; detect by
             // bounding consecutive failures (suitable pairs are abundant
@@ -148,16 +192,26 @@ pub fn steger_wormald_counted<R: Rng + ?Sized>(
                 while j == i {
                     j = rng.gen_range(0..stubs.len());
                 }
-                let (u, v) = (stubs[i], stubs[j]);
-                let key = if u < v { (u, v) } else { (v, u) };
-                if u != v && !adj[u].contains(&v) {
-                    adj[u].push(v);
-                    adj[v].push(u);
-                    edges.push(key);
+                let (u, v) = (stubs[i].min(stubs[j]), stubs[i].max(stubs[j]));
+                let u_row = u as usize * r;
+                if u != v && !arc_targets[u_row..u_row + r].contains(&v) {
+                    let e = edge_endpoints.len() as u32;
+                    let u_fill = fill[u as usize];
+                    let v_fill = fill[v as usize];
+                    let (au, av) = (u_row + u_fill as usize, v as usize * r + v_fill as usize);
+                    fill[u as usize] = u_fill + 1;
+                    fill[v as usize] = v_fill + 1;
+                    arc_targets[au] = v;
+                    arc_targets[av] = u;
+                    arc_edges[au] = e;
+                    arc_edges[av] = e;
+                    arc_twins[au] = av as u32;
+                    arc_twins[av] = au as u32;
+                    edge_endpoints.push((u, v));
+                    edge_arcs.push((au as u32, av as u32));
                     // Remove the two stubs (higher index first).
-                    let (hi, lo) = if i > j { (i, j) } else { (j, i) };
-                    stubs.swap_remove(hi);
-                    stubs.swap_remove(lo);
+                    stubs.swap_remove(i.max(j));
+                    stubs.swap_remove(i.min(j));
                     break;
                 }
                 failures += 1;
@@ -166,7 +220,16 @@ pub fn steger_wormald_counted<R: Rng + ?Sized>(
                 }
             }
         }
-        return Graph::from_edges(n, &edges).map(|g| (g, attempt));
+        let g = Graph::from_regular_arcs(
+            n,
+            r,
+            arc_targets,
+            arc_edges,
+            arc_twins,
+            edge_endpoints,
+            edge_arcs,
+        );
+        return Ok((g, attempt));
     }
     Err(GraphError::RetriesExhausted {
         generator: "steger_wormald",
@@ -261,6 +324,39 @@ mod tests {
             steger_wormald(4, 4, &mut rng),
             Err(GraphError::InfeasibleDegrees { .. })
         ));
+    }
+
+    #[test]
+    fn index_width_is_checked_before_allocating() {
+        // Each of these would ask for tens of gigabytes if it allocated
+        // first, so a regression aborts at once instead of paging.
+        let mut rng = SmallRng::seed_from_u64(13);
+        let n = u32::MAX as usize;
+        assert_eq!(
+            steger_wormald(n, 2, &mut rng).unwrap_err(),
+            GraphError::TooLarge { n, arcs: 2 * n }
+        );
+        assert_eq!(
+            steger_wormald(1 << 40, 4, &mut rng).unwrap_err(),
+            GraphError::TooLarge {
+                n: 1 << 40,
+                arcs: 1 << 42
+            }
+        );
+        assert_eq!(
+            random_with_degree_sequence(&vec![70_000; 70_001], &mut rng).unwrap_err(),
+            GraphError::TooLarge {
+                n: 70_001,
+                arcs: 70_000 * 70_001
+            }
+        );
+        assert_eq!(
+            random_with_degree_sequence(&[usize::MAX, 1], &mut rng).unwrap_err(),
+            GraphError::TooLarge {
+                n: 2,
+                arcs: usize::MAX
+            }
+        );
     }
 
     #[test]

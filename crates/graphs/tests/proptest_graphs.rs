@@ -97,6 +97,21 @@ proptest! {
     }
 
     #[test]
+    fn steger_wormald_equals_from_edges_of_its_edge_list(
+        r in 0usize..8,
+        extra in 1usize..40,
+        seed in 0u64..1000,
+    ) {
+        // The generator writes the CSR arrays itself; `Graph: PartialEq`
+        // compares every one of them with what the general constructor
+        // builds from the same edge list. Small `extra` (n near r + 1)
+        // makes restarts likely.
+        let n = r + extra + (r * (r + extra)) % 2;
+        let g = generators::steger_wormald(n, r, &mut SmallRng::seed_from_u64(seed)).unwrap();
+        prop_assert_eq!(&g, &Graph::from_edges(n, &g.edge_list()).unwrap());
+    }
+
+    #[test]
     fn gnm_has_exact_edges(n in 2usize..30, seed in 0u64..100) {
         let total = n * (n - 1) / 2;
         let m = total / 2;
