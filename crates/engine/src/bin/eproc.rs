@@ -7,7 +7,7 @@
 //!                  [--shard I/K] [--json PATH] [--csv PATH]
 //!                  [--quantiles Q[,Q...]] [--cache DIR]
 //!                  [--checkpoint PATH [--checkpoint-every N]] [--resume PATH]
-//!                  [--max-wall SECS] [--retry-blocks N] [--inject-faults SPEC]
+//!                  [--max-wall SECS] [--inject-faults SPEC]
 //! eproc merge <checkpoint.json> [<checkpoint.json> ...] [--json PATH] [--csv PATH]
 //! eproc list [--canonical]
 //! eproc compare --graph G [--graph G ...] --process P[,P...]
@@ -69,10 +69,11 @@
 //! blocks have completed (one write covers every completion queued by
 //! then);
 //! SIGINT/SIGTERM or `--max-wall SECS` interrupt gracefully (exit code
-//! 75, resumable); `--resume PATH` recomputes only the missing blocks
-//! and produces the byte-identical artifact; `--retry-blocks N` re-runs
-//! failed blocks deterministically; `--inject-faults SPEC` arms the
-//! deterministic fault harness for testing.
+//! 75, resumable); a failed block fails the run (exit 1) after the
+//! completed blocks are checkpointed; `--resume PATH` recomputes only
+//! the missing blocks and produces the byte-identical artifact;
+//! `--inject-faults SPEC` arms the deterministic fault harness for
+//! testing.
 
 use eproc_engine::builtin;
 use eproc_engine::cache::{CacheStore, CACHE_ENV};
@@ -114,6 +115,16 @@ const EXIT_INTERRUPTED: i32 = 75;
 /// CLI's informational stderr lines. Errors always print.
 static QUIET: AtomicBool = AtomicBool::new(false);
 
+/// Prints a line to stderr and drops a failed write, as `out!` does
+/// for stdout: a closed stderr must not fail a run that otherwise
+/// succeeds. Error lines printed just before `exit` use `eprintln!`.
+macro_rules! note {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = writeln!(std::io::stderr(), $($arg)*);
+    }};
+}
+
 /// Prints an informational line to stderr unless `--quiet` is in effect.
 /// This is the CLI's one logging gate — everything that is not an error
 /// or a primary artifact (tables and paths go to stdout) flows through
@@ -121,7 +132,7 @@ static QUIET: AtomicBool = AtomicBool::new(false);
 macro_rules! info {
     ($($arg:tt)*) => {
         if !QUIET.load(Ordering::Relaxed) {
-            eprintln!($($arg)*);
+            note!($($arg)*);
         }
     };
 }
@@ -151,7 +162,7 @@ fn usage(err: &str) -> ! {
          \x20                  [--telemetry PATH] [--quiet] [--quantiles Q[,Q...]]\n\
          \x20                  [--cache DIR]\n\
          \x20                  [--checkpoint PATH [--checkpoint-every N]] [--resume PATH]\n\
-         \x20                  [--max-wall SECS] [--retry-blocks N] [--inject-faults SPEC]\n\
+         \x20                  [--max-wall SECS] [--inject-faults SPEC]\n\
          \x20 eproc merge <checkpoint.json> [<checkpoint.json> ...] [--json PATH]\n\
          \x20               [--csv PATH] [--telemetry PATH] [--quiet] [--quantiles Q[,Q...]]\n\
          \x20 eproc list [--canonical] [--scale quick|paper] [--seed N]\n\
@@ -205,11 +216,11 @@ fn usage(err: &str) -> ! {
          \x20              (default 1; one write covers every completion queued\n\
          \x20              by then); SIGINT/SIGTERM or\n\
          \x20              --max-wall SECS interrupt gracefully and exit 75\n\
-         \x20              (resumable); --resume PATH runs only the missing blocks\n\
-         \x20              and yields the byte-identical artifact at any thread\n\
-         \x20              count; --retry-blocks N re-runs a failed block\n\
-         \x20              deterministically (same seeds, same bits);\n\
-         \x20              --inject-faults kind@family.group.attempt[,...] injects\n\
+         \x20              (resumable); a failed block exits 1 after the completed\n\
+         \x20              blocks are checkpointed; --resume PATH runs only the\n\
+         \x20              missing blocks and yields the byte-identical artifact\n\
+         \x20              at any thread count;\n\
+         \x20              --inject-faults kind@family.group[,...] injects\n\
          \x20              panic/graphfail faults for testing the above\n\
          telemetry      --progress: live status line on stderr (blocks, trial and\n\
          \x20              step throughput, ETA); --telemetry PATH: structured JSONL\n\
@@ -296,12 +307,8 @@ const FLAGS: &[FlagDef] = &[
         arity: Arity::Value("a positive number of seconds"),
     },
     FlagDef {
-        name: "--retry-blocks",
-        arity: Arity::Value("an unsigned integer"),
-    },
-    FlagDef {
         name: "--inject-faults",
-        arity: Arity::Value("a fault spec (kind@family.group.attempt[,...])"),
+        arity: Arity::Value("a fault spec (kind@family.group[,...])"),
     },
     FlagDef {
         name: "--quantiles",
@@ -361,7 +368,6 @@ const EXEC_ACCEPTS: &[&str] = &[
     "--checkpoint-every",
     "--resume",
     "--max-wall",
-    "--retry-blocks",
     "--inject-faults",
     "--quantiles",
     "--quiet",
@@ -424,8 +430,7 @@ struct CommonFlags {
     checkpoint_every: Option<usize>,
     resume: Option<PathBuf>,
     max_wall: Option<Duration>,
-    retry_blocks: Option<usize>,
-    inject_faults: Option<String>,
+    inject_faults: Option<FaultPlan>,
     quantiles: Option<Vec<f64>>,
     cache: Option<PathBuf>,
 }
@@ -482,11 +487,10 @@ impl CommonFlags {
                 "--max-wall" => {
                     flags.max_wall = Some(ok_or_usage(expect_seconds("--max-wall", v())));
                 }
-                "--retry-blocks" => {
-                    flags.retry_blocks =
-                        Some(ok_or_usage(expect_u64("--retry-blocks", v())) as usize);
+                "--inject-faults" => {
+                    flags.inject_faults =
+                        Some(FaultPlan::parse(v()).unwrap_or_else(|e| usage(&e.to_string())));
                 }
-                "--inject-faults" => flags.inject_faults = Some(v().to_string()),
                 "--quantiles" => flags.quantiles = Some(parse_quantiles(v())),
                 "--quiet" => QUIET.store(true, Ordering::Relaxed),
                 "--cache" => flags.cache = Some(PathBuf::from(v())),
@@ -502,7 +506,6 @@ impl CommonFlags {
         self.checkpoint.is_some()
             || self.resume.is_some()
             || self.max_wall.is_some()
-            || self.retry_blocks.is_some()
             || self.inject_faults.is_some()
     }
 
@@ -649,8 +652,7 @@ fn execute_inner(mut spec: ExperimentSpec, flags: &CommonFlags, fit_growth_laws:
         if flags.names_recovery_flags() {
             usage(
                 "--shard is already restartable per shard: re-run the missing shard instead \
-                 (--checkpoint/--resume/--max-wall/--retry-blocks/--inject-faults apply to \
-                 unsharded runs)",
+                 (--checkpoint/--resume/--max-wall/--inject-faults apply to unsharded runs)",
             );
         }
     }
@@ -809,8 +811,10 @@ fn execute_inner(mut spec: ExperimentSpec, flags: &CommonFlags, fit_growth_laws:
             out!();
         }
         Some(Err(e)) => {
-            eprintln!("error: {e}");
-            eprintln!("(the ensemble report is kept: saving the artifact without growth_laws)");
+            // The artifact is still saved below, so a closed stderr must
+            // not stop it.
+            note!("error: {e}");
+            note!("(the ensemble report is kept: saving the artifact without growth_laws)");
         }
         None => {}
     }
@@ -849,7 +853,7 @@ fn execute_inner(mut spec: ExperimentSpec, flags: &CommonFlags, fit_growth_laws:
                 Ok(_) => out!("cache: stored {}", digest.short()),
                 // The run itself succeeded and its artifact is on disk;
                 // a cache store failure is a warning, not a run failure.
-                Err(e) => eprintln!(
+                Err(e) => note!(
                     "warning: could not store cache entry in {}: {e}",
                     store.root().display()
                 ),
@@ -865,12 +869,12 @@ fn execute_inner(mut spec: ExperimentSpec, flags: &CommonFlags, fit_growth_laws:
 
 /// Runs every report-producing execution through
 /// [`run_recoverable_with_sink`], shaped by `--checkpoint`, `--resume`,
-/// `--max-wall`, `--retry-blocks` and `--inject-faults`; with none of
-/// them it is the plain executor's run. Installs the SIGINT/SIGTERM
-/// latch when interruption can be made graceful (a checkpoint or wall
-/// budget is configured), and on interruption writes the telemetry
-/// artifacts and exits with code 75 (`EX_TEMPFAIL`) so callers can
-/// distinguish "resume me" from failure.
+/// `--max-wall` and `--inject-faults`; with none of them it is the
+/// plain executor's run. Installs the SIGINT/SIGTERM latch when
+/// interruption can be made graceful (a checkpoint or wall budget is
+/// configured), and on interruption writes the telemetry artifacts and
+/// exits with code 75 (`EX_TEMPFAIL`) so callers can distinguish
+/// "resume me" from failure.
 fn run_crash_safe(
     spec: &ExperimentSpec,
     opts: &RunOptions,
@@ -879,10 +883,6 @@ fn run_crash_safe(
     jsonl: Option<&JsonlSink>,
     summary: Option<&SummarySink>,
 ) -> eproc_engine::ExperimentReport {
-    let faults = match &flags.inject_faults {
-        Some(spec) => FaultPlan::parse(spec).unwrap_or_else(|e| usage(&e.to_string())),
-        None => FaultPlan::none(),
-    };
     let resume = flags.resume.as_deref().map(|path| {
         let ckpt = RunCheckpoint::load(path).unwrap_or_else(|e| {
             eprintln!("error: {e}");
@@ -908,8 +908,7 @@ fn run_crash_safe(
         checkpoint,
         resume,
         max_wall: flags.max_wall,
-        retry_blocks: flags.retry_blocks.unwrap_or(0),
-        faults,
+        faults: flags.inject_faults.clone().unwrap_or_default(),
         cancel,
     };
     match run_recoverable_with_sink(spec, opts, &rec, tee) {

@@ -47,8 +47,7 @@
 //! its artifact; an interrupted run's is what `--resume` reads. [`run`],
 //! [`run_on_graphs`], [`crate::recovery::run_recoverable`] and
 //! [`crate::shard::run_shard`] are that driver with its parameters set,
-//! so sharding, checkpoints, resume, deadlines and block retries work
-//! for every spec.
+//! so sharding, checkpoints, resume and deadlines work for every spec.
 //!
 //! Aggregation is **streamed twice over**. Inside a task the claiming
 //! worker folds each trial straight into per-(block, process)
@@ -171,7 +170,9 @@ pub enum EngineError {
 /// generated (resample mode), or one of the block's task loops panicked.
 /// Panics are caught per task (`catch_unwind` in the worker loop), so
 /// one bad block surfaces as an error value instead of tearing down the
-/// pool — and `--retry-blocks` can deterministically re-run the task.
+/// pool. A block is a pure function of its seeds, so re-running it would
+/// fail the same way: the error fails the run, after a final checkpoint
+/// of the completed blocks that `--resume` finishes from.
 #[derive(Debug)]
 pub enum BlockError {
     /// Graph generation for the block's group failed.
@@ -814,7 +815,8 @@ pub(crate) fn drive_plain(
     blocks: Blocks<'_>,
     sink: &dyn TelemetrySink,
 ) -> Result<RunCheckpoint, EngineError> {
-    match drive(spec, opts, graphs, blocks, &RecoveryOptions::none(), sink) {
+    let rec = RecoveryOptions::default();
+    match drive(spec, opts, graphs, blocks, &rec, sink) {
         Ok(driven) => Ok(driven.state),
         Err(RecoveryError::Engine(e)) => Err(e),
         Err(e) => unreachable!(
@@ -892,71 +894,33 @@ struct BlockRunner<'a> {
     shared: Option<&'a [Graph]>,
     tel: &'a Telemetry<'a>,
     faults: &'a FaultPlan,
-    /// Deterministic re-runs of a failed task before its error stands.
-    retries: usize,
 }
 
 impl BlockRunner<'_> {
-    /// Runs `task` with deterministic retries: attempt `k` derives the
-    /// exact same seeds as attempt 0, so a successful retry contributes
-    /// bit-identical accumulators. Emits one `block_retried` event per
-    /// failed attempt that will be retried.
-    fn run(&self, task: &Task, worker: usize) -> Result<TaskResult, EngineError> {
-        let mut attempt = 0;
-        loop {
-            match self.attempt(task, worker, attempt) {
-                Err(e) if attempt < self.retries => {
-                    if self.tel.live {
-                        self.tel.emit(EventKind::BlockRetried {
-                            block: task.block,
-                            family: self.spec.graphs[task.block / self.groups].label(),
-                            group: task.block % self.groups,
-                            worker,
-                            attempt,
-                            error: e.to_string(),
-                        });
-                    }
-                    attempt += 1;
-                }
-                result => return result,
-            }
-        }
-    }
-
-    /// One attempt at `task` behind a per-task `catch_unwind` isolation
-    /// boundary: a panic anywhere in the task — graph sampling, the walk
-    /// kernel, an observer, an injected fault — is caught and surfaced as
+    /// Runs `task` behind a per-task `catch_unwind` isolation boundary:
+    /// a panic anywhere in the task — graph sampling, the walk kernel, an
+    /// observer, an injected fault — is caught and surfaced as
     /// [`EngineError::Block`] with a [`BlockError::Panic`] source, instead
     /// of unwinding through the worker and poisoning the pool. A fault
-    /// the [`FaultPlan`] schedules at *(family, group, attempt)* fires
-    /// inside the boundary of the block's first task only, so injected
-    /// panics take the exact path real ones do and each fault fails one
-    /// attempt.
-    fn attempt(
-        &self,
-        task: &Task,
-        worker: usize,
-        attempt: usize,
-    ) -> Result<TaskResult, EngineError> {
+    /// the [`FaultPlan`] schedules at *(family, group)* fires inside the
+    /// boundary of the block's first task only, so injected panics take
+    /// the exact path real ones do and each fault fails one block.
+    fn run(&self, task: &Task, worker: usize) -> Result<TaskResult, EngineError> {
         let (gi, group) = (task.block / self.groups, task.block % self.groups);
         // AssertUnwindSafe: on Err every captured reference is dropped
         // without further use — the worker reports the error and stops —
         // so no closure state is observed in a broken intermediate state.
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let fault = self.faults.at(gi, group, attempt);
+            let fault = self.faults.at(gi, group);
             match fault.filter(|_| task.procs.start == 0) {
                 Some(FaultKind::Panic) => {
-                    panic!(
-                        "injected fault: panic at (family {gi}, group {group}, attempt {attempt})"
-                    )
+                    panic!("injected fault: panic at (family {gi}, group {group})")
                 }
                 Some(FaultKind::GraphFail) => {
                     return Err(BlockError::Graph(GraphError::RetriesExhausted {
                         generator: "fault-injection",
                         attempts: 1,
-                        what: format!(
-                            "an injected failure at (family {gi}, group {group}, attempt {attempt})"
-                        ),
+                        what: format!("an injected failure at (family {gi}, group {group})"),
                     }))
                 }
                 None => {}
@@ -1589,12 +1553,12 @@ pub(crate) struct Driven {
 /// here, emitting `graph_built`. Every family's `(n, m)` comes from its
 /// group-0 block in both modes.
 ///
-/// `rec` supplies checkpointing, interruption, retries and fault
-/// injection; its resume checkpoint arrives as [`Blocks::Missing`]. A
-/// run checkpoints its fold state once `every` blocks completed since
-/// the last write, and once more when it stops short — interrupted by
-/// the cancellation flag or the deadline, or failed — so the completed
-/// blocks are on disk. A checkpoint holds whole blocks only; a deadline
+/// `rec` supplies checkpointing, interruption and fault injection; its
+/// resume checkpoint arrives as [`Blocks::Missing`]. A run checkpoints
+/// its fold state once `every` blocks completed since the last write,
+/// and once more when it stops short — interrupted by the cancellation
+/// flag or the deadline, or failed — so the completed blocks are on
+/// disk. A checkpoint holds whole blocks only; a deadline
 /// too far off to represent counts as none.
 pub(crate) fn drive(
     spec: &ExperimentSpec,
@@ -1687,7 +1651,6 @@ pub(crate) fn drive(
         shared,
         tel: &tel,
         faults: &rec.faults,
-        retries: rec.retry_blocks,
     };
     // A deadline too far off to represent is no deadline.
     let deadline = rec.max_wall.and_then(|d| Instant::now().checked_add(d));

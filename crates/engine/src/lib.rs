@@ -143,13 +143,13 @@
 //! distinct "interrupted, resumable" code 75. `--resume` validates the
 //! checkpoint — a shard's included — against the spec, runs only the
 //! missing blocks, and produces a report **byte-identical to an
-//! uninterrupted run at any thread count**. Each block runs under `catch_unwind`
-//! ([`executor::BlockError`]): a panicking worker is reported — naming
-//! family, group and worker — without poisoning the pool, and
-//! `--retry-blocks` re-runs failed blocks from the same derived seeds.
-//! A deterministic [`fault::FaultPlan`] harness (`--inject-faults`; off
-//! by default at zero cost) drives the proptests that pin all of these
-//! guarantees.
+//! uninterrupted run at any thread count**. Each block runs under
+//! `catch_unwind` ([`executor::BlockError`]): a panicking worker is
+//! reported — naming family, group and worker — without poisoning the
+//! pool, and the failed run checkpoints its completed blocks so
+//! `--resume` can finish it. A deterministic [`fault::FaultPlan`]
+//! harness (`--inject-faults`; off by default at zero cost) drives the
+//! proptests that pin all of these guarantees.
 //!
 //! # Example
 //!

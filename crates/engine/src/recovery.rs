@@ -1,6 +1,6 @@
-//! Crash-safe execution: checkpointing, graceful interruption, and
-//! deterministic block retry — the `--checkpoint` / `--resume` /
-//! `--max-wall` / `--retry-blocks` engine entry point.
+//! Crash-safe execution: checkpointing, graceful interruption and
+//! resumption — the `--checkpoint` / `--resume` / `--max-wall` engine
+//! entry point.
 //!
 //! # The cancellation path
 //!
@@ -12,7 +12,7 @@
 //! latch. The latch trips when (a) an armed
 //! cancellation flag (SIGINT/SIGTERM via `eproc-signal`, or any
 //! caller-owned [`AtomicBool`]) is set, (b) the `max_wall` deadline
-//! passes, or (c) another worker's task failed permanently. Tripping is
+//! passes, or (c) another worker's task failed. Tripping is
 //! *graceful*: tasks already running drain to completion (a block is
 //! all-or-nothing — a block whose tasks did not all run is never
 //! persisted, and reruns on resume), workers then
@@ -45,12 +45,18 @@
 //! (pinned by the `recovery` proptests and the CI `cmp` smokes).
 //!
 //! Failures are isolated per task by `catch_unwind` (see
-//! [`crate::executor::BlockError`]) and retried deterministically:
-//! attempt `k` re-runs the same [`eproc_stats::SeedSequence`]-derived
-//! seeds, so a retry that succeeds contributes bit-identical
-//! accumulators. The [`FaultPlan`] harness injects panics and
-//! graph-generation failures at exact *(family, group, attempt)*
-//! coordinates to prove all of the above under test.
+//! [`crate::executor::BlockError`]) and reported, not retried: a block
+//! re-derives the same [`eproc_stats::SeedSequence`] seeds on every
+//! run, so a re-run would fail the same way. A failed block stops the
+//! run like an interruption does — in-flight tasks drain and, under a
+//! [`CheckpointPlan`], the completed blocks are checkpointed — and the
+//! run returns the block's error; `--resume` finishes it once the cause
+//! is fixed. No I/O can
+//! fail a task: checkpoints are written on the main thread (a failed
+//! write ends the run with [`RecoveryError::Io`]) and telemetry sinks
+//! must not panic. The [`FaultPlan`] harness injects panics and
+//! graph-generation failures at exact *(family, group)* coordinates to
+//! prove all of the above under test.
 
 use crate::checkpoint::{CheckpointError, RunCheckpoint};
 use crate::executor::{drive, Blocks, EngineError, ExperimentReport, RunOptions};
@@ -77,9 +83,9 @@ pub struct CheckpointPlan {
     pub every: usize,
 }
 
-/// Crash-safety options for [`run_recoverable`]. The default
-/// ([`RecoveryOptions::none`]) disables every feature, making
-/// `run_recoverable` equivalent to [`crate::executor::run`].
+/// Crash-safety options for [`run_recoverable`]. The default disables
+/// every feature, making `run_recoverable` equivalent to
+/// [`crate::executor::run`].
 #[derive(Default)]
 pub struct RecoveryOptions<'a> {
     /// Periodic checkpointing, if any.
@@ -92,21 +98,11 @@ pub struct RecoveryOptions<'a> {
     /// much time has passed (checked between tasks). A budget past what
     /// the clock can represent is no budget.
     pub max_wall: Option<Duration>,
-    /// How many times a failed task is deterministically re-run before
-    /// its error becomes the run's error. `0` = fail on first error.
-    pub retry_blocks: usize,
     /// Deterministic fault injection (testing); empty = disabled.
     pub faults: FaultPlan,
     /// External cancellation flag, polled between tasks — wire
     /// `eproc_signal::install()` here for SIGINT/SIGTERM handling.
     pub cancel: Option<&'a AtomicBool>,
-}
-
-impl RecoveryOptions<'_> {
-    /// All features off.
-    pub fn none() -> RecoveryOptions<'static> {
-        RecoveryOptions::default()
-    }
 }
 
 /// How a recoverable run ended.
@@ -134,8 +130,7 @@ pub enum RunOutcome {
 /// A recoverable-run failure.
 #[derive(Debug)]
 pub enum RecoveryError {
-    /// The underlying engine failed: bad spec, or a block error that
-    /// survived every retry.
+    /// The underlying engine failed: bad spec, or a failed block.
     Engine(EngineError),
     /// The resume checkpoint was rejected (wrong run, malformed).
     Checkpoint(CheckpointError),
@@ -197,15 +192,14 @@ pub fn run_recoverable(
 
 /// Executes a spec crash-safely: periodic atomic checkpoints, graceful
 /// interruption on a cancellation flag or deadline, per-block panic
-/// isolation with deterministic retries, and resumption from a prior
-/// checkpoint. Shared-graph and resampled specs alike. See the module
-/// docs for the full semantics.
+/// isolation, and resumption from a prior checkpoint. Shared-graph and
+/// resampled specs alike. See the module docs for the full semantics.
 ///
 /// # Errors
 ///
-/// [`RecoveryError::Engine`] for invalid specs and for block failures
-/// that survive `retry_blocks` retries. [`RecoveryError::Checkpoint`]
-/// when the resume checkpoint does not match the spec.
+/// [`RecoveryError::Engine`] for invalid specs and for block failures.
+/// [`RecoveryError::Checkpoint`] when the resume checkpoint does not
+/// match the spec.
 /// [`RecoveryError::Io`] when a checkpoint cannot be written. On block
 /// failure, a final checkpoint of the completed blocks is still written
 /// before the error returns.

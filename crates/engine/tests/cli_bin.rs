@@ -1,7 +1,8 @@
 //! End-to-end tests of the `eproc` binary: exit-code contract, per-
 //! subcommand flag rejection, the `--csv` table, the artifact cache round
-//! trip, a closed stdout, and the cache/list subcommands. Everything runs the real binary via
-//! `CARGO_BIN_EXE_eproc`, so these pin exactly what scripts and CI see.
+//! trip, a closed stdout or stderr, and the cache/list subcommands.
+//! Everything runs the real binary via `CARGO_BIN_EXE_eproc`, so these
+//! pin exactly what scripts and CI see.
 
 use eproc_engine::builtin;
 use eproc_engine::executor::{run, RunOptions};
@@ -264,6 +265,61 @@ fn a_closed_stdout_neither_aborts_the_run_nor_skips_the_cache_store() {
 }
 
 #[test]
+fn a_closed_stderr_neither_aborts_the_run_nor_skips_its_artifacts() {
+    // `eproc … 2>&1 >/dev/null | head -c 1` closes stderr early; here it
+    // is gone before the binary starts, so the informational lines and
+    // every progress render fail to write.
+    let dir = temp_dir("closed_stderr");
+    let json = dir.join("c.json");
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_eproc"))
+        .args([
+            "compare",
+            "--graph",
+            "cycle:10",
+            "--process",
+            "srw",
+            "--trials",
+            "4",
+            "--threads",
+            "2",
+            "--progress",
+            "--json",
+            json.to_str().unwrap(),
+        ])
+        .env_remove("EPROC_CACHE")
+        .stderr(Stdio::from(writer))
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
+    assert!(json.exists());
+    assert!(dir.join("c.telemetry.json").exists(), "{}", stdout(&out));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn block_retries_and_three_part_fault_specs_are_usage_errors() {
+    let run = |extra: &[&str]| {
+        let mut args = vec!["compare", "--graph", "cycle:10", "--process", "srw"];
+        args.extend_from_slice(extra);
+        eproc(&args)
+    };
+    let out = run(&["--retry-blocks", "1"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(stderr(&out).contains("--retry-blocks"), "{}", stderr(&out));
+    // The retired form's third part was a retry attempt.
+    let out = run(&["--inject-faults", "panic@0.1.0"]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(
+        err.contains("fault \"panic@0.1.0\": expected <panic|graphfail>@<family>.<group>\n"),
+        "{err}"
+    );
+    assert!(!err.contains("panicked"), "{err}");
+}
+
+#[test]
 fn a_corrupted_cache_entry_misses_and_the_run_executes_again() {
     let dir = temp_dir("corrupt");
     let cache = dir.join("cache");
@@ -496,7 +552,7 @@ fn the_checkpoint_hint_follows_only_a_block_failure() {
     assert!(!stderr(&out).contains(HINT), "{}", stderr(&out));
     assert!(!ck.exists());
     // A failed block is followed by the final checkpoint and the hint.
-    let out = compare(&["--inject-faults", "graphfail@0.1.0"]);
+    let out = compare(&["--inject-faults", "graphfail@0.1"]);
     assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
     assert!(stderr(&out).contains(HINT), "{}", stderr(&out));
     assert!(ck.exists());

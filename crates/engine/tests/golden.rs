@@ -103,7 +103,7 @@ fn comparison_golden_survives_sharding_and_a_fault_interrupted_resume() {
             path: path.clone(),
             every: 1,
         }),
-        faults: FaultPlan::parse("graphfail@1.0.0").unwrap(),
+        faults: FaultPlan::parse("graphfail@1.0").unwrap(),
         ..RecoveryOptions::default()
     };
     let err = run_recoverable(&spec, &opts(3), &faulted).unwrap_err();

@@ -1,8 +1,8 @@
-//! Crash-safety contracts: a run killed at *any* block and resumed from
-//! its checkpoint, and a run whose blocks panic or lose their graphs and
-//! get retried, must all reproduce the uninterrupted artifact
-//! **byte-for-byte**, at any thread count — `cmp` would pass on the
-//! files. This is the recovery analogue of `shard_merge.rs`.
+//! Crash-safety contracts: a run killed at *any* block, and a run whose
+//! blocks panic or lose their graphs, resumed from its checkpoint, must
+//! reproduce the uninterrupted artifact **byte-for-byte**, at any thread
+//! count — `cmp` would pass on the files. This is the recovery analogue
+//! of `shard_merge.rs`.
 
 mod common;
 
@@ -202,10 +202,12 @@ proptest! {
     }
 
     /// Injected faults — a panic and a lost graph, on different blocks —
-    /// are retried from the same derived seeds and leave no trace in the
-    /// artifact, on resampled and shared graphs alike.
+    /// fail the run after its completed blocks are checkpointed, and
+    /// resuming that checkpoint with the faults disarmed, at another
+    /// thread count, leaves no trace of them in the artifact, on
+    /// resampled and shared graphs alike.
     #[test]
-    fn retried_blocks_contribute_bit_identical_results(
+    fn faulted_runs_resume_to_the_uninterrupted_artifact(
         seed in 0u64..1_000_000,
         trials in 3usize..8,
         shared in 0usize..2,
@@ -217,16 +219,27 @@ proptest! {
             spec_for(trials, true)
         };
         let golden = to_json(&run(&spec, &RunOptions { threads: 2, base_seed: seed }).unwrap());
+        let path = temp_checkpoint("fault");
         let rec = RecoveryOptions {
-            retry_blocks: 1,
-            faults: FaultPlan::parse("panic@0.1.0,graphfail@1.0.0").unwrap(),
+            checkpoint: Some(CheckpointPlan { path: path.clone(), every: 1 }),
+            faults: FaultPlan::parse("panic@0.1,graphfail@1.0").unwrap(),
             ..RecoveryOptions::default()
         };
         let opts = RunOptions { threads: 4, base_seed: seed };
-        let outcome = run_recoverable(&spec, &opts, &rec).expect("faults are retried away");
-        let report = match outcome {
+        let err = run_recoverable(&spec, &opts, &rec).unwrap_err();
+        prop_assert!(
+            matches!(err, RecoveryError::Engine(EngineError::Block { .. })),
+            "{}",
+            err
+        );
+        let ckpt = RunCheckpoint::load(&path).expect("failure still checkpoints completed blocks");
+        let _ = std::fs::remove_file(&path);
+        prop_assert!(ckpt.completed_blocks() < ckpt.total_blocks());
+        let rec = RecoveryOptions { resume: Some(ckpt), ..RecoveryOptions::default() };
+        let opts = RunOptions { threads: 1, base_seed: seed };
+        let report = match run_recoverable(&spec, &opts, &rec).expect("resume runs") {
             RunOutcome::Completed(report) => report,
-            RunOutcome::Interrupted { .. } => unreachable!("nothing interrupts this run"),
+            RunOutcome::Interrupted { .. } => unreachable!("nothing interrupts the resume"),
         };
         prop_assert_eq!(&to_json(&report), &golden);
     }
@@ -344,18 +357,16 @@ fn resume_rejects_a_checkpoint_written_with_another_cap() {
 }
 
 #[test]
-fn exhausted_retries_name_the_block_and_keep_the_checkpoint() {
+fn a_failed_block_names_the_block_and_keeps_the_checkpoint() {
     quiet_injected_panics();
     let spec = spec_for(4, true);
-    let path = temp_checkpoint("exhaust");
+    let path = temp_checkpoint("failed");
     let rec = RecoveryOptions {
         checkpoint: Some(CheckpointPlan {
             path: path.clone(),
             every: 1,
         }),
-        // Every attempt of (family 1, group 1) panics: retries exhaust.
-        retry_blocks: 2,
-        faults: FaultPlan::parse("panic@1.1.0,panic@1.1.1,panic@1.1.2").unwrap(),
+        faults: FaultPlan::parse("panic@1.1").unwrap(),
         ..RecoveryOptions::default()
     };
     let opts = RunOptions {
@@ -398,7 +409,7 @@ fn shared_graph_block_errors_name_the_group_without_resampling() {
     // A shared-graph spec never resamples: its group is a trial chunk.
     let spec = spec_with(4, true, None);
     let rec = RecoveryOptions {
-        faults: FaultPlan::parse("panic@1.0.0").unwrap(),
+        faults: FaultPlan::parse("panic@1.0").unwrap(),
         ..RecoveryOptions::default()
     };
     let opts = RunOptions {

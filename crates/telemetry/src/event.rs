@@ -185,23 +185,6 @@ pub enum EventKind {
         /// Nanoseconds spent serialising and writing.
         checkpoint_ns: u64,
     },
-    /// A task attempt failed (panic or graph-generation error) and the
-    /// executor is deterministically re-running it (`--retry-blocks`).
-    BlockRetried {
-        /// Canonical block index of the task's block.
-        block: usize,
-        /// Graph family label.
-        family: String,
-        /// Group within the family: a resample group, or a shared
-        /// graph's trial chunk.
-        group: usize,
-        /// Worker id re-running the task.
-        worker: usize,
-        /// The attempt that failed (0-based; the retry is `attempt + 1`).
-        attempt: usize,
-        /// Human-readable description of the failure.
-        error: String,
-    },
     /// The run stopped early at a block boundary — SIGINT/SIGTERM or the
     /// `--max-wall` deadline — after draining in-flight blocks and
     /// writing a final checkpoint. The run is resumable.
@@ -227,7 +210,6 @@ impl EventKind {
             EventKind::RunFinished { .. } => "run_finished",
             EventKind::MergeCompleted { .. } => "merge_completed",
             EventKind::CheckpointWritten { .. } => "checkpoint_written",
-            EventKind::BlockRetried { .. } => "block_retried",
             EventKind::RunInterrupted { .. } => "run_interrupted",
         }
     }
@@ -368,22 +350,6 @@ impl Event {
                      \"checkpoint_ns\": {checkpoint_ns}"
                 );
             }
-            EventKind::BlockRetried {
-                block,
-                family,
-                group,
-                worker,
-                attempt,
-                error,
-            } => {
-                let _ = write!(
-                    out,
-                    ", \"block\": {block}, \"family\": \"{}\", \"group\": {group}, \
-                     \"worker\": {worker}, \"attempt\": {attempt}, \"error\": \"{}\"",
-                    json_escape(family),
-                    json_escape(error)
-                );
-            }
             EventKind::RunInterrupted {
                 reason,
                 completed,
@@ -521,24 +487,6 @@ mod tests {
             "{\"event\": \"checkpoint_written\", \"t_ns\": 3, \"blocks\": 4, \"total\": 12, \
              \"bytes\": 2048, \"checkpoint_ns\": 555}"
         );
-        let retry = Event {
-            t_ns: 5,
-            kind: EventKind::BlockRetried {
-                block: 7,
-                family: "regular n=24 d=3".into(),
-                group: 1,
-                worker: 2,
-                attempt: 0,
-                error: "injected \"panic\"".into(),
-            },
-        };
-        let line = retry.to_jsonl();
-        assert!(
-            line.starts_with("{\"event\": \"block_retried\", \"t_ns\": 5"),
-            "{line}"
-        );
-        assert!(line.contains("\"attempt\": 0"), "{line}");
-        assert!(line.contains("injected \\\"panic\\\""), "{line}");
         let int = Event {
             t_ns: 9,
             kind: EventKind::RunInterrupted {

@@ -12,7 +12,8 @@
 //! * [`Event`] / [`EventKind`] — the structured run events an executor
 //!   emits: run started, per-graph builds, block claimed/completed
 //!   (family, group, worker, trial count, walk steps, generation time
-//!   and retry count), aggregation merged, run finished. Every event
+//!   and generator attempts), aggregation merged, shards merged,
+//!   checkpoint written, run interrupted, run finished. Every event
 //!   serialises to one strict RFC-8259 JSON line ([`Event::to_jsonl`]).
 //! * [`TelemetrySink`] — the consumer trait. The default [`NullSink`]
 //!   reports itself disabled, so an instrumented hot loop checks one
@@ -27,9 +28,8 @@
 //! * [`JsonlSink`] — an append-only JSONL event-log writer.
 //! * [`SummarySink`] / [`TelemetrySummary`] — a post-run roll-up:
 //!   wall-time breakdown by stage (including checkpoint I/O), per-worker
-//!   utilization and block counts, total trials and steps, and blocks
-//!   retried after isolated failures — written as the
-//!   `<artifact>.telemetry.json` sidecar.
+//!   utilization and block counts, and total trials and steps — written
+//!   as the `<artifact>.telemetry.json` sidecar.
 //! * [`write_atomic`] — the crash-safe write-temp-then-rename helper
 //!   every persisted artifact in the workspace goes through, so an
 //!   interrupted process never leaves a truncated file behind.

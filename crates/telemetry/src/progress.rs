@@ -3,6 +3,7 @@
 use crate::counters::Counters;
 use crate::event::{Event, EventKind};
 use crate::sink::TelemetrySink;
+use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -17,6 +18,8 @@ const RENDER_INTERVAL_NS: u64 = 125_000_000;
 ///
 /// All rates derive from the event stream's own `t_ns` clock, so the
 /// sink needs no clock of its own and renders identically under test.
+/// A failed write (a closed stderr) is dropped: progress is for humans,
+/// and [`TelemetrySink::emit`] must never panic.
 #[derive(Debug, Default)]
 pub struct ProgressSink {
     totals: Counters,
@@ -45,10 +48,8 @@ impl ProgressSink {
         let mut width = self.width.lock().expect("progress mutex poisoned");
         let pad = width.saturating_sub(line.len());
         *width = (*width).max(line.len());
-        eprint!("\r{line}{}", " ".repeat(pad));
-        if finished {
-            eprintln!();
-        }
+        let end = if finished { "\n" } else { "" };
+        let _ = write!(std::io::stderr(), "\r{line}{}{end}", " ".repeat(pad));
     }
 }
 

@@ -22,7 +22,6 @@ pub struct SummarySink {
     agg_ns: AtomicU64,
     merge_ns: AtomicU64,
     checkpoint_ns: AtomicU64,
-    blocks_retried: AtomicU64,
     wall_ns: AtomicU64,
 }
 
@@ -83,7 +82,6 @@ impl SummarySink {
             aggregation_ns: self.agg_ns.load(Ordering::Relaxed),
             merge_ns: self.merge_ns.load(Ordering::Relaxed),
             checkpoint_ns: self.checkpoint_ns.load(Ordering::Relaxed),
-            blocks_retried: self.blocks_retried.load(Ordering::Relaxed),
             per_worker,
         }
     }
@@ -153,9 +151,6 @@ impl TelemetrySink for SummarySink {
                 self.checkpoint_ns
                     .fetch_add(*checkpoint_ns, Ordering::Relaxed);
             }
-            EventKind::BlockRetried { .. } => {
-                self.blocks_retried.fetch_add(1, Ordering::Relaxed);
-            }
             EventKind::BlockClaimed { .. } | EventKind::RunInterrupted { .. } => {}
         }
     }
@@ -216,9 +211,6 @@ pub struct TelemetrySummary {
     /// Cumulative nanoseconds serialising and writing run checkpoints
     /// (`--checkpoint`; 0 for uncheckpointed runs).
     pub checkpoint_ns: u64,
-    /// Task attempts that failed and were deterministically re-run
-    /// (`--retry-blocks`).
-    pub blocks_retried: u64,
     /// Per-worker breakdown, sorted by worker id.
     pub per_worker: Vec<WorkerSummary>,
 }
@@ -258,7 +250,6 @@ impl TelemetrySummary {
             self.merge_ns,
             self.checkpoint_ns
         );
-        let _ = writeln!(out, "  \"blocks_retried\": {},", self.blocks_retried);
         let _ = writeln!(
             out,
             "  \"throughput\": {{\"trials_per_sec\": {}, \"steps_per_sec\": {}}},",

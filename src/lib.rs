@@ -77,9 +77,10 @@
 //!
 //! [`engine::run_recoverable`] executes any run with atomic
 //! checkpointing, graceful SIGINT/SIGTERM interruption (the [`signal`]
-//! latch), deadline budgets and deterministic per-block retries; a
-//! resumed run reproduces the uninterrupted artifact byte-for-byte. On
-//! the CLI: `--checkpoint`, `--resume`, `--max-wall`, `--retry-blocks`.
+//! latch) and deadline budgets; a failed block fails the run after its
+//! completed blocks are checkpointed, and a resumed run reproduces the
+//! uninterrupted artifact byte-for-byte. On the CLI: `--checkpoint`,
+//! `--resume`, `--max-wall`.
 
 pub use eproc_core as core;
 pub use eproc_engine as engine;
