@@ -16,7 +16,7 @@ use eproc_bench::{out, run_engine_spec, save_artifacts, Config};
 use eproc_engine::spec::{
     CapSpec, ExperimentSpec, GraphSpec, ProcessSpec, ResamplePlan, RuleSpec, Scale, Target,
 };
-use eproc_stats::{fit_c_nlogn, fit_proportional, TextTable};
+use eproc_stats::{try_fit_c_nlogn, try_fit_proportional, TextTable};
 
 const DEGREES: [usize; 5] = [3, 4, 5, 6, 7];
 const REPS: usize = 5;
@@ -78,8 +78,8 @@ fn main() {
             ys.push(cell.steps.mean());
         }
         let xs_lin: Vec<f64> = ns.iter().map(|&n| n as f64).collect();
-        let log_fit = fit_c_nlogn(&ns, &ys);
-        let lin_fit = fit_proportional(&xs_lin, &ys);
+        let log_fit = try_fit_c_nlogn(&ns, &ys).expect("Figure 1's sizes are at least 2");
+        let lin_fit = try_fit_proportional(&xs_lin, &ys).expect("Figure 1's sizes are positive");
         let paper =
             eproc_theory::fig1_fitted_constant(d).map_or("-".to_string(), |c| format!("{c:.2}"));
         fits.push_row(vec![

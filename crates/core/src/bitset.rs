@@ -1,14 +1,14 @@
 //! A word-packed bitset for visited-edge / visited-vertex tracking.
 //!
-//! The walk kernels and observers all keep "seen" bitmaps sized by the
+//! The [`crate::observe`] observers keep "seen" bitmaps sized by the
 //! graph (`m` edges, `n` vertices). As `Vec<bool>` those bitmaps dominate
 //! the cost of re-arming state between trials on paper-scale graphs
 //! (`n` up to 5·10⁵): a reset writes one byte per edge. [`BitSet`] packs
 //! 64 flags per word, so [`BitSet::clear_and_resize`] touches `m / 64`
 //! words instead of `m` bytes and the whole structure is 8× smaller —
 //! friendlier to cache when an ensemble worker cycles through thousands
-//! of trials. It is shared by [`crate::EProcess`]'s visited-edge state and
-//! the [`crate::observe`] observers.
+//! of trials. [`crate::EProcess`] needs none: its live prefixes already
+//! say which edges are visited.
 
 use std::fmt;
 

@@ -29,17 +29,20 @@
 //!   its twin in the row of the vertex it moves to — no edge-indexed
 //!   lookup.
 //!
+//! The live prefixes are the only visited-edge record: an edge is
+//! *visited* once a blue step has moved its arcs out of their rows' live
+//! prefixes, which [`EProcess::edge_visited`] reads in `O(1)`. The step
+//! count and the unvisited-edge count `m − blue_steps` are derived too.
+//!
 //! Every step ends by loading the first entries of the new vertex's arc
 //! row through [`std::hint::black_box`] (the safe-code prefetch of
 //! [`Graph::prefetch_arcs`]), so those lines are in flight while the next
-//! step's rule draws its choice. The unvisited-edge count is derived as
-//! `m − blue_steps`, not maintained. Each step is `O(1)` (plus whatever the
+//! step's rule draws its choice. Each step is `O(1)` (plus whatever the
 //! rule itself costs), which is what makes the paper-scale Figure 1 runs
 //! (`n` up to 5·10⁵) practical.
 
 pub mod rule;
 
-use crate::bitset::BitSet;
 use crate::process::{Step, StepKind, WalkProcess};
 use eproc_graphs::{EdgeId, Graph, Vertex};
 use rand::{Rng, RngCore};
@@ -57,11 +60,8 @@ pub struct EProcess<'g, A> {
     g: &'g Graph,
     rule: A,
     current: Vertex,
-    start: Vertex,
-    steps: u64,
     blue_steps: u64,
     red_steps: u64,
-    visited_edge: BitSet,
     /// `rows[v] = [base, live]`: `v`'s arcs occupy `slots[base..]` up to
     /// the next row's base, and the first `live` of them are unvisited.
     /// `rows[n] = [2m, 0]` is the end sentinel.
@@ -88,22 +88,14 @@ impl<'g, A: EdgeRule> EProcess<'g, A> {
             g,
             rule,
             current: start,
-            start,
-            steps: 0,
             blue_steps: 0,
             red_steps: 0,
-            visited_edge: BitSet::with_len(g.m()),
             rows: vec![[0, 0]; g.n() + 1],
             slots: vec![0; g.total_degree()],
             pos: vec![0; g.total_degree()],
         };
         walk.rearm();
         walk
-    }
-
-    /// The start vertex.
-    pub fn start(&self) -> Vertex {
-        self.start
     }
 
     /// Number of blue (unvisited-edge) transitions so far — `t_B` in
@@ -117,19 +109,16 @@ impl<'g, A: EdgeRule> EProcess<'g, A> {
         self.red_steps
     }
 
-    /// `true` if edge `e` has been traversed.
+    /// `true` if edge `e` has been traversed: its first arc has left the
+    /// live prefix of its source's row, in `O(1)`.
     ///
     /// # Panics
     ///
     /// Panics if `e >= g.m()`.
     pub fn edge_visited(&self, e: EdgeId) -> bool {
-        self.visited_edge.get(e)
-    }
-
-    /// The per-edge visited bitmap (red edges are `true`), word-packed so
-    /// that per-trial resets touch `m / 64` words.
-    pub fn visited_edges(&self) -> &BitSet {
-        &self.visited_edge
+        let (a, b) = self.g.edge_arcs(e);
+        let [base, live] = self.rows[self.g.arc_target(b)];
+        self.pos[a] >= base + live
     }
 
     /// Number of still-unvisited (blue) edges: every blue step visits
@@ -167,9 +156,8 @@ impl<'g, A: EdgeRule> EProcess<'g, A> {
 
     /// Resets the process to a fresh state at `start` — all edges
     /// unvisited, counters zeroed, rule state re-armed via
-    /// [`EdgeRule::reset`] — reusing the existing allocations. The edge
-    /// bitmap is word-packed, so the per-reset cost is `m / 64` word
-    /// writes plus the `O(n + m)` row/slot/pos rebuild.
+    /// [`EdgeRule::reset`] — reusing the existing allocations. The cost
+    /// is the `O(n + m)` row/slot/pos rebuild.
     ///
     /// # Panics
     ///
@@ -177,11 +165,8 @@ impl<'g, A: EdgeRule> EProcess<'g, A> {
     pub fn reset(&mut self, start: Vertex) {
         assert!(start < self.g.n(), "start vertex {start} out of range");
         self.current = start;
-        self.start = start;
-        self.steps = 0;
         self.blue_steps = 0;
         self.red_steps = 0;
-        self.visited_edge.clear();
         self.rule.reset();
         self.rearm();
     }
@@ -230,7 +215,7 @@ impl<'g, A: EdgeRule> WalkProcess for EProcess<'g, A> {
     }
 
     fn steps(&self) -> u64 {
-        self.steps
+        self.blue_steps + self.red_steps
     }
 
     fn advance<R: RngCore + ?Sized>(&mut self, rng: &mut R) -> Step {
@@ -245,7 +230,7 @@ impl<'g, A: EdgeRule> WalkProcess for EProcess<'g, A> {
                 graph: self.g,
                 vertex: v,
                 live_arcs: &self.slots[base..base + live],
-                step: self.steps,
+                step: self.steps(),
             };
             let idx = self.rule.choose(&ctx, rng);
             assert!(
@@ -260,8 +245,6 @@ impl<'g, A: EdgeRule> WalkProcess for EProcess<'g, A> {
         let e = self.g.arc_edge(arc);
         let to = self.g.arc_target(arc);
         if kind == StepKind::Blue {
-            debug_assert!(!self.visited_edge.get(e));
-            self.visited_edge.set(e);
             // The chosen arc sits at slot `p` of `v`'s row; its twin leaves
             // `to`, whose row the next step reads anyway.
             self.unlink_at(p, v);
@@ -272,7 +255,6 @@ impl<'g, A: EdgeRule> WalkProcess for EProcess<'g, A> {
             self.red_steps += 1;
         }
         self.current = to;
-        self.steps += 1;
         // Request `to`'s arc row now, so its lines are in flight while the
         // next step's rule draws.
         let next = self.rows[to][0] as usize;
@@ -310,7 +292,6 @@ mod tests {
         let g = generators::cycle(5);
         let walk = EProcess::new(&g, 2, UniformRule::new());
         assert_eq!(walk.current(), 2);
-        assert_eq!(walk.start(), 2);
         assert_eq!(walk.steps(), 0);
         assert_eq!(walk.unvisited_edge_count(), 5);
         assert_eq!(walk.blue_degree(2), 2);
@@ -427,7 +408,6 @@ mod tests {
         }
         walk.reset(7);
         assert_eq!(walk.current(), 7);
-        assert_eq!(walk.start(), 7);
         assert_eq!(walk.steps(), 0);
         assert_eq!(walk.unvisited_edge_count(), g.m());
         for v in g.vertices() {

@@ -26,8 +26,8 @@
 //!   [`interleave::run_observed_interleaved`] as the lockstep multi-trial
 //!   variant that overlaps independent trials' CSR row fetches on one
 //!   shared graph (bit-identical per-trial streams);
-//! * [`bitset`] — the word-packed visited bitmap shared by the E-process
-//!   and the observers.
+//! * [`bitset`] — the word-packed visited bitmap of the observers (the
+//!   E-process reads visits off its live prefixes instead).
 //!
 //! # Example: Corollary 2 in action
 //!

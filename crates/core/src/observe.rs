@@ -809,9 +809,10 @@ impl Observer for BlueCensusObserver<'_> {
             return;
         }
         // A blue edge was consumed: update the blue subgraph and check the
-        // only vertices whose star status can have changed.
+        // only vertices whose star status can have changed. The step
+        // crossed `e`, so its ends are the edge's endpoints.
         self.edge_seen.set(e);
-        let (a, b) = self.g.endpoints(e);
+        let (a, b) = (step.from, step.to);
         self.blue_deg[a] -= 1;
         self.blue_deg[b] -= 1;
         for end in [a, b] {

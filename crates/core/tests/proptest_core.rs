@@ -72,35 +72,42 @@ fn arb_connected_multigraph() -> impl Strategy<Value = Graph> {
         })
 }
 
-/// Walks `walk` until well past its last blue step, checking after every
-/// step that the compacted step state agrees with a recount from the
-/// visited-edge bitmap: each vertex's blue degree, the current vertex's
-/// live arcs as a set, and the unvisited-edge count `m − blue_steps`.
-/// Parallel edges are where a wrong twin pairing would hide: the counts
-/// would still agree, the live arc *set* at the vertex just entered would
-/// not.
+/// Walks `walk` until well past its last blue step, keeping the set of
+/// visited edges from the emitted steps alone (a step visits the edge it
+/// crosses), and checks after every step that the compacted step state
+/// agrees with it: [`EProcess::edge_visited`] for every edge, each
+/// vertex's blue degree, the current vertex's live arcs as a set, and
+/// the unvisited-edge count `m − blue_steps`. Parallel edges are where a
+/// wrong twin pairing would hide: the counts would still agree, the live
+/// arc *set* at the vertex just entered would not.
 fn check_eprocess_state<A: EdgeRule>(
     g: &Graph,
     mut walk: EProcess<'_, A>,
     seed: u64,
 ) -> Result<(), TestCaseError> {
     let mut rng = SmallRng::seed_from_u64(seed);
+    let mut visited = vec![false; g.m()];
     for _ in 0..4 * g.m() + 16 {
-        walk.advance(&mut rng);
-        let visited = walk.visited_edges();
+        let step = walk.advance(&mut rng);
+        let crossed = step.edge.expect("every E-process step crosses an edge");
+        prop_assert_eq!(step.kind == StepKind::Blue, !visited[crossed]);
+        visited[crossed] = true;
+        for (e, &seen) in visited.iter().enumerate() {
+            prop_assert!(walk.edge_visited(e) == seen, "edge {} visited: {}", e, seen);
+        }
         for v in g.vertices() {
-            let expect = g.ports(v).filter(|&(_, _, e)| !visited.get(e)).count();
+            let expect = g.ports(v).filter(|&(_, _, e)| !visited[e]).count();
             prop_assert_eq!(walk.blue_degree(v), expect);
         }
         let mut live: Vec<usize> = walk.live_arcs().iter().map(|&a| a as usize).collect();
         live.sort_unstable();
         let unvisited_here: Vec<usize> = g
             .ports(walk.current())
-            .filter(|&(_, _, e)| !visited.get(e))
+            .filter(|&(_, _, e)| !visited[e])
             .map(|(a, _, _)| a)
             .collect();
         prop_assert_eq!(live, unvisited_here);
-        let unvisited = (0..g.m()).filter(|&e| !visited.get(e)).count();
+        let unvisited = visited.iter().filter(|&&seen| !seen).count();
         prop_assert_eq!(walk.unvisited_edge_count(), unvisited);
         prop_assert_eq!(
             walk.unvisited_edge_count() as u64,
@@ -119,7 +126,7 @@ fn check_eprocess_state<A: EdgeRule>(
 struct ReferenceEProcess<'g> {
     g: &'g Graph,
     current: Vertex,
-    visited_edge: Vec<bool>,
+    visited: Vec<bool>,
     slots: Vec<usize>,
     pos: Vec<usize>,
     live: Vec<usize>,
@@ -130,7 +137,7 @@ impl<'g> ReferenceEProcess<'g> {
         ReferenceEProcess {
             g,
             current: start,
-            visited_edge: vec![false; g.m()],
+            visited: vec![false; g.m()],
             slots: (0..2 * g.m()).collect(),
             pos: (0..2 * g.m()).collect(),
             live: g.vertices().map(|v| g.degree(v)).collect(),
@@ -162,7 +169,7 @@ impl<'g> ReferenceEProcess<'g> {
         let e = self.g.arc_edge(arc);
         let to = self.g.arc_target(arc);
         if kind == StepKind::Blue {
-            self.visited_edge[e] = true;
+            self.visited[e] = true;
             let (a0, a1) = self.g.edge_arcs(e);
             let (x, y) = self.g.endpoints(e);
             self.unlink(a0, x);
@@ -190,9 +197,8 @@ fn check_reference_trajectory(g: &Graph, start: Vertex, seed: u64) -> Result<(),
         prop_assert_eq!(reference.step(&mut rng_a), kernel.advance(&mut rng_b));
     }
     prop_assert_eq!(rng_a.next_u64(), rng_b.next_u64());
-    let visited = kernel.visited_edges();
-    for (e, &seen) in reference.visited_edge.iter().enumerate() {
-        prop_assert_eq!(seen, visited.get(e));
+    for (e, &seen) in reference.visited.iter().enumerate() {
+        prop_assert_eq!(seen, kernel.edge_visited(e));
     }
     Ok(())
 }

@@ -29,10 +29,10 @@
 //! target: each trial still walks the graph exactly once.
 //!
 //! `--quantiles Q[,Q...]` picks the quantile columns/keys rendered from
-//! the streamed sketches (default `p50,p90,p99`; accepts `0.9` or `p90`
-//! forms). The quantiles are estimates from mergeable KLL-style
-//! sketches, deterministic for a given `(spec, seed)` at any thread
-//! count, shard split, or resume point.
+//! the streamed sketches (default `p50,p90,p99`; `0.9` or `p90` forms,
+//! each with its own label). The quantiles are estimates from mergeable
+//! KLL-style sketches, deterministic for a given `(spec, seed)` at any
+//! thread count, shard split, or resume point.
 //!
 //! `--resample [W]` — or a `~` marker in a `--graph` argument
 //! (`regular:~1000,4`) — turns on per-trial graph resampling: each group
@@ -64,8 +64,8 @@
 //! breakdown. `--quiet` silences informational stderr chatter (errors
 //! always print). None of these affect the computed artifacts.
 //!
-//! Crash safety: `--checkpoint PATH` atomically
-//! persists the run's folded state once `--checkpoint-every N` more
+//! Crash safety: `--checkpoint PATH` atomically persists the run's folded
+//! state once `--checkpoint-every N` (which needs `--checkpoint`) more
 //! blocks have completed (one write covers every completion queued by
 //! then);
 //! SIGINT/SIGTERM or `--max-wall SECS` interrupt gracefully (exit code
@@ -88,7 +88,8 @@ use eproc_engine::recovery::{
     run_recoverable_with_sink, CheckpointPlan, RecoveryError, RecoveryOptions, RunOutcome,
 };
 use eproc_engine::report::{
-    default_artifact_path, scaling_table, to_json_with, to_text_table_with, DEFAULT_QUANTILES,
+    default_artifact_path, quantile_label, scaling_table, to_json_with, to_text_table_with,
+    DEFAULT_QUANTILES,
 };
 use eproc_engine::scaling::analyze;
 use eproc_engine::shard::{merge_shards_with_sink, run_shard_with_sink, ShardSpec};
@@ -190,9 +191,9 @@ fn usage(err: &str) -> ! {
          metric syntax  cover | blanket[:delta] | phases | bluecensus | hitting[:v]\n\
          \x20              (all measured from the same walk: one pass per trial)\n\
          cap syntax     --cap auto | nlogn:<factor> | abs:<steps>\n\
-         quantiles      --quantiles Q[,Q...]: quantile columns/keys rendered from\n\
-         \x20              the streamed sketches (default p50,p90,p99; accepts 0.9\n\
-         \x20              or p90 forms; applies to run, compare, scale and merge)\n\
+         quantiles      --quantiles Q[,Q...]: distinct quantile columns/keys\n\
+         \x20              rendered from the streamed sketches (default p50,p90,p99;\n\
+         \x20              0.9 or p90 forms; applies to run, compare, scale, merge)\n\
          sweep syntax   <start>..<end>[,x<factor>|,+<stride>] (default x2);\n\
          \x20              sizes accept k/m suffixes: regular:~{{1k..256k,x2}},4\n\
          resampling     --resample [W]: every W consecutive trials (default 1)\n\
@@ -516,22 +517,32 @@ impl CommonFlags {
     }
 }
 
+/// Parses `--quantiles` (`0.9` or `p90`, in [0,1]). Each entry names a
+/// column and a JSON key by its [`quantile_label`], so two entries with
+/// one label (`0.5,p50`, or `0,1e-7`) are a usage error naming both.
 fn parse_quantiles(raw: &str) -> Vec<f64> {
-    raw.split(',')
-        .map(|part| {
-            let part = part.trim();
-            let q = match part.strip_prefix('p') {
-                Some(pct) => pct.parse::<f64>().map(|p| p / 100.0),
-                None => part.parse::<f64>(),
-            };
-            match q {
-                Ok(q) if (0.0..=1.0).contains(&q) => q,
-                _ => usage(&format!(
-                    "flag `--quantiles` expects quantiles in [0,1] (use 0.9 or p90), got {part:?}"
-                )),
-            }
-        })
-        .collect()
+    let mut parsed: Vec<(f64, &str)> = Vec::new();
+    for part in raw.split(',').map(str::trim) {
+        let q = match part.strip_prefix('p') {
+            Some(pct) => pct.parse::<f64>().map(|p| p / 100.0),
+            None => part.parse::<f64>(),
+        };
+        let q = match q {
+            // `abs` only changes `-0`, which would render as `p-0`.
+            Ok(q) if (0.0..=1.0).contains(&q) => q.abs(),
+            _ => usage(&format!(
+                "flag `--quantiles` expects quantiles in [0,1] (use 0.9 or p90), got {part:?}"
+            )),
+        };
+        let label = quantile_label(q);
+        if let Some((_, first)) = parsed.iter().find(|&&(p, _)| quantile_label(p) == label) {
+            usage(&format!(
+                "flag `--quantiles` lists {first:?} and {part:?}, which both render as {label}"
+            ));
+        }
+        parsed.push((q, part));
+    }
+    parsed.into_iter().map(|(q, _)| q).collect()
 }
 
 fn main() {
@@ -633,6 +644,9 @@ fn execute(spec: ExperimentSpec, flags: &CommonFlags) {
 /// `--json` destination and skips execution entirely; a miss runs and
 /// stores the artifact on success.
 fn execute_inner(mut spec: ExperimentSpec, flags: &CommonFlags, fit_growth_laws: bool) {
+    if flags.checkpoint_every.is_some() && flags.checkpoint.is_none() {
+        usage("--checkpoint-every sets how often --checkpoint writes: it needs --checkpoint PATH");
+    }
     if let Some(trials) = flags.trials {
         spec.trials = trials;
     }

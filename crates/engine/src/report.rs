@@ -17,8 +17,8 @@ pub const DEFAULT_QUANTILES: [f64; 3] = [0.5, 0.9, 0.99];
 
 /// Renders a quantile's column/key label: `0.5` → `p50`, `0.99` → `p99`,
 /// `0.999` → `p99.9`. Four decimal places of the percentage are kept, so
-/// every distinct `--quantiles` value the CLI accepts gets a distinct
-/// label.
+/// values closer than that share a label (`0` and `1e-7` are both `p0`);
+/// the CLI rejects a `--quantiles` list that repeats one.
 pub fn quantile_label(q: f64) -> String {
     let pct = format!("{:.4}", q * 100.0);
     format!("p{}", pct.trim_end_matches('0').trim_end_matches('.'))

@@ -320,6 +320,54 @@ fn block_retries_and_three_part_fault_specs_are_usage_errors() {
 }
 
 #[test]
+fn quantiles_that_share_a_label_are_usage_errors() {
+    let dir = temp_dir("quantiles");
+    let json = dir.join("q.json");
+    let compare = |quantiles: &str| {
+        let mut args: Vec<&str> = "compare --graph cycle:10 --process srw --trials 3 --json"
+            .split(' ')
+            .collect();
+        args.extend([json.to_str().unwrap(), "--quantiles", quantiles]);
+        eproc(&args)
+    };
+    // Each list would write one JSON key twice: two values closer than
+    // the label's precision, and one value spelt two ways.
+    for (list, label) in [("0,1e-7", "p0"), ("0.5,p50", "p50")] {
+        let (first, second) = list.split_once(',').unwrap();
+        let needle = format!("lists {first:?} and {second:?}, which both render as {label}");
+        let out = compare(list);
+        assert_eq!(out.status.code(), Some(2), "{list}: {}", stderr(&out));
+        assert!(stderr(&out).contains(&needle), "{list}: {}", stderr(&out));
+        assert!(!json.exists(), "{list}");
+    }
+    // `-0` is 0, not a `p-0` column.
+    let out = compare("p-0");
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let artifact = std::fs::read_to_string(&json).unwrap();
+    assert!(artifact.contains("\"steps\": {\"p0\": "), "{artifact}");
+    assert!(!artifact.contains("p-0"), "{artifact}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn checkpoint_every_without_checkpoint_is_a_usage_error() {
+    // Without `--checkpoint` there is nothing to write, plain or sharded.
+    for extra in [&[][..], &["--shard", "0/2"][..]] {
+        let mut args = vec!["compare", "--graph", "cycle:10", "--process", "srw"];
+        args.extend(["--checkpoint-every", "2"].iter().chain(extra));
+        let out = eproc(&args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{extra:?}: {err}");
+        assert!(
+            err.contains(
+                "--checkpoint-every sets how often --checkpoint writes: it needs --checkpoint PATH"
+            ),
+            "{extra:?}: {err}"
+        );
+    }
+}
+
+#[test]
 fn a_corrupted_cache_entry_misses_and_the_run_executes_again() {
     let dir = temp_dir("corrupt");
     let cache = dir.join("cache");

@@ -91,48 +91,57 @@ fn temp_checkpoint(tag: &str) -> PathBuf {
     ))
 }
 
-/// A sink that flips a cancellation flag after the `k`-th completed
-/// block — the deterministic stand-in for SIGINT arriving mid-run.
-struct CancelAfter<'a> {
-    cancel: &'a AtomicBool,
+/// A sink that flips its cancellation flag after the `k`-th completed
+/// block — the deterministic stand-in for SIGINT arriving mid-run — and
+/// counts the checkpoints written.
+#[derive(Default)]
+struct CancelAfter {
+    cancel: AtomicBool,
     completed: AtomicUsize,
     k: usize,
+    checkpoints: AtomicUsize,
 }
 
-impl TelemetrySink for CancelAfter<'_> {
+impl TelemetrySink for CancelAfter {
     fn emit(&self, event: &Event) {
-        if matches!(event.kind, EventKind::BlockCompleted { .. })
-            && self.completed.fetch_add(1, Ordering::Relaxed) + 1 >= self.k
-        {
-            self.cancel.store(true, Ordering::Relaxed);
+        match event.kind {
+            EventKind::BlockCompleted { .. }
+                if self.completed.fetch_add(1, Ordering::Relaxed) + 1 >= self.k =>
+            {
+                self.cancel.store(true, Ordering::Relaxed);
+            }
+            EventKind::CheckpointWritten { .. } => {
+                self.checkpoints.fetch_add(1, Ordering::Relaxed);
+            }
+            _ => {}
         }
     }
 }
 
-/// Interrupts a run after `kill_after` blocks (checkpointing every
-/// completion), then resumes from the written checkpoint, and returns
-/// the final report. Either phase may also complete outright —
-/// in-flight blocks drain past the cancellation point by design.
+/// Interrupts a run after `kill_after` blocks (checkpointing once
+/// `every` blocks completed since the last write), then resumes from the
+/// written checkpoint, and returns the final report and whether the
+/// first phase was interrupted. Either phase may also complete outright
+/// — in-flight blocks drain past the cancellation point by design.
 fn killed_and_resumed(
     spec: &ExperimentSpec,
     seed: u64,
     kill_after: usize,
+    every: usize,
     threads_a: usize,
     threads_b: usize,
-) -> ExperimentReport {
+) -> (ExperimentReport, bool) {
     let path = temp_checkpoint("kill");
-    let cancel = AtomicBool::new(false);
     let sink = CancelAfter {
-        cancel: &cancel,
-        completed: AtomicUsize::new(0),
         k: kill_after,
+        ..CancelAfter::default()
     };
     let rec = RecoveryOptions {
         checkpoint: Some(CheckpointPlan {
             path: path.clone(),
-            every: 1,
+            every,
         }),
-        cancel: Some(&cancel),
+        cancel: Some(&sink.cancel),
         ..RecoveryOptions::default()
     };
     let opts_a = RunOptions {
@@ -140,8 +149,8 @@ fn killed_and_resumed(
         base_seed: seed,
     };
     let first = run_recoverable_with_sink(spec, &opts_a, &rec, &sink).expect("first phase runs");
-    let report = match first {
-        RunOutcome::Completed(report) => report,
+    let outcome = match first {
+        RunOutcome::Completed(report) => (report, false),
         RunOutcome::Interrupted {
             reason,
             completed,
@@ -150,6 +159,13 @@ fn killed_and_resumed(
         } => {
             assert_eq!(reason, "signal");
             assert!(completed < total);
+            // One periodic write per `every` completions at most, plus
+            // the final one.
+            let written = sink.checkpoints.load(Ordering::Relaxed);
+            assert!(
+                written <= completed.div_ceil(every) + 1,
+                "{written} checkpoints for {completed} blocks"
+            );
             let ckpt_path = checkpoint.expect("checkpointing was configured");
             let ckpt = RunCheckpoint::load(&ckpt_path).expect("final checkpoint is readable");
             // The final checkpoint must hold exactly the completed prefix.
@@ -164,13 +180,13 @@ fn killed_and_resumed(
                 base_seed: seed,
             };
             match run_recoverable(spec, &opts_b, &rec).expect("resume runs") {
-                RunOutcome::Completed(report) => report,
+                RunOutcome::Completed(report) => (report, true),
                 RunOutcome::Interrupted { .. } => unreachable!("nothing interrupts the resume"),
             }
         }
     };
     let _ = std::fs::remove_file(&path);
-    report
+    outcome
 }
 
 proptest! {
@@ -197,7 +213,7 @@ proptest! {
             spec_for(trials, true)
         };
         let golden = to_json(&run(&spec, &RunOptions { threads: 2, base_seed: seed }).unwrap());
-        let resumed = killed_and_resumed(&spec, seed, kill_after, threads_a, threads_b);
+        let (resumed, _) = killed_and_resumed(&spec, seed, kill_after, 1, threads_a, threads_b);
         prop_assert_eq!(&to_json(&resumed), &golden);
     }
 
@@ -261,7 +277,7 @@ fn custom_quantile_render_survives_kill_and_resume() {
         },
     )
     .unwrap();
-    let resumed = killed_and_resumed(&spec, seed, 2, 1, 4);
+    let (resumed, _) = killed_and_resumed(&spec, seed, 2, 1, 1, 4);
     let quantiles = [0.25, 0.5, 0.999];
     assert_eq!(
         to_json_with(&resumed, None, &quantiles),
@@ -269,22 +285,37 @@ fn custom_quantile_render_survives_kill_and_resume() {
     );
 }
 
+/// A checkpoint every 4 blocks: one worker cancelled after 10 of 40
+/// blocks (2 families x 20 groups of 2 walks) stops within a block or
+/// two, having written at most one checkpoint per 4 completions plus the
+/// final one (asserted in [`killed_and_resumed`]), and that checkpoint
+/// resumes to the uninterrupted artifact.
+#[test]
+fn a_sparse_checkpoint_cadence_writes_less_and_still_resumes() {
+    let spec = spec_for(40, true);
+    let (resumed, interrupted) = killed_and_resumed(&spec, 4242, 10, 4, 1, 4);
+    assert!(interrupted, "one worker stops long before block 40");
+    let opts = RunOptions {
+        threads: 2,
+        base_seed: 4242,
+    };
+    assert_eq!(to_json(&resumed), to_json(&run(&spec, &opts).unwrap()));
+}
+
 /// The checkpoint of `spec` at seed 7, interrupted after its first
 /// block.
 fn interrupted_checkpoint(spec: &ExperimentSpec, tag: &str) -> RunCheckpoint {
     let path = temp_checkpoint(tag);
-    let cancel = AtomicBool::new(false);
     let sink = CancelAfter {
-        cancel: &cancel,
-        completed: AtomicUsize::new(0),
         k: 1,
+        ..CancelAfter::default()
     };
     let rec = RecoveryOptions {
         checkpoint: Some(CheckpointPlan {
             path: path.clone(),
             every: 1,
         }),
-        cancel: Some(&cancel),
+        cancel: Some(&sink.cancel),
         ..RecoveryOptions::default()
     };
     let opts = RunOptions {

@@ -14,7 +14,8 @@
 //!   ([`Graph::arc_twin`]). The E-process, rotor-router and the locally
 //!   fair explorers all operate on ports/arcs while marking *edges*.
 //! * Vertex, edge and arc ids are stored as `u32`, so `n` and `2m` are
-//!   each at most `u32::MAX` ([`GraphError::TooLarge`] otherwise).
+//!   each at most `u32::MAX` ([`GraphError::TooLarge`] otherwise). An
+//!   edge's endpoints are not stored: they are its two arcs' targets.
 
 use crate::error::GraphError;
 use std::fmt;
@@ -28,6 +29,11 @@ pub type EdgeId = usize;
 pub type ArcId = usize;
 
 /// A finite undirected multigraph in CSR form with stable edge and arc ids.
+///
+/// Five `u32` arrays: `offsets`, the per-arc `arc_targets`, `arc_edges`
+/// and `arc_twins`, and the per-edge `edge_arcs`, from which
+/// [`endpoints`](Graph::endpoints), [`m`](Graph::m) and
+/// [`edges`](Graph::edges) derive.
 ///
 /// Construction is via [`Graph::from_edges`], which every one of the
 /// [`crate::generators`] calls except the random regular one,
@@ -55,7 +61,7 @@ pub type ArcId = usize;
 #[derive(Clone, PartialEq, Eq)]
 pub struct Graph {
     /// CSR offsets: arcs of vertex `v` are `arc_targets[offsets[v]..offsets[v+1]]`.
-    offsets: Vec<usize>,
+    offsets: Vec<u32>,
     /// Target vertex of each arc.
     arc_targets: Vec<u32>,
     /// Edge id of each arc.
@@ -64,10 +70,9 @@ pub struct Graph {
     /// with) `arc_targets` and `arc_edges`, so the V-process, which scans
     /// a whole port row of targets every step, streams only that array.
     arc_twins: Vec<u32>,
-    /// Endpoints `(u, v)` of each edge, in the order supplied at construction.
-    edge_endpoints: Vec<(u32, u32)>,
-    /// The two arc ids of each edge: `edge_arcs[e].0` leaves `endpoints.0`,
-    /// `edge_arcs[e].1` leaves `endpoints.1`.
+    /// The two arc ids of each edge `(u, v)`, in the order supplied at
+    /// construction: `edge_arcs[e].0` leaves `u` (so it targets `v`) and
+    /// `edge_arcs[e].1` leaves `v` (so it targets `u`).
     edge_arcs: Vec<(u32, u32)>,
 }
 
@@ -108,75 +113,67 @@ impl Graph {
             }
         }
         let m = edges.len();
-        let mut degree = vec![0usize; n];
+        // Every id and count below is at most n or 2m: checked to fit u32.
+        // Count `v`'s arcs into `offsets[v + 1]`, then prefix-sum to row starts.
+        let mut offsets = vec![0u32; n + 1];
         for &(u, v) in edges {
-            degree[u] += 1;
-            degree[v] += 1;
+            offsets[u + 1] += 1;
+            offsets[v + 1] += 1;
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0usize;
-        offsets.push(0);
-        for &d in degree.iter().take(n) {
-            acc += d;
-            offsets.push(acc);
+        let mut acc = 0;
+        for o in &mut offsets {
+            acc += *o;
+            *o = acc;
         }
-        debug_assert_eq!(acc, 2 * m);
-        let mut cursor: Vec<usize> = offsets[..n].to_vec();
+        debug_assert_eq!(acc as usize, 2 * m);
+        let mut cursor = offsets[..n].to_vec();
         let mut arc_targets = vec![0u32; 2 * m];
         let mut arc_edges = vec![0u32; 2 * m];
         let mut arc_twins = vec![0u32; 2 * m];
         let mut edge_arcs = vec![(0u32, 0u32); m];
-        let mut edge_endpoints = Vec::with_capacity(m);
-        // Every id below is < n or < 2m, both checked to fit in u32 above.
         for (e, &(u, v)) in edges.iter().enumerate() {
             let au = cursor[u];
             cursor[u] += 1;
-            arc_targets[au] = v as u32;
-            arc_edges[au] = e as u32;
+            arc_targets[au as usize] = v as u32;
+            arc_edges[au as usize] = e as u32;
             let av = cursor[v];
             cursor[v] += 1;
-            arc_targets[av] = u as u32;
-            arc_edges[av] = e as u32;
-            arc_twins[au] = av as u32;
-            arc_twins[av] = au as u32;
-            edge_arcs[e] = (au as u32, av as u32);
-            edge_endpoints.push((u as u32, v as u32));
+            arc_targets[av as usize] = u as u32;
+            arc_edges[av as usize] = e as u32;
+            arc_twins[au as usize] = av;
+            arc_twins[av as usize] = au;
+            edge_arcs[e] = (au, av);
         }
         Ok(Graph {
             offsets,
             arc_targets,
             arc_edges,
             arc_twins,
-            edge_endpoints,
             edge_arcs,
         })
     }
 
     /// Assembles an `r`-regular graph on `n` vertices from arrays already
-    /// in [`from_edges`](Graph::from_edges)'s layout for its edge list
-    /// `edge_endpoints`: vertex `v`'s ports are arcs `v·r..(v+1)·r`, in
-    /// the id order of their edges. The caller has checked the index
-    /// widths.
+    /// in [`from_edges`](Graph::from_edges)'s layout for some edge list:
+    /// vertex `v`'s ports are arcs `v·r..(v+1)·r`, in the id order of
+    /// their edges. The caller has checked the index widths.
     pub(crate) fn from_regular_arcs(
         n: usize,
         r: usize,
         arc_targets: Vec<u32>,
         arc_edges: Vec<u32>,
         arc_twins: Vec<u32>,
-        edge_endpoints: Vec<(u32, u32)>,
         edge_arcs: Vec<(u32, u32)>,
     ) -> Graph {
         debug_assert_eq!(arc_targets.len(), n * r);
         debug_assert_eq!(arc_edges.len(), n * r);
         debug_assert_eq!(arc_twins.len(), n * r);
-        debug_assert_eq!(2 * edge_endpoints.len(), n * r);
-        debug_assert_eq!(edge_arcs.len(), edge_endpoints.len());
+        debug_assert_eq!(2 * edge_arcs.len(), n * r);
         Graph {
-            offsets: (0..=n).map(|v| v * r).collect(),
+            offsets: (0..=n).map(|v| (v * r) as u32).collect(),
             arc_targets,
             arc_edges,
             arc_twins,
-            edge_endpoints,
             edge_arcs,
         }
     }
@@ -190,7 +187,7 @@ impl Graph {
     /// Number of undirected edges (counting parallel edges separately).
     #[inline]
     pub fn m(&self) -> usize {
-        self.edge_endpoints.len()
+        self.edge_arcs.len()
     }
 
     /// Degree of `v` (parallel edges counted with multiplicity).
@@ -200,7 +197,7 @@ impl Graph {
     /// Panics if `v >= n`.
     #[inline]
     pub fn degree(&self, v: Vertex) -> usize {
-        self.offsets[v + 1] - self.offsets[v]
+        (self.offsets[v + 1] - self.offsets[v]) as usize
     }
 
     /// The contiguous range of arc ids leaving `v` (its *ports*).
@@ -210,7 +207,7 @@ impl Graph {
     /// Panics if `v >= n`.
     #[inline]
     pub fn arc_range(&self, v: Vertex) -> Range<ArcId> {
-        self.offsets[v]..self.offsets[v + 1]
+        self.offsets[v] as ArcId..self.offsets[v + 1] as ArcId
     }
 
     /// Target vertex of arc `a`.
@@ -256,15 +253,16 @@ impl Graph {
         (a as ArcId, b as ArcId)
     }
 
-    /// Endpoints `(u, v)` of edge `e` in construction order.
+    /// Endpoints `(u, v)` of edge `e` in construction order: `u` is the
+    /// target of the edge's second arc, `v` of its first.
     ///
     /// # Panics
     ///
     /// Panics if `e >= m`.
     #[inline]
     pub fn endpoints(&self, e: EdgeId) -> (Vertex, Vertex) {
-        let (u, v) = self.edge_endpoints[e];
-        (u as Vertex, v as Vertex)
+        let (a, b) = self.edge_arcs(e);
+        (self.arc_target(b), self.arc_target(a))
     }
 
     /// Iterator over the neighbors of `v`, with multiplicity for parallel
@@ -295,7 +293,7 @@ impl Graph {
     /// Panics if `v >= n`.
     #[inline]
     pub fn prefetch_ports(&self, v: Vertex) {
-        self.prefetch_arcs(self.offsets[v]);
+        self.prefetch_arcs(self.offsets[v] as ArcId);
     }
 
     /// [`prefetch_ports`](Graph::prefetch_ports) for a caller that already
@@ -328,10 +326,10 @@ impl Graph {
 
     /// Iterator over all edges as `(edge, u, v)` triples.
     pub fn edges(&self) -> impl Iterator<Item = (EdgeId, Vertex, Vertex)> + '_ {
-        self.edge_endpoints
-            .iter()
-            .enumerate()
-            .map(|(e, &(u, v))| (e, u as Vertex, v as Vertex))
+        (0..self.m()).map(|e| {
+            let (u, v) = self.endpoints(e);
+            (e, u, v)
+        })
     }
 
     /// Iterator over all vertices, `0..n`.
@@ -350,11 +348,6 @@ impl Graph {
         (0..self.n()).map(|v| self.degree(v)).max().unwrap_or(0)
     }
 
-    /// Minimum degree, or 0 for the empty graph.
-    pub fn min_degree(&self) -> usize {
-        (0..self.n()).map(|v| self.degree(v)).min().unwrap_or(0)
-    }
-
     /// `true` if some edge `{u, v}` exists (linear in `min(deg u, deg v)`).
     ///
     /// # Panics
@@ -371,11 +364,8 @@ impl Graph {
 
     /// `true` if the graph contains at least one pair of parallel edges.
     pub fn has_parallel_edges(&self) -> bool {
-        let mut seen: Vec<(u32, u32)> = self
-            .edge_endpoints
-            .iter()
-            .map(|&(u, v)| if u <= v { (u, v) } else { (v, u) })
-            .collect();
+        let mut seen: Vec<(Vertex, Vertex)> =
+            self.edges().map(|(_, u, v)| (u.min(v), u.max(v))).collect();
         seen.sort_unstable();
         seen.windows(2).any(|w| w[0] == w[1])
     }
@@ -383,21 +373,7 @@ impl Graph {
     /// The edge list `(u, v)` in edge-id order; useful for round-tripping,
     /// serialization, and building modified copies.
     pub fn edge_list(&self) -> Vec<(Vertex, Vertex)> {
-        self.edge_endpoints
-            .iter()
-            .map(|&(u, v)| (u as Vertex, v as Vertex))
-            .collect()
-    }
-
-    /// Returns a copy of the graph with an extra vertex-disjoint validation
-    /// pass; used by property tests.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`GraphError`] from reconstruction (none are expected
-    /// for a well-formed graph).
-    pub fn rebuilt(&self) -> Result<Graph, GraphError> {
-        Graph::from_edges(self.n(), &self.edge_list())
+        self.edges().map(|(_, u, v)| (u, v)).collect()
     }
 }
 
@@ -422,7 +398,6 @@ mod tests {
         assert_eq!(g.m(), 4);
         assert_eq!(g.total_degree(), 8);
         assert_eq!(g.max_degree(), 3);
-        assert_eq!(g.min_degree(), 1);
     }
 
     #[test]
@@ -443,8 +418,6 @@ mod tests {
             let (au, av) = g.edge_arcs(e);
             assert_eq!(g.arc_edge(au), e);
             assert_eq!(g.arc_edge(av), e);
-            assert_eq!(g.arc_target(au), v);
-            assert_eq!(g.arc_target(av), u);
             assert_eq!(g.arc_twin(au), av);
             assert_eq!(g.arc_twin(av), au);
             assert!(g.arc_range(u).contains(&au));
@@ -550,7 +523,7 @@ mod tests {
     #[test]
     fn edge_list_round_trips() {
         let g = triangle_plus_pendant();
-        let h = g.rebuilt().unwrap();
+        let h = Graph::from_edges(g.n(), &g.edge_list()).unwrap();
         assert_eq!(g, h);
     }
 

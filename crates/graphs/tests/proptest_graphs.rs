@@ -33,21 +33,40 @@ proptest! {
 
     #[test]
     fn csr_invariants(g in arb_graph()) {
-        // Degree sum is 2m; arc/edge tables agree.
+        // Degree sum is 2m; each edge's arcs leave its endpoints, carry
+        // its id and are each other's twins.
         let total: usize = g.vertices().map(|v| g.degree(v)).sum();
         prop_assert_eq!(total, 2 * g.m());
-        for e in 0..g.m() {
-            let (u, v) = g.endpoints(e);
+        for (e, u, v) in g.edges() {
             let (au, av) = g.edge_arcs(e);
-            prop_assert_eq!(g.arc_target(au), v);
-            prop_assert_eq!(g.arc_target(av), u);
-            prop_assert_eq!(g.arc_edge(au), e);
+            prop_assert!(g.arc_range(u).contains(&au) && g.arc_range(v).contains(&av));
+            prop_assert_eq!((g.arc_edge(au), g.arc_edge(av)), (e, e));
+            prop_assert_eq!((g.arc_twin(au), g.arc_twin(av)), (av, au));
         }
     }
 
     #[test]
     fn rebuild_round_trips(g in arb_graph()) {
-        prop_assert_eq!(&g.rebuilt().unwrap(), &g);
+        prop_assert_eq!(&Graph::from_edges(g.n(), &g.edge_list()).unwrap(), &g);
+    }
+
+    #[test]
+    fn edges_are_the_input_list_in_order(
+        n in 2usize..12,
+        pairs in proptest::collection::vec((0usize..12, 0usize..12), 0..40),
+    ) {
+        // Endpoints derive from the arcs: check them against the list they
+        // were built from, parallel edges and both orientations included.
+        let edges: Vec<(usize, usize)> = pairs
+            .into_iter()
+            .map(|(a, b)| (a % n, b % n))
+            .filter(|&(u, v)| u != v)
+            .collect();
+        let g = Graph::from_edges(n, &edges).unwrap();
+        prop_assert_eq!(g.m(), edges.len());
+        let expected: Vec<(usize, usize, usize)> =
+            edges.iter().enumerate().map(|(e, &(u, v))| (e, u, v)).collect();
+        prop_assert_eq!(g.edges().collect::<Vec<_>>(), expected);
     }
 
     #[test]

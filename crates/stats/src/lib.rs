@@ -26,10 +26,7 @@ pub mod summary;
 pub mod table;
 
 pub use online::OnlineStats;
-pub use regression::{
-    fit_c_nlogn, fit_linear, fit_proportional, try_fit_c_nlogn, try_fit_linear,
-    try_fit_proportional, FitError,
-};
+pub use regression::{try_fit_c_nlogn, try_fit_linear, try_fit_proportional, FitError};
 pub use scaling::{fit_growth_models, GrowthModel, GrowthSelection, ModelFit, ScalingPoint};
 pub use seeds::SeedSequence;
 pub use sketch::{QuantileSketch, SketchRaw};

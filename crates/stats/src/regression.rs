@@ -5,12 +5,11 @@
 //! by inspection"); we determine it by least squares instead, plus a plain
 //! proportional fit `y = c·x` for the flat even-degree series.
 //!
-//! Every fit comes in two shapes: a fallible `try_fit_*` returning
-//! [`Result<Fit, FitError>`] — the form the scaling subsystem uses, so a
-//! degenerate sweep (identical sizes, an empty series, `n < 2` under the
-//! `n ln n` model) surfaces as a CLI error instead of a worker panic —
-//! and a thin panicking `fit_*` wrapper for call sites that have already
-//! validated their input.
+//! Every fit is fallible: `try_fit_*` returns [`Result<Fit, FitError>`],
+//! so a degenerate sweep (identical sizes, an empty series, `n < 2` under
+//! the `n ln n` model) surfaces as a CLI error instead of a worker panic.
+//! A call site that has already validated its input says so with
+//! `.expect(…)`.
 
 use std::fmt;
 
@@ -197,36 +196,6 @@ pub fn try_fit_c_nlogn(ns: &[usize], y: &[f64]) -> Result<Fit, FitError> {
     try_fit_proportional(&x, y)
 }
 
-/// Ordinary least squares `y = a + b x`.
-///
-/// # Panics
-///
-/// Panics where [`try_fit_linear`] would error (fewer than 2 points,
-/// mismatched lengths, all `x` identical, non-finite input).
-pub fn fit_linear(x: &[f64], y: &[f64]) -> Fit {
-    try_fit_linear(x, y).unwrap_or_else(|e| panic!("fit_linear: {e}"))
-}
-
-/// Through-origin fit `y = c x`.
-///
-/// # Panics
-///
-/// Panics where [`try_fit_proportional`] would error (mismatched lengths,
-/// empty input, all-zero `x`, non-finite input).
-pub fn fit_proportional(x: &[f64], y: &[f64]) -> Fit {
-    try_fit_proportional(x, y).unwrap_or_else(|e| panic!("fit_proportional: {e}"))
-}
-
-/// Fits `y = c · n ln n` to `(n, y)` pairs.
-///
-/// # Panics
-///
-/// Panics where [`try_fit_c_nlogn`] would error (mismatched lengths,
-/// empty input, any `n < 2`, non-finite `y`).
-pub fn fit_c_nlogn(ns: &[usize], y: &[f64]) -> Fit {
-    try_fit_c_nlogn(ns, y).unwrap_or_else(|e| panic!("fit_c_nlogn: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,7 +204,7 @@ mod tests {
     fn exact_linear_fit() {
         let x = [1.0, 2.0, 3.0, 4.0];
         let y = [3.0, 5.0, 7.0, 9.0];
-        let fit = fit_linear(&x, &y);
+        let fit = try_fit_linear(&x, &y).unwrap();
         assert!((fit.intercept - 1.0).abs() < 1e-10);
         assert!((fit.slope - 2.0).abs() < 1e-10);
         assert!((fit.r_squared - 1.0).abs() < 1e-10);
@@ -245,7 +214,7 @@ mod tests {
     fn noisy_linear_fit_r2_below_one() {
         let x = [1.0, 2.0, 3.0, 4.0, 5.0];
         let y = [2.1, 3.9, 6.2, 7.8, 10.1];
-        let fit = fit_linear(&x, &y);
+        let fit = try_fit_linear(&x, &y).unwrap();
         assert!(fit.r_squared > 0.99);
         assert!(fit.r_squared < 1.0);
         assert!((fit.slope - 2.0).abs() < 0.1);
@@ -255,7 +224,7 @@ mod tests {
     fn proportional_fit_recovers_constant() {
         let x = [10.0, 20.0, 40.0];
         let y: Vec<f64> = x.iter().map(|v| 3.5 * v).collect();
-        let fit = fit_proportional(&x, &y);
+        let fit = try_fit_proportional(&x, &y).unwrap();
         assert!((fit.slope - 3.5).abs() < 1e-10);
         assert_eq!(fit.intercept, 0.0);
     }
@@ -267,7 +236,7 @@ mod tests {
             .iter()
             .map(|&n| 0.93 * n as f64 * (n as f64).ln())
             .collect();
-        let fit = fit_c_nlogn(&ns, &y);
+        let fit = try_fit_c_nlogn(&ns, &y).unwrap();
         assert!((fit.slope - 0.93).abs() < 1e-9, "c = {}", fit.slope);
         assert!(fit.r_squared > 1.0 - 1e-9);
     }
@@ -278,27 +247,15 @@ mod tests {
         // best c underfits small n and overfits large n.
         let ns = [100usize, 1000, 10_000, 100_000];
         let y: Vec<f64> = ns.iter().map(|&n| 5.0 * n as f64).collect();
-        let fit = fit_c_nlogn(&ns, &y);
+        let fit = try_fit_c_nlogn(&ns, &y).unwrap();
         let linear_fit = {
             let x: Vec<f64> = ns.iter().map(|&n| n as f64).collect();
-            fit_proportional(&x, &y)
+            try_fit_proportional(&x, &y).unwrap()
         };
         assert!(
             linear_fit.r_squared > fit.r_squared,
             "linear model must win on linear data"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "identical")]
-    fn degenerate_x_rejected() {
-        let _ = fit_linear(&[2.0, 2.0], &[1.0, 5.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn mismatched_lengths_rejected() {
-        let _ = fit_proportional(&[1.0], &[1.0, 2.0]);
     }
 
     #[test]
@@ -339,20 +296,6 @@ mod tests {
             try_fit_proportional(&[1.0, 2.0], &[f64::INFINITY, 2.0]),
             Err(FitError::NonFinite)
         );
-    }
-
-    #[test]
-    fn try_fit_matches_panicking_wrapper_on_valid_input() {
-        let x = [1.0, 2.0, 3.0, 4.0];
-        let y = [3.1, 4.9, 7.2, 8.8];
-        assert_eq!(try_fit_linear(&x, &y).unwrap(), fit_linear(&x, &y));
-        assert_eq!(
-            try_fit_proportional(&x, &y).unwrap(),
-            fit_proportional(&x, &y)
-        );
-        let ns = [10usize, 20, 40];
-        let yy = [5.0, 11.0, 25.0];
-        assert_eq!(try_fit_c_nlogn(&ns, &yy).unwrap(), fit_c_nlogn(&ns, &yy));
     }
 
     #[test]

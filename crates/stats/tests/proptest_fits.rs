@@ -1,10 +1,8 @@
 //! Property tests for the fallible fit APIs: every degenerate input
 //! class must map to its typed [`FitError`] (never a panic), and valid
-//! inputs must agree with the panicking wrappers.
+//! inputs must recover the law they were drawn from.
 
-use eproc_stats::regression::{
-    fit_linear, try_fit_c_nlogn, try_fit_linear, try_fit_proportional, FitError,
-};
+use eproc_stats::regression::{try_fit_c_nlogn, try_fit_linear, try_fit_proportional, FitError};
 use eproc_stats::scaling::{fit_growth_models, GrowthModel, ScalingPoint};
 use proptest::prelude::*;
 
@@ -60,7 +58,7 @@ proptest! {
     }
 
     #[test]
-    fn valid_input_matches_panicking_wrapper(
+    fn valid_input_recovers_the_planted_slope(
         slope in -50i64..50,
         intercept in -1000i64..1000,
         len in 2usize..20,
@@ -68,7 +66,6 @@ proptest! {
         let xs: Vec<f64> = (0..len).map(|i| (i * i + i + 1) as f64).collect();
         let ys: Vec<f64> = xs.iter().map(|x| intercept as f64 + slope as f64 * x).collect();
         let fit = try_fit_linear(&xs, &ys).unwrap();
-        prop_assert_eq!(fit, fit_linear(&xs, &ys));
         prop_assert!((fit.slope - slope as f64).abs() < 1e-6);
     }
 

@@ -7,7 +7,7 @@ use eproc::core::EProcess;
 use eproc::graphs::generators;
 use eproc::graphs::properties::girth;
 use eproc::spectral::lanczos::lanczos;
-use eproc::stats::{fit_c_nlogn, SeedSequence, Summary, TextTable};
+use eproc::stats::{try_fit_c_nlogn, SeedSequence, Summary, TextTable};
 use eproc::theory;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -62,7 +62,7 @@ fn measurement_to_fit_pipeline() {
         ns.push(n);
         ys.push(Summary::from_u64(&covers).mean);
     }
-    let fit = fit_c_nlogn(&ns, &ys);
+    let fit = try_fit_c_nlogn(&ns, &ys).expect("three sizes above 2, finite means");
     // Odd degree: the n ln n model fits with a constant near Figure 1's
     // 0.93 (generous small-n band).
     assert!(fit.slope > 0.3 && fit.slope < 2.5, "c = {}", fit.slope);

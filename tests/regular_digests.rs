@@ -13,8 +13,8 @@ use eproc::graphs::{Graph, GraphError};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// SHA-256 of the graph's arrays written out as little-endian `u32`:
-/// offsets, arc targets, arc edges, arc twins, edge endpoints, edge arcs.
+/// SHA-256, as little-endian `u32`, of what the accessors read: offsets,
+/// arc targets, arc edges, arc twins, edge endpoints, edge arcs.
 fn graph_digest(g: &Graph) -> String {
     let mut words: Vec<usize> = Vec::new();
     words.extend(g.vertices().map(|v| g.arc_range(v).start));
