@@ -28,14 +28,6 @@ impl BitSet {
         BitSet::default()
     }
 
-    /// Creates a bitset of `len` bits, all `false`.
-    pub fn with_len(len: usize) -> BitSet {
-        BitSet {
-            words: vec![0; len.div_ceil(WORD_BITS)],
-            len,
-        }
-    }
-
     /// Re-arms the bitset to `len` bits, all `false`, reusing the existing
     /// allocation whenever it is large enough — the per-trial reset cost
     /// is `len / 64` word writes.
@@ -45,11 +37,6 @@ impl BitSet {
         self.words.iter_mut().for_each(|w| *w = 0);
         self.words.resize(words, 0);
         self.len = len;
-    }
-
-    /// Sets every bit to `false` without changing the length.
-    pub fn clear(&mut self) {
-        self.words.iter_mut().for_each(|w| *w = 0);
     }
 
     /// Reads bit `i`.
@@ -126,9 +113,17 @@ mod tests {
         (0..s.len).filter(|&i| s.get(i)).collect()
     }
 
+    /// A bitset of `len` bits, all `false`, built as the observers build
+    /// theirs.
+    fn sized(len: usize) -> BitSet {
+        let mut s = BitSet::new();
+        s.clear_and_resize(len);
+        s
+    }
+
     #[test]
     fn starts_all_false_and_sets_stick() {
-        let mut s = BitSet::with_len(130);
+        let mut s = sized(130);
         assert_eq!(ones(&s), Vec::<usize>::new());
         for i in [0, 63, 64, 65, 129] {
             assert!(!s.get(i));
@@ -140,7 +135,7 @@ mod tests {
 
     #[test]
     fn test_and_set_reports_first_touch_only() {
-        let mut s = BitSet::with_len(70);
+        let mut s = sized(70);
         assert!(s.test_and_set(69));
         assert!(!s.test_and_set(69));
         assert!(s.get(69));
@@ -149,7 +144,7 @@ mod tests {
 
     #[test]
     fn clear_and_resize_rearms_without_stale_bits() {
-        let mut s = BitSet::with_len(100);
+        let mut s = sized(100);
         for i in 0..100 {
             s.set(i);
         }
@@ -168,9 +163,9 @@ mod tests {
 
     #[test]
     fn clear_keeps_length() {
-        let mut s = BitSet::with_len(10);
+        let mut s = sized(10);
         s.set(3);
-        s.clear();
+        s.clear_and_resize(10);
         assert_eq!(s.len, 10);
         assert_eq!(ones(&s), Vec::<usize>::new());
         s.set(9);
@@ -180,13 +175,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn get_out_of_range_panics() {
-        let s = BitSet::with_len(8);
+        let s = sized(8);
         let _ = s.get(8);
     }
 
     #[test]
     fn debug_is_compact() {
-        let mut s = BitSet::with_len(9);
+        let mut s = sized(9);
         s.set(2);
         let d = format!("{s:?}");
         assert!(d.contains("len: 9") && d.contains("ones: 1"));

@@ -12,10 +12,9 @@
 //! # Step state
 //!
 //! The engine keeps, per vertex, a compacted "live prefix" of the unvisited
-//! incident arcs with positional back-pointers, so that marking an edge
-//! visited (which removes it at *both* endpoints) and choosing uniformly
-//! among unvisited edges are both `O(1)`. The state is laid out so that a
-//! step's only *dependent* cache miss is the next vertex's rows:
+//! incident arcs, so that choosing uniformly among unvisited edges and
+//! marking an edge visited (which removes it at *both* endpoints) are a
+//! draw and two swaps:
 //!
 //! * `rows[v] = [base, live]`, side by side as `[u32; 2]`: where `v`'s
 //!   arcs start and how many of them are still unvisited (its blue
@@ -23,23 +22,23 @@
 //!   `rows[v + 1][0] - base`, so one row pair replaces the graph's
 //!   `offsets` array on the hot path.
 //! * `slots: Vec<u32>`: arc ids grouped by source vertex, the first `live`
-//!   of each row unvisited; `pos: Vec<u32>` is its inverse.
-//! * The graph's per-arc `arc_targets`, `arc_edges` and `arc_twins`: a
-//!   blue step unlinks the chosen arc at the slot it was chosen from and
-//!   its twin in the row of the vertex it moves to — no edge-indexed
-//!   lookup.
+//!   of each row unvisited. It keeps no inverse: a live arc starts at its
+//!   own index and moves only when a swap fills a hole with it, so a blue
+//!   step finds the chosen arc's twin there if `slots[twin] == twin`, and
+//!   otherwise by scanning the live prefix of the vertex it moves to.
+//! * The graph's per-arc `arc_targets`, `arc_edges` and `arc_twins`.
+//!
+//! A step is `O(1)`, plus whatever the rule costs, except in that scan,
+//! which is `O(blue degree)` of the new vertex. The twin leaves the new
+//! vertex, so as soon as the arc is chosen each step loads the twin's slot,
+//! its arc entries ([`Graph::prefetch_arcs`]) and the new vertex's row pair
+//! through [`std::hint::black_box`]: the lines the next step reads are in
+//! flight before the unlinks, without waiting on that row pair.
 //!
 //! The live prefixes are the only visited-edge record: an edge is
-//! *visited* once a blue step has moved its arcs out of their rows' live
-//! prefixes, which [`EProcess::edge_visited`] reads in `O(1)`. The step
-//! count and the unvisited-edge count `m − blue_steps` are derived too.
-//!
-//! Every step ends by loading the first entries of the new vertex's arc
-//! row through [`std::hint::black_box`] (the safe-code prefetch of
-//! [`Graph::prefetch_arcs`]), so those lines are in flight while the next
-//! step's rule draws its choice. Each step is `O(1)` (plus whatever the
-//! rule itself costs), which is what makes the paper-scale Figure 1 runs
-//! (`n` up to 5·10⁵) practical.
+//! *visited* once its arcs have left their rows' live prefixes, which
+//! [`EProcess::edge_visited`] tests the same way. The step count and the
+//! unvisited-edge count `m − blue_steps` are derived too.
 
 pub mod rule;
 
@@ -68,8 +67,6 @@ pub struct EProcess<'g, A> {
     rows: Vec<[u32; 2]>,
     /// Arc ids grouped by source vertex, live prefix first.
     slots: Vec<u32>,
-    /// `pos[a]` = current index of arc `a` inside `slots`.
-    pos: Vec<u32>,
 }
 
 /// The greedy random walk of Orenshtein–Shinkar: the E-process whose rule
@@ -92,7 +89,6 @@ impl<'g, A: EdgeRule> EProcess<'g, A> {
             red_steps: 0,
             rows: vec![[0, 0]; g.n() + 1],
             slots: vec![0; g.total_degree()],
-            pos: vec![0; g.total_degree()],
         };
         walk.rearm();
         walk
@@ -110,15 +106,14 @@ impl<'g, A: EdgeRule> EProcess<'g, A> {
     }
 
     /// `true` if edge `e` has been traversed: its first arc has left the
-    /// live prefix of its source's row, in `O(1)`.
+    /// live prefix of its source's row.
     ///
     /// # Panics
     ///
     /// Panics if `e >= g.m()`.
     pub fn edge_visited(&self, e: EdgeId) -> bool {
         let (a, b) = self.g.edge_arcs(e);
-        let [base, live] = self.rows[self.g.arc_target(b)];
-        self.pos[a] >= base + live
+        self.live_slot(a, self.g.arc_target(b)).is_none()
     }
 
     /// Number of still-unvisited (blue) edges: every blue step visits
@@ -157,7 +152,7 @@ impl<'g, A: EdgeRule> EProcess<'g, A> {
     /// Resets the process to a fresh state at `start` — all edges
     /// unvisited, counters zeroed, rule state re-armed via
     /// [`EdgeRule::reset`] — reusing the existing allocations. The cost
-    /// is the `O(n + m)` row/slot/pos rebuild.
+    /// is the `O(n + m)` row and slot rebuild.
     ///
     /// # Panics
     ///
@@ -171,18 +166,33 @@ impl<'g, A: EdgeRule> EProcess<'g, A> {
         self.rearm();
     }
 
-    /// Marks every arc live: identity `slots`/`pos`, full-degree rows.
+    /// Marks every arc live: identity `slots`, full-degree rows.
     fn rearm(&mut self) {
         // `Graph` guarantees n and 2m fit in u32, so these casts are exact.
-        for (i, (slot, p)) in self.slots.iter_mut().zip(&mut self.pos).enumerate() {
+        for (i, slot) in self.slots.iter_mut().enumerate() {
             *slot = i as u32;
-            *p = i as u32;
         }
         for (v, row) in self.rows.iter_mut().enumerate().take(self.g.n()) {
             let r = self.g.arc_range(v);
             *row = [r.start as u32, r.len() as u32];
         }
         self.rows[self.g.n()] = [self.g.total_degree() as u32, 0];
+    }
+
+    /// The slot of arc `a` in the live prefix of its source `v`'s row, or
+    /// `None` once `a` has left it: `a` itself if no swap has moved the
+    /// arc, else found by scanning the prefix.
+    #[inline]
+    fn live_slot(&self, a: usize, v: Vertex) -> Option<usize> {
+        let [base, live] = self.rows[v];
+        let (base, end) = (base as usize, (base + live) as usize);
+        if self.slots[a] as usize == a {
+            return (a < end).then_some(a);
+        }
+        let i = self.slots[base..end]
+            .iter()
+            .position(|&s| s as usize == a)?;
+        Some(base + i)
     }
 
     /// Unlinks the live arc at slot index `p` of `v`'s row, swapping it
@@ -195,12 +205,7 @@ impl<'g, A: EdgeRule> EProcess<'g, A> {
             p >= base as usize && p <= last,
             "slot {p} not in the live prefix of vertex {v}"
         );
-        let arc = self.slots[p];
-        let moved = self.slots[last];
-        self.slots[p] = moved;
-        self.slots[last] = arc;
-        self.pos[moved as usize] = p as u32;
-        self.pos[arc as usize] = last as u32;
+        self.slots.swap(p, last);
         self.rows[v][1] = live - 1;
     }
 }
@@ -244,24 +249,20 @@ impl<'g, A: EdgeRule> WalkProcess for EProcess<'g, A> {
         let arc = self.slots[p] as usize;
         let e = self.g.arc_edge(arc);
         let to = self.g.arc_target(arc);
+        // The twin leaves `to`: request its slot and arc entries, the lines
+        // the next step reads, and `to`'s row pair before the unlinks.
+        let twin = self.g.arc_twin(arc);
+        std::hint::black_box((self.slots[twin], self.rows[to]));
+        self.g.prefetch_arcs(twin);
         if kind == StepKind::Blue {
-            // The chosen arc sits at slot `p` of `v`'s row; its twin leaves
-            // `to`, whose row the next step reads anyway.
             self.unlink_at(p, v);
-            let twin = self.g.arc_twin(arc);
-            self.unlink_at(self.pos[twin] as usize, to);
+            let q = self.live_slot(twin, to).expect("a blue arc's twin is live");
+            self.unlink_at(q, to);
             self.blue_steps += 1;
         } else {
             self.red_steps += 1;
         }
         self.current = to;
-        // Request `to`'s arc row now, so its lines are in flight while the
-        // next step's rule draws.
-        let next = self.rows[to][0] as usize;
-        if let Some(&s) = self.slots.get(next) {
-            std::hint::black_box(s);
-        }
-        self.g.prefetch_arcs(next);
         Step {
             from: v,
             to,
@@ -339,6 +340,31 @@ mod tests {
             }
         }
         assert_eq!(walk.unvisited_edge_count(), 0);
+    }
+
+    #[test]
+    fn displaced_twin_is_found_by_scanning_the_live_prefix() {
+        // Vertex 0 holds arcs 0..4 (edges 0, 1 and 2 to vertex 1, then edge
+        // 4 to vertex 2), vertex 1 arcs 4..8 (edges 0, 1 and 2, then edge 3
+        // to vertex 2). Lowest arc first, the walk crosses edges 0 and 1;
+        // unlinking arc 5 fills its slot with arc 6, so when the walk then
+        // crosses edge 2, that edge's twin arc 6 is off its own index.
+        let g = Graph::from_edges(3, &[(0, 1), (0, 1), (0, 1), (1, 2), (2, 0)]).unwrap();
+        let mut rng = SmallRng::seed_from_u64(0);
+        let mut walk = EProcess::new(&g, 0, FirstPortRule);
+        run_steps(&mut walk, 2, &mut rng);
+        assert_eq!(walk.current(), 0);
+        assert_eq!(walk.live_arcs(), [3, 2]);
+        assert_eq!(g.arc_twin(2), 6);
+        assert_eq!(walk.slots[4..8], [7, 6, 5, 4], "arc 6 sits in slot 5");
+        let step = walk.advance(&mut rng);
+        assert_eq!(
+            (step.to, step.edge, step.kind),
+            (1, Some(2), StepKind::Blue)
+        );
+        assert_eq!(walk.live_arcs(), [7]);
+        let visited: Vec<bool> = (0..g.m()).map(|e| walk.edge_visited(e)).collect();
+        assert_eq!(visited, [true, true, true, false, false]);
     }
 
     #[test]

@@ -101,12 +101,17 @@ impl EdgeRule for LastPortRule {
 #[derive(Debug, Clone)]
 pub struct RoundRobinRule {
     next: Vec<u64>,
+    /// Indices into the live arcs, ranked by arc id; reused across steps.
+    order: Vec<usize>,
 }
 
 impl RoundRobinRule {
     /// Creates the rule for a graph with `n` vertices.
     pub fn new(n: usize) -> RoundRobinRule {
-        RoundRobinRule { next: vec![0; n] }
+        RoundRobinRule {
+            next: vec![0; n],
+            order: Vec::new(),
+        }
     }
 }
 
@@ -120,10 +125,11 @@ impl EdgeRule for RoundRobinRule {
         let k = (*counter as usize) % ctx.live_arcs.len();
         *counter += 1;
         // Stabilise against the engine's in-place compaction by ranking
-        // live arcs by arc id.
-        let mut order: Vec<usize> = (0..ctx.live_arcs.len()).collect();
-        order.sort_by_key(|&i| ctx.live_arcs[i]);
-        order[k]
+        // live arcs by arc id, which are distinct.
+        self.order.clear();
+        self.order.extend(0..ctx.live_arcs.len());
+        self.order.sort_unstable_by_key(|&i| ctx.live_arcs[i]);
+        self.order[k]
     }
 }
 

@@ -11,6 +11,7 @@ use eproc_core::rule::{
 use eproc_core::srw::{LazyRandomWalk, SimpleRandomWalk};
 use eproc_core::vprocess::VProcess;
 use eproc_core::{EProcess, Step, StepKind, WalkProcess};
+use eproc_graphs::generators::{self, connected_random_geometric};
 use eproc_graphs::{Graph, Vertex};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -201,6 +202,27 @@ fn check_reference_trajectory(g: &Graph, start: Vertex, seed: u64) -> Result<(),
         prop_assert_eq!(seen, kernel.edge_visited(e));
     }
     Ok(())
+}
+
+/// The kernel keeps no inverse of `slots`: it finds a blue step's twin at
+/// the twin's own index or, once a swap has displaced it, by scanning the
+/// live prefix of the vertex it moves to. The proptest graphs have at most
+/// 13 vertices, so this walks the reference on long rows too, from three
+/// starts each: `complete(40)`, the `worststart` builtin's lollipop and a
+/// geometric graph of mean degree about 22.
+#[test]
+fn eprocess_matches_reference_trajectory_on_long_rows() {
+    let mut rng = SmallRng::seed_from_u64(7);
+    let geometric = connected_random_geometric(2000, 0.06, &mut rng).expect("above the threshold");
+    for g in [
+        generators::complete(40),
+        generators::lollipop(24, 24),
+        geometric.graph,
+    ] {
+        for (seed, start) in [0, g.n() / 2, g.n() - 1].into_iter().enumerate() {
+            check_reference_trajectory(&g, start, seed as u64).unwrap();
+        }
+    }
 }
 
 /// The locally fair walks as first written, kept as the trajectory oracle

@@ -15,7 +15,7 @@
 //!   fair explorers all operate on ports/arcs while marking *edges*.
 //! * Vertex, edge and arc ids are stored as `u32`, so `n` and `2m` are
 //!   each at most `u32::MAX` ([`GraphError::TooLarge`] otherwise). An
-//!   edge's endpoints are not stored: they are its two arcs' targets.
+//!   edge keeps one arc (the other is its twin) and no endpoints.
 
 use crate::error::GraphError;
 use std::fmt;
@@ -31,7 +31,8 @@ pub type ArcId = usize;
 /// A finite undirected multigraph in CSR form with stable edge and arc ids.
 ///
 /// Five `u32` arrays: `offsets`, the per-arc `arc_targets`, `arc_edges`
-/// and `arc_twins`, and the per-edge `edge_arcs`, from which
+/// and `arc_twins`, and the per-edge `first_arcs`, one arc per edge (its
+/// other is that arc's twin), from which [`edge_arcs`](Graph::edge_arcs),
 /// [`endpoints`](Graph::endpoints), [`m`](Graph::m) and
 /// [`edges`](Graph::edges) derive.
 ///
@@ -70,10 +71,9 @@ pub struct Graph {
     /// with) `arc_targets` and `arc_edges`, so the V-process, which scans
     /// a whole port row of targets every step, streams only that array.
     arc_twins: Vec<u32>,
-    /// The two arc ids of each edge `(u, v)`, in the order supplied at
-    /// construction: `edge_arcs[e].0` leaves `u` (so it targets `v`) and
-    /// `edge_arcs[e].1` leaves `v` (so it targets `u`).
-    edge_arcs: Vec<(u32, u32)>,
+    /// The first arc of each edge `(u, v)` as supplied at construction:
+    /// `first_arcs[e]` leaves `u` (so it targets `v`); its twin leaves `v`.
+    first_arcs: Vec<u32>,
 }
 
 /// Checks that `n` vertices and `arcs` arcs fit the 32-bit index width the
@@ -130,7 +130,7 @@ impl Graph {
         let mut arc_targets = vec![0u32; 2 * m];
         let mut arc_edges = vec![0u32; 2 * m];
         let mut arc_twins = vec![0u32; 2 * m];
-        let mut edge_arcs = vec![(0u32, 0u32); m];
+        let mut first_arcs = vec![0u32; m];
         for (e, &(u, v)) in edges.iter().enumerate() {
             let au = cursor[u];
             cursor[u] += 1;
@@ -142,39 +142,40 @@ impl Graph {
             arc_edges[av as usize] = e as u32;
             arc_twins[au as usize] = av;
             arc_twins[av as usize] = au;
-            edge_arcs[e] = (au, av);
+            first_arcs[e] = au;
         }
         Ok(Graph {
             offsets,
             arc_targets,
             arc_edges,
             arc_twins,
-            edge_arcs,
+            first_arcs,
         })
     }
 
     /// Assembles an `r`-regular graph on `n` vertices from arrays already
     /// in [`from_edges`](Graph::from_edges)'s layout for some edge list:
     /// vertex `v`'s ports are arcs `v·r..(v+1)·r`, in the id order of
-    /// their edges. The caller has checked the index widths.
+    /// their edges, and `first_arcs[e]` is the arc of edge `e` that leaves
+    /// its first listed endpoint. The caller has checked the index widths.
     pub(crate) fn from_regular_arcs(
         n: usize,
         r: usize,
         arc_targets: Vec<u32>,
         arc_edges: Vec<u32>,
         arc_twins: Vec<u32>,
-        edge_arcs: Vec<(u32, u32)>,
+        first_arcs: Vec<u32>,
     ) -> Graph {
         debug_assert_eq!(arc_targets.len(), n * r);
         debug_assert_eq!(arc_edges.len(), n * r);
         debug_assert_eq!(arc_twins.len(), n * r);
-        debug_assert_eq!(2 * edge_arcs.len(), n * r);
+        debug_assert_eq!(2 * first_arcs.len(), n * r);
         Graph {
             offsets: (0..=n).map(|v| (v * r) as u32).collect(),
             arc_targets,
             arc_edges,
             arc_twins,
-            edge_arcs,
+            first_arcs,
         }
     }
 
@@ -187,7 +188,7 @@ impl Graph {
     /// Number of undirected edges (counting parallel edges separately).
     #[inline]
     pub fn m(&self) -> usize {
-        self.edge_arcs.len()
+        self.first_arcs.len()
     }
 
     /// Degree of `v` (parallel edges counted with multiplicity).
@@ -241,16 +242,16 @@ impl Graph {
         self.arc_twins[a] as ArcId
     }
 
-    /// The two arc ids of edge `e`: the first leaves `endpoints(e).0`, the
-    /// second leaves `endpoints(e).1`.
+    /// The two arc ids of edge `e`, `(a, arc_twin(a))`: the first leaves
+    /// `endpoints(e).0`, the second leaves `endpoints(e).1`.
     ///
     /// # Panics
     ///
     /// Panics if `e >= m`.
     #[inline]
     pub fn edge_arcs(&self, e: EdgeId) -> (ArcId, ArcId) {
-        let (a, b) = self.edge_arcs[e];
-        (a as ArcId, b as ArcId)
+        let a = self.first_arcs[e] as ArcId;
+        (a, self.arc_twin(a))
     }
 
     /// Endpoints `(u, v)` of edge `e` in construction order: `u` is the
@@ -297,10 +298,10 @@ impl Graph {
     }
 
     /// [`prefetch_ports`](Graph::prefetch_ports) for a caller that already
-    /// knows where the row starts: loads the `arc_targets`, `arc_edges`
-    /// and `arc_twins` entries of arc `a` through
-    /// [`std::hint::black_box`], skipping the `offsets` word. An `a` at or
-    /// past `2m` (the start of an empty last row) loads nothing.
+    /// knows an arc `a` of the row: loads its `arc_targets`, `arc_edges`
+    /// and `arc_twins` entries through [`std::hint::black_box`], skipping
+    /// the `offsets` word. An `a` at or past `2m` (the start of an empty
+    /// last row) loads nothing.
     #[inline]
     pub fn prefetch_arcs(&self, a: ArcId) {
         if let (Some(&t), Some(&e), Some(&w)) = (

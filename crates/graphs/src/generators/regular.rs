@@ -161,16 +161,16 @@ pub fn steger_wormald_counted<R: Rng + ?Sized>(
     // each endpoint's row, and in an `r`-regular graph row `v` starts at
     // `offsets[v] = v·r`. So the slot an accepted edge takes in each row
     // is the arc `from_edges` would give it; recording the edge id, the
-    // twins and the edge's arcs on acceptance leaves no second pass. The
-    // suitability probe scans one row (unfilled slots never match), so
-    // the accept/reject decisions, and hence the RNG draw sequence and
-    // the output graph, are those of the hash-set formulation.
+    // twins and the edge's first arc on acceptance leaves no second pass.
+    // The suitability probe scans one row (unfilled slots never match), so
+    // the accept/reject decisions, and hence the RNG draw sequence and the
+    // output graph, are those of the hash-set formulation.
     let mut fill: Vec<u32> = Vec::with_capacity(n);
     let mut stubs: Vec<u32> = Vec::with_capacity(arcs);
     let mut arc_targets: Vec<u32> = Vec::with_capacity(arcs);
     let mut arc_edges = vec![0u32; arcs];
     let mut arc_twins = vec![0u32; arcs];
-    let mut edge_arcs: Vec<(u32, u32)> = Vec::with_capacity(arcs / 2);
+    let mut first_arcs: Vec<u32> = Vec::with_capacity(arcs / 2);
     'restart: for attempt in 1..=MAX_RESTARTS {
         fill.clear();
         fill.resize(n, 0);
@@ -178,7 +178,7 @@ pub fn steger_wormald_counted<R: Rng + ?Sized>(
         arc_targets.resize(arcs, UNFILLED);
         stubs.clear();
         stubs.extend((0..n as u32).flat_map(|v| std::iter::repeat_n(v, r)));
-        edge_arcs.clear();
+        first_arcs.clear();
         while !stubs.is_empty() {
             // If only unsuitable pairs remain we must restart; detect by
             // bounding consecutive failures (suitable pairs are abundant
@@ -193,7 +193,7 @@ pub fn steger_wormald_counted<R: Rng + ?Sized>(
                 let (u, v) = (stubs[i].min(stubs[j]), stubs[i].max(stubs[j]));
                 let u_row = u as usize * r;
                 if u != v && !arc_targets[u_row..u_row + r].contains(&v) {
-                    let e = edge_arcs.len() as u32;
+                    let e = first_arcs.len() as u32;
                     let u_fill = fill[u as usize];
                     let v_fill = fill[v as usize];
                     let (au, av) = (u_row + u_fill as usize, v as usize * r + v_fill as usize);
@@ -205,7 +205,7 @@ pub fn steger_wormald_counted<R: Rng + ?Sized>(
                     arc_edges[av] = e;
                     arc_twins[au] = av as u32;
                     arc_twins[av] = au as u32;
-                    edge_arcs.push((au as u32, av as u32));
+                    first_arcs.push(au as u32);
                     // Remove the two stubs (higher index first).
                     stubs.swap_remove(i.max(j));
                     stubs.swap_remove(i.min(j));
@@ -217,7 +217,7 @@ pub fn steger_wormald_counted<R: Rng + ?Sized>(
                 }
             }
         }
-        let g = Graph::from_regular_arcs(n, r, arc_targets, arc_edges, arc_twins, edge_arcs);
+        let g = Graph::from_regular_arcs(n, r, arc_targets, arc_edges, arc_twins, first_arcs);
         return Ok((g, attempt));
     }
     Err(GraphError::RetriesExhausted {
