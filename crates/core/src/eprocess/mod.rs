@@ -17,28 +17,44 @@
 //! draw and two swaps:
 //!
 //! * `rows[v] = [base, live]`, side by side as `[u32; 2]`: where `v`'s
-//!   arcs start and how many of them are still unvisited (its blue
-//!   degree). A final sentinel row `[2m, 0]` makes the degree
-//!   `rows[v + 1][0] - base`, so one row pair replaces the graph's
-//!   `offsets` array on the hot path.
-//! * `slots: Vec<u32>`: arc ids grouped by source vertex, the first `live`
-//!   of each row unvisited. It keeps no inverse: a live arc starts at its
-//!   own index and moves only when a swap fills a hole with it, so a blue
-//!   step finds the chosen arc's twin there if `slots[twin] == twin`, and
-//!   otherwise by scanning the live prefix of the vertex it moves to.
+//!   arcs start and how many of them are still unvisited. A final
+//!   sentinel row `[2m, 0]` makes the degree `rows[v + 1][0] - base`, so
+//!   one row pair replaces the graph's `offsets` array on the hot path.
+//! * `slots: Vec<u16>`: *ports*, the offsets of arcs within their source's
+//!   row, grouped by source vertex; the first `live` of each row are
+//!   unvisited, and port `p` of the row at `base` is arc `base + p`. Port
+//!   order is arc-id order. Sixteen bits hold every port of a vertex of
+//!   degree at most [`MAX_DEGREE`] = 65,536, which [`EProcess::new`]
+//!   checks. Within the graph's `u32` arc ids, a complete graph has
+//!   degree at most 65,535, a lollipop's junction at most 65,536, and an
+//!   LPS graph far less, so none of them can pass the limit.
 //! * The graph's per-arc `arc_targets`, `arc_edges` and `arc_twins`.
 //!
-//! A step is `O(1)`, plus whatever the rule costs, except in that scan,
-//! which is `O(blue degree)` of the new vertex. The twin leaves the new
-//! vertex, so as soon as the arc is chosen each step loads the twin's slot,
-//! its arc entries ([`Graph::prefetch_arcs`]) and the new vertex's row pair
-//! through [`std::hint::black_box`]: the lines the next step reads are in
-//! flight before the unlinks, without waiting on that row pair.
+//! `slots` keeps no inverse: a live arc starts at its own index and moves
+//! only when a swap fills a hole with it, so the twin of a crossed arc is
+//! at its own index if `base + slots[twin] == twin`, and otherwise found by
+//! scanning the live prefix of the vertex the walk moved to. A step is
+//! `O(1)`, plus whatever the rule costs, except in that scan, which is
+//! `O(blue degree)` of the new vertex.
+//!
+//! # The pending twin
+//!
+//! A blue step unlinks the crossed arc from the current row at once, but
+//! leaves its twin, in the row of the vertex it moves to, *pending*: the
+//! next step unlinks it first thing, before its rule reads that row. In
+//! between, the step only requests the lines that unlink reads — the
+//! twin's slot, its arc entries ([`Graph::prefetch_arcs`]) and the new
+//! vertex's row pair — through [`eproc_sys::prefetch`], and returns
+//! without waiting on any of them, so independent walks stepped in
+//! lockstep ([`crate::interleave`]) overlap their misses. The rule sees
+//! the same live prefix, in the same order, as if the twin had been
+//! unlinked in the step that crossed it, and no RNG draw moves.
 //!
 //! The live prefixes are the only visited-edge record: an edge is
-//! *visited* once its arcs have left their rows' live prefixes, which
-//! [`EProcess::edge_visited`] tests the same way. The step count and the
-//! unvisited-edge count `m − blue_steps` are derived too.
+//! *visited* once its arcs have left their rows' live prefixes or one of
+//! them is the pending twin, which [`EProcess::edge_visited`] tests; the
+//! other accessors count the pending twin as unlinked too. The step count
+//! and the unvisited-edge count `m − blue_steps` are derived.
 
 pub mod rule;
 
@@ -46,6 +62,10 @@ use crate::process::{Step, StepKind, WalkProcess};
 use eproc_graphs::{EdgeId, Graph, Vertex};
 use rand::{Rng, RngCore};
 use rule::{EdgeRule, RuleContext, UniformRule};
+
+/// The largest vertex degree the E-process accepts: `slots` stores ports
+/// in 16 bits (see the [module documentation](self)).
+pub const MAX_DEGREE: usize = 1 << 16;
 
 /// The E-process: a walk preferring unvisited edges, with pluggable rule
 /// `A` for choosing among them.
@@ -61,12 +81,15 @@ pub struct EProcess<'g, A> {
     current: Vertex,
     blue_steps: u64,
     red_steps: u64,
-    /// `rows[v] = [base, live]`: `v`'s arcs occupy `slots[base..]` up to
-    /// the next row's base, and the first `live` of them are unvisited.
-    /// `rows[n] = [2m, 0]` is the end sentinel.
+    /// `rows[v] = [base, live]`: `v`'s ports occupy `slots[base..]` up to
+    /// the next row's base, and the first `live` of them are unvisited,
+    /// the pending twin included. `rows[n] = [2m, 0]` is the end sentinel.
     rows: Vec<[u32; 2]>,
-    /// Arc ids grouped by source vertex, live prefix first.
-    slots: Vec<u32>,
+    /// Ports grouped by source vertex, live prefix first.
+    slots: Vec<u16>,
+    /// The twin of the last blue step's arc: visited, but still in the
+    /// current vertex's live prefix until the next step unlinks it.
+    pending: Option<usize>,
 }
 
 /// The greedy random walk of Orenshtein–Shinkar: the E-process whose rule
@@ -78,9 +101,15 @@ impl<'g, A: EdgeRule> EProcess<'g, A> {
     ///
     /// # Panics
     ///
-    /// Panics if `start >= g.n()`.
+    /// Panics if `start >= g.n()`, or if a vertex of `g` has degree above
+    /// [`MAX_DEGREE`].
     pub fn new(g: &'g Graph, start: Vertex, rule: A) -> EProcess<'g, A> {
         assert!(start < g.n(), "start vertex {start} out of range");
+        let degree = g.max_degree();
+        assert!(
+            degree <= MAX_DEGREE,
+            "max degree {degree} is above the E-process's limit of {MAX_DEGREE} (16-bit ports)"
+        );
         let mut walk = EProcess {
             g,
             rule,
@@ -89,6 +118,7 @@ impl<'g, A: EdgeRule> EProcess<'g, A> {
             red_steps: 0,
             rows: vec![[0, 0]; g.n() + 1],
             slots: vec![0; g.total_degree()],
+            pending: None,
         };
         walk.rearm();
         walk
@@ -106,14 +136,16 @@ impl<'g, A: EdgeRule> EProcess<'g, A> {
     }
 
     /// `true` if edge `e` has been traversed: its first arc has left the
-    /// live prefix of its source's row.
+    /// live prefix of its source's row, or one of its arcs is the pending
+    /// twin.
     ///
     /// # Panics
     ///
     /// Panics if `e >= g.m()`.
     pub fn edge_visited(&self, e: EdgeId) -> bool {
         let (a, b) = self.g.edge_arcs(e);
-        self.live_slot(a, self.g.arc_target(b)).is_none()
+        let [base, live] = self.rows[self.g.arc_target(b)];
+        self.pending == Some(a) || self.live_slot(a, base as usize, live as usize).is_none()
     }
 
     /// Number of still-unvisited (blue) edges: every blue step visits
@@ -129,19 +161,29 @@ impl<'g, A: EdgeRule> EProcess<'g, A> {
     /// Panics if `v >= g.n()`.
     pub fn blue_degree(&self, v: Vertex) -> usize {
         assert!(v < self.g.n(), "vertex {v} out of range");
-        self.rows[v][1] as usize
+        let pending_here = self.pending.is_some() && v == self.current;
+        self.rows[v][1] as usize - usize::from(pending_here)
     }
 
     /// `true` if the next transition will be blue (the current vertex has
     /// unvisited incident edges).
     pub fn in_blue_phase(&self) -> bool {
-        self.rows[self.current][1] > 0
+        self.blue_degree(self.current) > 0
     }
 
-    /// The unvisited arcs at the current vertex (what rule `A` sees).
-    pub fn live_arcs(&self) -> &[u32] {
+    /// The unvisited arcs at the current vertex, as arc ids, in the order
+    /// rule `A` sees their ports at the next step.
+    pub fn live_arcs(&self) -> Vec<usize> {
         let [base, live] = self.rows[self.current];
-        &self.slots[base as usize..(base + live) as usize]
+        let (base, live) = (base as usize, live as usize);
+        let mut ports = self.slots[base..base + live].to_vec();
+        if let Some(twin) = self.pending {
+            let q = self
+                .live_slot(twin, base, live)
+                .expect("the pending twin is live");
+            ports.swap_remove(q - base);
+        }
+        ports.into_iter().map(|p| base + p as usize).collect()
     }
 
     /// Access to the rule, e.g. to inspect adversary state.
@@ -162,51 +204,51 @@ impl<'g, A: EdgeRule> EProcess<'g, A> {
         self.current = start;
         self.blue_steps = 0;
         self.red_steps = 0;
+        self.pending = None;
         self.rule.reset();
         self.rearm();
     }
 
-    /// Marks every arc live: identity `slots`, full-degree rows.
+    /// Marks every arc live: identity ports, full-degree rows.
     fn rearm(&mut self) {
-        // `Graph` guarantees n and 2m fit in u32, so these casts are exact.
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            *slot = i as u32;
-        }
+        // `Graph` guarantees n and 2m fit in u32, and `new` that every
+        // port fits in u16, so these casts are exact.
         for (v, row) in self.rows.iter_mut().enumerate().take(self.g.n()) {
             let r = self.g.arc_range(v);
             *row = [r.start as u32, r.len() as u32];
+            for (port, slot) in self.slots[r].iter_mut().enumerate() {
+                *slot = port as u16;
+            }
         }
         self.rows[self.g.n()] = [self.g.total_degree() as u32, 0];
     }
 
-    /// The slot of arc `a` in the live prefix of its source `v`'s row, or
-    /// `None` once `a` has left it: `a` itself if no swap has moved the
-    /// arc, else found by scanning the prefix.
+    /// The slot of arc `a` in the live prefix `slots[base..base + live]`
+    /// of its source's row, or `None` once `a` has left it: `a` itself if
+    /// no swap has moved the arc, else found by scanning the prefix.
     #[inline]
-    fn live_slot(&self, a: usize, v: Vertex) -> Option<usize> {
-        let [base, live] = self.rows[v];
-        let (base, end) = (base as usize, (base + live) as usize);
-        if self.slots[a] as usize == a {
+    fn live_slot(&self, a: usize, base: usize, live: usize) -> Option<usize> {
+        let end = base + live;
+        if base + self.slots[a] as usize == a {
             return (a < end).then_some(a);
         }
-        let i = self.slots[base..end]
-            .iter()
-            .position(|&s| s as usize == a)?;
+        let port = (a - base) as u16;
+        let i = self.slots[base..end].iter().position(|&s| s == port)?;
         Some(base + i)
     }
 
-    /// Unlinks the live arc at slot index `p` of `v`'s row, swapping it
-    /// with the row's last live arc, in `O(1)`.
+    /// Unlinks the live arc at slot index `p` of `v`'s row, whose live
+    /// prefix is `slots[base..base + live]`, swapping it with the row's
+    /// last live arc, in `O(1)`.
     #[inline]
-    fn unlink_at(&mut self, p: usize, v: Vertex) {
-        let [base, live] = self.rows[v];
-        let last = (base + live - 1) as usize;
+    fn unlink_at(&mut self, p: usize, v: Vertex, base: usize, live: usize) {
+        let last = base + live - 1;
         debug_assert!(
-            p >= base as usize && p <= last,
+            p >= base && p <= last,
             "slot {p} not in the live prefix of vertex {v}"
         );
         self.slots.swap(p, last);
-        self.rows[v][1] = live - 1;
+        self.rows[v][1] = (live - 1) as u32;
     }
 }
 
@@ -227,14 +269,23 @@ impl<'g, A: EdgeRule> WalkProcess for EProcess<'g, A> {
         let v = self.current;
         // One row pair serves the arc base, the blue degree and the degree.
         let [base, live] = self.rows[v];
-        let (base, live) = (base as usize, live as usize);
+        let (base, mut live) = (base as usize, live as usize);
+        // The last step requested these lines and left its twin here.
+        if let Some(twin) = self.pending.take() {
+            let q = self
+                .live_slot(twin, base, live)
+                .expect("a blue arc's twin is live");
+            self.unlink_at(q, v, base, live);
+            live -= 1;
+        }
         let degree = self.rows[v + 1][0] as usize - base;
         assert!(degree > 0, "E-process stuck at isolated vertex {v}");
         let (p, kind) = if live > 0 {
             let ctx = RuleContext {
                 graph: self.g,
                 vertex: v,
-                live_arcs: &self.slots[base..base + live],
+                live_ports: &self.slots[base..base + live],
+                first_arc: base,
                 step: self.steps(),
             };
             let idx = self.rule.choose(&ctx, rng);
@@ -246,18 +297,18 @@ impl<'g, A: EdgeRule> WalkProcess for EProcess<'g, A> {
         } else {
             (base + rng.gen_range(0..degree), StepKind::Red)
         };
-        let arc = self.slots[p] as usize;
+        let arc = base + self.slots[p] as usize;
         let e = self.g.arc_edge(arc);
         let to = self.g.arc_target(arc);
-        // The twin leaves `to`: request its slot and arc entries, the lines
-        // the next step reads, and `to`'s row pair before the unlinks.
+        // The next step starts at `to` from the twin: request the twin's
+        // slot, its arc entries and `to`'s row pair, and wait on none.
         let twin = self.g.arc_twin(arc);
-        std::hint::black_box((self.slots[twin], self.rows[to]));
+        eproc_sys::prefetch(&self.slots[twin]);
+        eproc_sys::prefetch(&self.rows[to]);
         self.g.prefetch_arcs(twin);
         if kind == StepKind::Blue {
-            self.unlink_at(p, v);
-            let q = self.live_slot(twin, to).expect("a blue arc's twin is live");
-            self.unlink_at(q, to);
+            self.unlink_at(p, v, base, live);
+            self.pending = Some(twin);
             self.blue_steps += 1;
         } else {
             self.red_steps += 1;
@@ -356,7 +407,8 @@ mod tests {
         assert_eq!(walk.current(), 0);
         assert_eq!(walk.live_arcs(), [3, 2]);
         assert_eq!(g.arc_twin(2), 6);
-        assert_eq!(walk.slots[4..8], [7, 6, 5, 4], "arc 6 sits in slot 5");
+        // Vertex 1's row starts at arc 4, so these ports are arcs 7, 6, 5, 4.
+        assert_eq!(walk.slots[4..8], [3, 2, 1, 0], "arc 6 sits in slot 5");
         let step = walk.advance(&mut rng);
         assert_eq!(
             (step.to, step.edge, step.kind),
@@ -404,7 +456,7 @@ mod tests {
         let g = generators::complete(5);
         let mut rng = SmallRng::seed_from_u64(5);
         // Adversary always picks the last live arc.
-        let rule = AdversarialRule::new(|ctx: &RuleContext<'_>| ctx.live_arcs.len() - 1);
+        let rule = AdversarialRule::new(|ctx: &RuleContext<'_>| ctx.live_ports.len() - 1);
         let mut walk = EProcess::new(&g, 0, rule);
         for _ in 0..g.m() {
             assert!(
@@ -415,6 +467,29 @@ mod tests {
         }
         assert_eq!(walk.unvisited_edge_count(), 0);
         assert_eq!(walk.current(), 0);
+    }
+
+    #[test]
+    fn degree_limit_is_the_largest_sixteen_bit_port() {
+        // star(65_537)'s centre has degree 65,536: ports 0..=65,535.
+        let g = generators::star(MAX_DEGREE + 1);
+        assert_eq!(g.max_degree(), MAX_DEGREE);
+        let mut rng = SmallRng::seed_from_u64(12);
+        let mut walk = EProcess::new(&g, 0, UniformRule::new());
+        // Out along an unvisited edge, back along it (red): edge cover
+        // at step 2m - 1.
+        while walk.unvisited_edge_count() > 0 {
+            walk.advance(&mut rng);
+        }
+        assert_eq!(walk.steps(), 2 * g.m() as u64 - 1);
+        assert_eq!(walk.blue_steps(), g.m() as u64);
+    }
+
+    #[test]
+    #[should_panic(expected = "above the E-process's limit of 65536")]
+    fn degree_above_the_limit_panics() {
+        let g = generators::star(MAX_DEGREE + 2);
+        let _ = EProcess::new(&g, 1, UniformRule::new());
     }
 
     #[test]

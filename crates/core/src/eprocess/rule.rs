@@ -18,18 +18,33 @@ pub struct RuleContext<'a> {
     pub graph: &'a Graph,
     /// The currently occupied vertex.
     pub vertex: Vertex,
-    /// The unvisited (blue) arcs at `vertex`, as arc ids; always nonempty
-    /// when the rule is consulted. Order is an implementation detail (the
-    /// engine compacts in place) — rules needing stability should sort by
-    /// arc id.
-    pub live_arcs: &'a [u32],
+    /// The unvisited (blue) arcs at `vertex`, as ports: port `p` is arc
+    /// `first_arc + p` (see [`RuleContext::arc`]), so port order is
+    /// arc-id order. Always nonempty when the rule is consulted. Order
+    /// is an implementation detail (the engine compacts in place) —
+    /// rules needing stability should sort by port.
+    pub live_ports: &'a [u16],
+    /// The arc id of `vertex`'s port 0, `graph.arc_range(vertex).start`.
+    pub first_arc: usize,
     /// Steps taken by the process so far.
     pub step: u64,
 }
 
+impl RuleContext<'_> {
+    /// The arc id of live entry `i`: `first_arc + live_ports[i]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= live_ports.len()`.
+    #[inline]
+    pub fn arc(&self, i: usize) -> usize {
+        self.first_arc + self.live_ports[i] as usize
+    }
+}
+
 /// A rule for choosing among unvisited edges (rule `A` of the paper).
 ///
-/// Implementations return an **index** into `ctx.live_arcs`. The engine
+/// Implementations return an **index** into `ctx.live_ports`. The engine
 /// panics if the index is out of range — a rule bug, not a recoverable
 /// condition.
 pub trait EdgeRule {
@@ -60,7 +75,7 @@ impl UniformRule {
 impl EdgeRule for UniformRule {
     #[inline]
     fn choose<R: RngCore + ?Sized>(&mut self, ctx: &RuleContext<'_>, rng: &mut R) -> usize {
-        rng.gen_range(0..ctx.live_arcs.len())
+        rng.gen_range(0..ctx.live_ports.len())
     }
 }
 
@@ -71,12 +86,12 @@ pub struct FirstPortRule;
 
 impl EdgeRule for FirstPortRule {
     fn choose<R: RngCore + ?Sized>(&mut self, ctx: &RuleContext<'_>, _rng: &mut R) -> usize {
-        ctx.live_arcs
+        ctx.live_ports
             .iter()
             .enumerate()
-            .min_by_key(|&(_, &a)| a)
+            .min_by_key(|&(_, &p)| p)
             .map(|(i, _)| i)
-            .expect("live_arcs is nonempty")
+            .expect("live_ports is nonempty")
     }
 }
 
@@ -86,12 +101,12 @@ pub struct LastPortRule;
 
 impl EdgeRule for LastPortRule {
     fn choose<R: RngCore + ?Sized>(&mut self, ctx: &RuleContext<'_>, _rng: &mut R) -> usize {
-        ctx.live_arcs
+        ctx.live_ports
             .iter()
             .enumerate()
-            .max_by_key(|&(_, &a)| a)
+            .max_by_key(|&(_, &p)| p)
             .map(|(i, _)| i)
-            .expect("live_arcs is nonempty")
+            .expect("live_ports is nonempty")
     }
 }
 
@@ -101,7 +116,7 @@ impl EdgeRule for LastPortRule {
 #[derive(Debug, Clone)]
 pub struct RoundRobinRule {
     next: Vec<u64>,
-    /// Indices into the live arcs, ranked by arc id; reused across steps.
+    /// Indices into the live ports, ranked by port; reused across steps.
     order: Vec<usize>,
 }
 
@@ -122,13 +137,13 @@ impl EdgeRule for RoundRobinRule {
 
     fn choose<R: RngCore + ?Sized>(&mut self, ctx: &RuleContext<'_>, _rng: &mut R) -> usize {
         let counter = &mut self.next[ctx.vertex];
-        let k = (*counter as usize) % ctx.live_arcs.len();
+        let k = (*counter as usize) % ctx.live_ports.len();
         *counter += 1;
         // Stabilise against the engine's in-place compaction by ranking
-        // live arcs by arc id, which are distinct.
+        // live ports, which are distinct.
         self.order.clear();
-        self.order.extend(0..ctx.live_arcs.len());
-        self.order.sort_unstable_by_key(|&i| ctx.live_arcs[i]);
+        self.order.extend(0..ctx.live_ports.len());
+        self.order.sort_unstable_by_key(|&i| ctx.live_ports[i]);
         self.order[k]
     }
 }
@@ -186,17 +201,14 @@ impl EdgeRule for GreedyAdversary {
         // next best thing the adversary can compute on-line: prefer the
         // target with the largest port count minus distance-1 heuristic,
         // i.e. highest degree (static proxy), tie-broken by arc id.
-        ctx.live_arcs
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &a)| {
+        (0..ctx.live_ports.len())
+            .max_by_key(|&i| {
                 (
-                    ctx.graph.degree(ctx.graph.arc_target(a as usize)),
-                    std::cmp::Reverse(a),
+                    ctx.graph.degree(ctx.graph.arc_target(ctx.arc(i))),
+                    std::cmp::Reverse(ctx.live_ports[i]),
                 )
             })
-            .map(|(i, _)| i)
-            .expect("live_arcs is nonempty")
+            .expect("live_ports is nonempty")
     }
 }
 
@@ -207,11 +219,12 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    fn ctx_on<'a>(g: &'a Graph, v: Vertex, live: &'a [u32]) -> RuleContext<'a> {
+    fn ctx_on<'a>(g: &'a Graph, v: Vertex, live: &'a [u16]) -> RuleContext<'a> {
         RuleContext {
             graph: g,
             vertex: v,
-            live_arcs: live,
+            live_ports: live,
+            first_arc: g.arc_range(v).start,
             step: 0,
         }
     }
@@ -219,7 +232,7 @@ mod tests {
     #[test]
     fn uniform_rule_in_range_and_varies() {
         let g = generators::complete(6);
-        let live: Vec<u32> = g.arc_range(0).map(|a| a as u32).collect();
+        let live: Vec<u16> = (0..g.degree(0) as u16).collect();
         let mut rule = UniformRule::new();
         let mut rng = SmallRng::seed_from_u64(1);
         let mut seen = std::collections::HashSet::new();
@@ -238,7 +251,7 @@ mod tests {
     #[test]
     fn first_and_last_port_rules() {
         let g = generators::complete(4);
-        let live = [7u32, 2, 5];
+        let live = [7u16, 2, 5];
         let mut rng = SmallRng::seed_from_u64(2);
         assert_eq!(FirstPortRule.choose(&ctx_on(&g, 0, &live), &mut rng), 1);
         assert_eq!(LastPortRule.choose(&ctx_on(&g, 0, &live), &mut rng), 0);
@@ -247,7 +260,7 @@ mod tests {
     #[test]
     fn round_robin_cycles_in_port_order() {
         let g = generators::complete(4);
-        let live = [9u32, 3, 6];
+        let live = [9u16, 3, 6];
         let mut rule = RoundRobinRule::new(g.n());
         let mut rng = SmallRng::seed_from_u64(3);
         // Port order is 3 < 6 < 9 → indices 1, 2, 0, then wraps.
@@ -262,7 +275,7 @@ mod tests {
     #[test]
     fn adversarial_counts_decisions() {
         let g = generators::complete(4);
-        let live = [0u32, 1];
+        let live = [0u16, 1];
         let mut rule = AdversarialRule::new(|_ctx: &RuleContext<'_>| 0);
         let mut rng = SmallRng::seed_from_u64(4);
         for _ in 0..5 {
@@ -277,9 +290,10 @@ mod tests {
         // Star + pendant: center has degree 4; from a leaf the adversary
         // must pick the arc toward the center.
         let g = eproc_graphs::Graph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (3, 4)]).unwrap();
-        let live: Vec<u32> = g.arc_range(3).map(|a| a as u32).collect(); // vertex 3: edges to 0 and 4
+        let live = [0u16, 1]; // vertex 3: edges to 0 and 4
         let mut rng = SmallRng::seed_from_u64(5);
-        let i = GreedyAdversary.choose(&ctx_on(&g, 3, &live), &mut rng);
-        assert_eq!(g.arc_target(live[i] as usize), 0);
+        let ctx = ctx_on(&g, 3, &live);
+        let i = GreedyAdversary.choose(&ctx, &mut rng);
+        assert_eq!(g.arc_target(ctx.arc(i)), 0);
     }
 }

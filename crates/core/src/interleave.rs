@@ -1,41 +1,34 @@
-//! Interleaved multi-trial driver: `W` independent observed walks on one
-//! shared graph, advanced in lockstep.
+//! The lane driver: `W` independent observed walks on one shared graph,
+//! advanced in lockstep.
 //!
-//! [`run_observed`](crate::observe::run_observed) is a serial dependency
-//! chain: each step's neighbour-row fetch cannot begin before the previous
-//! step decided where the walk went, so on graphs larger than the cache
-//! the kernel spends most of its time stalled on one outstanding CSR row
-//! load. When several *independent* trials walk the **same** graph, their
-//! loads could all be in flight at once.
+//! One walk is a serial dependency chain: each step's row fetch cannot
+//! begin before the previous step decided where the walk went, so on
+//! graphs larger than the cache a walk spends most of its time stalled
+//! on one outstanding miss. When several *independent* trials walk the
+//! **same** graph, their misses can all be in flight at once.
 //!
-//! [`run_observed_interleaved`] runs `W` such trials as [`Lane`]s of one
-//! lockstep loop. Each round advances every still-running lane by exactly
-//! one step, and before a lane steps, the driver issues the *next* lane's
-//! neighbour-row load via [`eproc_graphs::Graph::prefetch_ports`]
-//! (manual load scheduling — the safe-code prefetch). The memory-level
-//! parallelism is structural: the `W` per-lane dependency chains are
-//! independent, so the CPU can keep up to `W` row fetches in flight where
-//! the sequential kernel keeps one.
+//! [`run_observed_interleaved`] runs `W` such trials as [`Lane`]s: each
+//! round advances every still-running lane by exactly one step, in lane
+//! order. The overlap comes from the walk itself: a step that requests
+//! the lines its *next* step reads through a prefetch hint and returns
+//! without waiting on them — as [`crate::EProcess`] does, leaving its
+//! twin unlink to the next step — lets the other lanes' steps run while
+//! those lines load. A walk that issues no prefetches gains nothing from
+//! a second lane and only doubles its state.
 //!
-//! The engine's executor does **not** use this driver. Since the
-//! E-process step state was compacted so that a step's only dependent
-//! miss is the next vertex's rows (see [`crate::eprocess`]), the
-//! sequential kernel already overlaps most of each step's loads, and two
-//! lanes' working sets cost more cache than their overlap saves: the
-//! plain loop is faster. The driver stays as a measured alternative —
-//! the benchmark's two-lane probe times it against the sequential
-//! kernel.
+//! [`run_observed`](crate::observe::run_observed) is the one-lane case of
+//! this driver. The engine's executor runs the E-process's trials in two
+//! lanes and every other walk's in one.
 //!
-//! # Bit-identical to the sequential kernel
+//! # Bit-identical to one walk at a time
 //!
 //! Interleaving changes *when* a lane's step executes relative to other
 //! lanes, never *what* it computes: each lane owns its walk, its RNG and
-//! its observer set, and takes the exact per-step sequence of
-//! [`run_observed`](crate::observe::run_observed) — satisfaction check,
-//! [`WalkProcess::advance`], step counter, [`ObserverSet::on_step_all`] —
-//! against exclusively its own state. Per-lane step streams, RNG
-//! consumption and observer outputs are therefore **bit-identical** to
-//! running each trial alone through
+//! its observer set, and takes the exact per-step sequence — satisfaction
+//! check, [`WalkProcess::advance`], step counter,
+//! [`ObserverSet::on_step_all`] — against exclusively its own state.
+//! Per-lane step streams, RNG consumption and observer outputs are
+//! therefore **bit-identical** to running each trial alone through
 //! [`run_observed`](crate::observe::run_observed) with the same seed
 //! (pinned by the `interleave_equivalence` proptests).
 
@@ -82,11 +75,19 @@ where
         }
     }
 
-    /// `true` once this lane has stopped (per the same condition
-    /// [`run_observed`](crate::observe::run_observed) uses).
+    /// `true` once this lane has stopped: `cap` steps taken, or every
+    /// observer satisfied when `check_satisfied` is set.
     #[inline]
     fn finished(&self, check_satisfied: bool, cap: u64) -> bool {
         self.t >= cap || (check_satisfied && self.token.all_satisfied())
+    }
+
+    /// What the lane's run has done so far.
+    pub(crate) fn observed(&self) -> ObservedRun {
+        ObservedRun {
+            steps: self.t,
+            final_vertex: self.walk.current(),
+        }
     }
 
     /// Decomposes the lane back into its walk and RNG (the observer
@@ -100,26 +101,32 @@ where
 /// Advances every lane in lockstep until all of them stop, returning one
 /// [`ObservedRun`] per lane in lane order.
 ///
-/// Per lane, this is exactly
-/// [`run_observed`](crate::observe::run_observed): observers are armed at
-/// the lane's current vertex, then each turn checks the stop condition,
-/// advances the walk one step on the lane's own RNG and feeds the step to
-/// the lane's observers — so per-lane trajectories, RNG consumption and
-/// observer outputs are bit-identical to running the lanes one at a time.
-/// Across lanes, each round gives every still-running lane one turn, and
-/// a lane's turn starts by issuing the *next* runnable lane's
-/// neighbour-row load ([`eproc_graphs::Graph::prefetch_ports`]) so that
-/// row's fetch overlaps this lane's step — the software pipelining that
-/// streams a large CSR through cache once per `lanes.len()` walks.
-///
-/// Lanes that stop early (observer satisfaction under
-/// [`StopWhen::AllSatisfied`], or the cap) retire from the rotation;
-/// the remaining lanes keep interleaving.
+/// Observers are armed at each lane's current vertex. Then each round
+/// gives every still-running lane one turn: check the stop condition
+/// (observer satisfaction under [`StopWhen::AllSatisfied`], and the
+/// cap), advance the walk one step on the lane's own RNG and feed the
+/// step to the lane's observers. A lane that stops sits out the rounds
+/// that remain. Per lane this is exactly
+/// [`run_observed`](crate::observe::run_observed), so trajectories, RNG
+/// consumption and observer outputs are bit-identical to running the
+/// lanes one at a time.
 pub fn run_observed_interleaved<W, O, R>(
     lanes: &mut [Lane<'_, W, O, R>],
     stop: StopWhen,
     cap: u64,
 ) -> Vec<ObservedRun>
+where
+    W: WalkProcess,
+    O: ObserverSet + ?Sized,
+    R: RngCore,
+{
+    drive(lanes, stop, cap);
+    lanes.iter().map(Lane::observed).collect()
+}
+
+/// The lockstep loop of [`run_observed_interleaved`], leaving each lane's
+/// result in the lane.
+pub(crate) fn drive<W, O, R>(lanes: &mut [Lane<'_, W, O, R>], stop: StopWhen, cap: u64)
 where
     W: WalkProcess,
     O: ObserverSet + ?Sized,
@@ -131,36 +138,21 @@ where
         lane.observers.begin_all(g, start, &mut lane.token);
     }
     let check_satisfied = matches!(stop, StopWhen::AllSatisfied);
-    let mut active: Vec<usize> = (0..lanes.len()).collect();
-    while !active.is_empty() {
-        let mut idx = 0;
-        while idx < active.len() {
-            let li = active[idx];
-            if lanes[li].finished(check_satisfied, cap) {
-                active.remove(idx);
+    loop {
+        let mut running = false;
+        for lane in lanes.iter_mut() {
+            if lane.finished(check_satisfied, cap) {
                 continue;
             }
-            // Software pipelining: request the row the next runnable
-            // lane's step will read while this lane's step executes.
-            let next = active[(idx + 1) % active.len()];
-            if next != li {
-                let peek = &lanes[next];
-                peek.walk.graph().prefetch_ports(peek.walk.current());
-            }
-            let lane = &mut lanes[li];
+            running = true;
             let step = lane.walk.advance(&mut lane.rng);
             lane.t += 1;
             lane.observers.on_step_all(lane.t, &step, &mut lane.token);
-            idx += 1;
+        }
+        if !running {
+            return;
         }
     }
-    lanes
-        .iter()
-        .map(|lane| ObservedRun {
-            steps: lane.t,
-            final_vertex: lane.walk.current(),
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -22,10 +22,11 @@
 //!   requested metric; the [`cover`] and [`segments`] entry points are
 //!   thin wrappers over it. The driver is a fully **monomorphized
 //!   kernel** — generic over walk ([`WalkProcess::advance`]), RNG and
-//!   observer set ([`observe::ObserverSet`] tuples) — with
-//!   [`interleave::run_observed_interleaved`] as the lockstep multi-trial
-//!   variant that overlaps independent trials' CSR row fetches on one
-//!   shared graph (bit-identical per-trial streams);
+//!   observer set ([`observe::ObserverSet`] tuples). It is the one-lane
+//!   case of [`interleave::run_observed_interleaved`], which steps
+//!   independent trials on one shared graph in lockstep lanes so that the
+//!   E-process's prefetched misses overlap (bit-identical per-trial
+//!   streams; the engine runs the E-process in two lanes);
 //! * [`bitset`] — the word-packed visited bitmap of the observers (the
 //!   E-process reads visits off its live prefixes instead).
 //!

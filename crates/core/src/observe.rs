@@ -76,6 +76,7 @@
 
 use crate::bitset::BitSet;
 use crate::cover::{CoverError, CoverTarget};
+use crate::interleave::{drive, Lane};
 use crate::process::{Step, StepKind, WalkProcess};
 use crate::segments::{Phase, PhaseTrace};
 use eproc_graphs::{Graph, Vertex};
@@ -399,7 +400,8 @@ impl<O: Observer> ObserverSet for Vec<O> {
 ///
 /// The walk may have already taken steps; observers are `begin`-armed at
 /// the walk's current position and all counters are relative to this
-/// call.
+/// call. This is the one-lane case of the lockstep lane driver
+/// ([`crate::interleave::run_observed_interleaved`]).
 ///
 /// # Panics
 ///
@@ -417,26 +419,9 @@ where
     O: ObserverSet + ?Sized,
     R: RngCore + ?Sized,
 {
-    let mut token = CompletionToken::arm(observers.count());
-    {
-        let g = walk.graph();
-        let start = walk.current();
-        observers.begin_all(g, start, &mut token);
-    }
-    let check_satisfied = matches!(stop, StopWhen::AllSatisfied);
-    let mut t = 0u64;
-    while t < cap {
-        if check_satisfied && token.all_satisfied() {
-            break;
-        }
-        let step = walk.advance(rng);
-        t += 1;
-        observers.on_step_all(t, &step, &mut token);
-    }
-    ObservedRun {
-        steps: t,
-        final_vertex: walk.current(),
-    }
+    let mut lanes = [Lane::new(walk, observers, rng)];
+    drive(&mut lanes, stop, cap);
+    lanes[0].observed()
 }
 
 /// Tracks vertex and edge cover (and the blue/red split) of a trajectory.

@@ -64,6 +64,27 @@ pub trait WalkProcess {
     fn advance<R: RngCore + ?Sized>(&mut self, rng: &mut R) -> Step;
 }
 
+/// A borrowed walk is a walk, so drivers that take walks by value
+/// ([`crate::interleave::Lane`]) also run one the caller keeps.
+impl<W: WalkProcess + ?Sized> WalkProcess for &mut W {
+    fn graph(&self) -> &Graph {
+        (**self).graph()
+    }
+
+    fn current(&self) -> Vertex {
+        (**self).current()
+    }
+
+    fn steps(&self) -> u64 {
+        (**self).steps()
+    }
+
+    #[inline]
+    fn advance<R: RngCore + ?Sized>(&mut self, rng: &mut R) -> Step {
+        (**self).advance(rng)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -100,7 +100,7 @@ fn check_eprocess_state<A: EdgeRule>(
             let expect = g.ports(v).filter(|&(_, _, e)| !visited[e]).count();
             prop_assert_eq!(walk.blue_degree(v), expect);
         }
-        let mut live: Vec<usize> = walk.live_arcs().iter().map(|&a| a as usize).collect();
+        let mut live = walk.live_arcs();
         live.sort_unstable();
         let unvisited_here: Vec<usize> = g
             .ports(walk.current())
@@ -118,26 +118,30 @@ fn check_eprocess_state<A: EdgeRule>(
     Ok(())
 }
 
-/// A plain reference E-process with the uniform rule, kept as the
-/// trajectory oracle for the kernel's step state: a `Vec<bool>` visited
-/// array, and per-vertex live prefixes of `slots` (with `pos` the inverse
-/// permutation) to which a blue step swaps each used arc out of. It draws
-/// `gen_range` over the live prefix on a blue step and over every port on
-/// a red one — the kernel's draws, so the two walk the same trajectory.
-struct ReferenceEProcess<'g> {
+/// A plain reference E-process, kept as the trajectory oracle for the
+/// kernel's step state: a `Vec<bool>` visited array, and per-vertex live
+/// prefixes of `slots` (with `pos` the inverse permutation) out of which a
+/// blue step swaps both arcs of the edge it crosses at once. It hands its
+/// rule the live prefix as ports and draws `gen_range` over every port on
+/// a red step — the kernel's draws, so the two walk the same trajectory.
+struct ReferenceEProcess<'g, A> {
     g: &'g Graph,
+    rule: A,
     current: Vertex,
+    steps: u64,
     visited: Vec<bool>,
     slots: Vec<usize>,
     pos: Vec<usize>,
     live: Vec<usize>,
 }
 
-impl<'g> ReferenceEProcess<'g> {
-    fn new(g: &'g Graph, start: Vertex) -> ReferenceEProcess<'g> {
+impl<'g, A: EdgeRule> ReferenceEProcess<'g, A> {
+    fn new(g: &'g Graph, start: Vertex, rule: A) -> ReferenceEProcess<'g, A> {
         ReferenceEProcess {
             g,
+            rule,
             current: start,
+            steps: 0,
             visited: vec![false; g.m()],
             slots: (0..2 * g.m()).collect(),
             pos: (0..2 * g.m()).collect(),
@@ -157,11 +161,29 @@ impl<'g> ReferenceEProcess<'g> {
         self.live[src] -= 1;
     }
 
+    /// The arcs of the current vertex's live prefix, in slot order.
+    fn live_arcs(&self) -> &[usize] {
+        let base = self.g.arc_range(self.current).start;
+        &self.slots[base..base + self.live[self.current]]
+    }
+
     fn step(&mut self, rng: &mut SmallRng) -> Step {
         let v = self.current;
         let base = self.g.arc_range(v).start;
         let (arc, kind) = if self.live[v] > 0 {
-            let idx = rng.gen_range(0..self.live[v]);
+            let ports: Vec<u16> = self
+                .live_arcs()
+                .iter()
+                .map(|&a| (a - base) as u16)
+                .collect();
+            let ctx = RuleContext {
+                graph: self.g,
+                vertex: v,
+                live_ports: &ports,
+                first_arc: base,
+                step: self.steps,
+            };
+            let idx = self.rule.choose(&ctx, rng);
             (self.slots[base + idx], StepKind::Blue)
         } else {
             let idx = rng.gen_range(0..self.g.degree(v));
@@ -177,6 +199,7 @@ impl<'g> ReferenceEProcess<'g> {
             self.unlink(a1, y);
         }
         self.current = to;
+        self.steps += 1;
         Step {
             from: v,
             to,
@@ -192,7 +215,7 @@ impl<'g> ReferenceEProcess<'g> {
 fn check_reference_trajectory(g: &Graph, start: Vertex, seed: u64) -> Result<(), TestCaseError> {
     let mut rng_a = SmallRng::seed_from_u64(seed);
     let mut rng_b = SmallRng::seed_from_u64(seed);
-    let mut reference = ReferenceEProcess::new(g, start);
+    let mut reference = ReferenceEProcess::new(g, start, UniformRule::new());
     let mut kernel = EProcess::new(g, start, UniformRule::new());
     for _ in 0..4 * g.m() + 16 {
         prop_assert_eq!(reference.step(&mut rng_a), kernel.advance(&mut rng_b));
@@ -200,6 +223,44 @@ fn check_reference_trajectory(g: &Graph, start: Vertex, seed: u64) -> Result<(),
     prop_assert_eq!(rng_a.next_u64(), rng_b.next_u64());
     for (e, &seen) in reference.visited.iter().enumerate() {
         prop_assert_eq!(seen, kernel.edge_visited(e));
+    }
+    Ok(())
+}
+
+/// Steps the kernel and [`ReferenceEProcess`] under the same `rule` side
+/// by side from `start` for `4m + 16` steps. The kernel leaves a blue
+/// step's twin unlink pending until its next step; the reference unlinks
+/// both arcs at once. After every step the kernel's accessors must still
+/// equal the reference's state: every vertex's blue degree, the live arcs
+/// at the current vertex as a set, `in_blue_phase` and every edge's
+/// visited flag.
+fn check_pending_accessors<A: EdgeRule + Clone>(
+    g: &Graph,
+    start: Vertex,
+    rule: A,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let mut rng_a = SmallRng::seed_from_u64(seed);
+    let mut rng_b = SmallRng::seed_from_u64(seed);
+    let mut reference = ReferenceEProcess::new(g, start, rule.clone());
+    let mut kernel = EProcess::new(g, start, rule);
+    for _ in 0..4 * g.m() + 16 {
+        prop_assert_eq!(reference.step(&mut rng_a), kernel.advance(&mut rng_b));
+        for v in g.vertices() {
+            prop_assert!(kernel.blue_degree(v) == reference.live[v], "vertex {}", v);
+        }
+        let mut expect = reference.live_arcs().to_vec();
+        expect.sort_unstable();
+        let mut live = kernel.live_arcs();
+        live.sort_unstable();
+        prop_assert_eq!(live, expect);
+        prop_assert_eq!(
+            kernel.in_blue_phase(),
+            reference.live[reference.current] > 0
+        );
+        for (e, &seen) in reference.visited.iter().enumerate() {
+            prop_assert!(kernel.edge_visited(e) == seen, "edge {}", e);
+        }
     }
     Ok(())
 }
@@ -401,7 +462,7 @@ proptest! {
         check_eprocess_state(&g, EProcess::new(&g, s, LastPortRule), seed)?;
         check_eprocess_state(&g, EProcess::new(&g, s, RoundRobinRule::new(g.n())), seed)?;
         check_eprocess_state(&g, EProcess::new(&g, s, GreedyAdversary), seed)?;
-        let middle = AdversarialRule::new(|ctx: &RuleContext<'_>| ctx.live_arcs.len() / 2);
+        let middle = AdversarialRule::new(|ctx: &RuleContext<'_>| ctx.live_ports.len() / 2);
         check_eprocess_state(&g, EProcess::new(&g, s, middle), seed)?;
     }
 
@@ -414,6 +475,22 @@ proptest! {
     ) {
         check_reference_trajectory(&g, start % g.n(), seed)?;
         check_reference_trajectory(&multi, start % multi.n(), seed)?;
+    }
+
+    #[test]
+    fn eprocess_pending_twin_accessors_match_reference(
+        g in arb_connected_graph(),
+        multi in arb_connected_multigraph(),
+        start in 0usize..14,
+        seed in 0u64..1000,
+    ) {
+        for g in [&g, &multi] {
+            let s = start % g.n();
+            check_pending_accessors(g, s, UniformRule::new(), seed)?;
+            check_pending_accessors(g, s, FirstPortRule, seed)?;
+            check_pending_accessors(g, s, RoundRobinRule::new(g.n()), seed)?;
+            check_pending_accessors(g, s, GreedyAdversary, seed)?;
+        }
     }
 
     #[test]

@@ -917,7 +917,7 @@ fn run_crash_safe(
     // Graceful Ctrl-C only makes sense when there is somewhere to drain
     // to: a checkpoint to persist, or a wall budget already promising a
     // clean stop. Otherwise leave the default (abrupt) signal behavior.
-    let cancel = (checkpoint.is_some() || flags.max_wall.is_some()).then(eproc_signal::install);
+    let cancel = (checkpoint.is_some() || flags.max_wall.is_some()).then(eproc_sys::install);
     let rec = RecoveryOptions {
         checkpoint,
         resume,

@@ -8,12 +8,16 @@
 //! aggregate report **bit-identical for any thread count**.
 //!
 //! Each trial walks the graph **once**: the spec's target and every
-//! requested [`MetricSpec`] attach [`Observer`]s to the same
-//! [`eproc_core::observe::run_observed`] trajectory, which runs until all
-//! of them resolve (or the cap). The trial is dispatched through the
-//! (process × metric-set) enum pair [`crate::spec::WalkKernel`] ×
+//! requested [`MetricSpec`] attach [`Observer`]s to the same trajectory,
+//! which runs until all of them resolve (or the cap); a cover target and
+//! a `cover` metric share one observer. A process's consecutive trials
+//! run in lockstep lanes of [`eproc_core::interleave`] — two for the
+//! E-process, whose step prefetches its next lines, one for every other
+//! walk — each lane with its own walk, RNG stream and observer set, and
+//! their outcomes fold in trial order. A lane set is dispatched through
+//! the (process × metric-set) enum pair [`crate::spec::WalkKernel`] ×
 //! [`AnyObserver`], so the per-step loop is monomorphized — no boxed
-//! walk, no dyn-observer fan-out. Workers keep their observer set
+//! walk, no dyn-observer fan-out. Workers keep each lane's observer set
 //! between consecutive trials of a task, so the word-packed
 //! [`eproc_core::bitset::BitSet`] scratch bitmaps are re-armed (`m / 64`
 //! word writes) rather than reallocated.
@@ -72,8 +76,9 @@ use crate::persist::RunHeader;
 use crate::recovery::{RecoveryError, RecoveryOptions};
 use crate::shard::ShardSpec;
 use crate::spec::{AnyObserver, ExperimentSpec, MetricSpec, ResamplePlan, SpecError, Target};
-use crate::with_kernel;
-use eproc_core::observe::{run_observed, Metrics, Observer, StopWhen};
+use crate::with_kernel_lanes;
+use eproc_core::interleave::{run_observed_interleaved, Lane};
+use eproc_core::observe::{Metrics, Observer, StopWhen};
 use eproc_graphs::{Graph, GraphError};
 use eproc_stats::{OnlineStats, QuantileSketch, SeedSequence};
 use eproc_telemetry::{Event, EventKind, NullSink, ShardId, Stopwatch, TelemetrySink};
@@ -622,78 +627,126 @@ pub(crate) struct BlockAgg {
     pub(crate) procs: Vec<ProcAgg>,
 }
 
-/// A worker's reusable observer set for one graph: slot 0 is the target
+/// A lane's reusable observer set for one graph: slot 0 is the target
 /// observer, slots 1.. are the metric observers, all stored as
-/// [`AnyObserver`] enum variants (static dispatch, no boxing). Built
-/// once per task and re-armed (`begin`) for every trial of it.
+/// [`AnyObserver`] enum variants (static dispatch, no boxing). When the
+/// target is a cover target and a metric is `cover`, one
+/// `CoverObserver(Both)` in slot 0 answers both, rather than two
+/// observers keeping the same bitsets. Built once per task and lane, and
+/// re-armed (`begin`) for every trial of it.
 struct ObserverBank<'g> {
-    /// `[target, metric_0, metric_1, …]` — a homogeneous `Vec` so the
-    /// whole bank feeds `run_observed` through the slice `ObserverSet`.
+    /// `[target, metrics…]` — a homogeneous `Vec` so the whole bank
+    /// feeds the lane driver through the slice `ObserverSet`.
     observers: Vec<AnyObserver<'g>>,
+    /// For each of the spec's metrics, the slot of the observer that
+    /// measures it.
+    metric_slots: Vec<usize>,
 }
 
 impl<'g> ObserverBank<'g> {
     fn new(spec: &ExperimentSpec, g: &'g Graph) -> ObserverBank<'g> {
+        let shared_cover =
+            spec.target.cover_target().is_some() && spec.metrics.contains(&MetricSpec::Cover);
         let mut observers = Vec::with_capacity(1 + spec.metrics.len());
-        observers.push(spec.target.build_observer(g));
-        observers.extend(spec.metrics.iter().map(|m| m.build_observer(g)));
-        ObserverBank { observers }
+        observers.push(if shared_cover {
+            MetricSpec::Cover.build_observer(g)
+        } else {
+            spec.target.build_observer(g)
+        });
+        let metric_slots = spec
+            .metrics
+            .iter()
+            .map(|m| {
+                if shared_cover && *m == MetricSpec::Cover {
+                    0
+                } else {
+                    observers.push(m.build_observer(g));
+                    observers.len() - 1
+                }
+            })
+            .collect();
+        ObserverBank {
+            observers,
+            metric_slots,
+        }
+    }
+
+    /// The outcome of the trial that just fed this bank and took `steps`
+    /// steps.
+    fn outcome(&mut self, spec: &ExperimentSpec, steps: u64) -> TrialOutcome {
+        let (steps_to_target, blue_steps, red_steps) =
+            match (spec.target, self.observers[0].finish()) {
+                (Target::Blanket { .. }, Metrics::Blanket(b)) => (b.steps_to_blanket, 0, 0),
+                (target, Metrics::Cover(c)) => {
+                    let steps_to_target = match target {
+                        Target::VertexCover => c.steps_to_vertex_cover,
+                        Target::EdgeCover => c.steps_to_edge_cover,
+                        Target::BothCover => c
+                            .steps_to_vertex_cover
+                            .and(c.steps_to_edge_cover)
+                            .map(|_| c.steps_to_vertex_cover.max(c.steps_to_edge_cover).unwrap()),
+                        Target::Blanket { .. } => unreachable!(),
+                    };
+                    (steps_to_target, c.blue_steps, c.red_steps)
+                }
+                (target, metrics) => panic!("target {target:?} produced mismatched {metrics:?}"),
+            };
+        // A shared cover observer is finished twice; `finish` on it only
+        // snapshots.
+        let mut metric_values = Vec::new();
+        for (ms, &slot) in spec.metrics.iter().zip(&self.metric_slots) {
+            metric_values.extend(ms.values(&self.observers[slot].finish()));
+        }
+        TrialOutcome {
+            steps_to_target,
+            steps,
+            blue_steps,
+            red_steps,
+            metric_values,
+        }
     }
 }
 
-/// Runs one trial: **one** walk feeding the target observer and every
-/// metric observer, until all of them resolve or the cap.
+/// Runs one set of lanes: the trials seeded by `seeds`, each **one**
+/// walk of process `process_index` feeding its own bank's target and
+/// metric observers until all of them resolve or the cap, stepped in
+/// lockstep through [`run_observed_interleaved`]. Returns the outcomes in
+/// seed order. `banks` holds at least one bank per seed.
 ///
 /// This is the engine's (process × metric-set) monomorphization point:
-/// the [`with_kernel!`] match binds the concrete process type once per
-/// trial, so each arm instantiates [`run_observed`] with a concrete walk
-/// and the enum-dispatched observer bank — no per-step virtual calls.
-/// Trial outcomes (and hence all aggregates and JSON artifacts) are
-/// bit-identical to the old boxed path: both draw the same RNG sequence.
-fn run_trial(
+/// the [`with_kernel_lanes!`] match binds the concrete process type once
+/// per lane set, so each arm instantiates the lane driver with a
+/// concrete walk and the enum-dispatched observer banks — no per-step
+/// virtual calls. Each lane draws exactly the RNG sequence its trial
+/// would draw alone, so outcomes do not depend on the lane count.
+fn run_lanes(
     spec: &ExperimentSpec,
     g: &Graph,
     process_index: usize,
-    seed: u64,
-    bank: &mut ObserverBank<'_>,
-) -> TrialOutcome {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let kernel = spec.processes[process_index].build_kernel(g, spec.start);
+    seeds: &[u64],
+    banks: &mut [ObserverBank<'_>],
+) -> Vec<TrialOutcome> {
+    let process = &spec.processes[process_index];
+    let kernels = seeds
+        .iter()
+        .map(|_| process.build_kernel(g, spec.start))
+        .collect();
     let cap = spec.cap.resolve(g);
-    let run = with_kernel!(kernel, walk => run_observed(
-        &mut walk,
-        &mut bank.observers,
-        StopWhen::AllSatisfied,
-        cap,
-        &mut rng,
-    ));
-    let (steps_to_target, blue_steps, red_steps) = match (spec.target, bank.observers[0].finish()) {
-        (Target::Blanket { .. }, Metrics::Blanket(b)) => (b.steps_to_blanket, 0, 0),
-        (target, Metrics::Cover(c)) => {
-            let steps_to_target = match target {
-                Target::VertexCover => c.steps_to_vertex_cover,
-                Target::EdgeCover => c.steps_to_edge_cover,
-                Target::BothCover => c
-                    .steps_to_vertex_cover
-                    .and(c.steps_to_edge_cover)
-                    .map(|_| c.steps_to_vertex_cover.max(c.steps_to_edge_cover).unwrap()),
-                Target::Blanket { .. } => unreachable!(),
-            };
-            (steps_to_target, c.blue_steps, c.red_steps)
-        }
-        (target, metrics) => panic!("target {target:?} produced mismatched {metrics:?}"),
-    };
-    let mut metric_values = Vec::new();
-    for (ms, obs) in spec.metrics.iter().zip(&mut bank.observers[1..]) {
-        metric_values.extend(ms.values(&obs.finish()));
-    }
-    TrialOutcome {
-        steps_to_target,
-        steps: run.steps,
-        blue_steps,
-        red_steps,
-        metric_values,
-    }
+    let runs = with_kernel_lanes!(kernels, walks => {
+        let mut lanes: Vec<Lane<'_, _, _, SmallRng>> = walks
+            .into_iter()
+            .zip(banks.iter_mut())
+            .zip(seeds)
+            .map(|((walk, bank), &seed)| {
+                Lane::new(walk, &mut bank.observers, SmallRng::seed_from_u64(seed))
+            })
+            .collect();
+        run_observed_interleaved(&mut lanes, StopWhen::AllSatisfied, cap)
+    });
+    runs.iter()
+        .zip(banks)
+        .map(|(run, bank)| bank.outcome(spec, run.steps))
+        .collect()
 }
 
 /// Runs the experiment on `opts.threads` worker threads.
@@ -939,14 +992,15 @@ impl BlockRunner<'_> {
     /// Runs `task` of block *(family `gi`, `group`)* once: obtains the
     /// block's graph — the family's shared graph, or a freshly sampled
     /// group graph under resampling — runs the group's trials of each of
-    /// the task's processes on it one after another through
-    /// [`run_trial`], and streams every trial into that process's
-    /// [`ProcAgg`]. Emits `block_claimed` / `block_completed` when
-    /// telemetry is live; on a shared graph `block_completed` names the
-    /// task's process. Deterministic: the result is a pure function of
-    /// `(spec, base_seed, task)` — worker id and telemetry only label
-    /// events — which is what lets sharded and resumed runs reassemble
-    /// blocks byte-identically.
+    /// the task's processes on it in lane sets of
+    /// [`ProcessSpec::lanes`](crate::spec::ProcessSpec) consecutive trials
+    /// through [`run_lanes`], and streams every outcome, in trial order,
+    /// into that process's [`ProcAgg`]. Emits `block_claimed` /
+    /// `block_completed` when telemetry is live; on a shared graph
+    /// `block_completed` names the task's process. Deterministic: the
+    /// result is a pure function of `(spec, base_seed, task)` — worker id
+    /// and telemetry only label events — which is what lets sharded and
+    /// resumed runs reassemble blocks byte-identically.
     fn task(
         &self,
         gi: usize,
@@ -981,10 +1035,10 @@ impl BlockRunner<'_> {
         let rep = (group == 0).then(|| (gi, g.n(), g.m()));
         let lo = group * w;
         let hi = ((group + 1) * w).min(spec.trials);
-        // One observer bank, built once per task and re-armed across
-        // processes and trials (`begin` re-arms completely — pinned by
-        // `observer_bank_reuse_matches_fresh_observers`).
-        let mut bank = ObserverBank::new(spec, g);
+        // One observer bank per lane, built once per task and re-armed
+        // across processes and trials (`begin` re-arms completely —
+        // pinned by `observer_bank_reuse_matches_fresh_observers`).
+        let mut banks: Vec<ObserverBank<'_>> = Vec::new();
         let walk = live.then(Stopwatch::start);
         let mut trials = 0u64;
         let mut steps = 0u64;
@@ -993,12 +1047,19 @@ impl BlockRunner<'_> {
             .clone()
             .map(|pi| {
                 let mut agg = ProcAgg::seeded(base_seed, gi, group, pi, self.n_cols);
-                for t in lo..hi {
-                    let seed = trial_seed(base_seed, gi, pi, t);
-                    let outcome = run_trial(spec, g, pi, seed, &mut bank);
-                    trials += 1;
-                    steps += outcome.steps;
-                    agg.fold(outcome);
+                let width = spec.processes[pi].lanes();
+                while banks.len() < width {
+                    banks.push(ObserverBank::new(spec, g));
+                }
+                for first in (lo..hi).step_by(width) {
+                    let seeds: Vec<u64> = (first..(first + width).min(hi))
+                        .map(|t| trial_seed(base_seed, gi, pi, t))
+                        .collect();
+                    for outcome in run_lanes(spec, g, pi, &seeds, &mut banks) {
+                        trials += 1;
+                        steps += outcome.steps;
+                        agg.fold(outcome);
+                    }
                 }
                 agg
             })
@@ -1753,6 +1814,8 @@ pub(crate) fn drive(
 mod tests {
     use super::*;
     use crate::spec::{CapSpec, GraphSpec, MetricSpec, ProcessSpec, RuleSpec};
+    use crate::with_kernel;
+    use eproc_core::observe::run_observed;
 
     fn tiny_spec() -> ExperimentSpec {
         ExperimentSpec {
@@ -1907,7 +1970,8 @@ mod tests {
         // around, so vertex cover lands at n-1 and edge cover at n. A
         // trial measuring the target plus cover AND phase metrics must
         // take exactly n steps total — not a multiple of it, which is
-        // what re-walking per metric would produce.
+        // what re-walking per metric would produce. Two seeds fill both
+        // of the E-process's lanes.
         let n = 16usize;
         let spec = ExperimentSpec {
             graphs: vec![GraphSpec::Cycle { n }],
@@ -1915,39 +1979,48 @@ mod tests {
                 rule: RuleSpec::Uniform,
             }],
             metrics: vec![MetricSpec::Cover, MetricSpec::Phases],
-            trials: 1,
+            trials: 2,
             ..tiny_spec()
         };
         let g = spec.graphs[0].build(1).unwrap();
-        let mut bank = ObserverBank::new(&spec, &g);
-        let outcome = run_trial(&spec, &g, 0, 42, &mut bank);
-        assert_eq!(outcome.steps_to_target, Some((n - 1) as u64));
-        assert_eq!(
-            outcome.steps, n as u64,
-            "one walk must feed every observer: {} steps taken for target + 2 metrics",
-            outcome.steps
-        );
-        // Metric columns resolved from the same single pass.
-        assert_eq!(
-            outcome.metric_values,
-            vec![
-                Some((n - 1) as f64), // cover.c_v
-                Some(n as f64),       // cover.c_e
-                Some(n as f64),       // phases.first_blue
-                Some(1.0),            // phases.blue_count
-                Some(n as f64),       // phases.total_blue
-                Some(1.0),            // phases.closed
-            ]
-        );
+        let mut banks = [ObserverBank::new(&spec, &g), ObserverBank::new(&spec, &g)];
+        let outcomes = run_lanes(&spec, &g, 0, &[42, 43], &mut banks);
+        assert_eq!(outcomes.len(), 2);
+        for outcome in outcomes {
+            assert_eq!(outcome.steps_to_target, Some((n - 1) as u64));
+            assert_eq!(
+                outcome.steps, n as u64,
+                "one walk must feed every observer: {} steps taken for target + 2 metrics",
+                outcome.steps
+            );
+            // Metric columns resolved from the same single pass.
+            assert_eq!(
+                outcome.metric_values,
+                vec![
+                    Some((n - 1) as f64), // cover.c_v
+                    Some(n as f64),       // cover.c_e
+                    Some(n as f64),       // phases.first_blue
+                    Some(1.0),            // phases.blue_count
+                    Some(n as f64),       // phases.total_blue
+                    Some(1.0),            // phases.closed
+                ]
+            );
+        }
     }
 
     #[test]
     fn observer_bank_reuse_matches_fresh_observers() {
-        // Consecutive trials through one reused bank must equal trials
-        // through fresh banks: begin() re-arms completely.
+        // Consecutive lane sets through reused banks must equal lane sets
+        // through fresh banks: begin() re-arms completely. SRW runs one
+        // lane, the E-process two.
         let spec = ExperimentSpec {
             graphs: vec![GraphSpec::Torus { w: 5, h: 5 }],
-            processes: vec![ProcessSpec::Srw],
+            processes: vec![
+                ProcessSpec::Srw,
+                ProcessSpec::EProcess {
+                    rule: RuleSpec::Uniform,
+                },
+            ],
             metrics: vec![
                 MetricSpec::Cover,
                 MetricSpec::Blanket { delta: 0.3 },
@@ -1956,12 +2029,152 @@ mod tests {
             ..tiny_spec()
         };
         let g = spec.graphs[0].build(2).unwrap();
-        let mut reused = ObserverBank::new(&spec, &g);
-        for seed in [7u64, 8, 9] {
-            let a = run_trial(&spec, &g, 0, seed, &mut reused);
-            let mut fresh = ObserverBank::new(&spec, &g);
-            let b = run_trial(&spec, &g, 0, seed, &mut fresh);
-            assert_eq!(a, b, "seed {seed}");
+        let mut reused = [ObserverBank::new(&spec, &g), ObserverBank::new(&spec, &g)];
+        for pi in 0..spec.processes.len() {
+            let width = spec.processes[pi].lanes();
+            for seeds in [7u64, 8, 9, 10, 11].chunks(width) {
+                let a = run_lanes(&spec, &g, pi, seeds, &mut reused);
+                let mut fresh = [ObserverBank::new(&spec, &g), ObserverBank::new(&spec, &g)];
+                let b = run_lanes(&spec, &g, pi, seeds, &mut fresh);
+                assert_eq!(a, b, "process {pi}, seeds {seeds:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_fold_in_trial_order() {
+        // The E-process runs its trials two lanes at a time. Under a cap
+        // that trial 0 and 1's cover times straddle, one lane of the
+        // first pair stops at the cap while the other covers; each cell
+        // must still equal the fold of one-walk `run_observed` runs of
+        // the same trial seeds, in trial order.
+        let base_seed = 5;
+        let base = ExperimentSpec {
+            graphs: vec![GraphSpec::Torus { w: 6, h: 6 }],
+            processes: vec![ProcessSpec::EProcess {
+                rule: RuleSpec::Uniform,
+            }],
+            metrics: vec![MetricSpec::Cover, MetricSpec::Phases],
+            ..tiny_spec()
+        };
+        let graphs = build_graphs(&base, base_seed).unwrap();
+        let g = &graphs[0];
+        let solo = |spec: &ExperimentSpec, t: usize| {
+            let mut bank = ObserverBank::new(spec, g);
+            let kernel = spec.processes[0].build_kernel(g, spec.start);
+            let mut rng = SmallRng::seed_from_u64(trial_seed(base_seed, 0, 0, t));
+            let cap = spec.cap.resolve(g);
+            let run = with_kernel!(kernel, walk => run_observed(
+                &mut walk,
+                &mut bank.observers,
+                StopWhen::AllSatisfied,
+                cap,
+                &mut rng,
+            ));
+            bank.outcome(spec, run.steps)
+        };
+        let (c0, c1) = (solo(&base, 0).steps, solo(&base, 1).steps);
+        assert!(c0.abs_diff(c1) > 1, "cover times {c0} and {c1}");
+        let cap = c0.min(c1) + 1;
+        let n_cols = 6;
+        for trials in [1, 2, 3, 5] {
+            let spec = ExperimentSpec {
+                trials,
+                cap: CapSpec::Absolute(cap),
+                ..base.clone()
+            };
+            let outcomes: Vec<TrialOutcome> = (0..trials).map(|t| solo(&spec, t)).collect();
+            if trials >= 2 {
+                let capped: Vec<bool> = outcomes[..2]
+                    .iter()
+                    .map(|o| o.steps == cap && o.metric_values[1].is_none())
+                    .collect();
+                assert_eq!(capped, [c0 > c1, c1 > c0], "one lane of the pair is capped");
+            }
+            let mut block = ProcAgg::seeded(base_seed, 0, 0, 0, n_cols);
+            for outcome in outcomes {
+                block.fold(outcome);
+            }
+            let mut cell = ProcAgg::empty(n_cols, |col| cell_sketch_seed(base_seed, 0, 0, col));
+            cell.merge(&block);
+            let opts = RunOptions {
+                threads: 2,
+                base_seed,
+            };
+            let report = run_on_graphs(&spec, &opts, &graphs).unwrap();
+            let got = &report.cells[0];
+            assert_eq!(got.completed, cell.completed, "{trials} trials");
+            assert_eq!(got.steps, cell.steps, "{trials} trials");
+            assert_eq!(got.steps_sketch.to_raw(), cell.steps_sketch.to_raw());
+            assert_eq!(got.blue_fraction, cell.blue_fraction, "{trials} trials");
+            assert_eq!(got.metrics.len(), n_cols);
+            for ((metric, stats), sketch) in got
+                .metrics
+                .iter()
+                .zip(&cell.metrics)
+                .zip(&cell.metric_sketches)
+            {
+                assert_eq!(metric.stats, *stats, "{} at {trials} trials", metric.name);
+                assert_eq!(metric.sketch.to_raw(), sketch.to_raw());
+            }
+        }
+    }
+
+    #[test]
+    fn cover_target_and_cover_metric_share_one_observer() {
+        let covers = |bank: &ObserverBank<'_>| {
+            bank.observers
+                .iter()
+                .filter(|o| matches!(o, AnyObserver::Cover(_)))
+                .count()
+        };
+        let g = GraphSpec::Cycle { n: 8 }.build(1).unwrap();
+        // A vertex-cover target and a `cover` metric: one observer
+        // answers both, beside the phases observer.
+        let spec = ExperimentSpec {
+            target: Target::VertexCover,
+            metrics: vec![MetricSpec::Cover, MetricSpec::Phases],
+            ..tiny_spec()
+        };
+        let bank = ObserverBank::new(&spec, &g);
+        assert_eq!((covers(&bank), bank.observers.len()), (1, 2));
+        assert_eq!(bank.metric_slots, [0, 1]);
+        // A blanket target cannot answer `cover`: two observers.
+        let spec = ExperimentSpec {
+            target: Target::Blanket { delta: 0.4 },
+            metrics: vec![MetricSpec::Cover],
+            ..tiny_spec()
+        };
+        let bank = ObserverBank::new(&spec, &g);
+        assert_eq!((covers(&bank), bank.observers.len()), (1, 2));
+        assert_eq!(bank.metric_slots, [1]);
+    }
+
+    #[test]
+    fn degree_above_the_eprocess_limit_fails_its_block() {
+        // Complete, lollipop and LPS graphs cannot pass the E-process's
+        // degree limit within `u32` arc ids, but a caller's own graph
+        // can: the refusal is that block's error, caught by the per-task
+        // isolation boundary.
+        let spec = ExperimentSpec {
+            graphs: vec![GraphSpec::Cycle { n: 8 }],
+            processes: vec![ProcessSpec::EProcess {
+                rule: RuleSpec::Uniform,
+            }],
+            trials: 1,
+            ..tiny_spec()
+        };
+        let star = eproc_graphs::generators::star(eproc_core::eprocess::MAX_DEGREE + 2);
+        let opts = RunOptions {
+            threads: 1,
+            base_seed: 1,
+        };
+        match run_on_graphs(&spec, &opts, std::slice::from_ref(&star)) {
+            Err(EngineError::Block {
+                source: BlockError::Panic(message),
+                ..
+            }) => assert!(message.contains("limit of 65536"), "{message}"),
+            other => panic!("expected a block error, got {other:?}"),
         }
     }
 

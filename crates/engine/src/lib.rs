@@ -99,14 +99,14 @@
 //! ([`shard::merge_shards`]) folds checkpoints that hold every block
 //! exactly once — parallel Welford merges in canonical block order,
 //! through the executor's own aggregation code — into a report
-//! **byte-identical** to the unsharded run's. Inside each block the
-//! trials run one after another through
-//! [`eproc_core::observe::run_observed`]: with the E-process step state
-//! compacted to one dependent miss per step, the sequential loop beats
-//! the lockstep [`eproc_core::interleave::run_observed_interleaved`]
-//! driver — the benchmark in `perfbench/` times two lanes against one
-//! as `core.eprocess_w2.ns_per_step.n256k` — so the executor does not
-//! interleave.
+//! **byte-identical** to the unsharded run's. Inside each block a
+//! process's trials run in lockstep lanes through
+//! [`eproc_core::interleave::run_observed_interleaved`]: two at a time
+//! for the E-process, whose step prefetches the lines its next step
+//! reads, so two walks overlap their misses; one at a time for every
+//! other walk, which issues no prefetches and would only double its
+//! state. Each lane keeps its trial's RNG stream and outcomes fold in
+//! trial order, so the lane count changes no byte.
 //!
 //! # Canonical specs and the artifact cache
 //!
@@ -137,7 +137,7 @@
 //! engine's one persisted partial run) holds that folded state plus the
 //! few blocks waiting for it — its size does not grow with the block
 //! count; SIGINT/SIGTERM
-//! (via the `eproc-signal` latch), a caller-owned cancellation flag, or
+//! (via the `eproc-sys` signal latch), a caller-owned cancellation flag, or
 //! a `--max-wall` deadline interrupt the run *gracefully* — in-flight
 //! blocks drain, a final checkpoint lands, and the CLI exits with the
 //! distinct "interrupted, resumable" code 75. `--resume` validates the

@@ -10,7 +10,7 @@
 //! order off a shared atomic, back-pressured a bounded window of blocks
 //! ahead of the fold. Before claiming each task, a worker polls a stop
 //! latch. The latch trips when (a) an armed
-//! cancellation flag (SIGINT/SIGTERM via `eproc-signal`, or any
+//! cancellation flag (SIGINT/SIGTERM via `eproc-sys`, or any
 //! caller-owned [`AtomicBool`]) is set, (b) the `max_wall` deadline
 //! passes, or (c) another worker's task failed. Tripping is
 //! *graceful*: tasks already running drain to completion (a block is
@@ -101,7 +101,7 @@ pub struct RecoveryOptions<'a> {
     /// Deterministic fault injection (testing); empty = disabled.
     pub faults: FaultPlan,
     /// External cancellation flag, polled between tasks — wire
-    /// `eproc_signal::install()` here for SIGINT/SIGTERM handling.
+    /// `eproc_sys::install()` here for SIGINT/SIGTERM handling.
     pub cancel: Option<&'a AtomicBool>,
 }
 

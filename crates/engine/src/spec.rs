@@ -847,6 +847,19 @@ impl ProcessSpec {
         }
     }
 
+    /// How many of this process's trials the executor steps in lockstep
+    /// lanes on one graph — a property of the walk, never a setting. The
+    /// E-process's step requests the lines its next step reads through a
+    /// prefetch hint and waits on none of them, so two walks overlap their
+    /// misses. The other walks issue no prefetches, so a second lane would
+    /// only double their state.
+    pub(crate) fn lanes(&self) -> usize {
+        match self {
+            ProcessSpec::EProcess { .. } => 2,
+            _ => 1,
+        }
+    }
+
     /// Instantiates the process on `g` at `start` as a [`WalkKernel`]
     /// variant, so callers can dispatch **once per trial** to a fully
     /// monomorphized step loop (see [`with_kernel!`](crate::with_kernel)).
@@ -898,11 +911,11 @@ impl ProcessSpec {
 /// One concrete walk process per built-in [`ProcessSpec`] variant.
 ///
 /// This is the "process half" of the executor's (process × metric-set)
-/// dispatch: a trial matches on the kernel **once**, and each arm runs
-/// [`eproc_core::observe::run_observed`] with the concrete process type,
-/// so the per-step loop is fully monomorphized, with no per-step
-/// dispatch. Reach the concrete process through
-/// [`with_kernel!`](crate::with_kernel) (one trial) or
+/// dispatch: a set of lanes matches on its kernels **once**, and each arm
+/// runs [`eproc_core::interleave::run_observed_interleaved`] with the
+/// concrete process type, so the per-step loop is fully monomorphized,
+/// with no per-step dispatch. Reach the concrete process through
+/// [`with_kernel!`](crate::with_kernel) (one walk) or
 /// [`with_kernel_lanes!`](crate::with_kernel_lanes) (lockstep lanes).
 #[derive(Debug)]
 pub enum WalkKernel<'g> {
@@ -935,10 +948,10 @@ pub enum WalkKernel<'g> {
 }
 
 /// Matches a [`WalkKernel`] once and runs `$body` with `$walk` bound to
-/// the **concrete** process inside — the per-trial monomorphization point
-/// of the executor: every expansion of `$body` compiles against a
-/// concrete walk type, so a `run_observed` call inside it becomes a flat
-/// inlined loop.
+/// the **concrete** process inside — the one-walk monomorphization point:
+/// every expansion of `$body` compiles against a concrete walk type, so a
+/// `run_observed` call inside it becomes a flat inlined loop. The
+/// executor's lanes go through [`with_kernel_lanes!`](crate::with_kernel_lanes).
 #[macro_export]
 macro_rules! with_kernel {
     ($kernel:expr, $walk:ident => $body:expr) => {
@@ -962,13 +975,12 @@ macro_rules! with_kernel {
 
 /// Matches a `Vec<WalkKernel>` of **identical variant** once and runs
 /// `$body` with `$walks` bound to a `Vec` of the concrete process type —
-/// the interleaved counterpart of [`with_kernel!`]: when every lane comes
-/// from the same [`crate::spec::ProcessSpec`], a single dispatch on the
-/// first kernel monomorphizes the whole lockstep loop
+/// the lane counterpart of [`with_kernel!`]: when every lane comes from
+/// the same [`crate::spec::ProcessSpec`], a single dispatch on the first
+/// kernel monomorphizes the whole lockstep loop
 /// ([`eproc_core::interleave::run_observed_interleaved`]) against the
-/// concrete walk type, exactly like the sequential kernel. The executor
-/// runs trials sequentially; this is for callers timing or testing the
-/// interleaved driver.
+/// concrete walk type. The executor runs every set of lanes through it,
+/// [`ProcessSpec::lanes`](crate::spec::ProcessSpec) trials at a time.
 ///
 /// # Panics
 ///
@@ -1126,8 +1138,9 @@ impl Target {
 
 /// One concrete observer per metric kind — the "metric-set half" of the
 /// executor's (process × metric-set) dispatch. An observer bank is a
-/// `Vec<AnyObserver>`, which feeds [`eproc_core::observe::run_observed`]
-/// through the homogeneous-slice [`ObserverSet`](eproc_core::observe::ObserverSet)
+/// `Vec<AnyObserver>`, which feeds a lane of
+/// [`eproc_core::interleave::run_observed_interleaved`] through the
+/// homogeneous-slice [`ObserverSet`](eproc_core::observe::ObserverSet)
 /// implementation: per step, each observer costs one predictable `match`
 /// with the measurement body inlined, instead of a virtual call through
 /// `&mut dyn Observer`.

@@ -278,40 +278,22 @@ impl Graph {
             .map(|&t| t as Vertex)
     }
 
-    /// Issues an early load of `v`'s CSR port row — the offset word and
-    /// the leading `arc_targets` / `arc_edges` / `arc_twins` entries —
-    /// discarding the values through [`std::hint::black_box`].
-    ///
-    /// This is the crate's safe-code stand-in for a prefetch hint
-    /// (`#![forbid(unsafe_code)]` rules out the intrinsic): the loads
-    /// cannot be optimised away, so the row's cache lines are requested
-    /// *now* and their memory latency overlaps whatever the caller does
-    /// next. The interleaved multi-trial driver calls this for the lane it
-    /// will advance next while the current lane's step executes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v >= n`.
-    #[inline]
-    pub fn prefetch_ports(&self, v: Vertex) {
-        self.prefetch_arcs(self.offsets[v] as ArcId);
-    }
-
-    /// [`prefetch_ports`](Graph::prefetch_ports) for a caller that already
-    /// knows an arc `a` of the row: loads its `arc_targets`, `arc_edges`
-    /// and `arc_twins` entries through [`std::hint::black_box`], skipping
-    /// the `offsets` word. An `a` at or past `2m` (the start of an empty
-    /// last row) loads nothing.
+    /// Requests the cache lines of arc `a`'s `arc_targets`, `arc_edges`
+    /// and `arc_twins` entries through [`eproc_sys::prefetch`] and returns
+    /// without waiting for them. A walk calls this on an arc of the row
+    /// its next step reads, so that row's misses overlap the rest of the
+    /// current step. An `a` at or past `2m` (the start of an empty last
+    /// row) requests nothing.
     #[inline]
     pub fn prefetch_arcs(&self, a: ArcId) {
-        if let (Some(&t), Some(&e), Some(&w)) = (
+        if let (Some(t), Some(e), Some(w)) = (
             self.arc_targets.get(a),
             self.arc_edges.get(a),
             self.arc_twins.get(a),
         ) {
-            std::hint::black_box(t);
-            std::hint::black_box(e);
-            std::hint::black_box(w);
+            eproc_sys::prefetch(t);
+            eproc_sys::prefetch(e);
+            eproc_sys::prefetch(w);
         }
     }
 

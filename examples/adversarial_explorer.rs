@@ -41,7 +41,7 @@ fn main() {
     race(
         "last-slot adversary",
         &g,
-        AdversarialRule::new(|ctx: &RuleContext<'_>| ctx.live_arcs.len() - 1),
+        AdversarialRule::new(|ctx: &RuleContext<'_>| ctx.live_ports.len() - 1),
         3,
     );
     // An adversary alternating between extremes based on the step parity.
@@ -52,7 +52,7 @@ fn main() {
             if ctx.step.is_multiple_of(2) {
                 0
             } else {
-                ctx.live_arcs.len() - 1
+                ctx.live_ports.len() - 1
             }
         }),
         4,

@@ -76,17 +76,19 @@
 //! ## Crash safety
 //!
 //! [`engine::run_recoverable`] executes any run with atomic
-//! checkpointing, graceful SIGINT/SIGTERM interruption (the [`signal`]
+//! checkpointing, graceful SIGINT/SIGTERM interruption (the [`sys`] signal
 //! latch) and deadline budgets; a failed block fails the run after its
 //! completed blocks are checkpointed, and a resumed run reproduces the
 //! uninterrupted artifact byte-for-byte. On the CLI: `--checkpoint`,
 //! `--resume`, `--max-wall`.
 
+#![forbid(unsafe_code)]
+
 pub use eproc_core as core;
 pub use eproc_engine as engine;
 pub use eproc_graphs as graphs;
-pub use eproc_signal as signal;
 pub use eproc_spectral as spectral;
 pub use eproc_stats as stats;
+pub use eproc_sys as sys;
 pub use eproc_telemetry as telemetry;
 pub use eproc_theory as theory;
