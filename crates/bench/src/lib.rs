@@ -12,7 +12,8 @@
 //! metric the engine aggregates. They share:
 //!
 //! * [`Config`] — `--scale quick|paper`, `--seed N`, `--threads N`
-//!   parsing, through the `eproc` CLI's flag-table parser;
+//!   parsing, against the `eproc` CLI's flag table
+//!   ([`eproc_engine::cli::FLAGS`]);
 //! * [`save_artifacts`] — writes each table's CSV and the report's JSON
 //!   under `target/experiments/` and prints their paths;
 //! * [`run_engine_spec`] and [`metric_mean`] — the engine entry point and
@@ -21,7 +22,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use eproc_engine::cli::{expect_count, expect_u64, parse_args, Arity, FlagDef};
+use eproc_engine::cli::{expect_count, expect_u64, parse_args};
 use eproc_engine::executor::{CellSummary, ExperimentReport};
 use eproc_engine::{ExperimentSpec, Scale};
 use eproc_graphs::Graph;
@@ -41,21 +42,9 @@ macro_rules! out {
     }};
 }
 
-/// The flags every experiment binary takes.
-const FLAGS: &[FlagDef] = &[
-    FlagDef {
-        name: "--scale",
-        arity: Arity::Value("quick|paper"),
-    },
-    FlagDef {
-        name: "--seed",
-        arity: Arity::Value("an unsigned integer"),
-    },
-    FlagDef {
-        name: "--threads",
-        arity: Arity::Value("an integer of at least 1"),
-    },
-];
+/// The flags every experiment binary takes, out of
+/// [`eproc_engine::cli::FLAGS`].
+const ACCEPTS: &[&str] = &["--scale", "--seed", "--threads"];
 
 /// Parsed command-line configuration shared by all experiment binaries.
 #[derive(Debug, Clone, Copy)]
@@ -75,8 +64,7 @@ impl Config {
     /// `std::env::args` with [`eproc_engine::cli::parse_args`]. Malformed
     /// arguments exit 2 with a usage message; `--help` exits 0.
     pub fn from_args() -> Config {
-        let names: Vec<&str> = FLAGS.iter().map(|f| f.name).collect();
-        let parsed = parse_args("experiment", FLAGS, &names, std::env::args().skip(1))
+        let parsed = parse_args("experiment", ACCEPTS, std::env::args().skip(1))
             .unwrap_or_else(|e| usage(&e.to_string()));
         if parsed.help {
             usage("");
@@ -102,7 +90,7 @@ impl Config {
                     let threads = expect_count(name, v).unwrap_or_else(|e| usage(&e.to_string()));
                     config.threads = Some(threads);
                 }
-                _ => unreachable!("parse_args yields only the flags in FLAGS"),
+                _ => unreachable!("parse_args yields only the flags in ACCEPTS"),
             }
         }
         config
@@ -230,6 +218,16 @@ pub fn metric_mean(cell: &CellSummary, name: &str) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_accepted_flag_is_declared_in_the_cli_table() {
+        for name in ACCEPTS {
+            assert!(
+                eproc_engine::cli::FLAGS.iter().any(|f| f.name == *name),
+                "{name} is missing from eproc_engine::cli::FLAGS"
+            );
+        }
+    }
 
     #[test]
     fn output_dir_is_under_target() {

@@ -18,11 +18,19 @@
 //! ```
 //!
 //! Every subcommand parses its arguments against one declarative flag
-//! table ([`eproc_engine::cli`]): each flag is declared once, each
+//! table ([`eproc_engine::cli::FLAGS`]): each flag is declared once, each
 //! subcommand names the subset it honours, and any other known flag is
 //! rejected by name ("flag `--shard` does not apply to `merge`").
 //! Usage and flag errors exit 2 (`EX_USAGE`), runtime errors exit 1,
 //! and a gracefully interrupted resumable run exits 75 (`EX_TEMPFAIL`).
+//!
+//! The eight spec flags (`--graph`, `--process`, `--metrics`,
+//! `--trials`, `--target`, `--start`, `--cap`, `--resample`) have one
+//! reader, [`SpecFlags`], which [`ExperimentSpec::parse_cli`] shares:
+//! `--graph`, `--process` and `--metrics` accumulate over repeats, and
+//! any other repeated flag keeps its last value. So the canonical line
+//! `eproc list --canonical` prints, passed to `compare`, is the spec
+//! the builtin's name runs.
 //!
 //! `--metrics` attaches extra observers (`cover`, `blanket:<delta>`,
 //! `phases`, `bluecensus`, `hitting[:v]`) to the same walk as the
@@ -38,7 +46,8 @@
 //! (`regular:~1000,4`) — turns on per-trial graph resampling: each group
 //! of `W` consecutive trials (default 1) gets its own freshly sampled
 //! graph, and the report splits variance into pooled, across-graph and
-//! within-graph components.
+//! within-graph components. In any subcommand a `--graph` size may be a
+//! sweep range (`regular:~{1k..256k,x2},4`), one family per size.
 //!
 //! `--shard I/K` executes just the (family, group) blocks with canonical
 //! index `≡ I (mod K)` and writes them as a checkpoint, the same format
@@ -78,9 +87,7 @@
 use eproc_engine::builtin;
 use eproc_engine::cache::{CacheStore, CACHE_ENV};
 use eproc_engine::checkpoint::RunCheckpoint;
-use eproc_engine::cli::{
-    expect_count, expect_seconds, expect_u64, parse_args, Arity, FlagDef, Parsed, UsageError,
-};
+use eproc_engine::cli::{expect_count, expect_seconds, expect_u64, parse_args, Parsed, UsageError};
 use eproc_engine::digest::{spec_digest, ArtifactKind, SpecDigest};
 use eproc_engine::executor::{EngineError, ExperimentReport, RunOptions};
 use eproc_engine::fault::FaultPlan;
@@ -93,9 +100,7 @@ use eproc_engine::report::{
 };
 use eproc_engine::scaling::analyze;
 use eproc_engine::shard::{merge_shards_with_sink, run_shard_with_sink, ShardSpec};
-use eproc_engine::spec::{
-    CapSpec, ExperimentSpec, GraphSpec, MetricSpec, ProcessSpec, ResamplePlan, Scale, Target,
-};
+use eproc_engine::spec::{ExperimentSpec, GraphSpec, Scale, SpecFlags, SPEC_FLAGS};
 use eproc_stats::TextTable;
 use eproc_telemetry::{JsonlSink, ProgressSink, SummarySink, Tee, TelemetrySink};
 use std::path::{Path, PathBuf};
@@ -183,13 +188,16 @@ fn usage(err: &str) -> ! {
          \x20              hypercube:<dim> | torus:<w>,<h> | cycle:<n> | complete:<n> |\n\
          \x20              lollipop:<clique>,<path> | petersen | figure8:<len>\n\
          \x20              (a ~ before the arguments, e.g. regular:~1000,4, marks\n\
-         \x20               the run for per-trial graph resampling; under `scale`\n\
-         \x20               a size may be a sweep range: regular:~{{1k..256k,x2}},4)\n\
+         \x20               the run for per-trial graph resampling; a size may be\n\
+         \x20               a sweep range: regular:~{{1k..256k,x2}},4)\n\
          process syntax eprocess[:rule] | srw | lazy | weighted | rotor | rwc:<d> |\n\
          \x20              oldest | leastused | vprocess\n\
          target syntax  vertex | edge | both | blanket:<delta>\n\
          metric syntax  cover | blanket[:delta] | phases | bluecensus | hitting[:v]\n\
          \x20              (all measured from the same walk: one pass per trial)\n\
+         repeats        --graph, --process and --metrics accumulate over repeats\n\
+         \x20              (--metrics a --metrics b = --metrics a,b); any other\n\
+         \x20              repeated flag keeps its last value\n\
          cap syntax     --cap auto | nlogn:<factor> | abs:<steps>\n\
          quantiles      --quantiles Q[,Q...]: distinct quantile columns/keys\n\
          \x20              rendered from the streamed sketches (default p50,p90,p99;\n\
@@ -243,116 +251,6 @@ fn usage(err: &str) -> ! {
     exit(if err.is_empty() { 0 } else { EXIT_USAGE });
 }
 
-/// Every flag the CLI knows, declared exactly once. Subcommands pick
-/// their subset via the `*_ACCEPTS` lists below; anything else in this
-/// table is rejected by name ("flag `--x` does not apply to `cmd`").
-const FLAGS: &[FlagDef] = &[
-    FlagDef {
-        name: "--scale",
-        arity: Arity::Value("quick|paper"),
-    },
-    FlagDef {
-        name: "--seed",
-        arity: Arity::Value("an unsigned integer"),
-    },
-    FlagDef {
-        name: "--threads",
-        arity: Arity::Value("an integer of at least 1"),
-    },
-    FlagDef {
-        name: "--trials",
-        arity: Arity::Value("an integer of at least 1"),
-    },
-    FlagDef {
-        name: "--metrics",
-        arity: Arity::Value("a metric list"),
-    },
-    FlagDef {
-        name: "--resample",
-        arity: Arity::OptionalInt,
-    },
-    FlagDef {
-        name: "--shard",
-        arity: Arity::Value("<i>/<k>, e.g. 0/4"),
-    },
-    FlagDef {
-        name: "--json",
-        arity: Arity::Value("a path"),
-    },
-    FlagDef {
-        name: "--csv",
-        arity: Arity::Value("a path"),
-    },
-    FlagDef {
-        name: "--progress",
-        arity: Arity::Switch,
-    },
-    FlagDef {
-        name: "--telemetry",
-        arity: Arity::Value("a path"),
-    },
-    FlagDef {
-        name: "--checkpoint",
-        arity: Arity::Value("a path"),
-    },
-    FlagDef {
-        name: "--checkpoint-every",
-        arity: Arity::Value("an integer of at least 1"),
-    },
-    FlagDef {
-        name: "--resume",
-        arity: Arity::Value("a path"),
-    },
-    FlagDef {
-        name: "--max-wall",
-        arity: Arity::Value("a positive number of seconds"),
-    },
-    FlagDef {
-        name: "--inject-faults",
-        arity: Arity::Value("a fault spec (kind@family.group[,...])"),
-    },
-    FlagDef {
-        name: "--quantiles",
-        arity: Arity::Value("a quantile list, e.g. 0.5,0.9,0.99 or p50,p90,p99"),
-    },
-    FlagDef {
-        name: "--quiet",
-        arity: Arity::Switch,
-    },
-    FlagDef {
-        name: "--graph",
-        arity: Arity::Value("a graph spec"),
-    },
-    FlagDef {
-        name: "--process",
-        arity: Arity::Value("a process list"),
-    },
-    FlagDef {
-        name: "--target",
-        arity: Arity::Value("a target"),
-    },
-    FlagDef {
-        name: "--start",
-        arity: Arity::Value("a vertex index"),
-    },
-    FlagDef {
-        name: "--cap",
-        arity: Arity::Value("auto|nlogn:<factor>|abs:<steps>"),
-    },
-    FlagDef {
-        name: "--cache",
-        arity: Arity::Value("a directory"),
-    },
-    FlagDef {
-        name: "--canonical",
-        arity: Arity::Switch,
-    },
-    FlagDef {
-        name: "--max-bytes",
-        arity: Arity::Value("a byte budget"),
-    },
-];
-
 /// Flags shared by every executing subcommand (`run`/`compare`/`scale`).
 const EXEC_ACCEPTS: &[&str] = &[
     "--seed",
@@ -375,31 +273,17 @@ const EXEC_ACCEPTS: &[&str] = &[
     "--cache",
 ];
 
-const RUN_EXTRA: &[&str] = &["--scale"];
-const COMPARE_EXTRA: &[&str] = &["--graph", "--process", "--target", "--start", "--cap"];
-const SCALE_EXTRA: &[&str] = &[
-    "--scale",
-    "--graph",
-    "--process",
-    "--target",
-    "--start",
-    "--cap",
-];
+/// The flag that sizes a builtin spec (`run <name>`, `scale <name>`).
+const BUILTIN_EXTRA: &[&str] = &["--scale"];
 const MERGE_ACCEPTS: &[&str] = &["--json", "--csv", "--telemetry", "--quiet", "--quantiles"];
 const LIST_ACCEPTS: &[&str] = &["--canonical", "--scale", "--seed", "--quantiles", "--quiet"];
 const CACHE_ACCEPTS: &[&str] = &["--cache", "--max-bytes", "--quiet"];
 
-/// Parses `args` for `cmd` against the shared table, accepting
-/// `extra` on top of `base`. `--help` anywhere prints usage (exit 0);
+/// Parses `args` for `cmd` against the shared table, accepting the
+/// union of the `accepts` lists. `--help` anywhere prints usage (exit 0);
 /// any [`UsageError`] exits 2.
-fn parse_or_usage(
-    cmd: &str,
-    base: &[&str],
-    extra: &[&str],
-    args: impl Iterator<Item = String>,
-) -> Parsed {
-    let accepts: Vec<&str> = base.iter().chain(extra).copied().collect();
-    match parse_args(cmd, FLAGS, &accepts, args) {
+fn parse_or_usage(cmd: &str, accepts: &[&[&str]], args: impl Iterator<Item = String>) -> Parsed {
+    match parse_args(cmd, &accepts.concat(), args) {
         Ok(parsed) => {
             if parsed.help {
                 usage("");
@@ -419,9 +303,6 @@ struct CommonFlags {
     scale: Option<Scale>,
     seed: Option<u64>,
     threads: Option<usize>,
-    trials: Option<usize>,
-    metrics: Option<Vec<MetricSpec>>,
-    resample: Option<ResamplePlan>,
     shard: Option<ShardSpec>,
     json: Option<PathBuf>,
     csv: Option<PathBuf>,
@@ -438,8 +319,8 @@ struct CommonFlags {
 
 impl CommonFlags {
     /// Interprets every common flag occurrence in `parsed`, in
-    /// command-line order (later occurrences win). Subcommand-specific
-    /// flags (`--graph`, `--process`, …) are left for [`AdhocSpec`].
+    /// command-line order (later occurrences win). The spec flags are
+    /// left for [`SpecFlags`].
     fn from_parsed(parsed: &Parsed) -> CommonFlags {
         let mut flags = CommonFlags::default();
         for (name, value) in &parsed.flags {
@@ -451,25 +332,6 @@ impl CommonFlags {
                 "--seed" => flags.seed = Some(ok_or_usage(expect_u64("--seed", v()))),
                 "--threads" => {
                     flags.threads = Some(ok_or_usage(expect_count("--threads", v())));
-                }
-                "--trials" => flags.trials = Some(ok_or_usage(expect_count("--trials", v()))),
-                "--metrics" => {
-                    let parsed: Vec<MetricSpec> = v()
-                        .split(',')
-                        .map(|part| {
-                            MetricSpec::parse(part).unwrap_or_else(|e| usage(&e.to_string()))
-                        })
-                        .collect();
-                    flags.metrics = Some(parsed);
-                }
-                "--resample" => {
-                    let walks = match value.as_deref() {
-                        Some(raw) => ok_or_usage(expect_count("--resample", raw)),
-                        None => 1,
-                    };
-                    flags.resample = Some(ResamplePlan {
-                        walks_per_graph: walks,
-                    });
                 }
                 "--shard" => {
                     flags.shard =
@@ -561,7 +423,7 @@ fn main() {
 }
 
 fn cmd_list(args: impl Iterator<Item = String>) {
-    let parsed = parse_or_usage("list", LIST_ACCEPTS, &[], args);
+    let parsed = parse_or_usage("list", &[LIST_ACCEPTS], args);
     let flags = CommonFlags::from_parsed(&parsed);
     if let Some(tok) = parsed.positionals.first() {
         usage(&format!("list takes no positional arguments, got {tok:?}"));
@@ -646,15 +508,6 @@ fn execute(spec: ExperimentSpec, flags: &CommonFlags) {
 fn execute_inner(mut spec: ExperimentSpec, flags: &CommonFlags, fit_growth_laws: bool) {
     if flags.checkpoint_every.is_some() && flags.checkpoint.is_none() {
         usage("--checkpoint-every sets how often --checkpoint writes: it needs --checkpoint PATH");
-    }
-    if let Some(trials) = flags.trials {
-        spec.trials = trials;
-    }
-    if let Some(metrics) = &flags.metrics {
-        spec.metrics = metrics.clone();
-    }
-    if let Some(plan) = flags.resample {
-        spec.resample = Some(plan);
     }
     if flags.shard.is_some() {
         if fit_growth_laws {
@@ -747,37 +600,14 @@ fn execute_inner(mut spec: ExperimentSpec, flags: &CommonFlags, fit_growth_laws:
             plan.walks_per_graph
         );
     }
-    // Telemetry sinks: a live progress line, a JSONL event log, and — as
-    // soon as either is requested — a summary collector for the sidecar.
-    // All of them observe the run from outside the deterministic path;
-    // with none requested the tee is disabled and the executor takes its
-    // zero-cost NullSink path.
-    let progress = flags.progress.then(ProgressSink::new);
-    let jsonl = flags.telemetry.as_deref().map(|path| {
-        JsonlSink::create(path).unwrap_or_else(|e| {
-            eprintln!("error: cannot create telemetry log {}: {e}", path.display());
-            exit(1);
-        })
-    });
-    let summary = (progress.is_some() || jsonl.is_some()).then(SummarySink::new);
-    let mut sinks: Vec<&dyn TelemetrySink> = Vec::new();
-    if let Some(s) = &progress {
-        sinks.push(s);
-    }
-    if let Some(s) = &jsonl {
-        sinks.push(s);
-    }
-    if let Some(s) = &summary {
-        sinks.push(s);
-    }
-    let tee = Tee::new(sinks);
+    let telemetry = Telemetry::open(flags);
     let started = Instant::now();
     if let Some(shard) = flags.shard {
         info!(
             "shard {shard}: executing only the (family, group) blocks with index = {} (mod {})",
             shard.index, shard.count
         );
-        let checkpoint = match run_shard_with_sink(&spec, &opts, shard, &tee) {
+        let checkpoint = match run_shard_with_sink(&spec, &opts, shard, &telemetry.tee()) {
             Ok(c) => c,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -795,11 +625,11 @@ fn execute_inner(mut spec: ExperimentSpec, flags: &CommonFlags, fit_growth_laws:
             exit(1);
         }
         out!("shard artifact: {}", path.display());
-        write_telemetry_artifacts(jsonl.as_ref(), summary.as_ref(), &path);
+        telemetry.write_artifacts(&path);
         info!("wall time: {:.2}s", started.elapsed().as_secs_f64());
         return;
     }
-    let report = run_crash_safe(&spec, &opts, flags, &tee, jsonl.as_ref(), summary.as_ref());
+    let report = run_crash_safe(&spec, &opts, flags, &telemetry);
     let elapsed = started.elapsed();
     // A degenerate sweep must not discard the (possibly expensive)
     // ensemble it just measured: on a fit error the table is still
@@ -874,7 +704,7 @@ fn execute_inner(mut spec: ExperimentSpec, flags: &CommonFlags, fit_growth_laws:
             }
         }
     }
-    write_telemetry_artifacts(jsonl.as_ref(), summary.as_ref(), &artifact);
+    telemetry.write_artifacts(&artifact);
     info!("wall time: {:.2}s", elapsed.as_secs_f64());
     if matches!(scaling, Some(Err(_))) {
         exit(1);
@@ -893,9 +723,7 @@ fn run_crash_safe(
     spec: &ExperimentSpec,
     opts: &RunOptions,
     flags: &CommonFlags,
-    tee: &dyn TelemetrySink,
-    jsonl: Option<&JsonlSink>,
-    summary: Option<&SummarySink>,
+    telemetry: &Telemetry,
 ) -> eproc_engine::ExperimentReport {
     let resume = flags.resume.as_deref().map(|path| {
         let ckpt = RunCheckpoint::load(path).unwrap_or_else(|e| {
@@ -925,7 +753,7 @@ fn run_crash_safe(
         faults: flags.inject_faults.clone().unwrap_or_default(),
         cancel,
     };
-    match run_recoverable_with_sink(spec, opts, &rec, tee) {
+    match run_recoverable_with_sink(spec, opts, &rec, &telemetry.tee()) {
         Ok(RunOutcome::Completed(report)) => report,
         Ok(RunOutcome::Interrupted {
             reason,
@@ -951,7 +779,7 @@ fn run_crash_safe(
                 .json
                 .clone()
                 .unwrap_or_else(|| default_artifact_path(&spec.name));
-            write_telemetry_artifacts(jsonl, summary, &anchor);
+            telemetry.write_artifacts(&anchor);
             exit(EXIT_INTERRUPTED);
         }
         Err(e) => {
@@ -986,132 +814,99 @@ fn telemetry_sidecar_path(artifact: &Path) -> PathBuf {
     artifact.with_file_name(format!("{stem}.telemetry.json"))
 }
 
-/// Flushes the JSONL event log (surfacing any write error the sink
-/// swallowed mid-run: a truncated log must not pass silently as a
-/// complete one) and writes the summary sidecar next to `artifact`.
-/// Exits nonzero on either failure.
-fn write_telemetry_artifacts(
-    jsonl: Option<&JsonlSink>,
-    summary: Option<&SummarySink>,
-    artifact: &Path,
-) {
-    if let Some(jsonl) = jsonl {
-        match jsonl.finish() {
-            Ok(()) => out!("telemetry: {}", jsonl.path().display()),
-            Err(e) => {
-                eprintln!(
-                    "error writing telemetry log {}: {e}",
-                    jsonl.path().display()
-                );
+/// The telemetry sinks a command's flags ask for: a live progress line
+/// (`--progress`), a JSONL event log (`--telemetry PATH`) and, as soon as
+/// either is on, a summary collector for the sidecar. All of them
+/// observe the run from outside the deterministic path; with none
+/// requested the tee is disabled and the executor takes its zero-cost
+/// NullSink path.
+struct Telemetry {
+    progress: Option<ProgressSink>,
+    jsonl: Option<JsonlSink>,
+    summary: Option<SummarySink>,
+}
+
+impl Telemetry {
+    /// Opens the sinks `flags` ask for. A log that cannot be created
+    /// exits 1.
+    fn open(flags: &CommonFlags) -> Telemetry {
+        let progress = flags.progress.then(ProgressSink::new);
+        let jsonl = flags.telemetry.as_deref().map(|path| {
+            JsonlSink::create(path).unwrap_or_else(|e| {
+                eprintln!("error: cannot create telemetry log {}: {e}", path.display());
                 exit(1);
-            }
+            })
+        });
+        let summary = (progress.is_some() || jsonl.is_some()).then(SummarySink::new);
+        Telemetry {
+            progress,
+            jsonl,
+            summary,
         }
     }
-    if let Some(summary) = summary {
-        let sidecar = telemetry_sidecar_path(artifact);
-        match summary.summary().save(&sidecar) {
-            Ok(()) => out!("telemetry sidecar: {}", sidecar.display()),
-            Err(e) => {
-                eprintln!("error writing telemetry sidecar {}: {e}", sidecar.display());
-                exit(1);
+
+    /// One sink that fans each event out to every open sink.
+    fn tee(&self) -> Tee<'_> {
+        let progress = self.progress.as_ref().map(|s| s as &dyn TelemetrySink);
+        let jsonl = self.jsonl.as_ref().map(|s| s as &dyn TelemetrySink);
+        let summary = self.summary.as_ref().map(|s| s as &dyn TelemetrySink);
+        Tee::new([progress, jsonl, summary].into_iter().flatten().collect())
+    }
+
+    /// Flushes the JSONL event log (surfacing any write error the sink
+    /// swallowed mid-run: a truncated log must not pass silently as a
+    /// complete one) and writes the summary sidecar next to `artifact`.
+    /// Exits nonzero on either failure.
+    fn write_artifacts(&self, artifact: &Path) {
+        if let Some(jsonl) = &self.jsonl {
+            match jsonl.finish() {
+                Ok(()) => out!("telemetry: {}", jsonl.path().display()),
+                Err(e) => {
+                    eprintln!(
+                        "error writing telemetry log {}: {e}",
+                        jsonl.path().display()
+                    );
+                    exit(1);
+                }
+            }
+        }
+        if let Some(summary) = &self.summary {
+            let sidecar = telemetry_sidecar_path(artifact);
+            match summary.summary().save(&sidecar) {
+                Ok(()) => out!("telemetry sidecar: {}", sidecar.display()),
+                Err(e) => {
+                    eprintln!("error writing telemetry sidecar {}: {e}", sidecar.display());
+                    exit(1);
+                }
             }
         }
     }
 }
 
 fn cmd_run(args: impl Iterator<Item = String>) {
-    let parsed = parse_or_usage("run", EXEC_ACCEPTS, RUN_EXTRA, args);
+    let parsed = parse_or_usage("run", &[EXEC_ACCEPTS, BUILTIN_EXTRA], args);
     let flags = CommonFlags::from_parsed(&parsed);
+    let overrides = ok_or_usage(SpecFlags::from_parsed(&parsed));
     let name = match parsed.positionals.as_slice() {
         [] => usage("run needs a spec name"),
         [name] => name.clone(),
         _ => usage("run takes exactly one spec name"),
     };
     let scale = flags.scale.unwrap_or(Scale::Quick);
-    let spec = builtin::spec(&name, scale).unwrap_or_else(|| {
+    let mut spec = builtin::spec(&name, scale).unwrap_or_else(|| {
         usage(&format!(
             "unknown spec {name:?}; available: {}",
             builtin::names().join(", ")
         ))
     });
+    overrides.override_spec(&mut spec);
     execute(spec, &flags);
 }
 
-/// The ad-hoc-spec flags `compare` and `scale` share. `target`, `cap`
-/// and `start` stay `None` until explicitly set, so `scale <name>` can
-/// reject flags that would otherwise be silently ignored.
-#[derive(Default)]
-struct AdhocSpec {
-    graphs: Vec<GraphSpec>,
-    processes: Vec<ProcessSpec>,
-    target: Option<Target>,
-    cap: Option<CapSpec>,
-    start: Option<usize>,
-    marked_resample: bool,
-}
-
-impl AdhocSpec {
-    /// Interprets the grid-shaped flags of `compare`/`scale` from the
-    /// lexed arguments. With `sweeps` (the `scale` shape) a `--graph`
-    /// value may carry an inline `{range}`; without it (`compare`) the
-    /// plain resample-marker grammar applies.
-    fn from_parsed(parsed: &Parsed, sweeps: bool) -> AdhocSpec {
-        let mut spec = AdhocSpec::default();
-        for (name, value) in &parsed.flags {
-            let v = || value.as_deref().expect("value-arity flag has a value");
-            match *name {
-                "--graph" => {
-                    for part in v().split(';') {
-                        if sweeps {
-                            let (expanded, marked) = GraphSpec::parse_with_sweep(part)
-                                .unwrap_or_else(|e| usage(&e.to_string()));
-                            spec.marked_resample |= marked;
-                            spec.graphs.extend(expanded);
-                        } else {
-                            let (graph, marked) = GraphSpec::parse_with_resample(part)
-                                .unwrap_or_else(|e| usage(&e.to_string()));
-                            spec.marked_resample |= marked;
-                            spec.graphs.push(graph);
-                        }
-                    }
-                }
-                "--process" => {
-                    for part in v().split(',') {
-                        spec.processes.push(
-                            ProcessSpec::parse(part).unwrap_or_else(|e| usage(&e.to_string())),
-                        );
-                    }
-                }
-                "--target" => {
-                    spec.target =
-                        Some(Target::parse(v()).unwrap_or_else(|e| usage(&e.to_string())));
-                }
-                "--start" => {
-                    spec.start = Some(ok_or_usage(expect_u64("--start", v())) as usize);
-                }
-                "--cap" => {
-                    spec.cap = Some(CapSpec::parse(v()).unwrap_or_else(|e| usage(&e.to_string())));
-                }
-                _ => {}
-            }
-        }
-        spec
-    }
-
-    /// `scale <name>` must reject grid flags that would silently be
-    /// ignored (a named spec fixes its grid).
-    fn names_grid_flags(&self) -> bool {
-        !self.processes.is_empty()
-            || self.target.is_some()
-            || self.start.is_some()
-            || self.cap.is_some()
-    }
-}
-
 fn cmd_compare(args: impl Iterator<Item = String>) {
-    let parsed = parse_or_usage("compare", EXEC_ACCEPTS, COMPARE_EXTRA, args);
+    let parsed = parse_or_usage("compare", &[EXEC_ACCEPTS, SPEC_FLAGS], args);
     let flags = CommonFlags::from_parsed(&parsed);
-    let adhoc = AdhocSpec::from_parsed(&parsed, false);
+    let adhoc = ok_or_usage(SpecFlags::from_parsed(&parsed));
     if let Some(tok) = parsed.positionals.first() {
         usage(&format!(
             "compare takes no positional arguments, got {tok:?} (use --graph/--process)"
@@ -1123,28 +918,14 @@ fn cmd_compare(args: impl Iterator<Item = String>) {
     if adhoc.processes.is_empty() {
         usage("compare needs at least one --process");
     }
-    let spec = ExperimentSpec {
-        name: "compare".into(),
-        description: "ad-hoc comparison built from CLI flags".into(),
-        graphs: adhoc.graphs,
-        processes: adhoc.processes,
-        trials: flags.trials.unwrap_or(5),
-        target: adhoc.target.unwrap_or(Target::VertexCover),
-        metrics: flags.metrics.clone().unwrap_or_default(),
-        start: adhoc.start.unwrap_or(0),
-        cap: adhoc.cap.unwrap_or(CapSpec::Auto),
-        // `--resample [W]` wins; a bare `~` graph marker means per-trial.
-        resample: flags
-            .resample
-            .or(adhoc.marked_resample.then(ResamplePlan::per_trial)),
-    };
+    let spec = adhoc.into_spec("compare", "ad-hoc comparison built from CLI flags");
     execute(spec, &flags);
 }
 
 fn cmd_scale(args: impl Iterator<Item = String>) {
-    let parsed = parse_or_usage("scale", EXEC_ACCEPTS, SCALE_EXTRA, args);
+    let parsed = parse_or_usage("scale", &[EXEC_ACCEPTS, SPEC_FLAGS, BUILTIN_EXTRA], args);
     let flags = CommonFlags::from_parsed(&parsed);
-    let adhoc = AdhocSpec::from_parsed(&parsed, true);
+    let mut adhoc = ok_or_usage(SpecFlags::from_parsed(&parsed));
     let name = match parsed.positionals.as_slice() {
         [] => None,
         [name] => Some(name.clone()),
@@ -1158,19 +939,24 @@ fn cmd_scale(args: impl Iterator<Item = String>) {
         // these flags would silently run a different experiment than the
         // one asked for, so reject them outright (--trials, --metrics
         // and --resample are honoured as overrides, like `run`).
-        if adhoc.names_grid_flags() {
+        if !adhoc.processes.is_empty()
+            || adhoc.target.is_some()
+            || adhoc.start.is_some()
+            || adhoc.cap.is_some()
+        {
             usage(
                 "scale <name> runs the named spec as-is: --process/--target/--start/--cap \
                  only apply to --graph sweeps (--trials/--metrics/--resample do override)",
             );
         }
         let scale = flags.scale.unwrap_or(Scale::Quick);
-        let spec = builtin::spec(&name, scale).unwrap_or_else(|| {
+        let mut spec = builtin::spec(&name, scale).unwrap_or_else(|| {
             usage(&format!(
                 "unknown spec {name:?}; scaling sweeps: {} (any built-in spec with >= 3 sizes works)",
                 builtin::scaling_names().join(", ")
             ))
         });
+        adhoc.override_spec(&mut spec);
         execute_inner(spec, &flags, true);
         return;
     }
@@ -1180,26 +966,13 @@ fn cmd_scale(args: impl Iterator<Item = String>) {
     if adhoc.processes.is_empty() {
         usage("scale needs at least one --process");
     }
-    let graphs = adhoc.graphs;
-    // `--resample [W]` wins; otherwise randomized sweeps default to a
-    // fresh graph per trial so each size estimates the ensemble law, and
-    // purely deterministic sweeps stay in shared mode.
-    let any_randomized = graphs.iter().any(GraphSpec::is_randomized);
-    let resample = flags
-        .resample
-        .or((adhoc.marked_resample || any_randomized).then(ResamplePlan::per_trial));
-    let spec = ExperimentSpec {
-        name: "scale".into(),
-        description: "ad-hoc size sweep built from CLI flags".into(),
-        graphs,
-        processes: adhoc.processes,
-        trials: flags.trials.unwrap_or(4),
-        target: adhoc.target.unwrap_or(Target::VertexCover),
-        metrics: flags.metrics.clone().unwrap_or_default(),
-        start: adhoc.start.unwrap_or(0),
-        cap: adhoc.cap.unwrap_or(CapSpec::Auto),
-        resample,
-    };
+    // A sweep defaults to 4 trials. Unless `--resample [W]` says
+    // otherwise, randomized sweeps get a fresh graph per trial so each
+    // size estimates the ensemble law, and purely deterministic sweeps
+    // stay in shared mode.
+    adhoc.trials.get_or_insert(4);
+    adhoc.marked_resample |= adhoc.graphs.iter().any(GraphSpec::is_randomized);
+    let spec = adhoc.into_spec("scale", "ad-hoc size sweep built from CLI flags");
     execute_inner(spec, &flags, true);
 }
 
@@ -1209,7 +982,7 @@ fn cmd_scale(args: impl Iterator<Item = String>) {
 /// unsharded. Run-shaped flags are foreign here and rejected by the flag
 /// table (run parameters are fixed by the checkpoints themselves).
 fn cmd_merge(args: impl Iterator<Item = String>) {
-    let parsed = parse_or_usage("merge", MERGE_ACCEPTS, &[], args);
+    let parsed = parse_or_usage("merge", &[MERGE_ACCEPTS], args);
     let flags = CommonFlags::from_parsed(&parsed);
     let paths: Vec<PathBuf> = parsed.positionals.iter().map(PathBuf::from).collect();
     if paths.is_empty() {
@@ -1224,23 +997,9 @@ fn cmd_merge(args: impl Iterator<Item = String>) {
             })
         })
         .collect();
-    let jsonl = flags.telemetry.as_deref().map(|path| {
-        JsonlSink::create(path).unwrap_or_else(|e| {
-            eprintln!("error: cannot create telemetry log {}: {e}", path.display());
-            exit(1);
-        })
-    });
-    let summary = jsonl.is_some().then(SummarySink::new);
-    let mut sinks: Vec<&dyn TelemetrySink> = Vec::new();
-    if let Some(s) = &jsonl {
-        sinks.push(s);
-    }
-    if let Some(s) = &summary {
-        sinks.push(s);
-    }
-    let tee = Tee::new(sinks);
+    let telemetry = Telemetry::open(&flags);
     info!("merging {} checkpoint(s)", shards.len());
-    let report = match merge_shards_with_sink(&shards, &tee) {
+    let report = match merge_shards_with_sink(&shards, &telemetry.tee()) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
@@ -1250,7 +1009,7 @@ fn cmd_merge(args: impl Iterator<Item = String>) {
     let table = print_report_table(&report, &flags);
     let artifact_text = to_json_with(&report, None, flags.report_quantiles());
     let artifact = save_report_artifacts(&report.name, &artifact_text, &table, &flags);
-    write_telemetry_artifacts(jsonl.as_ref(), summary.as_ref(), &artifact);
+    telemetry.write_artifacts(&artifact);
 }
 
 /// Prints a finished report's header line and aggregate table (at the
@@ -1299,7 +1058,7 @@ fn save_report_artifacts(
 
 /// `eproc cache ls|gc|path` — inspect and prune the artifact store.
 fn cmd_cache(args: impl Iterator<Item = String>) {
-    let parsed = parse_or_usage("cache", CACHE_ACCEPTS, &[], args);
+    let parsed = parse_or_usage("cache", &[CACHE_ACCEPTS], args);
     let flags = CommonFlags::from_parsed(&parsed);
     let (action, rest) = match parsed.positionals.as_slice() {
         [] => usage("cache needs an action: ls, gc or path"),
@@ -1388,8 +1147,41 @@ fn cmd_cache(args: impl Iterator<Item = String>) {
 
 #[cfg(test)]
 mod tests {
-    use super::telemetry_sidecar_path;
-    use std::path::Path;
+    use super::*;
+
+    /// Every accept list, by the subcommands that use it.
+    const ACCEPT_LISTS: &[&[&str]] = &[
+        EXEC_ACCEPTS,
+        BUILTIN_EXTRA,
+        MERGE_ACCEPTS,
+        LIST_ACCEPTS,
+        CACHE_ACCEPTS,
+        SPEC_FLAGS,
+    ];
+
+    #[test]
+    fn every_accepted_flag_is_declared_in_the_table() {
+        // A name missing from the table would make its subcommand reject
+        // the flag as unknown.
+        for name in ACCEPT_LISTS.concat() {
+            assert!(
+                eproc_engine::cli::FLAGS.iter().any(|f| f.name == name),
+                "{name} is missing from eproc_engine::cli::FLAGS"
+            );
+        }
+    }
+
+    #[test]
+    fn every_declared_flag_is_accepted_by_some_subcommand() {
+        let accepted = ACCEPT_LISTS.concat();
+        for flag in eproc_engine::cli::FLAGS {
+            assert!(
+                accepted.contains(&flag.name),
+                "no subcommand accepts {}",
+                flag.name
+            );
+        }
+    }
 
     #[test]
     fn sidecar_path_replaces_a_json_suffix() {

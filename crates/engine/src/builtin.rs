@@ -10,7 +10,11 @@
 //! `--graph`/`--process` flags ([`ExperimentSpec::canonicalize`]), so
 //! both spellings share one [`SpecDigest`](crate::digest::SpecDigest)
 //! cache entry. `eproc list --canonical` prints each builtin's
-//! canonical line and digest.
+//! canonical line and digest. The line reads back through
+//! [`SpecFlags`](crate::spec::SpecFlags), the one reader of the spec
+//! flags, whether [`ExperimentSpec::parse_cli`] or `eproc compare` reads
+//! it; CI's cache smoke pins the shared entry through the CLI for
+//! `phases`, whose line repeats `--metrics`.
 
 use crate::spec::{
     CapSpec, ExperimentSpec, GraphSpec, MetricSpec, ProcessSpec, ResamplePlan, RuleSpec, Scale,

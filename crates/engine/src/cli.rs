@@ -1,27 +1,28 @@
-//! Declarative flag-table argument parsing for the `eproc` CLI.
+//! The `eproc` flag table and its declarative argument parser.
 //!
-//! The binary used to carry three ad-hoc flag loops (one for the
-//! common execution flags, one shared by `compare`/`scale`'s grid
-//! flags, and `merge`'s bespoke loop), each with its own notion of
-//! "unknown flag" and its own value validation. This module replaces
-//! all three with one table-driven parser:
+//! Every flag any command line of the project takes is declared **once**,
+//! in [`FLAGS`] (name, arity, and the phrase used in error messages).
+//! Each reader parses against that one table with its own accept list:
 //!
-//! - every flag the CLI knows is declared **once** in a [`FlagDef`]
-//!   table (name, arity, and the phrase used in error messages);
-//! - each subcommand passes the subset of flag names it honours, and
-//!   every other *known* flag is rejected by name ("flag `--shard`
-//!   does not apply to `merge`") instead of falling through scattered
-//!   special cases;
-//! - value errors share one wording — ``flag `--x` expects <what>`` —
-//!   always naming the offending token.
+//! - every `eproc` subcommand, which rejects each other *known* flag by
+//!   name ("flag `--shard` does not apply to `merge`") instead of
+//!   falling through scattered special cases;
+//! - [`ExperimentSpec::parse_cli`](crate::spec::ExperimentSpec::parse_cli),
+//!   which reads a spec line with the eight [`SPEC_FLAGS`](crate::spec::SPEC_FLAGS);
+//! - the `eproc-bench` experiment binaries, for `--scale`, `--seed` and
+//!   `--threads`.
+//!
+//! Value errors share one wording — ``flag `--x` expects <what>`` —
+//! always naming the offending token.
 //!
 //! The parser is purely lexical: it pairs flags with raw values and
 //! collects positionals in order. Typed interpretation (integers,
 //! spec grammars, paths) happens in the caller via the `expect_*`
-//! helpers below, so every subcommand reports malformed values with
-//! the same phrasing. The `eproc-bench` experiment binaries parse their
-//! `--scale`, `--seed` and `--threads` flags with it too.
+//! helpers below, so every reader reports malformed values with the
+//! same phrasing; the spec flags have one reader,
+//! [`SpecFlags`](crate::spec::SpecFlags).
 
+use crate::spec::SpecError;
 use std::fmt;
 use std::time::Duration;
 
@@ -47,6 +48,117 @@ pub struct FlagDef {
     /// Value shape.
     pub arity: Arity,
 }
+
+/// Every flag the project's command lines know, declared exactly once.
+/// Each reader passes [`parse_args`] the subset it accepts; anything else
+/// in this table is rejected by name ("flag `--x` does not apply to
+/// `cmd`").
+pub const FLAGS: &[FlagDef] = &[
+    FlagDef {
+        name: "--scale",
+        arity: Arity::Value("quick|paper"),
+    },
+    FlagDef {
+        name: "--seed",
+        arity: Arity::Value("an unsigned integer"),
+    },
+    FlagDef {
+        name: "--threads",
+        arity: Arity::Value("an integer of at least 1"),
+    },
+    FlagDef {
+        name: "--trials",
+        arity: Arity::Value("an integer of at least 1"),
+    },
+    FlagDef {
+        name: "--metrics",
+        arity: Arity::Value("a metric list"),
+    },
+    FlagDef {
+        name: "--resample",
+        arity: Arity::OptionalInt,
+    },
+    FlagDef {
+        name: "--shard",
+        arity: Arity::Value("<i>/<k>, e.g. 0/4"),
+    },
+    FlagDef {
+        name: "--json",
+        arity: Arity::Value("a path"),
+    },
+    FlagDef {
+        name: "--csv",
+        arity: Arity::Value("a path"),
+    },
+    FlagDef {
+        name: "--progress",
+        arity: Arity::Switch,
+    },
+    FlagDef {
+        name: "--telemetry",
+        arity: Arity::Value("a path"),
+    },
+    FlagDef {
+        name: "--checkpoint",
+        arity: Arity::Value("a path"),
+    },
+    FlagDef {
+        name: "--checkpoint-every",
+        arity: Arity::Value("an integer of at least 1"),
+    },
+    FlagDef {
+        name: "--resume",
+        arity: Arity::Value("a path"),
+    },
+    FlagDef {
+        name: "--max-wall",
+        arity: Arity::Value("a positive number of seconds"),
+    },
+    FlagDef {
+        name: "--inject-faults",
+        arity: Arity::Value("a fault spec (kind@family.group[,...])"),
+    },
+    FlagDef {
+        name: "--quantiles",
+        arity: Arity::Value("a quantile list, e.g. 0.5,0.9,0.99 or p50,p90,p99"),
+    },
+    FlagDef {
+        name: "--quiet",
+        arity: Arity::Switch,
+    },
+    FlagDef {
+        name: "--graph",
+        arity: Arity::Value("a graph spec"),
+    },
+    FlagDef {
+        name: "--process",
+        arity: Arity::Value("a process list"),
+    },
+    FlagDef {
+        name: "--target",
+        arity: Arity::Value("a target"),
+    },
+    FlagDef {
+        name: "--start",
+        arity: Arity::Value("a vertex index"),
+    },
+    FlagDef {
+        name: "--cap",
+        arity: Arity::Value("auto|nlogn:<factor>|abs:<steps>"),
+    },
+    FlagDef {
+        name: "--cache",
+        arity: Arity::Value("a directory"),
+    },
+    FlagDef {
+        name: "--canonical",
+        arity: Arity::Switch,
+    },
+    FlagDef {
+        name: "--max-bytes",
+        arity: Arity::Value("a byte budget"),
+    },
+];
 
 /// A usage error: malformed flags or values. The CLI maps every one of
 /// these to exit code 2 (`EX_USAGE`).
@@ -81,6 +193,13 @@ impl fmt::Display for UsageError {
 
 impl std::error::Error for UsageError {}
 
+/// A malformed spec value on a command line is a usage error.
+impl From<SpecError> for UsageError {
+    fn from(e: SpecError) -> UsageError {
+        UsageError::new(e.to_string())
+    }
+}
+
 /// The lexical result of [`parse_args`]: flags (name + raw value) in
 /// command-line order, positionals in order, and whether `--help`/`-h`
 /// appeared anywhere.
@@ -110,8 +229,8 @@ impl Parsed {
     }
 }
 
-/// Parses `args` for subcommand `cmd` against the full flag `table`,
-/// honouring only the names in `accepts`.
+/// Parses `args` for subcommand `cmd` against [`FLAGS`], honouring only
+/// the names in `accepts`.
 ///
 /// Rejections, in order of specificity: a known-but-foreign flag
 /// ("does not apply to"), an unknown `-`-prefixed token, and a missing
@@ -120,7 +239,6 @@ impl Parsed {
 /// rather than after the experiment has run).
 pub fn parse_args(
     cmd: &str,
-    table: &[FlagDef],
     accepts: &[&str],
     args: impl Iterator<Item = String>,
 ) -> Result<Parsed, UsageError> {
@@ -131,7 +249,7 @@ pub fn parse_args(
             parsed.help = true;
             continue;
         }
-        let def = table.iter().find(|d| d.name == token);
+        let def = FLAGS.iter().find(|d| d.name == token);
         match def {
             Some(def) => {
                 if !accepts.contains(&def.name) {
@@ -144,7 +262,7 @@ pub fn parse_args(
                     Arity::Switch => None,
                     Arity::Value(what) => {
                         let next_is_flag = args.peek().is_some_and(|t| {
-                            t == "-h" || t == "--help" || table.iter().any(|d| d.name == t)
+                            t == "-h" || t == "--help" || FLAGS.iter().any(|d| d.name == t)
                         });
                         match args.next() {
                             Some(v) if !next_is_flag && !v.is_empty() => Some(v),
@@ -209,29 +327,6 @@ pub fn expect_seconds(flag: &str, raw: &str) -> Result<Duration, UsageError> {
 mod tests {
     use super::*;
 
-    const TABLE: &[FlagDef] = &[
-        FlagDef {
-            name: "--json",
-            arity: Arity::Value("a path"),
-        },
-        FlagDef {
-            name: "--process",
-            arity: Arity::Value("a process list"),
-        },
-        FlagDef {
-            name: "--progress",
-            arity: Arity::Switch,
-        },
-        FlagDef {
-            name: "--resample",
-            arity: Arity::OptionalInt,
-        },
-        FlagDef {
-            name: "--shard",
-            arity: Arity::Value("<i>/<k>, e.g. 0/4"),
-        },
-    ];
-
     fn argv(s: &str) -> impl Iterator<Item = String> + '_ {
         s.split_whitespace().map(String::from)
     }
@@ -240,7 +335,6 @@ mod tests {
     fn collects_flags_values_and_positionals_in_order() {
         let p = parse_args(
             "run",
-            TABLE,
             &["--json", "--progress", "--resample"],
             argv("spec --progress --json out.json --resample 3 extra"),
         )
@@ -254,28 +348,23 @@ mod tests {
 
     #[test]
     fn foreign_known_flags_are_rejected_by_name() {
-        let err = parse_args("merge", TABLE, &["--json"], argv("--shard 0/2")).unwrap_err();
+        let err = parse_args("merge", &["--json"], argv("--shard 0/2")).unwrap_err();
         assert_eq!(err.to_string(), "flag `--shard` does not apply to `merge`");
     }
 
     #[test]
     fn unknown_flags_are_rejected() {
-        let err = parse_args("run", TABLE, &["--json"], argv("--frobnicate")).unwrap_err();
+        let err = parse_args("run", &["--json"], argv("--frobnicate")).unwrap_err();
         assert_eq!(err.to_string(), "unknown flag \"--frobnicate\"");
     }
 
     #[test]
     fn missing_values_fail_eagerly_with_uniform_wording() {
-        let err = parse_args("run", TABLE, &["--json"], argv("--json")).unwrap_err();
+        let err = parse_args("run", &["--json"], argv("--json")).unwrap_err();
         assert_eq!(err.to_string(), "flag `--json` expects a path");
         // A following known flag counts as a missing value.
-        let err = parse_args(
-            "run",
-            TABLE,
-            &["--json", "--progress"],
-            argv("--json --progress"),
-        )
-        .unwrap_err();
+        let err =
+            parse_args("run", &["--json", "--progress"], argv("--json --progress")).unwrap_err();
         assert_eq!(err.to_string(), "flag `--json` expects a path");
     }
 
@@ -283,7 +372,6 @@ mod tests {
     fn optional_int_leaves_non_integers_untouched() {
         let p = parse_args(
             "run",
-            TABLE,
             &["--resample", "--progress"],
             argv("--resample --progress"),
         )
@@ -295,7 +383,7 @@ mod tests {
 
     #[test]
     fn help_is_recognised_anywhere() {
-        let p = parse_args("run", TABLE, &[], argv("-h")).unwrap();
+        let p = parse_args("run", &[], argv("-h")).unwrap();
         assert!(p.help);
     }
 

@@ -6,6 +6,7 @@
 //! [`crate::builtin`]) or parsed from the compact CLI syntax accepted by
 //! [`GraphSpec::parse`] and [`ProcessSpec::parse`].
 
+use crate::cli::{expect_count, parse_args, Parsed, UsageError};
 use eproc_core::choice::RandomWalkWithChoice;
 use eproc_core::cover::CoverTarget;
 use eproc_core::fair::{LeastUsedFirst, OldestFirst};
@@ -1610,142 +1611,35 @@ impl ExperimentSpec {
     /// sorted, defaults materialized, `name`/`description` derived from
     /// content — see [`ExperimentSpec::canonicalize`]).
     ///
-    /// Accepted flags: `--graph` (repeatable; `;`-packed), `--process`
-    /// (repeatable; `,`-packed), `--metrics` (repeatable; `,`-packed),
-    /// `--trials`, `--target`, `--start`, `--cap`, `--resample <W>`. Omitted fields take the `compare` defaults
-    /// (5 trials, `vertex` target, start 0, `auto` cap, no resampling).
-    /// Resample `~` markers and sweep ranges are rejected: a canonical
-    /// line carries explicit `--resample` and concrete sizes.
+    /// The line is read as `eproc compare` reads its flags: the eight
+    /// [`SPEC_FLAGS`] through [`SpecFlags`], with `compare`'s defaults
+    /// for the ones it omits (see [`SpecFlags::into_spec`]).
     ///
     /// # Errors
     ///
     /// [`SpecError`] on unknown flags, missing or malformed values,
     /// positional tokens, or an empty graph/process grid.
     pub fn parse_cli(line: &str) -> Result<ExperimentSpec, SpecError> {
-        use crate::cli::{parse_args, Arity, FlagDef};
-        const TABLE: &[FlagDef] = &[
-            FlagDef {
-                name: "--graph",
-                arity: Arity::Value("a graph spec"),
-            },
-            FlagDef {
-                name: "--process",
-                arity: Arity::Value("a process list"),
-            },
-            FlagDef {
-                name: "--trials",
-                arity: Arity::Value("a trial count"),
-            },
-            FlagDef {
-                name: "--target",
-                arity: Arity::Value("a target"),
-            },
-            FlagDef {
-                name: "--metrics",
-                arity: Arity::Value("a metric list"),
-            },
-            FlagDef {
-                name: "--start",
-                arity: Arity::Value("a start vertex"),
-            },
-            FlagDef {
-                name: "--cap",
-                arity: Arity::Value("auto|nlogn:<factor>|abs:<steps>"),
-            },
-            FlagDef {
-                name: "--resample",
-                arity: Arity::Value("a walks-per-graph count"),
-            },
-        ];
-        const ACCEPTS: &[&str] = &[
-            "--graph",
-            "--process",
-            "--trials",
-            "--target",
-            "--metrics",
-            "--start",
-            "--cap",
-            "--resample",
-        ];
+        let usage = |e: UsageError| SpecError::new(e.to_string());
         let parsed = parse_args(
             "spec",
-            TABLE,
-            ACCEPTS,
+            SPEC_FLAGS,
             line.split_whitespace().map(String::from),
         )
-        .map_err(|e| SpecError::new(e.to_string()))?;
+        .map_err(usage)?;
         if let Some(tok) = parsed.positionals.first() {
             return Err(SpecError::new(format!(
                 "spec line: unexpected token {tok:?} (flags only)"
             )));
         }
-        let mut spec = ExperimentSpec {
-            name: String::new(),
-            description: String::new(),
-            graphs: Vec::new(),
-            processes: Vec::new(),
-            trials: 5,
-            target: Target::VertexCover,
-            metrics: Vec::new(),
-            start: 0,
-            cap: CapSpec::Auto,
-            resample: None,
-        };
-        let expects = |flag: &str, what: &str, got: &str| {
-            SpecError::new(format!("flag `{flag}` expects {what}, got {got:?}"))
-        };
-        for (flag, value) in &parsed.flags {
-            let v = value
-                .as_deref()
-                .expect("every spec-line flag takes a value");
-            match *flag {
-                "--graph" => {
-                    for part in v.split(';') {
-                        spec.graphs.push(GraphSpec::parse(part)?);
-                    }
-                }
-                "--process" => {
-                    for part in v.split(',') {
-                        spec.processes.push(ProcessSpec::parse(part)?);
-                    }
-                }
-                "--metrics" => {
-                    for part in v.split(',') {
-                        spec.metrics.push(MetricSpec::parse(part)?);
-                    }
-                }
-                "--trials" => {
-                    spec.trials = match v.parse() {
-                        Ok(t) if t >= 1 => t,
-                        _ => return Err(expects("--trials", "an integer of at least 1", v)),
-                    };
-                }
-                "--target" => spec.target = Target::parse(v)?,
-                "--start" => {
-                    spec.start = v
-                        .parse()
-                        .map_err(|_| expects("--start", "a vertex index", v))?;
-                }
-                "--cap" => spec.cap = CapSpec::parse(v)?,
-                "--resample" => {
-                    let walks = match v.parse() {
-                        Ok(w) if w >= 1 => w,
-                        _ => return Err(expects("--resample", "an integer of at least 1", v)),
-                    };
-                    spec.resample = Some(ResamplePlan {
-                        walks_per_graph: walks,
-                    });
-                }
-                other => unreachable!("unaccepted flag {other} passed the table"),
-            }
-        }
-        if spec.graphs.is_empty() {
+        let flags = SpecFlags::from_parsed(&parsed).map_err(usage)?;
+        if flags.graphs.is_empty() {
             return Err(SpecError::new("spec line has no --graph"));
         }
-        if spec.processes.is_empty() {
+        if flags.processes.is_empty() {
             return Err(SpecError::new("spec line has no --process"));
         }
-        Ok(spec.canonicalize())
+        Ok(flags.into_spec("", "").canonicalize())
     }
 
     /// The unique normal form of this experiment, the fixed point of
@@ -1788,6 +1682,139 @@ impl ExperimentSpec {
         c.name = crate::digest::content_name(&line);
         c.description = line;
         c
+    }
+}
+
+/// The eight flags that spell an experiment's grid and stopping rule.
+/// [`SpecFlags`] is their one reader.
+pub const SPEC_FLAGS: &[&str] = &[
+    "--graph",
+    "--process",
+    "--metrics",
+    "--trials",
+    "--target",
+    "--start",
+    "--cap",
+    "--resample",
+];
+
+/// The [`SPEC_FLAGS`] of one command line, read once. `eproc compare`,
+/// `eproc scale`, `eproc run` and [`ExperimentSpec::parse_cli`] all read
+/// them here, so every spelling of a spec means the same thing:
+///
+/// - `--graph`, `--process` and `--metrics` accumulate over repeats, as
+///   [`ExperimentSpec::to_cli`] writes them; one value may also pack
+///   several entries (`;` between graphs, `,` between processes or
+///   metrics);
+/// - a repeated scalar flag keeps its last value;
+/// - a `--graph` value takes [`GraphSpec::parse_with_sweep`]'s grammar:
+///   a `~` resample marker, and a sweep range for a size.
+#[derive(Debug, Default)]
+pub struct SpecFlags {
+    /// `--graph` entries, sweep ranges expanded.
+    pub graphs: Vec<GraphSpec>,
+    /// `--process` entries.
+    pub processes: Vec<ProcessSpec>,
+    /// `--metrics` entries (empty without the flag).
+    pub metrics: Vec<MetricSpec>,
+    /// `--trials N`.
+    pub trials: Option<usize>,
+    /// `--target T`.
+    pub target: Option<Target>,
+    /// `--start V`.
+    pub start: Option<Vertex>,
+    /// `--cap C`.
+    pub cap: Option<CapSpec>,
+    /// `--resample [W]` (a bare flag means `W = 1`).
+    pub resample: Option<ResamplePlan>,
+    /// Whether a `--graph` value carried the `~` resample marker.
+    pub marked_resample: bool,
+}
+
+impl SpecFlags {
+    /// Reads every spec-flag occurrence in `parsed`, in command-line
+    /// order; other flags are left to their own readers.
+    ///
+    /// # Errors
+    ///
+    /// [`UsageError`] naming the first malformed value.
+    pub fn from_parsed(parsed: &Parsed) -> Result<SpecFlags, UsageError> {
+        let mut flags = SpecFlags::default();
+        for (name, value) in &parsed.flags {
+            let v = || value.as_deref().expect("value-arity flag has a value");
+            match *name {
+                "--graph" => {
+                    for part in v().split(';') {
+                        let (graphs, marked) = GraphSpec::parse_with_sweep(part)?;
+                        flags.graphs.extend(graphs);
+                        flags.marked_resample |= marked;
+                    }
+                }
+                "--process" => {
+                    for part in v().split(',') {
+                        flags.processes.push(ProcessSpec::parse(part)?);
+                    }
+                }
+                "--metrics" => {
+                    for part in v().split(',') {
+                        flags.metrics.push(MetricSpec::parse(part)?);
+                    }
+                }
+                "--trials" => flags.trials = Some(expect_count(name, v())?),
+                "--target" => flags.target = Some(Target::parse(v())?),
+                "--start" => {
+                    let start = v()
+                        .parse()
+                        .map_err(|_| UsageError::expects(name, "an unsigned integer", Some(v())))?;
+                    flags.start = Some(start);
+                }
+                "--cap" => flags.cap = Some(CapSpec::parse(v())?),
+                "--resample" => {
+                    let walks_per_graph = match value {
+                        Some(raw) => expect_count(name, raw)?,
+                        None => 1,
+                    };
+                    flags.resample = Some(ResamplePlan { walks_per_graph });
+                }
+                _ => {}
+            }
+        }
+        Ok(flags)
+    }
+
+    /// Applies the flags a named spec honours — `--trials`, `--metrics`
+    /// and `--resample` — as `eproc run` and `eproc scale <name>` do.
+    pub fn override_spec(self, spec: &mut ExperimentSpec) {
+        if let Some(trials) = self.trials {
+            spec.trials = trials;
+        }
+        if !self.metrics.is_empty() {
+            spec.metrics = self.metrics;
+        }
+        if let Some(plan) = self.resample {
+            spec.resample = Some(plan);
+        }
+    }
+
+    /// The spec these flags spell, with `compare`'s defaults for what
+    /// they omit: 5 trials, the `vertex` target, start 0 and the `auto`
+    /// cap. `--resample [W]` wins; otherwise a `~` marker means one
+    /// fresh graph per trial, and no marker means shared graphs.
+    pub fn into_spec(self, name: &str, description: &str) -> ExperimentSpec {
+        ExperimentSpec {
+            name: name.into(),
+            description: description.into(),
+            graphs: self.graphs,
+            processes: self.processes,
+            trials: self.trials.unwrap_or(5),
+            target: self.target.unwrap_or(Target::VertexCover),
+            metrics: self.metrics,
+            start: self.start.unwrap_or(0),
+            cap: self.cap.unwrap_or(CapSpec::Auto),
+            resample: self
+                .resample
+                .or(self.marked_resample.then(ResamplePlan::per_trial)),
+        }
     }
 }
 

@@ -1,6 +1,7 @@
 //! End-to-end tests of the `eproc` binary: exit-code contract, per-
-//! subcommand flag rejection, the `--csv` table, the artifact cache round
-//! trip, a closed stdout or stderr, and the cache/list subcommands.
+//! subcommand flag rejection, repeated list flags, the `--csv` table, the
+//! artifact cache round trip, a closed stdout or stderr, and the
+//! cache/list subcommands.
 //! Everything runs the real binary via `CARGO_BIN_EXE_eproc`, so these
 //! pin exactly what scripts and CI see.
 
@@ -563,6 +564,101 @@ fn list_canonical_prints_digest_and_normal_form_per_builtin() {
         .collect();
     assert_eq!(digests.len(), other_digests.len());
     assert!(digests.iter().zip(&other_digests).all(|(a, b)| a != b));
+}
+
+/// A canonical spec line writes one `--metrics` per metric, so a
+/// repeated list flag must mean what the packed `a,b` value means, not
+/// keep only its last occurrence. Runs `compare` on a small grid with
+/// `metrics` and returns its stdout.
+fn compare_with_metrics(metrics: &[&str], json: &std::path::Path, cache: Option<&str>) -> String {
+    let mut args = vec![
+        "compare",
+        "--graph",
+        "cycle:16",
+        "--process",
+        "srw",
+        "--trials",
+        "2",
+    ];
+    args.extend(metrics);
+    args.extend(["--json", json.to_str().unwrap()]);
+    args.extend(cache.map(|dir| ["--cache", dir]).into_iter().flatten());
+    let out = eproc(&args);
+    assert_eq!(out.status.code(), Some(0), "{args:?}: {}", stderr(&out));
+    stdout(&out)
+}
+
+const REPEATED: &[&str] = &["--metrics", "cover", "--metrics", "phases"];
+const PACKED: &[&str] = &["--metrics", "cover,phases"];
+
+#[test]
+fn repeated_metrics_write_the_packed_artifact() {
+    let dir = temp_dir("repeated_artifact");
+    let (a, b) = (dir.join("repeated.json"), dir.join("packed.json"));
+    compare_with_metrics(REPEATED, &a, None);
+    compare_with_metrics(PACKED, &b, None);
+    let (a, b) = (std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
+    assert_eq!(a, b, "both spellings must write the same artifact");
+    let text = String::from_utf8(a).unwrap();
+    for column in ["\"cover.c_v\"", "\"phases.first_blue\""] {
+        assert!(text.contains(column), "{column} missing: {text}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn repeated_metrics_hit_the_packed_cache_entry() {
+    let dir = temp_dir("repeated_cache");
+    let cache = dir.join("cache");
+    let cache = Some(cache.to_str().unwrap());
+    let stored = compare_with_metrics(REPEATED, &dir.join("stored.json"), cache);
+    let digest = stored
+        .lines()
+        .find_map(|l| l.strip_prefix("cache: stored "))
+        .unwrap_or_else(|| panic!("first spelling stores: {stored}"));
+    let served = compare_with_metrics(PACKED, &dir.join("served.json"), cache);
+    assert!(
+        served.contains(&format!("cache: hit {digest}")),
+        "second spelling must hit {digest}: {served}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn run_overrides_a_builtins_metrics_with_every_repeat() {
+    let dir = temp_dir("repeated_run");
+    let json = dir.join("blanket.json");
+    let out = eproc(&[
+        "run",
+        "blanket",
+        "--metrics",
+        "cover",
+        "--metrics",
+        "hitting",
+        "--json",
+        json.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let text = std::fs::read_to_string(&json).unwrap();
+    for column in ["\"cover.c_v\"", "\"hitting(last)\""] {
+        assert!(text.contains(column), "{column} missing: {text}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn help_names_every_flag_in_the_table() {
+    let out = eproc(&["--help"]);
+    assert_eq!(out.status.code(), Some(0));
+    let text = stderr(&out);
+    for flag in eproc_engine::cli::FLAGS {
+        // A whole-word match: `--checkpoint-every` does not name
+        // `--checkpoint`.
+        let named = text.match_indices(flag.name).any(|(i, _)| {
+            !text[i + flag.name.len()..].starts_with(|c: char| c.is_alphanumeric() || c == '-')
+        });
+        assert!(named, "`eproc --help` does not name {}", flag.name);
+    }
 }
 
 #[test]

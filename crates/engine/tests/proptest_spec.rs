@@ -184,6 +184,29 @@ fn arb_experiment_spec() -> impl Strategy<Value = ExperimentSpec> {
         )
 }
 
+/// `line` with each list flag's repeats packed into one flag, as a user
+/// may write it: `--graph a;b`, `--process a,b`, `--metrics a,b`. Every
+/// flag of a [`ExperimentSpec::to_cli`] line takes exactly one value.
+fn packed_cli(line: &str) -> String {
+    let tokens: Vec<&str> = line.split_whitespace().collect();
+    let mut lists = [("--graph", ";"), ("--process", ","), ("--metrics", ",")]
+        .map(|(flag, sep)| (flag, sep, Vec::new()));
+    let mut rest: Vec<&str> = Vec::new();
+    for pair in tokens.chunks(2) {
+        match lists.iter_mut().find(|(flag, _, _)| *flag == pair[0]) {
+            Some((_, _, values)) => values.push(pair[1]),
+            None => rest.extend(pair),
+        }
+    }
+    let mut packed: Vec<String> = lists
+        .iter()
+        .filter(|(_, _, values)| !values.is_empty())
+        .map(|(flag, sep, values)| format!("{flag} {}", values.join(sep)))
+        .collect();
+    packed.extend(rest.iter().map(|t| t.to_string()));
+    packed.join(" ")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -282,6 +305,9 @@ proptest! {
         let canonical = spec.canonicalize();
         let reparsed = ExperimentSpec::parse_cli(&canonical.to_cli()).unwrap();
         prop_assert_eq!(&reparsed, &canonical);
+        // Repeated list flags and packed ones spell the same spec.
+        let packed = packed_cli(&canonical.to_cli());
+        prop_assert_eq!(&ExperimentSpec::parse_cli(&packed).unwrap(), &canonical);
         // Idempotence: a second canonicalization changes nothing.
         prop_assert_eq!(canonical.canonicalize(), canonical);
     }
